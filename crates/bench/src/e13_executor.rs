@@ -472,8 +472,10 @@ pub fn run_sized(n: usize) -> Report {
     report.note(
         "checksummed read: the same full scan of a checkpointed table, \
          cold (cache cleared, every page read off the medium with its \
-         CRC-32 trailer verified) vs warm (pool hits); gated loosely — \
-         the cold leg rides the OS page cache (see scripts/check_perf.py)",
+         CRC-32 trailer verified) vs warm (pool hits); the ratio is what \
+         a scan pays per pool miss — one page read plus one table-driven \
+         checksum — and scripts/check_perf.py holds it under an absolute \
+         2x ceiling, so a slow checksum cannot come back unnoticed",
     );
     report.note(
         "instrumentation overhead: the full-scan aggregate with \

@@ -351,6 +351,32 @@ fn metrics_snapshot_crosses_the_wire_and_is_monotonic() {
     server.stop();
 }
 
+/// Regression: the server's database has checkpointed (and so replaced
+/// its buffer pool) before the first client connects; `buffer.*` must
+/// follow the live pool instead of freezing with the retired one.
+#[test]
+fn buffer_counters_are_live_over_the_wire() {
+    let (server, addr) = start_server("metrics-buffer");
+    let mut conn = RemoteConnection::connect(&addr, "admin").unwrap();
+    seed_for_stats(&mut conn);
+    let before = conn.metrics().unwrap();
+    assert!(before.counter("checkpoint.count").unwrap() >= 1);
+    let hits_before = before
+        .counter("buffer.hits")
+        .expect("buffer.hits registered");
+    for _ in 0..5 {
+        conn.run("SELECT COUNT(*) FROM Gene").unwrap();
+    }
+    let after = conn.metrics().unwrap();
+    assert!(
+        after.counter("buffer.hits").unwrap() > hits_before,
+        "buffer.hits frozen at {hits_before} after a checkpoint"
+    );
+    conn.close().unwrap();
+    drop(conn);
+    server.stop();
+}
+
 #[test]
 fn group_commit_amortizes_fsyncs_across_clients() {
     let (server, addr) = start_server("group-fsync");

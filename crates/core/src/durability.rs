@@ -1945,7 +1945,13 @@ impl Database {
             )),
             None => Box::new(FileStore::create(&tmp)?),
         };
-        let new_pool = Arc::new(BufferPool::new(tmp_store, pool_pages));
+        // the registry exports the live pool's counters: the successor
+        // keeps counting on them, so `buffer.*` outlive the checkpoint
+        let new_pool = Arc::new(BufferPool::with_metrics(
+            tmp_store,
+            pool_pages,
+            self.pool.metrics(),
+        ));
         let header = new_pool.allocate()?;
         debug_assert_eq!(header, PageId(0));
         let mut moved: Vec<(String, HeapFile, BTreeMap<u64, Rid>)> = Vec::new();

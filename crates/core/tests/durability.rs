@@ -385,3 +385,33 @@ fn provenance_survives_reopen() {
     assert_eq!(rec.unwrap().source, "GenoBase");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Regression: a checkpoint replaces the buffer pool; the registry must
+/// keep exporting the *live* pool's counters, not the retired one's
+/// (every durable database checkpoints once at create/open, so the
+/// `buffer.*` rows used to freeze before the first statement).
+#[test]
+fn buffer_counters_keep_counting_across_checkpoints() {
+    let dir = tmp("buffer-metrics");
+    let mut db = Database::create(&dir).unwrap();
+    db.execute("CREATE TABLE T (K INT)").unwrap();
+    let mut hits = db.metrics_snapshot().counter("buffer.hits").unwrap();
+    for round in 0..3 {
+        db.execute(&format!("INSERT INTO T VALUES ({round})"))
+            .unwrap();
+        db.execute("SELECT K FROM T").unwrap();
+        let now = db.metrics_snapshot().counter("buffer.hits").unwrap();
+        assert!(now > hits, "round {round}: buffer.hits stuck at {hits}");
+        hits = now;
+        db.checkpoint().unwrap();
+        // the checkpoint's own page traffic counts too, and nothing resets
+        assert!(db.metrics_snapshot().counter("buffer.hits").unwrap() >= hits);
+    }
+    // a cold read after the checkpoint is a registered miss
+    let misses = db.metrics_snapshot().counter("buffer.misses").unwrap();
+    db.pool().clear_cache().unwrap();
+    db.execute("SELECT K FROM T").unwrap();
+    assert!(db.metrics_snapshot().counter("buffer.misses").unwrap() > misses);
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -40,28 +40,43 @@ use bdbms_common::{BdbmsError, Result};
 use crate::pager::{stamp_page_checksum, verify_page_checksum, PageId, PageStore, PAGE_SIZE};
 use crate::wal::FlushGate;
 
+/// "No slot": the end of an LRU link chain.
+const NIL: usize = usize::MAX;
+
+/// One slot of the frame table: a page-sized buffer plus the bookkeeping
+/// of the page it currently holds.  The buffer is allocated once per slot
+/// and recycled for whichever page the slot holds next.
 struct Frame {
+    /// The page held (stale while the slot is on the free list).
+    id: PageId,
     data: Box<[u8; PAGE_SIZE]>,
     dirty: bool,
     /// LSN stamped at the last mutation (0 = never mutated under a log).
     lsn: u64,
-    /// Towards the MRU end of the intrusive LRU list.
-    prev: Option<PageId>,
-    /// Towards the LRU end of the intrusive LRU list.
-    next: Option<PageId>,
+    /// Slot towards the MRU end of the intrusive LRU list.
+    prev: usize,
+    /// Slot towards the LRU end of the intrusive LRU list.
+    next: usize,
 }
 
-/// Frames double as nodes of an intrusive doubly-linked LRU list
-/// (`head` = most recently used, `tail` = eviction victim), so touching a
-/// page and picking a victim are both O(1) — the previous implementation
-/// scanned every frame per eviction, which made cold scans through a
-/// small pool quadratic.
+/// The frame table is a slab (`frames`) addressed by slot number, one map
+/// from resident page to slot (`index`), and an intrusive doubly-linked
+/// LRU list threaded through the slots (`head` = most recently used,
+/// `tail` = eviction victim).  A hit is one hash lookup; relinking and
+/// picking a victim are index arithmetic.
+///
+/// Invariants: every slot is either *resident* — linked into the LRU
+/// list and named by exactly one `index` entry — or on the `free` list,
+/// never both; free slots are clean.
 struct Inner {
     store: Box<dyn PageStore>,
-    frames: HashMap<PageId, Frame>,
+    frames: Vec<Frame>,
+    index: HashMap<PageId, usize>,
+    /// Slots holding no page (a fault-in that failed after claiming one).
+    free: Vec<usize>,
     capacity: usize,
-    head: Option<PageId>,
-    tail: Option<PageId>,
+    head: usize,
+    tail: usize,
     reads: u64,
     writes: u64,
     /// WAL-before-data hook: called with a frame's LSN before its bytes
@@ -71,17 +86,19 @@ struct Inner {
     lsn_source: Option<Arc<AtomicU64>>,
     /// No-steal mode: never write a dirty page on eviction.
     pin_dirty: bool,
-    /// Live-observability counters (hit/miss/eviction/writeback).  The
-    /// pool always owns them; a database registers them under
-    /// `buffer.*` names.  `metrics_on` gates the recording so the e13
-    /// overhead workload can measure the instrumented-vs-bare delta.
+    /// Live-observability counters (hit/miss/eviction/writeback).  A
+    /// database registers them under `buffer.*` names and hands the same
+    /// handles to every pool it opens.  `metrics_on` gates the recording
+    /// so the e13 overhead workload can measure the
+    /// instrumented-vs-bare delta.
     metrics: BufferPoolMetrics,
     metrics_on: bool,
 }
 
-/// The pool's always-allocated observability instruments.  Handles are
-/// `Arc`-shared so a [`bdbms_common::metrics::MetricsRegistry`] can
-/// export them without the pool depending on any registry.
+/// The pool's observability instruments.  Handles are `Arc`-shared so a
+/// [`bdbms_common::metrics::MetricsRegistry`] can export them without
+/// the pool depending on any registry, and so a successor pool
+/// ([`BufferPool::with_metrics`]) keeps counting where this one stopped.
 #[derive(Debug, Clone, Default)]
 pub struct BufferPoolMetrics {
     /// Page accesses served from a resident frame.
@@ -95,79 +112,76 @@ pub struct BufferPoolMetrics {
 }
 
 impl Inner {
-    /// Unlink `id` from the LRU list (it must be linked).
-    fn detach(&mut self, id: PageId) {
+    /// Unlink `slot` from the LRU list (it must be linked).
+    fn detach(&mut self, slot: usize) {
         let (prev, next) = {
-            let f = self.frames.get(&id).expect("detach of non-resident frame");
+            let f = &self.frames[slot];
             (f.prev, f.next)
         };
         match prev {
-            Some(p) => self.frames.get_mut(&p).expect("linked prev").next = next,
-            None => self.head = next,
+            NIL => self.head = next,
+            p => self.frames[p].next = next,
         }
         match next {
-            Some(n) => self.frames.get_mut(&n).expect("linked next").prev = prev,
-            None => self.tail = prev,
+            NIL => self.tail = prev,
+            n => self.frames[n].prev = prev,
         }
     }
 
-    /// Link `id` at the MRU end (its links must be dangling).
-    fn attach_front(&mut self, id: PageId) {
+    /// Link `slot` at the MRU end (its links must be dangling).
+    fn attach_front(&mut self, slot: usize) {
         let old_head = self.head;
-        {
-            let f = self
-                .frames
-                .get_mut(&id)
-                .expect("attach of non-resident frame");
-            f.prev = None;
-            f.next = old_head;
-        }
+        let f = &mut self.frames[slot];
+        f.prev = NIL;
+        f.next = old_head;
         match old_head {
-            Some(h) => self.frames.get_mut(&h).expect("old head").prev = Some(id),
-            None => self.tail = Some(id),
+            NIL => self.tail = slot,
+            h => self.frames[h].prev = slot,
         }
-        self.head = Some(id);
+        self.head = slot;
     }
 
-    fn touch(&mut self, id: PageId) {
-        if self.head == Some(id) {
-            return;
+    /// The slot holding page `id`, moved to the MRU end; the page is
+    /// faulted in first (evicting the LRU frame at capacity) when it is
+    /// not resident.
+    fn pin(&mut self, id: PageId) -> Result<usize> {
+        if let Some(&slot) = self.index.get(&id) {
+            self.note_access(false);
+            if self.head != slot {
+                self.detach(slot);
+                self.attach_front(slot);
+            }
+            return Ok(slot);
         }
-        if self.frames.contains_key(&id) {
-            self.detach(id);
-            self.attach_front(id);
+        let slot = self.claim_slot()?;
+        let data = &mut self.frames[slot].data;
+        let read = self.store.read_page(id, &mut data[..]).and_then(|()| {
+            self.reads += 1;
+            if verify_page_checksum(&data[..]) {
+                Ok(())
+            } else {
+                Err(BdbmsError::corrupt(format!(
+                    "page checksum mismatch reading {id} from the backing store"
+                )))
+            }
+        });
+        if let Err(e) = read {
+            self.free.push(slot);
+            return Err(e);
         }
+        self.install(slot, id, false, 0);
+        self.note_access(true);
+        Ok(slot)
     }
 
-    /// Ensure `id` is resident, evicting the LRU frame if at capacity.
-    /// Returns `true` when the page had to be faulted in (a miss).
-    fn fault_in(&mut self, id: PageId) -> Result<bool> {
-        if self.frames.contains_key(&id) {
-            return Ok(false);
-        }
-        if self.frames.len() >= self.capacity {
-            self.evict_one()?;
-        }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        self.store.read_page(id, &mut data[..])?;
-        self.reads += 1;
-        if !verify_page_checksum(&data[..]) {
-            return Err(BdbmsError::corrupt(format!(
-                "page checksum mismatch reading {id} from the backing store"
-            )));
-        }
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                dirty: false,
-                lsn: 0,
-                prev: None,
-                next: None,
-            },
-        );
-        self.attach_front(id);
-        Ok(true)
+    /// Make the (unlinked, clean) `slot` the resident MRU frame of `id`.
+    fn install(&mut self, slot: usize, id: PageId, dirty: bool, lsn: u64) {
+        let f = &mut self.frames[slot];
+        f.id = id;
+        f.dirty = dirty;
+        f.lsn = lsn;
+        self.index.insert(id, slot);
+        self.attach_front(slot);
     }
 
     /// Record a hit or a miss on the access counters.
@@ -182,20 +196,21 @@ impl Inner {
         }
     }
 
-    /// Write one frame's bytes back to the store, honouring
-    /// WAL-before-data: the gate flushes the log up to the frame's LSN
-    /// *before* the page write.
-    fn write_back(&mut self, id: PageId, lsn: u64) -> Result<()> {
-        if lsn > 0 {
-            if let Some(gate) = self.gate.clone() {
-                gate.flush_to(lsn)?;
+    /// Write one dirty frame's bytes back to the store and mark it clean,
+    /// honouring WAL-before-data: the gate flushes the log up to the
+    /// frame's LSN *before* the page write.  The checksum is stamped in
+    /// place: the trailer lies outside [`crate::PAGE_BODY`], which is all
+    /// a page user ever reads or writes.
+    fn write_back(&mut self, slot: usize) -> Result<()> {
+        let frame = &mut self.frames[slot];
+        if frame.lsn > 0 {
+            if let Some(gate) = &self.gate {
+                gate.flush_to(frame.lsn)?;
             }
         }
-        // copy out to appease the borrow checker: store and frames are
-        // both fields of the same Inner.
-        let mut data = self.frames.get(&id).expect("resident frame").data.clone();
-        stamp_page_checksum(&mut data[..]);
-        self.store.write_page(id, &data[..])?;
+        stamp_page_checksum(&mut frame.data[..]);
+        self.store.write_page(frame.id, &frame.data[..])?;
+        frame.dirty = false;
         self.writes += 1;
         if self.metrics_on {
             self.metrics.dirty_writebacks.inc();
@@ -203,41 +218,45 @@ impl Inner {
         Ok(())
     }
 
-    /// Evict one frame.  In `pin_dirty` mode only clean frames are
-    /// candidates; with every frame dirty the pool grows past its
-    /// capacity instead of violating no-steal.
-    fn evict_one(&mut self) -> Result<()> {
-        let mut victim = self
-            .tail
-            .ok_or_else(|| BdbmsError::storage("evict from empty pool"))?;
-        if self.pin_dirty {
-            // walk from the LRU end towards MRU looking for a clean frame
-            let mut cur = Some(victim);
-            loop {
-                match cur {
-                    Some(id) if self.frames[&id].dirty => {
-                        cur = self.frames[&id].prev;
-                    }
-                    Some(id) => {
-                        victim = id;
-                        break;
-                    }
-                    // every frame is dirty: grow rather than steal
-                    None => return Ok(()),
+    /// An unlinked, clean slot for an incoming page: at capacity the LRU
+    /// victim's slot — buffer included — is recycled; otherwise a free
+    /// slot, or a new one.  In `pin_dirty` mode only clean frames are
+    /// victims; with every frame dirty the pool grows past its capacity
+    /// instead of violating no-steal.  The buffer holds stale bytes: the
+    /// caller overwrites all of it.
+    fn claim_slot(&mut self) -> Result<usize> {
+        if self.index.len() >= self.capacity {
+            let mut victim = self.tail;
+            if self.pin_dirty {
+                // walk from the LRU end towards MRU looking for a clean frame
+                while victim != NIL && self.frames[victim].dirty {
+                    victim = self.frames[victim].prev;
                 }
             }
+            if victim != NIL {
+                if self.frames[victim].dirty {
+                    self.write_back(victim)?;
+                }
+                self.detach(victim);
+                self.index.remove(&self.frames[victim].id);
+                if self.metrics_on {
+                    self.metrics.evictions.inc();
+                }
+                return Ok(victim);
+            }
         }
-        self.detach(victim);
-        let frame = self.frames.get(&victim).unwrap();
-        if frame.dirty {
-            let lsn = frame.lsn;
-            self.write_back(victim, lsn)?;
+        if let Some(slot) = self.free.pop() {
+            return Ok(slot);
         }
-        self.frames.remove(&victim);
-        if self.metrics_on {
-            self.metrics.evictions.inc();
-        }
-        Ok(())
+        self.frames.push(Frame {
+            id: PageId(0),
+            data: Box::new([0u8; PAGE_SIZE]),
+            dirty: false,
+            lsn: 0,
+            prev: NIL,
+            next: NIL,
+        });
+        Ok(self.frames.len() - 1)
     }
 
     /// The LSN stamp a mutation happening now should carry.
@@ -257,20 +276,33 @@ pub struct BufferPool {
 impl BufferPool {
     /// Create a pool holding at most `capacity` pages in memory.
     pub fn new(store: Box<dyn PageStore>, capacity: usize) -> Self {
+        Self::with_metrics(store, capacity, BufferPoolMetrics::default())
+    }
+
+    /// [`new`](Self::new), counting on existing instruments: a database
+    /// that replaces its pool (checkpoint, reopen) passes the handles
+    /// its registry already exports, so `buffer.*` keep counting.
+    pub fn with_metrics(
+        store: Box<dyn PageStore>,
+        capacity: usize,
+        metrics: BufferPoolMetrics,
+    ) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         BufferPool {
             inner: Mutex::new(Inner {
                 store,
-                frames: HashMap::new(),
+                frames: Vec::new(),
+                index: HashMap::new(),
+                free: Vec::new(),
                 capacity,
-                head: None,
-                tail: None,
+                head: NIL,
+                tail: NIL,
                 reads: 0,
                 writes: 0,
                 gate: None,
                 lsn_source: None,
                 pin_dirty: false,
-                metrics: BufferPoolMetrics::default(),
+                metrics,
                 metrics_on: true,
             }),
         }
@@ -309,11 +341,10 @@ impl BufferPool {
     /// The LSN stamped on a resident page (0 if clean-loaded or not
     /// resident) — observability for the WAL-ordering tests.
     pub fn page_lsn(&self, id: PageId) -> u64 {
-        self.inner
-            .lock()
-            .frames
+        let g = self.inner.lock();
+        g.index
             .get(&id)
-            .map(|f| f.lsn)
+            .map(|&slot| g.frames[slot].lsn)
             .unwrap_or(0)
     }
 
@@ -321,42 +352,26 @@ impl BufferPool {
     pub fn allocate(&self) -> Result<PageId> {
         let mut g = self.inner.lock();
         let id = g.store.allocate()?;
-        if g.frames.len() >= g.capacity {
-            g.evict_one()?;
-        }
+        let slot = g.claim_slot()?;
+        g.frames[slot].data.fill(0);
         let lsn = g.current_lsn();
-        g.frames.insert(
-            id,
-            Frame {
-                data: Box::new([0u8; PAGE_SIZE]),
-                dirty: true,
-                lsn,
-                prev: None,
-                next: None,
-            },
-        );
-        g.attach_front(id);
+        g.install(slot, id, true, lsn);
         Ok(id)
     }
 
     /// Run `f` with read access to page `id`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let mut g = self.inner.lock();
-        let missed = g.fault_in(id)?;
-        g.note_access(missed);
-        g.touch(id);
-        let frame = g.frames.get(&id).unwrap();
-        Ok(f(&frame.data[..]))
+        let slot = g.pin(id)?;
+        Ok(f(&g.frames[slot].data[..]))
     }
 
     /// Run `f` with write access to page `id`; the page is marked dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         let mut g = self.inner.lock();
-        let missed = g.fault_in(id)?;
-        g.note_access(missed);
-        g.touch(id);
+        let slot = g.pin(id)?;
         let lsn = g.current_lsn();
-        let frame = g.frames.get_mut(&id).unwrap();
+        let frame = &mut g.frames[slot];
         frame.dirty = true;
         frame.lsn = frame.lsn.max(lsn);
         Ok(f(&mut frame.data[..]))
@@ -367,16 +382,16 @@ impl BufferPool {
     /// does for eviction).
     pub fn flush_all(&self) -> Result<()> {
         let mut g = self.inner.lock();
-        let mut dirty: Vec<(PageId, u64)> = g
+        let mut dirty: Vec<(PageId, usize)> = g
             .frames
             .iter()
+            .enumerate()
             .filter(|(_, f)| f.dirty)
-            .map(|(id, f)| (*id, f.lsn))
+            .map(|(slot, f)| (f.id, slot))
             .collect();
-        dirty.sort_unstable_by_key(|&(id, _)| id);
-        for (id, lsn) in dirty {
-            g.write_back(id, lsn)?;
-            g.frames.get_mut(&id).unwrap().dirty = false;
+        dirty.sort_unstable();
+        for (_, slot) in dirty {
+            g.write_back(slot)?;
         }
         Ok(())
     }
@@ -415,8 +430,10 @@ impl BufferPool {
         self.flush_all()?;
         let mut g = self.inner.lock();
         g.frames.clear();
-        g.head = None;
-        g.tail = None;
+        g.index.clear();
+        g.free.clear();
+        g.head = NIL;
+        g.tail = NIL;
         Ok(())
     }
 }
@@ -770,6 +787,122 @@ mod tests {
         let err = p.with_page(id, |_| ()).unwrap_err();
         assert_eq!(err.code(), bdbms_common::ErrorCode::Corrupt);
         assert!(err.to_string().contains("pg0"), "names the page: {err}");
+        // The failed fault-in left nothing behind: no resident frame for
+        // the page, its slot back on the free list, the LRU list whole.
+        {
+            let g = p.inner.lock();
+            assert!(!g.index.contains_key(&id));
+            assert_eq!(g.free.len(), 1);
+        }
+        assert_consistent(&p);
+        // So does a read the store itself refuses.
+        assert!(p.with_page(PageId(99), |_| ()).is_err());
+        assert_eq!(p.inner.lock().free.len(), 1);
+        assert_consistent(&p);
+        // Repair the store: the retry succeeds, in the freed slot.
+        {
+            let mut g = backing.lock();
+            let mut buf = [0u8; PAGE_SIZE];
+            g.read_page(id, &mut buf).unwrap();
+            buf[100] ^= 0xFF;
+            g.write_page(id, &buf).unwrap();
+        }
+        assert_eq!(p.with_page(id, |pg| pg[100]).unwrap(), 0xEE);
+        assert!(p.inner.lock().free.is_empty());
+        assert_consistent(&p);
+    }
+
+    /// Every slot is on exactly one of the LRU list (and then named by
+    /// its `index` entry) and the free list; the list's back links mirror
+    /// its forward links.
+    fn assert_consistent(p: &BufferPool) {
+        let g = p.inner.lock();
+        let mut seen = vec![false; g.frames.len()];
+        let (mut cur, mut prev, mut linked) = (g.head, NIL, 0);
+        while cur != NIL {
+            assert!(!seen[cur], "slot {cur} linked twice");
+            seen[cur] = true;
+            assert_eq!(g.frames[cur].prev, prev, "back link of slot {cur}");
+            assert_eq!(g.index.get(&g.frames[cur].id), Some(&cur));
+            prev = cur;
+            cur = g.frames[cur].next;
+            linked += 1;
+        }
+        assert_eq!(g.tail, prev);
+        assert_eq!(linked, g.index.len());
+        for &slot in &g.free {
+            assert!(!seen[slot], "free slot {slot} is also linked or free twice");
+            seen[slot] = true;
+            assert!(!g.frames[slot].dirty, "free slot {slot} is dirty");
+        }
+        assert!(seen.iter().all(|&s| s), "a slot is neither linked nor free");
+    }
+
+    #[test]
+    fn a_failed_fault_in_at_capacity_keeps_the_pool_usable() {
+        let p = pool(2);
+        let a = p.allocate().unwrap();
+        let b = p.allocate().unwrap();
+        p.with_page_mut(a, |pg| pg[0] = 1).unwrap();
+        p.with_page_mut(b, |pg| pg[0] = 2).unwrap();
+        // The miss evicts (and writes back) `a` before its read fails.
+        assert!(p.with_page(PageId(99), |_| ()).is_err());
+        assert_consistent(&p);
+        assert_eq!(p.with_page(a, |pg| pg[0]).unwrap(), 1);
+        assert_eq!(p.with_page(b, |pg| pg[0]).unwrap(), 2);
+        assert_consistent(&p);
+        assert_eq!(p.inner.lock().frames.len(), 2, "the slab did not grow");
+    }
+
+    #[test]
+    fn recycled_frames_do_not_leak_the_evicted_pages_bytes() {
+        let backing = Arc::new(Mutex::new(MemStore::new()));
+        let p = BufferPool::new(
+            Box::new(SharedStore {
+                inner: backing.clone(),
+            }),
+            2,
+        );
+        let a = p.allocate().unwrap();
+        let b = p.allocate().unwrap();
+        p.with_page_mut(a, |pg| pg.fill(0xFF)).unwrap();
+        p.with_page_mut(b, |pg| pg.fill(0xFF)).unwrap();
+        // Allocated in the store, never written: all zeros on the medium.
+        let z = backing.lock().allocate().unwrap();
+        // Faulting it in evicts `a` and reuses its buffer.
+        assert!(p.with_page(z, |pg| pg.iter().all(|&x| x == 0)).unwrap());
+        assert_eq!(p.metrics().evictions.get(), 1);
+        // A fresh page allocated into `b`'s recycled buffer is zeroed too.
+        let c = p.allocate().unwrap();
+        assert!(p.with_page(c, |pg| pg.iter().all(|&x| x == 0)).unwrap());
+        assert_eq!(p.inner.lock().frames.len(), 2, "buffers were reused");
+        // The evicted pages round-trip through the store and verify.
+        for id in [a, b] {
+            let ok = p.with_page(id, |pg| pg[..crate::PAGE_BODY].iter().all(|&x| x == 0xFF));
+            assert!(ok.unwrap());
+        }
+        assert_consistent(&p);
+    }
+
+    #[test]
+    fn clear_cache_after_no_steal_growth_leaves_a_working_pool() {
+        let (p, _events, lsn) = gated_pool(2);
+        p.set_pin_dirty(true);
+        lsn.store(5, Ordering::SeqCst);
+        let ids: Vec<_> = (0..5).map(|_| p.allocate().unwrap()).collect();
+        for (i, id) in ids.iter().enumerate() {
+            p.with_page_mut(*id, |pg| pg[0] = i as u8 + 1).unwrap();
+        }
+        assert_eq!(p.inner.lock().index.len(), 5, "grew past capacity");
+        assert_consistent(&p);
+        p.clear_cache().unwrap();
+        assert_eq!(p.inner.lock().index.len(), 0);
+        assert_consistent(&p);
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(p.with_page(*id, |pg| pg[0]).unwrap(), i as u8 + 1);
+        }
+        assert_eq!(p.inner.lock().frames.len(), 2, "back within capacity");
+        assert_consistent(&p);
     }
 
     #[test]

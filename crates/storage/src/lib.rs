@@ -16,9 +16,12 @@
 //! Durability lives in [`wal`]: a segmented, CRC-framed write-ahead log
 //! with `Full`/`NoSync` fsync policies, plus the [`wal::FlushGate`] hook
 //! through which the buffer pool enforces WAL-before-data (no dirty page
-//! reaches the store ahead of its log record).  See `docs/STORAGE.md`.
+//! reaches the store ahead of its log record).  Page trailers, WAL frames
+//! and snapshot blobs all share the one checksum kernel in [`crc`].  See
+//! `docs/STORAGE.md`.
 
 pub mod buffer;
+pub mod crc;
 pub mod fault;
 pub mod heap;
 pub mod pager;
@@ -26,6 +29,7 @@ pub mod slotted;
 pub mod wal;
 
 pub use buffer::BufferPool;
+pub use crc::{crc32, Crc32};
 pub use fault::{FaultInjector, FaultKind, FaultStore, IoDecision};
 pub use heap::{HeapFile, Rid};
 pub use pager::{
@@ -33,6 +37,6 @@ pub use pager::{
     PageStore, PAGE_BODY, PAGE_SIZE, PAGE_TRAILER,
 };
 pub use wal::{
-    crc32, scan_segment_bytes, verify_wal_dir, CommitTicket, Durability, FlushGate, GroupCommitter,
+    scan_segment_bytes, verify_wal_dir, CommitTicket, Durability, FlushGate, GroupCommitter,
     SharedWal, Wal, WalCheck, WalPos,
 };

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use bdbms_common::{BdbmsError, Result};
 
-use crate::wal::crc32;
+use crate::crc::crc32;
 
 /// Size of every page in bytes (8 KiB — PostgreSQL's default).
 pub const PAGE_SIZE: usize = 8192;
@@ -261,6 +261,18 @@ mod tests {
             bad[at] ^= 0x01;
             assert!(!verify_page_checksum(&bad), "flip at {at} went undetected");
         }
+    }
+
+    /// Format pin: the trailer of a fixed-pattern page, as stamped by the
+    /// commit that introduced page checksums.
+    #[test]
+    fn golden_page_trailer_does_not_drift() {
+        let mut page = vec![0u8; PAGE_SIZE];
+        for (i, b) in page.iter_mut().enumerate() {
+            *b = (i % 251) as u8;
+        }
+        stamp_page_checksum(&mut page);
+        assert_eq!(page[PAGE_BODY..], [0xc4, 0x22, 0xe2, 0x5b]);
     }
 
     #[test]

@@ -61,23 +61,8 @@ use parking_lot::Mutex;
 use bdbms_common::metrics::{Counter, Gauge, Histogram};
 use bdbms_common::{BdbmsError, Result};
 
+use crate::crc::{crc32, Crc32};
 use crate::fault::{FaultInjector, IoDecision};
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum used by WAL
-/// frames and the database header page.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Small table-free implementation; the WAL is not the bottleneck and
-    // the container has no external crc crate.
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// When does a committed transaction actually reach the platter?
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -419,13 +404,14 @@ impl Wal {
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&lsn.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc32(&crc_input).to_le_bytes())?;
-        self.writer.write_all(&crc_input)?;
+        let lsn_bytes = lsn.to_le_bytes();
+        let crc = Crc32::new().update(&lsn_bytes).update(payload).finish();
+        let mut header = [0u8; FRAME_HEADER];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&crc.to_le_bytes());
+        header[8..].copy_from_slice(&lsn_bytes);
+        self.writer.write_all(&header)?;
+        self.writer.write_all(payload)?;
         self.active_len += (FRAME_HEADER + payload.len()) as u64;
         self.metrics.appends.inc();
         Ok(lsn)
@@ -866,7 +852,7 @@ pub struct GroupCommitter {
 
 /// The flusher's observability instruments: the group-size distribution
 /// and the live fsync-cost EMA that drives the adaptive gather window.
-/// These used to be locals inside [`GroupCommitter::flush_loop`]; the
+/// These used to be locals inside `GroupCommitter::flush_loop`; the
 /// registry export makes e14's commits-per-fsync claim observable on a
 /// live server.
 #[derive(Debug, Clone, Default)]
@@ -1052,10 +1038,26 @@ mod tests {
         dir
     }
 
+    /// Format pin: the exact bytes of a one-record segment (header +
+    /// frame), as written by the commit that introduced the format.  A
+    /// checksum or framing change that alters them orphans every WAL on
+    /// disk.
     #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    fn golden_segment_bytes_do_not_drift() {
+        let dir = tmp("golden");
+        let (mut wal, _) = Wal::open(&dir, Durability::NoSync).unwrap();
+        assert_eq!(wal.append(b"bdbms golden frame").unwrap(), 1);
+        wal.flush().unwrap();
+        let bytes = fs::read(segment_path(&dir, 0)).unwrap();
+        let mut want = Vec::new();
+        want.extend_from_slice(b"BDBMSWAL");
+        want.extend_from_slice(&1u64.to_le_bytes()); // first lsn
+        want.extend_from_slice(&18u32.to_le_bytes()); // payload length
+        want.extend_from_slice(&[0x79, 0x0d, 0xe4, 0xed]); // crc(lsn ‖ payload)
+        want.extend_from_slice(&1u64.to_le_bytes()); // lsn
+        want.extend_from_slice(b"bdbms golden frame");
+        assert_eq!(bytes, want);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
