@@ -319,7 +319,9 @@ fn metrics_snapshot_crosses_the_wire_and_is_monotonic() {
     seed_for_stats(&mut conn);
 
     let before = conn.metrics().unwrap();
-    let commits_before = before.counter("txn.commits").expect("txn.commits registered");
+    let commits_before = before
+        .counter("txn.commits")
+        .expect("txn.commits registered");
     let stmts_before = before
         .counter("session.statements")
         .expect("session.statements registered");

@@ -410,7 +410,10 @@ mod tests {
         r.counter("a").inc();
         let s1 = r.snapshot();
         assert_eq!(
-            s1.counters.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+            s1.counters
+                .iter()
+                .map(|(n, _)| n.as_str())
+                .collect::<Vec<_>>(),
             vec!["a", "z"]
         );
         r.counter("z").add(10);

@@ -224,8 +224,7 @@ impl Database {
     /// (and the `Database::execute*` wrappers); streaming cursors are
     /// not recorded — their cost accrues as the caller pulls.
     pub fn set_slow_query_threshold(&mut self, threshold: Option<Duration>) {
-        self.slow_log.threshold_ns =
-            threshold.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
+        self.slow_log.threshold_ns = threshold.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// The configured slow-query threshold, if any.
@@ -943,7 +942,9 @@ impl Database {
                         analyze,
                     )
                 }
-                _ => Err(BdbmsError::invalid("EXPLAIN supports only SELECT statements")),
+                _ => Err(BdbmsError::invalid(
+                    "EXPLAIN supports only SELECT statements",
+                )),
             },
             Statement::ShowSlowQueries => {
                 let mut qr = QueryResult {

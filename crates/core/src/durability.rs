@@ -2118,7 +2118,8 @@ impl Database {
                 if ps.group.is_none() {
                     let group = GroupCommitter::new(ps.wal.clone());
                     let gm = group.metrics();
-                    self.metrics.register_histogram("group.sizes", gm.group_sizes);
+                    self.metrics
+                        .register_histogram("group.sizes", gm.group_sizes);
                     self.metrics
                         .register_gauge("group.fsync_ema_ns", gm.fsync_ema_ns);
                     ps.group = Some(group);

@@ -1048,7 +1048,11 @@ fn explain_branch(
 
     // ---- pipeline stages, root first (mirrors assemble_batch_pipeline) ----
     if let Some(k) = planned.push_limit {
-        push(depth, format!("Limit {k} (pushed)"), Some(format!("Limit {k}")));
+        push(
+            depth,
+            format!("Limit {k} (pushed)"),
+            Some(format!("Limit {k}")),
+        );
         depth += 1;
     }
     if let Some(cond) = &planned.awhere {
@@ -1099,10 +1103,24 @@ fn explain_branch(
         let local = &planned.bindings[src.offset..src.offset + src.arity];
         let local_value_cols = PlannedSelect::local_value_cols(&planned.value_cols, src);
         if upto == 0 {
-            let text = describe_scan(src, local, &planned.pushed[0], planned.use_index, &local_value_cols);
-            push(depth, format!("{prefix}{text}"), Some(format!("Scan {}", src.table.name)));
+            let text = describe_scan(
+                src,
+                local,
+                &planned.pushed[0],
+                planned.use_index,
+                &local_value_cols,
+            );
+            push(
+                depth,
+                format!("{prefix}{text}"),
+                Some(format!("Scan {}", src.table.name)),
+            );
             if !planned.pushed[0].is_empty() {
-                push(depth + 1, format!("Pushed: {}", render_conjuncts(&planned.pushed[0])), None);
+                push(
+                    depth + 1,
+                    format!("Pushed: {}", render_conjuncts(&planned.pushed[0])),
+                    None,
+                );
             }
         } else {
             push(
@@ -1111,14 +1129,24 @@ fn explain_branch(
                 Some(format!("Hash Join {}", src.table.name)),
             );
             render_sources(planned, upto - 1, depth + 1, "Probe: ", push);
-            let text = describe_scan(src, local, &planned.pushed[upto], planned.use_index, &local_value_cols);
+            let text = describe_scan(
+                src,
+                local,
+                &planned.pushed[upto],
+                planned.use_index,
+                &local_value_cols,
+            );
             push(
                 depth + 1,
                 format!("Build: {text}"),
                 Some(format!("Scan {} (build)", src.table.name)),
             );
             if !planned.pushed[upto].is_empty() {
-                push(depth + 2, format!("Pushed: {}", render_conjuncts(&planned.pushed[upto])), None);
+                push(
+                    depth + 2,
+                    format!("Pushed: {}", render_conjuncts(&planned.pushed[upto])),
+                    None,
+                );
             }
         }
     }
@@ -1134,9 +1162,11 @@ fn explain_branch(
         let mut used = vec![false; prof.ops.len()];
         for line in &mut lines[first..] {
             let Some(label) = &line.label else { continue };
-            let hit = prof.ops.iter().enumerate().find(|(i, op)| {
-                !used[*i] && op.borrow().label == *label
-            });
+            let hit = prof
+                .ops
+                .iter()
+                .enumerate()
+                .find(|(i, op)| !used[*i] && op.borrow().label == *label);
             if let Some((i, op)) = hit {
                 used[i] = true;
                 let p = op.borrow();
@@ -2007,10 +2037,9 @@ fn assemble_batch_pipeline<'a>(
             ),
             Some(left) => {
                 let build = match prof.as_deref_mut() {
-                    Some(pr) => batch::drain_build(pr.wrap(
-                        Box::new(scan),
-                        format!("Scan {} (build)", src.table.name),
-                    ))?,
+                    Some(pr) => batch::drain_build(
+                        pr.wrap(Box::new(scan), format!("Scan {} (build)", src.table.name)),
+                    )?,
                     None => batch::drain_build(scan)?,
                 };
                 let acc_bindings = &bindings[..src.offset];
@@ -2030,7 +2059,11 @@ fn assemble_batch_pipeline<'a>(
             .iter()
             .map(|c| crate::expr::compile(c, &bindings))
             .collect();
-        op = maybe_profile(&mut prof, Box::new(batch::BatchFilter::new(op, compiled)), "Filter");
+        op = maybe_profile(
+            &mut prof,
+            Box::new(batch::BatchFilter::new(op, compiled)),
+            "Filter",
+        );
     }
 
     // ---- annotation attachment (lazy mode: survivors only).  Skipped
@@ -2051,7 +2084,12 @@ fn assemble_batch_pipeline<'a>(
         if attachers.iter().any(|a| !a.is_noop()) {
             op = maybe_profile(
                 &mut prof,
-                Box::new(batch::BatchAttach::new(op, attachers, total_arity, st.clone())),
+                Box::new(batch::BatchAttach::new(
+                    op,
+                    attachers,
+                    total_arity,
+                    st.clone(),
+                )),
                 "Attach Annotations",
             );
         }
@@ -2059,7 +2097,11 @@ fn assemble_batch_pipeline<'a>(
 
     // ---- AWHERE: annotation-based selection (some annotation satisfies) ----
     if let Some(cond) = awhere {
-        op = maybe_profile(&mut prof, Box::new(batch::BatchAWhere::new(op, cond)), "AWhere");
+        op = maybe_profile(
+            &mut prof,
+            Box::new(batch::BatchAWhere::new(op, cond)),
+            "AWhere",
+        );
     }
 
     // ---- pushed LIMIT: demand-driven, so scans stop (and fetch counts

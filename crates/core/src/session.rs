@@ -265,8 +265,12 @@ impl<'db> Session<'db> {
         let started = std::time::Instant::now();
         let bound = stmt.bind(params)?;
         let res = self.dispatch(bound);
-        self.db
-            .note_statement(&stmt.inner.sql, &self.user, started.elapsed(), res.as_ref().ok());
+        self.db.note_statement(
+            &stmt.inner.sql,
+            &self.user,
+            started.elapsed(),
+            res.as_ref().ok(),
+        );
         res
     }
 

@@ -30,8 +30,10 @@ fn setup() -> Database {
         .unwrap();
     }
     for i in 0..20 {
-        db.execute(&format!("INSERT INTO Seq VALUES ('S{i}', 'ACGTACGTTTAGGC')"))
-            .unwrap();
+        db.execute(&format!(
+            "INSERT INTO Seq VALUES ('S{i}', 'ACGTACGTTTAGGC')"
+        ))
+        .unwrap();
     }
     db.execute("ANALYZE Gene").unwrap();
     db.execute("ANALYZE Prot").unwrap();
@@ -58,11 +60,17 @@ fn explain_point_lookup_uses_index() {
     let lines = plan_text(&qr);
     assert_eq!(lines[0], "Project: Len");
     assert!(
-        lines[1].trim_start().starts_with("Index Scan Gene using gene_gid (GID = 'G007')"),
+        lines[1]
+            .trim_start()
+            .starts_with("Index Scan Gene using gene_gid (GID = 'G007')"),
         "expected an index point probe, got: {}",
         lines[1]
     );
-    assert!(lines[1].contains("of 200)"), "row estimate missing: {}", lines[1]);
+    assert!(
+        lines[1].contains("of 200)"),
+        "row estimate missing: {}",
+        lines[1]
+    );
 }
 
 #[test]
@@ -74,7 +82,9 @@ fn explain_range_scan_renders_bounds() {
     let lines = plan_text(&qr);
     assert_eq!(lines[0], "Project: GID");
     assert!(
-        lines[1].trim_start().starts_with("Index Scan Gene using gene_gid (GID >= 'G010' AND GID <= 'G020')"),
+        lines[1]
+            .trim_start()
+            .starts_with("Index Scan Gene using gene_gid (GID >= 'G010' AND GID <= 'G020')"),
         "expected an index range probe, got: {}",
         lines[1]
     );
@@ -122,9 +132,7 @@ fn explain_join_shows_build_and_probe_sides() {
 #[test]
 fn explain_limit_pushdown_is_visible() {
     let mut db = setup();
-    let qr = db
-        .execute("EXPLAIN SELECT GID FROM Gene LIMIT 5")
-        .unwrap();
+    let qr = db.execute("EXPLAIN SELECT GID FROM Gene LIMIT 5").unwrap();
     let lines = plan_text(&qr);
     assert_eq!(lines[0], "Project: GID");
     assert!(
@@ -132,7 +140,9 @@ fn explain_limit_pushdown_is_visible() {
         "pushed limit missing: {lines:?}"
     );
     assert!(
-        lines.iter().any(|l| l.trim_start().starts_with("Seq Scan Gene")),
+        lines
+            .iter()
+            .any(|l| l.trim_start().starts_with("Seq Scan Gene")),
         "expected a sequential scan: {lines:?}"
     );
 }
@@ -145,11 +155,9 @@ fn explain_seq_index_scan() {
         .unwrap();
     let lines = plan_text(&qr);
     assert!(
-        lines
-            .iter()
-            .any(|l| l.trim_start().starts_with(
-                "Seq Index Scan Seq using seq_res (Residues CONTAINS SEQ 'ACGT')"
-            )),
+        lines.iter().any(|l| l
+            .trim_start()
+            .starts_with("Seq Index Scan Seq using seq_res (Residues CONTAINS SEQ 'ACGT')")),
         "expected a sequence-index scan: {lines:?}"
     );
 }
@@ -249,12 +257,14 @@ fn explain_set_operation_tree() {
 fn slow_query_log_records_and_shows() {
     let mut db = setup();
     assert!(db.slow_query_threshold().is_none(), "off by default");
-    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'").unwrap();
+    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'")
+        .unwrap();
     assert!(db.slow_queries().is_empty(), "nothing recorded while off");
 
     // a zero threshold records every statement
     db.set_slow_query_threshold(Some(std::time::Duration::ZERO));
-    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'").unwrap();
+    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'")
+        .unwrap();
     let logged = db.slow_queries();
     let entry = logged.last().expect("statement recorded");
     assert_eq!(entry.sql, "SELECT GID FROM Gene WHERE GID = 'G007'");
@@ -288,6 +298,11 @@ fn slow_query_log_records_and_shows() {
     );
 
     db.set_slow_query_threshold(None);
-    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'").unwrap();
-    assert_eq!(db.slow_queries().len(), 128, "recording stops when disabled");
+    db.execute("SELECT GID FROM Gene WHERE GID = 'G007'")
+        .unwrap();
+    assert_eq!(
+        db.slow_queries().len(),
+        128,
+        "recording stops when disabled"
+    );
 }

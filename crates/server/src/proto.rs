@@ -491,7 +491,14 @@ fn get_snapshot(c: &mut Cur<'_>) -> Result<MetricsSnapshot> {
         for _ in 0..nb {
             buckets.push((c.u64()?, c.u64()?));
         }
-        histograms.push((name, HistogramSnapshot { count, sum, buckets }));
+        histograms.push((
+            name,
+            HistogramSnapshot {
+                count,
+                sum,
+                buckets,
+            },
+        ));
     }
     Ok(MetricsSnapshot {
         counters,

@@ -378,7 +378,9 @@ impl Wal {
         self.metrics.fsyncs.inc();
         let started = std::time::Instant::now();
         let r = f.sync_all();
-        self.metrics.fsync_latency_ns.record_duration(started.elapsed());
+        self.metrics
+            .fsync_latency_ns
+            .record_duration(started.elapsed());
         r
     }
 
