@@ -1,7 +1,8 @@
 //! E15 — bulk ingestion (`COPY`) + SQL-surfaced sequence search.
 //!
-//! Two acceptance claims from the ingestion subsystem (ISSUE 8, not a
-//! paper figure — the paper's §7.2 curation scenario motivates both):
+//! Three acceptance claims from the ingestion subsystem (ISSUEs 8 and
+//! 14, not a paper figure — the paper's §7.2 curation scenario motivates
+//! them):
 //!
 //! * **bulk load**: `COPY <table> FROM '<file>' FORMAT FASTA` must load a
 //!   50k-record FASTA dump ≥10x faster than the same records issued as
@@ -13,9 +14,13 @@
 //!   '<pat>'` over a column with a `CREATE SEQUENCE INDEX … USING SBC`
 //!   must be planner-routed through the SBC-tree (visible as
 //!   `ExecStats::seq_index_probes`) and beat the naive full scan ≥10x.
+//! * **sequence index build**: filling an SBC-tree from rows that already
+//!   exist (`CREATE SEQUENCE INDEX`, every `Database::open`) by one sort
+//!   and bottom-up loads (`SbcTree::build`) must beat growing it one
+//!   `insert_sequence` at a time ≥2x on the search corpus.
 //!
-//! Both rows are gated in CI by `scripts/check_perf.py --id e15` with
-//! absolute floors of 10x.
+//! All rows are gated in CI by `scripts/check_perf.py --id e15` with
+//! absolute floors (10x, 10x, 2x).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -23,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use bdbms_core::executor::ExecOptions;
 use bdbms_core::{Database, DurabilityOptions};
+use bdbms_seq::{RleSeq, SbcTree};
 
 use crate::report::{ms, ratio, Report};
 use crate::workloads::{pattern_from, ss_corpus};
@@ -173,6 +179,27 @@ fn time_substring_search(corpus: &[Vec<u8>]) -> (Duration, Duration, usize) {
     (scan_t, probe_t, a.len())
 }
 
+/// One-shot wall time of indexing `corpus` in an SBC-tree: grown by
+/// `insert_sequence` vs. built in bulk (RLE encoding on both clocks).
+/// Asserts the two indexes hold the same suffixes and answer alike.
+fn time_index_build(corpus: &[Vec<u8>]) -> (Duration, Duration) {
+    let s = Instant::now();
+    let mut grown = SbcTree::new();
+    for seq in corpus {
+        grown.insert_sequence(seq);
+    }
+    let incremental_t = s.elapsed();
+    let s = Instant::now();
+    let built = SbcTree::build(corpus.iter().map(|seq| RleSeq::encode(seq)).collect());
+    let bulk_t = s.elapsed();
+    assert_eq!(built.num_suffixes(), grown.num_suffixes());
+    let pat = pattern_from(corpus, PATTERN_LEN, 7);
+    let hits = built.matching_texts(&pat);
+    assert_eq!(hits, grown.matching_texts(&pat));
+    assert!(!hits.is_empty(), "the pattern is drawn from the corpus");
+    (incremental_t, bulk_t)
+}
+
 /// Run E15 at the acceptance scale: a 50k-record bulk load and a
 /// 12k-sequence search corpus (large enough that the scan side — linear
 /// in the corpus — dwarfs the SBC probe's fixed per-query cost).
@@ -211,12 +238,21 @@ pub fn run_sized(load_n: usize, search_n: usize) -> Report {
         ratio(scan_t.as_secs_f64(), probe_t.as_secs_f64()),
     ]);
 
+    let (incremental_t, bulk_t) = time_index_build(&search_corpus);
+    report.row(vec![
+        "sequence index build (bulk vs incremental)".to_string(),
+        format!("{search_n} x {SEARCH_SEQ_LEN} chars"),
+        ms(incremental_t),
+        ms(bulk_t),
+        ratio(incremental_t.as_secs_f64(), bulk_t.as_secs_f64()),
+    ]);
+
     let load_rate = load_n as f64 / copy_t.as_secs_f64().max(1e-12);
     let insert_rate = load_n as f64 / insert_t.as_secs_f64().max(1e-12);
     report.note(format!(
         "bulk load: {load_rate:.0} rows/s via COPY vs {insert_rate:.0} rows/s \
          row-at-a-time (both durable, NoSync; hdr_idx maintained on both \
-         sides — COPY defers it to one sorted rebuild)"
+         sides — COPY defers it to one pass after the load)"
     ));
     report.note(
         "COPY writes one logical BulkLoad WAL record plus a forced \
@@ -228,6 +264,12 @@ pub fn run_sized(load_n: usize, search_n: usize) -> Report {
          path probes the SBC-tree (seq_index_probes = 1) and fetches only \
          candidates, the naive path decodes and scans every row"
     ));
+    report.note(
+        "index build: the incremental leg inserts one run-boundary suffix at \
+         a time into the suffix B-tree, the R-tree and the run-length index; \
+         the bulk leg sorts the suffixes once and loads each structure \
+         bottom-up (what CREATE SEQUENCE INDEX and every open do)",
+    );
     report
 }
 
@@ -238,13 +280,14 @@ mod tests {
     /// Deterministic shape check at a small scale; wall-clock floors are
     /// asserted by the release-mode perf gate, not here.
     #[test]
-    fn report_has_two_gated_rows_and_json_renders() {
+    fn report_has_three_gated_rows_and_json_renders() {
         let r = run_sized(300, 120);
-        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.rows.len(), 3);
         let j = r.render_json();
         assert!(j.contains("\"id\":\"e15\""));
         assert!(j.contains("bulk load (COPY vs row INSERTs)"));
         assert!(j.contains("indexed substring (CONTAINS SEQ vs scan)"));
+        assert!(j.contains("sequence index build (bulk vs incremental)"));
     }
 
     /// The workload helpers carry their own correctness asserts (row
@@ -258,5 +301,7 @@ mod tests {
         let (scan_t, probe_t, matches) = time_substring_search(&corpus);
         assert!(scan_t > Duration::ZERO && probe_t > Duration::ZERO);
         assert!(matches > 0);
+        let (incremental_t, bulk_t) = time_index_build(&corpus);
+        assert!(incremental_t > Duration::ZERO && bulk_t > Duration::ZERO);
     }
 }

@@ -36,6 +36,11 @@ impl AccessStats {
         self.writes.set(self.writes.get() + 1);
     }
 
+    /// Record `n` logical writes at once (a bulk loader emitting `n` nodes).
+    pub fn record_writes(&self, n: u64) {
+        self.writes.set(self.writes.get() + n);
+    }
+
     /// Number of logical reads so far.
     pub fn reads(&self) -> u64 {
         self.reads.get()

@@ -7,11 +7,12 @@ use std::sync::Arc;
 use bdbms_common::bitmap::CellBitmap;
 use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
 use bdbms_index::BPlusTree;
-use bdbms_seq::{SbcTree, StringBTree};
+use bdbms_seq::{RleSeq, SbcTree, StringBTree};
 use bdbms_storage::{BufferPool, HeapFile, Rid};
 
 use crate::annotation::AnnotationSet;
 use crate::ast::SeqIndexKind;
+use crate::batch::BATCH_SIZE;
 use crate::durability::{disabled_redo_sink, RedoSink, WalRecord};
 use crate::stats::TableStats;
 
@@ -100,21 +101,6 @@ impl TableIndex {
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
     }
-
-    /// Replace the tree wholesale from key-sorted entries (bulk load's
-    /// deferred index build).  Ascending insertion keeps every split on
-    /// the rightmost path, so this beats the shuffled per-row inserts a
-    /// 50k-record `COPY` would otherwise issue.
-    fn rebuild_sorted(&mut self, entries: Vec<(Value, u64)>) {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
-        let mut tree = BPlusTree::new();
-        for (value, row_no) in entries {
-            if !value.is_null() {
-                tree.insert(value, row_no);
-            }
-        }
-        self.tree = tree;
-    }
 }
 
 /// The physical structure behind a sequence index: the paper's SBC-tree
@@ -140,23 +126,54 @@ impl SeqBackend {
         }
     }
 
-    /// Text ids containing `pattern` as a substring, deduplicated.
+    /// The one way an index is filled from rows that already exist: a
+    /// bulk build (one sort, bottom-up loads) over every collected text.
+    fn build(texts: SeqTexts) -> SeqBackend {
+        match texts {
+            SeqTexts::Sbc(texts) => SeqBackend::Sbc(SbcTree::build(texts)),
+            SeqTexts::Suffix(texts) => SeqBackend::Suffix(StringBTree::build(texts)),
+        }
+    }
+
+    /// Text ids containing `pattern` as a substring, ascending.
     fn matching_texts(&self, pattern: &[u8]) -> Vec<u32> {
-        let mut ids: Vec<u32> = match self {
-            SeqBackend::Sbc(t) => t
-                .substring_search(pattern)
-                .into_iter()
-                .map(|occ| occ.text)
-                .collect(),
-            SeqBackend::Suffix(t) => t
-                .substring_search(pattern)
-                .into_iter()
-                .map(|(text, _)| text)
-                .collect(),
-        };
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        match self {
+            SeqBackend::Sbc(t) => t.matching_texts(pattern),
+            SeqBackend::Suffix(t) => {
+                let mut ids: Vec<u32> = t
+                    .substring_search(pattern)
+                    .into_iter()
+                    .map(|(text, _)| text)
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            }
+        }
+    }
+}
+
+/// Texts collected for [`SeqBackend::build`], each already in the form
+/// its backend stores (so a scan can hand them over chunk by chunk
+/// without the raw column ever being resident as a whole).
+enum SeqTexts {
+    Sbc(Vec<RleSeq>),
+    Suffix(Vec<Vec<u8>>),
+}
+
+impl SeqTexts {
+    fn new(kind: SeqIndexKind) -> SeqTexts {
+        match kind {
+            SeqIndexKind::Sbc => SeqTexts::Sbc(Vec::new()),
+            SeqIndexKind::Suffix => SeqTexts::Suffix(Vec::new()),
+        }
+    }
+
+    fn push(&mut self, text: &[u8]) {
+        match self {
+            SeqTexts::Sbc(texts) => texts.push(RleSeq::encode(text)),
+            SeqTexts::Suffix(texts) => texts.push(text.to_vec()),
+        }
     }
 }
 
@@ -206,6 +223,15 @@ impl SeqIndex {
         if let Some(id) = self.text_of_row.remove(&row_no) {
             self.row_of_text.remove(&id);
         }
+    }
+
+    /// Replace the (empty) index with a bulk build over `texts`, the
+    /// `i`-th of which belongs to row `rows[i]` (ascending).
+    fn load(&mut self, rows: Vec<u64>, texts: SeqTexts) {
+        debug_assert!(self.is_empty());
+        self.backend = SeqBackend::build(texts);
+        self.row_of_text = (0u32..).zip(rows.iter().copied()).collect();
+        self.text_of_row = rows.into_iter().zip(0u32..).collect();
     }
 
     /// Row numbers whose sequence contains `pattern`, sorted ascending
@@ -345,35 +371,29 @@ impl Table {
             stats: TableStats::new(arity),
             redo: disabled_redo_sink(),
         };
-        t.analyze()?;
+        let column_of = |what: &str, index: &str, col: usize| {
+            if col < arity {
+                Ok(col)
+            } else {
+                Err(BdbmsError::corrupt(format!(
+                    "{what} `{index}` references column {col} beyond the schema"
+                )))
+            }
+        };
+        let mut indexes = Vec::with_capacity(index_defs.len());
         for (index, col) in index_defs {
-            let column = t
-                .schema
-                .columns()
-                .get(*col)
-                .ok_or_else(|| {
-                    BdbmsError::corrupt(format!(
-                        "index `{index}` references column {col} beyond the schema"
-                    ))
-                })?
-                .name
-                .clone();
-            t.create_index(index, &column)?;
+            indexes.push(TableIndex::new(index, column_of("index", index, *col)?));
         }
+        let mut seq_indexes = Vec::with_capacity(seq_index_defs.len());
         for (index, col, kind) in seq_index_defs {
-            let column = t
-                .schema
-                .columns()
-                .get(*col)
-                .ok_or_else(|| {
-                    BdbmsError::corrupt(format!(
-                        "sequence index `{index}` references column {col} beyond the schema"
-                    ))
-                })?
-                .name
-                .clone();
-            t.create_seq_index(index, &column, *kind)?;
+            let col = column_of("sequence index", index, *col)?;
+            seq_indexes.push(SeqIndex::new(index, col, *kind));
         }
+        let mut stats = TableStats::new(arity);
+        t.derive(Some(&mut stats), &mut indexes, &mut seq_indexes, 0)?;
+        t.stats = stats;
+        t.indexes = indexes;
+        t.seq_indexes = seq_indexes;
         Ok(t)
     }
 
@@ -648,6 +668,73 @@ impl Table {
         Ok(resume)
     }
 
+    /// The one heap pass behind open, `COPY`, `CREATE [SEQUENCE] INDEX`
+    /// and `ANALYZE`: a chunked, column-pruned in-pool scan that fills
+    /// whatever derived state the caller hands it —
+    ///
+    /// * `stats` (fresh): exact statistics (decodes every column);
+    /// * each B+-tree in `indexes`: the rows numbered `first_row` and up
+    ///   are inserted (0 for a new index);
+    /// * each sequence index in `seq_indexes`: an empty one is bulk-built
+    ///   from every row once the scan has succeeded, a non-empty one gets
+    ///   the rows from `first_row` up appended (its backend is
+    ///   insert-only).
+    ///
+    /// A failed scan leaves at most some of those rows entered, which
+    /// `truncate_rows_from` undoes (new indexes are simply dropped).
+    fn derive(
+        &self,
+        mut stats: Option<&mut TableStats>,
+        indexes: &mut [TableIndex],
+        seq_indexes: &mut [SeqIndex],
+        first_row: u64,
+    ) -> Result<()> {
+        let keep = stats.is_none().then(|| {
+            let mut cols: Vec<usize> = indexes
+                .iter()
+                .map(|i| i.column)
+                .chain(seq_indexes.iter().map(|i| i.column))
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            cols
+        });
+        let mut loads: Vec<Option<(Vec<u64>, SeqTexts)>> = seq_indexes
+            .iter()
+            .map(|i| i.is_empty().then(|| (Vec::new(), SeqTexts::new(i.kind))))
+            .collect();
+        let mut chunk = Vec::with_capacity(BATCH_SIZE);
+        let mut next = Some(0);
+        while let Some(from) = next {
+            next = self.scan_chunk(from, BATCH_SIZE, keep.as_deref(), &mut chunk)?;
+            for (row_no, values) in chunk.drain(..) {
+                if let Some(stats) = stats.as_deref_mut() {
+                    stats.observe_row(&values);
+                }
+                let fresh = row_no >= first_row;
+                for idx in indexes.iter_mut().filter(|_| fresh) {
+                    idx.add(&values[idx.column], row_no);
+                }
+                for (sidx, load) in seq_indexes.iter_mut().zip(&mut loads) {
+                    match (load, &values[sidx.column]) {
+                        (Some((rows, texts)), Value::Text(s)) => {
+                            rows.push(row_no);
+                            texts.push(s.as_bytes());
+                        }
+                        (None, value) if fresh => sidx.add(value, row_no),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        for (sidx, load) in seq_indexes.iter_mut().zip(loads) {
+            if let Some((rows, texts)) = load {
+                sidx.load(rows, texts);
+            }
+        }
+        Ok(())
+    }
+
     // ---- secondary indexes ----
 
     /// Create a secondary index named `name` over `column`, backfilling
@@ -661,10 +748,7 @@ impl Table {
         }
         let col = self.schema.require(column)?;
         let mut idx = TableIndex::new(name, col);
-        for entry in self.iter_rows() {
-            let (row_no, values) = entry?;
-            idx.add(&values[col], row_no);
-        }
+        self.derive(None, std::slice::from_mut(&mut idx), &mut [], 0)?;
         self.indexes.push(idx);
         self.redo.borrow_mut().push(|| WalRecord::IndexCreate {
             table: self.name.clone(),
@@ -727,10 +811,7 @@ impl Table {
             )));
         }
         let mut sidx = SeqIndex::new(name, col, kind);
-        for entry in self.iter_rows() {
-            let (row_no, values) = entry?;
-            sidx.add(&values[col], row_no);
-        }
+        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), 0)?;
         self.seq_indexes.push(sidx);
         self.redo.borrow_mut().push(|| WalRecord::SeqIndexCreate {
             table: self.name.clone(),
@@ -794,37 +875,22 @@ impl Table {
     }
 
     /// Close out a bulk-append run that started at `first_row`: grow the
-    /// outdated bitmap, rebuild every secondary B+-tree index by sorted
-    /// bulk construction, append only the new rows to the sequence
-    /// indexes (their backends are insert-only), and recompute exact
-    /// statistics (the deferred `ANALYZE`).
+    /// outdated bitmap and, in one heap pass, recompute exact statistics
+    /// (the deferred `ANALYZE`) and bring every index up to date — the new
+    /// rows are entered into the B+-trees and appended to the sequence
+    /// indexes, except that a sequence index still empty (first `COPY`
+    /// into an indexed table) is bulk-built.
     pub(crate) fn finish_bulk(&mut self, first_row: u64) -> Result<()> {
         if self.outdated.rows() < self.next_row as usize {
             self.outdated.grow_rows(self.next_row as usize);
         }
         let mut stats = TableStats::new(self.schema.arity());
-        let mut per_index: Vec<Vec<(Value, u64)>> =
-            self.indexes.iter().map(|_| Vec::new()).collect();
-        let mut fresh: Vec<(u64, Vec<Value>)> = Vec::new();
-        for entry in self.iter_rows() {
-            let (row_no, values) = entry?;
-            stats.observe_row(&values);
-            for (slot, idx) in self.indexes.iter().enumerate() {
-                per_index[slot].push((values[idx.column].clone(), row_no));
-            }
-            if row_no >= first_row && !self.seq_indexes.is_empty() {
-                fresh.push((row_no, values));
-            }
-        }
-        for (slot, mut entries) in per_index.into_iter().enumerate() {
-            entries.sort_unstable();
-            self.indexes[slot].rebuild_sorted(entries);
-        }
-        for sidx in &mut self.seq_indexes {
-            for (row_no, values) in &fresh {
-                sidx.add(&values[sidx.column], *row_no);
-            }
-        }
+        let mut indexes = std::mem::take(&mut self.indexes);
+        let mut seq_indexes = std::mem::take(&mut self.seq_indexes);
+        let derived = self.derive(Some(&mut stats), &mut indexes, &mut seq_indexes, first_row);
+        self.indexes = indexes;
+        self.seq_indexes = seq_indexes;
+        derived?;
         self.stats = stats;
         Ok(())
     }
@@ -884,14 +950,9 @@ impl Table {
     /// Returns the number of rows scanned.
     pub fn analyze(&mut self) -> Result<u64> {
         let mut stats = TableStats::new(self.schema.arity());
-        let mut scanned = 0u64;
-        for entry in self.iter_rows() {
-            let (_, values) = entry?;
-            stats.observe_row(&values);
-            scanned += 1;
-        }
+        self.derive(Some(&mut stats), &mut [], &mut [], 0)?;
         self.stats = stats;
-        Ok(scanned)
+        Ok(self.rows.len() as u64)
     }
 
     /// Live row numbers in order.

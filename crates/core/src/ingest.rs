@@ -8,11 +8,10 @@
 //!
 //! * rows go to the heap through [`Table::bulk_append`] — no index or
 //!   stats work per row;
-//! * after the last row, [`Table::finish_bulk`] rebuilds every secondary
-//!   B+-tree index by *sorted bulk construction* (one heap scan, one sort
-//!   per index, ascending inserts), appends only the new rows to the
-//!   sequence indexes, and recomputes exact statistics (the deferred
-//!   `ANALYZE`);
+//! * after the last row, [`Table::finish_bulk`] makes one heap pass that
+//!   enters the new rows into every secondary B+-tree index, appends
+//!   them to the sequence indexes (bulk-building one that is still
+//!   empty), and recomputes exact statistics (the deferred `ANALYZE`);
 //! * the WAL sees a single logical [`BulkLoad`](crate::durability)
 //!   record instead of 50k `RowInsert` frames.  Atomicity under crash
 //!   recovery comes from the commit protocol, not per-row logging: a

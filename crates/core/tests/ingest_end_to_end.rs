@@ -294,6 +294,97 @@ fn crash_right_after_copy_recovers_the_full_load() {
     let _ = fs::remove_file(&data);
 }
 
+/// Every way a sequence index gets (re)built from existing rows — DDL
+/// backfill, open, undo of `DROP SEQUENCE INDEX`, WAL replay of `CREATE
+/// SEQUENCE INDEX` — must yield the index that row-at-a-time maintenance
+/// had produced: same `CONTAINS SEQ` answers, over a table with NULL
+/// sequences, updated rows and deleted rows (tombstones), with `CHECK`
+/// clean each time.
+#[test]
+fn rebuilt_sequence_index_answers_like_the_maintained_one() {
+    const PATTERNS: [&str; 6] = ["CATCAT", "AAAC", "GGGACATCAT", "CCCC", "T", "ACGTACGTAC"];
+    fn answers(db: &Database, stage: &str) -> Vec<Vec<String>> {
+        PATTERNS
+            .iter()
+            .map(|pat| {
+                let sql = format!("SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ '{pat}'");
+                let rows = |opts: &ExecOptions| {
+                    let (r, st) = db.query_traced(&sql, opts).unwrap();
+                    let mut v: Vec<String> =
+                        r.rows.iter().map(|r| r.values[0].to_string()).collect();
+                    v.sort();
+                    (v, st)
+                };
+                let (scan, _) = rows(&ExecOptions::naive());
+                let (probe, st) = rows(&ExecOptions::default());
+                assert_eq!(
+                    st.seq_index_probes, 1,
+                    "{stage}: `{pat}` must use the index"
+                );
+                assert_eq!(probe, scan, "{stage}: `{pat}` probe vs scan");
+                probe
+            })
+            .collect()
+    }
+    fn check(db: &mut Database, stage: &str) {
+        let r = db.execute("CHECK").unwrap();
+        assert_eq!(r.message.as_deref(), Some("CHECK ok"), "{stage}");
+    }
+
+    for kind in ["SBC", "SUFFIX"] {
+        let dir = tmp(&format!("rebuilt-{kind}"));
+        let data = fasta_file(&format!("rebuilt-{kind}"), 45);
+        let create = format!("CREATE SEQUENCE INDEX sidx ON Gene (Seq) USING {kind}");
+        let mut db = Database::create(&dir).unwrap();
+        for sql in [
+            "CREATE TABLE Gene (Hdr TEXT, Seq TEXT)",
+            "CREATE INDEX hdr_idx ON Gene (Hdr)",
+            &format!("COPY Gene FROM '{}'", data.display()),
+            "INSERT INTO Gene VALUES ('null1', NULL), ('null2', NULL)",
+            &create, // DDL backfill over rows and NULLs
+            "UPDATE Gene SET Seq = 'CCCCCATCATCCCC' WHERE Hdr LIKE 'JW0003%'",
+            "UPDATE Gene SET Seq = NULL WHERE Hdr LIKE 'JW0007%'",
+            "UPDATE Gene SET Seq = 'GGGACATCAT' WHERE Hdr = 'null2'",
+            "DELETE FROM Gene WHERE Hdr LIKE 'JW0014%'",
+            "DELETE FROM Gene WHERE Hdr LIKE 'JW002%'",
+            "INSERT INTO Gene VALUES ('new1', 'TTTCATCATTTT'), ('new2', 'AAACAAAC')",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let want = answers(&db, "maintained");
+        assert!(want.iter().take(5).all(|rows| !rows.is_empty()));
+        assert!(want[5].is_empty());
+        check(&mut db, "maintained");
+
+        db.close().unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(answers(&db, "reopened"), want, "{kind}");
+        check(&mut db, "reopened");
+
+        db.execute("BEGIN").unwrap();
+        db.execute("DROP SEQUENCE INDEX sidx ON Gene").unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(answers(&db, "drop rolled back"), want, "{kind}");
+        check(&mut db, "drop rolled back");
+
+        // crash-replay: the CREATE (and DML on top of it) live only in the WAL
+        db.execute("DROP SEQUENCE INDEX sidx ON Gene").unwrap();
+        db.checkpoint().unwrap();
+        db.execute(&create).unwrap();
+        db.execute("UPDATE Gene SET Seq = 'CCCCCATCATCCCC' WHERE Hdr = 'new2'")
+            .unwrap();
+        let want = answers(&db, "recreated");
+        db.simulate_crash();
+        let mut db = Database::open(&dir).unwrap();
+        assert!(db.last_recovery().unwrap().replayed_commits >= 2);
+        assert_eq!(answers(&db, "create replayed"), want, "{kind}");
+        check(&mut db, "create replayed");
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_file(&data);
+    }
+}
+
 // ---------------------------------------------------------------------
 // The mid-COPY fault sweep (the crash-test satellite)
 // ---------------------------------------------------------------------

@@ -8,7 +8,11 @@
 //! The tree is a multimap: duplicate keys are allowed and kept in insertion
 //! order within a key.
 
+use std::ops::Bound;
+
 use bdbms_common::stats::AccessStats;
+
+use crate::pack::packed_sizes;
 
 const DEFAULT_FANOUT: usize = 128;
 
@@ -59,6 +63,58 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
             stats: AccessStats::new(),
             key_bytes: |_| 8,
         }
+    }
+
+    /// Bottom-up load of key-sorted `entries` (equal keys in the order
+    /// they should be returned): leaves are packed full and chained, and
+    /// every separator is the first key of the subtree to its right —
+    /// the rule `insert` maintains, so lookups and later inserts behave
+    /// exactly as on an insert-grown tree.  One logical write per node.
+    pub fn from_sorted(fanout: usize, entries: Vec<(K, V)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
+        let mut tree = Self::with_fanout(fanout);
+        tree.len = entries.len();
+        if tree.len == 0 {
+            return tree;
+        }
+        tree.nodes.clear();
+        let leaves = tree.len.div_ceil(fanout);
+        // (first key of the subtree, node) for the level being grouped
+        let mut level: Vec<(K, NodeId)> = Vec::with_capacity(leaves);
+        let mut entries = entries.into_iter();
+        for size in packed_sizes(tree.len, fanout) {
+            let id = tree.nodes.len();
+            let leaf: Vec<(K, V)> = entries.by_ref().take(size).collect();
+            level.push((leaf[0].0.clone(), id));
+            tree.nodes.push(Node::Leaf {
+                entries: leaf,
+                next: (id + 1 < leaves).then_some(id + 1),
+            });
+        }
+        while level.len() > 1 {
+            let mut children = level.into_iter();
+            level = packed_sizes(children.len(), fanout + 1)
+                .map(|size| {
+                    let mut group = children.by_ref().take(size);
+                    let (first_key, first_child) = group.next().expect("non-empty group");
+                    let mut keys = Vec::with_capacity(size - 1);
+                    let mut kids = Vec::with_capacity(size);
+                    kids.push(first_child);
+                    for (key, child) in group {
+                        keys.push(key);
+                        kids.push(child);
+                    }
+                    tree.nodes.push(Node::Inner {
+                        keys,
+                        children: kids,
+                    });
+                    (first_key, tree.nodes.len() - 1)
+                })
+                .collect();
+        }
+        tree.root = level[0].1;
+        tree.stats.record_writes(tree.nodes.len() as u64);
+        tree
     }
 
     /// Set the function used to estimate stored key size (for the
@@ -247,42 +303,25 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     /// All entries with `lo <= key < hi` in key order.
     pub fn range(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        let mut out = Vec::new();
         if lo >= hi {
-            return out;
+            return Vec::new();
         }
-        let mut leaf = self.find_leaf(lo);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, next } => {
-                    for (k, v) in entries {
-                        if k < lo {
-                            continue;
-                        }
-                        if k >= hi {
-                            return out;
-                        }
-                        out.push((k.clone(), v.clone()));
-                    }
-                    match next {
-                        Some(n) => {
-                            leaf = *n;
-                            self.stats.record_read();
-                        }
-                        None => return out,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
+        self.scan_bounds(Bound::Included(lo), Bound::Excluded(hi))
     }
 
     /// All entries within `lo`/`hi` (any [`std::ops::Bound`] combination) in key
     /// order.  This is the executor's index-scan entry point: equality
     /// probes use `Included(k)..=Included(k)`, one-sided comparisons leave
     /// the other end `Unbounded`.
-    pub fn scan_bounds(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
-        use std::ops::Bound;
+    pub fn scan_bounds(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.visit_bounds(lo, hi, |k, v| out.push((k.clone(), v.clone())));
+        out
+    }
+
+    /// [`scan_bounds`](Self::scan_bounds) without the copies: `visit` sees
+    /// every entry within the bounds, in key order, by reference.
+    pub fn visit_bounds(&self, lo: Bound<&K>, hi: Bound<&K>, mut visit: impl FnMut(&K, &V)) {
         let below_lo = |k: &K| match lo {
             Bound::Included(b) => k < b,
             Bound::Excluded(b) => k <= b,
@@ -307,7 +346,6 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
                 }
             }
         };
-        let mut out = Vec::new();
         loop {
             match &self.nodes[leaf] {
                 Node::Leaf { entries, next } => {
@@ -316,16 +354,16 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
                             continue;
                         }
                         if above_hi(k) {
-                            return out;
+                            return;
                         }
-                        out.push((k.clone(), v.clone()));
+                        visit(k, v);
                     }
                     match next {
                         Some(n) => {
                             leaf = *n;
                             self.stats.record_read();
                         }
-                        None => return out,
+                        None => return,
                     }
                 }
                 _ => unreachable!(),
@@ -559,6 +597,87 @@ mod tests {
         t.insert(1, 0);
         t.insert(9, 2);
         assert_eq!(t.get(&5).len(), 20);
+    }
+
+    /// First key of the subtree at `id`; checks every separator against
+    /// the first key of the subtree to its right on the way down.
+    fn first_key(t: &BPlusTree<i64, u64>, id: NodeId) -> i64 {
+        match &t.nodes[id] {
+            Node::Leaf { entries, .. } => {
+                assert!(!entries.is_empty() && entries.len() <= t.fanout);
+                entries[0].0
+            }
+            Node::Inner { keys, children } => {
+                assert_eq!(children.len(), keys.len() + 1);
+                assert!(children.len() >= 2 && keys.len() <= t.fanout);
+                let firsts: Vec<i64> = children.iter().map(|&c| first_key(t, c)).collect();
+                assert_eq!(
+                    &firsts[1..],
+                    keys.as_slice(),
+                    "sep = first key to its right"
+                );
+                firsts[0]
+            }
+        }
+    }
+
+    #[test]
+    fn from_sorted_at_the_size_boundaries() {
+        for fanout in [4usize, 7] {
+            let f = fanout;
+            for n in [0, 1, f, f + 1, f * f, f * f + 1, f * f * (f + 1) + 1] {
+                // every key three times: duplicate runs straddle leaves
+                let input: Vec<(i64, u64)> = (0..n as u64).map(|i| (i as i64 / 3, i)).collect();
+                let mut bulk = BPlusTree::from_sorted(fanout, input.clone());
+                let mut grown = BPlusTree::with_fanout(fanout);
+                for (k, v) in &input {
+                    grown.insert(*k, *v);
+                }
+                assert_eq!(bulk.len(), n);
+                assert_eq!(bulk.iter_all(), input, "leaf chain, n={n}");
+                if n > 0 {
+                    first_key(&bulk, bulk.root);
+                    assert_eq!(bulk.stats().writes(), bulk.node_count() as u64);
+                }
+                assert!(bulk.height() <= grown.height());
+                assert!(bulk.node_count() <= grown.node_count());
+                for k in -1..=(n as i64 / 3 + 1) {
+                    assert_eq!(bulk.get(&k), grown.get(&k), "get {k}, n={n}");
+                    assert_eq!(bulk.range(&k, &(k + 2)), grown.range(&k, &(k + 2)));
+                    assert_eq!(
+                        bulk.scan_bounds(Bound::Excluded(&k), Bound::Unbounded),
+                        grown.scan_bounds(Bound::Excluded(&k), Bound::Unbounded)
+                    );
+                }
+                // packed leaves split and shrink like any others
+                for (k, v) in &input {
+                    if v % 2 == 0 {
+                        assert!(bulk.delete(k, v) && grown.delete(k, v));
+                    } else {
+                        bulk.insert(*k, v + 1_000_000);
+                        grown.insert(*k, v + 1_000_000);
+                    }
+                }
+                assert_eq!(bulk.iter_all(), grown.iter_all(), "after DML, n={n}");
+                if !bulk.is_empty() {
+                    first_key(&bulk, bulk.root);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn visit_bounds_sees_what_scan_bounds_returns() {
+        let t = BPlusTree::from_sorted(4, (0..50i64).map(|i| (i, i as u64)).collect());
+        let mut seen = Vec::new();
+        t.visit_bounds(Bound::Included(&10), Bound::Excluded(&13), |k, v| {
+            seen.push((*k, *v))
+        });
+        assert_eq!(seen, vec![(10, 10), (11, 11), (12, 12)]);
+        assert_eq!(
+            seen,
+            t.scan_bounds(Bound::Included(&10), Bound::Excluded(&13))
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 pub mod bptree;
 pub mod kdtree;
+pub mod pack;
 pub mod quadtree;
 pub mod regex;
 pub mod rtree;

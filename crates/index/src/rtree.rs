@@ -12,6 +12,8 @@
 
 use bdbms_common::stats::AccessStats;
 
+use crate::pack::packed_sizes;
+
 /// Axis-aligned rectangle (degenerate rectangles are points).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
@@ -123,6 +125,64 @@ impl RTree {
             len: 0,
             stats: AccessStats::new(),
         }
+    }
+
+    /// Sort-Tile-Recursive bulk load (Leutenegger et al.): cut the items,
+    /// taken in ascending x, into ~√(leaves) vertical slices, sort each
+    /// slice by y and pack it into full leaves; then tile the leaves'
+    /// rectangles the same way, level by level, up to one root.
+    ///
+    /// `items` must arrive in ascending order of x (rectangle centre) —
+    /// only one slice is buffered at a time, so a caller whose x *is* a
+    /// rank can stream them without materializing the set.  The order
+    /// affects packing quality only: every bounding rectangle is computed
+    /// from the node's actual contents, so queries are exact for any
+    /// input order.  One logical write per node.
+    pub fn bulk_load<I>(max_entries: usize, items: I) -> RTree
+    where
+        I: IntoIterator<Item = (Rect, u64)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        let mut tree = Self::with_capacity(max_entries);
+        tree.len = items.len();
+        if tree.len == 0 {
+            return tree;
+        }
+        tree.nodes.clear();
+        let mut level = tree.pack_level(items, |entries| Node::Leaf { entries });
+        while level.len() > 1 {
+            level.sort_unstable_by(|a, b| centre(&a.0, 0).total_cmp(&centre(&b.0, 0)));
+            level = tree.pack_level(level.into_iter(), |entries| Node::Inner { entries });
+        }
+        tree.root = level[0].1;
+        tree.stats.record_writes(tree.nodes.len() as u64);
+        tree
+    }
+
+    /// One STR level: x-ordered `items` → packed nodes appended to the
+    /// arena; returns each new node's bounding rectangle and id.
+    fn pack_level<T>(
+        &mut self,
+        mut items: impl ExactSizeIterator<Item = (Rect, T)>,
+        node: impl Fn(Vec<(Rect, T)>) -> Node,
+    ) -> Vec<(Rect, NodeId)> {
+        let cap = self.max_entries;
+        let nodes = items.len().div_ceil(cap);
+        let per_slice = (nodes as f64).sqrt().ceil() as usize * cap;
+        let mut out = Vec::with_capacity(nodes);
+        let mut slice: Vec<(Rect, T)> = Vec::new();
+        for slice_len in packed_sizes(items.len(), per_slice) {
+            slice.extend(items.by_ref().take(slice_len));
+            slice.sort_unstable_by(|a, b| centre(&a.0, 1).total_cmp(&centre(&b.0, 1)));
+            let mut rest = slice.drain(..);
+            for size in packed_sizes(slice_len, cap) {
+                let entries: Vec<(Rect, T)> = rest.by_ref().take(size).collect();
+                out.push((mbr_of(&entries, |(r, _)| *r), self.nodes.len()));
+                self.nodes.push(node(entries));
+            }
+        }
+        out
     }
 
     /// Number of stored entries.
@@ -381,6 +441,11 @@ impl Default for RTree {
     }
 }
 
+/// Twice the centre of `r` along `axis` (only ever compared).
+fn centre(r: &Rect, axis: usize) -> f64 {
+    r.min[axis] + r.max[axis]
+}
+
 fn mbr_of<T>(items: &[T], rect: impl Fn(&T) -> Rect) -> Rect {
     items
         .iter()
@@ -545,6 +610,52 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, expect);
         assert!(t.node_count() > 10);
+    }
+
+    #[test]
+    fn bulk_load_at_the_size_boundaries() {
+        // Height of the subtree at `id`; every inner rectangle must be the
+        // tight bound of its child and every node within capacity.
+        fn height(t: &RTree, id: NodeId) -> usize {
+            match &t.nodes[id] {
+                Node::Leaf { entries } => {
+                    assert!(entries.len() <= t.max_entries);
+                    1
+                }
+                Node::Inner { entries } => {
+                    assert!((2..=t.max_entries).contains(&entries.len()));
+                    let heights: Vec<usize> = entries
+                        .iter()
+                        .map(|(r, c)| {
+                            assert_eq!(Some(*r), t.nodes[*c].mbr(), "tight child rectangle");
+                            height(t, *c)
+                        })
+                        .collect();
+                    assert!(heights.windows(2).all(|w| w[0] == w[1]), "balanced");
+                    heights[0] + 1
+                }
+            }
+        }
+        let cap = 4;
+        for n in [0, 1, cap, cap + 1, cap * cap, cap * cap + 1, 1000] {
+            let pts: Vec<(Rect, u64)> = (0..n as u64)
+                .map(|i| (Rect::point(i as f64, ((i * 7919) % 31) as f64), i))
+                .collect();
+            let t = RTree::bulk_load(cap, pts.clone());
+            assert_eq!(t.len(), n);
+            assert_eq!(t.is_empty(), n == 0);
+            let mut level = n.div_ceil(cap).max(1);
+            let mut want_height = 1;
+            while level > 1 {
+                level = level.div_ceil(cap);
+                want_height += 1;
+            }
+            assert_eq!(height(&t, t.root), want_height, "n={n}");
+            let everything = Rect::new([-1.0, -1.0], [n as f64, 31.0]);
+            let mut got: Vec<u64> = t.search(&everything).into_iter().map(|(_, p)| p).collect();
+            got.sort_unstable();
+            assert_eq!(got, (0..n as u64).collect::<Vec<_>>(), "n={n}");
+        }
     }
 
     #[test]

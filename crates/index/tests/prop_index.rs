@@ -23,39 +23,42 @@ proptest! {
         len in 0i64..100,
         fanout in 4usize..16,
     ) {
-        let mut t = BPlusTree::with_fanout(fanout);
+        let mut grown = BPlusTree::with_fanout(fanout);
         let mut model = entries.clone();
         for (k, v) in &entries {
-            t.insert(*k, *v);
+            grown.insert(*k, *v);
         }
         model.sort_by_key(|(k, _)| *k);
-        // full iteration
-        let all = t.iter_all();
-        prop_assert_eq!(all.len(), model.len());
-        let keys: Vec<i64> = all.iter().map(|(k, _)| *k).collect();
-        let model_keys: Vec<i64> = model.iter().map(|(k, _)| *k).collect();
-        prop_assert_eq!(keys, model_keys);
-        // point lookups (multiset equality)
-        for probe in [lo, lo + len] {
-            let mut got = t.get(&probe);
-            got.sort_unstable();
-            let mut want: Vec<u32> = entries
+        // the bottom-up loader must be indistinguishable from inserts
+        for t in [grown, BPlusTree::from_sorted(fanout, model.clone())] {
+            // full iteration
+            let all = t.iter_all();
+            prop_assert_eq!(all.len(), model.len());
+            let keys: Vec<i64> = all.iter().map(|(k, _)| *k).collect();
+            let model_keys: Vec<i64> = model.iter().map(|(k, _)| *k).collect();
+            prop_assert_eq!(keys, model_keys);
+            // point lookups (multiset equality)
+            for probe in [lo, lo + len] {
+                let mut got = t.get(&probe);
+                got.sort_unstable();
+                let mut want: Vec<u32> = entries
+                    .iter()
+                    .filter(|(k, _)| *k == probe)
+                    .map(|(_, v)| *v)
+                    .collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+            // range scan
+            let hi = lo + len;
+            let got: Vec<i64> = t.range(&lo, &hi).into_iter().map(|(k, _)| k).collect();
+            let want: Vec<i64> = model
                 .iter()
-                .filter(|(k, _)| *k == probe)
-                .map(|(_, v)| *v)
+                .map(|(k, _)| *k)
+                .filter(|k| *k >= lo && *k < hi)
                 .collect();
-            want.sort_unstable();
             prop_assert_eq!(got, want);
         }
-        // range scan
-        let hi = lo + len;
-        let got: Vec<i64> = t.range(&lo, &hi).into_iter().map(|(k, _)| k).collect();
-        let want: Vec<i64> = model
-            .iter()
-            .map(|(k, _)| *k)
-            .filter(|k| *k >= lo && *k < hi)
-            .collect();
-        prop_assert_eq!(got, want);
     }
 
     /// Trie: exact / prefix / range / regex agree with naive filtering.
@@ -164,6 +167,64 @@ proptest! {
         prop_assert_eq!(&a, &want);
         prop_assert_eq!(&b, &want);
         prop_assert_eq!(&c, &want);
+    }
+
+    /// An STR-packed R-tree answers every query like one grown by inserts
+    /// — for x-sorted input (the contract) and for unsorted input (only
+    /// packing quality may suffer) — and keeps doing so under later inserts.
+    #[test]
+    fn rtree_bulk_load_matches_insert_built(
+        pts in prop::collection::vec((0u32..60, 0u32..60), 0..400),
+        extra in prop::collection::vec((0u32..60, 0u32..60), 0..60),
+        cap in 4usize..12,
+        queries in prop::collection::vec((0u32..60, 0u32..30, 0u32..60, 0u32..30), 1..8),
+    ) {
+        let item = |i: usize, &(x, y): &(u32, u32)| (Rect::point(x as f64, y as f64), i as u64);
+        let mut sorted: Vec<(Rect, u64)> = pts.iter().enumerate().map(|(i, p)| item(i, p)).collect();
+        let unsorted = RTree::bulk_load(cap, sorted.clone());
+        sorted.sort_by(|a, b| a.0.min[0].total_cmp(&b.0.min[0]));
+        let packed = RTree::bulk_load(cap, sorted);
+        prop_assert_eq!(packed.stats().writes(), if pts.is_empty() { 0 } else { packed.node_count() as u64 });
+        let mut grown = RTree::with_capacity(cap);
+        for (i, p) in pts.iter().enumerate() {
+            let (r, v) = item(i, p);
+            grown.insert(r, v);
+        }
+        prop_assert!(packed.node_count() <= grown.node_count());
+        let mut trees = [grown, packed, unsorted];
+        for round in 0..2 {
+            let payloads = |hits: Vec<(Rect, u64)>| {
+                let mut ids: Vec<u64> = hits.into_iter().map(|(_, p)| p).collect();
+                ids.sort_unstable();
+                ids
+            };
+            for &(x, w, y, h) in &queries {
+                let window = Rect::new([x as f64, y as f64], [(x + w) as f64, (y + h) as f64]);
+                let want = payloads(trees[0].search(&window));
+                let want3 = payloads(trees[0].three_sided(x as f64, (x + w) as f64, y as f64));
+                for t in &trees[1..] {
+                    prop_assert_eq!(t.len(), trees[0].len());
+                    prop_assert_eq!(t.bounds(), trees[0].bounds());
+                    prop_assert_eq!(&payloads(t.search(&window)), &want, "search, round {}", round);
+                    prop_assert_eq!(
+                        &payloads(t.three_sided(x as f64, (x + w) as f64, y as f64)),
+                        &want3,
+                        "three_sided, round {}", round
+                    );
+                    let d = |t: &RTree| -> Vec<f64> {
+                        t.knn([x as f64, y as f64], 5).into_iter().map(|(_, _, d)| d).collect()
+                    };
+                    prop_assert_eq!(d(t), d(&trees[0]), "knn distances");
+                }
+            }
+            // packed (full) nodes must split like any others
+            for (i, p) in extra.iter().enumerate() {
+                let (r, v) = item(pts.len() + i, p);
+                for t in &mut trees {
+                    t.insert(r, v);
+                }
+            }
+        }
     }
 
     /// kNN over kd-tree and quadtree returns the true k nearest.

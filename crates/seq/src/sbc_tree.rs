@@ -33,13 +33,13 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::ops::Bound;
 
 use bdbms_common::stats::IoSnapshot;
 use bdbms_index::bptree::BPlusTree;
 use bdbms_index::rtree::{RTree, Rect};
 
-use crate::rle::RleSeq;
+use crate::rle::{RleSeq, Run};
 use crate::sufbtree::SufBTree;
 
 /// Reference to the suffix of text `text` starting at run boundary `run`.
@@ -55,7 +55,9 @@ pub struct RunRef {
 /// every `char * 2^32 + len` encoding so first-run filters never match it.
 const NO_PREV_Y: f64 = 256.0 * 4294967296.0;
 
-/// Initial spacing of lexicographic order keys (see `assign_x`).
+/// Spacing of lexicographic order keys: a bulk build assigns
+/// `rank * X_GAP`, a later insert the midpoint of its neighbours (see
+/// `assign_x`), so ~20 inserts can land in one gap before keys collide.
 const X_GAP: f64 = 1048576.0; // 2^20
 
 /// Class size below which [`SbcTree::substring_search`] verifies the tail
@@ -89,8 +91,11 @@ pub struct SbcTree {
     /// String-B-tree component: suffixes at run boundaries, string order.
     tree: SufBTree<RunRef>,
     /// Lexicographic order key of each indexed suffix (x-axis of the
-    /// 3-sided structure). Maintained by neighbour midpoints on insert.
-    xkeys: HashMap<(u32, u32), f64>,
+    /// 3-sided structure), dense: suffix `(text, run)` is at
+    /// `xbase[text] + run`.
+    xkeys: Vec<f64>,
+    /// Where each text's order keys start in `xkeys`.
+    xbase: Vec<usize>,
     /// 3-sided structure (R-tree, per the paper's own substitution):
     /// point (x = order key, y = preceding-run char·2³² + len).
     rtree: RTree,
@@ -111,12 +116,76 @@ impl SbcTree {
         SbcTree {
             texts: Vec::new(),
             tree: SufBTree::with_fanout(fanout),
-            xkeys: HashMap::new(),
+            xkeys: Vec::new(),
+            xbase: Vec::new(),
             rtree: RTree::with_capacity(fanout.max(8)),
             runlen_idx: BPlusTree::with_fanout(fanout.max(8)),
             text_write_io: Cell::new(0),
             text_read_io: Cell::new(0),
         }
+    }
+
+    /// Index `texts` (ids `0..texts.len()`, in order) in one build: the
+    /// same index `insert_rle` would grow text by text, from one sort of
+    /// the run-boundary suffixes and a bottom-up load of each component.
+    pub fn build(texts: Vec<RleSeq>) -> Self {
+        Self::build_with_fanout(64, texts)
+    }
+
+    /// [`build`](Self::build) with a custom String-B-tree fanout.
+    pub fn build_with_fanout(fanout: usize, texts: Vec<RleSeq>) -> Self {
+        let mut sbc = Self::with_fanout(fanout);
+        // Sort behind a cached key — the suffix's first three runs as
+        // order-preserving tokens — so the run-wise compare only breaks
+        // ties; then drop the keys before anything else is built.  (The
+        // key is kept as two words: a `u128` would pad every entry from 24
+        // to 32 bytes.)
+        let mut keyed = Vec::new();
+        for (id, t) in texts.iter().enumerate() {
+            sbc.text_write_io
+                .set(sbc.text_write_io.get() + (t.compressed_bytes() as u64 / 8192).max(1));
+            sbc.xbase.push(keyed.len());
+            keyed.extend((0..t.num_runs()).map(|run| {
+                let key = (run..run + 3).fold(0u128, |k, i| k << 41 | run_token(t, i) as u128);
+                let e = RunRef {
+                    text: id as u32,
+                    run: run as u32,
+                };
+                ((key >> 64) as u64, key as u64, e)
+            }));
+        }
+        keyed.sort_unstable_by(|a, b| {
+            ((a.0, a.1).cmp(&(b.0, b.1))).then_with(|| cmp_run_refs(&texts, a.2, b.2))
+        });
+        let suffixes: Vec<RunRef> = keyed.into_iter().map(|(_, _, e)| e).collect();
+        // The run-length keys are the one sizeable temporary left, so
+        // their tree goes first, while the least else is resident: the
+        // same (text, run) set, re-sorted by (char, length, text, run).
+        let mut runs: Vec<((u8, u32, u32, u32), ())> = suffixes
+            .iter()
+            .map(|e| {
+                let r = texts[e.text as usize].runs()[e.run as usize];
+                ((r.ch, r.len, e.text, e.run), ())
+            })
+            .collect();
+        runs.sort_unstable();
+        sbc.runlen_idx = BPlusTree::from_sorted(fanout.max(8), runs);
+        // Evenly spaced order keys; the 3-sided structure takes its points
+        // one vertical slice at a time, straight off the sorted suffixes.
+        sbc.xkeys = vec![0.0; suffixes.len()];
+        for (rank, e) in suffixes.iter().enumerate() {
+            sbc.xkeys[sbc.xbase[e.text as usize] + e.run as usize] = rank as f64 * X_GAP;
+        }
+        sbc.rtree = RTree::bulk_load(
+            fanout.max(8),
+            suffixes.iter().enumerate().map(|(rank, e)| {
+                let y = prev_run_y(&texts[e.text as usize], e.run);
+                (Rect::point(rank as f64 * X_GAP, y), payload(e.text, e.run))
+            }),
+        );
+        sbc.tree = SufBTree::from_sorted(fanout, &suffixes);
+        sbc.texts = texts;
+        sbc
     }
 
     /// Insert a raw sequence (RLE-compressed on the way in).
@@ -131,24 +200,18 @@ impl SbcTree {
             .set(self.text_write_io.get() + (rle.compressed_bytes() as u64 / 8192).max(1));
         self.texts.push(rle);
         let num_runs = self.texts[id as usize].num_runs() as u32;
+        let base = self.xkeys.len();
+        self.xbase.push(base);
+        self.xkeys.resize(base + num_runs as usize, 0.0);
         // Index one suffix per run boundary, 0..num_runs.
         let texts = std::mem::take(&mut self.texts);
-        let cmp = |a: RunRef, b: RunRef| {
-            texts[a.text as usize]
-                .cmp_suffixes(a.run as usize, &texts[b.text as usize], b.run as usize)
-                .then_with(|| (a.text, a.run).cmp(&(b.text, b.run)))
-        };
+        let cmp = |a: RunRef, b: RunRef| cmp_run_refs(&texts, a, b);
         for run in 0..num_runs {
             let e = RunRef { text: id, run };
             let (pred, succ) = self.tree.insert(&cmp, e);
             let x = self.assign_x(pred, succ);
-            self.xkeys.insert((id, run), x);
-            let y = if run == 0 {
-                NO_PREV_Y
-            } else {
-                let prev = texts[id as usize].runs()[run as usize - 1];
-                encode_y(prev.ch, prev.len)
-            };
+            self.xkeys[base + run as usize] = x;
+            let y = prev_run_y(&texts[id as usize], run);
             self.rtree.insert(Rect::point(x, y), payload(id, run));
             let this_run = texts[id as usize].runs()[run as usize];
             self.runlen_idx
@@ -158,12 +221,15 @@ impl SbcTree {
         id
     }
 
+    fn xkey(&self, e: RunRef) -> f64 {
+        self.xkeys[self.xbase[e.text as usize] + e.run as usize]
+    }
+
     /// Midpoint order-key assignment between the new entry's neighbours.
     /// Collisions after repeated midpointing are harmless: the 3-sided
     /// query result is verified against the texts before being reported.
     fn assign_x(&self, pred: Option<RunRef>, succ: Option<RunRef>) -> f64 {
-        let get = |e: RunRef| self.xkeys[&(e.text, e.run)];
-        match (pred.map(get), succ.map(get)) {
+        match (pred.map(|e| self.xkey(e)), succ.map(|e| self.xkey(e))) {
             (None, None) => 0.0,
             (Some(p), None) => p + X_GAP,
             (None, Some(s)) => s - X_GAP,
@@ -216,48 +282,38 @@ impl SbcTree {
     /// collide under heavy insertion, so a 3-sided probe over a tiny
     /// class can touch far more R-tree nodes than the class itself.)
     pub fn substring_search(&self, pat: &[u8]) -> Vec<Occurrence> {
-        let prle = RleSeq::encode(pat);
-        match prle.num_runs() {
-            0 => Vec::new(),
-            1 => self.single_run_search(prle.runs()[0].ch, prle.runs()[0].len),
-            _ => self.multi_run_search(&prle, FirstRunFilter::Adaptive),
-        }
+        self.occurrences(pat, FirstRunFilter::Adaptive)
     }
 
     /// Ablation variant: always use the 3-sided structure, regardless of
     /// class size (E12 — shows what the 3-sided structure buys or costs).
     pub fn substring_search_three_sided(&self, pat: &[u8]) -> Vec<Occurrence> {
-        let prle = RleSeq::encode(pat);
-        match prle.num_runs() {
-            0 => Vec::new(),
-            1 => self.single_run_search(prle.runs()[0].ch, prle.runs()[0].len),
-            _ => self.multi_run_search(&prle, FirstRunFilter::ThreeSided),
-        }
+        self.occurrences(pat, FirstRunFilter::ThreeSided)
     }
 
     /// Ablation variant: skip the 3-sided structure and filter candidates
     /// by scanning (E12 ablation — shows what the 3-sided structure buys).
     pub fn substring_search_scan(&self, pat: &[u8]) -> Vec<Occurrence> {
-        let prle = RleSeq::encode(pat);
-        match prle.num_runs() {
-            0 => Vec::new(),
-            1 => self.single_run_search(prle.runs()[0].ch, prle.runs()[0].len),
-            _ => self.multi_run_search(&prle, FirstRunFilter::Scan),
-        }
+        self.occurrences(pat, FirstRunFilter::Scan)
     }
 
-    /// Single-run pattern `c^l`: every run of char `c` with length ≥ `l`
-    /// yields `len - l + 1` occurrences.
-    fn single_run_search(&self, ch: u8, len: u32) -> Vec<Occurrence> {
-        let lo = (ch, len, 0u32, 0u32);
-        let hi = (ch, u32::MAX, u32::MAX, u32::MAX);
+    fn occurrences(&self, pat: &[u8], filter: FirstRunFilter) -> Vec<Occurrence> {
+        let prle = RleSeq::encode(pat);
         let mut out = Vec::new();
-        for ((_, run_len, text, run), _) in self.runlen_idx.range(&lo, &hi) {
-            let base = self.texts[text as usize].run_offset(run as usize);
-            for d in 0..=(run_len - len) as u64 {
-                out.push(Occurrence {
-                    text,
+        match *prle.runs() {
+            [] => {}
+            // `c^l`: a run of `c` of length n ≥ l holds n - l + 1 of them
+            [only] => self.visit_long_runs(only, |e, run_len| {
+                let base = self.texts[e.text as usize].run_offset(e.run as usize);
+                out.extend((0..=(run_len - only.len) as u64).map(|d| Occurrence {
+                    text: e.text,
                     pos: base + d,
+                }));
+            }),
+            [first, ..] => {
+                let q = &pat[first.len as usize..];
+                self.visit_tail_matches(first, q, filter, |e| {
+                    out.extend(self.verify_occurrence(e, first, q));
                 });
             }
         }
@@ -265,112 +321,114 @@ impl SbcTree {
         out
     }
 
-    /// Multi-run pattern: String-B-tree probe for the tail `Q`, then the
-    /// first-run filter (3-sided, scan, or size-adaptive).
-    fn multi_run_search(&self, prle: &RleSeq, filter: FirstRunFilter) -> Vec<Occurrence> {
-        let first = prle.runs()[0];
-        // Q = pattern minus its first run, as raw bytes.
-        let pat_bytes = prle.decode();
-        let q = &pat_bytes[first.len as usize..];
-        let classify = self.prefix_class(q);
-        let mut out = Vec::new();
-        let use_three_sided = match filter {
-            FirstRunFilter::ThreeSided => true,
-            FirstRunFilter::Scan => false,
-            FirstRunFilter::Adaptive => {
-                match self
-                    .tree
-                    .collect_class_bounded(&classify, ADAPTIVE_CLASS_CUTOFF)
-                {
-                    Some(class) => {
-                        // Small class: verify its members directly.
-                        for e in class {
-                            if let Some(occ) =
-                                self.verify_occurrence(e.text, e.run, first.ch, first.len, q)
-                            {
-                                out.push(occ);
-                            }
-                        }
-                        out.sort_unstable();
-                        return out;
+    /// Ids of the texts containing `pat`, ascending — what
+    /// [`substring_search`](Self::substring_search) reports, minus the
+    /// positions: no occurrence is enumerated, and a text that has already
+    /// matched is never verified again.
+    pub fn matching_texts(&self, pat: &[u8]) -> Vec<u32> {
+        let prle = RleSeq::encode(pat);
+        // one bit per text, so the ids come back ascending without a sort
+        let mut seen = vec![0u64; self.texts.len().div_ceil(64)];
+        let bit = |text: u32| (text as usize / 64, 1u64 << (text % 64));
+        match *prle.runs() {
+            [] => {}
+            [only] => self.visit_long_runs(only, |e, _| {
+                let (word, mask) = bit(e.text);
+                seen[word] |= mask;
+            }),
+            [first, ..] => {
+                let q = &pat[first.len as usize..];
+                self.visit_tail_matches(first, q, FirstRunFilter::Adaptive, |e| {
+                    let (word, mask) = bit(e.text);
+                    if seen[word] & mask == 0 && self.verify_occurrence(e, first, q).is_some() {
+                        seen[word] |= mask;
                     }
-                    None => true, // large class: worth the 3-sided probe
-                }
-            }
-        };
-        if use_three_sided {
-            let Some(first_e) = self.tree.first_in_class(&classify) else {
-                return out;
-            };
-            let last_e = self
-                .tree
-                .last_in_class(&classify)
-                .expect("non-empty class has a last element");
-            let x_lo = self.xkeys[&(first_e.text, first_e.run)];
-            let x_hi = self.xkeys[&(last_e.text, last_e.run)];
-            let y_lo = encode_y(first.ch, first.len);
-            let y_hi = encode_y(first.ch, u32::MAX);
-            for (_, p) in self.rtree.three_sided(x_lo, x_hi, y_lo) {
-                if self.rtree_point_y(p) > y_hi {
-                    continue;
-                }
-                let (text, run) = unpayload(p);
-                // Verify against the text (guards against order-key
-                // collisions).  Text accesses are not counted as I/O on
-                // either side of the E12 comparison: the String B-tree's
-                // comparator reads texts just the same.
-                if let Some(occ) = self.verify_occurrence(text, run, first.ch, first.len, q) {
-                    out.push(occ);
-                }
-            }
-        } else {
-            for e in self.tree.collect_class(&classify) {
-                if let Some(occ) = self.verify_occurrence(e.text, e.run, first.ch, first.len, q) {
-                    out.push(occ);
-                }
+                });
             }
         }
-        out.sort_unstable();
-        out
+        let mut ids = Vec::new();
+        for (word, mut bits) in seen.into_iter().enumerate() {
+            while bits != 0 {
+                ids.push(word as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        ids
+    }
+
+    /// Single-run pattern: every run of `pat.ch` at least `pat.len` long,
+    /// with its length, straight off the run-length index.
+    fn visit_long_runs(&self, pat: Run, mut visit: impl FnMut(RunRef, u32)) {
+        let lo = (pat.ch, pat.len, 0, 0);
+        let hi = (pat.ch, u32::MAX, u32::MAX, u32::MAX);
+        self.runlen_idx.visit_bounds(
+            Bound::Included(&lo),
+            Bound::Excluded(&hi),
+            |&(_, run_len, text, run), _| visit(RunRef { text, run }, run_len),
+        );
+    }
+
+    /// Multi-run pattern: String-B-tree probe for the tail `q`, then the
+    /// first-run filter (3-sided, scan, or size-adaptive).  `visit` sees a
+    /// superset of the boundaries where an occurrence ends its first run
+    /// and must verify each against the text: the scan paths apply no
+    /// first-run filter at all, and the 3-sided path can over-report when
+    /// order keys collide.  Text accesses are not counted as I/O on either
+    /// side of the E12 comparison: the String B-tree's comparator reads
+    /// texts just the same.
+    fn visit_tail_matches(
+        &self,
+        first: Run,
+        q: &[u8],
+        filter: FirstRunFilter,
+        mut visit: impl FnMut(RunRef),
+    ) {
+        let classify = self.prefix_class(q);
+        let class = match filter {
+            FirstRunFilter::ThreeSided => None,
+            FirstRunFilter::Scan => Some(self.tree.collect_class(&classify)),
+            // small class: verify its members directly; large: worth the
+            // 3-sided probe
+            FirstRunFilter::Adaptive => self
+                .tree
+                .collect_class_bounded(&classify, ADAPTIVE_CLASS_CUTOFF),
+        };
+        if let Some(class) = class {
+            class.into_iter().for_each(visit);
+            return;
+        }
+        let Some(first_e) = self.tree.first_in_class(&classify) else {
+            return;
+        };
+        let last_e = self
+            .tree
+            .last_in_class(&classify)
+            .expect("non-empty class has a last element");
+        let y_lo = encode_y(first.ch, first.len);
+        for (_, p) in self
+            .rtree
+            .three_sided(self.xkey(first_e), self.xkey(last_e), y_lo)
+        {
+            let (text, run) = unpayload(p);
+            visit(RunRef { text, run });
+        }
     }
 
     /// Check conditions (1) and (2) for a candidate boundary and build the
     /// occurrence.
-    fn verify_occurrence(
-        &self,
-        text: u32,
-        run: u32,
-        first_ch: u8,
-        first_len: u32,
-        q: &[u8],
-    ) -> Option<Occurrence> {
-        if run == 0 {
-            return None; // no preceding run
-        }
-        let t = &self.texts[text as usize];
-        let prev = t.runs()[run as usize - 1];
-        if prev.ch != first_ch || prev.len < first_len {
+    fn verify_occurrence(&self, e: RunRef, first: Run, q: &[u8]) -> Option<Occurrence> {
+        let t = &self.texts[e.text as usize];
+        let prev = t.runs()[e.run.checked_sub(1)? as usize]; // else: no preceding run
+        if prev.ch != first.ch || prev.len < first.len {
             return None;
         }
-        if !t.suffix_starts_with(run as usize, q) {
+        if !t.suffix_starts_with(e.run as usize, q) {
             return None;
         }
         Some(Occurrence {
-            text,
-            pos: t.run_offset(run as usize) - first_len as u64,
+            text: e.text,
+            pos: t.run_offset(e.run as usize) - first.len as u64,
         })
-    }
-
-    /// The y-coordinate of an R-tree payload point (recomputed from the
-    /// stored text; avoids trusting the rectangle).
-    fn rtree_point_y(&self, p: u64) -> f64 {
-        let (text, run) = unpayload(p);
-        if run == 0 {
-            NO_PREV_Y
-        } else {
-            let prev = self.texts[text as usize].runs()[run as usize - 1];
-            encode_y(prev.ch, prev.len)
-        }
     }
 
     /// Texts containing `pat` as a *subsequence* (characters in order,
@@ -440,7 +498,7 @@ impl SbcTree {
     }
 
     /// Modeled on-disk storage footprint, using the packed layouts a disk
-    /// SBC-tree would write (the in-memory R-tree/`HashMap` shapes are
+    /// SBC-tree would write (the in-memory R-tree and order-key shapes are
     /// build-time artifacts, not the persisted format):
     ///
     /// * compressed text: 5 bytes per run (char + u32 length);
@@ -524,6 +582,40 @@ fn rle_is_subsequence(text: &RleSeq, pat: &RleSeq) -> bool {
         }
     }
     true
+}
+
+/// The tree order: suffix content, ties (equal suffixes of different
+/// texts) broken by `(text, run)` so the order is total.
+fn cmp_run_refs(texts: &[RleSeq], a: RunRef, b: RunRef) -> Ordering {
+    texts[a.text as usize]
+        .cmp_suffixes(a.run as usize, &texts[b.text as usize], b.run as usize)
+        .then_with(|| (a.text, a.run).cmp(&(b.text, b.run)))
+}
+
+/// Run `i` of `t` as a 41-bit token such that suffixes order like their
+/// token sequences (a missing run is 0, below every token): by character,
+/// then — the run that ends first is compared on its *next* character —
+/// runs followed by a smaller character (or the end) before runs followed
+/// by a larger one, the former by ascending length, the latter by
+/// descending.
+fn run_token(t: &RleSeq, i: usize) -> u64 {
+    let Some(r) = t.runs().get(i) else { return 0 };
+    let rising = t.runs().get(i + 1).is_some_and(|next| next.ch > r.ch);
+    let len = if rising { u32::MAX - r.len } else { r.len };
+    (r.ch as u64) << 33 | (rising as u64) << 32 | len as u64
+}
+
+/// y-coordinate of the boundary before run `run` of `text`: the run that
+/// precedes it (recomputed from the text wherever it is needed, so the
+/// stored rectangle is never trusted).
+fn prev_run_y(text: &RleSeq, run: u32) -> f64 {
+    match run.checked_sub(1) {
+        None => NO_PREV_Y,
+        Some(prev) => {
+            let prev = text.runs()[prev as usize];
+            encode_y(prev.ch, prev.len)
+        }
+    }
 }
 
 fn encode_y(ch: u8, len: u32) -> f64 {
@@ -613,6 +705,23 @@ mod tests {
         // but interior runs must match exactly:
         let t2 = build(&["HEELL"]);
         assert!(t2.substring_search(b"HEEEL").is_empty());
+    }
+
+    #[test]
+    fn built_index_has_evenly_spaced_order_keys() {
+        let texts = ["HHHEELLLHH", "ELLHHH", "", "LLLL", "HEL", "ELLHHH"];
+        let t = SbcTree::build_with_fanout(
+            4,
+            texts.iter().map(|s| RleSeq::encode(s.as_bytes())).collect(),
+        );
+        assert_eq!(t.num_texts(), 6);
+        let mut x = t.xkeys.clone();
+        x.sort_by(f64::total_cmp);
+        assert_eq!(x.len(), t.num_suffixes());
+        assert!(x.windows(2).all(|w| w[1] - w[0] == X_GAP), "no collisions");
+        assert_eq!(t.matching_texts(b"LLHH"), vec![0, 1, 5]);
+        assert_eq!(t.matching_texts(b"LL"), vec![0, 1, 3, 5]);
+        assert_eq!(t.matching_texts(b""), Vec::<u32>::new());
     }
 
     #[test]

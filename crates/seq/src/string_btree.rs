@@ -49,6 +49,33 @@ impl StringBTree {
         }
     }
 
+    /// Index `texts` (ids `0..texts.len()`, in order) in one build: one
+    /// sort of every byte suffix and a bottom-up load of the tree — the
+    /// same index `insert_text` would grow text by text.
+    pub fn build(texts: Vec<Vec<u8>>) -> Self {
+        Self::build_with_fanout(64, texts)
+    }
+
+    /// [`build`](Self::build) with a custom B-tree fanout.
+    pub fn build_with_fanout(fanout: usize, texts: Vec<Vec<u8>>) -> Self {
+        let mut suffixes = Vec::with_capacity(texts.iter().map(Vec::len).sum());
+        let mut text_pages = 0;
+        for (id, t) in texts.iter().enumerate() {
+            text_pages += (t.len() as u64 / 8192).max(1);
+            suffixes.extend((0..t.len() as u32).map(|off| SufRef {
+                text: id as u32,
+                off,
+            }));
+        }
+        suffixes.sort_unstable_by(|&a, &b| cmp_suf_refs(&texts, a, b));
+        StringBTree {
+            tree: SufBTree::from_sorted(fanout, &suffixes),
+            texts,
+            text_write_io: Cell::new(text_pages),
+            text_read_io: Cell::new(0),
+        }
+    }
+
     fn suffix(&self, e: SufRef) -> &[u8] {
         &self.texts[e.text as usize][e.off as usize..]
     }
@@ -61,12 +88,7 @@ impl StringBTree {
             .set(self.text_write_io.get() + (seq.len() as u64 / 8192).max(1));
         // Split borrows: comparisons need &texts while the tree mutates.
         let texts = std::mem::take(&mut self.texts);
-        let cmp = |a: SufRef, b: SufRef| {
-            let sa = &texts[a.text as usize][a.off as usize..];
-            let sb = &texts[b.text as usize][b.off as usize..];
-            sa.cmp(sb)
-                .then_with(|| (a.text, a.off).cmp(&(b.text, b.off)))
-        };
+        let cmp = |a: SufRef, b: SufRef| cmp_suf_refs(&texts, a, b);
         for off in 0..seq.len() as u32 {
             self.tree.insert(&cmp, SufRef { text: id, off });
         }
@@ -186,6 +208,14 @@ impl Default for StringBTree {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The tree order: suffix bytes, ties (equal suffixes of different texts)
+/// broken by `(text, off)` so the order is total.
+fn cmp_suf_refs(texts: &[Vec<u8>], a: SufRef, b: SufRef) -> Ordering {
+    texts[a.text as usize][a.off as usize..]
+        .cmp(&texts[b.text as usize][b.off as usize..])
+        .then_with(|| (a.text, a.off).cmp(&(b.text, b.off)))
 }
 
 /// Naive oracle: all `(text, pos)` occurrences of `pat` in `texts`.

@@ -17,6 +17,7 @@
 use std::cmp::Ordering;
 
 use bdbms_common::stats::AccessStats;
+use bdbms_index::pack::packed_sizes;
 
 type NodeId = usize;
 
@@ -61,6 +62,52 @@ impl<E: Copy> SufBTree<E> {
             len: 0,
             stats: AccessStats::new(),
         }
+    }
+
+    /// Bottom-up load of `entries`, already sorted under the total order
+    /// later `insert`s and classifiers use: full leaves on a doubly-linked
+    /// chain, and every separator the minimum of the subtree to its right
+    /// (the rule `insert` maintains, so every query and later insert
+    /// behaves as on an insert-grown tree).  One logical write per node.
+    pub fn from_sorted(fanout: usize, entries: &[E]) -> Self {
+        let mut tree = Self::with_fanout(fanout);
+        if entries.is_empty() {
+            return tree;
+        }
+        tree.len = entries.len();
+        tree.nodes.clear();
+        let leaves = entries.len().div_ceil(fanout);
+        // (minimum of the subtree, node) for the level being grouped
+        let mut level: Vec<(E, NodeId)> = Vec::with_capacity(leaves);
+        let mut rest = entries;
+        for size in packed_sizes(entries.len(), fanout) {
+            let (leaf, tail) = rest.split_at(size);
+            rest = tail;
+            let id = tree.nodes.len();
+            level.push((leaf[0], id));
+            tree.nodes.push(Node::Leaf {
+                entries: leaf.to_vec(),
+                prev: id.checked_sub(1),
+                next: (id + 1 < leaves).then_some(id + 1),
+            });
+        }
+        while level.len() > 1 {
+            let mut up = Vec::with_capacity(level.len().div_ceil(fanout + 1));
+            let mut rest = level.as_slice();
+            for size in packed_sizes(level.len(), fanout + 1) {
+                let (group, tail) = rest.split_at(size);
+                rest = tail;
+                up.push((group[0].0, tree.nodes.len()));
+                tree.nodes.push(Node::Inner {
+                    seps: group[1..].iter().map(|&(min, _)| min).collect(),
+                    children: group.iter().map(|&(_, child)| child).collect(),
+                });
+            }
+            level = up;
+        }
+        tree.root = level[0].1;
+        tree.stats.record_writes(tree.nodes.len() as u64);
+        tree
     }
 
     /// Number of entries.
@@ -452,6 +499,135 @@ mod tests {
 
     fn cmp_u32(a: u32, b: u32) -> Ordering {
         a.cmp(&b)
+    }
+
+    /// Structural invariants every tree must hold, however it was built;
+    /// returns the entries in leaf-chain order.
+    fn check_invariants(t: &SufBTree<u32>) -> Vec<u32> {
+        // Minimum of the subtree at `id`; checks separators on the way.
+        fn subtree_min(t: &SufBTree<u32>, id: NodeId, depth: usize, leaf_depth: &mut usize) -> u32 {
+            match &t.nodes[id] {
+                Node::Leaf { entries, .. } => {
+                    assert!(entries.len() <= t.fanout);
+                    assert!(!entries.is_empty() || t.len == 0);
+                    assert!(*leaf_depth == 0 || *leaf_depth == depth, "balanced");
+                    *leaf_depth = depth;
+                    entries.first().copied().unwrap_or(0)
+                }
+                Node::Inner { seps, children } => {
+                    assert_eq!(children.len(), seps.len() + 1);
+                    assert!(children.len() >= 2 && seps.len() <= t.fanout);
+                    let mins: Vec<u32> = children
+                        .iter()
+                        .map(|&c| subtree_min(t, c, depth + 1, leaf_depth))
+                        .collect();
+                    assert_eq!(&mins[1..], seps.as_slice(), "sep = min of right subtree");
+                    mins[0]
+                }
+            }
+        }
+        let mut leaf_depth = 0;
+        subtree_min(t, t.root, 1, &mut leaf_depth);
+        assert_eq!(leaf_depth, t.height());
+        // forward chain == backward chain reversed
+        let forward = t.iter_all();
+        let mut id = t.root;
+        while let Node::Inner { children, .. } = &t.nodes[id] {
+            id = *children.last().unwrap();
+        }
+        let mut backward = Vec::new();
+        loop {
+            let Node::Leaf { entries, prev, .. } = &t.nodes[id] else {
+                unreachable!()
+            };
+            backward.extend(entries.iter().rev().copied());
+            match prev {
+                Some(p) => id = *p,
+                None => break,
+            }
+        }
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert_eq!(forward.len(), t.len());
+        forward
+    }
+
+    #[test]
+    fn from_sorted_at_the_size_boundaries() {
+        for fanout in [4usize, 5, 8] {
+            let f = fanout;
+            for n in [0, 1, f, f + 1, f * f, f * f + 1, f * f * (f + 1) + 1] {
+                let input: Vec<u32> = (0..n as u32).map(|v| v * 3).collect();
+                let mut t = SufBTree::from_sorted(fanout, &input);
+                assert_eq!(check_invariants(&t), input, "n={n} fanout={fanout}");
+                let emitted = if n == 0 { 0 } else { t.node_count() as u64 };
+                assert_eq!(t.stats().writes(), emitted, "one write per node");
+                // fewest leaves possible, so the height is minimal too
+                let mut level = n.div_ceil(fanout).max(1);
+                let mut height = 1;
+                while level > 1 {
+                    level = level.div_ceil(fanout + 1);
+                    height += 1;
+                }
+                assert_eq!(t.height(), height, "n={n} fanout={fanout}");
+                // packed nodes split like any other: interleave new keys
+                let mut model = input.clone();
+                for v in (0..n as u32).map(|v| v * 3 + 1).chain([u32::MAX]) {
+                    let pos = model.partition_point(|&m| m < v);
+                    let (pred, succ) = t.insert(&cmp_u32, v);
+                    assert_eq!(pred, pos.checked_sub(1).map(|p| model[p]));
+                    assert_eq!(succ, model.get(pos).copied());
+                    model.insert(pos, v);
+                }
+                assert_eq!(check_invariants(&t), model, "after inserts, n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_sorted_answers_class_queries_like_an_insert_grown_tree() {
+        let input: Vec<u32> = (0..500).collect();
+        let bulk = SufBTree::from_sorted(4, &input);
+        let mut grown: SufBTree<u32> = SufBTree::with_fanout(4);
+        for &v in input.iter().rev() {
+            grown.insert(&cmp_u32, v);
+        }
+        for (lo, hi) in [
+            (0, 0),
+            (0, 1),
+            (3, 4),
+            (4, 5),
+            (37, 90),
+            (0, 500),
+            (499, 500),
+        ] {
+            let classify = |e: u32| {
+                if e < lo {
+                    Ordering::Less
+                } else if e < hi {
+                    Ordering::Equal
+                } else {
+                    Ordering::Greater
+                }
+            };
+            assert_eq!(
+                bulk.first_in_class(&classify),
+                grown.first_in_class(&classify)
+            );
+            assert_eq!(
+                bulk.last_in_class(&classify),
+                grown.last_in_class(&classify)
+            );
+            assert_eq!(
+                bulk.collect_class(&classify),
+                grown.collect_class(&classify)
+            );
+            assert_eq!(bulk.count_class(&classify), (hi - lo) as usize);
+            assert_eq!(
+                bulk.collect_class_bounded(&classify, 10),
+                grown.collect_class_bounded(&classify, 10)
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use bdbms_seq::string_btree::naive_substring_search;
 use bdbms_seq::{gen, SbcTree, StringBTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Run-structured sequences over {H, E, L} (compressible, like Figure 12).
 fn arb_ss_text() -> impl Strategy<Value = Vec<u8>> {
@@ -34,8 +34,179 @@ fn arb_pattern() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// A text of 0..12 runs over the first `alphabet` symbols of `ABCD`, run
+/// lengths uniform around `mean_run` (0 runs = the empty text; adjacent
+/// runs may share a symbol and merge).
+fn random_text(rng: &mut StdRng, alphabet: usize, mean_run: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for _ in 0..rng.gen_range(0..12) {
+        let ch = b"ABCD"[rng.gen_range(0..alphabet)];
+        out.extend(std::iter::repeat_n(ch, rng.gen_range(1..2 * mean_run + 1)));
+    }
+    out
+}
+
+/// `n` texts, roughly one in six a duplicate of an earlier one.
+fn random_corpus(rng: &mut StdRng, n: usize, alphabet: usize, mean_run: usize) -> Vec<Vec<u8>> {
+    let mut texts: Vec<Vec<u8>> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let dup = !texts.is_empty() && rng.gen_range(0..6) == 0;
+        let t = if dup {
+            texts[rng.gen_range(0..texts.len())].clone()
+        } else {
+            random_text(rng, alphabet, mean_run)
+        };
+        texts.push(t);
+    }
+    texts
+}
+
+/// Patterns cut from the corpus (any alignment, single- and multi-run)
+/// plus independent random ones and the empty pattern.
+fn probe_patterns(
+    rng: &mut StdRng,
+    texts: &[Vec<u8>],
+    alphabet: usize,
+    mean_run: usize,
+) -> Vec<Vec<u8>> {
+    let mut pats = vec![Vec::new()];
+    for _ in 0..6 {
+        pats.push(random_text(rng, alphabet, mean_run.div_ceil(2)));
+        let Some(t) = texts.get(rng.gen_range(0..texts.len().max(1))) else {
+            continue;
+        };
+        if !t.is_empty() {
+            let at = rng.gen_range(0..t.len());
+            let len = rng.gen_range(1..(t.len() - at).min(3 * mean_run) + 1);
+            pats.push(t[at..at + len].to_vec());
+        }
+    }
+    pats
+}
+
+/// Every public query agrees between the two trees, and `matching_texts`
+/// is `substring_search` minus the positions.
+fn assert_same_answers(a: &SbcTree, b: &SbcTree, pats: &[Vec<u8>], stage: &str) {
+    assert_eq!(a.num_texts(), b.num_texts(), "{stage}");
+    assert_eq!(a.num_suffixes(), b.num_suffixes(), "{stage}");
+    for (i, pat) in pats.iter().enumerate() {
+        let occ = a.substring_search(pat);
+        assert_eq!(occ, b.substring_search(pat), "{stage}: substring {pat:?}");
+        assert_eq!(
+            occ,
+            b.substring_search_three_sided(pat),
+            "{stage}: 3-sided {pat:?}"
+        );
+        assert_eq!(occ, b.substring_search_scan(pat), "{stage}: scan {pat:?}");
+        let mut ids: Vec<u32> = occ.iter().map(|o| o.text).collect();
+        ids.dedup();
+        assert_eq!(
+            a.matching_texts(pat),
+            ids,
+            "{stage}: matching_texts {pat:?}"
+        );
+        assert_eq!(
+            b.matching_texts(pat),
+            ids,
+            "{stage}: matching_texts {pat:?}"
+        );
+        assert_eq!(
+            a.prefix_search(pat),
+            b.prefix_search(pat),
+            "{stage}: prefix {pat:?}"
+        );
+        assert_eq!(
+            a.subsequence_search(pat),
+            b.subsequence_search(pat),
+            "{stage}: subsequence {pat:?}"
+        );
+        let other = &pats[(i + 1) % pats.len()];
+        let (lo, hi) = if pat <= other {
+            (pat, other)
+        } else {
+            (other, pat)
+        };
+        assert_eq!(
+            a.range_search(lo, hi),
+            b.range_search(lo, hi),
+            "{stage}: range"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Bulk ≡ incremental: a bulk-built SBC-tree and one grown by inserts
+    /// answer every query identically (and `matching_texts` agrees with
+    /// `contains`) — and still do after 50 more inserts into both, which
+    /// split the loader's packed nodes and put midpoint order keys
+    /// between its evenly spaced ones.
+    #[test]
+    fn bulk_built_sbc_tree_matches_incremental(
+        seed in any::<u64>(),
+        n in 0usize..201,
+        alphabet in 1usize..5,
+        mean_run in 1usize..21,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut texts = random_corpus(&mut rng, n, alphabet, mean_run);
+        let mut bulk = SbcTree::build_with_fanout(4, texts.iter().map(|t| RleSeq::encode(t)).collect());
+        let mut grown = SbcTree::with_fanout(4);
+        for t in &texts {
+            grown.insert_sequence(t);
+        }
+        let pats = probe_patterns(&mut rng, &texts, alphabet, mean_run);
+        assert_same_answers(&bulk, &grown, &pats, "built");
+        for t in random_corpus(&mut rng, 50, alphabet, mean_run) {
+            prop_assert_eq!(bulk.insert_sequence(&t), grown.insert_sequence(&t));
+            texts.push(t);
+        }
+        let pats = probe_patterns(&mut rng, &texts, alphabet, mean_run);
+        assert_same_answers(&bulk, &grown, &pats, "after 50 inserts");
+        for pat in pats.iter().filter(|p| !p.is_empty()) {
+            let want: Vec<u32> = (0..texts.len() as u32)
+                .filter(|&id| texts[id as usize].windows(pat.len()).any(|w| w == pat))
+                .collect();
+            prop_assert_eq!(&bulk.matching_texts(pat), &want, "oracle {:?}", pat);
+        }
+        for (id, t) in texts.iter().enumerate() {
+            prop_assert_eq!(&bulk.decompress(id as u32), t);
+        }
+    }
+
+    /// Same for the uncompressed baseline: `StringBTree::build` ≡ a tree
+    /// grown by `insert_text`, before and after further inserts.
+    #[test]
+    fn bulk_built_string_btree_matches_incremental(
+        seed in any::<u64>(),
+        n in 0usize..40,
+        alphabet in 1usize..5,
+        mean_run in 1usize..6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut texts = random_corpus(&mut rng, n, alphabet, mean_run);
+        let mut bulk = StringBTree::build_with_fanout(4, texts.clone());
+        let mut grown = StringBTree::with_fanout(4);
+        for t in &texts {
+            grown.insert_text(t);
+        }
+        for round in 0..2 {
+            prop_assert_eq!(bulk.num_suffixes(), grown.num_suffixes());
+            let pats = probe_patterns(&mut rng, &texts, alphabet, mean_run);
+            for (i, pat) in pats.iter().enumerate() {
+                prop_assert_eq!(bulk.substring_search(pat), grown.substring_search(pat), "round {}", round);
+                prop_assert_eq!(bulk.prefix_search(pat), grown.prefix_search(pat));
+                let other = &pats[(i + 1) % pats.len()];
+                let (lo, hi) = if pat <= other { (pat, other) } else { (other, pat) };
+                prop_assert_eq!(bulk.range_search(lo, hi), grown.range_search(lo, hi));
+            }
+            for t in random_corpus(&mut rng, 10, alphabet, mean_run) {
+                prop_assert_eq!(bulk.insert_text(&t), grown.insert_text(&t));
+                texts.push(t);
+            }
+        }
+    }
 
     /// RLE encode/decode is the identity; textual form round-trips.
     #[test]

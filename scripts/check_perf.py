@@ -80,6 +80,11 @@ ABSOLUTE_FLOOR = {
     # ...and CONTAINS SEQ through the sequence index must beat the naive
     # full scan >= 10x.
     "indexed substring (CONTAINS SEQ vs scan)": 10.0,
+    # ...and filling an SBC sequence index from existing rows in bulk (one
+    # sort + bottom-up loads: CREATE SEQUENCE INDEX, every open) must beat
+    # growing it one insert at a time >= 2x (ISSUE 14; measured 4-6x).
+    # Pure CPU, both legs in one process, so a hard floor is safe.
+    "sequence index build (bulk vs incremental)": 2.0,
     # Observability acceptance (ISSUE 10): always-on metric counters may
     # cost at most ~5% on the hottest page-fetch path.  The row's ratio
     # is (metrics off) / (metrics on), so 0.95 means the instrumented
