@@ -30,9 +30,9 @@ use std::rc::Rc;
 use bdbms_common::{BdbmsError, Result, Value};
 
 use crate::ast::{AggFunc, AnnExpr, Expr, Select, SelectItem};
+use crate::catalog::Table;
 use crate::executor::{
-    concat_pipe, eval_ann, has_aggregate, item_ann_columns, ExecStats, PipeRow, RowValueStream,
-    SourceAttach,
+    concat_pipe, eval_ann, has_aggregate, item_ann_columns, ExecStats, PipeRow, SourceAttach,
 };
 use crate::expr::{compile, eval_compiled, resolve_column, CExpr, ColBinding};
 use crate::result::{AnnRef, AnnRow};
@@ -110,16 +110,34 @@ impl<'a> BatchOp<'a> for Box<dyn BatchOp<'a> + 'a> {
 /// A scan's access path, chosen at assembly time by the executor's
 /// `scan_base_batch`.
 pub(crate) enum ScanBase<'a> {
-    /// Index/seq-index probes (and value-dependent probes): the same
-    /// row-at-a-time streams the row pipeline uses.
-    Stream(RowValueStream<'a>),
+    /// Index and sequence-index probes (an empty scan is the empty
+    /// list): [`BatchScan`] hands the table a batch of candidates per
+    /// pull, fetched a page run at a time and pruned to `keep` exactly
+    /// like a full scan's chunk ([`Table::fetch_rows`]).
+    Rows {
+        table: &'a Table,
+        /// Candidate row numbers, ascending.
+        rows: Vec<u64>,
+        /// Position in `rows` of the next candidate to fetch.
+        next: usize,
+        /// As for `Chunk`.
+        keep: Option<Vec<usize>>,
+    },
+    /// Index-only scan: the candidates come with their keys, `column` is
+    /// the only one read, and the heap is never touched.
+    Keys {
+        /// Source-local position of the indexed column.
+        column: usize,
+        /// `(row_no, key)` candidates, ascending by row number.
+        entries: std::vec::IntoIter<(u64, Value)>,
+    },
     /// Vectorized full scan: [`BatchScan`] asks the table for a whole
     /// chunk per pull, decoded in place in the buffer pool and pruned to
     /// `keep` (the planner's value columns — every other slot is
     /// provably unread and left NULL).  This is where the batch pipeline
     /// stops paying the row path's per-row record copy and full decode.
     Chunk {
-        table: &'a crate::catalog::Table,
+        table: &'a Table,
         /// Next row number to fetch.
         next: u64,
         /// Source-local columns whose values the query reads, ascending
@@ -128,11 +146,20 @@ pub(crate) enum ScanBase<'a> {
     },
 }
 
+/// An index-only scan's tuple: `key` in the indexed `column`, every other
+/// slot NULL (provably unread).
+pub(crate) fn key_tuple(arity: usize, column: usize, key: Value) -> Vec<Value> {
+    let mut values = vec![Value::Null; arity];
+    values[column] = key;
+    values
+}
+
 /// Scan: wraps the access path chosen at assembly time
 /// ([`crate::executor`]'s `scan_base_batch`), fetches up to `demand`
-/// tuples — a whole chunk at once on full scans —
-/// then re-checks the pushed conjuncts in per-conjunct tight loops over
-/// the selection vector.  Eager annotation mode attaches to survivors
+/// tuples — a whole chunk of the table or of the probe's candidate list
+/// at once — then re-checks the pushed conjuncts (all but the one an
+/// exact probe has answered) in per-conjunct tight loops over the
+/// selection vector.  Eager annotation mode attaches to survivors
 /// here (matching the row path, which attaches pre-filter but only
 /// observably differs in `anns_attached` totals when rows are rejected —
 /// which eager runs of the regression suite pin, so survivors-only is
@@ -174,34 +201,40 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
         }
         let want = demand.clamp(1, BATCH_SIZE);
         let mut fetched: Vec<(u64, Vec<Value>)> = Vec::with_capacity(want);
-        match &mut self.base {
-            ScanBase::Stream(base) => {
-                while fetched.len() < want {
-                    match base.next() {
-                        None => {
-                            self.done = true;
-                            break;
-                        }
-                        Some(Err(e)) => {
-                            self.done = true;
-                            self.st.borrow_mut().rows_fetched += fetched.len() as u64;
-                            return Err(e);
-                        }
-                        Some(Ok(rv)) => fetched.push(rv),
-                    }
-                }
+        let fetch = match &mut self.base {
+            ScanBase::Rows {
+                table,
+                rows,
+                next,
+                keep,
+            } => {
+                let run = &rows[*next..rows.len().min(*next + want)];
+                *next += run.len();
+                self.done = *next == rows.len();
+                table.fetch_rows(run, keep.as_deref(), &mut fetched)
             }
-            ScanBase::Chunk { table, next, keep } => {
-                match table.scan_chunk(*next, want, keep.as_deref(), &mut fetched) {
-                    Err(e) => {
-                        self.done = true;
-                        self.st.borrow_mut().rows_fetched += fetched.len() as u64;
-                        return Err(e);
-                    }
-                    Ok(Some(n)) => *next = n,
-                    Ok(None) => self.done = true,
-                }
+            ScanBase::Keys { column, entries } => {
+                let (arity, column) = (self.arity, *column);
+                fetched.extend(
+                    entries
+                        .by_ref()
+                        .take(want)
+                        .map(|(row_no, key)| (row_no, key_tuple(arity, column, key))),
+                );
+                self.done = entries.len() == 0;
+                Ok(())
             }
+            ScanBase::Chunk { table, next, keep } => table
+                .scan_chunk(*next, want, keep.as_deref(), &mut fetched)
+                .map(|resume| match resume {
+                    Some(n) => *next = n,
+                    None => self.done = true,
+                }),
+        };
+        if let Err(e) = fetch {
+            self.done = true;
+            self.st.borrow_mut().rows_fetched += fetched.len() as u64;
+            return Err(e);
         }
         if fetched.is_empty() {
             return Ok(None);

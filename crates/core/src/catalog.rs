@@ -1,6 +1,6 @@
 //! The catalog: tables, their heaps, annotation sets, and outdated bitmaps.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -62,10 +62,12 @@ impl TableIndex {
     /// re-check the originating predicate on the returned rows — the
     /// index is a candidate pruner, not an oracle.
     pub fn probe(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<u64> {
-        self.probe_entries(lo, hi)
-            .into_iter()
-            .map(|(row_no, _)| row_no)
-            .collect()
+        let mut rows = Vec::new();
+        self.tree
+            .visit_bounds(lo, hi, |_, &row_no| rows.push(row_no));
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
 
     /// Like [`probe`](Self::probe), but also returns each row's indexed
@@ -162,10 +164,10 @@ enum SeqTexts {
 }
 
 impl SeqTexts {
-    fn new(kind: SeqIndexKind) -> SeqTexts {
+    fn with_capacity(kind: SeqIndexKind, texts: usize) -> SeqTexts {
         match kind {
-            SeqIndexKind::Sbc => SeqTexts::Sbc(Vec::new()),
-            SeqIndexKind::Suffix => SeqTexts::Suffix(Vec::new()),
+            SeqIndexKind::Sbc => SeqTexts::Sbc(Vec::with_capacity(texts)),
+            SeqIndexKind::Suffix => SeqTexts::Suffix(Vec::with_capacity(texts)),
         }
     }
 
@@ -184,9 +186,15 @@ impl SeqTexts {
 /// Neither backend supports deletion, so updates and deletes *tombstone*:
 /// the row↔text maps drop their entries (making the stale text
 /// unreachable from any probe result) while the suffix structure keeps
-/// the dead text's nodes.  Like [`TableIndex`], the probe result is a
-/// candidate set — the executor re-checks the originating predicate, so
-/// over-approximation is safe and NULLs are simply never entered.
+/// the dead text's nodes.
+///
+/// Unlike [`TableIndex`], the probe result is **exact**: both backends
+/// verify every reported occurrence against the stored text, a text
+/// belongs to at most one live row, NULLs are never entered, and the
+/// empty pattern matches nothing — so [`probe`](Self::probe) returns
+/// precisely the live rows on which `col CONTAINS SEQ '<pattern>'` is
+/// true, and the planner lets the batch executor skip the re-check
+/// (`Probe::SeqIndex`'s `answers`).
 pub struct SeqIndex {
     /// Index name (unique per table across seq indexes, case-insensitive).
     pub name: String,
@@ -196,8 +204,14 @@ pub struct SeqIndex {
     pub kind: SeqIndexKind,
     backend: SeqBackend,
     text_of_row: BTreeMap<u64, u32>,
-    row_of_text: HashMap<u32, u64>,
+    /// The live row of each text id ([`DEAD_TEXT`] once tombstoned); ids
+    /// are dense and append-only, so the map is a plain vector.
+    row_of_text: Vec<u64>,
 }
+
+/// `SeqIndex::row_of_text` entry of a tombstoned text (row numbers are
+/// allocated from 0 upward and never reach it).
+const DEAD_TEXT: u64 = u64::MAX;
 
 impl SeqIndex {
     fn new(name: impl Into<String>, column: usize, kind: SeqIndexKind) -> SeqIndex {
@@ -207,21 +221,22 @@ impl SeqIndex {
             kind,
             backend: SeqBackend::new(kind),
             text_of_row: BTreeMap::new(),
-            row_of_text: HashMap::new(),
+            row_of_text: Vec::new(),
         }
     }
 
     fn add(&mut self, value: &Value, row_no: u64) {
         if let Value::Text(s) = value {
             let id = self.backend.insert_text(s.as_bytes());
+            debug_assert_eq!(id as usize, self.row_of_text.len(), "text ids are dense");
             self.text_of_row.insert(row_no, id);
-            self.row_of_text.insert(id, row_no);
+            self.row_of_text.push(row_no);
         }
     }
 
     fn remove(&mut self, row_no: u64) {
         if let Some(id) = self.text_of_row.remove(&row_no) {
-            self.row_of_text.remove(&id);
+            self.row_of_text[id as usize] = DEAD_TEXT;
         }
     }
 
@@ -230,13 +245,13 @@ impl SeqIndex {
     fn load(&mut self, rows: Vec<u64>, texts: SeqTexts) {
         debug_assert!(self.is_empty());
         self.backend = SeqBackend::build(texts);
-        self.row_of_text = (0u32..).zip(rows.iter().copied()).collect();
-        self.text_of_row = rows.into_iter().zip(0u32..).collect();
+        self.text_of_row = rows.iter().copied().zip(0u32..).collect();
+        self.row_of_text = rows;
     }
 
-    /// Row numbers whose sequence contains `pattern`, sorted ascending
-    /// (scan order).  An empty pattern matches nothing, mirroring the
-    /// `CONTAINS SEQ ''` evaluation rule.
+    /// Exactly the live rows whose sequence contains `pattern`, sorted
+    /// ascending (scan order).  An empty pattern matches nothing,
+    /// mirroring the `CONTAINS SEQ ''` evaluation rule.
     pub fn probe(&self, pattern: &str) -> Vec<u64> {
         if pattern.is_empty() {
             return Vec::new();
@@ -245,9 +260,14 @@ impl SeqIndex {
             .backend
             .matching_texts(pattern.as_bytes())
             .into_iter()
-            .filter_map(|id| self.row_of_text.get(&id).copied())
+            .map(|id| self.row_of_text[id as usize])
+            .filter(|&row_no| row_no != DEAD_TEXT)
             .collect();
-        rows.sort_unstable();
+        // text ids ascend with row numbers until a row is re-indexed
+        // (UPDATE, or an undo restoring a deleted row)
+        if !rows.is_sorted() {
+            rows.sort_unstable();
+        }
         rows
     }
 
@@ -644,7 +664,6 @@ impl Table {
         keep: Option<&[usize]>,
         out: &mut Vec<(u64, Vec<Value>)>,
     ) -> Result<Option<u64>> {
-        let arity = self.schema.arity();
         let mut nos: Vec<u64> = Vec::with_capacity(want);
         let mut rids: Vec<Rid> = Vec::with_capacity(want);
         let mut resume = None;
@@ -656,7 +675,49 @@ impl Table {
             nos.push(no);
             rids.push(rid);
         }
-        self.heap.with_records(&rids, |k, buf| {
+        self.decode_records(&nos, &rids, keep, out)?;
+        Ok(resume)
+    }
+
+    /// The fetch primitive of index and sequence-index probes: decode the
+    /// rows numbered `row_nos` (ascending, as every probe returns them)
+    /// into `out`, in list order, with [`scan_chunk`](Self::scan_chunk)'s
+    /// decode path and `keep` contract — so a candidate list costs one
+    /// page pin per run of same-page rows instead of a row-map lookup, a
+    /// pool lock, a record copy and a full decode per row.  A row number
+    /// that is not live is `NotFound` (an index out of step with the
+    /// heap) and nothing is decoded; on a later error, rows decoded
+    /// before the failure remain in `out`.
+    pub(crate) fn fetch_rows(
+        &self,
+        row_nos: &[u64],
+        keep: Option<&[usize]>,
+        out: &mut Vec<(u64, Vec<Value>)>,
+    ) -> Result<()> {
+        let rids = row_nos
+            .iter()
+            .map(|no| {
+                self.rows
+                    .get(no)
+                    .copied()
+                    .ok_or_else(|| BdbmsError::not_found(format!("row {no} in {}", self.name)))
+            })
+            .collect::<Result<Vec<Rid>>>()?;
+        self.decode_records(row_nos, &rids, keep, out)
+    }
+
+    /// Decode the records at `rids` (row `nos[k]` lives at `rids[k]`) into
+    /// `out`, pruned to `keep`.
+    fn decode_records(
+        &self,
+        nos: &[u64],
+        rids: &[Rid],
+        keep: Option<&[usize]>,
+        out: &mut Vec<(u64, Vec<Value>)>,
+    ) -> Result<()> {
+        let arity = self.schema.arity();
+        out.reserve(rids.len());
+        self.heap.with_records(rids, |k, buf| {
             let (decoded_no, values) = match keep {
                 None => Self::decode_row(buf, arity),
                 Some(cols) => Self::decode_row_pruned(buf, arity, cols),
@@ -664,8 +725,7 @@ impl Table {
             debug_assert_eq!(decoded_no, nos[k]);
             out.push((nos[k], values));
             Ok(())
-        })?;
-        Ok(resume)
+        })
     }
 
     /// The one heap pass behind open, `COPY`, `CREATE [SEQUENCE] INDEX`
@@ -699,9 +759,19 @@ impl Table {
             cols.dedup();
             cols
         });
+        // sized once: doubling growth would leave up to half of each
+        // vector reserved and unused while the index is built from it
+        let live = self.rows.len();
         let mut loads: Vec<Option<(Vec<u64>, SeqTexts)>> = seq_indexes
             .iter()
-            .map(|i| i.is_empty().then(|| (Vec::new(), SeqTexts::new(i.kind))))
+            .map(|i| {
+                i.is_empty().then(|| {
+                    (
+                        Vec::with_capacity(live),
+                        SeqTexts::with_capacity(i.kind, live),
+                    )
+                })
+            })
             .collect();
         let mut chunk = Vec::with_capacity(BATCH_SIZE);
         let mut next = Some(0);
@@ -1377,6 +1447,14 @@ mod tests {
             .unwrap();
         assert_eq!(probe(&t, "GCAT"), Vec::<u64>::new());
         assert_eq!(probe(&t, "TTT"), vec![0]);
+        // row 0's new text has the highest text id: candidates still come
+        // back in row order
+        t.insert(vec!["JW0003".into(), "c".into(), "ATTTTA".into()])
+            .unwrap();
+        t.update(0, vec!["JW0001".into(), "a".into(), "CTTTTC".into()])
+            .unwrap();
+        assert_eq!(probe(&t, "TTT"), vec![0, 2]);
+        t.delete(2).unwrap();
         // delete tombstones
         t.delete(1).unwrap();
         assert_eq!(probe(&t, "GGCC"), Vec::<u64>::new());
@@ -1449,6 +1527,57 @@ mod tests {
         assert_eq!(t.len(), 11);
         assert_eq!(t.peek_next_row(), first2);
         assert_eq!(t.index_named("gid_idx").unwrap().len(), 11);
+    }
+
+    #[test]
+    fn fetch_rows_decodes_candidate_lists_like_get() {
+        let mut t = gene_table();
+        // ~1 KB rows: eight to a page, so 40 rows span several pages; row
+        // 17 is a 40 KB record (a multi-fragment chain) between two
+        // ordinary rows of the same run
+        for i in 0..40usize {
+            let seq = if i == 17 {
+                "ACGT".repeat(10_000)
+            } else {
+                format!("{i:04}").repeat(250)
+            };
+            t.insert(vec![format!("JW{i:04}").into(), "x".into(), seq.into()])
+                .unwrap();
+        }
+        t.delete(5).unwrap();
+        let fetch = |nos: &[u64], keep: Option<&[usize]>| {
+            let mut out = Vec::new();
+            t.fetch_rows(nos, keep, &mut out).map(|()| out)
+        };
+        let by_get = |nos: &[u64]| -> Vec<(u64, Vec<Value>)> {
+            nos.iter().map(|&no| (no, t.get(no).unwrap())).collect()
+        };
+
+        assert_eq!(fetch(&[], None).unwrap(), Vec::new(), "empty list");
+        // a contiguous run with the long record in the middle
+        let run: Vec<u64> = (14..22).collect();
+        assert_eq!(fetch(&run, None).unwrap(), by_get(&run));
+        // rows on non-adjacent pages come back in list order
+        let spread = [0, 9, 17, 18, 30, 39];
+        assert_eq!(fetch(&spread, None).unwrap(), by_get(&spread));
+        // pruned slots are NULL, kept ones are decoded — also past the
+        // long column, and on the multi-fragment record
+        let pruned = fetch(&spread, Some(&[0])).unwrap();
+        for ((no, values), (_, full)) in pruned.iter().zip(by_get(&spread)) {
+            assert_eq!(values[0], full[0], "row {no}");
+            assert_eq!(values[1..], [Value::Null, Value::Null], "row {no}");
+        }
+        let last_only = fetch(&[17], Some(&[2])).unwrap();
+        assert_eq!(last_only[0].1[0], Value::Null);
+        assert_eq!(last_only[0].1[2], t.get(17).unwrap()[2]);
+        // a row that is not live (deleted, or never allocated) is
+        // NotFound and nothing is decoded
+        for bad in [5, 40] {
+            let mut out = Vec::new();
+            let err = t.fetch_rows(&[4, bad, 6], None, &mut out).unwrap_err();
+            assert_eq!(err.code(), bdbms_common::ErrorCode::NotFound, "row {bad}");
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

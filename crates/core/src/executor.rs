@@ -378,139 +378,124 @@ impl<'a> SourceAttach<'a> {
     }
 }
 
-/// One source's scan as a lazy stream of `(row_no, values)`: index probe
-/// or heap walk, with pushed conjuncts applied per tuple before anything
-/// downstream sees it.
-///
-/// `value_needed` lists the source-local columns whose *values* any part
-/// of the query reads (`None` = unknown, assume all).  When an index
-/// probe covers every needed column, the scan is served *index-only*:
-/// tuples are reconstructed from the B+-tree keys (all other slots NULL,
-/// provably unread) and the heap is never touched.
-/// A scan's lazy `(row_no, values)` stream.
+/// A scan's lazy `(row_no, values)` stream (row pipeline only).
 pub(crate) type RowValueStream<'a> = Box<dyn Iterator<Item = Result<(u64, Vec<Value>)>> + 'a>;
 
-/// Choose this source's access path and build the raw `(row_no, values)`
-/// stream — probe-selection stats are pushed here, at assembly time.
-/// Pushed conjuncts are *not* applied; the row pipeline wraps the stream
-/// with a per-row filter ([`scan_stream`]) while the batch pipeline
-/// re-checks them in per-conjunct tight loops
-/// ([`crate::batch::BatchScan`]).
-pub(crate) fn scan_base<'a>(
-    src: &Source<'a>,
+/// Choose one source's access path from its pushed conjuncts (or a
+/// replayed choice) — the decision both pipelines and `EXPLAIN` share.
+fn choose_access(
+    src: &Source<'_>,
     local_bindings: &[ColBinding],
     pushed: &[Expr],
     use_index: bool,
-    value_needed: Option<Vec<usize>>,
     forced: Option<ProbeChoice>,
-    st: &RefCell<ExecStats>,
-) -> (RowValueStream<'a>, Option<ProbeChoice>) {
-    let (probe, choice) = if use_index {
+) -> (Probe, Option<ProbeChoice>) {
+    if use_index {
         plan::choose_probe_with(src.table, local_bindings, pushed, forced)
     } else {
         (Probe::FullScan, Some(ProbeChoice::FullScan))
-    };
-    (probe_stream(src, probe, value_needed, st), choice)
+    }
 }
 
-/// Batch-path access path: same probe choice (and probe-selection
-/// stats) as [`scan_base`], but a full scan is returned as a chunked,
-/// column-pruned table handle ([`crate::batch::ScanBase::Chunk`])
-/// instead of a row-at-a-time iterator, so [`crate::batch::BatchScan`]
-/// decodes whole batches straight out of the buffer pool.
+/// The pushed conjuncts a scan still evaluates on the rows its probe
+/// returns: all of them, minus the one the probe answers exactly
+/// ([`Probe::answers`]).
+fn rechecked<'e>(pushed: &'e [Expr], probe: &Probe) -> impl Iterator<Item = &'e Expr> + Clone {
+    let answered = probe.answers();
+    pushed
+        .iter()
+        .enumerate()
+        .filter(move |(k, _)| Some(*k) != answered)
+        .map(|(_, c)| c)
+}
+
+/// Resolve a chosen probe to the access path [`crate::batch::BatchScan`]
+/// pulls from, recording its access-path stats (at assembly time): a
+/// full scan is a chunked table handle, every index or sequence-index
+/// probe its ascending candidate list, fetched a batch at a time through
+/// [`Table::fetch_rows`].
+///
+/// `keep` lists the source-local columns whose *values* the query reads
+/// on this source's rows (`None` = unknown, assume all); every other
+/// slot is left NULL.  When a B+-tree probe covers every such column,
+/// the scan is served *index-only*: tuples are reconstructed from the
+/// tree's keys and the heap is never touched.
 pub(crate) fn scan_base_batch<'a>(
     src: &Source<'a>,
-    local_bindings: &[ColBinding],
-    pushed: &[Expr],
-    use_index: bool,
-    value_needed: Option<Vec<usize>>,
-    forced: Option<ProbeChoice>,
-    st: &RefCell<ExecStats>,
-) -> (crate::batch::ScanBase<'a>, Option<ProbeChoice>) {
-    let (probe, choice) = if use_index {
-        plan::choose_probe_with(src.table, local_bindings, pushed, forced)
-    } else {
-        (Probe::FullScan, Some(ProbeChoice::FullScan))
-    };
-    if matches!(probe, Probe::FullScan) {
-        st.borrow_mut().full_scans += 1;
-        let base = crate::batch::ScanBase::Chunk {
-            table: src.table,
-            next: 0,
-            keep: value_needed,
-        };
-        return (base, choice);
-    }
-    let stream = probe_stream(src, probe, value_needed, st);
-    (crate::batch::ScanBase::Stream(stream), choice)
-}
-
-/// Build the row-at-a-time stream for a chosen probe, recording its
-/// access-path stats.
-fn probe_stream<'a>(
-    src: &Source<'a>,
     probe: Probe,
-    value_needed: Option<Vec<usize>>,
+    keep: Option<Vec<usize>>,
     st: &RefCell<ExecStats>,
-) -> RowValueStream<'a> {
-    let base: RowValueStream<'a> = match probe {
-        Probe::Empty => Box::new(std::iter::empty()),
-        Probe::Index { column, lo, hi } => {
-            let idx = src.table.index_on(column).expect("plan chose an index");
-            {
-                let mut s = st.borrow_mut();
-                s.index_probes += 1;
-                s.chosen_indexes.push(idx.name.clone());
-            }
-            let covered = value_needed
-                .as_ref()
-                .is_some_and(|cols| cols.iter().all(|&c| c == column));
-            if covered {
-                st.borrow_mut().index_only_scans += 1;
-                let arity = src.arity;
-                Box::new(
-                    idx.probe_entries(plan::as_ref_bound(&lo), plan::as_ref_bound(&hi))
-                        .into_iter()
-                        .map(move |(row_no, key)| {
-                            let mut values = vec![Value::Null; arity];
-                            values[column] = key;
-                            Ok((row_no, values))
-                        }),
-                )
-            } else {
-                let table = src.table;
-                Box::new(
-                    idx.probe(plan::as_ref_bound(&lo), plan::as_ref_bound(&hi))
-                        .into_iter()
-                        .map(move |row_no| table.get(row_no).map(|v| (row_no, v))),
-                )
-            }
-        }
-        Probe::SeqIndex { column, pattern } => {
-            let sidx = src
-                .table
-                .seq_index_on(column)
-                .expect("plan chose a seq index");
-            {
-                let mut s = st.borrow_mut();
-                s.seq_index_probes += 1;
-                s.chosen_indexes.push(sidx.name.clone());
-            }
-            let table = src.table;
-            Box::new(
-                sidx.probe(&pattern)
-                    .into_iter()
-                    .map(move |row_no| table.get(row_no).map(|v| (row_no, v))),
-            )
-        }
+) -> crate::batch::ScanBase<'a> {
+    use crate::batch::ScanBase;
+    let table = src.table;
+    let mut s = st.borrow_mut();
+    let rows = match probe {
         Probe::FullScan => {
-            st.borrow_mut().full_scans += 1;
-            Box::new(src.table.iter_rows())
+            s.full_scans += 1;
+            return ScanBase::Chunk {
+                table,
+                next: 0,
+                keep,
+            };
+        }
+        Probe::Empty => Vec::new(),
+        Probe::Index { column, lo, hi } => {
+            let idx = table.index_on(column).expect("plan chose an index");
+            s.index_probes += 1;
+            s.chosen_indexes.push(idx.name.clone());
+            let (lo, hi) = (plan::as_ref_bound(&lo), plan::as_ref_bound(&hi));
+            if keep
+                .as_ref()
+                .is_some_and(|cols| cols.iter().all(|&c| c == column))
+            {
+                s.index_only_scans += 1;
+                return ScanBase::Keys {
+                    column,
+                    entries: idx.probe_entries(lo, hi).into_iter(),
+                };
+            }
+            idx.probe(lo, hi)
+        }
+        Probe::SeqIndex {
+            column, pattern, ..
+        } => {
+            let sidx = table.seq_index_on(column).expect("plan chose a seq index");
+            s.seq_index_probes += 1;
+            s.chosen_indexes.push(sidx.name.clone());
+            sidx.probe(&pattern)
         }
     };
-    base
+    ScanBase::Rows {
+        table,
+        rows,
+        next: 0,
+        keep,
+    }
 }
 
+/// The row pipeline's view of an access path: the same candidates, one
+/// `Table::get` at a time.
+fn probe_stream<'a>(base: crate::batch::ScanBase<'a>, arity: usize) -> RowValueStream<'a> {
+    use crate::batch::ScanBase;
+    match base {
+        ScanBase::Chunk { table, .. } => Box::new(table.iter_rows()),
+        ScanBase::Rows { table, rows, .. } => Box::new(
+            rows.into_iter()
+                .map(move |row_no| table.get(row_no).map(|v| (row_no, v))),
+        ),
+        ScanBase::Keys { column, entries } => {
+            Box::new(entries.map(move |(row_no, key)| {
+                Ok((row_no, crate::batch::key_tuple(arity, column, key)))
+            }))
+        }
+    }
+}
+
+/// One source's scan in the row pipeline: the chosen access path as a
+/// lazy stream, with **every** pushed conjunct applied per tuple before
+/// anything downstream sees it — including the one an exact probe has
+/// already answered, which is what makes this pipeline the differential
+/// oracle for the batch pipeline's skipped re-check.
 fn scan_stream<'a>(
     src: &Source<'a>,
     local_bindings: Rc<Vec<ColBinding>>,
@@ -520,15 +505,8 @@ fn scan_stream<'a>(
     forced: Option<ProbeChoice>,
     st: Rc<RefCell<ExecStats>>,
 ) -> (RowValueStream<'a>, Option<ProbeChoice>) {
-    let (base, choice) = scan_base(
-        src,
-        &local_bindings,
-        &pushed,
-        use_index,
-        value_needed,
-        forced,
-        &st,
-    );
+    let (probe, choice) = choose_access(src, &local_bindings, &pushed, use_index, forced);
+    let base = probe_stream(scan_base_batch(src, probe, value_needed, &st), src.arity);
     let stream = Box::new(base.filter_map(move |entry| {
         let (row_no, values) = match entry {
             Ok(x) => x,
@@ -874,30 +852,33 @@ fn render_ann(a: &AnnExpr) -> String {
 }
 
 /// Render a conjunct list as ` AND `-joined parenthesized expressions.
-fn render_conjuncts(cs: &[Expr]) -> String {
-    cs.iter()
+fn render_conjuncts<'e>(cs: impl IntoIterator<Item = &'e Expr>) -> String {
+    cs.into_iter()
         .map(|c| c.to_string())
         .collect::<Vec<_>>()
         .join(" AND ")
 }
 
-/// Describe one source's access path (the same [`plan::choose_probe_with`]
-/// decision execution will make) with its estimated cardinality.
-fn describe_scan(
-    src: &Source<'_>,
-    local_bindings: &[ColBinding],
-    pushed: &[Expr],
-    use_index: bool,
-    local_value_cols: &Option<Vec<usize>>,
-) -> String {
+/// Describe execution-order source `i`'s access path — the same
+/// [`choose_access`] decision, exactness and column set the batch
+/// assembly derives — with its estimated cardinality, plus the pushed
+/// conjuncts its scan still re-checks (rendered, empty when none).
+fn describe_scan(planned: &PlannedSelect<'_>, i: usize) -> (String, String) {
+    let src = &planned.sources[i];
+    let local_bindings = &planned.bindings[src.offset..src.offset + src.arity];
+    let pushed = &planned.pushed[i];
     let table = src.table;
     let n = table.len();
     let est = plan::estimate_scan_rows(table, local_bindings, pushed);
-    let (probe, _) = if use_index {
-        plan::choose_probe_with(table, local_bindings, pushed, None)
-    } else {
-        (Probe::FullScan, Some(ProbeChoice::FullScan))
-    };
+    let (probe, _) = choose_access(src, local_bindings, pushed, planned.use_index, None);
+    let checked = rechecked(pushed, &probe);
+    let local_value_cols = PlannedSelect::local_value_cols(
+        &planned.value_cols,
+        src,
+        &planned.bindings,
+        checked.clone().chain(&planned.residual),
+    );
+    let rechecks = render_conjuncts(checked);
     let col_name = |c: usize| table.schema.columns()[c].name.clone();
     // bound values render like the Expr literals they came from
     let lit = |v: &Value| match v {
@@ -940,10 +921,12 @@ fn describe_scan(
                 if covered { " (index-only)" } else { "" }
             )
         }
-        Probe::SeqIndex { column, pattern } => {
+        Probe::SeqIndex {
+            column, pattern, ..
+        } => {
             let sidx = table.seq_index_on(column).expect("plan chose a seq index");
             format!(
-                "Seq Index Scan {} using {} ({} CONTAINS SEQ '{}')",
+                "Seq Index Scan {} using {} ({} CONTAINS SEQ '{}') (exact)",
                 table.name,
                 sidx.name,
                 col_name(column),
@@ -952,7 +935,7 @@ fn describe_scan(
         }
     };
     text.push_str(&format!(" (rows~{est:.1} of {n})"));
-    text
+    (text, rechecks)
 }
 
 /// Render one simple-SELECT branch as a root-down tree and, under
@@ -1100,28 +1083,14 @@ fn explain_branch(
         push: &mut impl FnMut(usize, String, Option<String>),
     ) {
         let src = &planned.sources[upto];
-        let local = &planned.bindings[src.offset..src.offset + src.arity];
-        let local_value_cols = PlannedSelect::local_value_cols(&planned.value_cols, src);
-        if upto == 0 {
-            let text = describe_scan(
-                src,
-                local,
-                &planned.pushed[0],
-                planned.use_index,
-                &local_value_cols,
-            );
+        let (text, rechecks) = describe_scan(planned, upto);
+        let scan_depth = if upto == 0 {
             push(
                 depth,
                 format!("{prefix}{text}"),
                 Some(format!("Scan {}", src.table.name)),
             );
-            if !planned.pushed[0].is_empty() {
-                push(
-                    depth + 1,
-                    format!("Pushed: {}", render_conjuncts(&planned.pushed[0])),
-                    None,
-                );
-            }
+            depth
         } else {
             push(
                 depth,
@@ -1129,25 +1098,15 @@ fn explain_branch(
                 Some(format!("Hash Join {}", src.table.name)),
             );
             render_sources(planned, upto - 1, depth + 1, "Probe: ", push);
-            let text = describe_scan(
-                src,
-                local,
-                &planned.pushed[upto],
-                planned.use_index,
-                &local_value_cols,
-            );
             push(
                 depth + 1,
                 format!("Build: {text}"),
                 Some(format!("Scan {} (build)", src.table.name)),
             );
-            if !planned.pushed[upto].is_empty() {
-                push(
-                    depth + 2,
-                    format!("Pushed: {}", render_conjuncts(&planned.pushed[upto])),
-                    None,
-                );
-            }
+            depth + 1
+        };
+        if !rechecks.is_empty() {
+            push(scan_depth + 1, format!("Pushed: {rechecks}"), None);
         }
     }
     render_sources(&planned, planned.sources.len() - 1, depth, "", &mut push);
@@ -1366,17 +1325,18 @@ fn choose_join_order(
     order
 }
 
-/// Global binding positions whose *values* the query reads (conjuncts,
-/// projected expressions, grouping keys, HAVING).  `None` when any
-/// reference fails to resolve — the caller then assumes every column is
-/// needed and index-only scans are disabled.  Annotation propagation is
-/// deliberately excluded: annotations are keyed by row number, never by
-/// the cell's value.
+/// Global binding positions whose *values* the query's output side reads
+/// (projected expressions, grouping keys, HAVING); the WHERE conjuncts
+/// are added per source, by [`PlannedSelect::local_value_cols`], once
+/// the access path says which of them are still evaluated.  `None` when
+/// any reference fails to resolve — the caller then assumes every column
+/// is needed and index-only scans are disabled.  Annotation propagation
+/// is deliberately excluded: annotations are keyed by row number, never
+/// by the cell's value.
 fn needed_value_columns(
     sel: &Select,
     bindings: &[ColBinding],
     items: Option<&[SelectItem]>,
-    conjuncts: &[Expr],
 ) -> Option<BTreeSet<usize>> {
     let mut out = BTreeSet::new();
     let mut cols = Vec::new();
@@ -1388,11 +1348,6 @@ fn needed_value_columns(
         out.extend(cols.iter().copied());
         true
     };
-    for c in conjuncts {
-        if !add(c, &mut out) {
-            return None;
-        }
-    }
     for item in items? {
         if !add(&item.expr, &mut out) {
             return None;
@@ -1474,7 +1429,8 @@ pub(crate) struct PlannedSelect<'a> {
     items: std::result::Result<Vec<SelectItem>, BdbmsError>,
     /// Binding positions whose annotations the query can propagate.
     needed_cols: BTreeSet<usize>,
-    /// Binding positions whose values are read (index-only planning).
+    /// Binding positions whose values the output side reads (column
+    /// pruning and index-only planning; see `local_value_cols`).
     value_cols: Option<BTreeSet<usize>>,
     /// Eager (attach-at-scan) annotation mode.
     eager: bool,
@@ -1505,14 +1461,29 @@ impl PlannedSelect<'_> {
             .collect()
     }
 
-    /// Source-local positions of `value_cols` within `src`.
-    fn local_value_cols(value_cols: &Option<BTreeSet<usize>>, src: &Source) -> Option<Vec<usize>> {
-        value_cols.as_ref().map(|vc| {
-            vc.iter()
-                .filter(|&&c| c >= src.offset && c < src.offset + src.arity)
-                .map(|&c| c - src.offset)
-                .collect()
-        })
+    /// Source-local columns of `src` whose values the query reads,
+    /// ascending: the output side (`value_cols`) plus every conjunct in
+    /// `checked` — the conjuncts evaluated on this source's rows, i.e.
+    /// its scan's re-check list and the residual.  `None` when unknown
+    /// (index scans disabled, or a reference that fails to resolve).
+    fn local_value_cols<'e>(
+        value_cols: &Option<BTreeSet<usize>>,
+        src: &Source,
+        bindings: &[ColBinding],
+        checked: impl Iterator<Item = &'e Expr>,
+    ) -> Option<Vec<usize>> {
+        let mut cols: Vec<usize> = value_cols.as_ref()?.iter().copied().collect();
+        for c in checked {
+            referenced_columns(c, bindings, &mut cols).ok()?;
+        }
+        let mut local: Vec<usize> = cols
+            .into_iter()
+            .filter(|&c| c >= src.offset && c < src.offset + src.arity)
+            .map(|c| c - src.offset)
+            .collect();
+        local.sort_unstable();
+        local.dedup();
+        Some(local)
     }
 }
 
@@ -1671,12 +1642,7 @@ fn plan_simple_select<'a>(
 
     // ---- columns whose values the query reads (index-only planning) ----
     let value_cols: Option<BTreeSet<usize>> = if opts.index_scans {
-        needed_value_columns(
-            sel,
-            &all_bindings,
-            items_early.as_deref().ok(),
-            &all_conjuncts,
-        )
+        needed_value_columns(sel, &all_bindings, items_early.as_deref().ok())
     } else {
         None
     };
@@ -1758,7 +1724,12 @@ fn assemble_row_pipeline<'a>(
     for (i, src) in sources.iter().enumerate() {
         let local: Rc<Vec<ColBinding>> =
             Rc::new(bindings[src.offset..src.offset + src.arity].to_vec());
-        let local_value_cols = PlannedSelect::local_value_cols(&value_cols, src);
+        let local_value_cols = PlannedSelect::local_value_cols(
+            &value_cols,
+            src,
+            &bindings,
+            pushed[i].iter().chain(&residual),
+        );
         let (scan, choice) = scan_stream(
             src,
             local,
@@ -2004,16 +1975,7 @@ fn assemble_batch_pipeline<'a>(
     let mut op: Option<Box<dyn BatchOp<'a> + 'a>> = None;
     for (i, src) in sources.iter().enumerate() {
         let local = &bindings[src.offset..src.offset + src.arity];
-        let local_value_cols = PlannedSelect::local_value_cols(&value_cols, src);
-        let (base, choice) = scan_base_batch(
-            src,
-            local,
-            &pushed[i],
-            use_index,
-            local_value_cols,
-            forced[i],
-            &st,
-        );
+        let (probe, choice) = choose_access(src, local, &pushed[i], use_index, forced[i]);
         match choice {
             Some(c) => plan_probes.push(c),
             None => {
@@ -2021,10 +1983,16 @@ fn assemble_batch_pipeline<'a>(
                 plan_probes.push(ProbeChoice::FullScan);
             }
         }
-        let compiled: Vec<crate::expr::CExpr> = pushed[i]
-            .iter()
+        // a conjunct the probe answers exactly is neither re-checked nor
+        // a reason to decode its column
+        let checked = rechecked(&pushed[i], &probe);
+        let compiled: Vec<crate::expr::CExpr> = checked
+            .clone()
             .map(|c| crate::expr::compile(c, local))
             .collect();
+        let keep =
+            PlannedSelect::local_value_cols(&value_cols, src, &bindings, checked.chain(&residual));
+        let base = scan_base_batch(src, probe, keep, &st);
         let attach = eager
             .then(|| SourceAttach::new(src, (0..src.arity).collect(), 0))
             .filter(|a| !a.is_noop());

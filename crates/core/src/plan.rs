@@ -14,13 +14,18 @@
 //!    indexed column turns the scan into a B+-tree probe
 //!    ([`choose_probe`]) instead of a full heap scan.
 //!
-//! Index probes are deliberately *approximate*: bounds are widened to
+//! B+-tree probes are deliberately *approximate*: bounds are widened to
 //! inclusive and the originating conjunct is still re-evaluated on every
 //! candidate row, because [`Value`]'s total order (used as the tree key
 //! order) coarsens SQL comparison on numeric edge cases (the float
 //! interleave collapses `i64` values beyond 2^53).  Widening keeps the
 //! candidate set a superset of the true result; re-evaluation trims the
 //! false positives.
+//!
+//! A sequence-index probe is *exact* for the one conjunct it was built
+//! from ([`Probe::answers`]): the candidate rows are precisely the rows
+//! on which that conjunct is true, so the batch executor neither
+//! re-evaluates it nor decodes its column on its account.
 //!
 //! ## Cost model
 //!
@@ -40,6 +45,7 @@ use std::ops::Bound;
 use bdbms_common::{DataType, Result, Value};
 
 use crate::ast::{BinaryOp, Expr};
+use crate::batch::BATCH_SIZE;
 use crate::catalog::Table;
 use crate::expr::{eval, referenced_columns, ColBinding};
 use crate::stats::ColumnStats;
@@ -113,16 +119,34 @@ pub enum Probe {
         /// Upper key bound (inclusive or unbounded).
         hi: Bound<Value>,
     },
-    /// Sequence-index probe over `column`: the SBC-tree / String B-tree
-    /// candidate rows whose text contains `pattern`.  Candidates are
-    /// still re-checked against the pushed predicate (deleted-row
-    /// tombstones and multi-conjunct filters are handled there).
+    /// Sequence-index probe over `column`: exactly the live rows whose
+    /// text contains `pattern` (the SBC-tree / String B-tree verify each
+    /// occurrence against the text, and the index drops tombstoned rows).
     SeqIndex {
         /// Source-local column position.
         column: usize,
         /// The literal substring from `CONTAINS SEQ '<pattern>'`.
         pattern: String,
+        /// Position, in the pushed conjunct list the probe was chosen
+        /// from, of the `column CONTAINS SEQ '<pattern>'` conjunct.
+        answers: usize,
     },
+}
+
+impl Probe {
+    /// The pushed conjunct (by position in the list handed to
+    /// [`choose_probe_with`]) that this probe answers **exactly**: its
+    /// candidates are all and only the live rows on which the conjunct is
+    /// true, so re-evaluating it on them cannot reject any.  Only a probe
+    /// whose access method verifies its own answer may claim this — the
+    /// sequence indexes do; B+-tree probes (widened bounds) and full
+    /// scans never do.
+    pub fn answers(&self) -> Option<usize> {
+        match self {
+            Probe::SeqIndex { answers, .. } => Some(*answers),
+            Probe::FullScan | Probe::Empty | Probe::Index { .. } => None,
+        }
+    }
 }
 
 /// Assumed fraction of rows matching a `CONTAINS SEQ` substring
@@ -299,8 +323,8 @@ pub fn choose_probe_with(
     // `col CONTAINS SEQ '<pat>'` over a sequence-indexed column is a
     // candidate too (first-seen wins among several); the pattern is a
     // statement literal, so this is never value-dependent
-    let mut seq_candidate: Option<(usize, &str)> = None;
-    for conjunct in pushed {
+    let mut seq_candidate: Option<(usize, &str, usize)> = None;
+    for (answers, conjunct) in pushed.iter().enumerate() {
         let Expr::ContainsSeq(col_side, pattern, false) = conjunct else {
             continue;
         };
@@ -311,7 +335,7 @@ pub fn choose_probe_with(
             continue;
         };
         if table.seq_index_on(col).is_some() {
-            seq_candidate = Some((col, pattern.as_str()));
+            seq_candidate = Some((col, pattern.as_str(), answers));
             break;
         }
     }
@@ -321,9 +345,10 @@ pub fn choose_probe_with(
         lo: b.lo.clone().map_or(Bound::Unbounded, Bound::Included),
         hi: b.hi.clone().map_or(Bound::Unbounded, Bound::Included),
     };
-    let seq_concrete = |col: usize, pat: &str| Probe::SeqIndex {
+    let seq_concrete = |(col, pat, answers): (usize, &str, usize)| Probe::SeqIndex {
         column: col,
         pattern: pat.to_string(),
+        answers,
     };
     // a cached choice replays if it still fits the current shape
     let (probe, choice) = match forced {
@@ -335,10 +360,10 @@ pub fn choose_probe_with(
             let b = &cols.iter().find(|(col, _)| *col == c).expect("checked").1;
             (concrete(c, b), ProbeChoice::Column(c))
         }
-        Some(ProbeChoice::SeqIndex(c)) if seq_candidate.is_some_and(|(col, _)| col == c) => {
-            let (col, pat) = seq_candidate.expect("checked");
-            (seq_concrete(col, pat), ProbeChoice::SeqIndex(col))
-        }
+        Some(ProbeChoice::SeqIndex(c)) if seq_candidate.is_some_and(|(col, ..)| col == c) => (
+            seq_concrete(seq_candidate.expect("checked")),
+            ProbeChoice::SeqIndex(c),
+        ),
         // live cost-based choice (also the fallback for a stale forced
         // column): expected result rows per candidate, smallest wins;
         // ties prefer equality probes, then first-seen order (so the
@@ -356,12 +381,12 @@ pub fn choose_probe_with(
             match (seq_candidate, pick) {
                 // the sequence probe competes on the same expected-rows
                 // basis; ties go to the B+-tree (cheaper candidate walk)
-                (Some((col, pat)), pick)
+                (Some(seq), pick)
                     if pick
                         .as_ref()
                         .is_none_or(|(_, _, tree_est)| seq_est < *tree_est) =>
                 {
-                    (seq_concrete(col, pat), ProbeChoice::SeqIndex(col))
+                    (seq_concrete(seq), ProbeChoice::SeqIndex(seq.0))
                 }
                 (_, Some((col, b, _))) => (concrete(*col, b), ProbeChoice::Column(*col)),
                 _ => (Probe::FullScan, ProbeChoice::FullScan),
@@ -584,7 +609,6 @@ pub fn filter_rows(
             cs
         }
     };
-    let probe = choose_probe(table, &bindings, &conjuncts);
     let mut out = Vec::new();
     let mut keep_row = |row_no: u64, values: Vec<Value>| -> Result<()> {
         for c in &conjuncts {
@@ -595,27 +619,33 @@ pub fn filter_rows(
         out.push((row_no, values));
         Ok(())
     };
-    match probe {
-        Probe::Empty => {}
+    let candidates = match choose_probe(table, &bindings, &conjuncts) {
+        Probe::Empty => Vec::new(),
         Probe::Index { column, lo, hi } => {
             let idx = table.index_on(column).expect("probe chose an index");
-            for row_no in idx.probe(as_ref_bound(&lo), as_ref_bound(&hi)) {
-                let values = table.get(row_no)?;
-                keep_row(row_no, values)?;
-            }
+            idx.probe(as_ref_bound(&lo), as_ref_bound(&hi))
         }
-        Probe::SeqIndex { column, pattern } => {
+        Probe::SeqIndex {
+            column, pattern, ..
+        } => {
             let sidx = table.seq_index_on(column).expect("probe chose a seq index");
-            for row_no in sidx.probe(&pattern) {
-                let values = table.get(row_no)?;
-                keep_row(row_no, values)?;
-            }
+            sidx.probe(&pattern)
         }
         Probe::FullScan => {
             for entry in table.iter_rows() {
                 let (row_no, values) = entry?;
                 keep_row(row_no, values)?;
             }
+            return Ok(out);
+        }
+    };
+    // a batch of candidates at a time, so what is resident is the kept
+    // rows plus one batch, however many candidates the probe returns
+    let mut fetched = Vec::new();
+    for run in candidates.chunks(BATCH_SIZE) {
+        table.fetch_rows(run, None, &mut fetched)?;
+        for (row_no, values) in fetched.drain(..) {
+            keep_row(row_no, values)?;
         }
     }
     Ok(out)
@@ -777,9 +807,14 @@ mod tests {
             .collect();
         let cs = split_conjuncts(&where_of("SELECT * FROM g WHERE GID CONTAINS SEQ 'JW00'"));
         match choose_probe(&t, &bindings, &cs) {
-            Probe::SeqIndex { column, pattern } => {
+            Probe::SeqIndex {
+                column,
+                pattern,
+                answers,
+            } => {
                 assert_eq!(column, 0);
                 assert_eq!(pattern, "JW00");
+                assert_eq!(answers, 0);
             }
             other => panic!("expected seq probe, got {other:?}"),
         }

@@ -46,6 +46,63 @@ fn diff_db() -> Database {
     db
 }
 
+/// A sequence-indexed table (plus a B+-tree on `Len`, annotations on the
+/// sequence column and a small dimension table), so random queries run
+/// the *exact* `Seq Index Scan`: the batch pipeline neither re-checks the
+/// answered `CONTAINS SEQ` conjunct nor decodes `SS` for it, the row
+/// pipeline does both.
+fn seq_db() -> Database {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE Prot (PID TEXT, SS TEXT, Len INT, Fam INT)")
+        .unwrap();
+    let mut x = 20070107u64;
+    let mut next = |n: u64| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    };
+    let tuples: Vec<String> = (0..150)
+        .map(|r| {
+            let mut ss = String::new();
+            for _ in 0..1 + next(8) {
+                let ch = ['H', 'E', 'C'][next(3) as usize];
+                ss.extend(std::iter::repeat_n(ch, 1 + next(5) as usize));
+            }
+            // a few NULL sequences: never indexed, never matched
+            let ss = if r % 29 == 0 {
+                "NULL".to_string()
+            } else {
+                format!("'{ss}'")
+            };
+            format!("('P{r:04}', {ss}, {}, {})", r % 40, r % 6)
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO Prot VALUES {}", tuples.join(", ")))
+        .unwrap();
+    db.execute("CREATE INDEX len_idx ON Prot (Len)").unwrap();
+    db.execute("CREATE SEQUENCE INDEX ss_idx ON Prot (SS) USING SBC")
+        .unwrap();
+    // tombstones and re-indexed rows (text ids out of row order)
+    db.execute("UPDATE Prot SET SS = 'HHHHEEEECCCC' WHERE Len = 3")
+        .unwrap();
+    db.execute("DELETE FROM Prot WHERE Len = 7").unwrap();
+    db.execute("CREATE ANNOTATION TABLE Notes ON Prot").unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Prot.Notes VALUE 'predicted' \
+         ON (SELECT P.SS FROM Prot P WHERE Fam = 1)",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE Family (FId INT, FName TEXT)")
+        .unwrap();
+    db.execute(
+        "INSERT INTO Family VALUES (0, 'globin'), (1, 'kinase'), (2, 'EH-hand'), \
+         (3, 'zinc'), (4, 'HEC'), (5, 'barrel'), (1, 'kinase-like'), (9, 'orphan')",
+    )
+    .unwrap();
+    db
+}
+
 /// Canonical text form of a result row: values plus the identity of each
 /// column's annotations (annotation propagation must match too).
 fn row_keys(qr: &QueryResult) -> Vec<String> {
@@ -232,6 +289,66 @@ proptest! {
             _ => format!(
                 "SELECT GID FROM Gene ANNOTATION(Curation){cond} \
                  AWHERE PATH '/Annotation' = 'from GenoBase'"
+            ),
+        };
+        assert_differential(&db, &sql);
+    }
+
+    /// Exact sequence-index probes: the answered conjunct alone, with a
+    /// second pushed conjunct on the same or another column, negated,
+    /// as a join's build side, under a residual that reads the probed
+    /// column, and with `SELECT *` / `GROUP BY` / `HAVING` / annotation
+    /// propagation reading it (its values must still be decoded there) —
+    /// batch ≡ row.
+    #[test]
+    fn seq_probes_are_equivalent(
+        pat in prop_oneof![
+            "[HEC]{1,5}",
+            Just("H".to_string()),
+            Just("HHHHEEEE".to_string()),
+            Just("X".to_string()),
+            Just(String::new()),
+        ],
+        second in prop_oneof![
+            Just(String::new()),
+            Just(" AND SS LIKE '%C'".to_string()),
+            "[HEC]{1,3}".prop_map(|q| format!(" AND SS CONTAINS SEQ '{q}'")),
+            "[HEC]{1,3}".prop_map(|q| format!(" AND SS NOT CONTAINS SEQ '{q}'")),
+            (0i64..40).prop_map(|k| format!(" AND Len > {k}")),
+            (0i64..40).prop_map(|k| format!(" AND Len = {k}")),
+            (0i64..6).prop_map(|k| format!(" AND Fam = {k}")),
+            Just(" AND SS + 1 = 2".to_string()),
+        ],
+        tail in prop_oneof![
+            Just(String::new()),
+            (1usize..30).prop_map(|k| format!(" LIMIT {k}")),
+        ],
+        shape in 0usize..10,
+    ) {
+        let db = seq_db();
+        let hit = format!("SS CONTAINS SEQ '{pat}'{second}");
+        let sql = match shape {
+            0 => format!("SELECT PID FROM Prot WHERE {hit}{tail}"),
+            1 => format!("SELECT * FROM Prot WHERE {hit}{tail}"),
+            2 => format!("SELECT PID, SS FROM Prot ANNOTATION(Notes) WHERE {hit}{tail}"),
+            3 => format!("SELECT PID PROMOTE (SS) FROM Prot ANNOTATION(Notes) WHERE {hit}{tail}"),
+            4 => format!("SELECT PID FROM Prot WHERE SS NOT CONTAINS SEQ '{pat}'{second}{tail}"),
+            5 => format!("SELECT COUNT(*), MIN(Len), MAX(SS) FROM Prot WHERE {hit}"),
+            6 => format!("SELECT SS, COUNT(*) FROM Prot WHERE {hit} GROUP BY SS ORDER BY SS"),
+            7 => format!(
+                "SELECT Fam, COUNT(*) FROM Prot WHERE {hit} GROUP BY Fam \
+                 HAVING MIN(SS) < 'F' ORDER BY Fam"
+            ),
+            // Family streams (more rows than the 5 % the probe is costed
+            // at), so the probed table is the hash-join build side
+            8 => format!(
+                "SELECT F.FName, P.PID FROM Family F, Prot P \
+                 WHERE F.FId = P.Fam AND P.{hit}{tail}"
+            ),
+            // the residual reads the probed column
+            _ => format!(
+                "SELECT F.FName, P.PID FROM Family F, Prot P \
+                 WHERE F.FId = P.Fam AND P.{hit} AND P.SS > F.FName{tail}"
             ),
         };
         assert_differential(&db, &sql);

@@ -147,18 +147,52 @@ fn explain_limit_pushdown_is_visible() {
     );
 }
 
+/// The sequence-index probe answers its conjunct exactly: the node says
+/// so and the conjunct is not listed as re-checked; any *other* pushed
+/// conjunct still is.  The executor counters are what they were when the
+/// conjunct was re-checked on every candidate.
 #[test]
-fn explain_seq_index_scan() {
+fn explain_seq_index_scan_is_exact() {
     let mut db = setup();
-    let qr = db
-        .execute("EXPLAIN SELECT SID FROM Seq WHERE Residues CONTAINS SEQ 'ACGT'")
+    db.execute("INSERT INTO Seq VALUES ('S20', 'TTTTTTTT'), ('S21', NULL)")
         .unwrap();
-    let lines = plan_text(&qr);
+    let sql = "SELECT SID FROM Seq WHERE Residues CONTAINS SEQ 'ACGT'";
+    let lines = plan_text(&db.execute(&format!("EXPLAIN {sql}")).unwrap());
+    assert_eq!(
+        lines,
+        [
+            "Project: SID",
+            "  Seq Index Scan Seq using seq_res (Residues CONTAINS SEQ 'ACGT') (exact) \
+             (rows~1.1 of 22)",
+        ]
+    );
+
+    let lines = plan_text(
+        &db.execute(&format!(
+            "EXPLAIN {sql} AND SID LIKE 'S1%' AND Residues LIKE '%C'"
+        ))
+        .unwrap(),
+    );
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines[1].contains("(exact)"), "{lines:?}");
+    assert_eq!(
+        lines[2].trim_start(),
+        "Pushed: SID LIKE 'S1%' AND Residues LIKE '%C'"
+    );
+
+    let stats = db
+        .execute(sql)
+        .unwrap()
+        .stats
+        .expect("SELECT carries stats");
+    assert_eq!(stats.seq_index_probes, 1);
+    assert_eq!(stats.chosen_indexes, ["seq_res"]);
+    assert_eq!(stats.rows_fetched, 20, "the 20 matching rows, not 22");
+    assert_eq!(stats.rows_scan_filtered, 0);
+    let lines = plan_text(&db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
     assert!(
-        lines.iter().any(|l| l
-            .trim_start()
-            .starts_with("Seq Index Scan Seq using seq_res (Residues CONTAINS SEQ 'ACGT')")),
-        "expected a sequence-index scan: {lines:?}"
+        lines[1].contains("(exact)") && lines[1].contains("(actual: rows=20 batches=1"),
+        "{lines:?}"
     );
 }
 

@@ -140,7 +140,9 @@ impl SbcTree {
         // ties; then drop the keys before anything else is built.  (The
         // key is kept as two words: a `u128` would pad every entry from 24
         // to 32 bytes.)
-        let mut keyed = Vec::new();
+        // Sized exactly: this is the build's largest temporary, and grown
+        // by doubling it reserves up to twice what it uses.
+        let mut keyed = Vec::with_capacity(texts.iter().map(RleSeq::num_runs).sum());
         for (id, t) in texts.iter().enumerate() {
             sbc.text_write_io
                 .set(sbc.text_write_io.get() + (t.compressed_bytes() as u64 / 8192).max(1));
