@@ -315,47 +315,6 @@ pub fn run_sized(n: usize) -> Report {
             ratio(naive_t.as_secs_f64(), opt_t.as_secs_f64()),
         ]);
     }
-    // vectorized vs row-at-a-time: the same plan (both legs run the
-    // optimized planner), differing only in the operator interface —
-    // next_batch() with per-conjunct tight loops vs next() per row
-    let row_opts = ExecOptions::builder().batch(false).build();
-    let batch_opts = ExecOptions::default();
-    let batch_queries = [
-        (
-            // every operator pull touches every row: the purest measure
-            // of per-row dispatch overhead, and the gated ≥2x floor
-            "full-scan aggregate (batch vs row)",
-            "SELECT COUNT(*), SUM(Len), MIN(Len), MAX(Len) FROM Gene".to_string(),
-            "100%".to_string(),
-        ),
-        (
-            // non-indexable predicate: the pushed conjunct runs as a
-            // tight loop over each scan batch
-            "selective filter scan (batch vs row)",
-            "SELECT GID FROM Gene WHERE Len % 10 = 3".to_string(),
-            "10%".to_string(),
-        ),
-        (
-            "hash join (batch vs row)",
-            "SELECT G.GID, T.TName FROM Tag T, Gene G WHERE T.Len = G.Len".to_string(),
-            "1%".to_string(),
-        ),
-    ];
-    for (label, sql, selectivity) in &batch_queries {
-        let (row_t, row_s) = time_query(&db, sql, &row_opts);
-        let (batch_t, batch_s) = time_query(&db, sql, &batch_opts);
-        let speedup = row_t.as_secs_f64() / batch_t.as_secs_f64().max(1e-12);
-        speedups.push((label.to_string(), speedup));
-        report.row(vec![
-            label.to_string(),
-            selectivity.clone(),
-            ms(row_t),
-            ms(batch_t),
-            row_s.rows_fetched.to_string(),
-            batch_s.rows_fetched.to_string(),
-            ratio(row_t.as_secs_f64(), batch_t.as_secs_f64()),
-        ]);
-    }
     // prepared-statement amortization: 1,000 re-executions of the same
     // point lookup, one-shot execute (re-parse + re-plan per call) vs. a
     // prepared statement streaming off its cached AST + plan
@@ -454,12 +413,6 @@ pub fn run_sized(n: usize) -> Report {
          the join streams Gene while hash-building the small Tag table",
     );
     report.note(
-        "batch vs row rows: identical plans, different operator API — \
-         next_batch() moves up to 1024 tuples per virtual call with \
-         per-conjunct tight loops and a streaming aggregate accumulator, \
-         next() moves one; the 'ms' columns are row-path vs batch-path",
-    );
-    report.note(
         "prepared point: Session::prepare caches the parsed AST and the \
          generation-stamped plan, so 1,000 re-executions skip lex/parse/\
          plan and stream one row each off the index probe",
@@ -531,18 +484,15 @@ mod tests {
     }
 
     #[test]
-    fn report_has_fourteen_rows_and_json_renders() {
+    fn report_has_eleven_rows_and_json_renders() {
         let r = run_sized(3000);
-        assert_eq!(r.rows.len(), 14);
+        assert_eq!(r.rows.len(), 11);
         let j = r.render_json();
         assert!(j.contains("\"id\":\"e13\""));
         assert!(j.contains("instrumentation overhead (metrics on vs off)"));
         assert!(j.contains("txn batch insert (commit vs rollback)"));
         assert!(j.contains("commit durability (Full vs NoSync)"));
         assert!(j.contains("checksummed read (cold vs warm)"));
-        assert!(j.contains("full-scan aggregate (batch vs row)"));
-        assert!(j.contains("selective filter scan (batch vs row)"));
-        assert!(j.contains("hash join (batch vs row)"));
     }
 
     /// The instrumentation workload must leave metric recording back on

@@ -1,4 +1,4 @@
-//! Shared workload builders used by the experiments and criterion benches.
+//! Shared workload builders used by the experiments.
 
 use bdbms_common::Value;
 use bdbms_core::Database;

@@ -7,10 +7,12 @@
 //! bdbms-cli HOST:PORT --user alice # connect as a specific user
 //! ```
 //!
-//! Identical to `bdbms-repl` (both drive the shared shell over the
-//! transport-agnostic `Connection` trait); this binary ships with the
-//! client crate so a machine without the engine sources still gets a
-//! shell.
+//! Statements may span lines; a trailing `;` or an empty line submits.
+//! `.help` lists the dot-commands (`.open`, `.user`, `.demo`, …) and
+//! `.quit` checkpoints a durable database cleanly before exiting.  The
+//! shell itself is [`bdbms_client::shell`], which drives the transport-
+//! agnostic `Connection` trait, so local and remote sessions behave
+//! identically.
 
 use bdbms_client::shell;
 

@@ -1,4 +1,4 @@
-//! The interactive A-SQL shell, shared by `bdbms-repl` and `bdbms-cli`.
+//! The interactive A-SQL shell behind `bdbms-cli`.
 //!
 //! The shell holds a `Box<dyn Connection>` and does not know whether it
 //! is talking to an embedded database or a `bdbms-serve` process — the

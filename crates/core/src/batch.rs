@@ -1,10 +1,9 @@
-//! Batch-at-a-time (vectorized) operators.
+//! Batch-at-a-time (vectorized) operators — the only operators
+//! [`crate::executor`] assembles.
 //!
-//! The Volcano pipeline in [`crate::executor`] pays a virtual call, a
-//! stats borrow, and an interpreted expression walk *per row per
-//! operator*.  This module is the MonetDB/X100-style alternative the
-//! `batch` toggle of [`ExecOptions`](crate::executor::ExecOptions)
-//! selects (the default): every operator implements
+//! A row-at-a-time iterator chain pays a virtual call, a stats borrow,
+//! and an interpreted expression walk *per row per operator*.  In the
+//! MonetDB/X100 style, every operator here implements
 //!
 //! ```text
 //! fn next_batch(&mut self, demand: usize) -> Result<Option<Batch>>
@@ -14,14 +13,13 @@
 //! bookkeeping amortize across the batch and predicates run as
 //! per-conjunct tight loops over a selection vector.  `demand` makes the
 //! pull *demand-driven*: a pushed `LIMIT k` asks its child for exactly
-//! `k` tuples, which keeps filterless scans' fetch counts as exact as
-//! the row path's.
+//! `k` tuples, which keeps filterless scans' fetch counts exact.
 //!
-//! Plan decisions, result multisets, and error values are identical to
-//! the row path (the differential proptest suite pins this); the row
-//! counters in `ExecStats` advance in batch granularity instead of row
-//! granularity.  See `docs/EXECUTOR.md` for the operator catalog and
-//! how to add one.
+//! Result multisets and error codes are pinned against a reference
+//! interpreter that shares none of this code (the differential proptest
+//! suite, `tests/batch_differential.rs`); the row counters in
+//! `ExecStats` advance in batch granularity.  See `docs/EXECUTOR.md` for
+//! the operator catalog and how to add one.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -134,8 +132,8 @@ pub(crate) enum ScanBase<'a> {
     /// Vectorized full scan: [`BatchScan`] asks the table for a whole
     /// chunk per pull, decoded in place in the buffer pool and pruned to
     /// `keep` (the planner's value columns — every other slot is
-    /// provably unread and left NULL).  This is where the batch pipeline
-    /// stops paying the row path's per-row record copy and full decode.
+    /// provably unread and left NULL), so a scan pays neither a per-row
+    /// record copy nor a full decode.
     Chunk {
         table: &'a Table,
         /// Next row number to fetch.
@@ -148,7 +146,7 @@ pub(crate) enum ScanBase<'a> {
 
 /// An index-only scan's tuple: `key` in the indexed `column`, every other
 /// slot NULL (provably unread).
-pub(crate) fn key_tuple(arity: usize, column: usize, key: Value) -> Vec<Value> {
+fn key_tuple(arity: usize, column: usize, key: Value) -> Vec<Value> {
     let mut values = vec![Value::Null; arity];
     values[column] = key;
     values
@@ -159,16 +157,13 @@ pub(crate) fn key_tuple(arity: usize, column: usize, key: Value) -> Vec<Value> {
 /// tuples — a whole chunk of the table or of the probe's candidate list
 /// at once — then re-checks the pushed conjuncts (all but the one an
 /// exact probe has answered) in per-conjunct tight loops over the
-/// selection vector.  Eager annotation mode attaches to survivors
-/// here (matching the row path, which attaches pre-filter but only
-/// observably differs in `anns_attached` totals when rows are rejected —
-/// which eager runs of the regression suite pin, so survivors-only is
-/// wrong there: see below).
+/// selection vector.  Eager annotation mode attaches here, to every
+/// fetched tuple before the re-check: that is the un-optimized baseline
+/// whose `anns_attached` totals the regression suite pins.
 pub(crate) struct BatchScan<'a> {
     base: ScanBase<'a>,
     pushed: Vec<CExpr>,
-    /// Eager-mode attacher (applied pre-filter for row-path parity of
-    /// `anns_attached`).
+    /// Eager-mode attacher (applied pre-filter).
     attach: Option<SourceAttach<'a>>,
     arity: usize,
     st: Rc<RefCell<ExecStats>>,
@@ -245,10 +240,10 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
         let rows: Vec<PipeRow> = fetched
             .into_iter()
             .map(|(row_no, values)| {
-                // eager mode attaches pre-filter, like the row path
+                // eager mode attaches pre-filter
                 let anns = attach.as_mut().map(|a| {
                     let mut slots = vec![Vec::new(); arity];
-                    attached += a.attach_into_buf(row_no, &mut slots);
+                    attached += a.attach_into(row_no, &mut slots);
                     slots
                 });
                 PipeRow {
@@ -298,8 +293,8 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
 }
 
 /// Drain a build-side scan to its live rows (assembly-time
-/// materialization of hash-join build sides, matching the row path's
-/// error timing).
+/// materialization of hash-join build sides; a failing build scan fails
+/// the statement before the probe side is pulled).
 pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>) -> Result<Vec<PipeRow>> {
     let mut out = Vec::new();
     while let Some(b) = scan.next_batch(BATCH_SIZE)? {
@@ -485,7 +480,7 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
             if row.anns.is_none() {
                 let mut slots = vec![Vec::new(); self.total_arity];
                 for (si, attacher) in self.attachers.iter_mut().enumerate() {
-                    attached += attacher.attach_into_buf(row.rows[si], &mut slots);
+                    attached += attacher.attach_into(row.rows[si], &mut slots);
                 }
                 row.anns = Some(slots);
             }
@@ -567,8 +562,8 @@ impl<'a> BatchOp<'a> for BatchLimit<'a> {
 // ---------------------------------------------------------------------------
 
 /// Project one pipeline row through compiled item expressions, merging
-/// each item's referenced (plus PROMOTEd) columns' annotations —
-/// the compiled counterpart of the executor's `project_row`.
+/// each item's referenced (plus PROMOTEd) columns' annotations (§3.4
+/// projection); `filter` then drops the annotations FILTER rejects.
 fn project_pipe_row(
     compiled: &[CExpr],
     item_cols: &[Vec<usize>],
@@ -600,8 +595,7 @@ fn project_pipe_row(
 }
 
 /// Project a batch's live rows into `out`.  On error, rows projected
-/// before the failing one remain in `out` (the cursor path yields them
-/// before surfacing the error, like the row path's per-row ordering).
+/// before the failing one remain in `out`.
 pub(crate) fn project_batch_into(
     compiled: &[CExpr],
     item_cols: &[Vec<usize>],
@@ -620,8 +614,8 @@ pub(crate) fn project_batch_into(
     Ok(())
 }
 
-/// Drain an operator tree into materialized [`AnnRow`]s (the batch
-/// fallback for output stages that reuse row-path code).
+/// Drain an operator tree into materialized [`AnnRow`]s (for the
+/// grouped output stage that needs whole groups in hand).
 pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Result<Vec<AnnRow>> {
     let mut out = Vec::new();
     while let Some(b) = op.next_batch(BATCH_SIZE)? {
@@ -645,8 +639,8 @@ pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Re
 /// out rows one at a time.  Construction pulls **nothing** — the first
 /// batch is fetched on the first `next()` (the session tests pin
 /// `rows_fetched == 0` right after opening a cursor).  Per-row
-/// projection errors are buffered in sequence, exactly like the row
-/// path's per-row map.
+/// projection errors are buffered in sequence, so the rows before a
+/// failing one are still handed out first.
 pub(crate) struct BatchCursorStream<'a> {
     op: Box<dyn BatchOp<'a> + 'a>,
     compiled: Vec<CExpr>,
@@ -722,7 +716,7 @@ enum ItemKind {
     Agg(AggFunc, Option<CExpr>),
 }
 
-/// Incremental replica of the row path's per-group aggregate evaluation
+/// Incremental form of the executor's per-group aggregate evaluation
 /// (`eval_group`): counts non-null inputs, tracks int-ness and the
 /// float total the same way, and keeps min/max by `Ord`.
 struct AggAcc {
@@ -731,12 +725,12 @@ struct AggAcc {
     n: u64,
     all_int: bool,
     /// Sum over `as_float()`-convertible inputs (others contribute 0,
-    /// like the row path's `filter_map(as_float)`).
+    /// like `eval_group`'s `filter_map(as_float)`).
     total: f64,
     /// Running min/max (only maintained for Min/Max).
     best: Option<Value>,
-    /// First evaluation error, deferred to finalization (row-path error
-    /// timing: errors surface after the pipeline is fully drained).
+    /// First evaluation error, deferred to finalization (errors surface
+    /// after the pipeline is fully drained).
     err: Option<BdbmsError>,
 }
 
@@ -746,9 +740,9 @@ impl AggAcc {
             f,
             n: 0,
             all_int: true,
-            // -0.0 is `<f64 as Sum>`'s identity: an empty row-path sum
-            // (e.g. SUM over values with no float form) yields -0.0,
-            // and the batch path must reproduce it bit-for-bit
+            // -0.0 is `<f64 as Sum>`'s identity: `eval_group`'s sum over
+            // values with no float form yields -0.0, and both group
+            // stages must agree bit-for-bit
             total: -0.0,
             best: None,
             err: None,
@@ -818,8 +812,7 @@ struct Group {
 /// Eligible when there is no HAVING/AHAVING, the GROUP BY keys resolve,
 /// and every item is either aggregate-free or a *top-level* aggregate;
 /// anything else returns `None` from [`try_new`](Self::try_new) and the
-/// executor falls back to materializing + the row path's group stage,
-/// which preserves row-path error ordering exactly.
+/// executor falls back to materializing + `aggregate_rows`.
 pub(crate) struct BatchAggregator {
     key_idxs: Vec<usize>,
     kinds: Vec<ItemKind>,
@@ -952,8 +945,8 @@ impl BatchAggregator {
         }
     }
 
-    /// Finalize: surface deferred errors in row-path order (groups in
-    /// insertion order; per item, the value error before the
+    /// Finalize: surface deferred errors in `aggregate_rows` order (groups
+    /// in insertion order; per item, the value error before the
     /// annotation-column error) and emit one row per group.
     pub(crate) fn finish(mut self) -> Result<Vec<AnnRow>> {
         if self.groups.is_empty() && self.group_by_empty {

@@ -1,5 +1,6 @@
-//! The annotation-aware query executor (§3.4), built as a **streaming
-//! (Volcano-style) pipeline**.
+//! The annotation-aware query executor (§3.4): a planner front half
+//! ([`crate::plan`]) and a tree of batch-at-a-time operators
+//! ([`crate::batch`]).
 //!
 //! ## Operator semantics (the paper's §3.4, all preserved)
 //!
@@ -21,7 +22,8 @@
 //!
 //! ## The pipeline
 //!
-//! A simple SELECT runs as a chain of lazy iterators:
+//! A simple SELECT runs as a tree of operators, each pulled a batch of
+//! up to [`crate::batch::BATCH_SIZE`] tuples at a time:
 //!
 //! ```text
 //! scan(source 0) ──┐
@@ -32,7 +34,8 @@
 //! ```
 //!
 //! Three coordinated optimizations (each independently togglable through
-//! [`ExecOptions`], so the naive path stays available as a baseline):
+//! [`ExecOptions`], so the un-optimized plan stays available as a
+//! baseline — it runs on the same operators):
 //!
 //! * **Predicate pushdown** — the WHERE clause is split into conjuncts
 //!   and every conjunct whose columns live in one FROM source is
@@ -91,12 +94,6 @@ pub struct ExecOptions {
     /// Push `LIMIT n` through the pipeline for early termination when no
     /// blocking operator (sort, group, distinct, set op) intervenes.
     pub limit_pushdown: bool,
-    /// Run simple SELECTs through the batch-at-a-time operators
-    /// ([`crate::batch`], up to [`crate::batch::BATCH_SIZE`] tuples per
-    /// operator pull) instead of the row-at-a-time Volcano pipeline.
-    /// Results are identical; only per-pull granularity (and therefore
-    /// throughput) changes.  See `docs/EXECUTOR.md`.
-    pub batch: bool,
 }
 
 impl Default for ExecOptions {
@@ -107,7 +104,6 @@ impl Default for ExecOptions {
             lazy_annotations: true,
             join_reorder: true,
             limit_pushdown: true,
-            batch: true,
         }
     }
 }
@@ -115,7 +111,7 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// The unoptimized baseline: full scans, post-join filtering, eager
     /// annotation attachment, FROM-order joins, LIMIT applied only to
-    /// the materialized result, row-at-a-time operators.
+    /// the materialized result.
     pub fn naive() -> Self {
         ExecOptions {
             predicate_pushdown: false,
@@ -123,7 +119,6 @@ impl ExecOptions {
             lazy_annotations: false,
             join_reorder: false,
             limit_pushdown: false,
-            batch: false,
         }
     }
 
@@ -132,7 +127,7 @@ impl ExecOptions {
     ///
     /// ```
     /// use bdbms_core::executor::ExecOptions;
-    /// let row_path = ExecOptions::builder().batch(false).build();
+    /// let no_pushdown = ExecOptions::builder().predicate_pushdown(false).build();
     /// let no_reorder = ExecOptions::builder().join_reorder(false).build();
     /// ```
     pub fn builder() -> ExecOptionsBuilder {
@@ -187,12 +182,6 @@ impl ExecOptionsBuilder {
         self
     }
 
-    /// Toggle batch-at-a-time execution (off = row-at-a-time pulls).
-    pub fn batch(mut self, on: bool) -> Self {
-        self.opts.batch = on;
-        self
-    }
-
     /// Finish the build.
     pub fn build(self) -> ExecOptions {
         self.opts
@@ -234,8 +223,8 @@ pub struct ExecStats {
     /// could not be pushed (the naive baseline's waste; 0 when the limit
     /// terminated the pipeline instead).
     pub rows_limit_discarded: u64,
-    /// Batches emitted by batch-mode scans (0 on the row-at-a-time
-    /// path).  `rows_fetched / scan_batches` approximates batch fill.
+    /// Batches emitted by scans.  `rows_fetched / scan_batches`
+    /// approximates batch fill.
     pub scan_batches: u64,
     /// Wall time spent parsing the statement text, in nanoseconds
     /// (0 when the statement arrived pre-parsed, e.g. a cached prepared
@@ -315,14 +304,6 @@ impl<'a> SourceAttach<'a> {
         }
     }
 
-    /// Attach annotations of `row_no` into the joined row's slots.
-    fn attach_into(&mut self, row_no: u64, out: &mut [Vec<AnnRef>], st: &RefCell<ExecStats>) {
-        let attached = self.attach_into_buf(row_no, out);
-        if attached > 0 {
-            st.borrow_mut().anns_attached += attached;
-        }
-    }
-
     /// True when this attacher can never attach anything — no columns to
     /// attach to, or no annotation sets in scope *and* no outdated cells
     /// to surface as §5 annotations.  The batch pipeline skips its attach
@@ -332,10 +313,10 @@ impl<'a> SourceAttach<'a> {
         self.cols.is_empty() || (self.sets.is_empty() && self.table.outdated.count_set() == 0)
     }
 
-    /// [`attach_into`](Self::attach_into) without the stats side effect:
-    /// returns how many annotations were attached so batch operators can
-    /// bump the counter once per batch instead of once per row.
-    pub(crate) fn attach_into_buf(&mut self, row_no: u64, out: &mut [Vec<AnnRef>]) -> u64 {
+    /// Attach annotations of `row_no` into the row's slots.  Returns how
+    /// many were attached, so operators bump `anns_attached` once per
+    /// batch instead of once per row.
+    pub(crate) fn attach_into(&mut self, row_no: u64, out: &mut [Vec<AnnRef>]) -> u64 {
         let mut attached = 0u64;
         for (set_idx, set) in self.sets.iter().enumerate() {
             for &col in &self.cols {
@@ -378,11 +359,8 @@ impl<'a> SourceAttach<'a> {
     }
 }
 
-/// A scan's lazy `(row_no, values)` stream (row pipeline only).
-pub(crate) type RowValueStream<'a> = Box<dyn Iterator<Item = Result<(u64, Vec<Value>)>> + 'a>;
-
 /// Choose one source's access path from its pushed conjuncts (or a
-/// replayed choice) — the decision both pipelines and `EXPLAIN` share.
+/// replayed choice) — the decision pipeline assembly and `EXPLAIN` share.
 fn choose_access(
     src: &Source<'_>,
     local_bindings: &[ColBinding],
@@ -471,61 +449,6 @@ pub(crate) fn scan_base_batch<'a>(
         next: 0,
         keep,
     }
-}
-
-/// The row pipeline's view of an access path: the same candidates, one
-/// `Table::get` at a time.
-fn probe_stream<'a>(base: crate::batch::ScanBase<'a>, arity: usize) -> RowValueStream<'a> {
-    use crate::batch::ScanBase;
-    match base {
-        ScanBase::Chunk { table, .. } => Box::new(table.iter_rows()),
-        ScanBase::Rows { table, rows, .. } => Box::new(
-            rows.into_iter()
-                .map(move |row_no| table.get(row_no).map(|v| (row_no, v))),
-        ),
-        ScanBase::Keys { column, entries } => {
-            Box::new(entries.map(move |(row_no, key)| {
-                Ok((row_no, crate::batch::key_tuple(arity, column, key)))
-            }))
-        }
-    }
-}
-
-/// One source's scan in the row pipeline: the chosen access path as a
-/// lazy stream, with **every** pushed conjunct applied per tuple before
-/// anything downstream sees it — including the one an exact probe has
-/// already answered, which is what makes this pipeline the differential
-/// oracle for the batch pipeline's skipped re-check.
-fn scan_stream<'a>(
-    src: &Source<'a>,
-    local_bindings: Rc<Vec<ColBinding>>,
-    pushed: Vec<Expr>,
-    use_index: bool,
-    value_needed: Option<Vec<usize>>,
-    forced: Option<ProbeChoice>,
-    st: Rc<RefCell<ExecStats>>,
-) -> (RowValueStream<'a>, Option<ProbeChoice>) {
-    let (probe, choice) = choose_access(src, &local_bindings, &pushed, use_index, forced);
-    let base = probe_stream(scan_base_batch(src, probe, value_needed, &st), src.arity);
-    let stream = Box::new(base.filter_map(move |entry| {
-        let (row_no, values) = match entry {
-            Ok(x) => x,
-            Err(e) => return Some(Err(e)),
-        };
-        st.borrow_mut().rows_fetched += 1;
-        for conjunct in &pushed {
-            match eval(conjunct, &local_bindings, &values) {
-                Err(e) => return Some(Err(e)),
-                Ok(v) if !v.is_true() => {
-                    st.borrow_mut().rows_scan_filtered += 1;
-                    return None;
-                }
-                Ok(_) => {}
-            }
-        }
-        Some(Ok((row_no, values)))
-    }));
-    (stream, choice)
 }
 
 /// Find a usable equi-join conjunct between the accumulated sources and
@@ -719,19 +642,8 @@ fn dedup_union(rows: Vec<AnnRow>) -> Vec<AnnRow> {
     out
 }
 
-/// Execute a (possibly compound) SELECT with default options.
-pub fn run_select(catalog: &Catalog, sel: &Select) -> Result<QueryResult> {
-    run_select_opts(catalog, sel, &ExecOptions::default())
-}
-
-/// Execute with explicit options.
-pub fn run_select_opts(catalog: &Catalog, sel: &Select, opts: &ExecOptions) -> Result<QueryResult> {
-    let mut stats = ExecStats::default();
-    run_select_traced(catalog, sel, opts, &mut stats)
-}
-
-/// Execute with explicit options, accumulating execution counters into
-/// `stats` (across set-operation branches too).
+/// Execute a (possibly compound) SELECT, accumulating execution counters
+/// into `stats` (across set-operation branches too).
 pub fn run_select_traced(
     catalog: &Catalog,
     sel: &Select,
@@ -1387,33 +1299,11 @@ pub struct SelectPlan {
     pub probes: Vec<ProbeChoice>,
 }
 
-/// A fully assembled (but not yet pulled) pipeline for one simple
-/// SELECT: the lazy joined-filtered-annotated row stream plus everything
-/// the projection stage needs.  It borrows only from the *catalog*,
-/// never from the SELECT AST, so it can outlive the statement text
-/// inside a [`SelectCursor`].
-struct BuiltPipeline<'a> {
-    /// Joined rows, pre-projection (pushed conjuncts, residual WHERE,
-    /// annotation attachment, AWHERE, and any pushed LIMIT applied).
-    stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a>,
-    /// Column bindings in execution order.
-    bindings: Rc<Vec<ColBinding>>,
-    /// Expanded projection items (errors deferred to projection time,
-    /// exactly where the naive executor reports them).
-    items: std::result::Result<Vec<SelectItem>, BdbmsError>,
-    /// The plan this pipeline was assembled with — `None` when a
-    /// decision depended on the bound values and must not be cached.
-    plan: Option<SelectPlan>,
-}
-
 /// Everything the planner decides for one simple SELECT before any
 /// operator exists: sources in execution order, conjunct sites, access
-/// paths to force, annotation/value column needs, LIMIT pushdown.  This
-/// is the shared front half of both executors — [`assemble_row_pipeline`]
-/// turns it into the row-at-a-time Volcano chain and
-/// [`assemble_batch_pipeline`] into the batch-at-a-time operator tree
-/// ([`crate::batch`]), so every plan decision (and its `ExecStats`
-/// footprint) is identical across the two.
+/// paths to force, annotation/value column needs, LIMIT pushdown.
+/// [`assemble_batch_pipeline`] turns it into the operator tree
+/// ([`crate::batch`]); [`explain_branch`] renders it.
 pub(crate) struct PlannedSelect<'a> {
     /// FROM sources in execution order.
     sources: Vec<Source<'a>>,
@@ -1550,8 +1440,8 @@ fn plan_simple_select<'a>(
 
     // the projection expands against FROM-ordered bindings so `SELECT *`
     // column order does not depend on the join order chosen below;
-    // expansion errors surface at projection time, exactly where the
-    // naive path reports them
+    // expansion errors surface at projection time, after the pipeline
+    // has been drained
     let items_early = expand_projection(&sel.projection, &from_bindings);
 
     // ---- conjunct classification (pushdown), FROM layout ----
@@ -1630,8 +1520,7 @@ fn plan_simple_select<'a>(
         let mut needed = BTreeSet::new();
         if let Ok(items) = &items_early {
             for item in items {
-                // unresolvable items error later, exactly where the
-                // naive path would have reported them
+                // unresolvable items error later, at projection time
                 if let Ok(cols) = item_ann_columns(item, &all_bindings) {
                     needed.extend(cols);
                 }
@@ -1690,227 +1579,10 @@ fn plan_simple_select<'a>(
     })
 }
 
-/// Assemble the row-at-a-time (Volcano) pipeline from a planned SELECT.
-fn assemble_row_pipeline<'a>(
-    p: PlannedSelect<'a>,
-    st: Rc<RefCell<ExecStats>>,
-) -> Result<BuiltPipeline<'a>> {
-    let PlannedSelect {
-        sources,
-        bindings,
-        mut pushed,
-        residual,
-        all_conjuncts,
-        items,
-        needed_cols,
-        value_cols,
-        eager,
-        use_index,
-        push_limit,
-        awhere,
-        order,
-        plan_sites,
-        forced,
-        total_arity,
-        catalog_id,
-        generation,
-    } = p;
-
-    // ---- per-source scans (eager mode attaches here, pre-filter) ----
-    let mut plan_probes: Vec<ProbeChoice> = Vec::with_capacity(sources.len());
-    // value-dependent probe decisions poison the whole plan for caching
-    let mut plan_cacheable = true;
-    let mut source_streams: Vec<Box<dyn Iterator<Item = Result<PipeRow>> + 'a>> = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        let local: Rc<Vec<ColBinding>> =
-            Rc::new(bindings[src.offset..src.offset + src.arity].to_vec());
-        let local_value_cols = PlannedSelect::local_value_cols(
-            &value_cols,
-            src,
-            &bindings,
-            pushed[i].iter().chain(&residual),
-        );
-        let (scan, choice) = scan_stream(
-            src,
-            local,
-            std::mem::take(&mut pushed[i]),
-            use_index,
-            local_value_cols,
-            forced[i],
-            st.clone(),
-        );
-        match choice {
-            Some(c) => plan_probes.push(c),
-            None => {
-                plan_cacheable = false;
-                plan_probes.push(ProbeChoice::FullScan);
-            }
-        }
-        // an eager attacher fills this source's own slots (offset 0
-        // within the source stream — joins concatenate them later)
-        let mut attacher = if eager {
-            Some(SourceAttach::new(src, (0..src.arity).collect(), 0))
-        } else {
-            None
-        };
-        let arity = src.arity;
-        let st_scan = st.clone();
-        source_streams.push(Box::new(scan.map(move |entry| {
-            entry.map(|(row_no, values)| {
-                let anns = attacher.as_mut().map(|a| {
-                    let mut slots = vec![Vec::new(); arity];
-                    a.attach_into(row_no, &mut slots, &st_scan);
-                    slots
-                });
-                PipeRow {
-                    values,
-                    rows: vec![row_no],
-                    anns,
-                }
-            })
-        })));
-    }
-
-    // ---- joins (hash join on an equi-conjunct, else cross product) ----
-    // build sides materialize here, at assembly time; the first source
-    // streams lazily all the way to the consumer
-    let mut streams = source_streams.into_iter();
-    let mut stream: Box<dyn Iterator<Item = Result<PipeRow>> + 'a> =
-        streams.next().expect("at least one source");
-    for (next_i, right_stream) in streams.enumerate() {
-        let src = &sources[next_i + 1];
-        let right_rows: Vec<PipeRow> = right_stream.collect::<Result<_>>()?;
-        let acc_bindings = &bindings[..src.offset];
-        let next_bindings = &bindings[src.offset..src.offset + src.arity];
-        let key = find_equi_key(&all_conjuncts, acc_bindings, next_bindings);
-        let right = Rc::new(right_rows);
-        stream = match key {
-            Some((lcol, rcol)) => {
-                // hash join (NULL keys never match, per SQL)
-                let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-                for (ri, r) in right.iter().enumerate() {
-                    if !r.values[rcol].is_null() {
-                        table.entry(r.values[rcol].clone()).or_default().push(ri);
-                    }
-                }
-                Box::new(stream.flat_map(move |l| {
-                    let out: Vec<Result<PipeRow>> = match l {
-                        Err(e) => vec![Err(e)],
-                        Ok(l) => {
-                            if l.values[lcol].is_null() {
-                                Vec::new()
-                            } else {
-                                table
-                                    .get(&l.values[lcol])
-                                    .map(|idxs| {
-                                        idxs.iter()
-                                            .map(|&ri| Ok(concat_pipe(&l, &right[ri])))
-                                            .collect()
-                                    })
-                                    .unwrap_or_default()
-                            }
-                        }
-                    };
-                    out.into_iter()
-                }))
-            }
-            None => Box::new(stream.flat_map(move |l| {
-                let out: Vec<Result<PipeRow>> = match l {
-                    Err(e) => vec![Err(e)],
-                    Ok(l) => right.iter().map(|r| Ok(concat_pipe(&l, r))).collect(),
-                };
-                out.into_iter()
-            })),
-        };
-    }
-
-    // ---- residual WHERE (cross-source conjuncts / naive full pred) ----
-    let bindings_resid = bindings.clone();
-    let stream = stream.filter_map(move |entry| {
-        let row = match entry {
-            Ok(r) => r,
-            Err(e) => return Some(Err(e)),
-        };
-        for conjunct in &residual {
-            match eval(conjunct, &bindings_resid, &row.values) {
-                Err(e) => return Some(Err(e)),
-                Ok(v) if !v.is_true() => return None,
-                Ok(_) => {}
-            }
-        }
-        Some(Ok(row))
-    });
-
-    // ---- annotation attachment (lazy mode: survivors only) ----
-    let mut attachers: Vec<SourceAttach> = if eager {
-        Vec::new()
-    } else {
-        sources
-            .iter()
-            .map(|src| {
-                SourceAttach::new(
-                    src,
-                    PlannedSelect::local_needed(&needed_cols, src),
-                    src.offset,
-                )
-            })
-            .collect()
-    };
-    let st_attach = st.clone();
-    let stream = stream.map(move |entry| {
-        entry.map(|p| {
-            let anns = match p.anns {
-                Some(anns) => anns,
-                None => {
-                    let mut slots = vec![Vec::new(); total_arity];
-                    for (si, attacher) in attachers.iter_mut().enumerate() {
-                        attacher.attach_into(p.rows[si], &mut slots, &st_attach);
-                    }
-                    slots
-                }
-            };
-            AnnRow {
-                values: p.values,
-                anns,
-            }
-        })
-    });
-
-    // ---- AWHERE: annotation-based selection (some annotation satisfies) ----
-    let stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> = match awhere {
-        Some(cond) => Box::new(stream.filter(move |entry| match entry {
-            Err(_) => true,
-            Ok(row) => row.all_anns().iter().any(|a| eval_ann(&cond, a)),
-        })),
-        None => Box::new(stream),
-    };
-    // ---- pushed LIMIT: stop pulling (and therefore scanning) after the
-    //      k-th surviving tuple ----
-    let stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> = match push_limit {
-        Some(k) => {
-            st.borrow_mut().limit_pushdowns += 1;
-            Box::new(stream.take(k))
-        }
-        None => stream,
-    };
-
-    Ok(BuiltPipeline {
-        stream,
-        bindings,
-        items,
-        plan: plan_cacheable.then_some(SelectPlan {
-            catalog: catalog_id,
-            generation,
-            join_order: order,
-            sites: plan_sites,
-            probes: plan_probes,
-        }),
-    })
-}
-
-/// A fully assembled batch pipeline: the operator tree plus everything
-/// the projection stage needs (the batch counterpart of
-/// [`BuiltPipeline`]).
+/// A fully assembled (but not yet pulled) pipeline: the operator tree
+/// plus everything the projection stage needs.  It borrows only from the
+/// *catalog*, never from the SELECT AST, so it can outlive the statement
+/// text inside a [`SelectCursor`].
 pub(crate) struct BuiltBatchPipeline<'a> {
     /// Root operator: joined, filtered, annotated, limit-capped batches.
     pub(crate) op: Box<dyn crate::batch::BatchOp<'a> + 'a>,
@@ -1918,15 +1590,11 @@ pub(crate) struct BuiltBatchPipeline<'a> {
     pub(crate) bindings: Rc<Vec<ColBinding>>,
     /// Expanded projection items (errors deferred to projection time).
     pub(crate) items: std::result::Result<Vec<SelectItem>, BdbmsError>,
-    /// The plan this pipeline was assembled with (see [`BuiltPipeline`]).
+    /// The plan this pipeline was assembled with — `None` when a
+    /// decision depended on the bound values and must not be cached.
     pub(crate) plan: Option<SelectPlan>,
 }
 
-/// Assemble the batch-at-a-time operator tree from a planned SELECT.
-/// Stage order, plan decisions, and assembly-time side effects (probe
-/// stats, build-side materialization and its errors, `limit_pushdowns`)
-/// mirror [`assemble_row_pipeline`] exactly; only the pull granularity
-/// differs.
 /// Interpose a profiler stage when `EXPLAIN ANALYZE` asked for one;
 /// normal execution (`prof = None`) passes operators through untouched.
 fn maybe_profile<'a>(
@@ -1940,6 +1608,13 @@ fn maybe_profile<'a>(
     }
 }
 
+/// Assemble the operator tree from a planned SELECT, leaf to root: one
+/// scan per source (pushed conjuncts re-checked, eager annotations
+/// attached there), hash or cross joins against build sides drained
+/// here, the residual WHERE, lazy annotation attachment, AWHERE, and the
+/// pushed LIMIT.  Probe stats, build-side materialization (and its
+/// errors) and `limit_pushdowns` happen at assembly time; nothing is
+/// pulled from the first source until the caller asks for a batch.
 fn assemble_batch_pipeline<'a>(
     p: PlannedSelect<'a>,
     st: Rc<RefCell<ExecStats>>,
@@ -1968,8 +1643,7 @@ fn assemble_batch_pipeline<'a>(
     } = p;
 
     // ---- per-source scans; the first streams, the rest are drained
-    //      here as hash-join build sides (assembly-time, same error and
-    //      stats timing as the row path) ----
+    //      here as hash-join build sides ----
     let mut plan_probes: Vec<ProbeChoice> = Vec::with_capacity(sources.len());
     let mut plan_cacheable = true;
     let mut op: Option<Box<dyn BatchOp<'a> + 'a>> = None;
@@ -2097,33 +1771,6 @@ fn assemble_batch_pipeline<'a>(
     })
 }
 
-/// Project one joined row through the SELECT items: evaluate each item's
-/// expression and merge the annotations of its referenced (plus
-/// PROMOTEd) columns — the paper's §3.4 projection semantics, shared by
-/// the materializing executor and streaming cursors.
-fn project_row(
-    items: &[SelectItem],
-    item_cols: &[Vec<usize>],
-    bindings: &[ColBinding],
-    row: &AnnRow,
-) -> Result<AnnRow> {
-    let mut values = Vec::with_capacity(items.len());
-    let mut anns = Vec::with_capacity(items.len());
-    for (item, cols) in items.iter().zip(item_cols) {
-        values.push(eval(&item.expr, bindings, &row.values)?);
-        let mut merged: Vec<AnnRef> = Vec::new();
-        for &c in cols {
-            for a in &row.anns[c] {
-                if !merged.iter().any(|x| x.identity() == a.identity()) {
-                    merged.push(a.clone());
-                }
-            }
-        }
-        anns.push(merged);
-    }
-    Ok(AnnRow { values, anns })
-}
-
 fn run_simple_select(
     catalog: &Catalog,
     sel: &Select,
@@ -2145,9 +1792,8 @@ fn is_aggregated(sel: &Select, items: &[SelectItem]) -> bool {
 
 /// The grouped/aggregated output stage over materialized input rows:
 /// GROUP BY, HAVING/AHAVING, per-item [`eval_group`], and the paper's
-/// union-of-group-annotations semantics.  Shared by the row path and the
-/// batch path's fallback (the batch fast path accumulates instead — see
-/// [`crate::batch::BatchAggregator`]).
+/// union-of-group-annotations semantics.  The fallback for shapes the
+/// streaming accumulators ([`crate::batch::BatchAggregator`]) decline.
 pub(crate) fn aggregate_rows(
     sel: &Select,
     items: &[SelectItem],
@@ -2242,8 +1888,9 @@ fn finish_select(sel: &Select, columns: Vec<String>, mut out_rows: Vec<AnnRow>) 
     }
 }
 
-/// [`run_simple_select`] over shared stats.  Plan hints apply only to
-/// the streaming-cursor path ([`open_select_cursor`]); materialized
+/// [`run_simple_select`] over shared stats, with planning and execution
+/// wall time attributed separately.  Plan hints apply only to the
+/// streaming-cursor path ([`open_select_cursor`]); materialized
 /// execution always plans live.
 fn run_simple_select_shared(
     catalog: &Catalog,
@@ -2255,66 +1902,16 @@ fn run_simple_select_shared(
     let planned = plan_simple_select(catalog, sel, opts, st, None)?;
     st.borrow_mut().plan_ns += plan_started.elapsed().as_nanos() as u64;
     let exec_started = std::time::Instant::now();
-    let res = run_simple_select_planned(catalog, sel, opts, planned, st);
+    let res = run_simple_select_batch(sel, planned, st, None);
     st.borrow_mut().exec_ns += exec_started.elapsed().as_nanos() as u64;
     res
 }
 
-/// Execute an already-planned simple SELECT (the back half of
-/// [`run_simple_select_shared`], split out so planning and execution
-/// wall time can be attributed separately in [`ExecStats`]).
-fn run_simple_select_planned<'a>(
-    _catalog: &'a Catalog,
-    sel: &Select,
-    opts: &ExecOptions,
-    planned: PlannedSelect<'a>,
-    st: &Rc<RefCell<ExecStats>>,
-) -> Result<QueryResult> {
-    if opts.batch {
-        return run_simple_select_batch(sel, planned, st, None);
-    }
-    let BuiltPipeline {
-        stream,
-        bindings,
-        items,
-        plan: _,
-    } = assemble_row_pipeline(planned, st.clone())?;
-    // pipeline errors surface before projection errors, exactly as the
-    // pre-streaming executor reported them
-    let rows = stream.collect::<Result<Vec<AnnRow>>>()?;
-    let items = items?;
-
-    // ---- projection / aggregation (identical to the pre-streaming
-    //      executor from here on: the paper's §3.4 output semantics) ----
-    let out_columns: Vec<String> = items.iter().map(item_name).collect();
-    let out_rows = if is_aggregated(sel, &items) {
-        aggregate_rows(sel, &items, &bindings, rows)?
-    } else {
-        if sel.having.is_some() || sel.ahaving.is_some() {
-            return Err(BdbmsError::invalid(
-                "HAVING/AHAVING require GROUP BY or aggregates",
-            ));
-        }
-        // plain projection: pass only the projected columns' annotations
-        let item_cols: Vec<Vec<usize>> = items
-            .iter()
-            .map(|i| item_ann_columns(i, &bindings))
-            .collect::<Result<_>>()?;
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            out.push(project_row(&items, &item_cols, &bindings, &row)?);
-        }
-        out
-    };
-    Ok(finish_select(sel, out_columns, out_rows))
-}
-
-/// The batch-at-a-time counterpart of the materializing executor:
-/// batches are drained through the operator tree and projected or
-/// aggregated in tight loops.  Error ordering matches the row path —
-/// the pipeline is always drained before projection-stage errors
-/// surface, and aggregate evaluation errors are deferred to
-/// finalization in row-path order.
+/// The materializing executor: batches are drained through the operator
+/// tree and projected or aggregated in tight loops.  The pipeline is
+/// always drained before projection-stage errors surface, and aggregate
+/// evaluation errors are deferred to finalization (group order, then
+/// item order).
 fn run_simple_select_batch(
     sel: &Select,
     planned: PlannedSelect<'_>,
@@ -2329,8 +1926,8 @@ fn run_simple_select_batch(
         plan: _,
     } = assemble_batch_pipeline(planned, st.clone(), prof)?;
     let total_arity = bindings.len();
-    // pipeline errors surface before projection errors (row-path parity):
-    // every consumer below drains the operator tree before touching items
+    // pipeline errors surface before projection errors: every consumer
+    // below drains the operator tree before touching items
     let items = match items {
         Ok(items) => items,
         Err(e) => {
@@ -2350,7 +1947,7 @@ fn run_simple_select_batch(
             }
             None => {
                 // HAVING/AHAVING, computed aggregates, or unresolvable
-                // keys: materialize and reuse the row path's group stage
+                // keys: materialize and group the rows
                 let rows = batch::drain_rows(op.as_mut(), total_arity)?;
                 aggregate_rows(sel, &items, &bindings, rows)?
             }
@@ -2459,56 +2056,24 @@ pub fn open_select_cursor<'a>(
         let plan_started = std::time::Instant::now();
         let planned = plan_simple_select(catalog, sel, opts, &st, hints)?;
         st.borrow_mut().plan_ns += plan_started.elapsed().as_nanos() as u64;
-        if opts.batch {
-            // batch streaming: the cursor pulls one batch at a time and
-            // hands out its rows, so the scan advances in BATCH_SIZE
-            // steps as the consumer pulls (per-batch granularity — the
-            // session tests pin that nothing is fetched before the
-            // first pull)
-            let built = assemble_batch_pipeline(planned, st.clone(), None)?;
-            let items = built.items?;
-            let columns: Vec<String> = items.iter().map(item_name).collect();
-            let item_cols: Vec<Vec<usize>> = items
-                .iter()
-                .map(|i| item_ann_columns(i, &built.bindings))
-                .collect::<Result<_>>()?;
-            let compiled: Vec<crate::expr::CExpr> = items
-                .iter()
-                .map(|i| crate::expr::compile(&i.expr, &built.bindings))
-                .collect();
-            let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> =
-                Box::new(crate::batch::BatchCursorStream::new(
-                    built.op,
-                    compiled,
-                    item_cols,
-                    sel.filter.clone(),
-                ));
-            if let Some(k) = sel.limit {
-                stream = Box::new(stream.take(k as usize));
-            }
-            return Ok((SelectCursor { columns, stream }, built.plan));
-        }
-        let built = assemble_row_pipeline(planned, st.clone())?;
+        // the cursor pulls one batch at a time and hands out its rows,
+        // so the scan advances in BATCH_SIZE steps as the consumer pulls
+        // (the session tests pin that nothing is fetched before the
+        // first pull)
+        let built = assemble_batch_pipeline(planned, st.clone(), None)?;
         let items = built.items?;
         let columns: Vec<String> = items.iter().map(item_name).collect();
         let item_cols: Vec<Vec<usize>> = items
             .iter()
             .map(|i| item_ann_columns(i, &built.bindings))
             .collect::<Result<_>>()?;
-        let bindings = built.bindings.clone();
-        let filter = sel.filter.clone();
-        let pre = built.stream;
-        let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> =
-            Box::new(pre.map(move |entry| {
-                let row = entry?;
-                let mut out = project_row(&items, &item_cols, &bindings, &row)?;
-                if let Some(cond) = &filter {
-                    for col in &mut out.anns {
-                        col.retain(|a| eval_ann(cond, a));
-                    }
-                }
-                Ok(out)
-            }));
+        let compiled: Vec<crate::expr::CExpr> = items
+            .iter()
+            .map(|i| crate::expr::compile(&i.expr, &built.bindings))
+            .collect();
+        let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> = Box::new(
+            crate::batch::BatchCursorStream::new(built.op, compiled, item_cols, sel.filter.clone()),
+        );
         if let Some(k) = sel.limit {
             // usually already pushed into the pipeline; this cap also
             // covers runs with limit pushdown disabled

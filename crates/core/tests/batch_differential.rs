@@ -1,11 +1,16 @@
-//! Differential property suite for the batch executor: every randomized
-//! SELECT must produce the same answer through the vectorized
-//! `next_batch()` pipeline as through the row-at-a-time `next()`
-//! pipeline, with the same plan decisions.  Both paths share the
-//! planning front-half (`plan_simple_select`), so any divergence here is
-//! an operator bug, not a planner disagreement.
+//! Differential property suite for the executor: every randomized SELECT
+//! must produce the reference interpreter's answer
+//! (`support/reference.rs`: materialised tables, nested loops, the whole
+//! WHERE on every joined row, annotations attached eagerly — no planner,
+//! no batch operator, no index) on three engine paths: the default
+//! options, `ExecOptions::naive()` (eager attach in the scan, un-pushed
+//! WHERE in the filter operator), and a prepared-statement cursor drained
+//! twice, so the second run replays the cached `SelectPlan`.
 
-use bdbms_core::executor::{ExecOptions, ExecStats};
+mod support;
+
+use bdbms_common::Result;
+use bdbms_core::executor::ExecOptions;
 use bdbms_core::{Database, QueryResult};
 use proptest::prelude::*;
 
@@ -48,9 +53,9 @@ fn diff_db() -> Database {
 
 /// A sequence-indexed table (plus a B+-tree on `Len`, annotations on the
 /// sequence column and a small dimension table), so random queries run
-/// the *exact* `Seq Index Scan`: the batch pipeline neither re-checks the
-/// answered `CONTAINS SEQ` conjunct nor decodes `SS` for it, the row
-/// pipeline does both.
+/// the *exact* `Seq Index Scan`: the engine neither re-checks the
+/// answered `CONTAINS SEQ` conjunct nor decodes `SS` for it, the reference
+/// evaluates the whole WHERE on every row.
 fn seq_db() -> Database {
     let mut db = Database::new_in_memory();
     db.execute("CREATE TABLE Prot (PID TEXT, SS TEXT, Len INT, Fam INT)")
@@ -103,64 +108,23 @@ fn seq_db() -> Database {
     db
 }
 
-/// Canonical text form of a result row: values plus the identity of each
-/// column's annotations (annotation propagation must match too).
-fn row_keys(qr: &QueryResult) -> Vec<String> {
-    qr.rows
-        .iter()
-        .map(|r| {
-            let anns: Vec<Vec<String>> = r
-                .anns
-                .iter()
-                .map(|col| {
-                    let mut ids: Vec<String> =
-                        col.iter().map(|a| format!("{:?}", a.identity())).collect();
-                    ids.sort();
-                    ids
-                })
-                .collect();
-            format!("{:?} {:?}", r.values, anns)
-        })
-        .collect()
-}
-
-/// The plan decisions both pipelines must agree on.  Row-granularity
-/// counters (`rows_fetched`, `rows_scan_filtered`) legitimately differ:
-/// the batch path fetches in BATCH_SIZE steps.
-fn plan_decisions(st: &ExecStats) -> (Vec<String>, Vec<usize>, u64, u64, u64, u64) {
-    (
-        st.chosen_indexes.clone(),
-        st.join_order.clone(),
-        st.full_scans,
-        st.index_probes,
-        st.limit_pushdowns,
-        st.rows_limit_discarded,
-    )
-}
-
-/// Run one SQL string through both pipelines and assert equivalence.
-fn assert_differential(db: &Database, sql: &str) {
-    let row_opts = ExecOptions::builder().batch(false).build();
-    let batch_opts = ExecOptions::default();
-    let row = db.query_traced(sql, &row_opts);
-    let batch = db.query_traced(sql, &batch_opts);
-    match (row, batch) {
-        (Ok((r, rst)), Ok((b, bst))) => {
-            assert_eq!(r.columns, b.columns, "columns diverge for {sql}");
-            // same rows in the same order — scan order is deterministic,
-            // so this is strictly stronger than multiset equality
-            assert_eq!(row_keys(&r), row_keys(&b), "rows diverge for {sql}");
-            assert_eq!(
-                plan_decisions(&rst),
-                plan_decisions(&bst),
-                "plan decisions diverge for {sql}"
-            );
-        }
-        (Err(re), Err(be)) => {
-            assert_eq!(re.code(), be.code(), "error codes diverge for {sql}");
-        }
-        (Ok(_), Err(e)) => panic!("row path succeeded, batch failed for {sql}: {e}"),
-        (Err(e), Ok(_)) => panic!("batch path succeeded, row failed for {sql}: {e}"),
+/// Run one SQL string on every engine path and compare each answer with
+/// the reference interpreter's.
+fn assert_differential(db: &mut Database, sql: &str) {
+    let expected = support::expect(db.catalog(), sql);
+    for (leg, opts) in [
+        ("default", ExecOptions::default()),
+        ("naive", ExecOptions::naive()),
+    ] {
+        expected.assert_matches(leg, db.query_traced(sql, &opts).map(|(r, _)| r));
+    }
+    let session = db.session("admin");
+    for leg in ["cursor", "cursor (cached plan)"] {
+        let drained = |sql: &str| -> Result<QueryResult> {
+            let stmt = session.prepare(sql)?;
+            session.query(&stmt, &[])?.into_result()
+        };
+        expected.assert_matches(leg, drained(sql));
     }
 }
 
@@ -173,7 +137,7 @@ fn arb_where() -> impl Strategy<Value = String> {
         (1i64..9, 0i64..9).prop_map(|(m, r)| format!(" WHERE Len % {m} = {r}")),
         (0i64..10).prop_map(|d| format!(" WHERE GID LIKE 'JW%{d}'")),
         (0i64..5, 0i64..150).prop_map(|(b, k)| format!(" WHERE Bucket = {b} AND Len > {k}")),
-        // type error: TEXT + INT must fail identically on both paths
+        // type error: TEXT + INT fails on the first row of every path
         Just(" WHERE GID + 1 = 2".to_string()),
     ]
 }
@@ -208,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Single-table scans: projections, filters, annotations, DISTINCT,
-    /// ORDER BY, LIMIT — batch ≡ row.
+    /// ORDER BY, LIMIT — engine ≡ reference.
     #[test]
     fn scans_are_equivalent(
         items in arb_scan_items(),
@@ -216,20 +180,20 @@ proptest! {
         cond in arb_where(),
         tail in arb_tail(),
     ) {
-        let db = diff_db();
+        let mut db = diff_db();
         let sql = format!("SELECT {items} FROM Gene{ann}{cond}{tail}");
-        assert_differential(&db, &sql);
+        assert_differential(&mut db, &sql);
     }
 
     /// Aggregation (streaming-accumulator fast path and the grouped
-    /// fallback) — batch ≡ row.
+    /// fallback) — engine ≡ reference.
     #[test]
     fn aggregates_are_equivalent(
         ann in arb_ann(),
         cond in arb_where(),
         shape in 0usize..4,
     ) {
-        let db = diff_db();
+        let mut db = diff_db();
         let sql = match shape {
             0 => format!(
                 "SELECT COUNT(*), SUM(Len), MIN(Len), MAX(GID), AVG(Len) FROM Gene{ann}{cond}"
@@ -246,11 +210,11 @@ proptest! {
                  GROUP BY Bucket ORDER BY Bucket"
             ),
         };
-        assert_differential(&db, &sql);
+        assert_differential(&mut db, &sql);
     }
 
     /// Joins (hash probe on the discovered equi-key, plus residual
-    /// filters and limits) — batch ≡ row.
+    /// filters and limits) — engine ≡ reference.
     #[test]
     fn joins_are_equivalent(
         extra in prop_oneof![
@@ -264,21 +228,21 @@ proptest! {
             (1usize..30).prop_map(|k| format!(" LIMIT {k}")),
         ],
     ) {
-        let db = diff_db();
+        let mut db = diff_db();
         let sql = format!(
             "SELECT G.GID, T.TName FROM Gene G, Tag T WHERE G.Len = T.TLen{extra}{tail}"
         );
-        assert_differential(&db, &sql);
+        assert_differential(&mut db, &sql);
     }
 
     /// The annotation-predicate operators (AWHERE / FILTER, §3.4) —
-    /// batch ≡ row.
+    /// engine ≡ reference.
     #[test]
     fn annotation_predicates_are_equivalent(
         cond in arb_where(),
         shape in 0usize..3,
     ) {
-        let db = diff_db();
+        let mut db = diff_db();
         let sql = match shape {
             0 => format!(
                 "SELECT GID FROM Gene ANNOTATION(Curation){cond} AWHERE CONTAINS 'curated'"
@@ -291,7 +255,7 @@ proptest! {
                  AWHERE PATH '/Annotation' = 'from GenoBase'"
             ),
         };
-        assert_differential(&db, &sql);
+        assert_differential(&mut db, &sql);
     }
 
     /// Exact sequence-index probes: the answered conjunct alone, with a
@@ -299,7 +263,7 @@ proptest! {
     /// as a join's build side, under a residual that reads the probed
     /// column, and with `SELECT *` / `GROUP BY` / `HAVING` / annotation
     /// propagation reading it (its values must still be decoded there) —
-    /// batch ≡ row.
+    /// engine ≡ reference.
     #[test]
     fn seq_probes_are_equivalent(
         pat in prop_oneof![
@@ -317,6 +281,8 @@ proptest! {
             (0i64..40).prop_map(|k| format!(" AND Len > {k}")),
             (0i64..40).prop_map(|k| format!(" AND Len = {k}")),
             (0i64..6).prop_map(|k| format!(" AND Fam = {k}")),
+            // type error on the first candidate any path evaluates, so no
+            // LIMIT or probe can hide it from the engine
             Just(" AND SS + 1 = 2".to_string()),
         ],
         tail in prop_oneof![
@@ -325,7 +291,7 @@ proptest! {
         ],
         shape in 0usize..10,
     ) {
-        let db = seq_db();
+        let mut db = seq_db();
         let hit = format!("SS CONTAINS SEQ '{pat}'{second}");
         let sql = match shape {
             0 => format!("SELECT PID FROM Prot WHERE {hit}{tail}"),
@@ -351,11 +317,11 @@ proptest! {
                  WHERE F.FId = P.Fam AND P.{hit} AND P.SS > F.FName{tail}"
             ),
         };
-        assert_differential(&db, &sql);
+        assert_differential(&mut db, &sql);
     }
 
     /// Pipelines with deliberately broken projections or predicates must
-    /// fail with the same error code on both paths.
+    /// fail with the reference's error code on every path.
     #[test]
     fn errors_are_equivalent(
         sql in prop_oneof![
@@ -367,7 +333,7 @@ proptest! {
             (0i64..300).prop_map(|k| format!("SELECT GID, GID + 1 FROM Gene WHERE Len = {k}")),
         ],
     ) {
-        let db = diff_db();
-        assert_differential(&db, &sql);
+        let mut db = diff_db();
+        assert_differential(&mut db, &sql);
     }
 }

@@ -5,8 +5,11 @@
 //! the pattern — after any mix of INSERT / UPDATE / DELETE (tombstones),
 //! a rolled-back transaction, a reopen (bulk rebuild from the heap) and
 //! a crash-replay of `CREATE SEQUENCE INDEX`, for both backends.  The
-//! oracle is `str::contains` over a model of the live rows; the row
-//! pipeline, which still re-checks, must agree too.
+//! oracle is `str::contains` over a model of the live rows; the reference
+//! interpreter, which evaluates `CONTAINS SEQ` on every heap row, must
+//! agree too.
+
+mod support;
 
 use std::fs;
 use std::path::PathBuf;
@@ -77,27 +80,19 @@ fn assert_exact(db: &Database, model: &Model, patterns: &[String], stage: &str) 
             .collect();
         want.sort_unstable();
         let sql = format!("SELECT K FROM P WHERE S CONTAINS SEQ '{pat}'");
-        for (name, opts) in [
-            ("batch", ExecOptions::default()),
-            ("row", ExecOptions::builder().batch(false).build()),
-        ] {
-            let (r, st) = db.query_traced(&sql, &opts).unwrap();
-            assert_eq!(st.seq_index_probes, 1, "{stage}: `{pat}` must probe");
-            // exact ⇒ every fetched row is a result row
-            assert_eq!(
-                st.rows_fetched as usize,
-                want.len(),
-                "{stage} {name} `{pat}`"
-            );
-            assert_eq!(st.rows_scan_filtered, 0, "{stage} {name} `{pat}`");
-            let mut got: Vec<i64> = r
-                .rows
-                .iter()
-                .map(|r| r.values[0].as_int().unwrap())
-                .collect();
-            got.sort_unstable();
-            assert_eq!(got, want, "{stage} {name}: `{pat}`");
-        }
+        let (r, st) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
+        assert_eq!(st.seq_index_probes, 1, "{stage}: `{pat}` must probe");
+        // exact ⇒ every fetched row is a result row
+        assert_eq!(st.rows_fetched as usize, want.len(), "{stage} `{pat}`");
+        assert_eq!(st.rows_scan_filtered, 0, "{stage} `{pat}`");
+        let mut got: Vec<i64> = r
+            .rows
+            .iter()
+            .map(|r| r.values[0].as_int().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "{stage}: `{pat}`");
+        support::expect(db.catalog(), &sql).assert_matches(stage, Ok(r));
     }
 }
 

@@ -85,24 +85,11 @@ ABSOLUTE_FLOOR = {
     # growing it one insert at a time >= 2x (ISSUE 14; measured 4-6x).
     # Pure CPU, both legs in one process, so a hard floor is safe.
     "sequence index build (bulk vs incremental)": 2.0,
-    # ...and a CONTAINS SEQ probe matching > 90 % of the rows — bounded by
-    # the fetch after the index answers, not by the index — must run
-    # >= 1.5x faster through the batch pipeline (candidates fetched a page
-    # run at a time, the sequence column never decoded, the exact answer
-    # not re-checked) than through the row pipeline's per-row get +
-    # re-check (ISSUE 15; measured 2.0-2.3x).  Pure CPU, same plan and
-    # index answer on both legs, so a hard floor is safe.
-    "wide-match CONTAINS SEQ (batch vs row pipeline)": 1.5,
     # Observability acceptance (ISSUE 10): always-on metric counters may
     # cost at most ~5% on the hottest page-fetch path.  The row's ratio
     # is (metrics off) / (metrics on), so 0.95 means the instrumented
     # leg runs no more than ~5% slower than the uninstrumented one.
     "instrumentation overhead (metrics on vs off)": 0.95,
-    # Batch-executor acceptance (ISSUE 9): the vectorized next_batch()
-    # pipeline must run the full-scan aggregate >= 2x faster than the
-    # row-at-a-time next() pipeline on the same plan.  Pure CPU-bound
-    # dispatch amortization — hardware-stable, so a hard floor is safe.
-    "full-scan aggregate (batch vs row)": 2.0,
 }
 
 # Absolute maximum ratios — the inverse of ABSOLUTE_FLOOR, for rows whose
