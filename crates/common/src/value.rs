@@ -58,9 +58,10 @@ impl fmt::Display for DataType {
 /// `Value` implements a *total* ordering (`NULL` sorts first, floats compare
 /// by `total_cmp`) so it can key sorted structures and drive `ORDER BY`,
 /// `GROUP BY`, and duplicate elimination deterministically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL NULL.
+    #[default]
     Null,
     /// Integer.
     Int(i64),

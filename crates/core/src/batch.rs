@@ -15,6 +15,14 @@
 //! pull *demand-driven*: a pushed `LIMIT k` asks its child for exactly
 //! `k` tuples, which keeps filterless scans' fetch counts exact.
 //!
+//! A `Batch` is **flat**: one row-major value arena, one row-number
+//! arena and (once attached) one annotation-slot arena per batch, never a
+//! heap object per tuple.  The heap decodes straight into the arena,
+//! operators hand the expression engine `&[Value]` row slices of it, and
+//! the `Projection` — the last reader — *moves* bare-column items out
+//! of it, so what a statement allocates per answer row is what the
+//! `AnnRow` it returns is made of.
+//!
 //! Result multisets and error codes are pinned against a reference
 //! interpreter that shares none of this code (the differential proptest
 //! suite, `tests/batch_differential.rs`); the row counters in
@@ -29,59 +37,157 @@ use bdbms_common::{BdbmsError, Result, Value};
 
 use crate::ast::{AggFunc, AnnExpr, Expr, Select, SelectItem};
 use crate::catalog::Table;
-use crate::executor::{
-    concat_pipe, eval_ann, has_aggregate, item_ann_columns, ExecStats, PipeRow, SourceAttach,
-};
+use crate::executor::{eval_ann, has_aggregate, item_ann_columns, ExecStats, SourceAttach};
 use crate::expr::{compile, eval_compiled, resolve_column, CExpr, ColBinding};
 use crate::result::{AnnRef, AnnRow};
 
-/// Target tuples per operator pull.  Large enough to amortize dispatch,
-/// small enough that a batch of wide rows stays cache- and
-/// allocation-friendly.
+/// Target tuples per operator pull.  Large enough to amortize dispatch
+/// and the three arena allocations a batch costs, small enough that a
+/// batch of wide rows stays cache-friendly.
 pub const BATCH_SIZE: usize = 1024;
 
-/// A batch of pipeline tuples plus a **selection vector**: `sel` lists
-/// the indexes of the live rows in ascending order.  Filters shrink
-/// `sel` instead of moving rows; dead rows are simply never read again.
+/// A batch of pipeline tuples, stored row-major in one arena per kind of
+/// datum, plus a **selection vector**: `sel` lists the indexes of the
+/// live tuples in ascending order.  Filters shrink `sel` instead of
+/// moving tuples; dead tuples are simply never read again.
+///
+/// Tuple `i` is the value slice `values[i * arity..][..arity]` (what
+/// `eval_compiled` takes), the row numbers `row_nos[i * sources..]
+/// [..sources]` it was joined from, and — once an attach stage has run —
+/// the annotation slots `anns[i * arity..][..arity]`.
 pub(crate) struct Batch {
-    /// Row storage; only the positions named by `sel` are live.
-    pub(crate) rows: Vec<PipeRow>,
-    /// Live row indexes, ascending.
-    pub(crate) sel: Vec<usize>,
+    /// Values per tuple.
+    arity: usize,
+    /// Row numbers per tuple: one per FROM source joined so far (>= 1).
+    sources: usize,
+    values: Vec<Value>,
+    /// Originating row numbers, per tuple in FROM order.
+    row_nos: Vec<u64>,
+    /// Annotation slots, one per value; `None` until attached, which
+    /// every reader treats like all-empty slots.
+    anns: Option<Vec<Vec<AnnRef>>>,
+    /// Live tuple indexes, ascending.
+    sel: Vec<usize>,
 }
 
 impl Batch {
-    /// A batch with every row live.
-    pub(crate) fn full(rows: Vec<PipeRow>) -> Batch {
-        let sel = (0..rows.len()).collect();
-        Batch { rows, sel }
+    /// An empty batch of `arity`-wide tuples over `sources` sources.
+    fn new(arity: usize, sources: usize) -> Batch {
+        Batch {
+            arity,
+            sources,
+            values: Vec::new(),
+            row_nos: Vec::new(),
+            anns: None,
+            sel: Vec::new(),
+        }
     }
 
-    /// Number of live rows.
+    /// Tuples stored, live or not.
+    fn len(&self) -> usize {
+        self.row_nos.len() / self.sources
+    }
+
+    /// Number of live tuples.
     pub(crate) fn live(&self) -> usize {
         self.sel.len()
     }
 
-    /// Consume the batch, yielding the live rows in order (compaction —
-    /// used when a consumer materializes).
-    pub(crate) fn into_rows(self) -> Vec<PipeRow> {
-        if self.sel.len() == self.rows.len() {
-            return self.rows;
-        }
-        let mut sel = self.sel.into_iter().peekable();
-        self.rows
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                if sel.peek() == Some(&i) {
-                    sel.next();
-                    Some(r)
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// Make every stored tuple live.
+    fn select_all(&mut self) {
+        self.sel = (0..self.len()).collect();
     }
+
+    /// Where tuple `i` sits in the value and annotation arenas.
+    fn cells(&self, i: usize) -> std::ops::Range<usize> {
+        i * self.arity..(i + 1) * self.arity
+    }
+
+    /// Tuple `i`'s values.
+    fn row(&self, i: usize) -> &[Value] {
+        &self.values[self.cells(i)]
+    }
+
+    /// Tuple `i`'s originating row numbers, in FROM order.
+    fn row_nos(&self, i: usize) -> &[u64] {
+        &self.row_nos[i * self.sources..(i + 1) * self.sources]
+    }
+
+    /// Tuple `i`'s annotation slots, if an attach stage has run.
+    fn row_anns(&self, i: usize) -> Option<&[Vec<AnnRef>]> {
+        Some(&self.anns.as_ref()?[self.cells(i)])
+    }
+
+    /// Sweep `conjuncts` over the live tuples in per-conjunct tight
+    /// loops — each sweeps the survivors of the previous one — adding
+    /// the rejected tuples to `filtered` (also on error).
+    fn retain_true(&mut self, conjuncts: &[CExpr], filtered: &mut u64) -> Result<()> {
+        for conjunct in conjuncts {
+            if self.sel.is_empty() {
+                break;
+            }
+            let mut kept = Vec::with_capacity(self.sel.len());
+            for &i in &self.sel {
+                if eval_compiled(conjunct, self.row(i))?.is_true() {
+                    kept.push(i);
+                } else {
+                    *filtered += 1;
+                }
+            }
+            self.sel = kept;
+        }
+        Ok(())
+    }
+
+    /// Append the concatenation of `left`'s tuple `l` and `right`'s
+    /// tuple `r`, live.
+    fn push_joined(&mut self, left: &Batch, l: usize, right: &Batch, r: usize) {
+        self.sel.push(self.len());
+        self.values.extend_from_slice(left.row(l));
+        self.values.extend_from_slice(right.row(r));
+        self.row_nos.extend_from_slice(left.row_nos(l));
+        self.row_nos.extend_from_slice(right.row_nos(r));
+        if let Some(slots) = &mut self.anns {
+            for (side, i) in [(left, l), (right, r)] {
+                match side.row_anns(i) {
+                    Some(s) => slots.extend_from_slice(s),
+                    None => slots.resize(slots.len() + side.arity, Vec::new()),
+                }
+            }
+        }
+    }
+
+    /// Move `other`'s live tuples onto the end of this batch (same
+    /// shape), live.  A fully live `other` is three `memcpy`s.
+    fn append_live(&mut self, mut other: Batch) {
+        let base = self.len();
+        if other.anns.is_some() && self.anns.is_none() {
+            self.anns = Some(vec![Vec::new(); base * self.arity]);
+        }
+        self.sel.extend(base..base + other.live());
+        if other.live() == other.len() {
+            self.values.append(&mut other.values);
+            self.row_nos.append(&mut other.row_nos);
+            if let (Some(slots), Some(more)) = (&mut self.anns, &mut other.anns) {
+                slots.append(more);
+            }
+            return;
+        }
+        for &i in &other.sel {
+            let cells = other.cells(i);
+            self.values
+                .extend(other.values[cells.clone()].iter_mut().map(std::mem::take));
+            self.row_nos.extend_from_slice(other.row_nos(i));
+            if let (Some(slots), Some(more)) = (&mut self.anns, &mut other.anns) {
+                slots.extend(more[cells].iter_mut().map(std::mem::take));
+            }
+        }
+    }
+}
+
+/// Move every cell out of a tuple's slice of an arena.
+pub(crate) fn take_cells<T: Default>(cells: &mut [T]) -> Vec<T> {
+    cells.iter_mut().map(std::mem::take).collect()
 }
 
 /// The vectorized operator interface.  `demand` is how many live tuples
@@ -130,10 +236,10 @@ pub(crate) enum ScanBase<'a> {
         entries: std::vec::IntoIter<(u64, Value)>,
     },
     /// Vectorized full scan: [`BatchScan`] asks the table for a whole
-    /// chunk per pull, decoded in place in the buffer pool and pruned to
-    /// `keep` (the planner's value columns — every other slot is
-    /// provably unread and left NULL), so a scan pays neither a per-row
-    /// record copy nor a full decode.
+    /// chunk per pull, decoded from the buffer pool straight into the
+    /// batch's arena and pruned to `keep` (the planner's value columns —
+    /// every other slot is provably unread and left NULL), so a scan pays
+    /// neither a per-row record copy nor a full decode.
     Chunk {
         table: &'a Table,
         /// Next row number to fetch.
@@ -142,14 +248,6 @@ pub(crate) enum ScanBase<'a> {
         /// (`None` = unknown, decode all).
         keep: Option<Vec<usize>>,
     },
-}
-
-/// An index-only scan's tuple: `key` in the indexed `column`, every other
-/// slot NULL (provably unread).
-fn key_tuple(arity: usize, column: usize, key: Value) -> Vec<Value> {
-    let mut values = vec![Value::Null; arity];
-    values[column] = key;
-    values
 }
 
 /// Scan: wraps the access path chosen at assembly time
@@ -195,7 +293,8 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
             return Ok(None);
         }
         let want = demand.clamp(1, BATCH_SIZE);
-        let mut fetched: Vec<(u64, Vec<Value>)> = Vec::with_capacity(want);
+        let arity = self.arity;
+        let mut batch = Batch::new(arity, 1);
         let fetch = match &mut self.base {
             ScanBase::Rows {
                 table,
@@ -206,101 +305,80 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
                 let run = &rows[*next..rows.len().min(*next + want)];
                 *next += run.len();
                 self.done = *next == rows.len();
-                table.fetch_rows(run, keep.as_deref(), &mut fetched)
+                table.fetch_rows(run, keep.as_deref(), &mut batch.row_nos, &mut batch.values)
             }
             ScanBase::Keys { column, entries } => {
-                let (arity, column) = (self.arity, *column);
-                fetched.extend(
-                    entries
-                        .by_ref()
-                        .take(want)
-                        .map(|(row_no, key)| (row_no, key_tuple(arity, column, key))),
-                );
+                // the key in its column, every other slot NULL (provably
+                // unread)
+                for (row_no, key) in entries.by_ref().take(want) {
+                    let start = batch.values.len();
+                    batch.row_nos.push(row_no);
+                    batch.values.resize(start + arity, Value::Null);
+                    batch.values[start + *column] = key;
+                }
                 self.done = entries.len() == 0;
                 Ok(())
             }
             ScanBase::Chunk { table, next, keep } => table
-                .scan_chunk(*next, want, keep.as_deref(), &mut fetched)
+                .scan_chunk(
+                    *next,
+                    want,
+                    keep.as_deref(),
+                    &mut batch.row_nos,
+                    &mut batch.values,
+                )
                 .map(|resume| match resume {
                     Some(n) => *next = n,
                     None => self.done = true,
                 }),
         };
+        let fetched = batch.len();
         if let Err(e) = fetch {
             self.done = true;
-            self.st.borrow_mut().rows_fetched += fetched.len() as u64;
+            self.st.borrow_mut().rows_fetched += fetched as u64;
             return Err(e);
         }
-        if fetched.is_empty() {
+        if fetched == 0 {
             return Ok(None);
         }
+        // eager mode attaches pre-filter
         let mut attached = 0u64;
-        let arity = self.arity;
-        let attach = &mut self.attach;
-        let rows: Vec<PipeRow> = fetched
-            .into_iter()
-            .map(|(row_no, values)| {
-                // eager mode attaches pre-filter
-                let anns = attach.as_mut().map(|a| {
-                    let mut slots = vec![Vec::new(); arity];
-                    attached += a.attach_into(row_no, &mut slots);
-                    slots
-                });
-                PipeRow {
-                    values,
-                    rows: vec![row_no],
-                    anns,
-                }
-            })
-            .collect();
+        if let Some(a) = &mut self.attach {
+            let mut slots = vec![Vec::new(); fetched * arity];
+            for (i, &row_no) in batch.row_nos.iter().enumerate() {
+                attached += a.attach_into(row_no, &mut slots[batch.cells(i)]);
+            }
+            batch.anns = Some(slots);
+        }
         {
             let mut s = self.st.borrow_mut();
-            s.rows_fetched += rows.len() as u64;
+            s.rows_fetched += fetched as u64;
             s.scan_batches += 1;
-            if attached > 0 {
-                s.anns_attached += attached;
-            }
+            s.anns_attached += attached;
         }
-        let mut batch = Batch::full(rows);
-        // per-conjunct tight loops: each conjunct sweeps the survivors
-        // of the previous one
+        batch.select_all();
         let mut filtered = 0u64;
-        for conjunct in &self.pushed {
-            if batch.sel.is_empty() {
-                break;
-            }
-            let mut kept = Vec::with_capacity(batch.sel.len());
-            for &i in &batch.sel {
-                match eval_compiled(conjunct, &batch.rows[i].values) {
-                    Err(e) => {
-                        self.done = true;
-                        if filtered > 0 {
-                            self.st.borrow_mut().rows_scan_filtered += filtered;
-                        }
-                        return Err(e);
-                    }
-                    Ok(v) if !v.is_true() => filtered += 1,
-                    Ok(_) => kept.push(i),
-                }
-            }
-            batch.sel = kept;
-        }
+        let checked = batch.retain_true(&self.pushed, &mut filtered);
         if filtered > 0 {
             self.st.borrow_mut().rows_scan_filtered += filtered;
+        }
+        if let Err(e) = checked {
+            self.done = true;
+            return Err(e);
         }
         Ok(Some(batch))
     }
 }
 
-/// Drain a build-side scan to its live rows (assembly-time
-/// materialization of hash-join build sides; a failing build scan fails
-/// the statement before the probe side is pulled).
-pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>) -> Result<Vec<PipeRow>> {
-    let mut out = Vec::new();
+/// Drain a build-side scan to one arena of its live tuples
+/// (assembly-time materialization of hash-join build sides; a failing
+/// build scan fails the statement before the probe side is pulled).
+pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>, arity: usize) -> Result<Batch> {
+    let mut build = Batch::new(arity, 1);
     while let Some(b) = scan.next_batch(BATCH_SIZE)? {
-        out.extend(b.into_rows());
+        build.append_live(b);
     }
-    Ok(out)
+    Ok(build)
 }
 
 // ---------------------------------------------------------------------------
@@ -309,37 +387,50 @@ pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>) -> Result<Vec<PipeRow>
 
 /// Join against a materialized build side: hash join on an equi-key
 /// (NULL keys never match, per SQL) or cross product without one.
-/// Matches that overflow `demand` buffer in `pending` and drain on the
-/// next pull.
+/// Joined tuples are written straight into the output arena; when a left
+/// tuple's matches overflow `demand`, the join remembers where it stopped
+/// and resumes there on the next pull.
 pub(crate) struct BatchJoin<'a> {
     left: Box<dyn BatchOp<'a> + 'a>,
-    build: Vec<PipeRow>,
+    /// The build side, every tuple live.
+    build: Batch,
     /// `Some((probe column, build-side hash))` for an equi-join.
     key: Option<(usize, HashMap<Value, Vec<usize>>)>,
-    pending: VecDeque<PipeRow>,
+    /// Every build tuple: what a left tuple matches without a key.
+    all: Vec<usize>,
+    /// The left batch being joined, the position in its `sel` of the
+    /// tuple to resume with, and how many of that tuple's matches have
+    /// been emitted.
+    cur: Option<(Batch, usize, usize)>,
     left_done: bool,
 }
 
 impl<'a> BatchJoin<'a> {
     pub(crate) fn new(
         left: Box<dyn BatchOp<'a> + 'a>,
-        build: Vec<PipeRow>,
+        build: Batch,
         key: Option<(usize, usize)>,
     ) -> Self {
         let key = key.map(|(lcol, rcol)| {
             let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (ri, r) in build.iter().enumerate() {
-                if !r.values[rcol].is_null() {
-                    map.entry(r.values[rcol].clone()).or_default().push(ri);
+            for ri in 0..build.len() {
+                let k = &build.row(ri)[rcol];
+                if !k.is_null() {
+                    map.entry(k.clone()).or_default().push(ri);
                 }
             }
             (lcol, map)
         });
+        let all = match key {
+            Some(_) => Vec::new(),
+            None => (0..build.len()).collect(),
+        };
         BatchJoin {
             left,
             build,
             key,
-            pending: VecDeque::new(),
+            all,
+            cur: None,
             left_done: false,
         }
     }
@@ -348,57 +439,52 @@ impl<'a> BatchJoin<'a> {
 impl<'a> BatchOp<'a> for BatchJoin<'a> {
     fn next_batch(&mut self, demand: usize) -> Result<Option<Batch>> {
         let want = demand.clamp(1, BATCH_SIZE);
-        let mut out: Vec<PipeRow> = Vec::with_capacity(want.min(self.pending.len().max(16)));
-        loop {
-            while out.len() < want {
-                match self.pending.pop_front() {
-                    Some(r) => out.push(r),
-                    None => break,
+        let mut out: Option<Batch> = None;
+        while out.as_ref().map_or(0, Batch::len) < want && !self.left_done {
+            let Some((left, pos, emitted)) = &mut self.cur else {
+                match self.left.next_batch(want)? {
+                    None => self.left_done = true,
+                    Some(b) => self.cur = Some((b, 0, 0)),
                 }
-            }
-            if out.len() >= want || self.left_done {
-                break;
-            }
-            match self.left.next_batch(want)? {
-                None => self.left_done = true,
-                Some(b) => {
-                    for &i in &b.sel {
-                        let l = &b.rows[i];
-                        match &self.key {
-                            Some((lcol, map)) => {
-                                if l.values[*lcol].is_null() {
-                                    continue;
-                                }
-                                if let Some(idxs) = map.get(&l.values[*lcol]) {
-                                    for &ri in idxs {
-                                        let joined = concat_pipe(l, &self.build[ri]);
-                                        if out.len() < want {
-                                            out.push(joined);
-                                        } else {
-                                            self.pending.push_back(joined);
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                for r in &self.build {
-                                    let joined = concat_pipe(l, r);
-                                    if out.len() < want {
-                                        out.push(joined);
-                                    } else {
-                                        self.pending.push_back(joined);
-                                    }
-                                }
-                            }
-                        }
-                    }
+                continue;
+            };
+            let Some(&l) = left.sel.get(*pos) else {
+                self.cur = None;
+                continue;
+            };
+            let out = out.get_or_insert_with(|| {
+                let mut out = Batch::new(
+                    left.arity + self.build.arity,
+                    left.sources + self.build.sources,
+                );
+                // a guess of one match per remaining left tuple
+                let rows = want.min(left.live() - *pos);
+                out.values.reserve(rows * out.arity);
+                out.row_nos.reserve(rows * out.sources);
+                if left.anns.is_some() || self.build.anns.is_some() {
+                    out.anns = Some(Vec::with_capacity(rows * out.arity));
                 }
+                out
+            });
+            let matches: &[usize] = match &self.key {
+                None => &self.all,
+                Some((lcol, map)) => match &left.row(l)[*lcol] {
+                    Value::Null => &[],
+                    k => map.get(k).map_or(&[], Vec::as_slice),
+                },
+            };
+            let room = want - out.len();
+            for &r in matches[*emitted..].iter().take(room) {
+                out.push_joined(left, l, &self.build, r);
+            }
+            if matches.len() - *emitted > room {
+                *emitted += room;
+            } else {
+                *pos += 1;
+                *emitted = 0;
             }
         }
-        if out.is_empty() && self.left_done && self.pending.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(Batch::full(out)))
+        Ok(out)
     }
 }
 
@@ -425,20 +511,7 @@ impl<'a> BatchOp<'a> for BatchFilter<'a> {
         let Some(mut batch) = self.child.next_batch(demand)? else {
             return Ok(None);
         };
-        for conjunct in &self.conjuncts {
-            if batch.sel.is_empty() {
-                break;
-            }
-            let mut kept = Vec::with_capacity(batch.sel.len());
-            for &i in &batch.sel {
-                match eval_compiled(conjunct, &batch.rows[i].values) {
-                    Err(e) => return Err(e),
-                    Ok(v) if !v.is_true() => {}
-                    Ok(_) => kept.push(i),
-                }
-            }
-            batch.sel = kept;
-        }
+        batch.retain_true(&self.conjuncts, &mut 0)?;
         Ok(Some(batch))
     }
 }
@@ -449,7 +522,6 @@ impl<'a> BatchOp<'a> for BatchFilter<'a> {
 pub(crate) struct BatchAttach<'a> {
     child: Box<dyn BatchOp<'a> + 'a>,
     attachers: Vec<SourceAttach<'a>>,
-    total_arity: usize,
     st: Rc<RefCell<ExecStats>>,
 }
 
@@ -457,13 +529,11 @@ impl<'a> BatchAttach<'a> {
     pub(crate) fn new(
         child: Box<dyn BatchOp<'a> + 'a>,
         attachers: Vec<SourceAttach<'a>>,
-        total_arity: usize,
         st: Rc<RefCell<ExecStats>>,
     ) -> Self {
         BatchAttach {
             child,
             attachers,
-            total_arity,
             st,
         }
     }
@@ -474,17 +544,16 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
         let Some(mut batch) = self.child.next_batch(demand)? else {
             return Ok(None);
         };
+        let cells = batch.len() * batch.arity;
+        let mut slots = batch.anns.take().unwrap_or_else(|| vec![Vec::new(); cells]);
         let mut attached = 0u64;
         for &i in &batch.sel {
-            let row = &mut batch.rows[i];
-            if row.anns.is_none() {
-                let mut slots = vec![Vec::new(); self.total_arity];
-                for (si, attacher) in self.attachers.iter_mut().enumerate() {
-                    attached += attacher.attach_into(row.rows[si], &mut slots);
-                }
-                row.anns = Some(slots);
+            let slots = &mut slots[batch.cells(i)];
+            for (attacher, &row_no) in self.attachers.iter_mut().zip(batch.row_nos(i)) {
+                attached += attacher.attach_into(row_no, slots);
             }
         }
+        batch.anns = Some(slots);
         if attached > 0 {
             self.st.borrow_mut().anns_attached += attached;
         }
@@ -493,8 +562,7 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
 }
 
 /// AWHERE: a tuple survives when *some* of its annotations satisfies
-/// the predicate (§3.4).  Runs after attachment, so every live row has
-/// its slots filled.
+/// the predicate (§3.4).
 pub(crate) struct BatchAWhere<'a> {
     child: Box<dyn BatchOp<'a> + 'a>,
     cond: AnnExpr,
@@ -511,12 +579,12 @@ impl<'a> BatchOp<'a> for BatchAWhere<'a> {
         let Some(mut batch) = self.child.next_batch(demand)? else {
             return Ok(None);
         };
-        let cond = &self.cond;
-        let rows = &batch.rows;
-        batch.sel.retain(|&i| match &rows[i].anns {
-            Some(slots) => slots.iter().flatten().any(|a| eval_ann(cond, a)),
-            None => false,
+        let mut sel = std::mem::take(&mut batch.sel);
+        sel.retain(|&i| {
+            let slots = batch.row_anns(i).unwrap_or_default();
+            slots.iter().flatten().any(|a| eval_ann(&self.cond, a))
         });
+        batch.sel = sel;
         Ok(Some(batch))
     }
 }
@@ -561,69 +629,113 @@ impl<'a> BatchOp<'a> for BatchLimit<'a> {
 // Projection
 // ---------------------------------------------------------------------------
 
-/// Project one pipeline row through compiled item expressions, merging
-/// each item's referenced (plus PROMOTEd) columns' annotations (§3.4
-/// projection); `filter` then drops the annotations FILTER rejects.
-fn project_pipe_row(
-    compiled: &[CExpr],
-    item_cols: &[Vec<usize>],
-    filter: Option<&AnnExpr>,
-    row: &PipeRow,
-) -> Result<AnnRow> {
-    let mut values = Vec::with_capacity(compiled.len());
-    for c in compiled {
-        values.push(eval_compiled(c, &row.values)?);
-    }
-    let mut anns = Vec::with_capacity(compiled.len());
-    for cols in item_cols {
-        let mut merged: Vec<AnnRef> = Vec::new();
-        if let Some(slots) = &row.anns {
-            for &c in cols {
-                for a in &slots[c] {
-                    if !merged.iter().any(|x| x.identity() == a.identity()) {
-                        merged.push(a.clone());
-                    }
-                }
-            }
-        }
-        if let Some(cond) = filter {
-            merged.retain(|a| eval_ann(cond, a));
-        }
-        anns.push(merged);
-    }
-    Ok(AnnRow { values, anns })
+/// The compiled SELECT list, and the one stage allowed to take values
+/// *out* of a batch: it is handed every batch by value, nothing reads a
+/// tuple after it, and the spent arena is dropped whole.
+pub(crate) struct Projection {
+    compiled: Vec<CExpr>,
+    /// Per item, the columns whose annotations it carries (referenced
+    /// plus PROMOTEd, §3.4).
+    item_cols: Vec<Vec<usize>>,
+    /// Per item, `Some(k)` when the item is the bare column `k` and no
+    /// later item reads `k`: the value is moved, not cloned.  Items are
+    /// evaluated in list order, so only the *last* reader of a column may
+    /// take it — `SELECT PID, PID` clones for the first and moves for the
+    /// second.
+    moved: Vec<Option<usize>>,
+    /// FILTER: drops the annotations it rejects from every output cell.
+    filter: Option<AnnExpr>,
 }
 
-/// Project a batch's live rows into `out`.  On error, rows projected
-/// before the failing one remain in `out`.
-pub(crate) fn project_batch_into(
-    compiled: &[CExpr],
-    item_cols: &[Vec<usize>],
-    batch: &Batch,
-    filter: Option<&AnnExpr>,
-    out: &mut Vec<AnnRow>,
-) -> Result<()> {
-    for &i in &batch.sel {
-        out.push(project_pipe_row(
+impl Projection {
+    /// Compile `items` against `bindings`; fails when an item's
+    /// annotation columns do not resolve.
+    pub(crate) fn new(
+        items: &[SelectItem],
+        bindings: &[ColBinding],
+        filter: Option<AnnExpr>,
+    ) -> Result<Projection> {
+        let item_cols: Vec<Vec<usize>> = items
+            .iter()
+            .map(|i| item_ann_columns(i, bindings))
+            .collect::<Result<_>>()?;
+        let compiled: Vec<CExpr> = items.iter().map(|i| compile(&i.expr, bindings)).collect();
+        // an item's annotation columns include every column it reads
+        let moved = compiled
+            .iter()
+            .enumerate()
+            .map(|(j, c)| match c {
+                CExpr::Column(k) if !item_cols[j + 1..].iter().any(|cols| cols.contains(k)) => {
+                    Some(*k)
+                }
+                _ => None,
+            })
+            .collect();
+        Ok(Projection {
             compiled,
             item_cols,
+            moved,
             filter,
-            &batch.rows[i],
-        )?);
+        })
     }
-    Ok(())
+
+    /// Project tuple `i` of `batch`, merging each item's columns'
+    /// annotations (§3.4 projection).  The tuple is spent afterwards.
+    fn project_row(&self, batch: &mut Batch, i: usize) -> Result<AnnRow> {
+        let cells = batch.cells(i);
+        let mut values = Vec::with_capacity(self.compiled.len());
+        for (c, moved) in self.compiled.iter().zip(&self.moved) {
+            values.push(match moved {
+                Some(k) => std::mem::take(&mut batch.values[cells.start + k]),
+                None => eval_compiled(c, &batch.values[cells.clone()])?,
+            });
+        }
+        let slots = batch.row_anns(i);
+        let mut anns = Vec::with_capacity(self.compiled.len());
+        for cols in &self.item_cols {
+            let mut merged: Vec<AnnRef> = Vec::new();
+            for a in cols.iter().flat_map(|&c| slots.map_or(&[][..], |s| &s[c])) {
+                if !merged.iter().any(|x| x.identity() == a.identity()) {
+                    merged.push(a.clone());
+                }
+            }
+            if let Some(cond) = &self.filter {
+                merged.retain(|a| eval_ann(cond, a));
+            }
+            anns.push(merged);
+        }
+        Ok(AnnRow { values, anns })
+    }
+
+    /// Project a batch's live tuples, in order; the batch is spent.
+    fn project(&self, mut batch: Batch) -> impl Iterator<Item = Result<AnnRow>> + '_ {
+        let sel = std::mem::take(&mut batch.sel);
+        sel.into_iter()
+            .map(move |i| self.project_row(&mut batch, i))
+    }
+
+    /// Project a batch's live tuples into `out`.  On error, rows
+    /// projected before the failing one remain in `out`.
+    pub(crate) fn project_into(&self, batch: Batch, out: &mut Vec<AnnRow>) -> Result<()> {
+        for row in self.project(batch) {
+            out.push(row?);
+        }
+        Ok(())
+    }
 }
 
-/// Drain an operator tree into materialized [`AnnRow`]s (for the
-/// grouped output stage that needs whole groups in hand).
-pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Result<Vec<AnnRow>> {
+/// Drain an operator tree into materialized, un-projected [`AnnRow`]s
+/// (for the grouped output stage that needs whole groups in hand).
+pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>) -> Result<Vec<AnnRow>> {
     let mut out = Vec::new();
-    while let Some(b) = op.next_batch(BATCH_SIZE)? {
-        for row in b.into_rows() {
-            let anns = row.anns.unwrap_or_else(|| vec![Vec::new(); total_arity]);
+    while let Some(mut b) = op.next_batch(BATCH_SIZE)? {
+        let cells = b.len() * b.arity;
+        let mut anns = b.anns.take().unwrap_or_else(|| vec![Vec::new(); cells]);
+        for &i in &b.sel {
+            let cells = b.cells(i);
             out.push(AnnRow {
-                values: row.values,
-                anns,
+                values: take_cells(&mut b.values[cells.clone()]),
+                anns: take_cells(&mut anns[cells]),
             });
         }
     }
@@ -643,25 +755,16 @@ pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>, total_arity: usize) -> Re
 /// failing one are still handed out first.
 pub(crate) struct BatchCursorStream<'a> {
     op: Box<dyn BatchOp<'a> + 'a>,
-    compiled: Vec<CExpr>,
-    item_cols: Vec<Vec<usize>>,
-    filter: Option<AnnExpr>,
+    projection: Projection,
     buf: VecDeque<Result<AnnRow>>,
     done: bool,
 }
 
 impl<'a> BatchCursorStream<'a> {
-    pub(crate) fn new(
-        op: Box<dyn BatchOp<'a> + 'a>,
-        compiled: Vec<CExpr>,
-        item_cols: Vec<Vec<usize>>,
-        filter: Option<AnnExpr>,
-    ) -> Self {
+    pub(crate) fn new(op: Box<dyn BatchOp<'a> + 'a>, projection: Projection) -> Self {
         BatchCursorStream {
             op,
-            compiled,
-            item_cols,
-            filter,
+            projection,
             buf: VecDeque::new(),
             done: false,
         }
@@ -688,16 +791,7 @@ impl Iterator for BatchCursorStream<'_> {
                     self.done = true;
                     return None;
                 }
-                Ok(Some(b)) => {
-                    for &i in &b.sel {
-                        self.buf.push_back(project_pipe_row(
-                            &self.compiled,
-                            &self.item_cols,
-                            self.filter.as_ref(),
-                            &b.rows[i],
-                        ));
-                    }
-                }
+                Ok(Some(b)) => self.buf.extend(self.projection.project(b)),
             }
         }
     }
@@ -883,26 +977,22 @@ impl BatchAggregator {
     /// Fold a batch's live rows into the groups.
     pub(crate) fn consume(&mut self, batch: &Batch) {
         for &i in &batch.sel {
-            let row = &batch.rows[i];
+            let row = batch.row(i);
             let g = if self.group_by_empty {
                 // global aggregates: one group, no per-row key hashing
                 if self.groups.is_empty() {
-                    let group = self.new_group(&row.values);
+                    let group = self.new_group(row);
                     self.groups.push(group);
                 }
                 0
             } else {
-                let key: Vec<Value> = self
-                    .key_idxs
-                    .iter()
-                    .map(|&k| row.values[k].clone())
-                    .collect();
+                let key: Vec<Value> = self.key_idxs.iter().map(|&k| row[k].clone()).collect();
                 match self.index.get(&key) {
                     Some(&g) => g,
                     None => {
                         let g = self.groups.len();
                         self.index.insert(key, g);
-                        let group = self.new_group(&row.values);
+                        let group = self.new_group(row);
                         self.groups.push(group);
                         g
                     }
@@ -916,7 +1006,7 @@ impl BatchAggregator {
                     }
                     let v = match arg {
                         None => Value::Int(1),
-                        Some(c) => match eval_compiled(c, &row.values) {
+                        Some(c) => match eval_compiled(c, row) {
                             Ok(v) => v,
                             Err(e) => {
                                 acc.err = Some(e);
@@ -930,7 +1020,7 @@ impl BatchAggregator {
                 }
             }
             // annotation union across the group, per item (§3.4)
-            if let Some(slots) = &row.anns {
+            if let Some(slots) = batch.row_anns(i) {
                 for (cols, merged) in self.item_cols.iter().zip(group.anns.iter_mut()) {
                     let Ok(cols) = cols else { continue };
                     for &c in cols {
@@ -1043,5 +1133,232 @@ impl<'a> BatchOp<'a> for BatchProfiler<'a> {
             p.rows += b.live() as u64;
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scan-shaped batch (one source) of `arity`-wide tuples numbered
+    /// from 0, every tuple live.
+    fn batch(arity: usize, rows: &[&[Value]]) -> Batch {
+        let mut b = Batch::new(arity, 1);
+        for (no, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), arity);
+            b.row_nos.push(no as u64);
+            b.values.extend_from_slice(row);
+        }
+        b.select_all();
+        b
+    }
+
+    /// Hands out prepared batches, whatever the demand.
+    struct Feed(VecDeque<Batch>);
+
+    impl<'a> BatchOp<'a> for Feed {
+        fn next_batch(&mut self, _demand: usize) -> Result<Option<Batch>> {
+            Ok(self.0.pop_front())
+        }
+    }
+
+    fn feed<'a>(batches: Vec<Batch>) -> Box<dyn BatchOp<'a> + 'a> {
+        Box::new(Feed(batches.into()))
+    }
+
+    fn column(name: &str) -> SelectItem {
+        SelectItem {
+            expr: Expr::Column(None, name.to_string()),
+            alias: None,
+            promote: Vec::new(),
+        }
+    }
+
+    fn bindings(names: &[&str]) -> Vec<ColBinding> {
+        names.iter().map(|n| ColBinding::new(None, n)).collect()
+    }
+
+    fn ann(id: u64) -> AnnRef {
+        Rc::new(crate::result::AnnOut {
+            source_table: "T".into(),
+            ann_table: "A".into(),
+            id,
+            raw: String::new(),
+            body: crate::xml::XmlNode::leaf("Annotation", "a"),
+            created: 0,
+        })
+    }
+
+    #[test]
+    fn row_views_at_arity_0_1_and_n() {
+        let none = batch(0, &[&[], &[]]);
+        assert_eq!((none.len(), none.live()), (2, 2));
+        assert_eq!(none.row(1), &[] as &[Value]);
+        let one = batch(1, &[&[Value::Int(4)], &[Value::Int(5)]]);
+        assert_eq!(one.row(1), [Value::Int(5)]);
+        let wide = batch(
+            3,
+            &[
+                &[Value::Int(1), "a".into(), Value::Null],
+                &[Value::Int(2), "b".into(), Value::Bool(true)],
+            ],
+        );
+        assert_eq!(wide.row(0), [Value::Int(1), "a".into(), Value::Null]);
+        assert_eq!(wide.row(1), [Value::Int(2), "b".into(), Value::Bool(true)]);
+        assert!(wide.row_anns(1).is_none(), "no slots until attached");
+    }
+
+    #[test]
+    fn join_output_has_the_strides_of_both_sides() {
+        // left: two sources already joined (arity 2), tuple 1 dead
+        let mut left = Batch::new(2, 2);
+        for (nos, key) in [([10, 20], 1), ([11, 21], 2), ([12, 22], 2)] {
+            left.row_nos.extend_from_slice(&nos);
+            left.values.extend([Value::Int(key), Value::Null]);
+        }
+        left.sel = vec![0, 2];
+        left.anns = Some(vec![Vec::new(); 6]);
+        left.anns.as_mut().unwrap()[4].push(ann(7));
+        // build: key 2 twice, key NULL once (never matches)
+        let mut build = batch(
+            1,
+            &[
+                &[Value::Int(2)],
+                &[Value::Null],
+                &[Value::Int(2)],
+                &[Value::Int(9)],
+            ],
+        );
+        build.row_nos = vec![100, 101, 102, 103];
+        let mut join = BatchJoin::new(feed(vec![left]), build, Some((0, 0)));
+        // demand 1: the second match of the same left tuple comes on the
+        // next pull
+        let first = join.next_batch(1).unwrap().unwrap();
+        assert_eq!((first.arity, first.sources, first.len()), (3, 3, 1));
+        assert_eq!(first.row(0), [Value::Int(2), Value::Null, Value::Int(2)]);
+        assert_eq!(first.row_nos, [12, 22, 100]);
+        let rest = join.next_batch(BATCH_SIZE).unwrap().unwrap();
+        assert_eq!(rest.row_nos, [12, 22, 102], "resumed at the second match");
+        assert_eq!(rest.sel, [0]);
+        // the unannotated build side gets empty slots, the left keeps its own
+        let slots = rest.row_anns(0).unwrap();
+        assert_eq!(slots.len(), 3);
+        assert_eq!(slots[0][0].id, 7);
+        assert!(slots[1].is_empty() && slots[2].is_empty());
+        assert!(join.next_batch(BATCH_SIZE).unwrap().is_none());
+    }
+
+    #[test]
+    fn cross_join_resumes_inside_a_left_tuple() {
+        let left = batch(1, &[&[Value::Int(1)], &[Value::Int(2)]]);
+        let build = batch(1, &[&["a".into()], &["b".into()], &["c".into()]]);
+        let mut join = BatchJoin::new(feed(vec![left]), build, None);
+        let mut pairs = Vec::new();
+        while let Some(b) = join.next_batch(2).unwrap() {
+            assert!(b.len() <= 2, "never more than the demand");
+            pairs.extend(b.sel.iter().map(|&i| format!("{:?}", b.row(i))));
+        }
+        assert_eq!(pairs.len(), 6);
+        assert_eq!(pairs[2], r#"[Int(1), Text("c")]"#);
+        assert_eq!(pairs[3], r#"[Int(2), Text("a")]"#);
+    }
+
+    #[test]
+    fn dead_tuples_are_never_read() {
+        // tuple 1 is dead and poisoned: any expression over it fails
+        let poisoned = || {
+            let mut b = batch(
+                2,
+                &[
+                    &[Value::Int(1), "x".into()],
+                    &["poison".into(), "y".into()],
+                    &[Value::Int(3), "z".into()],
+                ],
+            );
+            b.sel = vec![0, 2];
+            b
+        };
+        let names = bindings(&["a", "b"]);
+        let plus_one = Expr::Binary(
+            Box::new(Expr::Column(None, "a".into())),
+            crate::ast::BinaryOp::Add,
+            Box::new(Expr::Literal(Value::Int(1))),
+        );
+        let positive = Expr::Binary(
+            Box::new(plus_one.clone()),
+            crate::ast::BinaryOp::Gt,
+            Box::new(Expr::Literal(Value::Int(0))),
+        );
+        let conjunct = compile(&positive, &names);
+        assert!(eval_compiled(&conjunct, poisoned().row(1)).is_err());
+        // filter
+        let mut filter = BatchFilter::new(feed(vec![poisoned()]), vec![conjunct]);
+        assert_eq!(filter.next_batch(BATCH_SIZE).unwrap().unwrap().sel, [0, 2]);
+        // projection
+        let items = [
+            SelectItem {
+                expr: plus_one,
+                ..column("a")
+            },
+            column("b"),
+        ];
+        let mut out = Vec::new();
+        Projection::new(&items, &names, None)
+            .unwrap()
+            .project_into(poisoned(), &mut out)
+            .unwrap();
+        let values: Vec<_> = out.into_iter().map(|r| r.values).collect();
+        assert_eq!(
+            values,
+            [[Value::Int(2), "x".into()], [Value::Int(4), "z".into()]]
+        );
+        // build-side compaction and the grouped-output drain
+        let mut build = Batch::new(2, 1);
+        build.append_live(poisoned());
+        build.append_live(batch(2, &[&[Value::Int(5), "w".into()]]));
+        assert_eq!((build.len(), build.row_nos.clone()), (3, vec![0, 2, 0]));
+        assert_eq!(build.row(1), [Value::Int(3), "z".into()]);
+        assert_eq!(build.row(2), [Value::Int(5), "w".into()]);
+        let rows = drain_rows(&mut Feed(vec![poisoned()].into())).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].values, [Value::Int(3), "z".into()]);
+        assert_eq!(rows[1].anns, [vec![], vec![]]);
+    }
+
+    #[test]
+    fn projection_moves_a_column_on_its_last_use_only() {
+        let names = bindings(&["a", "b"]);
+        let p = Projection::new(&[column("a"), column("b"), column("a")], &names, None).unwrap();
+        assert_eq!(p.moved, [None, Some(1), Some(0)]);
+        // PROMOTE reads annotations only, but is counted as a reader
+        let promoting = SelectItem {
+            promote: vec![(None, "a".to_string())],
+            ..column("b")
+        };
+        let p = Projection::new(&[column("a"), promoting], &names, None).unwrap();
+        assert_eq!(p.moved, [None, Some(1)]);
+
+        let p = Projection::new(&[column("a"), column("a")], &names, None).unwrap();
+        let mut b = batch(2, &[&["long text".into(), Value::Int(1)]]);
+        let row = p.project_row(&mut b, 0).unwrap();
+        assert_eq!(row.values, ["long text".into(), "long text".into()]);
+        assert_eq!(b.row(0), [Value::Null, Value::Int(1)], "taken, not cloned");
+    }
+
+    #[test]
+    fn index_only_tuples_are_null_but_for_the_key() {
+        let st = Rc::new(RefCell::new(ExecStats::default()));
+        let entries = vec![(3, Value::Int(30)), (8, Value::Int(80))];
+        let base = ScanBase::Keys {
+            column: 1,
+            entries: entries.into_iter(),
+        };
+        let mut scan = BatchScan::new(base, Vec::new(), None, 3, st.clone());
+        let b = scan.next_batch(BATCH_SIZE).unwrap().unwrap();
+        assert_eq!(b.row_nos, [3, 8]);
+        assert_eq!(b.row(0), [Value::Null, Value::Int(30), Value::Null]);
+        assert_eq!(b.row(1), [Value::Null, Value::Int(80), Value::Null]);
+        assert_eq!(st.borrow().rows_fetched, 2);
+        assert!(scan.next_batch(BATCH_SIZE).unwrap().is_none());
     }
 }

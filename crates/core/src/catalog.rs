@@ -65,8 +65,12 @@ impl TableIndex {
         let mut rows = Vec::new();
         self.tree
             .visit_bounds(lo, hi, |_, &row_no| rows.push(row_no));
-        rows.sort_unstable();
-        rows.dedup();
+        // an equality or narrow range probe over rows inserted in order
+        // comes back strictly ascending already
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
+            rows.sort_unstable();
+            rows.dedup();
+        }
         rows
     }
 
@@ -454,42 +458,39 @@ impl Table {
         buf
     }
 
-    fn decode_row(buf: &[u8], arity: usize) -> Result<(u64, Vec<Value>)> {
+    /// Decode one record, appending exactly `arity` values to `out`, and
+    /// return its row number.  With `keep` (ascending) only those columns
+    /// are decoded; every other slot is NULL and its encoding merely
+    /// skipped — TEXT payloads are never copied or validated — and once
+    /// `keep` is exhausted the rest of the record is not even walked.  On
+    /// error `out` may hold part of the row.
+    fn decode_row_into(
+        buf: &[u8],
+        arity: usize,
+        keep: Option<&[usize]>,
+        out: &mut Vec<Value>,
+    ) -> Result<u64> {
         if buf.len() < 8 {
             return Err(BdbmsError::storage("row record too short"));
         }
         let row_no = u64::from_le_bytes(buf[..8].try_into().unwrap());
         let mut pos = 8;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(Value::decode(buf, &mut pos)?);
-        }
-        Ok((row_no, values))
-    }
-
-    /// Decode only the columns in `keep` (ascending); every other slot is
-    /// filled with NULL and its encoding merely skipped — TEXT payloads
-    /// are never copied or validated.  Once `keep` is exhausted the rest
-    /// of the record is not even walked.
-    fn decode_row_pruned(buf: &[u8], arity: usize, keep: &[usize]) -> Result<(u64, Vec<Value>)> {
-        if buf.len() < 8 {
-            return Err(BdbmsError::storage("row record too short"));
-        }
-        let row_no = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let mut pos = 8;
-        let mut values = vec![Value::Null; arity];
-        let mut next = keep.iter().peekable();
-        for (col, slot) in values.iter_mut().enumerate() {
-            match next.peek() {
-                None => break,
-                Some(&&k) if k == col => {
-                    next.next();
-                    *slot = Value::decode(buf, &mut pos)?;
-                }
-                Some(_) => Value::skip(buf, &mut pos)?,
+        let start = out.len();
+        let Some(keep) = keep else {
+            for _ in 0..arity {
+                out.push(Value::decode(buf, &mut pos)?);
             }
+            return Ok(row_no);
+        };
+        for &k in keep {
+            while out.len() - start < k {
+                Value::skip(buf, &mut pos)?;
+                out.push(Value::Null);
+            }
+            out.push(Value::decode(buf, &mut pos)?);
         }
-        Ok((row_no, values))
+        out.resize(start + arity, Value::Null);
+        Ok(row_no)
     }
 
     /// Insert a row (validated/coerced against the schema); returns its
@@ -538,7 +539,9 @@ impl Table {
             .get(&row_no)
             .ok_or_else(|| BdbmsError::not_found(format!("row {row_no} in {}", self.name)))?;
         let buf = self.heap.get(rid)?;
-        let (no, values) = Self::decode_row(&buf, self.schema.arity())?;
+        let arity = self.schema.arity();
+        let mut values = Vec::with_capacity(arity);
+        let no = Self::decode_row_into(&buf, arity, None, &mut values)?;
         debug_assert_eq!(no, row_no);
         Ok(values)
     }
@@ -648,21 +651,24 @@ impl Table {
     }
 
     /// Vectorized scan step for the batch executor: decode up to `want`
-    /// rows with row numbers `>= from` into `out`, materializing only
-    /// the columns in `keep` (source-local, ascending; `None` = all).
-    /// Skipped slots are filled with NULL — the caller's plan must prove
-    /// them unread, the same contract index-only scans rely on.  Records
-    /// are decoded in place in the buffer pool, one page pin per run of
-    /// same-page rows (no per-row record copy, pool lock, or LRU
-    /// bookkeeping).  Returns the row number to resume from, or `None`
-    /// when the table is exhausted.  On error, rows decoded before the
-    /// failure remain in `out`.
+    /// rows with row numbers `>= from`, appending each row's number to
+    /// `row_nos` and its `arity` values to the row-major arena `values`,
+    /// materializing only the columns in `keep` (source-local, ascending;
+    /// `None` = all).  Skipped slots are filled with NULL — the caller's
+    /// plan must prove them unread, the same contract index-only scans
+    /// rely on.  Records are decoded in place in the buffer pool, one page
+    /// pin per run of same-page rows (no per-row record copy, pool lock,
+    /// LRU bookkeeping or allocation beyond the TEXT payloads).  Returns
+    /// the row number to resume from, or `None` when the table is
+    /// exhausted.  On error `row_nos` lists the rows decoded before the
+    /// failure; `values` may end in part of the failing one.
     pub(crate) fn scan_chunk(
         &self,
         from: u64,
         want: usize,
         keep: Option<&[usize]>,
-        out: &mut Vec<(u64, Vec<Value>)>,
+        row_nos: &mut Vec<u64>,
+        values: &mut Vec<Value>,
     ) -> Result<Option<u64>> {
         let mut nos: Vec<u64> = Vec::with_capacity(want);
         let mut rids: Vec<Rid> = Vec::with_capacity(want);
@@ -675,55 +681,61 @@ impl Table {
             nos.push(no);
             rids.push(rid);
         }
-        self.decode_records(&nos, &rids, keep, out)?;
+        self.decode_records(&nos, &rids, keep, row_nos, values)?;
         Ok(resume)
     }
 
     /// The fetch primitive of index and sequence-index probes: decode the
-    /// rows numbered `row_nos` (ascending, as every probe returns them)
-    /// into `out`, in list order, with [`scan_chunk`](Self::scan_chunk)'s
-    /// decode path and `keep` contract — so a candidate list costs one
-    /// page pin per run of same-page rows instead of a row-map lookup, a
-    /// pool lock, a record copy and a full decode per row.  A row number
-    /// that is not live is `NotFound` (an index out of step with the
-    /// heap) and nothing is decoded; on a later error, rows decoded
-    /// before the failure remain in `out`.
+    /// rows numbered `nos` (ascending, as every probe returns them), in
+    /// list order, into the same arenas and with the same decode path and
+    /// `keep` contract as [`scan_chunk`](Self::scan_chunk) — so a
+    /// candidate list costs one page pin per run of same-page rows
+    /// instead of a pool lock, a record copy and a full decode per row.
+    /// The row map is walked by successor: a candidate that directly
+    /// follows the previous one is an iterator step, and only a gap costs
+    /// a fresh descent.  A row number that is not live is `NotFound` (an
+    /// index out of step with the heap) and nothing is decoded; on a
+    /// later error, the rows decoded before the failure remain.
     pub(crate) fn fetch_rows(
         &self,
-        row_nos: &[u64],
+        nos: &[u64],
         keep: Option<&[usize]>,
-        out: &mut Vec<(u64, Vec<Value>)>,
+        row_nos: &mut Vec<u64>,
+        values: &mut Vec<Value>,
     ) -> Result<()> {
-        let rids = row_nos
-            .iter()
-            .map(|no| {
-                self.rows
-                    .get(no)
-                    .copied()
-                    .ok_or_else(|| BdbmsError::not_found(format!("row {no} in {}", self.name)))
-            })
-            .collect::<Result<Vec<Rid>>>()?;
-        self.decode_records(row_nos, &rids, keep, out)
+        let mut rids: Vec<Rid> = Vec::with_capacity(nos.len());
+        let mut successors = self.rows.range(nos.first().copied().unwrap_or(0)..);
+        for &no in nos {
+            let mut entry = successors.next();
+            if entry.map(|(&k, _)| k) != Some(no) {
+                successors = self.rows.range(no..);
+                entry = successors.next().filter(|(&k, _)| k == no);
+            }
+            match entry {
+                Some((_, &rid)) => rids.push(rid),
+                None => return Err(BdbmsError::not_found(format!("row {no} in {}", self.name))),
+            }
+        }
+        self.decode_records(nos, &rids, keep, row_nos, values)
     }
 
-    /// Decode the records at `rids` (row `nos[k]` lives at `rids[k]`) into
-    /// `out`, pruned to `keep`.
+    /// Decode the records at `rids` (row `nos[k]` lives at `rids[k]`),
+    /// pruned to `keep`, appending to the `(row_nos, values)` arenas.
     fn decode_records(
         &self,
         nos: &[u64],
         rids: &[Rid],
         keep: Option<&[usize]>,
-        out: &mut Vec<(u64, Vec<Value>)>,
+        row_nos: &mut Vec<u64>,
+        values: &mut Vec<Value>,
     ) -> Result<()> {
         let arity = self.schema.arity();
-        out.reserve(rids.len());
+        row_nos.reserve(rids.len());
+        values.reserve(rids.len() * arity);
         self.heap.with_records(rids, |k, buf| {
-            let (decoded_no, values) = match keep {
-                None => Self::decode_row(buf, arity),
-                Some(cols) => Self::decode_row_pruned(buf, arity, cols),
-            }?;
+            let decoded_no = Self::decode_row_into(buf, arity, keep, values)?;
             debug_assert_eq!(decoded_no, nos[k]);
-            out.push((nos[k], values));
+            row_nos.push(nos[k]);
             Ok(())
         })
     }
@@ -773,13 +785,17 @@ impl Table {
                 })
             })
             .collect();
-        let mut chunk = Vec::with_capacity(BATCH_SIZE);
+        let arity = self.schema.arity();
+        let (mut row_nos, mut arena) = (Vec::new(), Vec::new());
         let mut next = Some(0);
         while let Some(from) = next {
-            next = self.scan_chunk(from, BATCH_SIZE, keep.as_deref(), &mut chunk)?;
-            for (row_no, values) in chunk.drain(..) {
+            row_nos.clear();
+            arena.clear();
+            next = self.scan_chunk(from, BATCH_SIZE, keep.as_deref(), &mut row_nos, &mut arena)?;
+            for (k, &row_no) in row_nos.iter().enumerate() {
+                let values = &arena[k * arity..(k + 1) * arity];
                 if let Some(stats) = stats.as_deref_mut() {
-                    stats.observe_row(&values);
+                    stats.observe_row(values);
                 }
                 let fresh = row_no >= first_row;
                 for idx in indexes.iter_mut().filter(|_| fresh) {
@@ -1429,6 +1445,25 @@ mod tests {
     }
 
     #[test]
+    fn index_probe_comes_back_in_row_order() {
+        let mut t =
+            Table::create("N", Schema::of(&[("a", DataType::Int)]), "admin", pool()).unwrap();
+        // keys descend as row numbers ascend, with one repeated key
+        for a in [9, 7, 7, 5, 3] {
+            t.insert(vec![Value::Int(a)]).unwrap();
+        }
+        t.create_index("a_idx", "a").unwrap();
+        let idx = t.index_named("a_idx").unwrap();
+        let (lo, hi) = (Value::Int(4), Value::Int(8));
+        let range = idx.probe(Bound::Included(&lo), Bound::Included(&hi));
+        assert_eq!(range, vec![1, 2, 3], "tree order 3, 1, 2 is re-sorted");
+        let all = idx.probe(Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        let eq = idx.probe(Bound::Included(&hi), Bound::Excluded(&hi));
+        assert_eq!(eq, Vec::<u64>::new());
+    }
+
+    #[test]
     fn seq_index_stays_consistent_across_dml() {
         let mut t = gene_table();
         t.insert(vec!["JW0001".into(), "a".into(), "ATGCATGC".into()])
@@ -1545,9 +1580,13 @@ mod tests {
                 .unwrap();
         }
         t.delete(5).unwrap();
+        // the arenas, read back as `(row_no, values)` pairs
         let fetch = |nos: &[u64], keep: Option<&[usize]>| {
-            let mut out = Vec::new();
-            t.fetch_rows(nos, keep, &mut out).map(|()| out)
+            let (mut row_nos, mut values) = (Vec::new(), Vec::new());
+            t.fetch_rows(nos, keep, &mut row_nos, &mut values)?;
+            assert_eq!(values.len(), row_nos.len() * 3, "stride = arity");
+            let rows = values.chunks(3).map(<[Value]>::to_vec);
+            Ok::<_, BdbmsError>(row_nos.into_iter().zip(rows).collect::<Vec<_>>())
         };
         let by_get = |nos: &[u64]| -> Vec<(u64, Vec<Value>)> {
             nos.iter().map(|&no| (no, t.get(no).unwrap())).collect()
@@ -1560,6 +1599,9 @@ mod tests {
         // rows on non-adjacent pages come back in list order
         let spread = [0, 9, 17, 18, 30, 39];
         assert_eq!(fetch(&spread, None).unwrap(), by_get(&spread));
+        // the successor walk re-seeks on every gap, also a backward one
+        let zigzag = [30, 31, 2, 3, 4, 6, 39, 0];
+        assert_eq!(fetch(&zigzag, None).unwrap(), by_get(&zigzag));
         // pruned slots are NULL, kept ones are decoded — also past the
         // long column, and on the multi-fragment record
         let pruned = fetch(&spread, Some(&[0])).unwrap();
@@ -1573,10 +1615,12 @@ mod tests {
         // a row that is not live (deleted, or never allocated) is
         // NotFound and nothing is decoded
         for bad in [5, 40] {
-            let mut out = Vec::new();
-            let err = t.fetch_rows(&[4, bad, 6], None, &mut out).unwrap_err();
+            let (mut row_nos, mut values) = (Vec::new(), Vec::new());
+            let err = t
+                .fetch_rows(&[4, bad, 6], None, &mut row_nos, &mut values)
+                .unwrap_err();
             assert_eq!(err.code(), bdbms_common::ErrorCode::NotFound, "row {bad}");
-            assert!(out.is_empty());
+            assert!(row_nos.is_empty() && values.is_empty());
         }
     }
 

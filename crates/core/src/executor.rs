@@ -267,15 +267,6 @@ pub(crate) struct Source<'a> {
     pub(crate) arity: usize,
 }
 
-/// A tuple flowing through the pipeline before annotation attachment.
-pub(crate) struct PipeRow {
-    pub(crate) values: Vec<Value>,
-    /// Originating row number per source, in FROM order.
-    pub(crate) rows: Vec<u64>,
-    /// Annotations, already attached in eager mode (`None` while lazy).
-    pub(crate) anns: Option<Vec<Vec<AnnRef>>>,
-}
-
 /// Attaches one source's annotations (named sets + synthetic `outdated`)
 /// to tuples, sharing one `Rc` per distinct annotation via a cache —
 /// exactly the old scan-time semantics, applied to whichever columns the
@@ -478,22 +469,6 @@ fn find_equi_key(
         }
     }
     None
-}
-
-pub(crate) fn concat_pipe(left: &PipeRow, right: &PipeRow) -> PipeRow {
-    let mut values = left.values.clone();
-    values.extend(right.values.iter().cloned());
-    let mut rows = left.rows.clone();
-    rows.extend(right.rows.iter().copied());
-    let anns = match (&left.anns, &right.anns) {
-        (Some(a), Some(b)) => {
-            let mut merged = a.clone();
-            merged.extend(b.iter().cloned());
-            Some(merged)
-        }
-        _ => None,
-    };
-    PipeRow { values, rows, anns }
 }
 
 /// Does the expression tree contain an aggregate?
@@ -1336,7 +1311,6 @@ pub(crate) struct PlannedSelect<'a> {
     plan_sites: Vec<ConjunctSite>,
     /// Probe forced by a replayed plan, per source in execution order.
     forced: Vec<Option<ProbeChoice>>,
-    total_arity: usize,
     catalog_id: u64,
     generation: u64,
 }
@@ -1573,7 +1547,6 @@ fn plan_simple_select<'a>(
         order,
         plan_sites,
         forced,
-        total_arity,
         catalog_id: catalog.instance_id(),
         generation: catalog.generation(),
     })
@@ -1637,7 +1610,6 @@ fn assemble_batch_pipeline<'a>(
         order,
         plan_sites,
         forced,
-        total_arity,
         catalog_id,
         generation,
     } = p;
@@ -1681,8 +1653,9 @@ fn assemble_batch_pipeline<'a>(
                 let build = match prof.as_deref_mut() {
                     Some(pr) => batch::drain_build(
                         pr.wrap(Box::new(scan), format!("Scan {} (build)", src.table.name)),
+                        src.arity,
                     )?,
-                    None => batch::drain_build(scan)?,
+                    None => batch::drain_build(scan, src.arity)?,
                 };
                 let acc_bindings = &bindings[..src.offset];
                 let next_bindings = &bindings[src.offset..src.offset + src.arity];
@@ -1726,12 +1699,7 @@ fn assemble_batch_pipeline<'a>(
         if attachers.iter().any(|a| !a.is_noop()) {
             op = maybe_profile(
                 &mut prof,
-                Box::new(batch::BatchAttach::new(
-                    op,
-                    attachers,
-                    total_arity,
-                    st.clone(),
-                )),
+                Box::new(batch::BatchAttach::new(op, attachers, st.clone())),
                 "Attach Annotations",
             );
         }
@@ -1925,7 +1893,6 @@ fn run_simple_select_batch(
         items,
         plan: _,
     } = assemble_batch_pipeline(planned, st.clone(), prof)?;
-    let total_arity = bindings.len();
     // pipeline errors surface before projection errors: every consumer
     // below drains the operator tree before touching items
     let items = match items {
@@ -1948,7 +1915,7 @@ fn run_simple_select_batch(
             None => {
                 // HAVING/AHAVING, computed aggregates, or unresolvable
                 // keys: materialize and group the rows
-                let rows = batch::drain_rows(op.as_mut(), total_arity)?;
+                let rows = batch::drain_rows(op.as_mut())?;
                 aggregate_rows(sel, &items, &bindings, rows)?
             }
         }
@@ -1965,17 +1932,10 @@ fn run_simple_select_batch(
         while let Some(b) = op.next_batch(BATCH_SIZE)? {
             batches.push(b);
         }
-        let item_cols: Vec<Vec<usize>> = items
-            .iter()
-            .map(|i| item_ann_columns(i, &bindings))
-            .collect::<Result<_>>()?;
-        let compiled: Vec<crate::expr::CExpr> = items
-            .iter()
-            .map(|i| crate::expr::compile(&i.expr, &bindings))
-            .collect();
+        let projection = batch::Projection::new(&items, &bindings, None)?;
         let mut out = Vec::with_capacity(batches.iter().map(|b| b.live()).sum());
-        for b in &batches {
-            batch::project_batch_into(&compiled, &item_cols, b, None, &mut out)?;
+        for b in batches {
+            projection.project_into(b, &mut out)?;
         }
         out
     };
@@ -2063,17 +2023,10 @@ pub fn open_select_cursor<'a>(
         let built = assemble_batch_pipeline(planned, st.clone(), None)?;
         let items = built.items?;
         let columns: Vec<String> = items.iter().map(item_name).collect();
-        let item_cols: Vec<Vec<usize>> = items
-            .iter()
-            .map(|i| item_ann_columns(i, &built.bindings))
-            .collect::<Result<_>>()?;
-        let compiled: Vec<crate::expr::CExpr> = items
-            .iter()
-            .map(|i| crate::expr::compile(&i.expr, &built.bindings))
-            .collect();
-        let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> = Box::new(
-            crate::batch::BatchCursorStream::new(built.op, compiled, item_cols, sel.filter.clone()),
-        );
+        let projection =
+            crate::batch::Projection::new(&items, &built.bindings, sel.filter.clone())?;
+        let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> =
+            Box::new(crate::batch::BatchCursorStream::new(built.op, projection));
         if let Some(k) = sel.limit {
             // usually already pushed into the pipeline; this cap also
             // covers runs with limit pushdown disabled

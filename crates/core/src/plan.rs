@@ -45,7 +45,7 @@ use std::ops::Bound;
 use bdbms_common::{DataType, Result, Value};
 
 use crate::ast::{BinaryOp, Expr};
-use crate::batch::BATCH_SIZE;
+use crate::batch::{take_cells, BATCH_SIZE};
 use crate::catalog::Table;
 use crate::expr::{eval, referenced_columns, ColBinding};
 use crate::stats::ColumnStats;
@@ -609,16 +609,15 @@ pub fn filter_rows(
             cs
         }
     };
-    let mut out = Vec::new();
-    let mut keep_row = |row_no: u64, values: Vec<Value>| -> Result<()> {
+    let matches = |values: &[Value]| -> Result<bool> {
         for c in &conjuncts {
-            if !eval(c, &bindings, &values)?.is_true() {
-                return Ok(());
+            if !eval(c, &bindings, values)?.is_true() {
+                return Ok(false);
             }
         }
-        out.push((row_no, values));
-        Ok(())
+        Ok(true)
     };
+    let mut out = Vec::new();
     let candidates = match choose_probe(table, &bindings, &conjuncts) {
         Probe::Empty => Vec::new(),
         Probe::Index { column, lo, hi } => {
@@ -634,18 +633,27 @@ pub fn filter_rows(
         Probe::FullScan => {
             for entry in table.iter_rows() {
                 let (row_no, values) = entry?;
-                keep_row(row_no, values)?;
+                if matches(&values)? {
+                    out.push((row_no, values));
+                }
             }
             return Ok(out);
         }
     };
     // a batch of candidates at a time, so what is resident is the kept
-    // rows plus one batch, however many candidates the probe returns
-    let mut fetched = Vec::new();
+    // rows plus one batch, however many candidates the probe returns;
+    // only a kept row's values leave the arena
+    let arity = bindings.len();
+    let (mut row_nos, mut arena) = (Vec::new(), Vec::new());
     for run in candidates.chunks(BATCH_SIZE) {
-        table.fetch_rows(run, None, &mut fetched)?;
-        for (row_no, values) in fetched.drain(..) {
-            keep_row(row_no, values)?;
+        row_nos.clear();
+        arena.clear();
+        table.fetch_rows(run, None, &mut row_nos, &mut arena)?;
+        for (k, &row_no) in row_nos.iter().enumerate() {
+            let values = &mut arena[k * arity..(k + 1) * arity];
+            if matches(values)? {
+                out.push((row_no, take_cells(values)));
+            }
         }
     }
     Ok(out)

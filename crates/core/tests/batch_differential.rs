@@ -128,6 +128,89 @@ fn assert_differential(db: &mut Database, sql: &str) {
     }
 }
 
+/// The projection *moves* a bare-column item's value out of the batch
+/// on the column's last use in the item list.  Every shape in which a
+/// column is read more than once, or read again after the projection
+/// (ORDER BY, DISTINCT), or only for its annotations (PROMOTE, FILTER),
+/// must still give the reference's answer — on all four legs, the
+/// cursor twice.  Moving on *first* use instead fails the first
+/// statement here (`default: … [Text("JW0000"), Null] is not a
+/// reference row`).
+#[test]
+fn moved_columns_are_read_before_they_are_taken() {
+    let mut db = diff_db();
+    for sql in [
+        "SELECT GID, GID FROM Gene",
+        "SELECT GID, GID || 'x' FROM Gene",
+        "SELECT UPPER(GID), GID FROM Gene",
+        "SELECT GID, Len, GID, Len + 1, Len FROM Gene WHERE Bucket = 3",
+        "SELECT GID, GName FROM Gene ORDER BY Len DESC",
+        "SELECT Len, GID FROM Gene ORDER BY Len DESC LIMIT 9",
+        "SELECT DISTINCT GName FROM Gene",
+        "SELECT DISTINCT GName, GName FROM Gene ANNOTATION(Curation)",
+        "SELECT GID, Len FROM Gene ANNOTATION(Curation) FILTER CONTAINS 'GenoBase'",
+        "SELECT GID PROMOTE (Len), Len FROM Gene ANNOTATION(Curation)",
+        "SELECT Len PROMOTE (GID), GID PROMOTE (Len) FROM Gene ANNOTATION(Curation)",
+        "SELECT GID FROM Gene ANNOTATION(Curation) AWHERE CONTAINS 'curated'",
+        // a repeated column name across the two sides of a join
+        "SELECT * FROM Tag T, Tag U WHERE T.TLen = U.TLen",
+        "SELECT G.GID, T.TName, G.GID FROM Gene G, Tag T WHERE G.Len = T.TLen",
+        "SELECT * FROM Gene ANNOTATION(Curation) G, Tag T WHERE G.Len = T.TLen AND G.Len < 30",
+        // LIMIT cuts a batch: the tuples behind the cut are never read
+        "SELECT GID, GID FROM Gene LIMIT 7",
+        "SELECT G.GID, T.TName FROM Gene G, Tag T LIMIT 1500",
+        // index-only tuples (NULL everywhere but the key)
+        "SELECT Len, Len FROM Gene WHERE Len >= 10 AND Len < 20",
+    ] {
+        assert_differential(&mut db, sql);
+    }
+}
+
+/// Eager attachment (`ExecOptions::naive()`) fills the annotation arena
+/// in the scan; a join must carry it whether one side, the other, or
+/// both were annotated.
+#[test]
+fn eagerly_attached_rows_survive_joins() {
+    let mut db = diff_db();
+    db.execute("CREATE ANNOTATION TABLE Origin ON Tag").unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Tag.Origin VALUE 'imported' \
+         ON (SELECT T.TName FROM Tag T WHERE TLen < 20)",
+    )
+    .unwrap();
+    for from in [
+        "Gene ANNOTATION(Curation) G, Tag T",
+        "Gene G, Tag ANNOTATION(Origin) T",
+        "Gene ANNOTATION(Curation) G, Tag ANNOTATION(Origin) T",
+    ] {
+        let sql = format!("SELECT G.GID, T.TName, G.Len FROM {from} WHERE G.Len = T.TLen");
+        assert_differential(&mut db, &sql);
+    }
+}
+
+/// A projection that fails on tuple k: the materializing paths fail
+/// with the reference's error code, and a cursor still hands out the k
+/// rows before it — intact, although the failing statement moves `GID`
+/// out of every tuple it projects.
+#[test]
+fn projection_error_on_a_later_row_keeps_the_rows_before_it() {
+    let mut db = diff_db();
+    let sql = "SELECT 100 / (Len - 5), GID FROM Gene";
+    assert_differential(&mut db, sql);
+    let reference = support::expect(db.catalog(), sql);
+    let session = db.session("admin");
+    let stmt = session.prepare(sql).unwrap();
+    for run in ["first", "cached plan"] {
+        let mut cursor = session.query(&stmt, &[]).unwrap();
+        for k in 0..5 {
+            let row = cursor.next_row().unwrap().expect("rows before the failure");
+            assert_eq!(row.values[1], format!("JW{k:04}").into(), "{run}: row {k}");
+        }
+        let err = cursor.next_row().unwrap_err();
+        reference.assert_matches(run, Err(err));
+    }
+}
+
 fn arb_where() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(String::new()),
