@@ -1,30 +1,27 @@
-//! E13 — streaming executor: predicate pushdown + index-backed scans +
-//! lazy annotation attachment vs. the naive materializing executor.
+//! E13 — engine cost ratios over a 100k-row Gene table: prepared vs
+//! one-shot point lookups, commit vs rollback of a batch insert, the
+//! fsync barrier, cold vs warm checksummed reads, and the price of the
+//! always-on counters.
 //!
-//! Not a paper figure: this experiment tracks the engine's own executor
-//! rework (the ROADMAP's "as fast as the hardware allows" line).  It
-//! measures selective queries over a 100k-row Gene table and reports
-//! wall time, rows fetched, and the speedup of the optimized path; the
-//! `reproduce --json` output of this table is the perf trajectory future
-//! PRs compare against.
+//! Not a paper figure.  Each row compares two legs of the *same* engine;
+//! absolute, end-to-end numbers live in `benchmark/` (BENCHMARK.json),
+//! where ROADMAP item 6 moves these rows before this table is retired.
 
 use std::time::{Duration, Instant};
 
 use bdbms_common::Value;
-use bdbms_core::executor::{ExecOptions, ExecStats};
 use bdbms_core::{Database, DurabilityOptions};
 
 use crate::report::{ms, ratio, Report};
 use crate::workloads::indexed_gene_db;
 
-/// Mean wall time of `sql` under `opts`, adaptively repeated so fast
-/// paths are measured over many iterations.
-fn time_query(db: &Database, sql: &str, opts: &ExecOptions) -> (Duration, ExecStats) {
-    // warm up (and capture stats once — they are deterministic)
-    let (_, stats) = db.query_traced(sql, opts).expect("bench query");
+/// Mean wall time of `sql`, adaptively repeated so fast paths are
+/// measured over many iterations.
+fn time_query(db: &Database, sql: &str) -> Duration {
+    db.query_traced(sql).expect("bench query"); // warm up
     let once = {
         let s = Instant::now();
-        let _ = db.query_traced(sql, opts).unwrap();
+        let _ = db.query_traced(sql).unwrap();
         s.elapsed()
     };
     // aim for ~300ms of measurement, capped to keep the harness quick
@@ -32,9 +29,9 @@ fn time_query(db: &Database, sql: &str, opts: &ExecOptions) -> (Duration, ExecSt
         (Duration::from_millis(300).as_nanos() / once.as_nanos().max(1)).clamp(2, 2000) as u32;
     let s = Instant::now();
     for _ in 0..reps {
-        let _ = db.query_traced(sql, opts).unwrap();
+        let _ = db.query_traced(sql).unwrap();
     }
-    (s.elapsed() / reps, stats)
+    s.elapsed() / reps
 }
 
 /// Run E13 at the standard 100k-row scale.
@@ -219,14 +216,13 @@ fn time_checksummed_read(rows: usize, reps: u32) -> (Duration, Duration) {
 /// this ratio is tight (~5%, see scripts/check_perf.py).
 fn time_instrumentation(db: &Database) -> (Duration, Duration) {
     let sql = "SELECT COUNT(*), SUM(Len), MIN(Len), MAX(Len) FROM Gene";
-    let opts = ExecOptions::default();
     let mut off = Duration::MAX;
     let mut on = Duration::MAX;
     for _ in 0..3 {
         db.pool().set_metrics_enabled(false);
-        off = off.min(time_query(db, sql, &opts).0);
+        off = off.min(time_query(db, sql));
         db.pool().set_metrics_enabled(true);
-        on = on.min(time_query(db, sql, &opts).0);
+        on = on.min(time_query(db, sql));
     }
     (off, on)
 }
@@ -236,85 +232,23 @@ pub fn run_sized(n: usize) -> Report {
     let mut db = indexed_gene_db(n);
     let mut report = Report::new(
         "e13",
-        &format!("streaming executor vs naive scan ({n} rows)"),
-        "engine rework: pushdown + index scans + lazy annotations \
-         (ROADMAP north star, not a paper figure)",
+        &format!("engine cost ratios ({n} rows)"),
+        "engine bookkeeping: plan cache, undo log, fsync barrier, page \
+         checksums, metric counters (not a paper figure)",
     );
+    // "baseline" is the leg the ratio divides: one-shot, commit, Full,
+    // cold, metrics off; "compared" is prepared, rollback, NoSync, warm,
+    // metrics on
     report.headers(&[
         "query",
-        "selectivity",
-        "naive ms",
-        "optimized ms",
-        "naive rows fetched",
-        "optimized rows fetched",
+        "scale",
+        "baseline ms",
+        "compared ms",
+        "baseline ops",
+        "compared ops",
         "speedup",
     ]);
-    let queries = [
-        (
-            "point (indexed)",
-            format!("SELECT GID FROM Gene WHERE Len = {}", n / 2),
-            format!("{:.4}%", 100.0 / n as f64),
-        ),
-        (
-            "1% range (indexed)",
-            format!(
-                "SELECT GID FROM Gene WHERE Len >= {} AND Len < {}",
-                n / 2,
-                n / 2 + n / 100
-            ),
-            "1%".to_string(),
-        ),
-        (
-            "point + annotations",
-            format!(
-                "SELECT GID, GName FROM Gene ANNOTATION(Curation) WHERE Len = {}",
-                n / 2
-            ),
-            format!("{:.4}%", 100.0 / n as f64),
-        ),
-        (
-            // two competing indexes: Bucket = b matches 1% of the table,
-            // the Len range matches 0.1% — stats must pick len_idx over
-            // the first-seen equality on bucket_idx
-            "multi-index choice",
-            format!(
-                "SELECT GID FROM Gene WHERE Bucket = 7 AND Len >= {} AND Len < {}",
-                n / 2,
-                n / 2 + (n / 1000).max(1)
-            ),
-            "0.1%".to_string(),
-        ),
-        (
-            // full-scan LIMIT: the pushed limit stops the scan after 10
-            // tuples; the naive path materializes everything first
-            "limit 10 (full scan)",
-            "SELECT GID, GName FROM Gene LIMIT 10".to_string(),
-            "10 rows".to_string(),
-        ),
-        (
-            // join order: FROM order hash-builds the 100k-row Gene table;
-            // the cost-based order streams Gene and builds the small Tag
-            "join (reordered)",
-            "SELECT G.GID, T.TName FROM Tag T, Gene G WHERE T.Len = G.Len".to_string(),
-            "1%".to_string(),
-        ),
-    ];
     let mut speedups = Vec::new();
-    for (label, sql, selectivity) in &queries {
-        let (naive_t, naive_s) = time_query(&db, sql, &ExecOptions::naive());
-        let (opt_t, opt_s) = time_query(&db, sql, &ExecOptions::default());
-        let speedup = naive_t.as_secs_f64() / opt_t.as_secs_f64().max(1e-12);
-        speedups.push((label.to_string(), speedup));
-        report.row(vec![
-            label.to_string(),
-            selectivity.clone(),
-            ms(naive_t),
-            ms(opt_t),
-            naive_s.rows_fetched.to_string(),
-            opt_s.rows_fetched.to_string(),
-            ratio(naive_t.as_secs_f64(), opt_t.as_secs_f64()),
-        ]);
-    }
     // prepared-statement amortization: 1,000 re-executions of the same
     // point lookup, one-shot execute (re-parse + re-plan per call) vs. a
     // prepared statement streaming off its cached AST + plan
@@ -403,16 +337,6 @@ pub fn run_sized(n: usize) -> Report {
         report.note(format!("{label}: {s:.1}x"));
     }
     report.note(
-        "optimized path probes the Len B+-tree and attaches annotations \
-         only to surviving tuples; naive path materializes and annotates \
-         every row before filtering",
-    );
-    report.note(
-        "planner workloads: multi-index choice picks the more selective \
-         index by stats, LIMIT terminates the scan after 10 tuples, and \
-         the join streams Gene while hash-building the small Tag table",
-    );
-    report.note(
         "prepared point: Session::prepare caches the parsed AST and the \
          generation-stamped plan, so 1,000 re-executions skip lex/parse/\
          plan and stream one row each off the index probe",
@@ -432,8 +356,8 @@ pub fn run_sized(n: usize) -> Report {
     );
     report.note(
         "instrumentation overhead: the full-scan aggregate with \
-         buffer-pool metric recording disabled ('naive ms' column) vs \
-         the always-on production default ('optimized ms'); the ratio \
+         buffer-pool metric recording disabled ('baseline ms' column) vs \
+         the always-on production default ('compared ms'); the ratio \
          sits at ~1.0x and scripts/check_perf.py holds it above an \
          absolute 0.95 floor — counters may cost at most ~5%",
     );
@@ -451,44 +375,13 @@ pub fn run_sized(n: usize) -> Report {
 mod tests {
     use super::*;
 
-    /// Deterministic shape check at a small scale: the optimized path
-    /// must fetch only the qualifying rows (wall-clock speedup is
-    /// asserted by the release-mode bench, not here).
     #[test]
-    fn optimized_path_fetches_only_qualifying_rows() {
-        let n = 2000;
-        let db = indexed_gene_db(n);
-        let sql = format!("SELECT GID FROM Gene WHERE Len = {}", n / 2);
-        let (_, naive) = db.query_traced(&sql, &ExecOptions::naive()).unwrap();
-        let (_, opt) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
-        assert_eq!(naive.rows_fetched, n as u64);
-        assert_eq!(opt.rows_fetched, 1);
-        assert_eq!(opt.index_probes, 1);
-        assert_eq!(opt.anns_attached, 0, "no ANNOTATION clause in the query");
-
-        // with ANNOTATION(Curation), the naive path attaches the GName
-        // annotation to every scanned row; the lazy path only to the one
-        // surviving tuple
-        let sql = format!(
-            "SELECT GID, GName FROM Gene ANNOTATION(Curation) WHERE Len = {}",
-            n / 2
-        );
-        let (_, naive) = db.query_traced(&sql, &ExecOptions::naive()).unwrap();
-        let (_, opt) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
-        assert!(
-            naive.anns_attached >= n as u64,
-            "eager attach covers every row's GName (got {})",
-            naive.anns_attached
-        );
-        assert_eq!(opt.anns_attached, 1, "lazy attach: one surviving tuple");
-    }
-
-    #[test]
-    fn report_has_eleven_rows_and_json_renders() {
+    fn report_has_five_rows_and_json_renders() {
         let r = run_sized(3000);
-        assert_eq!(r.rows.len(), 11);
+        assert_eq!(r.rows.len(), 5);
         let j = r.render_json();
         assert!(j.contains("\"id\":\"e13\""));
+        assert!(j.contains("prepared point (1000x)"));
         assert!(j.contains("instrumentation overhead (metrics on vs off)"));
         assert!(j.contains("txn batch insert (commit vs rollback)"));
         assert!(j.contains("commit durability (Full vs NoSync)"));
@@ -540,9 +433,11 @@ mod tests {
         );
     }
 
-    /// The cost-based planner must pick the more selective of two
-    /// competing indexes, terminate LIMIT scans after O(limit) tuples,
-    /// and stream the big join input instead of hash-building it.
+    /// The planner's decisions on the e13 table, as absolute counters:
+    /// the more selective of two competing indexes, a point probe that
+    /// fetches and annotates one row, a LIMIT that stops the scan after
+    /// O(limit) tuples, and a join that streams the big input instead of
+    /// hash-building it.
     #[test]
     fn planner_decisions_on_the_e13_workloads() {
         let n = 2000;
@@ -555,34 +450,36 @@ mod tests {
             n / 2,
             n / 2 + n / 1000
         );
-        let (_, st) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
+        let (_, st) = db.query_traced(&sql).unwrap();
         assert_eq!(st.chosen_indexes, vec!["len_idx".to_string()]);
         // flipped selectivities: a table-wide Len range loses to Bucket
         let sql = format!("SELECT GID FROM Gene WHERE Bucket = 7 AND Len >= 0 AND Len < {n}");
-        let (_, st) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
+        let (_, st) = db.query_traced(&sql).unwrap();
         assert_eq!(st.chosen_indexes, vec!["bucket_idx".to_string()]);
 
-        // LIMIT pushdown: the scan stops after 10 tuples
-        let sql = "SELECT GID, GName FROM Gene LIMIT 10";
-        let (naive_r, naive) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-        let (opt_r, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-        assert_eq!(naive.rows_fetched, n as u64);
-        assert_eq!(naive.rows_limit_discarded, n as u64 - 10);
-        assert_eq!(opt.rows_fetched, 10);
-        assert_eq!(opt.limit_pushdowns, 1);
-        assert_eq!(opt.rows_limit_discarded, 0);
-        // full-scan order is row order on both paths, so the kept subset
-        // is identical
-        assert_eq!(
-            naive_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>(),
-            opt_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>()
+        // point lookup, with and without annotations: one row of n
+        let sql = format!(
+            "SELECT GID, GName FROM Gene ANNOTATION(Curation) WHERE Len = {}",
+            n / 2
         );
+        let (_, st) = db.query_traced(&sql).unwrap();
+        assert_eq!((st.index_probes, st.full_scans, st.rows_fetched), (1, 0, 1));
+        assert_eq!(st.anns_attached, 1, "GName's annotation, on the survivor");
+
+        // LIMIT pushdown: the scan stops after 10 of n tuples, in row order
+        let (qr, st) = db
+            .query_traced("SELECT GID, GName FROM Gene LIMIT 10")
+            .unwrap();
+        assert_eq!(st.rows_fetched, 10);
+        assert_eq!(st.limit_pushdowns, 1);
+        assert_eq!(st.rows_limit_discarded, 0);
+        let gids: Vec<String> = qr.rows.iter().map(|r| r.values[0].to_string()).collect();
+        let first_ten: Vec<String> = (0..10).map(|r| format!("JW{r:06}")).collect();
+        assert_eq!(gids, first_ten);
 
         // join order: FROM lists Tag first, the planner streams Gene
         let sql = "SELECT G.GID, T.TName FROM Tag T, Gene G WHERE T.Len = G.Len";
-        let (_, naive) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-        let (_, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-        assert_eq!(naive.join_order, vec![0, 1], "naive keeps FROM order");
-        assert_eq!(opt.join_order, vec![1, 0], "Gene (big) streams first");
+        let (_, st) = db.query_traced(sql).unwrap();
+        assert_eq!(st.join_order, vec![1, 0], "Gene (big) streams first");
     }
 }

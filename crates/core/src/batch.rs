@@ -16,8 +16,9 @@
 //! `k` tuples, which keeps filterless scans' fetch counts exact.
 //!
 //! A `Batch` is **flat**: one row-major value arena, one row-number
-//! arena and (once attached) one annotation-slot arena per batch, never a
-//! heap object per tuple.  The heap decodes straight into the arena,
+//! arena and — downstream of `BatchAttach`, the one operator that
+//! creates it — one annotation-slot arena per batch, never a heap object
+//! per tuple.  The heap decodes straight into the arena,
 //! operators hand the expression engine `&[Value]` row slices of it, and
 //! the `Projection` — the last reader — *moves* bare-column items out
 //! of it, so what a statement allocates per answer row is what the
@@ -53,7 +54,7 @@ pub const BATCH_SIZE: usize = 1024;
 ///
 /// Tuple `i` is the value slice `values[i * arity..][..arity]` (what
 /// `eval_compiled` takes), the row numbers `row_nos[i * sources..]
-/// [..sources]` it was joined from, and — once an attach stage has run —
+/// [..sources]` it was joined from, and — downstream of [`BatchAttach`] —
 /// the annotation slots `anns[i * arity..][..arity]`.
 pub(crate) struct Batch {
     /// Values per tuple.
@@ -63,8 +64,10 @@ pub(crate) struct Batch {
     values: Vec<Value>,
     /// Originating row numbers, per tuple in FROM order.
     row_nos: Vec<u64>,
-    /// Annotation slots, one per value; `None` until attached, which
-    /// every reader treats like all-empty slots.
+    /// Annotation slots, one per value; `None` upstream of
+    /// [`BatchAttach`] (scans, joins and the WHERE filter never see
+    /// slots) and in pipelines without one, which every reader treats
+    /// like all-empty slots.
     anns: Option<Vec<Vec<AnnRef>>>,
     /// Live tuple indexes, ascending.
     sel: Vec<usize>,
@@ -147,40 +150,24 @@ impl Batch {
         self.values.extend_from_slice(right.row(r));
         self.row_nos.extend_from_slice(left.row_nos(l));
         self.row_nos.extend_from_slice(right.row_nos(r));
-        if let Some(slots) = &mut self.anns {
-            for (side, i) in [(left, l), (right, r)] {
-                match side.row_anns(i) {
-                    Some(s) => slots.extend_from_slice(s),
-                    None => slots.resize(slots.len() + side.arity, Vec::new()),
-                }
-            }
-        }
     }
 
     /// Move `other`'s live tuples onto the end of this batch (same
-    /// shape), live.  A fully live `other` is three `memcpy`s.
+    /// shape, no annotation slots yet), live.  A fully live `other` is
+    /// two `memcpy`s.
     fn append_live(&mut self, mut other: Batch) {
         let base = self.len();
-        if other.anns.is_some() && self.anns.is_none() {
-            self.anns = Some(vec![Vec::new(); base * self.arity]);
-        }
         self.sel.extend(base..base + other.live());
         if other.live() == other.len() {
             self.values.append(&mut other.values);
             self.row_nos.append(&mut other.row_nos);
-            if let (Some(slots), Some(more)) = (&mut self.anns, &mut other.anns) {
-                slots.append(more);
-            }
             return;
         }
         for &i in &other.sel {
             let cells = other.cells(i);
             self.values
-                .extend(other.values[cells.clone()].iter_mut().map(std::mem::take));
+                .extend(other.values[cells].iter_mut().map(std::mem::take));
             self.row_nos.extend_from_slice(other.row_nos(i));
-            if let (Some(slots), Some(more)) = (&mut self.anns, &mut other.anns) {
-                slots.extend(more[cells].iter_mut().map(std::mem::take));
-            }
         }
     }
 }
@@ -255,14 +242,10 @@ pub(crate) enum ScanBase<'a> {
 /// tuples — a whole chunk of the table or of the probe's candidate list
 /// at once — then re-checks the pushed conjuncts (all but the one an
 /// exact probe has answered) in per-conjunct tight loops over the
-/// selection vector.  Eager annotation mode attaches here, to every
-/// fetched tuple before the re-check: that is the un-optimized baseline
-/// whose `anns_attached` totals the regression suite pins.
+/// selection vector.
 pub(crate) struct BatchScan<'a> {
     base: ScanBase<'a>,
     pushed: Vec<CExpr>,
-    /// Eager-mode attacher (applied pre-filter).
-    attach: Option<SourceAttach<'a>>,
     arity: usize,
     st: Rc<RefCell<ExecStats>>,
     done: bool,
@@ -272,14 +255,12 @@ impl<'a> BatchScan<'a> {
     pub(crate) fn new(
         base: ScanBase<'a>,
         pushed: Vec<CExpr>,
-        attach: Option<SourceAttach<'a>>,
         arity: usize,
         st: Rc<RefCell<ExecStats>>,
     ) -> Self {
         BatchScan {
             base,
             pushed,
-            attach,
             arity,
             st,
             done: false,
@@ -341,20 +322,10 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
         if fetched == 0 {
             return Ok(None);
         }
-        // eager mode attaches pre-filter
-        let mut attached = 0u64;
-        if let Some(a) = &mut self.attach {
-            let mut slots = vec![Vec::new(); fetched * arity];
-            for (i, &row_no) in batch.row_nos.iter().enumerate() {
-                attached += a.attach_into(row_no, &mut slots[batch.cells(i)]);
-            }
-            batch.anns = Some(slots);
-        }
         {
             let mut s = self.st.borrow_mut();
             s.rows_fetched += fetched as u64;
             s.scan_batches += 1;
-            s.anns_attached += attached;
         }
         batch.select_all();
         let mut filtered = 0u64;
@@ -461,9 +432,6 @@ impl<'a> BatchOp<'a> for BatchJoin<'a> {
                 let rows = want.min(left.live() - *pos);
                 out.values.reserve(rows * out.arity);
                 out.row_nos.reserve(rows * out.sources);
-                if left.anns.is_some() || self.build.anns.is_some() {
-                    out.anns = Some(Vec::with_capacity(rows * out.arity));
-                }
                 out
             });
             let matches: &[usize] = match &self.key {
@@ -492,9 +460,8 @@ impl<'a> BatchOp<'a> for BatchJoin<'a> {
 // Filter / attach / AWHERE / limit
 // ---------------------------------------------------------------------------
 
-/// Residual WHERE: cross-source conjuncts (or, with pushdown disabled,
-/// the whole predicate) swept over the joined batch in per-conjunct
-/// tight loops.
+/// Residual WHERE: cross-source conjuncts swept over the joined batch in
+/// per-conjunct tight loops.
 pub(crate) struct BatchFilter<'a> {
     child: Box<dyn BatchOp<'a> + 'a>,
     conjuncts: Vec<CExpr>,
@@ -516,9 +483,10 @@ impl<'a> BatchOp<'a> for BatchFilter<'a> {
     }
 }
 
-/// Lazy annotation attachment: fills each survivor's annotation slots
-/// from the per-source attachers (post-join, post-filter — survivors
-/// only), bumping `anns_attached` once per batch.
+/// Annotation attachment, and the only operator that creates annotation
+/// slots: fills each survivor's slots from the per-source attachers
+/// (post-join, post-filter — survivors only), bumping `anns_attached`
+/// once per batch.
 pub(crate) struct BatchAttach<'a> {
     child: Box<dyn BatchOp<'a> + 'a>,
     attachers: Vec<SourceAttach<'a>>,
@@ -544,8 +512,11 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
         let Some(mut batch) = self.child.next_batch(demand)? else {
             return Ok(None);
         };
-        let cells = batch.len() * batch.arity;
-        let mut slots = batch.anns.take().unwrap_or_else(|| vec![Vec::new(); cells]);
+        debug_assert!(
+            batch.anns.is_none(),
+            "no operator upstream of the attach stage creates annotation slots"
+        );
+        let mut slots = vec![Vec::new(); batch.len() * batch.arity];
         let mut attached = 0u64;
         for &i in &batch.sel {
             let slots = &mut slots[batch.cells(i)];
@@ -1178,17 +1149,6 @@ mod tests {
         names.iter().map(|n| ColBinding::new(None, n)).collect()
     }
 
-    fn ann(id: u64) -> AnnRef {
-        Rc::new(crate::result::AnnOut {
-            source_table: "T".into(),
-            ann_table: "A".into(),
-            id,
-            raw: String::new(),
-            body: crate::xml::XmlNode::leaf("Annotation", "a"),
-            created: 0,
-        })
-    }
-
     #[test]
     fn row_views_at_arity_0_1_and_n() {
         let none = batch(0, &[&[], &[]]);
@@ -1217,8 +1177,6 @@ mod tests {
             left.values.extend([Value::Int(key), Value::Null]);
         }
         left.sel = vec![0, 2];
-        left.anns = Some(vec![Vec::new(); 6]);
-        left.anns.as_mut().unwrap()[4].push(ann(7));
         // build: key 2 twice, key NULL once (never matches)
         let mut build = batch(
             1,
@@ -1240,11 +1198,8 @@ mod tests {
         let rest = join.next_batch(BATCH_SIZE).unwrap().unwrap();
         assert_eq!(rest.row_nos, [12, 22, 102], "resumed at the second match");
         assert_eq!(rest.sel, [0]);
-        // the unannotated build side gets empty slots, the left keeps its own
-        let slots = rest.row_anns(0).unwrap();
-        assert_eq!(slots.len(), 3);
-        assert_eq!(slots[0][0].id, 7);
-        assert!(slots[1].is_empty() && slots[2].is_empty());
+        // slots are created downstream of the joins, by `BatchAttach` alone
+        assert!(first.anns.is_none() && rest.anns.is_none());
         assert!(join.next_batch(BATCH_SIZE).unwrap().is_none());
     }
 
@@ -1353,12 +1308,13 @@ mod tests {
             column: 1,
             entries: entries.into_iter(),
         };
-        let mut scan = BatchScan::new(base, Vec::new(), None, 3, st.clone());
+        let mut scan = BatchScan::new(base, Vec::new(), 3, st.clone());
         let b = scan.next_batch(BATCH_SIZE).unwrap().unwrap();
         assert_eq!(b.row_nos, [3, 8]);
         assert_eq!(b.row(0), [Value::Null, Value::Int(30), Value::Null]);
         assert_eq!(b.row(1), [Value::Null, Value::Int(80), Value::Null]);
         assert_eq!(st.borrow().rows_fetched, 2);
+        assert!(b.anns.is_none(), "scans create no annotation slots");
         assert!(scan.next_batch(BATCH_SIZE).unwrap().is_none());
     }
 }

@@ -23,7 +23,7 @@ use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{Catalog, DeletedRow, Table};
 use crate::dependency::{DependencyManager, DependencyRule};
-use crate::executor::{run_select_traced, select_cells, ExecOptions, ExecStats};
+use crate::executor::{run_select_traced, select_cells, ExecStats};
 use crate::expr::{eval, ColBinding};
 use crate::plan;
 use crate::provenance::{self, ProvenanceRecord};
@@ -363,17 +363,12 @@ impl Database {
         Ok(())
     }
 
-    /// Run a SELECT with explicit executor options, returning the result
-    /// together with execution counters.  This is the instrumentation
-    /// path used by benchmarks and the pushdown regression tests; it
-    /// runs with admin visibility and does not tick the logical clock.
-    ///
-    /// **Legacy instrumentation entry point** — the counters it returns
-    /// as a tuple are now also attached to every SELECT result as
-    /// [`QueryResult::stats`] (and reachable incrementally from
-    /// [`crate::RowCursor::stats`]), so new code only needs this wrapper
-    /// when it wants non-default [`ExecOptions`].
-    pub fn query_traced(&self, sql: &str, opts: &ExecOptions) -> Result<(QueryResult, ExecStats)> {
+    /// Run a SELECT through `&self`, returning the result together with
+    /// its execution counters (the same ones every SELECT result carries
+    /// as [`QueryResult::stats`]).  This is the instrumentation path of
+    /// the regression tests and the `crates/bench` experiments; it runs
+    /// with admin visibility and does not tick the logical clock.
+    pub fn query_traced(&self, sql: &str) -> Result<(QueryResult, ExecStats)> {
         let (stmt, param_count) = crate::parser::parse_prepared(sql)?;
         if param_count > 0 {
             return Err(BdbmsError::param_mismatch(format!(
@@ -384,7 +379,7 @@ impl Database {
         match stmt {
             Statement::Select(sel) => {
                 let mut stats = ExecStats::default();
-                let mut qr = run_select_traced(&self.catalog, &sel, opts, &mut stats)?;
+                let mut qr = run_select_traced(&self.catalog, &sel, &mut stats)?;
                 qr.stats = Some(stats.clone());
                 Ok((qr, stats))
             }
@@ -797,8 +792,7 @@ impl Database {
             Statement::Select(sel) => {
                 self.check_select_auth(&sel, user)?;
                 let mut stats = ExecStats::default();
-                let mut qr =
-                    run_select_traced(&self.catalog, &sel, &ExecOptions::default(), &mut stats)?;
+                let mut qr = run_select_traced(&self.catalog, &sel, &mut stats)?;
                 qr.stats = Some(stats);
                 Ok(qr)
             }
@@ -935,12 +929,7 @@ impl Database {
             Statement::Explain { analyze, stmt } => match *stmt {
                 Statement::Select(sel) => {
                     self.check_select_auth(&sel, user)?;
-                    crate::executor::explain_select(
-                        &self.catalog,
-                        &sel,
-                        &ExecOptions::default(),
-                        analyze,
-                    )
+                    crate::executor::explain_select(&self.catalog, &sel, analyze)
                 }
                 _ => Err(BdbmsError::invalid(
                     "EXPLAIN supports only SELECT statements",

@@ -33,9 +33,10 @@
 //!                                              ── project / aggregate
 //! ```
 //!
-//! Three coordinated optimizations (each independently togglable through
-//! [`ExecOptions`], so the un-optimized plan stays available as a
-//! baseline — it runs on the same operators):
+//! Every statement gets one plan; nothing selects another.  The planner
+//! always does the following (the reference interpreter under
+//! `tests/support/` does none of it, and is what the results are checked
+//! against):
 //!
 //! * **Predicate pushdown** — the WHERE clause is split into conjuncts
 //!   and every conjunct whose columns live in one FROM source is
@@ -48,14 +49,20 @@
 //!   to inclusive and the conjunct is re-checked on each candidate (see
 //!   [`crate::plan`] for why), so the index can only prune, never lie.
 //!   Equality probes are preferred over range probes.
-//! * **Lazy annotation attachment** — `AnnOut` snapshots are built only
-//!   for tuples that survive all filtering, and only for the columns the
-//!   query can propagate annotations from (projected columns plus
-//!   `PROMOTE` sources; every column when AWHERE/AHAVING needs the whole
-//!   tuple's annotations).  The paper's "selection passes tuples with
-//!   all their annotations" semantics is unaffected: selection predicates
-//!   never read annotations, so attaching after WHERE is observationally
-//!   identical and avoids Rc churn for rejected tuples.
+//! * **Cost-based join order** — the source with the largest estimated
+//!   cardinality streams, the rest are hash-join build sides
+//!   (`choose_join_order`).
+//! * **Annotation attachment after the joins** — annotation slots are
+//!   created in exactly one operator, `batch::BatchAttach`:
+//!   `AnnOut` snapshots are built only for tuples that survive all
+//!   filtering, and only for the columns the query can propagate
+//!   annotations from (projected columns plus `PROMOTE` sources; every
+//!   column when AWHERE/AHAVING needs the whole tuple's annotations).
+//!   The paper's "selection passes tuples with all their annotations"
+//!   semantics is unaffected: selection predicates never read
+//!   annotations, so attaching after WHERE is observationally identical.
+//! * **LIMIT pushdown** — when nothing downstream blocks or reorders
+//!   rows, `LIMIT k` caps the demand on the scans.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -74,119 +81,6 @@ use crate::xml::XmlNode;
 
 /// Category name of the synthetic annotations that flag outdated cells.
 pub const OUTDATED_ANN_TABLE: &str = "outdated";
-
-/// Which executor optimizations are active.  The default enables all of
-/// them; [`ExecOptions::naive`] reproduces the fully materializing
-/// pre-optimization executor (used as the benchmark baseline and by the
-/// pushdown-semantics regression tests).
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Evaluate single-source WHERE conjuncts at scan time.
-    pub predicate_pushdown: bool,
-    /// Route eligible conjuncts through secondary indexes.
-    pub index_scans: bool,
-    /// Attach annotations only to surviving tuples / referenced columns.
-    pub lazy_annotations: bool,
-    /// Reorder joins by estimated cardinality (greedy: stream the
-    /// largest source, hash-build the rest smallest-connected-first)
-    /// instead of taking FROM order.
-    pub join_reorder: bool,
-    /// Push `LIMIT n` through the pipeline for early termination when no
-    /// blocking operator (sort, group, distinct, set op) intervenes.
-    pub limit_pushdown: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            predicate_pushdown: true,
-            index_scans: true,
-            lazy_annotations: true,
-            join_reorder: true,
-            limit_pushdown: true,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// The unoptimized baseline: full scans, post-join filtering, eager
-    /// annotation attachment, FROM-order joins, LIMIT applied only to
-    /// the materialized result.
-    pub fn naive() -> Self {
-        ExecOptions {
-            predicate_pushdown: false,
-            index_scans: false,
-            lazy_annotations: false,
-            join_reorder: false,
-            limit_pushdown: false,
-        }
-    }
-
-    /// A builder starting from the all-optimizations default.  Preferred
-    /// over struct literals when flipping individual toggles:
-    ///
-    /// ```
-    /// use bdbms_core::executor::ExecOptions;
-    /// let no_pushdown = ExecOptions::builder().predicate_pushdown(false).build();
-    /// let no_reorder = ExecOptions::builder().join_reorder(false).build();
-    /// ```
-    pub fn builder() -> ExecOptionsBuilder {
-        ExecOptionsBuilder {
-            opts: ExecOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`ExecOptions`] — one method per toggle, so adding an
-/// optimization never multiplies constructor variants.
-#[derive(Debug, Clone)]
-pub struct ExecOptionsBuilder {
-    opts: ExecOptions,
-}
-
-impl ExecOptionsBuilder {
-    /// Start from the fully-unoptimized [`ExecOptions::naive`] preset
-    /// instead of the default.
-    pub fn naive(mut self) -> Self {
-        self.opts = ExecOptions::naive();
-        self
-    }
-
-    /// Toggle WHERE-conjunct pushdown to scans.
-    pub fn predicate_pushdown(mut self, on: bool) -> Self {
-        self.opts.predicate_pushdown = on;
-        self
-    }
-
-    /// Toggle secondary-index probes.
-    pub fn index_scans(mut self, on: bool) -> Self {
-        self.opts.index_scans = on;
-        self
-    }
-
-    /// Toggle lazy (survivors-only) annotation attachment.
-    pub fn lazy_annotations(mut self, on: bool) -> Self {
-        self.opts.lazy_annotations = on;
-        self
-    }
-
-    /// Toggle greedy join reordering.
-    pub fn join_reorder(mut self, on: bool) -> Self {
-        self.opts.join_reorder = on;
-        self
-    }
-
-    /// Toggle LIMIT pushdown into the pipeline.
-    pub fn limit_pushdown(mut self, on: bool) -> Self {
-        self.opts.limit_pushdown = on;
-        self
-    }
-
-    /// Finish the build.
-    pub fn build(self) -> ExecOptions {
-        self.opts
-    }
-}
 
 /// Counters and plan decisions describing how a query was executed
 /// (deterministic, unlike wall-clock time — the regression tests pin
@@ -220,7 +114,7 @@ pub struct ExecStats {
     /// pipeline (scans then stop after the k-th surviving tuple).
     pub limit_pushdowns: u64,
     /// Rows that were fully computed and then discarded by a LIMIT that
-    /// could not be pushed (the naive baseline's waste; 0 when the limit
+    /// could not be pushed past a blocking operator (0 when the limit
     /// terminated the pipeline instead).
     pub rows_limit_discarded: u64,
     /// Batches emitted by scans.  `rows_fetched / scan_batches`
@@ -268,9 +162,8 @@ pub(crate) struct Source<'a> {
 }
 
 /// Attaches one source's annotations (named sets + synthetic `outdated`)
-/// to tuples, sharing one `Rc` per distinct annotation via a cache —
-/// exactly the old scan-time semantics, applied to whichever columns the
-/// plan says are needed.
+/// to joined tuples, sharing one `Rc` per distinct annotation via a cache,
+/// on the columns the plan says are needed.
 pub(crate) struct SourceAttach<'a> {
     table: &'a Table,
     sets: Vec<&'a AnnotationSet>,
@@ -282,15 +175,17 @@ pub(crate) struct SourceAttach<'a> {
 }
 
 impl<'a> SourceAttach<'a> {
-    /// `offset` is where this source's columns sit in the rows handed to
-    /// [`attach_into`](Self::attach_into) — the joined-row offset for the
-    /// post-join stage, `0` when attaching within the source's own scan.
-    fn new(src: &Source<'a>, cols: Vec<usize>, offset: usize) -> Self {
+    /// An attacher for `src`'s columns among `needed_cols` (joined-row
+    /// positions).
+    fn new(src: &Source<'a>, needed_cols: &BTreeSet<usize>) -> Self {
         SourceAttach {
             table: src.table,
             sets: src.sets.clone(),
-            cols,
-            offset,
+            cols: needed_cols
+                .range(src.offset..src.offset + src.arity)
+                .map(|&c| c - src.offset)
+                .collect(),
+            offset: src.offset,
             cache: HashMap::new(),
         }
     }
@@ -347,22 +242,6 @@ impl<'a> SourceAttach<'a> {
             }
         }
         attached
-    }
-}
-
-/// Choose one source's access path from its pushed conjuncts (or a
-/// replayed choice) — the decision pipeline assembly and `EXPLAIN` share.
-fn choose_access(
-    src: &Source<'_>,
-    local_bindings: &[ColBinding],
-    pushed: &[Expr],
-    use_index: bool,
-    forced: Option<ProbeChoice>,
-) -> (Probe, Option<ProbeChoice>) {
-    if use_index {
-        plan::choose_probe_with(src.table, local_bindings, pushed, forced)
-    } else {
-        (Probe::FullScan, Some(ProbeChoice::FullScan))
     }
 }
 
@@ -622,12 +501,11 @@ fn dedup_union(rows: Vec<AnnRow>) -> Vec<AnnRow> {
 pub fn run_select_traced(
     catalog: &Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<QueryResult> {
-    let mut result = run_simple_select(catalog, sel, opts, stats)?;
+    let mut result = run_simple_select(catalog, sel, stats)?;
     if let Some((op, right)) = &sel.set_op {
-        let right_res = run_select_traced(catalog, right, opts, stats)?;
+        let right_res = run_select_traced(catalog, right, stats)?;
         if right_res.columns.len() != result.columns.len() {
             return Err(BdbmsError::invalid(format!(
                 "set operation arity mismatch: {} vs {}",
@@ -738,6 +616,27 @@ fn render_ann(a: &AnnExpr) -> String {
     }
 }
 
+/// Render an optionally qualified column reference (`q.name` or `name`).
+fn render_col_ref((qualifier, name): &(Option<String>, String)) -> String {
+    match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.clone(),
+    }
+}
+
+/// Render ORDER BY keys as a comma-separated list (`col [DESC]`).
+fn render_order_keys(sel: &Select) -> String {
+    let keys = sel.order_by.iter().map(|(col, desc)| {
+        let col = render_col_ref(col);
+        if *desc {
+            format!("{col} DESC")
+        } else {
+            col
+        }
+    });
+    keys.collect::<Vec<_>>().join(", ")
+}
+
 /// Render a conjunct list as ` AND `-joined parenthesized expressions.
 fn render_conjuncts<'e>(cs: impl IntoIterator<Item = &'e Expr>) -> String {
     cs.into_iter()
@@ -747,8 +646,8 @@ fn render_conjuncts<'e>(cs: impl IntoIterator<Item = &'e Expr>) -> String {
 }
 
 /// Describe execution-order source `i`'s access path — the same
-/// [`choose_access`] decision, exactness and column set the batch
-/// assembly derives — with its estimated cardinality, plus the pushed
+/// [`plan::choose_probe_with`] decision, exactness and column set the
+/// batch assembly derives — with its estimated cardinality, plus the pushed
 /// conjuncts its scan still re-checks (rendered, empty when none).
 fn describe_scan(planned: &PlannedSelect<'_>, i: usize) -> (String, String) {
     let src = &planned.sources[i];
@@ -757,7 +656,7 @@ fn describe_scan(planned: &PlannedSelect<'_>, i: usize) -> (String, String) {
     let table = src.table;
     let n = table.len();
     let est = plan::estimate_scan_rows(table, local_bindings, pushed);
-    let (probe, _) = choose_access(src, local_bindings, pushed, planned.use_index, None);
+    let (probe, _) = plan::choose_probe_with(table, local_bindings, pushed, None);
     let checked = rechecked(pushed, &probe);
     let local_value_cols = PlannedSelect::local_value_cols(
         &planned.value_cols,
@@ -835,7 +734,6 @@ fn describe_scan(planned: &PlannedSelect<'_>, i: usize) -> (String, String) {
 fn explain_branch(
     catalog: &Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     analyze: bool,
     apply_order_limit: bool,
     indent: usize,
@@ -843,7 +741,7 @@ fn explain_branch(
 ) -> Result<()> {
     let st = Rc::new(RefCell::new(ExecStats::default()));
     let plan_started = std::time::Instant::now();
-    let planned = plan_simple_select(catalog, sel, opts, &st, None)?;
+    let planned = plan_simple_select(catalog, sel, &st, None)?;
     let plan_ns = plan_started.elapsed().as_nanos() as u64;
     let items = planned.items.clone()?;
 
@@ -865,23 +763,7 @@ fn explain_branch(
             }
         }
         if !sel.order_by.is_empty() {
-            let keys = sel
-                .order_by
-                .iter()
-                .map(|((q, n), desc)| {
-                    let col = match q {
-                        Some(q) => format!("{q}.{n}"),
-                        None => n.clone(),
-                    };
-                    if *desc {
-                        format!("{col} DESC")
-                    } else {
-                        col
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            push(depth, format!("Sort: {keys}"), None);
+            push(depth, format!("Sort: {}", render_order_keys(sel)), None);
             depth += 1;
         }
     }
@@ -893,20 +775,21 @@ fn explain_branch(
         push(depth, "Distinct".to_string(), None);
         depth += 1;
     }
+    // HAVING / AHAVING select among the groups `Aggregate` forms below
+    if let Some(h) = &sel.having {
+        push(depth, format!("Having: {h}"), None);
+        depth += 1;
+    }
+    if let Some(a) = &sel.ahaving {
+        push(depth, format!("AHaving: {}", render_ann(a)), None);
+        depth += 1;
+    }
     if is_aggregated(sel, &items) {
         let group = if sel.group_by.is_empty() {
             String::new()
         } else {
-            let keys = sel
-                .group_by
-                .iter()
-                .map(|(q, n)| match q {
-                    Some(q) => format!("{q}.{n}"),
-                    None => n.clone(),
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(" (group by {keys})")
+            let keys: Vec<String> = sel.group_by.iter().map(render_col_ref).collect();
+            format!(" (group by {})", keys.join(", "))
         };
         let cols = items.iter().map(item_name).collect::<Vec<_>>().join(", ");
         push(depth, format!("Aggregate{group}: {cols}"), None);
@@ -933,23 +816,13 @@ fn explain_branch(
         );
         depth += 1;
     }
-    if !planned.eager {
-        let any_attach = planned.sources.iter().any(|src| {
-            !SourceAttach::new(
-                src,
-                PlannedSelect::local_needed(&planned.needed_cols, src),
-                src.offset,
-            )
-            .is_noop()
-        });
-        if any_attach {
-            push(
-                depth,
-                "Attach Annotations".to_string(),
-                Some("Attach Annotations".to_string()),
-            );
-            depth += 1;
-        }
+    if planned.attachers().is_some() {
+        push(
+            depth,
+            "Attach Annotations".to_string(),
+            Some("Attach Annotations".to_string()),
+        );
+        depth += 1;
     }
     if !planned.residual.is_empty() {
         push(
@@ -1066,13 +939,12 @@ fn explain_branch(
 fn explain_select_tree(
     catalog: &Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     analyze: bool,
     depth: usize,
     lines: &mut Vec<PlanLine>,
 ) -> Result<()> {
     let Some((op, right)) = &sel.set_op else {
-        return explain_branch(catalog, sel, opts, analyze, true, depth, lines);
+        return explain_branch(catalog, sel, analyze, true, depth, lines);
     };
     let mut depth = depth;
     if let Some(k) = sel.limit {
@@ -1083,24 +955,8 @@ fn explain_select_tree(
         depth += 1;
     }
     if !sel.order_by.is_empty() {
-        let keys = sel
-            .order_by
-            .iter()
-            .map(|((q, n), desc)| {
-                let col = match q {
-                    Some(q) => format!("{q}.{n}"),
-                    None => n.clone(),
-                };
-                if *desc {
-                    format!("{col} DESC")
-                } else {
-                    col
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
         lines.push(PlanLine {
-            text: format!("{}Sort: {keys}", "  ".repeat(depth)),
+            text: format!("{}Sort: {}", "  ".repeat(depth), render_order_keys(sel)),
             label: None,
         });
         depth += 1;
@@ -1114,8 +970,8 @@ fn explain_select_tree(
         text: format!("{}{name}", "  ".repeat(depth)),
         label: None,
     });
-    explain_branch(catalog, sel, opts, analyze, false, depth + 1, lines)?;
-    explain_select_tree(catalog, right, opts, analyze, depth + 1, lines)
+    explain_branch(catalog, sel, analyze, false, depth + 1, lines)?;
+    explain_select_tree(catalog, right, analyze, depth + 1, lines)
 }
 
 /// `EXPLAIN [ANALYZE] SELECT …`: render the plan the executor would
@@ -1124,14 +980,9 @@ fn explain_select_tree(
 /// LIMIT pushdown.  With `analyze` the statement is executed through the
 /// instrumented batch pipeline and every operator node carries actual
 /// rows / batches / wall time (docs/OBSERVABILITY.md).
-pub fn explain_select(
-    catalog: &Catalog,
-    sel: &Select,
-    opts: &ExecOptions,
-    analyze: bool,
-) -> Result<QueryResult> {
+pub fn explain_select(catalog: &Catalog, sel: &Select, analyze: bool) -> Result<QueryResult> {
     let mut lines: Vec<PlanLine> = Vec::new();
-    explain_select_tree(catalog, sel, opts, analyze, 0, &mut lines)?;
+    explain_select_tree(catalog, sel, analyze, 0, &mut lines)?;
     Ok(QueryResult {
         columns: vec!["plan".to_string()],
         rows: lines
@@ -1297,10 +1148,6 @@ pub(crate) struct PlannedSelect<'a> {
     /// Binding positions whose values the output side reads (column
     /// pruning and index-only planning; see `local_value_cols`).
     value_cols: Option<BTreeSet<usize>>,
-    /// Eager (attach-at-scan) annotation mode.
-    eager: bool,
-    /// Secondary-index probes allowed.
-    use_index: bool,
     /// LIMIT to push into the pipeline, when eligible.
     push_limit: Option<usize>,
     /// AWHERE condition, if any.
@@ -1315,21 +1162,26 @@ pub(crate) struct PlannedSelect<'a> {
     generation: u64,
 }
 
-impl PlannedSelect<'_> {
-    /// Source-local positions of `needed_cols` within `src`.
-    fn local_needed(needed_cols: &BTreeSet<usize>, src: &Source) -> Vec<usize> {
-        needed_cols
+impl<'a> PlannedSelect<'a> {
+    /// One annotation attacher per source, in execution order — `None`
+    /// when nothing can attach (no column to attach to, or no annotation
+    /// set in scope and no outdated cell): the pipeline then has no
+    /// attach stage and no batch ever carries annotation slots, which
+    /// every reader treats like all-empty ones.
+    fn attachers(&self) -> Option<Vec<SourceAttach<'a>>> {
+        let attachers: Vec<SourceAttach<'a>> = self
+            .sources
             .iter()
-            .filter(|&&c| c >= src.offset && c < src.offset + src.arity)
-            .map(|&c| c - src.offset)
-            .collect()
+            .map(|src| SourceAttach::new(src, &self.needed_cols))
+            .collect();
+        attachers.iter().any(|a| !a.is_noop()).then_some(attachers)
     }
 
     /// Source-local columns of `src` whose values the query reads,
     /// ascending: the output side (`value_cols`) plus every conjunct in
     /// `checked` — the conjuncts evaluated on this source's rows, i.e.
     /// its scan's re-check list and the residual.  `None` when unknown
-    /// (index scans disabled, or a reference that fails to resolve).
+    /// (a reference that fails to resolve).
     fn local_value_cols<'e>(
         value_cols: &Option<BTreeSet<usize>>,
         src: &Source,
@@ -1358,7 +1210,6 @@ impl PlannedSelect<'_> {
 fn plan_simple_select<'a>(
     catalog: &'a Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     st: &RefCell<ExecStats>,
     hints: Option<&SelectPlan>,
 ) -> Result<PlannedSelect<'a>> {
@@ -1435,29 +1286,23 @@ fn plan_simple_select<'a>(
     let mut plan_sites: Vec<ConjunctSite> = Vec::new();
     let mut pushed_from: Vec<Vec<Expr>> = vec![Vec::new(); resolved.len()];
     let mut residual: Vec<Expr> = Vec::new();
-    if opts.predicate_pushdown {
-        for (ci, c) in all_conjuncts.iter().enumerate() {
-            let site = match hints {
-                Some(h) => h.sites[ci],
-                None => plan::classify_conjunct(c, &from_bindings, &from_segments),
-            };
-            plan_sites.push(site);
-            match site {
-                ConjunctSite::Source(i) => pushed_from[i].push(c.clone()),
-                ConjunctSite::Residual => residual.push(c.clone()),
-            }
+    for (ci, c) in all_conjuncts.iter().enumerate() {
+        let site = match hints {
+            Some(h) => h.sites[ci],
+            None => plan::classify_conjunct(c, &from_bindings, &from_segments),
+        };
+        plan_sites.push(site);
+        match site {
+            ConjunctSite::Source(i) => pushed_from[i].push(c.clone()),
+            ConjunctSite::Residual => residual.push(c.clone()),
         }
-    } else if let Some(pred) = &sel.where_clause {
-        residual.push(pred.clone());
     }
 
     // ---- join order (greedy, by estimated post-pushdown cardinality) ----
-    let order: Vec<usize> = if let Some(h) = hints {
-        h.join_order.clone()
-    } else if opts.join_reorder && resolved.len() > 1 {
-        choose_join_order(&resolved, &pushed_from, &all_conjuncts)
-    } else {
-        (0..resolved.len()).collect()
+    let order: Vec<usize> = match hints {
+        Some(h) => h.join_order.clone(),
+        None if resolved.len() > 1 => choose_join_order(&resolved, &pushed_from, &all_conjuncts),
+        None => vec![0],
     };
 
     // ---- sources, bindings, pushed conjuncts in execution order ----
@@ -1486,9 +1331,8 @@ fn plan_simple_select<'a>(
     st.borrow_mut().join_order.extend(order.iter().copied());
 
     // ---- columns whose annotations the query can propagate ----
-    let eager = !opts.lazy_annotations;
     let need_all = sel.awhere.is_some() || sel.ahaving.is_some();
-    let needed_cols: BTreeSet<usize> = if eager || need_all {
+    let needed_cols: BTreeSet<usize> = if need_all {
         (0..total_arity).collect()
     } else {
         let mut needed = BTreeSet::new();
@@ -1504,18 +1348,13 @@ fn plan_simple_select<'a>(
     };
 
     // ---- columns whose values the query reads (index-only planning) ----
-    let value_cols: Option<BTreeSet<usize>> = if opts.index_scans {
-        needed_value_columns(sel, &all_bindings, items_early.as_deref().ok())
-    } else {
-        None
-    };
+    let value_cols = needed_value_columns(sel, &all_bindings, items_early.as_deref().ok());
 
     // ---- LIMIT pushdown eligibility: nothing between the pipeline and
     //      the final output may block or reorder rows ----
     let push_limit: Option<usize> = match sel.limit {
         Some(k)
-            if opts.limit_pushdown
-                && sel.set_op.is_none()
+            if sel.set_op.is_none()
                 && sel.order_by.is_empty()
                 && !sel.distinct
                 && sel.group_by.is_empty()
@@ -1540,8 +1379,6 @@ fn plan_simple_select<'a>(
         items: items_early,
         needed_cols,
         value_cols,
-        eager,
-        use_index: opts.index_scans,
         push_limit,
         awhere: sel.awhere.clone(),
         order,
@@ -1582,18 +1419,19 @@ fn maybe_profile<'a>(
 }
 
 /// Assemble the operator tree from a planned SELECT, leaf to root: one
-/// scan per source (pushed conjuncts re-checked, eager annotations
-/// attached there), hash or cross joins against build sides drained
-/// here, the residual WHERE, lazy annotation attachment, AWHERE, and the
-/// pushed LIMIT.  Probe stats, build-side materialization (and its
-/// errors) and `limit_pushdowns` happen at assembly time; nothing is
-/// pulled from the first source until the caller asks for a batch.
+/// scan per source (pushed conjuncts re-checked), hash or cross joins
+/// against build sides drained here, the residual WHERE, annotation
+/// attachment, AWHERE, and the pushed LIMIT.  Probe stats, build-side
+/// materialization (and its errors) and `limit_pushdowns` happen at
+/// assembly time; nothing is pulled from the first source until the
+/// caller asks for a batch.
 fn assemble_batch_pipeline<'a>(
     p: PlannedSelect<'a>,
     st: Rc<RefCell<ExecStats>>,
     mut prof: Option<&mut crate::batch::PipelineProfile>,
 ) -> Result<BuiltBatchPipeline<'a>> {
     use crate::batch::{self, BatchOp};
+    let attachers = p.attachers();
     let PlannedSelect {
         sources,
         bindings,
@@ -1601,10 +1439,8 @@ fn assemble_batch_pipeline<'a>(
         residual,
         all_conjuncts,
         items,
-        needed_cols,
+        needed_cols: _,
         value_cols,
-        eager,
-        use_index,
         push_limit,
         awhere,
         order,
@@ -1621,7 +1457,7 @@ fn assemble_batch_pipeline<'a>(
     let mut op: Option<Box<dyn BatchOp<'a> + 'a>> = None;
     for (i, src) in sources.iter().enumerate() {
         let local = &bindings[src.offset..src.offset + src.arity];
-        let (probe, choice) = choose_access(src, local, &pushed[i], use_index, forced[i]);
+        let (probe, choice) = plan::choose_probe_with(src.table, local, &pushed[i], forced[i]);
         match choice {
             Some(c) => plan_probes.push(c),
             None => {
@@ -1639,10 +1475,7 @@ fn assemble_batch_pipeline<'a>(
         let keep =
             PlannedSelect::local_value_cols(&value_cols, src, &bindings, checked.chain(&residual));
         let base = scan_base_batch(src, probe, keep, &st);
-        let attach = eager
-            .then(|| SourceAttach::new(src, (0..src.arity).collect(), 0))
-            .filter(|a| !a.is_noop());
-        let scan = batch::BatchScan::new(base, compiled, attach, src.arity, st.clone());
+        let scan = batch::BatchScan::new(base, compiled, src.arity, st.clone());
         op = Some(match op {
             None => maybe_profile(
                 &mut prof,
@@ -1668,7 +1501,7 @@ fn assemble_batch_pipeline<'a>(
     }
     let mut op = op.expect("at least one source");
 
-    // ---- residual WHERE (cross-source conjuncts / naive full pred) ----
+    // ---- residual WHERE (cross-source conjuncts) ----
     if !residual.is_empty() {
         let compiled: Vec<crate::expr::CExpr> = residual
             .iter()
@@ -1681,28 +1514,16 @@ fn assemble_batch_pipeline<'a>(
         );
     }
 
-    // ---- annotation attachment (lazy mode: survivors only).  Skipped
-    //      outright when nothing can attach — downstream operators treat
-    //      `anns: None` exactly like all-empty slots, so un-annotated
-    //      queries never allocate per-row annotation buffers ----
-    if !eager {
-        let attachers: Vec<SourceAttach> = sources
-            .iter()
-            .map(|src| {
-                SourceAttach::new(
-                    src,
-                    PlannedSelect::local_needed(&needed_cols, src),
-                    src.offset,
-                )
-            })
-            .collect();
-        if attachers.iter().any(|a| !a.is_noop()) {
-            op = maybe_profile(
-                &mut prof,
-                Box::new(batch::BatchAttach::new(op, attachers, st.clone())),
-                "Attach Annotations",
-            );
-        }
+    // ---- annotation attachment: survivors only, and the one place
+    //      annotation slots are created.  Skipped outright when nothing
+    //      can attach, so un-annotated queries never allocate per-row
+    //      annotation buffers ----
+    if let Some(attachers) = attachers {
+        op = maybe_profile(
+            &mut prof,
+            Box::new(batch::BatchAttach::new(op, attachers, st.clone())),
+            "Attach Annotations",
+        );
     }
 
     // ---- AWHERE: annotation-based selection (some annotation satisfies) ----
@@ -1742,11 +1563,10 @@ fn assemble_batch_pipeline<'a>(
 fn run_simple_select(
     catalog: &Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     stats_out: &mut ExecStats,
 ) -> Result<QueryResult> {
     let st = Rc::new(RefCell::new(std::mem::take(stats_out)));
-    let res = run_simple_select_shared(catalog, sel, opts, &st);
+    let res = run_simple_select_shared(catalog, sel, &st);
     *stats_out = st.borrow().clone();
     res
 }
@@ -1863,11 +1683,10 @@ fn finish_select(sel: &Select, columns: Vec<String>, mut out_rows: Vec<AnnRow>) 
 fn run_simple_select_shared(
     catalog: &Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     st: &Rc<RefCell<ExecStats>>,
 ) -> Result<QueryResult> {
     let plan_started = std::time::Instant::now();
-    let planned = plan_simple_select(catalog, sel, opts, st, None)?;
+    let planned = plan_simple_select(catalog, sel, st, None)?;
     st.borrow_mut().plan_ns += plan_started.elapsed().as_nanos() as u64;
     let exec_started = std::time::Instant::now();
     let res = run_simple_select_batch(sel, planned, st, None);
@@ -1999,7 +1818,6 @@ fn projection_streamable(catalog: &Catalog, sel: &Select) -> bool {
 pub fn open_select_cursor<'a>(
     catalog: &'a Catalog,
     sel: &Select,
-    opts: &ExecOptions,
     st: Rc<RefCell<ExecStats>>,
     hints: Option<&SelectPlan>,
 ) -> Result<(SelectCursor<'a>, Option<SelectPlan>)> {
@@ -2014,7 +1832,7 @@ pub fn open_select_cursor<'a>(
         }) || projection_streamable(catalog, sel));
     if can_stream {
         let plan_started = std::time::Instant::now();
-        let planned = plan_simple_select(catalog, sel, opts, &st, hints)?;
+        let planned = plan_simple_select(catalog, sel, &st, hints)?;
         st.borrow_mut().plan_ns += plan_started.elapsed().as_nanos() as u64;
         // the cursor pulls one batch at a time and hands out its rows,
         // so the scan advances in BATCH_SIZE steps as the consumer pulls
@@ -2025,18 +1843,14 @@ pub fn open_select_cursor<'a>(
         let columns: Vec<String> = items.iter().map(item_name).collect();
         let projection =
             crate::batch::Projection::new(&items, &built.bindings, sel.filter.clone())?;
-        let mut stream: Box<dyn Iterator<Item = Result<AnnRow>> + 'a> =
-            Box::new(crate::batch::BatchCursorStream::new(built.op, projection));
-        if let Some(k) = sel.limit {
-            // usually already pushed into the pipeline; this cap also
-            // covers runs with limit pushdown disabled
-            stream = Box::new(stream.take(k as usize));
-        }
+        // a streamable SELECT has no blocking clause, so its LIMIT is
+        // always the pipeline's root operator
+        let stream = Box::new(crate::batch::BatchCursorStream::new(built.op, projection));
         return Ok((SelectCursor { columns, stream }, built.plan));
     }
     // blocking query: run to completion, then stream the buffered rows
     let mut tmp = st.borrow().clone();
-    let res = run_select_traced(catalog, sel, opts, &mut tmp);
+    let res = run_select_traced(catalog, sel, &mut tmp);
     *st.borrow_mut() = tmp;
     let qr = res?;
     Ok((

@@ -149,8 +149,13 @@ impl QueryResult {
                 (None, n) => format!("{n} row(s) affected"),
             };
         }
+        // the last column cannot push another one off the screen, so it
+        // is never cut (an `EXPLAIN ANALYZE` line keeps its actuals); only
+        // its rule and padding stop at the cap
+        let last = self.columns.len() - 1;
         let render_cell = |row: &AnnRow, i: usize| -> String {
-            let mut s = truncate(&row.values[i].to_string(), 40);
+            let text = row.values[i].to_string();
+            let mut s = if i == last { text } else { truncate(&text, 40) };
             if !row.anns[i].is_empty() {
                 let anns: Vec<String> = row.anns[i]
                     .iter()
@@ -166,7 +171,7 @@ impl QueryResult {
             let mut line = Vec::with_capacity(widths.len());
             for (i, w) in widths.iter_mut().enumerate() {
                 let s = render_cell(row, i);
-                *w = (*w).max(s.len());
+                *w = (*w).max(if i == last { s.len().min(40) } else { s.len() });
                 line.push(s);
             }
             cells.push(line);

@@ -52,7 +52,7 @@ use bdbms_common::{BdbmsError, Result, Value};
 
 use crate::ast::{AnnTarget, Expr, Projection, Select, SelectItem, Statement};
 use crate::database::Database;
-use crate::executor::{open_select_cursor, ExecOptions, ExecStats, SelectPlan};
+use crate::executor::{open_select_cursor, ExecStats, SelectPlan};
 use crate::parser::parse_prepared;
 use crate::result::{AnnRow, QueryResult};
 
@@ -392,13 +392,7 @@ pub(crate) fn open_cursor<'d>(
     db.check_select_auth(sel, user)?;
     let st = Rc::new(RefCell::new(ExecStats::default()));
     let hints = stmt.inner.plan.borrow().clone();
-    let (cursor, plan) = open_select_cursor(
-        db.catalog(),
-        sel,
-        &ExecOptions::default(),
-        st.clone(),
-        hints.as_ref(),
-    )?;
+    let (cursor, plan) = open_select_cursor(db.catalog(), sel, st.clone(), hints.as_ref())?;
     // cache-outcome classification: a replayed plan that comes back
     // unchanged is a hit; a changed one means the catalog generation
     // moved underneath it (invalidation); no hints at all is a miss

@@ -2,15 +2,13 @@
 //! must produce the reference interpreter's answer
 //! (`support/reference.rs`: materialised tables, nested loops, the whole
 //! WHERE on every joined row, annotations attached eagerly — no planner,
-//! no batch operator, no index) on three engine paths: the default
-//! options, `ExecOptions::naive()` (eager attach in the scan, un-pushed
-//! WHERE in the filter operator), and a prepared-statement cursor drained
-//! twice, so the second run replays the cached `SelectPlan`.
+//! no batch operator, no index) on every engine path: the materializing
+//! executor, and a prepared-statement cursor drained twice, so the second
+//! run replays the cached `SelectPlan`.
 
 mod support;
 
 use bdbms_common::Result;
-use bdbms_core::executor::ExecOptions;
 use bdbms_core::{Database, QueryResult};
 use proptest::prelude::*;
 
@@ -112,12 +110,7 @@ fn seq_db() -> Database {
 /// the reference interpreter's.
 fn assert_differential(db: &mut Database, sql: &str) {
     let expected = support::expect(db.catalog(), sql);
-    for (leg, opts) in [
-        ("default", ExecOptions::default()),
-        ("naive", ExecOptions::naive()),
-    ] {
-        expected.assert_matches(leg, db.query_traced(sql, &opts).map(|(r, _)| r));
-    }
+    expected.assert_matches("default", db.query_traced(sql).map(|(r, _)| r));
     let session = db.session("admin");
     for leg in ["cursor", "cursor (cached plan)"] {
         let drained = |sql: &str| -> Result<QueryResult> {
@@ -132,8 +125,8 @@ fn assert_differential(db: &mut Database, sql: &str) {
 /// on the column's last use in the item list.  Every shape in which a
 /// column is read more than once, or read again after the projection
 /// (ORDER BY, DISTINCT), or only for its annotations (PROMOTE, FILTER),
-/// must still give the reference's answer — on all four legs, the
-/// cursor twice.  Moving on *first* use instead fails the first
+/// must still give the reference's answer — on every leg, the cursor
+/// twice.  Moving on *first* use instead fails the first
 /// statement here (`default: … [Text("JW0000"), Null] is not a
 /// reference row`).
 #[test]
@@ -166,11 +159,14 @@ fn moved_columns_are_read_before_they_are_taken() {
     }
 }
 
-/// Eager attachment (`ExecOptions::naive()`) fills the annotation arena
-/// in the scan; a join must carry it whether one side, the other, or
-/// both were annotated.
+/// Joins carry values and row numbers only; annotation slots are created
+/// after them, per source, from the joined tuple's row numbers.  Whether
+/// the streaming side, the build side, or both are annotated — and
+/// whichever of them the planner streams — every surviving tuple must get
+/// its own rows' annotations, and a tuple whose annotated row the WHERE
+/// dropped must not appear (pushed conjunct, residual conjunct, AWHERE).
 #[test]
-fn eagerly_attached_rows_survive_joins() {
+fn annotations_attach_after_joins_to_the_right_rows() {
     let mut db = diff_db();
     db.execute("CREATE ANNOTATION TABLE Origin ON Tag").unwrap();
     db.execute(
@@ -178,13 +174,36 @@ fn eagerly_attached_rows_survive_joins() {
          ON (SELECT T.TName FROM Tag T WHERE TLen < 20)",
     )
     .unwrap();
-    for from in [
-        "Gene ANNOTATION(Curation) G, Tag T",
-        "Gene G, Tag ANNOTATION(Origin) T",
-        "Gene ANNOTATION(Curation) G, Tag ANNOTATION(Origin) T",
+    for (from, drop_annotated) in [
+        // annotated ⋈ unannotated
+        ("Gene ANNOTATION(Curation) G, Tag T", "G.Len < 25"),
+        (
+            "Gene ANNOTATION(Curation) G, Tag T",
+            "G.Bucket + T.TLen > 12",
+        ),
+        // unannotated ⋈ annotated
+        ("Gene G, Tag ANNOTATION(Origin) T", "T.TLen >= 9"),
+        ("Tag ANNOTATION(Origin) T, Gene G", "T.TName LIKE 't1%'"),
+        // both
+        (
+            "Gene ANNOTATION(Curation) G, Tag ANNOTATION(Origin) T",
+            "G.Len < 45 AND T.TLen > 6",
+        ),
+        (
+            "Tag ANNOTATION(Origin) T, Gene ANNOTATION(Curation) G",
+            "G.Len % 2 = 0",
+        ),
     ] {
-        let sql = format!("SELECT G.GID, T.TName, G.Len FROM {from} WHERE G.Len = T.TLen");
-        assert_differential(&mut db, &sql);
+        let join = format!("FROM {from} WHERE G.Len = T.TLen AND {drop_annotated}");
+        for sql in [
+            format!("SELECT G.GID, T.TName, G.Len {join}"),
+            format!("SELECT * {join}"),
+            format!("SELECT T.TName PROMOTE (G.GID, G.Len) {join}"),
+            format!("SELECT G.GID, T.TName {join} AWHERE CONTAINS 'i'"),
+            format!("SELECT G.GID, T.TName, G.Len {join} LIMIT 5"),
+        ] {
+            assert_differential(&mut db, &sql);
+        }
     }
 }
 

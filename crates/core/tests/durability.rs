@@ -130,10 +130,7 @@ fn indexes_are_rebuilt_and_used_after_reopen() {
     }
     let db = Database::open(&dir).unwrap();
     let (r, stats) = db
-        .query_traced(
-            "SELECT GID FROM Gene WHERE Len = 250",
-            &bdbms_core::executor::ExecOptions::default(),
-        )
+        .query_traced("SELECT GID FROM Gene WHERE Len = 250")
         .unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.rows[0].values[0], Value::Text("g250".into()));

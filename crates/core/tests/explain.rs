@@ -264,6 +264,89 @@ fn explain_analyze_matches_exec_stats() {
     }
 }
 
+/// The shell prints a result through `to_table`; a plan line must reach
+/// the terminal whole — the per-operator actuals and the tail of the
+/// `Stats:` line are what `EXPLAIN ANALYZE` is for.
+#[test]
+fn rendered_explain_analyze_keeps_its_actuals() {
+    let mut db = setup();
+    let qr = db
+        .execute(
+            "EXPLAIN ANALYZE SELECT Prot.PID, Gene.Len FROM Gene, Prot \
+             WHERE Gene.GID = Prot.GID AND Gene.Chrom = 'chr1' AND Gene.Len + Prot.Mass > 0",
+        )
+        .unwrap();
+    let table = qr.to_table();
+    for line in plan_text(&qr) {
+        assert!(table.contains(&line), "cut in the rendered table: {line}");
+    }
+    let filter = table
+        .lines()
+        .find(|l| l.trim_start().starts_with("Filter: "))
+        .expect("residual filter node");
+    assert!(
+        filter.contains("batches=") && filter.contains("time="),
+        "{filter}"
+    );
+    assert!(table.contains("limit_pushdowns=0"), "{table}");
+    // other columns keep their cap, so a wide cell cannot push the rest
+    // of the row off the screen
+    db.execute("CREATE TABLE Wide (A TEXT, B TEXT)").unwrap();
+    let long = "x".repeat(100);
+    db.execute(&format!("INSERT INTO Wide VALUES ('{long}', '{long}')"))
+        .unwrap();
+    let table = db.execute("SELECT A, B FROM Wide").unwrap().to_table();
+    let row = table.lines().nth(2).unwrap();
+    assert!(row.starts_with(&format!("{}… ", "x".repeat(39))), "{row}");
+    assert!(row.trim_end().ends_with(&format!(" {long}")), "{row}");
+}
+
+#[test]
+fn explain_shows_having_above_aggregate() {
+    let mut db = setup();
+    let lines = plan_text(
+        &db.execute(
+            "EXPLAIN SELECT Chrom, COUNT(*) FROM Gene GROUP BY Gene.Chrom HAVING COUNT(*) > 0",
+        )
+        .unwrap(),
+    );
+    assert_eq!(
+        lines[..2],
+        [
+            "Having: (COUNT(*) > 0)",
+            "  Aggregate (group by Gene.Chrom): Chrom, count",
+        ],
+        "{lines:?}"
+    );
+    assert!(
+        lines[2].trim_start().starts_with("Seq Scan Gene"),
+        "{lines:?}"
+    );
+}
+
+#[test]
+fn explain_shows_ahaving_above_aggregate() {
+    let mut db = setup();
+    db.execute("CREATE ANNOTATION TABLE Notes ON Gene").unwrap();
+    let lines = plan_text(
+        &db.execute(
+            "EXPLAIN SELECT COUNT(*) FROM Gene ANNOTATION(Notes) GROUP BY Chrom \
+             HAVING COUNT(*) > 1 AHAVING CONTAINS 'curated' ORDER BY Chrom DESC",
+        )
+        .unwrap(),
+    );
+    assert_eq!(
+        lines[..4],
+        [
+            "Sort: Chrom DESC",
+            "  Having: (COUNT(*) > 1)",
+            "    AHaving: CONTAINS 'curated'",
+            "      Aggregate (group by Chrom): count",
+        ],
+        "{lines:?}"
+    );
+}
+
 #[test]
 fn explain_set_operation_tree() {
     let mut db = setup();

@@ -7,12 +7,13 @@
 //! copied rows or the complete load — never a partial heap, never a
 //! stale sequence index.
 
+mod support;
+
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bdbms_core::executor::ExecOptions;
 use bdbms_core::{Database, DurabilityOptions};
 use bdbms_storage::{FaultInjector, FaultKind};
 
@@ -159,23 +160,15 @@ fn contains_seq_routes_through_the_sequence_index() {
     db.execute("CREATE SEQUENCE INDEX seq_sbc ON Gene (Seq) USING SBC")
         .unwrap();
     let sql = "SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ 'CATCAT'";
-    let (naive, ns) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-    let (opt, os) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    // the reference scans all 60 rows with `str::contains`
+    let (probed, os) = support::run_checked(&db, "probe", sql);
     // 60 records, a motif on every 7th
-    assert_eq!(naive.rows.len(), 9);
-    let sort = |qr: &bdbms_core::result::QueryResult| {
-        let mut v: Vec<String> = qr.rows.iter().map(|r| r.values[0].to_string()).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(sort(&naive), sort(&opt), "probe and scan must agree");
-    assert_eq!(ns.seq_index_probes, 0);
-    assert_eq!(ns.full_scans, 1);
+    assert_eq!(probed.rows.len(), 9);
     assert_eq!(os.seq_index_probes, 1, "planner must route to the index");
     assert_eq!(os.full_scans, 0);
     assert_eq!(os.chosen_indexes, vec!["seq_sbc".to_string()]);
-    // the probe touches only candidates, the scan everything
-    assert!(os.rows_fetched < ns.rows_fetched);
+    // the probe is exact: only the 9 answer rows of 60 are fetched
+    assert_eq!((os.rows_fetched, os.rows_scan_filtered), (9, 0));
 
     // the index stays correct across DML
     db.execute("INSERT INTO Gene VALUES ('new1', 'TTTCATCATTTT')")
@@ -184,18 +177,13 @@ fn contains_seq_routes_through_the_sequence_index() {
         .unwrap();
     db.execute("DELETE FROM Gene WHERE Hdr LIKE 'JW0014%'")
         .unwrap();
-    let (naive, _) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-    let (opt, os) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-    assert_eq!(sort(&naive), sort(&opt), "post-DML probe must agree");
-    assert_eq!(naive.rows.len(), 8); // -1 update, -1 delete, +1 insert
-    assert_eq!(os.seq_index_probes, 1);
+    let (probed, os) = support::run_checked(&db, "post-DML probe", sql);
+    assert_eq!(probed.rows.len(), 8); // -1 update, -1 delete, +1 insert
+    assert_eq!((os.seq_index_probes, os.rows_fetched), (1, 8));
 
     // NOT CONTAINS SEQ cannot use the candidate set
     let (_, os) = db
-        .query_traced(
-            "SELECT Hdr FROM Gene WHERE Seq NOT CONTAINS SEQ 'CATCAT'",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT Hdr FROM Gene WHERE Seq NOT CONTAINS SEQ 'CATCAT'")
         .unwrap();
     assert_eq!(os.seq_index_probes, 0);
     assert_eq!(os.full_scans, 1);
@@ -208,7 +196,7 @@ fn contains_seq_routes_through_the_sequence_index() {
 
     // dropping the index reverts to full scans
     db.execute("DROP SEQUENCE INDEX seq_sbc ON Gene").unwrap();
-    let (_, os) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (_, os) = db.query_traced(sql).unwrap();
     assert_eq!(os.seq_index_probes, 0);
     assert_eq!(os.full_scans, 1);
     let _ = fs::remove_file(&data);
@@ -255,10 +243,7 @@ fn copy_and_sequence_index_survive_close_and_open() {
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.catalog().table("Gene").unwrap().len(), 30);
     let (r, st) = db
-        .query_traced(
-            "SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ 'CATCAT'",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ 'CATCAT'")
         .unwrap();
     assert_eq!(r.rows.len(), 5);
     assert_eq!(st.seq_index_probes, 1, "the index definition must persist");
@@ -308,20 +293,15 @@ fn rebuilt_sequence_index_answers_like_the_maintained_one() {
             .iter()
             .map(|pat| {
                 let sql = format!("SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ '{pat}'");
-                let rows = |opts: &ExecOptions| {
-                    let (r, st) = db.query_traced(&sql, opts).unwrap();
-                    let mut v: Vec<String> =
-                        r.rows.iter().map(|r| r.values[0].to_string()).collect();
-                    v.sort();
-                    (v, st)
-                };
-                let (scan, _) = rows(&ExecOptions::naive());
-                let (probe, st) = rows(&ExecOptions::default());
+                // probe vs the reference's scan of every live row
+                let (r, st) = support::run_checked(db, stage, &sql);
                 assert_eq!(
                     st.seq_index_probes, 1,
                     "{stage}: `{pat}` must use the index"
                 );
-                assert_eq!(probe, scan, "{stage}: `{pat}` probe vs scan");
+                let mut probe: Vec<String> =
+                    r.rows.iter().map(|r| r.values[0].to_string()).collect();
+                probe.sort();
                 probe
             })
             .collect()
@@ -467,27 +447,17 @@ fn mid_copy_fault_sweep_loads_all_or_nothing() {
                 saw_wal_replay = true;
             }
             // the sequence index (when its DDL survived) must agree with
-            // a naive scan — stale/missing candidates would diverge here
+            // the reference's scan — stale/missing candidates would diverge
+            // here
             if db
                 .catalog()
                 .table("Gene")
                 .is_ok_and(|t| t.seq_index_named("sidx").is_some())
             {
                 let sql = "SELECT Hdr FROM Gene WHERE Seq CONTAINS SEQ 'CATCAT'";
-                let (a, st) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-                let (b, _) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
+                let leg = format!("fault {kind:?} at op {n}");
+                let (_, st) = support::run_checked(&db, &leg, sql);
                 assert_eq!(st.seq_index_probes, 1);
-                let key = |qr: &bdbms_core::result::QueryResult| {
-                    let mut v: Vec<String> =
-                        qr.rows.iter().map(|r| r.values[0].to_string()).collect();
-                    v.sort();
-                    v
-                };
-                assert_eq!(
-                    key(&a),
-                    key(&b),
-                    "fault {kind:?} at op {n}: index diverges from scan"
-                );
             }
             drop(db);
             let _ = fs::remove_dir_all(&dir);

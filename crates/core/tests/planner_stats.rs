@@ -2,12 +2,14 @@
 //! statistics), the cost-based planner must make reproducible, assertable
 //! decisions — which index serves a scan, which join order runs, whether
 //! a LIMIT terminates the pipeline early, and when a scan is served
-//! index-only — all observed through `ExecStats`.  The naive executor
-//! must keep returning the same answers on every new workload shape.
+//! index-only — all observed through `ExecStats`, as absolute values.
+//! Whatever the plan, the answer must be the reference interpreter's
+//! (`support/reference.rs`).
+
+mod support;
 
 use bdbms_common::Value;
-use bdbms_core::executor::{ExecOptions, ExecStats};
-use bdbms_core::result::QueryResult;
+use bdbms_core::executor::ExecStats;
 use bdbms_core::Database;
 
 /// 200-row Gene table: `Len` = row number (unique), `Bucket` = row % 10
@@ -42,31 +44,11 @@ fn fixture() -> Database {
     db
 }
 
-fn sorted_values(qr: &QueryResult) -> Vec<Vec<String>> {
-    let mut rows: Vec<Vec<String>> = qr
-        .rows
-        .iter()
-        .map(|r| r.values.iter().map(|v| v.to_string()).collect())
-        .collect();
-    rows.sort();
-    rows
-}
-
-/// Both executors must agree on the multiset of result rows.
-fn assert_same_rows(db: &Database, sql: &str) -> (ExecStats, ExecStats) {
-    let (naive, ns) = db
-        .query_traced(sql, &ExecOptions::naive())
-        .unwrap_or_else(|e| panic!("naive failed on {sql}: {e:?}"));
-    let (opt, os) = db
-        .query_traced(sql, &ExecOptions::default())
-        .unwrap_or_else(|e| panic!("optimized failed on {sql}: {e:?}"));
-    assert_eq!(naive.columns, opt.columns, "columns differ: {sql}");
-    assert_eq!(
-        sorted_values(&naive),
-        sorted_values(&opt),
-        "rows differ: {sql}"
-    );
-    (ns, os)
+/// Run `sql`, assert the reference interpreter's answer (columns, the
+/// multiset of `values + per-cell annotation identities`, with ORDER BY
+/// the sort-key sequence), and return the run's stats.
+fn assert_reference(db: &Database, sql: &str) -> ExecStats {
+    support::run_checked(db, "engine", sql).1
 }
 
 #[test]
@@ -128,21 +110,21 @@ fn multi_index_choice_is_cost_based_and_deterministic() {
     // Bucket = 3 matches 20 rows; Len ∈ [100, 102) matches 2 → len_idx
     // (the pre-stats planner preferred any equality, i.e. bucket_idx)
     let sql = "SELECT GID FROM Gene WHERE Bucket = 3 AND Len >= 100 AND Len < 102";
-    let (_, st) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (_, st) = db.query_traced(sql).unwrap();
     assert_eq!(st.chosen_indexes, vec!["len_idx".to_string()]);
     assert_eq!(st.index_probes, 1);
     // a table-wide Len range is worse than the Bucket equality
     let sql = "SELECT GID FROM Gene WHERE Bucket = 3 AND Len >= 0";
-    let (_, st) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (_, st) = db.query_traced(sql).unwrap();
     assert_eq!(st.chosen_indexes, vec!["bucket_idx".to_string()]);
     // decisions are a pure function of the (fixed) stats
     for _ in 0..3 {
-        let (_, again) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+        let (_, again) = db.query_traced(sql).unwrap();
         assert_eq!(again.chosen_indexes, st.chosen_indexes);
     }
-    // both plans return the same rows as the naive executor
-    assert_same_rows(&db, sql);
-    assert_same_rows(
+    // both plans return the reference's rows
+    assert_reference(&db, sql);
+    assert_reference(
         &db,
         "SELECT GID FROM Gene WHERE Bucket = 3 AND Len >= 100 AND Len < 102",
     );
@@ -152,22 +134,27 @@ fn multi_index_choice_is_cost_based_and_deterministic() {
 fn join_order_streams_the_big_source() {
     let db = fixture();
     let sql = "SELECT G.GID, T.TName FROM Tag T, Gene G WHERE T.Len = G.Len";
-    let (naive, opt) = assert_same_rows(&db, sql);
-    assert_eq!(naive.join_order, vec![0, 1], "naive keeps FROM order");
+    let st = assert_reference(&db, sql);
     assert_eq!(
-        opt.join_order,
+        st.join_order,
         vec![1, 0],
         "Gene (200 rows) streams; Tag (10 rows) is the hash build side"
     );
+    assert_eq!((st.full_scans, st.rows_fetched), (2, 210));
     // with Gene already first, the order is kept
     let sql = "SELECT G.GID, T.TName FROM Gene G, Tag T WHERE T.Len = G.Len";
-    let (_, opt) = assert_same_rows(&db, sql);
-    assert_eq!(opt.join_order, vec![0, 1]);
+    let st = assert_reference(&db, sql);
+    assert_eq!(st.join_order, vec![0, 1]);
     // a selective pushed predicate flips the estimate: Gene shrinks to
     // one row, so Tag streams and Gene becomes the build side
     let sql = "SELECT G.GID, T.TName FROM Gene G, Tag T WHERE T.Len = G.Len AND G.Len = 40";
-    let (_, opt) = assert_same_rows(&db, sql);
-    assert_eq!(opt.join_order, vec![1, 0]);
+    let st = assert_reference(&db, sql);
+    assert_eq!(st.join_order, vec![1, 0]);
+    // … and Gene's one row comes off len_idx, not the heap
+    assert_eq!(
+        (st.index_probes, st.full_scans, st.rows_fetched),
+        (1, 1, 11)
+    );
 }
 
 #[test]
@@ -186,73 +173,67 @@ fn three_way_join_prefers_connected_sources() {
     // to Gene) must come before TagMeta even though TagMeta is no bigger
     let sql = "SELECT G.GID, M.Grp FROM TagMeta M, Tag T, Gene G \
                WHERE T.Len = G.Len AND M.TName = T.TName";
-    let (_, opt) = assert_same_rows(&db, sql);
-    assert_eq!(
-        opt.join_order,
-        vec![2, 1, 0],
-        "Gene, then Tag, then TagMeta"
-    );
+    let st = assert_reference(&db, sql);
+    assert_eq!(st.join_order, vec![2, 1, 0], "Gene, then Tag, then TagMeta");
 }
 
 #[test]
 fn limit_terminates_the_pipeline_early() {
     let db = fixture();
-    // full-scan LIMIT: both paths emit rows in row order, so results are
-    // identical row-for-row; only the work differs
+    // full-scan LIMIT: the scan emits rows in row order and stops after
+    // the 7th, so the kept rows are the first 7 inserted
     let sql = "SELECT GID, GName FROM Gene LIMIT 7";
-    let (naive_r, naive) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-    let (opt_r, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (qr, st) = db.query_traced(sql).unwrap();
+    let gids: Vec<String> = qr.rows.iter().map(|r| r.values[0].to_string()).collect();
     assert_eq!(
-        naive_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>(),
-        opt_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>()
+        gids,
+        ["JW0000", "JW0001", "JW0002", "JW0003", "JW0004", "JW0005", "JW0006"]
     );
-    assert_eq!(naive.rows_fetched, 200);
-    assert_eq!(naive.rows_limit_discarded, 193);
-    assert_eq!(naive.limit_pushdowns, 0);
-    assert_eq!(opt.rows_fetched, 7, "scan stopped after the limit");
-    assert_eq!(opt.limit_pushdowns, 1);
-    assert_eq!(opt.rows_limit_discarded, 0);
+    assert_eq!(
+        st.rows_fetched, 7,
+        "scan stopped after the limit, not at 200"
+    );
+    assert_eq!(st.limit_pushdowns, 1);
+    assert_eq!(st.rows_limit_discarded, 0);
+    assert_reference(&db, sql);
 
     // LIMIT over an index range probe stops the probe's re-checks too
     let sql = "SELECT GID, Len FROM Gene WHERE Len >= 50 LIMIT 5";
-    let (_, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-    assert_eq!(opt.rows_fetched, 5);
-    assert_eq!(opt.limit_pushdowns, 1);
-    assert_same_rows(&db, sql);
+    let st = assert_reference(&db, sql);
+    assert_eq!(st.rows_fetched, 5);
+    assert_eq!(st.limit_pushdowns, 1);
 
     // annotations still attach only to the tuples that survive the limit
     let sql = "SELECT GName FROM Gene ANNOTATION(Curation) LIMIT 3";
-    let (_, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-    assert_eq!(opt.anns_attached, 3);
-    assert_same_rows(&db, sql);
+    let st = assert_reference(&db, sql);
+    assert_eq!(st.anns_attached, 3);
 }
 
 #[test]
 fn limit_is_not_pushed_past_blocking_operators() {
     let db = fixture();
-    for sql in [
-        // ORDER BY must see every row before truncating
-        "SELECT GID, Len FROM Gene ORDER BY Len DESC LIMIT 4",
-        // grouping and DISTINCT are blocking too
-        "SELECT Bucket, COUNT(*) AS n FROM Gene GROUP BY Bucket ORDER BY Bucket LIMIT 3",
-        "SELECT DISTINCT Bucket FROM Gene ORDER BY Bucket LIMIT 3",
+    for (sql, discarded) in [
+        // ORDER BY must see every row before truncating: 200 - 4
+        ("SELECT GID, Len FROM Gene ORDER BY Len DESC LIMIT 4", 196),
+        // grouping and DISTINCT are blocking too: 10 buckets - 3
+        (
+            "SELECT Bucket, COUNT(*) AS n FROM Gene GROUP BY Bucket ORDER BY Bucket LIMIT 3",
+            7,
+        ),
+        (
+            "SELECT DISTINCT Bucket FROM Gene ORDER BY Bucket LIMIT 3",
+            7,
+        ),
     ] {
-        let (naive_r, _) = db.query_traced(sql, &ExecOptions::naive()).unwrap();
-        let (opt_r, opt) = db.query_traced(sql, &ExecOptions::default()).unwrap();
-        assert_eq!(opt.limit_pushdowns, 0, "must not push: {sql}");
-        assert_eq!(
-            naive_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>(),
-            opt_r.rows.iter().map(|r| &r.values).collect::<Vec<_>>(),
-            "{sql}"
-        );
-        assert!(opt.rows_limit_discarded > 0, "late truncation: {sql}");
+        // the reference sorts before it truncates: same sort keys, in order
+        let st = assert_reference(&db, sql);
+        assert_eq!(st.limit_pushdowns, 0, "must not push: {sql}");
+        assert_eq!(st.rows_fetched, 200, "every row is read: {sql}");
+        assert_eq!(st.rows_limit_discarded, discarded, "late truncation: {sql}");
     }
     // ORDER BY + LIMIT answers are correct (top-4 by Len descending)
     let (qr, _) = db
-        .query_traced(
-            "SELECT Len FROM Gene ORDER BY Len DESC LIMIT 4",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT Len FROM Gene ORDER BY Len DESC LIMIT 4")
         .unwrap();
     let lens: Vec<String> = qr.rows.iter().map(|r| r.values[0].to_string()).collect();
     assert_eq!(lens, vec!["199", "198", "197", "196"]);
@@ -263,7 +244,7 @@ fn index_only_scans_skip_the_heap() {
     let db = fixture();
     // projection and predicate both live on the indexed column
     let sql = "SELECT Len FROM Gene WHERE Len >= 5 AND Len < 8";
-    let (qr, st) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (qr, st) = db.query_traced(sql).unwrap();
     assert_eq!(st.index_only_scans, 1);
     assert_eq!(st.index_probes, 1);
     assert_eq!(
@@ -273,19 +254,16 @@ fn index_only_scans_skip_the_heap() {
             .collect::<Vec<_>>(),
         vec!["5", "6", "7"]
     );
-    assert_same_rows(&db, sql);
+    assert_reference(&db, sql);
     // aggregates over the covered column stay index-only
     let sql = "SELECT COUNT(*) AS n FROM Gene WHERE Len >= 100";
-    let (qr, st) = db.query_traced(sql, &ExecOptions::default()).unwrap();
+    let (qr, st) = db.query_traced(sql).unwrap();
     assert_eq!(st.index_only_scans, 1);
     assert_eq!(qr.rows[0].values[0], Value::Int(100));
-    assert_same_rows(&db, sql);
+    assert_reference(&db, sql);
     // projecting an uncovered column forces heap fetches
     let (_, st) = db
-        .query_traced(
-            "SELECT GID FROM Gene WHERE Len = 5",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT GID FROM Gene WHERE Len = 5")
         .unwrap();
     assert_eq!(st.index_only_scans, 0);
     assert_eq!(st.index_probes, 1);
@@ -312,6 +290,6 @@ fn stats_survive_heavy_churn_and_plans_stay_valid() {
         "SELECT Bucket, COUNT(*) AS n FROM Gene GROUP BY Bucket ORDER BY Bucket",
         "SELECT GID FROM Gene WHERE Len >= 100 LIMIT 6",
     ] {
-        assert_same_rows(&db, sql);
+        assert_reference(&db, sql);
     }
 }

@@ -1,86 +1,24 @@
-//! Pushdown/index regression suite: the optimized streaming executor
-//! must return **identical rows and identical annotation sets** to the
-//! naive fully-materializing executor for every §3.4 construct —
-//! ANNOTATION propagation, AWHERE, FILTER, PROMOTE, the synthetic
-//! `outdated` annotation (§5), grouping, set operations — and the
-//! secondary indexes must stay consistent across INSERT / UPDATE /
-//! DELETE and dependency cascades.
+//! Pushdown/index regression suite: the executor's one plan (conjuncts
+//! pushed to their scans, index probes, annotations attached after the
+//! joins) must return the reference interpreter's rows and annotation
+//! sets (`support/reference.rs`: the whole WHERE on every joined row,
+//! annotations attached to every cell up front, no planner, no index) for
+//! every §3.4 construct — ANNOTATION propagation, AWHERE, FILTER, PROMOTE,
+//! the synthetic `outdated` annotation (§5), grouping, set operations —
+//! and the secondary indexes must stay consistent across INSERT / UPDATE /
+//! DELETE and dependency cascades.  What the plan *costs* is pinned as
+//! absolute, hand-computed `ExecStats` values.
 
-use bdbms_core::executor::{ExecOptions, ExecStats};
-use bdbms_core::result::QueryResult;
+mod support;
+
+use bdbms_core::executor::ExecStats;
 use bdbms_core::Database;
 
-/// `(source table, annotation table, id, raw body)` — one annotation's
-/// comparable identity.
-type AnnKey = (String, String, u64, String);
-
-/// A result's annotations as a comparable, order-insensitive fingerprint
-/// (per row, per cell).
-fn ann_fingerprint(qr: &QueryResult) -> Vec<Vec<Vec<AnnKey>>> {
-    qr.rows
-        .iter()
-        .map(|row| {
-            row.anns
-                .iter()
-                .map(|cell| {
-                    let mut a: Vec<_> = cell
-                        .iter()
-                        .map(|a| {
-                            (
-                                a.source_table.clone(),
-                                a.ann_table.clone(),
-                                a.id,
-                                a.raw.clone(),
-                            )
-                        })
-                        .collect();
-                    a.sort();
-                    a
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn values_of(qr: &QueryResult) -> Vec<Vec<String>> {
-    qr.rows
-        .iter()
-        .map(|r| r.values.iter().map(|v| v.to_string()).collect())
-        .collect()
-}
-
-/// Run `sql` under both executors and assert identical answers
-/// (columns, the multiset of row values, and per-cell annotation sets).
-/// Rows are compared order-insensitively — SQL leaves row order
-/// unspecified without ORDER BY, and the cost-based join reordering
-/// legitimately emits join results in a different (but equally valid)
-/// order than FROM-order execution.  ORDER BY queries still compare in
-/// order after the shared sort.  Returns the optimized run's stats for
-/// additional assertions.
-fn assert_equivalent(db: &Database, sql: &str) -> ExecStats {
-    let (naive, _) = db
-        .query_traced(sql, &ExecOptions::naive())
-        .unwrap_or_else(|e| panic!("naive failed on {sql}: {e:?}"));
-    let (opt, stats) = db
-        .query_traced(sql, &ExecOptions::default())
-        .unwrap_or_else(|e| panic!("optimized failed on {sql}: {e:?}"));
-    assert_eq!(naive.columns, opt.columns, "columns differ: {sql}");
-    let rowset = |qr: &QueryResult| {
-        let mut rows: Vec<(Vec<String>, Vec<Vec<AnnKey>>)> =
-            values_of(qr).into_iter().zip(ann_fingerprint(qr)).collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rowset(&naive), rowset(&opt), "result sets differ: {sql}");
-    // ORDER BY output must also agree row-for-row
-    if sql.to_ascii_uppercase().contains("ORDER BY") {
-        assert_eq!(
-            values_of(&naive),
-            values_of(&opt),
-            "ordered rows differ: {sql}"
-        );
-    }
-    stats
+/// Run `sql`, assert the reference interpreter's answer (columns, the
+/// multiset of `values + per-cell annotation identities`, with ORDER BY
+/// the sort-key sequence), and return the run's stats.
+fn assert_reference(db: &Database, sql: &str) -> ExecStats {
+    support::run_checked(db, "engine", sql).1
 }
 
 /// The paper-shaped fixture: two gene tables with annotation tables,
@@ -137,7 +75,7 @@ fn fixture() -> Database {
 }
 
 #[test]
-fn filtered_queries_agree_between_executors() {
+fn filtered_queries_match_the_reference() {
     let db = fixture();
     for sql in [
         // selective equality over the indexed column
@@ -145,7 +83,7 @@ fn filtered_queries_agree_between_executors() {
         // range over the indexed column
         "SELECT GID FROM DB1_Gene WHERE Len > 55",
         "SELECT GID FROM DB1_Gene WHERE Len >= 10 AND Len < 13",
-        // non-indexed predicate (full scan both ways)
+        // non-indexed predicate (full scan)
         "SELECT GID FROM DB1_Gene WHERE GName LIKE 'g1%'",
         // compound with OR (not pushable through the index)
         "SELECT GID FROM DB1_Gene WHERE Len = 3 OR Len = 57",
@@ -157,12 +95,12 @@ fn filtered_queries_agree_between_executors() {
         // expression predicates
         "SELECT GID FROM DB1_Gene WHERE Len * 2 = 20 AND LENGTH(GID) = 6",
     ] {
-        assert_equivalent(&db, sql);
+        assert_reference(&db, sql);
     }
 }
 
 #[test]
-fn annotation_propagation_agrees_between_executors() {
+fn annotation_propagation_matches_the_reference() {
     let db = fixture();
     for sql in [
         // scan-time attachment + projection annotation semantics
@@ -191,12 +129,12 @@ fn annotation_propagation_agrees_between_executors() {
         // ORDER BY on the compound output
         "SELECT GID FROM DB1_Gene WHERE Len < 6 ORDER BY GID DESC",
     ] {
-        assert_equivalent(&db, sql);
+        assert_reference(&db, sql);
     }
 }
 
 #[test]
-fn outdated_annotations_agree_between_executors() {
+fn outdated_annotations_match_the_reference() {
     let mut db = fixture();
     // make cells outdated the § 5 way: a non-executable dependency rule
     // marks targets stale when sources change
@@ -217,58 +155,58 @@ fn outdated_annotations_agree_between_executors() {
         .unwrap();
     db.execute("UPDATE DB1_Gene SET GName = 'renamed2' WHERE Len = 7")
         .unwrap();
-    // outdated cells now exist on Protein; both executors must attach the
-    // synthetic annotation identically, with and without pushdown
+    // outdated cells now exist on Protein; the post-filter attach stage
+    // must surface the synthetic annotation on exactly the reference's cells
     for sql in [
         "SELECT GID, PSequence FROM Protein",
         "SELECT GID, PSequence FROM Protein WHERE GID = 'JW0003'",
         "SELECT PSequence FROM Protein AWHERE FROM outdated",
         "SELECT GID FROM Protein AWHERE CONTAINS 'pending re-verification'",
     ] {
-        assert_equivalent(&db, sql);
+        assert_reference(&db, sql);
     }
 }
 
 #[test]
-fn optimized_path_actually_uses_the_index() {
+fn the_plan_probes_the_index_and_attaches_to_survivors_only() {
     let db = fixture();
-    let stats = assert_equivalent(&db, "SELECT GID FROM DB1_Gene WHERE Len = 42");
+    let stats = assert_reference(&db, "SELECT GID FROM DB1_Gene WHERE Len = 42");
     assert_eq!(stats.index_probes, 1, "equality must probe the index");
     assert_eq!(stats.full_scans, 0);
-    assert_eq!(stats.rows_fetched, 1, "only the matching row is fetched");
-    let (_, naive_stats) = db
-        .query_traced(
-            "SELECT GID FROM DB1_Gene WHERE Len = 42",
-            &ExecOptions::naive(),
-        )
-        .unwrap();
-    assert_eq!(naive_stats.rows_fetched, 60, "baseline scans everything");
-    assert!(naive_stats.anns_attached == 0, "no annotations requested");
+    assert_eq!(
+        stats.rows_fetched, 1,
+        "only the matching row of 60 is fetched"
+    );
+    assert_eq!(stats.anns_attached, 0, "no annotations requested");
 
-    // pushdown without an index still avoids materializing losers into
-    // the join: only annotation work shrinks, row fetches stay full-scan
-    let stats = assert_equivalent(
+    // without an index the pushed conjunct is still evaluated at the scan:
+    // all 60 rows are fetched, 49 rejected there ('g1', 'g10'..'g19' pass)
+    let stats = assert_reference(&db, "SELECT GID FROM DB1_Gene WHERE GName LIKE 'g1%'");
+    assert_eq!((stats.index_probes, stats.full_scans), (0, 1));
+    assert_eq!((stats.rows_fetched, stats.rows_scan_filtered), (60, 49));
+
+    // G.Len = 4 probes len_idx for the one row of G; H has no pushed
+    // conjunct, so its 40 rows stream past the one-row build side.  Prov
+    // annotates GName on all 60 rows, but only the surviving joined row's
+    // *projected* columns get annotation work: none for GID, one for GName
+    let join = "FROM DB1_Gene ANNOTATION(Prov) G, DB2_Gene H WHERE G.GID = H.GID AND G.Len = 4";
+    let stats = assert_reference(&db, &format!("SELECT G.GID {join}"));
+    assert_eq!((stats.index_probes, stats.full_scans), (1, 1));
+    assert_eq!(stats.rows_fetched, 41);
+    assert_eq!(stats.join_order, [1, 0], "H streams, G is the build side");
+    assert_eq!(stats.anns_attached, 0);
+    let stats = assert_reference(&db, &format!("SELECT G.GID, G.GName {join}"));
+    assert_eq!(stats.anns_attached, 1);
+    // AWHERE needs every column's annotations, still on survivors only:
+    // the probe's bound is widened to `Len <= 5` (6 candidates), the
+    // re-check drops Len = 5, and each of the 5 survivors carries Prov on
+    // GName
+    let stats = assert_reference(
         &db,
-        "SELECT G.GID FROM DB1_Gene ANNOTATION(Prov) G, DB2_Gene H \
-         WHERE G.GID = H.GID AND G.Len = 4",
+        "SELECT GID FROM DB1_Gene ANNOTATION(Prov) WHERE Len < 5 AWHERE CONTAINS 'RegulonDB'",
     );
-    assert_eq!(stats.index_probes, 1, "G.Len = 4 probes len_idx");
-    // lazy attachment: only the surviving joined row's projected column
-    // gets annotation work
-    let (_, naive) = db
-        .query_traced(
-            "SELECT G.GID FROM DB1_Gene ANNOTATION(Prov) G, DB2_Gene H \
-             WHERE G.GID = H.GID AND G.Len = 4",
-            &ExecOptions::naive(),
-        )
-        .unwrap();
-    assert!(
-        stats.anns_attached < naive.anns_attached,
-        "lazy attachment must do strictly less annotation work \
-         (opt {} vs naive {})",
-        stats.anns_attached,
-        naive.anns_attached
-    );
+    assert_eq!((stats.rows_fetched, stats.rows_scan_filtered), (6, 1));
+    assert_eq!(stats.anns_attached, 5);
 }
 
 #[test]
@@ -276,10 +214,7 @@ fn index_consistency_through_dml_and_cascades() {
     let mut db = fixture();
     let probe = |db: &Database, len: i64| -> Vec<String> {
         let (qr, stats) = db
-            .query_traced(
-                &format!("SELECT GID FROM DB1_Gene WHERE Len = {len}"),
-                &ExecOptions::default(),
-            )
+            .query_traced(&format!("SELECT GID FROM DB1_Gene WHERE Len = {len}"))
             .unwrap();
         assert_eq!(stats.index_probes, 1);
         qr.rows.iter().map(|r| r.values[0].to_string()).collect()
@@ -321,17 +256,14 @@ fn index_consistency_through_dml_and_cascades() {
     db.execute("UPDATE DB1_Gene SET Len = 500 WHERE GID = 'JW0004'")
         .unwrap();
     let (qr, stats) = db
-        .query_traced(
-            "SELECT GID FROM Derived WHERE DLen = 1000",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT GID FROM Derived WHERE DLen = 1000")
         .unwrap();
     assert_eq!(stats.index_probes, 1);
     assert_eq!(qr.rows.len(), 1);
     assert_eq!(qr.rows[0].values[0].to_string(), "JW0004");
     // and the equivalence still holds table-wide after all the churn
-    assert_equivalent(&db, "SELECT GID, DLen FROM Derived WHERE DLen > 0");
-    assert_equivalent(
+    assert_reference(&db, "SELECT GID, DLen FROM Derived WHERE DLen > 0");
+    assert_reference(
         &db,
         "SELECT GID, Len FROM DB1_Gene WHERE Len >= 0 ORDER BY GID",
     );
@@ -340,21 +272,16 @@ fn index_consistency_through_dml_and_cascades() {
 #[test]
 fn update_delete_where_go_through_index_planning() {
     let mut db = fixture();
-    // UPDATE/DELETE with indexable predicates must produce the same
-    // state as the full-scan path would — churn then verify
+    // UPDATE/DELETE with indexable predicates go through the same probe
+    // planning as SELECT scans — churn, then verify against the reference
     db.execute("UPDATE DB1_Gene SET GName = 'hit' WHERE Len = 33")
         .unwrap();
     let (qr, _) = db
-        .query_traced(
-            "SELECT GName FROM DB1_Gene WHERE Len = 33",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT GName FROM DB1_Gene WHERE Len = 33")
         .unwrap();
     assert_eq!(qr.rows[0].values[0].to_string(), "hit");
     db.execute("DELETE FROM DB1_Gene WHERE Len >= 58").unwrap();
-    let (qr, _) = db
-        .query_traced("SELECT COUNT(*) FROM DB1_Gene", &ExecOptions::default())
-        .unwrap();
+    let (qr, _) = db.query_traced("SELECT COUNT(*) FROM DB1_Gene").unwrap();
     assert_eq!(qr.rows[0].values[0].to_string(), "58");
-    assert_equivalent(&db, "SELECT GID FROM DB1_Gene WHERE Len > 50");
+    assert_reference(&db, "SELECT GID FROM DB1_Gene WHERE Len > 50");
 }

@@ -14,7 +14,6 @@ mod support;
 use std::fs;
 use std::path::PathBuf;
 
-use bdbms_core::executor::ExecOptions;
 use bdbms_core::Database;
 use proptest::prelude::*;
 
@@ -80,7 +79,7 @@ fn assert_exact(db: &Database, model: &Model, patterns: &[String], stage: &str) 
             .collect();
         want.sort_unstable();
         let sql = format!("SELECT K FROM P WHERE S CONTAINS SEQ '{pat}'");
-        let (r, st) = db.query_traced(&sql, &ExecOptions::default()).unwrap();
+        let (r, st) = db.query_traced(&sql).unwrap();
         assert_eq!(st.seq_index_probes, 1, "{stage}: `{pat}` must probe");
         // exact ⇒ every fetched row is a result row
         assert_eq!(st.rows_fetched as usize, want.len(), "{stage} `{pat}`");

@@ -98,9 +98,7 @@ fn row_cursor_streams_without_materializing() {
     assert_eq!(rest.rows.len(), 4995);
 
     // the one-shot path fetches everything up front (sanity contrast)
-    let (_, st) = db
-        .query_traced("SELECT GID FROM Gene", &Default::default())
-        .unwrap();
+    let (_, st) = db.query_traced("SELECT GID FROM Gene").unwrap();
     assert_eq!(st.rows_fetched, 5000);
 }
 
@@ -424,7 +422,7 @@ fn set_op_branches_are_authorized() {
 fn query_traced_rejects_placeholders_up_front() {
     let db = gene_db(0);
     let err = db
-        .query_traced("SELECT GID FROM Gene WHERE Len = ?", &Default::default())
+        .query_traced("SELECT GID FROM Gene WHERE Len = ?")
         .unwrap_err();
     assert_eq!(err.code(), ErrorCode::ParamMismatch);
 }

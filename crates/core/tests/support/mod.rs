@@ -7,7 +7,8 @@ pub mod reference;
 use bdbms_common::{BdbmsError, Result, Value};
 use bdbms_core::ast::{Select, Statement};
 use bdbms_core::catalog::Catalog;
-use bdbms_core::{AnnRow, QueryResult};
+use bdbms_core::executor::ExecStats;
+use bdbms_core::{AnnRow, Database, QueryResult};
 use reference::Answer;
 
 /// Canonical text form of each row: values plus the identities of every
@@ -59,6 +60,17 @@ pub fn expect(catalog: &Catalog, sql: &str) -> Expected {
         unlimited: reference::run(catalog, &lifted),
         sel,
     }
+}
+
+/// Run `sql` through `Database::query_traced`, assert that the answer is
+/// the reference interpreter's (see [`Expected::assert_matches`]), and
+/// hand it back with its execution counters.
+pub fn run_checked(db: &Database, leg: &str, sql: &str) -> (QueryResult, ExecStats) {
+    let (got, stats) = db
+        .query_traced(sql)
+        .unwrap_or_else(|e| panic!("{leg}: engine failed on {sql}: {e:?}"));
+    expect(db.catalog(), sql).assert_matches(leg, Ok(got.clone()));
+    (got, stats)
 }
 
 impl Expected {

@@ -9,7 +9,6 @@
 //! never replayed.
 
 use bdbms_common::{ErrorCode, Value};
-use bdbms_core::executor::ExecOptions;
 use bdbms_core::provenance::{ProvOp, ProvenanceRecord};
 use bdbms_core::{Database, TxnStatus};
 
@@ -141,10 +140,7 @@ fn rollback_restores_a_dropped_table_wholesale() {
     assert_eq!(table_fingerprint(&db, "Gene"), before);
     // the restored secondary index answers probes again
     let (_, st) = db
-        .query_traced(
-            "SELECT Len FROM Gene WHERE GID = 'JW0082'",
-            &ExecOptions::default(),
-        )
+        .query_traced("SELECT Len FROM Gene WHERE GID = 'JW0082'")
         .unwrap();
     assert_eq!(st.index_probes, 1, "restored index is used");
 }

@@ -10,9 +10,12 @@ Both files are arrays of experiment reports as emitted by
 experiment present in both files, the fresh speedup (the "speedup"
 column, e.g. "12000.5x") must be at least `baseline / N` (default
 N = 5): only a more-than-N-fold drop fails the gate, so noisy CI
-runners never flake it, while a real regression — an index probe
-silently degrading to a full scan, a LIMIT no longer terminating the
-pipeline — trips it immediately.
+runners never flake it, while a collapse — a prepared statement
+re-planning on every call, a pathological undo-log replay — trips it.
+Every row compares two legs of the same engine; plan regressions (an
+index probe degrading to a full scan, a LIMIT that stops terminating
+the pipeline) are caught by the `benchmark/` workloads and by the
+absolute `ExecStats` values the test suite pins, not here.
 
 A few workloads additionally carry an *absolute* floor (see
 ABSOLUTE_FLOOR): e14's group-commit rows gate the paper-repro
@@ -57,12 +60,11 @@ WORKLOAD_TOLERANCE = {
     # ratio over sequential reads is scheduling-dependent, so only gate
     # against outright collapse.
     "point reads": 50.0,
-    # e15: both ratios lean on I/O (COPY parses a file and checkpoints;
+    # e15: the ratio leans on I/O (COPY parses a file and checkpoints;
     # the INSERT side pays per-statement WAL appends), so the measured
-    # multiple swings with the filesystem.  The ABSOLUTE_FLOOR entries
-    # below carry the acceptance criteria.
+    # multiple swings with the filesystem.  The ABSOLUTE_FLOOR entry
+    # below carries the acceptance criterion.
     "bulk load (COPY vs row INSERTs)": 50.0,
-    "indexed substring (CONTAINS SEQ vs scan)": 50.0,
 }
 
 # Absolute minimum speedups, enforced on the fresh run regardless of the
@@ -77,9 +79,6 @@ ABSOLUTE_FLOOR = {
     # e15 acceptance: COPY of a 50k-record FASTA dump must load >= 10x
     # faster than the same rows as row-at-a-time INSERT statements...
     "bulk load (COPY vs row INSERTs)": 10.0,
-    # ...and CONTAINS SEQ through the sequence index must beat the naive
-    # full scan >= 10x.
-    "indexed substring (CONTAINS SEQ vs scan)": 10.0,
     # ...and filling an SBC sequence index from existing rows in bulk (one
     # sort + bottom-up loads: CREATE SEQUENCE INDEX, every open) must beat
     # growing it one insert at a time >= 2x (ISSUE 14; measured 4-6x).
