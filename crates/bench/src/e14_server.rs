@@ -444,8 +444,12 @@ mod tests {
     use super::*;
 
     /// Shape check at a small scale: the report renders, carries the
-    /// four workloads, and group commit actually amortizes fsyncs (the
-    /// >= 4x floors are asserted by the release-mode CI gate, not here).
+    /// four workloads, and group commit never costs more than one fsync
+    /// per commit.  Whether commits actually share an fsync depends on
+    /// the scheduler (4 clients on a loaded 2-core box sometimes commit
+    /// one at a time: 4 runs in 100 under two busy loops), so the
+    /// amortization itself — and the >= 4x floors — are gated by the
+    /// release-mode CI `server` job, not here.
     #[test]
     fn report_shape_and_fsync_amortization() {
         let r = run_sized(4, 8, 32);
@@ -457,8 +461,8 @@ mod tests {
         assert!(j.contains("commits per fsync"));
         let fsyncs_per_commit: f64 = r.rows[2][5].parse().unwrap();
         assert!(
-            fsyncs_per_commit < 1.0,
-            "expected amortization, got {fsyncs_per_commit} fsyncs/commit"
+            fsyncs_per_commit <= 1.0,
+            "more than one fsync per commit: {fsyncs_per_commit}"
         );
     }
 }

@@ -22,11 +22,15 @@
 //! operators hand the expression engine `&[Value]` row slices of it, and
 //! the `Projection` — the last reader — *moves* bare-column items out
 //! of it, so what a statement allocates per answer row is what the
-//! `AnnRow` it returns is made of.
+//! `AnnRow` it returns is made of.  The other two readers at the end of
+//! a pipeline are the `BatchAggregator`, which folds every grouped
+//! SELECT into accumulators, and `Batch::into_rows`, which hands a
+//! curator statement the rows it targets.
 //!
 //! Result multisets and error codes are pinned against a reference
 //! interpreter that shares none of this code (the differential proptest
-//! suite, `tests/batch_differential.rs`); the row counters in
+//! suites, `tests/batch_differential.rs` for SELECT and
+//! `tests/target_differential.rs` for statement targets); the row counters in
 //! `ExecStats` advance in batch granularity.  See `docs/EXECUTOR.md` for
 //! the operator catalog and how to add one.
 
@@ -36,7 +40,7 @@ use std::rc::Rc;
 
 use bdbms_common::{BdbmsError, Result, Value};
 
-use crate::ast::{AggFunc, AnnExpr, Expr, Select, SelectItem};
+use crate::ast::{AggFunc, AnnExpr, BinaryOp, Expr, Select, SelectItem, UnaryOp};
 use crate::catalog::Table;
 use crate::executor::{eval_ann, has_aggregate, item_ann_columns, ExecStats, SourceAttach};
 use crate::expr::{compile, eval_compiled, resolve_column, CExpr, ColBinding};
@@ -170,11 +174,18 @@ impl Batch {
             self.row_nos.extend_from_slice(other.row_nos(i));
         }
     }
-}
 
-/// Move every cell out of a tuple's slice of an arena.
-pub(crate) fn take_cells<T: Default>(cells: &mut [T]) -> Vec<T> {
-    cells.iter_mut().map(std::mem::take).collect()
+    /// Move the live tuples out as `(row number, values)` pairs, in order
+    /// (the first source's row number: for single-source pipelines, the
+    /// executor's statement targets).
+    pub(crate) fn into_rows(mut self) -> impl Iterator<Item = (u64, Vec<Value>)> {
+        let sel = std::mem::take(&mut self.sel);
+        sel.into_iter().map(move |i| {
+            let cells = self.cells(i);
+            let values = self.values[cells].iter_mut().map(std::mem::take).collect();
+            (self.row_nos[i * self.sources], values)
+        })
+    }
 }
 
 /// The vectorized operator interface.  `demand` is how many live tuples
@@ -695,24 +706,6 @@ impl Projection {
     }
 }
 
-/// Drain an operator tree into materialized, un-projected [`AnnRow`]s
-/// (for the grouped output stage that needs whole groups in hand).
-pub(crate) fn drain_rows<'a>(op: &mut dyn BatchOp<'a>) -> Result<Vec<AnnRow>> {
-    let mut out = Vec::new();
-    while let Some(mut b) = op.next_batch(BATCH_SIZE)? {
-        let cells = b.len() * b.arity;
-        let mut anns = b.anns.take().unwrap_or_else(|| vec![Vec::new(); cells]);
-        for &i in &b.sel {
-            let cells = b.cells(i);
-            out.push(AnnRow {
-                values: take_cells(&mut b.values[cells.clone()]),
-                anns: take_cells(&mut anns[cells]),
-            });
-        }
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Streaming cursor adapter
 // ---------------------------------------------------------------------------
@@ -772,25 +765,14 @@ impl Iterator for BatchCursorStream<'_> {
 // Streaming aggregation
 // ---------------------------------------------------------------------------
 
-/// What one SELECT item contributes to the accumulator fast path.
-enum ItemKind {
-    /// Non-aggregate expression: evaluated once on the group's first row
-    /// (group-by keys are constant within a group).
-    Key(CExpr),
-    /// A top-level aggregate over an optional argument expression.
-    Agg(AggFunc, Option<CExpr>),
-}
-
-/// Incremental form of the executor's per-group aggregate evaluation
-/// (`eval_group`): counts non-null inputs, tracks int-ness and the
-/// float total the same way, and keeps min/max by `Ord`.
+/// One aggregate's running state: counts non-null inputs, tracks
+/// int-ness and the float total, and keeps min/max by `Ord`.
 struct AggAcc {
     f: AggFunc,
     /// Non-null input count (COUNT(*) counts every row via `Int(1)`).
     n: u64,
     all_int: bool,
-    /// Sum over `as_float()`-convertible inputs (others contribute 0,
-    /// like `eval_group`'s `filter_map(as_float)`).
+    /// Sum over `as_float()`-convertible inputs (others contribute 0).
     total: f64,
     /// Running min/max (only maintained for Min/Max).
     best: Option<Value>,
@@ -805,9 +787,8 @@ impl AggAcc {
             f,
             n: 0,
             all_int: true,
-            // -0.0 is `<f64 as Sum>`'s identity: `eval_group`'s sum over
-            // values with no float form yields -0.0, and both group
-            // stages must agree bit-for-bit
+            // -0.0 is `<f64 as Sum>`'s identity: a sum over values with no
+            // float form is -0.0 in the reference too, bit for bit
             total: -0.0,
             best: None,
             err: None,
@@ -836,8 +817,11 @@ impl AggAcc {
         }
     }
 
-    fn finalize(self) -> Value {
-        match self.f {
+    fn finalize(self) -> Result<Value> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        Ok(match self.f {
             AggFunc::Count => Value::Int(self.n as i64),
             AggFunc::Sum | AggFunc::Avg => {
                 if self.n == 0 {
@@ -853,152 +837,237 @@ impl AggAcc {
                 }
             }
             AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Null),
+        })
+    }
+}
+
+/// An expression over a finished group: each aggregate reachable through
+/// `Binary`/`Unary` reads its accumulator's output, every aggregate-free
+/// part is compiled over the group's first-row cells.  An operator over
+/// an aggregate evaluates both operands before it applies (errors under a
+/// short-circuited arm still fire, as in the reference interpreter); an
+/// aggregate in any other position is `compile`'s `CExpr::Err`.
+enum GroupExpr {
+    /// Aggregate-free, over the first-row cells.
+    Row(CExpr),
+    /// The output of accumulator `k`.
+    Agg(usize),
+    Unary(UnaryOp, Box<GroupExpr>),
+    Binary(Box<GroupExpr>, BinaryOp, Box<GroupExpr>),
+}
+
+impl GroupExpr {
+    /// Compile `e`, adding each distinct aggregate it reads to `aggs` and
+    /// each binding position its aggregate-free parts read to `cols`.
+    fn new(
+        e: &Expr,
+        bindings: &[ColBinding],
+        aggs: &mut Vec<AggSpec>,
+        cols: &mut Vec<usize>,
+    ) -> Self {
+        let mut sub = |e: &Expr| Box::new(GroupExpr::new(e, bindings, aggs, cols));
+        match e {
+            Expr::Aggregate(f, arg) => GroupExpr::Agg(position_or_push(aggs, (*f, arg.clone()))),
+            Expr::Unary(op, a) if has_aggregate(a) => GroupExpr::Unary(*op, sub(a)),
+            Expr::Binary(l, op, r) if has_aggregate(e) => GroupExpr::Binary(sub(l), *op, sub(r)),
+            _ => {
+                let mut c = compile(e, bindings);
+                renumber_columns(&mut c, cols);
+                GroupExpr::Row(c)
+            }
+        }
+    }
+
+    fn eval(&self, first: &[Value], aggs: &[Result<Value>]) -> Result<Value> {
+        let lit = |v: Value| Box::new(CExpr::Literal(v));
+        match self {
+            GroupExpr::Row(c) => eval_compiled(c, first),
+            GroupExpr::Agg(k) => aggs[*k].clone(),
+            GroupExpr::Unary(op, a) => {
+                eval_compiled(&CExpr::Unary(*op, lit(a.eval(first, aggs)?)), &[])
+            }
+            GroupExpr::Binary(l, op, r) => {
+                let l = l.eval(first, aggs)?;
+                let r = r.eval(first, aggs)?;
+                eval_compiled(&CExpr::Binary(lit(l), *op, lit(r)), &[])
+            }
         }
     }
 }
 
-/// Per-item state of one group.
-enum ItemState {
-    Key(std::result::Result<Value, BdbmsError>),
-    Agg(AggAcc),
+/// An aggregate as the SQL spells it: function and argument.
+type AggSpec = (AggFunc, Option<Box<Expr>>);
+
+/// `x`'s position in `xs`, appending it when absent.
+fn position_or_push<T: PartialEq>(xs: &mut Vec<T>, x: T) -> usize {
+    match xs.iter().position(|y| *y == x) {
+        Some(k) => k,
+        None => {
+            xs.push(x);
+            xs.len() - 1
+        }
+    }
+}
+
+/// Renumber a compiled expression's column reads to positions in
+/// `cols`, adding the binding positions it is the first to read.
+fn renumber_columns(c: &mut CExpr, cols: &mut Vec<usize>) {
+    match c {
+        CExpr::Column(k) => *k = position_or_push(cols, *k),
+        CExpr::Literal(_) | CExpr::Err(_) => {}
+        CExpr::Unary(_, a)
+        | CExpr::IsNull(a, _)
+        | CExpr::Like(a, _, _)
+        | CExpr::ContainsSeq(a, _, _) => renumber_columns(a, cols),
+        CExpr::InList(a, items, _) => {
+            renumber_columns(a, cols);
+            items.iter_mut().for_each(|i| renumber_columns(i, cols));
+        }
+        CExpr::Binary(l, _, r) => {
+            renumber_columns(l, cols);
+            renumber_columns(r, cols);
+        }
+        CExpr::Call(_, args) => args.iter_mut().for_each(|a| renumber_columns(a, cols)),
+    }
 }
 
 struct Group {
-    states: Vec<ItemState>,
+    /// The group's first row, at the aggregator's `first_cols`.
+    first: Vec<Value>,
+    accs: Vec<AggAcc>,
+    /// Some annotation of some row satisfied AHAVING.
+    ahaving: bool,
     /// Merged annotations per item (identity-deduped union across the
     /// group's rows, §3.4).
     anns: Vec<Vec<AnnRef>>,
 }
 
-/// Streaming GROUP BY over batches: groups keyed in insertion order,
-/// one accumulator per aggregate item — no per-row `AnnRow`
-/// materialization and no interpreted expression walks.
-///
-/// Eligible when there is no HAVING/AHAVING, the GROUP BY keys resolve,
-/// and every item is either aggregate-free or a *top-level* aggregate;
-/// anything else returns `None` from [`try_new`](Self::try_new) and the
-/// executor falls back to materializing + `aggregate_rows`.
+/// GROUP BY / aggregation over batches: groups keyed in insertion order,
+/// one accumulator per distinct aggregate, and per group only the
+/// first-row cells the aggregate-free parts read — no per-row `AnnRow`
+/// and no interpreted expression walk.  `finish` evaluates HAVING, then
+/// AHAVING, then the items over (first-row cells ++ accumulator outputs),
+/// group by group.
 pub(crate) struct BatchAggregator {
-    key_idxs: Vec<usize>,
-    kinds: Vec<ItemKind>,
+    /// GROUP BY key positions; one that does not resolve fails `finish`,
+    /// once the pipeline has drained.
+    keys: std::result::Result<Vec<usize>, BdbmsError>,
+    /// Per distinct aggregate: function and compiled argument.
+    aggs: Vec<(AggFunc, Option<CExpr>)>,
+    /// Binding positions a group keeps from its first row.
+    first_cols: Vec<usize>,
+    having: Option<GroupExpr>,
+    ahaving: Option<AnnExpr>,
+    items: Vec<GroupExpr>,
     /// Annotation columns per item; errors deferred to finalization.
     item_cols: Vec<std::result::Result<Vec<usize>, BdbmsError>>,
     index: HashMap<Vec<Value>, usize>,
     groups: Vec<Group>,
-    group_by_empty: bool,
-    arity: usize,
 }
 
 impl BatchAggregator {
-    /// Build the fast path if this SELECT's shape allows it.
-    pub(crate) fn try_new(
-        sel: &Select,
-        items: &[SelectItem],
-        bindings: &[ColBinding],
-    ) -> Option<Self> {
-        if sel.having.is_some() || sel.ahaving.is_some() {
-            return None;
-        }
-        let key_idxs: Vec<usize> = sel
+    pub(crate) fn new(sel: &Select, items: &[SelectItem], bindings: &[ColBinding]) -> Self {
+        let keys = sel
             .group_by
             .iter()
-            .map(|(q, n)| resolve_column(bindings, q.as_deref(), n).ok())
-            .collect::<Option<_>>()?;
-        let kinds: Vec<ItemKind> = items
-            .iter()
-            .map(|item| match &item.expr {
-                Expr::Aggregate(f, arg) => Some(ItemKind::Agg(
-                    *f,
-                    arg.as_deref().map(|a| compile(a, bindings)),
-                )),
-                e if !has_aggregate(e) => Some(ItemKind::Key(compile(e, bindings))),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        let item_cols = items
-            .iter()
-            .map(|i| item_ann_columns(i, bindings))
+            .map(|(q, n)| resolve_column(bindings, q.as_deref(), n))
             .collect();
-        Some(BatchAggregator {
-            key_idxs,
-            kinds,
-            item_cols,
+        let (mut aggs, mut first_cols) = (Vec::new(), Vec::new());
+        let having = sel
+            .having
+            .as_ref()
+            .map(|h| GroupExpr::new(h, bindings, &mut aggs, &mut first_cols));
+        let group_items = items
+            .iter()
+            .map(|i| GroupExpr::new(&i.expr, bindings, &mut aggs, &mut first_cols))
+            .collect();
+        let aggs = aggs
+            .into_iter()
+            .map(|(f, arg)| (f, arg.map(|a| compile(&a, bindings))))
+            .collect();
+        BatchAggregator {
+            keys,
+            aggs,
+            first_cols,
+            having,
+            ahaving: sel.ahaving.clone(),
+            items: group_items,
+            item_cols: items
+                .iter()
+                .map(|i| item_ann_columns(i, bindings))
+                .collect(),
             index: HashMap::new(),
             groups: Vec::new(),
-            group_by_empty: sel.group_by.is_empty(),
-            arity: bindings.len(),
-        })
+        }
     }
 
-    fn new_group(&self, first: &[Value]) -> Group {
-        let states = self
-            .kinds
-            .iter()
-            .map(|kind| match kind {
-                ItemKind::Key(c) => ItemState::Key(eval_compiled(c, first)),
-                ItemKind::Agg(f, _) => ItemState::Agg(AggAcc::new(*f)),
-            })
-            .collect();
+    /// A fresh group whose first row is `first` (at `first_cols`).
+    fn new_group(&self, first: Vec<Value>) -> Group {
         Group {
-            states,
-            anns: vec![Vec::new(); self.kinds.len()],
+            first,
+            accs: self.aggs.iter().map(|(f, _)| AggAcc::new(*f)).collect(),
+            ahaving: false,
+            anns: vec![Vec::new(); self.items.len()],
         }
     }
 
     /// Fold a batch's live rows into the groups.
     pub(crate) fn consume(&mut self, batch: &Batch) {
+        let Ok(keys) = &self.keys else { return };
         for &i in &batch.sel {
             let row = batch.row(i);
-            let g = if self.group_by_empty {
+            let first = |cols: &[usize]| cols.iter().map(|&c| row[c].clone()).collect();
+            let g = if keys.is_empty() {
                 // global aggregates: one group, no per-row key hashing
                 if self.groups.is_empty() {
-                    let group = self.new_group(row);
+                    let group = self.new_group(first(&self.first_cols));
                     self.groups.push(group);
                 }
                 0
             } else {
-                let key: Vec<Value> = self.key_idxs.iter().map(|&k| row[k].clone()).collect();
+                let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
                 match self.index.get(&key) {
                     Some(&g) => g,
                     None => {
-                        let g = self.groups.len();
-                        self.index.insert(key, g);
-                        let group = self.new_group(row);
+                        let group = self.new_group(first(&self.first_cols));
+                        self.index.insert(key, self.groups.len());
                         self.groups.push(group);
-                        g
+                        self.groups.len() - 1
                     }
                 }
             };
             let group = &mut self.groups[g];
-            for (kind, state) in self.kinds.iter().zip(group.states.iter_mut()) {
-                if let (ItemKind::Agg(_, arg), ItemState::Agg(acc)) = (kind, state) {
-                    if acc.err.is_some() {
-                        continue;
-                    }
-                    let v = match arg {
-                        None => Value::Int(1),
-                        Some(c) => match eval_compiled(c, row) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                acc.err = Some(e);
-                                continue;
-                            }
-                        },
-                    };
-                    if !v.is_null() {
-                        acc.update(v);
-                    }
+            for ((_, arg), acc) in self.aggs.iter().zip(&mut group.accs) {
+                if acc.err.is_some() {
+                    continue;
+                }
+                let v = match arg {
+                    None => Value::Int(1),
+                    Some(c) => match eval_compiled(c, row) {
+                        Ok(v) => v,
+                        Err(e) => {
+                            acc.err = Some(e);
+                            continue;
+                        }
+                    },
+                };
+                if !v.is_null() {
+                    acc.update(v);
                 }
             }
+            let Some(slots) = batch.row_anns(i) else {
+                continue;
+            };
+            if let Some(cond) = &self.ahaving {
+                group.ahaving = group.ahaving || slots.iter().flatten().any(|a| eval_ann(cond, a));
+            }
             // annotation union across the group, per item (§3.4)
-            if let Some(slots) = batch.row_anns(i) {
-                for (cols, merged) in self.item_cols.iter().zip(group.anns.iter_mut()) {
-                    let Ok(cols) = cols else { continue };
-                    for &c in cols {
-                        for a in &slots[c] {
-                            if !merged.iter().any(|x| x.identity() == a.identity()) {
-                                merged.push(a.clone());
-                            }
+            for (cols, merged) in self.item_cols.iter().zip(group.anns.iter_mut()) {
+                let Ok(cols) = cols else { continue };
+                for &c in cols {
+                    for a in &slots[c] {
+                        if !merged.iter().any(|x| x.identity() == a.identity()) {
+                            merged.push(a.clone());
                         }
                     }
                 }
@@ -1006,39 +1075,37 @@ impl BatchAggregator {
         }
     }
 
-    /// Finalize: surface deferred errors in `aggregate_rows` order (groups
-    /// in insertion order; per item, the value error before the
-    /// annotation-column error) and emit one row per group.
+    /// Finalize, group by group in insertion order: HAVING, then AHAVING,
+    /// then each item (its value error before its annotation-column
+    /// error); one row per group that passes.
     pub(crate) fn finish(mut self) -> Result<Vec<AnnRow>> {
-        if self.groups.is_empty() && self.group_by_empty {
+        let global = self.keys.as_ref().map_err(Clone::clone)?.is_empty();
+        if global && self.groups.is_empty() {
             // global aggregates over empty input: one group over NULLs
-            let nulls = vec![Value::Null; self.arity];
-            let group = self.new_group(&nulls);
+            let group = self.new_group(vec![Value::Null; self.first_cols.len()]);
             self.groups.push(group);
         }
         let mut out = Vec::with_capacity(self.groups.len());
         for group in self.groups {
-            let Group { states, anns } = group;
-            let mut values = Vec::with_capacity(states.len());
-            let mut out_anns = Vec::with_capacity(states.len());
-            for ((state, cols), merged) in states.into_iter().zip(self.item_cols.iter()).zip(anns) {
-                match state {
-                    ItemState::Key(res) => values.push(res?),
-                    ItemState::Agg(acc) => {
-                        if let Some(e) = acc.err {
-                            return Err(e);
-                        }
-                        values.push(acc.finalize());
-                    }
+            let aggs: Vec<Result<Value>> = group.accs.into_iter().map(AggAcc::finalize).collect();
+            if let Some(h) = &self.having {
+                if !h.eval(&group.first, &aggs)?.is_true() {
+                    continue;
                 }
+            }
+            if self.ahaving.is_some() && !group.ahaving {
+                continue;
+            }
+            let mut values = Vec::with_capacity(self.items.len());
+            for (item, cols) in self.items.iter().zip(&self.item_cols) {
+                values.push(item.eval(&group.first, &aggs)?);
                 if let Err(e) = cols {
                     return Err(e.clone());
                 }
-                out_anns.push(merged);
             }
             out.push(AnnRow {
                 values,
-                anns: out_anns,
+                anns: group.anns,
             });
         }
         Ok(out)
@@ -1267,17 +1334,41 @@ mod tests {
             values,
             [[Value::Int(2), "x".into()], [Value::Int(4), "z".into()]]
         );
-        // build-side compaction and the grouped-output drain
+        // build-side compaction and the statement-target drain
         let mut build = Batch::new(2, 1);
         build.append_live(poisoned());
         build.append_live(batch(2, &[&[Value::Int(5), "w".into()]]));
         assert_eq!((build.len(), build.row_nos.clone()), (3, vec![0, 2, 0]));
         assert_eq!(build.row(1), [Value::Int(3), "z".into()]);
         assert_eq!(build.row(2), [Value::Int(5), "w".into()]);
-        let rows = drain_rows(&mut Feed(vec![poisoned()].into())).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].values, [Value::Int(3), "z".into()]);
-        assert_eq!(rows[1].anns, [vec![], vec![]]);
+        let rows: Vec<_> = poisoned().into_rows().collect();
+        assert_eq!(
+            rows,
+            [
+                (0, vec![Value::Int(1), "x".into()]),
+                (2, vec![Value::Int(3), "z".into()])
+            ]
+        );
+        // the aggregator: `SUM(a + 1)` over the live tuples only
+        let sel = match crate::parser::parse("SELECT b, SUM(a + 1) FROM t GROUP BY b").unwrap() {
+            crate::ast::Statement::Select(sel) => sel,
+            _ => unreachable!(),
+        };
+        let crate::ast::Projection::Items(items) = &sel.projection else {
+            unreachable!()
+        };
+        let mut agg = BatchAggregator::new(&sel, items, &names);
+        agg.consume(&poisoned());
+        let groups: Vec<_> = agg
+            .finish()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.values)
+            .collect();
+        assert_eq!(
+            groups,
+            [["x".into(), Value::Int(2)], ["z".into(), Value::Int(4)]]
+        );
     }
 
     #[test]

@@ -632,18 +632,9 @@ impl Table {
         self.deleted_log.push(row);
     }
 
-    /// All `(row_no, values)` pairs in row-number order.
-    pub fn scan(&self) -> Result<Vec<(u64, Vec<Value>)>> {
-        self.rows
-            .keys()
-            .map(|&no| self.get(no).map(|v| (no, v)))
-            .collect()
-    }
-
-    /// Lazy variant of [`scan`](Self::scan): rows are fetched from the
+    /// All `(row_no, values)` pairs in row-number order, fetched from the
     /// heap one at a time as the iterator is advanced, so a consumer that
-    /// stops early (LIMIT-style) or filters cheaply never materializes
-    /// the whole table.
+    /// stops early or filters cheaply never materializes the whole table.
     pub fn iter_rows(&self) -> impl Iterator<Item = Result<(u64, Vec<Value>)>> + '_ {
         self.rows
             .keys()

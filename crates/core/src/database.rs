@@ -23,9 +23,8 @@ use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{Catalog, DeletedRow, Table};
 use crate::dependency::{DependencyManager, DependencyRule};
-use crate::executor::{run_select_traced, select_cells, ExecStats};
-use crate::expr::{eval, ColBinding};
-use crate::plan;
+use crate::executor::{run_select_traced, select_cells, table_bindings, target_rows, ExecStats};
+use crate::expr::eval;
 use crate::provenance::{self, ProvenanceRecord};
 use crate::result::{AnnRow, QueryResult};
 use crate::session::Session;
@@ -1170,15 +1169,6 @@ impl Database {
 
     // ---- DML with approval + dependency integration ----
 
-    fn bindings_for(&self, table: &str) -> Result<Vec<ColBinding>> {
-        let t = self.catalog.table(table)?;
-        Ok(t.schema
-            .columns()
-            .iter()
-            .map(|c| ColBinding::new(Some(&t.name), &c.name))
-            .collect())
-    }
-
     /// Insert one literal row; returns the new row number.
     fn do_insert(&mut self, table: &str, row: &[Expr], user: &str) -> Result<u64> {
         let owner = self.catalog.table(table)?.owner.clone();
@@ -1229,18 +1219,18 @@ impl Database {
     ) -> Result<Vec<u64>> {
         let owner = self.catalog.table(table)?.owner.clone();
         self.auth.check(user, table, &owner, Privilege::Update)?;
-        let bindings = self.bindings_for(table)?;
         let t = self.catalog.table(table)?;
+        let bindings = table_bindings(t, &t.name);
         let set_cols: Vec<usize> = sets
             .iter()
             .map(|(c, _)| t.schema.require(c))
             .collect::<Result<_>>()?;
         let touched_names: Vec<String> = sets.iter().map(|(c, _)| c.clone()).collect();
-        // plan: evaluate per matching row (row selection shares the
-        // executor's pushdown/index planning)
+        // plan: evaluate per matching row (row selection is the executor's
+        // scan stage)
         #[allow(clippy::type_complexity)]
         let mut plans: Vec<(u64, Vec<Value>, Vec<Value>, Vec<(usize, Value)>)> = Vec::new();
-        for (row_no, values) in plan::filter_rows(t, &t.name, where_clause)? {
+        for (row_no, values) in target_rows(t, &t.name, where_clause, true)? {
             let mut new_values = values.clone();
             let mut old: Vec<(usize, Value)> = Vec::new();
             for ((_, e), &col) in sets.iter().zip(&set_cols) {
@@ -1312,7 +1302,7 @@ impl Database {
         self.auth.check(user, table, &owner, Privilege::Delete)?;
         let t = self.catalog.table(table)?;
         let all_cols: Vec<String> = t.schema.names().iter().map(|s| s.to_string()).collect();
-        let victims: Vec<u64> = plan::filter_rows(t, &t.name, where_clause)?
+        let victims: Vec<u64> = target_rows(t, &t.name, where_clause, false)?
             .into_iter()
             .map(|(row_no, _)| row_no)
             .collect();
@@ -1465,7 +1455,8 @@ impl Database {
                 let dt = self.catalog.table(&rule.dst_table)?;
                 let dst_col = dt.schema.require(dst_link)?;
                 let mut out = Vec::new();
-                for (row_no, values) in dt.scan()? {
+                for entry in dt.iter_rows() {
+                    let (row_no, values) = entry?;
                     if values[dst_col] == key {
                         out.push(row_no);
                     }
@@ -1847,7 +1838,7 @@ impl Database {
                 .map(|c| t.schema.require(c))
                 .collect::<Result<_>>()?
         };
-        let targets: Vec<u64> = plan::filter_rows(t, &t.name, where_clause)?
+        let targets: Vec<u64> = target_rows(t, &t.name, where_clause, false)?
             .into_iter()
             .map(|(row_no, _)| row_no)
             .collect();

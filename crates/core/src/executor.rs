@@ -63,6 +63,13 @@
 //!   annotations, so attaching after WHERE is observationally identical.
 //! * **LIMIT pushdown** — when nothing downstream blocks or reorders
 //!   rows, `LIMIT k` caps the demand on the scans.
+//!
+//! Every grouped SELECT — GROUP BY, aggregates anywhere in the items,
+//! HAVING, AHAVING — runs `batch::BatchAggregator`, and the rows the
+//! curator statements touch (UPDATE, DELETE, VALIDATE, the `ON (SELECT
+//! …)` of the annotation commands) come from the same scan stage a
+//! SELECT's first source runs (`target_rows`).  Nothing else in the
+//! engine evaluates a WHERE or an aggregate over table rows.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -74,7 +81,7 @@ use bdbms_common::{BdbmsError, Result, Value};
 use crate::annotation::AnnotationSet;
 use crate::ast::{AnnExpr, BinaryOp, Expr, Projection, Select, SelectItem, SetOp, TableRef};
 use crate::catalog::{Catalog, Table};
-use crate::expr::{eval, referenced_columns, resolve_column, ColBinding};
+use crate::expr::{referenced_columns, resolve_column, ColBinding};
 use crate::plan::{self, ConjunctSite, Probe, ProbeChoice};
 use crate::result::{AnnOut, AnnRef, AnnRow, QueryResult};
 use crate::xml::XmlNode;
@@ -103,7 +110,7 @@ pub struct ExecStats {
     pub index_only_scans: u64,
     /// Annotation references attached to tuples.
     pub anns_attached: u64,
-    /// Names of the indexes chosen by [`crate::plan::choose_probe`], in
+    /// Names of the indexes chosen by [`crate::plan::choose_probe_with`], in
     /// scan-execution order (across set-operation branches too).
     pub chosen_indexes: Vec<String>,
     /// Join order actually executed, as FROM-clause positions (the first
@@ -321,6 +328,34 @@ pub(crate) fn scan_base_batch<'a>(
     }
 }
 
+/// One source's scan stage, as both SELECT assembly and statement
+/// targeting ([`target_rows`]) build it: the probe
+/// [`plan::choose_probe_with`] picks (or the cached choice it replays),
+/// its access path ([`scan_base_batch`]), and the pushed conjuncts it
+/// still re-checks ([`rechecked`]), compiled.  `keep` maps the re-checked
+/// conjuncts to the source-local columns to decode.  Returns the scan and
+/// the cacheable choice (see [`plan::choose_probe_with`]).
+fn scan_stage<'a>(
+    src: &Source<'a>,
+    local: &[ColBinding],
+    pushed: &[Expr],
+    forced: Option<ProbeChoice>,
+    keep: impl FnOnce(&[&Expr]) -> Option<Vec<usize>>,
+    st: &Rc<RefCell<ExecStats>>,
+) -> (crate::batch::BatchScan<'a>, Option<ProbeChoice>) {
+    let (probe, choice) = plan::choose_probe_with(src.table, local, pushed, forced);
+    // a conjunct the probe answers exactly is neither re-checked nor a
+    // reason to decode its column
+    let checked: Vec<&Expr> = rechecked(pushed, &probe).collect();
+    let compiled = checked
+        .iter()
+        .map(|c| crate::expr::compile(c, local))
+        .collect();
+    let base = scan_base_batch(src, probe, keep(&checked), st);
+    let scan = crate::batch::BatchScan::new(base, compiled, src.arity, st.clone());
+    (scan, choice)
+}
+
 /// Find a usable equi-join conjunct between the accumulated sources and
 /// the next one: `left_col = right_col` where each side resolves on
 /// exactly one of the two inputs.  Returns `(acc position, next-local
@@ -362,71 +397,6 @@ pub(crate) fn has_aggregate(e: &Expr) -> bool {
         Expr::Binary(a, _, b) => has_aggregate(a) || has_aggregate(b),
         Expr::InList(a, items, _) => has_aggregate(a) || items.iter().any(has_aggregate),
         Expr::Call(_, args) => args.iter().any(has_aggregate),
-    }
-}
-
-/// Evaluate an expression over a *group* of rows: aggregates reduce the
-/// group, everything else is evaluated on the group's first row (group-by
-/// keys are constant within a group).  Empty groups (global aggregates
-/// over empty input) see a row of NULLs.
-fn eval_group(e: &Expr, bindings: &[ColBinding], group: &[AnnRow]) -> Result<Value> {
-    let nulls: Vec<Value>;
-    let first: &[Value] = match group.first() {
-        Some(r) => &r.values,
-        None => {
-            nulls = vec![Value::Null; bindings.len()];
-            &nulls
-        }
-    };
-    match e {
-        Expr::Aggregate(f, arg) => {
-            use crate::ast::AggFunc::*;
-            let mut vals: Vec<Value> = Vec::with_capacity(group.len());
-            for row in group {
-                match arg {
-                    None => vals.push(Value::Int(1)),
-                    Some(a) => {
-                        let v = eval(a, bindings, &row.values)?;
-                        if !v.is_null() {
-                            vals.push(v);
-                        }
-                    }
-                }
-            }
-            Ok(match f {
-                Count => Value::Int(vals.len() as i64),
-                Sum | Avg => {
-                    if vals.is_empty() {
-                        Value::Null
-                    } else {
-                        let all_int = vals.iter().all(|v| matches!(v, Value::Int(_)));
-                        let total: f64 = vals.iter().filter_map(|v| v.as_float()).sum();
-                        match f {
-                            Sum if all_int => Value::Int(total as i64),
-                            Sum => Value::Float(total),
-                            _ => Value::Float(total / vals.len() as f64),
-                        }
-                    }
-                }
-                Min => vals.into_iter().min().unwrap_or(Value::Null),
-                Max => vals.into_iter().max().unwrap_or(Value::Null),
-            })
-        }
-        Expr::Binary(a, op, b) => {
-            // rebuild with pre-evaluated aggregate subtrees
-            let ea = Expr::Literal(eval_group(a, bindings, group)?);
-            let eb = Expr::Literal(eval_group(b, bindings, group)?);
-            eval(
-                &Expr::Binary(Box::new(ea), *op, Box::new(eb)),
-                bindings,
-                first,
-            )
-        }
-        Expr::Unary(op, a) => {
-            let ea = Expr::Literal(eval_group(a, bindings, group)?);
-            eval(&Expr::Unary(*op, Box::new(ea)), bindings, first)
-        }
-        other => eval(other, bindings, first),
     }
 }
 
@@ -1000,7 +970,11 @@ pub fn explain_select(catalog: &Catalog, sel: &Select, analyze: bool) -> Result<
 
 /// The column bindings one FROM source contributes (alias-qualified).
 fn source_bindings(table: &Table, tref: &TableRef) -> Vec<ColBinding> {
-    let qualifier = tref.alias.as_deref().unwrap_or(&tref.table);
+    table_bindings(table, tref.alias.as_deref().unwrap_or(&tref.table))
+}
+
+/// A table's columns, each answering to `qualifier`.
+pub(crate) fn table_bindings(table: &Table, qualifier: &str) -> Vec<ColBinding> {
     table
         .schema
         .columns()
@@ -1457,7 +1431,11 @@ fn assemble_batch_pipeline<'a>(
     let mut op: Option<Box<dyn BatchOp<'a> + 'a>> = None;
     for (i, src) in sources.iter().enumerate() {
         let local = &bindings[src.offset..src.offset + src.arity];
-        let (probe, choice) = plan::choose_probe_with(src.table, local, &pushed[i], forced[i]);
+        let keep = |checked: &[&Expr]| {
+            let read = checked.iter().copied().chain(&residual);
+            PlannedSelect::local_value_cols(&value_cols, src, &bindings, read)
+        };
+        let (scan, choice) = scan_stage(src, local, &pushed[i], forced[i], keep, &st);
         match choice {
             Some(c) => plan_probes.push(c),
             None => {
@@ -1465,17 +1443,6 @@ fn assemble_batch_pipeline<'a>(
                 plan_probes.push(ProbeChoice::FullScan);
             }
         }
-        // a conjunct the probe answers exactly is neither re-checked nor
-        // a reason to decode its column
-        let checked = rechecked(&pushed[i], &probe);
-        let compiled: Vec<crate::expr::CExpr> = checked
-            .clone()
-            .map(|c| crate::expr::compile(c, local))
-            .collect();
-        let keep =
-            PlannedSelect::local_value_cols(&value_cols, src, &bindings, checked.chain(&residual));
-        let base = scan_base_batch(src, probe, keep, &st);
-        let scan = batch::BatchScan::new(base, compiled, src.arity, st.clone());
         op = Some(match op {
             None => maybe_profile(
                 &mut prof,
@@ -1578,80 +1545,6 @@ fn is_aggregated(sel: &Select, items: &[SelectItem]) -> bool {
         || sel.having.as_ref().is_some_and(has_aggregate)
 }
 
-/// The grouped/aggregated output stage over materialized input rows:
-/// GROUP BY, HAVING/AHAVING, per-item [`eval_group`], and the paper's
-/// union-of-group-annotations semantics.  The fallback for shapes the
-/// streaming accumulators ([`crate::batch::BatchAggregator`]) decline.
-pub(crate) fn aggregate_rows(
-    sel: &Select,
-    items: &[SelectItem],
-    bindings: &[ColBinding],
-    rows: Vec<AnnRow>,
-) -> Result<Vec<AnnRow>> {
-    // group rows by the GROUP BY key
-    let key_idxs: Vec<usize> = sel
-        .group_by
-        .iter()
-        .map(|(q, n)| resolve_column(bindings, q.as_deref(), n))
-        .collect::<Result<_>>()?;
-    let mut groups: Vec<(Vec<Value>, Vec<AnnRow>)> = Vec::new();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = key_idxs.iter().map(|&i| row.values[i].clone()).collect();
-        match index.get(&key) {
-            Some(&g) => groups[g].1.push(row),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, vec![row]));
-            }
-        }
-    }
-    // empty input with no GROUP BY still yields one (empty) group for
-    // global aggregates like COUNT(*)
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
-    let mut out_rows = Vec::with_capacity(groups.len());
-    for (_, group) in groups {
-        // HAVING (data predicate over the group)
-        if let Some(h) = &sel.having {
-            if !eval_group(h, bindings, &group)?.is_true() {
-                continue;
-            }
-        }
-        // AHAVING: some annotation within the group satisfies
-        if let Some(cond) = &sel.ahaving {
-            let any = group
-                .iter()
-                .flat_map(|r| r.all_anns())
-                .any(|a| eval_ann(cond, &a));
-            if !any {
-                continue;
-            }
-        }
-        let mut values = Vec::with_capacity(items.len());
-        let mut anns = Vec::with_capacity(items.len());
-        for item in items {
-            values.push(eval_group(&item.expr, bindings, &group)?);
-            // annotations: union across the group of referenced cols
-            let cols = item_ann_columns(item, bindings)?;
-            let mut merged: Vec<AnnRef> = Vec::new();
-            for row in &group {
-                for &c in &cols {
-                    for a in &row.anns[c] {
-                        if !merged.iter().any(|x| x.identity() == a.identity()) {
-                            merged.push(a.clone());
-                        }
-                    }
-                }
-            }
-            anns.push(merged);
-        }
-        out_rows.push(AnnRow { values, anns });
-    }
-    Ok(out_rows)
-}
-
 /// The shared result tail: DISTINCT dedup-union and FILTER (§3.4), then
 /// the materialized [`QueryResult`].
 fn finish_select(sel: &Select, columns: Vec<String>, mut out_rows: Vec<AnnRow>) -> QueryResult {
@@ -1697,8 +1590,8 @@ fn run_simple_select_shared(
 /// The materializing executor: batches are drained through the operator
 /// tree and projected or aggregated in tight loops.  The pipeline is
 /// always drained before projection-stage errors surface, and aggregate
-/// evaluation errors are deferred to finalization (group order, then
-/// item order).
+/// evaluation errors are deferred to finalization (group by group, HAVING
+/// before the items, the items in order).
 fn run_simple_select_batch(
     sel: &Select,
     planned: PlannedSelect<'_>,
@@ -1723,21 +1616,11 @@ fn run_simple_select_batch(
     };
     let out_columns: Vec<String> = items.iter().map(item_name).collect();
     let out_rows = if is_aggregated(sel, &items) {
-        match batch::BatchAggregator::try_new(sel, &items, &bindings) {
-            Some(mut agg) => {
-                // streaming aggregation: accumulators, no per-row AnnRow
-                while let Some(b) = op.next_batch(BATCH_SIZE)? {
-                    agg.consume(&b);
-                }
-                agg.finish()?
-            }
-            None => {
-                // HAVING/AHAVING, computed aggregates, or unresolvable
-                // keys: materialize and group the rows
-                let rows = batch::drain_rows(op.as_mut())?;
-                aggregate_rows(sel, &items, &bindings, rows)?
-            }
+        let mut agg = batch::BatchAggregator::new(sel, &items, &bindings);
+        while let Some(b) = op.next_batch(BATCH_SIZE)? {
+            agg.consume(&b);
         }
+        agg.finish()?
     } else {
         if sel.having.is_some() || sel.ahaving.is_some() {
             while op.next_batch(BATCH_SIZE)?.is_some() {}
@@ -1862,15 +1745,69 @@ pub fn open_select_cursor<'a>(
     ))
 }
 
+/// The rows of `table` a curator statement targets — `UPDATE` and
+/// `DELETE`, `VALIDATE`, and the granularity SELECT of `ADD/ARCHIVE/
+/// RESTORE ANNOTATION … ON (SELECT …)` — as `(row_no, values)` in
+/// row-number order.  They come from the scan stage SELECT assembly
+/// builds ([`scan_stage`]), with the WHERE's conjuncts pushed to it, so a
+/// statement probes the index a SELECT would and re-checks what it would.
+/// `all_columns` decodes every column (UPDATE computes new rows from
+/// them); otherwise only the columns the re-checked conjuncts read are
+/// decoded and every other value is NULL.  The scan is drained before
+/// this returns, so a failing predicate fails the statement before it
+/// touches a row.
+pub(crate) fn target_rows(
+    table: &Table,
+    qualifier: &str,
+    where_clause: Option<&Expr>,
+    all_columns: bool,
+) -> Result<Vec<(u64, Vec<Value>)>> {
+    use crate::batch::{BatchOp, BATCH_SIZE};
+    let bindings = table_bindings(table, qualifier);
+    // a conjunct that does not resolve keeps the whole predicate one
+    // conjunct, so no probe can prune the rows its error surfaces on
+    let conjuncts = match where_clause {
+        None => Vec::new(),
+        Some(pred) => {
+            let split = plan::split_conjuncts(pred);
+            let mut cols = Vec::new();
+            if split
+                .iter()
+                .any(|c| referenced_columns(c, &bindings, &mut cols).is_err())
+            {
+                vec![pred.clone()]
+            } else {
+                split
+            }
+        }
+    };
+    let src = Source {
+        table,
+        sets: Vec::new(),
+        offset: 0,
+        arity: bindings.len(),
+    };
+    let value_cols = (!all_columns).then(BTreeSet::new);
+    let keep = |checked: &[&Expr]| {
+        PlannedSelect::local_value_cols(&value_cols, &src, &bindings, checked.iter().copied())
+    };
+    let st = Rc::new(RefCell::new(ExecStats::default()));
+    let (mut scan, _) = scan_stage(&src, &bindings, &conjuncts, None, keep, &st);
+    let mut rows = Vec::new();
+    while let Some(batch) = scan.next_batch(BATCH_SIZE)? {
+        rows.extend(batch.into_rows());
+    }
+    Ok(rows)
+}
+
 /// Resolve an annotation-command target (`ADD/ARCHIVE/RESTORE … ON
 /// (SELECT …)`) to concrete cells of one table.
 ///
 /// The paper's granularity-selection queries are simple single-table
 /// SELECTs (its §3.2 examples), and that is what bdbms supports here:
-/// one table, plain column projection (or `*`), optional WHERE.  Row
-/// selection goes through the same pushdown/index planning as SELECT
-/// scans ([`plan::filter_rows`]), so `ADD ANNOTATION … WHERE key = …`
-/// probes the index instead of scanning the heap.
+/// one table, plain column projection (or `*`), optional WHERE.  Rows
+/// come from `target_rows`, so `ADD ANNOTATION … WHERE key = …` probes
+/// the index instead of scanning the heap.
 pub fn select_cells(catalog: &Catalog, sel: &Select) -> Result<(String, Vec<u64>, Vec<usize>)> {
     if sel.from.len() != 1
         || sel.set_op.is_some()
@@ -1889,12 +1826,7 @@ pub fn select_cells(catalog: &Catalog, sel: &Select) -> Result<(String, Vec<u64>
     let tref = &sel.from[0];
     let table: &Table = catalog.table(&tref.table)?;
     let qualifier = tref.alias.as_deref().unwrap_or(&tref.table);
-    let bindings: Vec<ColBinding> = table
-        .schema
-        .columns()
-        .iter()
-        .map(|c| ColBinding::new(Some(qualifier), &c.name))
-        .collect();
+    let bindings = table_bindings(table, qualifier);
     // target columns
     let items = expand_projection(&sel.projection, &bindings)?;
     let mut cols = Vec::with_capacity(items.len());
@@ -1910,10 +1842,7 @@ pub fn select_cells(catalog: &Catalog, sel: &Select) -> Result<(String, Vec<u64>
     }
     cols.sort_unstable();
     cols.dedup();
-    // target rows (index-accelerated when possible)
-    let row_nos = plan::filter_rows(table, qualifier, sel.where_clause.as_ref())?
-        .into_iter()
-        .map(|(row_no, _)| row_no)
-        .collect();
+    let rows = target_rows(table, qualifier, sel.where_clause.as_ref(), false)?;
+    let row_nos = rows.into_iter().map(|(row_no, _)| row_no).collect();
     Ok((table.name.clone(), row_nos, cols))
 }

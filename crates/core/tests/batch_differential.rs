@@ -11,100 +11,7 @@ mod support;
 use bdbms_common::Result;
 use bdbms_core::{Database, QueryResult};
 use proptest::prelude::*;
-
-/// Two joinable tables with indexes and annotations, so random queries
-/// exercise index probes, full scans, hash joins, and the annotation
-/// operators.
-fn diff_db() -> Database {
-    let mut db = Database::new_in_memory();
-    db.execute("CREATE TABLE Gene (GID TEXT, GName TEXT, Len INT, Bucket INT)")
-        .unwrap();
-    let tuples: Vec<String> = (0..300)
-        .map(|r| format!("('JW{r:04}', 'g{}', {r}, {})", r % 7, r % 5))
-        .collect();
-    db.execute(&format!("INSERT INTO Gene VALUES {}", tuples.join(", ")))
-        .unwrap();
-    db.execute("CREATE INDEX len_idx ON Gene (Len)").unwrap();
-    db.execute("CREATE INDEX bucket_idx ON Gene (Bucket)")
-        .unwrap();
-    db.execute("CREATE ANNOTATION TABLE Curation ON Gene")
-        .unwrap();
-    db.execute(
-        "ADD ANNOTATION TO Gene.Curation VALUE 'curated by lab' \
-         ON (SELECT G.GID FROM Gene G WHERE Len < 40)",
-    )
-    .unwrap();
-    db.execute(
-        "ADD ANNOTATION TO Gene.Curation VALUE 'from GenoBase' \
-         ON (SELECT G.Len FROM Gene G WHERE Bucket = 2)",
-    )
-    .unwrap();
-    db.execute("CREATE TABLE Tag (TLen INT, TName TEXT)")
-        .unwrap();
-    let tags: Vec<String> = (0..80)
-        .map(|r| format!("({}, 't{r}')", r * 3 % 50))
-        .collect();
-    db.execute(&format!("INSERT INTO Tag VALUES {}", tags.join(", ")))
-        .unwrap();
-    db
-}
-
-/// A sequence-indexed table (plus a B+-tree on `Len`, annotations on the
-/// sequence column and a small dimension table), so random queries run
-/// the *exact* `Seq Index Scan`: the engine neither re-checks the
-/// answered `CONTAINS SEQ` conjunct nor decodes `SS` for it, the reference
-/// evaluates the whole WHERE on every row.
-fn seq_db() -> Database {
-    let mut db = Database::new_in_memory();
-    db.execute("CREATE TABLE Prot (PID TEXT, SS TEXT, Len INT, Fam INT)")
-        .unwrap();
-    let mut x = 20070107u64;
-    let mut next = |n: u64| {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (x >> 33) % n
-    };
-    let tuples: Vec<String> = (0..150)
-        .map(|r| {
-            let mut ss = String::new();
-            for _ in 0..1 + next(8) {
-                let ch = ['H', 'E', 'C'][next(3) as usize];
-                ss.extend(std::iter::repeat_n(ch, 1 + next(5) as usize));
-            }
-            // a few NULL sequences: never indexed, never matched
-            let ss = if r % 29 == 0 {
-                "NULL".to_string()
-            } else {
-                format!("'{ss}'")
-            };
-            format!("('P{r:04}', {ss}, {}, {})", r % 40, r % 6)
-        })
-        .collect();
-    db.execute(&format!("INSERT INTO Prot VALUES {}", tuples.join(", ")))
-        .unwrap();
-    db.execute("CREATE INDEX len_idx ON Prot (Len)").unwrap();
-    db.execute("CREATE SEQUENCE INDEX ss_idx ON Prot (SS) USING SBC")
-        .unwrap();
-    // tombstones and re-indexed rows (text ids out of row order)
-    db.execute("UPDATE Prot SET SS = 'HHHHEEEECCCC' WHERE Len = 3")
-        .unwrap();
-    db.execute("DELETE FROM Prot WHERE Len = 7").unwrap();
-    db.execute("CREATE ANNOTATION TABLE Notes ON Prot").unwrap();
-    db.execute(
-        "ADD ANNOTATION TO Prot.Notes VALUE 'predicted' \
-         ON (SELECT P.SS FROM Prot P WHERE Fam = 1)",
-    )
-    .unwrap();
-    db.execute("CREATE TABLE Family (FId INT, FName TEXT)")
-        .unwrap();
-    db.execute(
-        "INSERT INTO Family VALUES (0, 'globin'), (1, 'kinase'), (2, 'EH-hand'), \
-         (3, 'zinc'), (4, 'HEC'), (5, 'barrel'), (1, 'kinase-like'), (9, 'orphan')",
-    )
-    .unwrap();
-    db
-}
+use support::{arb_where, diff_db, seq_db};
 
 /// Run one SQL string on every engine path and compare each answer with
 /// the reference interpreter's.
@@ -230,20 +137,6 @@ fn projection_error_on_a_later_row_keeps_the_rows_before_it() {
     }
 }
 
-fn arb_where() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just(String::new()),
-        (0i64..310).prop_map(|k| format!(" WHERE Len = {k}")),
-        (0i64..300, 1i64..40).prop_map(|(k, w)| format!(" WHERE Len >= {k} AND Len < {}", k + w)),
-        (0i64..5).prop_map(|k| format!(" WHERE Bucket = {k}")),
-        (1i64..9, 0i64..9).prop_map(|(m, r)| format!(" WHERE Len % {m} = {r}")),
-        (0i64..10).prop_map(|d| format!(" WHERE GID LIKE 'JW%{d}'")),
-        (0i64..5, 0i64..150).prop_map(|(b, k)| format!(" WHERE Bucket = {b} AND Len > {k}")),
-        // type error: TEXT + INT fails on the first row of every path
-        Just(" WHERE GID + 1 = 2".to_string()),
-    ]
-}
-
 fn arb_ann() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(String::new()),
@@ -287,13 +180,15 @@ proptest! {
         assert_differential(&mut db, &sql);
     }
 
-    /// Aggregation (streaming-accumulator fast path and the grouped
-    /// fallback) — engine ≡ reference.
+    /// Aggregation: plain and computed aggregates, HAVING over items,
+    /// keys and unlisted aggregates, AHAVING, a global HAVING over empty
+    /// input, and an aggregate under a function (the same error on both
+    /// sides) — engine ≡ reference.
     #[test]
     fn aggregates_are_equivalent(
         ann in arb_ann(),
         cond in arb_where(),
-        shape in 0usize..4,
+        shape in 0usize..11,
     ) {
         let mut db = diff_db();
         let sql = match shape {
@@ -303,13 +198,42 @@ proptest! {
             1 => format!(
                 "SELECT Bucket, COUNT(*), SUM(Len) FROM Gene{ann}{cond} GROUP BY Bucket"
             ),
-            // HAVING forces the materializing fallback
             2 => format!(
                 "SELECT GName, COUNT(*) FROM Gene{ann}{cond} GROUP BY GName HAVING COUNT(*) > 2"
             ),
-            _ => format!(
+            3 => format!(
                 "SELECT Bucket, Bucket * 2, MIN(GID) FROM Gene{ann}{cond} \
                  GROUP BY Bucket ORDER BY Bucket"
+            ),
+            // AHAVING: some annotation of some row of the group satisfies
+            4 => format!(
+                "SELECT Bucket, COUNT(*) FROM Gene ANNOTATION(Curation){cond} \
+                 GROUP BY Bucket AHAVING CONTAINS 'GenoBase'"
+            ),
+            5 => format!(
+                "SELECT GName, MIN(Len) FROM Gene ANNOTATION(Curation){cond} \
+                 GROUP BY GName HAVING COUNT(*) > 1 AHAVING CONTAINS 'curated'"
+            ),
+            // computed aggregates: expressions over accumulator outputs
+            6 => format!(
+                "SELECT SUM(Len) + 1, COUNT(*) * 2, -MIN(Len), GName || COUNT(*) \
+                 FROM Gene{ann}{cond} GROUP BY GName"
+            ),
+            // HAVING on an aggregate the select list does not name, and
+            // HAVING mixing a key with an aggregate
+            7 => format!(
+                "SELECT Bucket FROM Gene{ann}{cond} GROUP BY Bucket HAVING MIN(Len) % 2 = 0"
+            ),
+            8 => format!(
+                "SELECT Bucket, SUM(Len) FROM Gene{ann}{cond} GROUP BY Bucket \
+                 HAVING Bucket > 2 AND COUNT(*) > 1"
+            ),
+            // an aggregate under a function: the same error on both sides
+            9 => format!("SELECT UPPER(MIN(GID)) FROM Gene{ann}{cond} GROUP BY Bucket"),
+            // a global aggregate with HAVING over a WHERE matching nothing
+            _ => format!(
+                "SELECT COUNT(*) + 1, SUM(Len), MIN(GID) FROM Gene{ann} WHERE Len < 0 \
+                 HAVING COUNT(*) < 1"
             ),
         };
         assert_differential(&mut db, &sql);

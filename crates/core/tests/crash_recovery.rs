@@ -92,7 +92,7 @@ fn clockless_fingerprint(db: &Database) -> String {
 fn fingerprint(db: &Database, redact_clock: bool) -> String {
     let mut out = String::new();
     for t in db.catalog().tables() {
-        let rows = t.scan().unwrap();
+        let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
         let indexes: Vec<(String, usize, usize)> = t
             .indexes()
             .iter()

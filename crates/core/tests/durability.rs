@@ -24,7 +24,7 @@ fn tmp(name: &str) -> PathBuf {
 /// implicit ANALYZE).
 fn table_fingerprint(db: &Database, table: &str) -> String {
     let t = db.catalog().table(table).unwrap();
-    let rows = t.scan().unwrap();
+    let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
     let indexes: Vec<(String, usize, usize)> = t
         .indexes()
         .iter()

@@ -1,5 +1,6 @@
-//! Shared by the differential suites: the reference interpreter and the
-//! rule for comparing an engine answer against it.
+//! Shared by the differential suites: the reference interpreter, the
+//! rule for comparing an engine answer against it, and the randomized
+//! suites' databases and WHERE generator.
 #![allow(dead_code)] // each test crate uses its own subset
 
 pub mod reference;
@@ -9,6 +10,7 @@ use bdbms_core::ast::{Select, Statement};
 use bdbms_core::catalog::Catalog;
 use bdbms_core::executor::ExecStats;
 use bdbms_core::{AnnRow, Database, QueryResult};
+use proptest::prelude::*;
 use reference::Answer;
 
 /// Canonical text form of each row: values plus the identities of every
@@ -119,4 +121,114 @@ impl Expected {
             "{leg}: sort keys differ for {sql}"
         );
     }
+}
+
+/// Two joinable tables with indexes and annotations, so random queries
+/// exercise index probes, full scans, hash joins, and the annotation
+/// operators.
+pub fn diff_db() -> Database {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE Gene (GID TEXT, GName TEXT, Len INT, Bucket INT)")
+        .unwrap();
+    let tuples: Vec<String> = (0..300)
+        .map(|r| format!("('JW{r:04}', 'g{}', {r}, {})", r % 7, r % 5))
+        .collect();
+    db.execute(&format!("INSERT INTO Gene VALUES {}", tuples.join(", ")))
+        .unwrap();
+    db.execute("CREATE INDEX len_idx ON Gene (Len)").unwrap();
+    db.execute("CREATE INDEX bucket_idx ON Gene (Bucket)")
+        .unwrap();
+    db.execute("CREATE ANNOTATION TABLE Curation ON Gene")
+        .unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Gene.Curation VALUE 'curated by lab' \
+         ON (SELECT G.GID FROM Gene G WHERE Len < 40)",
+    )
+    .unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Gene.Curation VALUE 'from GenoBase' \
+         ON (SELECT G.Len FROM Gene G WHERE Bucket = 2)",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE Tag (TLen INT, TName TEXT)")
+        .unwrap();
+    let tags: Vec<String> = (0..80)
+        .map(|r| format!("({}, 't{r}')", r * 3 % 50))
+        .collect();
+    db.execute(&format!("INSERT INTO Tag VALUES {}", tags.join(", ")))
+        .unwrap();
+    db
+}
+
+/// A sequence-indexed table (plus a B+-tree on `Len`, annotations on the
+/// sequence column and a small dimension table), so random queries run
+/// the *exact* `Seq Index Scan`: the engine neither re-checks the
+/// answered `CONTAINS SEQ` conjunct nor decodes `SS` for it, the reference
+/// evaluates the whole WHERE on every row.
+pub fn seq_db() -> Database {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE Prot (PID TEXT, SS TEXT, Len INT, Fam INT)")
+        .unwrap();
+    let mut x = 20070107u64;
+    let mut next = |n: u64| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    };
+    let tuples: Vec<String> = (0..150)
+        .map(|r| {
+            let mut ss = String::new();
+            for _ in 0..1 + next(8) {
+                let ch = ['H', 'E', 'C'][next(3) as usize];
+                ss.extend(std::iter::repeat_n(ch, 1 + next(5) as usize));
+            }
+            // a few NULL sequences: never indexed, never matched
+            let ss = if r % 29 == 0 {
+                "NULL".to_string()
+            } else {
+                format!("'{ss}'")
+            };
+            format!("('P{r:04}', {ss}, {}, {})", r % 40, r % 6)
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO Prot VALUES {}", tuples.join(", ")))
+        .unwrap();
+    db.execute("CREATE INDEX len_idx ON Prot (Len)").unwrap();
+    db.execute("CREATE SEQUENCE INDEX ss_idx ON Prot (SS) USING SBC")
+        .unwrap();
+    // tombstones and re-indexed rows (text ids out of row order)
+    db.execute("UPDATE Prot SET SS = 'HHHHEEEECCCC' WHERE Len = 3")
+        .unwrap();
+    db.execute("DELETE FROM Prot WHERE Len = 7").unwrap();
+    db.execute("CREATE ANNOTATION TABLE Notes ON Prot").unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Prot.Notes VALUE 'predicted' \
+         ON (SELECT P.SS FROM Prot P WHERE Fam = 1)",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE Family (FId INT, FName TEXT)")
+        .unwrap();
+    db.execute(
+        "INSERT INTO Family VALUES (0, 'globin'), (1, 'kinase'), (2, 'EH-hand'), \
+         (3, 'zinc'), (4, 'HEC'), (5, 'barrel'), (1, 'kinase-like'), (9, 'orphan')",
+    )
+    .unwrap();
+    db
+}
+
+/// WHERE clauses over `diff_db`'s `Gene`: B+-tree equality and range
+/// probes, full-scan filters, and a type error.
+pub fn arb_where() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        (0i64..310).prop_map(|k| format!(" WHERE Len = {k}")),
+        (0i64..300, 1i64..40).prop_map(|(k, w)| format!(" WHERE Len >= {k} AND Len < {}", k + w)),
+        (0i64..5).prop_map(|k| format!(" WHERE Bucket = {k}")),
+        (1i64..9, 0i64..9).prop_map(|(m, r)| format!(" WHERE Len % {m} = {r}")),
+        (0i64..10).prop_map(|d| format!(" WHERE GID LIKE 'JW%{d}'")),
+        (0i64..5, 0i64..150).prop_map(|(b, k)| format!(" WHERE Bucket = {b} AND Len > {k}")),
+        // type error: TEXT + INT fails on the first row of every path
+        Just(" WHERE GID + 1 = 2".to_string()),
+    ]
 }

@@ -33,7 +33,7 @@ type AnnFacts = Vec<(u64, bool, String)>;
 /// Everything observable about a table, for byte-identical comparisons.
 fn table_fingerprint(db: &Database, table: &str) -> String {
     let t = db.catalog().table(table).unwrap();
-    let rows = t.scan().unwrap();
+    let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
     let indexes: Vec<(String, usize, usize)> = t
         .indexes()
         .iter()
