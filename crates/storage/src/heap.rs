@@ -310,29 +310,6 @@ impl HeapFile {
         self.delete(rid)?;
         self.insert(rec)
     }
-
-    /// All live record rids in page order.
-    pub fn rids(&self) -> Result<Vec<Rid>> {
-        let mut out = Vec::new();
-        for &pid in &self.pages {
-            self.pool.with_page(pid, |pg| {
-                for (slot, rec) in slotted::live_records(pg) {
-                    if rec.first().map(|f| f & FLAG_IS_HEAD != 0).unwrap_or(false) {
-                        out.push(Rid { page: pid, slot });
-                    }
-                }
-            })?;
-        }
-        Ok(out)
-    }
-
-    /// Materialized scan of `(rid, record)` pairs in page order.
-    pub fn scan(&self) -> Result<Vec<(Rid, Vec<u8>)>> {
-        let rids = self.rids()?;
-        rids.into_iter()
-            .map(|r| self.get(r).map(|d| (r, d)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -343,6 +320,28 @@ mod tests {
     fn file() -> HeapFile {
         let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 64));
         HeapFile::create(pool).unwrap()
+    }
+
+    /// All live record-head rids in page order, read off the raw slots.
+    fn rids(f: &HeapFile) -> Vec<Rid> {
+        let mut out = Vec::new();
+        for &pid in f.pages() {
+            f.pool
+                .with_page(pid, |pg| {
+                    for (slot, rec) in slotted::live_records(pg) {
+                        if rec.first().is_some_and(|flags| flags & FLAG_IS_HEAD != 0) {
+                            out.push(Rid { page: pid, slot });
+                        }
+                    }
+                })
+                .unwrap();
+        }
+        out
+    }
+
+    /// Every live record, in page order.
+    fn scan(f: &HeapFile) -> Vec<Vec<u8>> {
+        rids(f).into_iter().map(|r| f.get(r).unwrap()).collect()
     }
 
     #[test]
@@ -423,7 +422,7 @@ mod tests {
         let big = vec![1u8; 20_000];
         f.insert(&big).unwrap();
         want.push(big);
-        let got: Vec<Vec<u8>> = f.scan().unwrap().into_iter().map(|(_, d)| d).collect();
+        let got = scan(&f);
         assert_eq!(got.len(), want.len());
         for w in &want {
             assert!(got.contains(w));
@@ -436,8 +435,7 @@ mod tests {
         let big = vec![2u8; 20_000];
         let head = f.insert(&big).unwrap();
         // find some continuation rid by scanning raw slots
-        let rids = f.rids().unwrap();
-        assert_eq!(rids, vec![head], "scan sees exactly one head");
+        assert_eq!(rids(&f), vec![head], "scan sees exactly one head");
     }
 
     #[test]
@@ -448,6 +446,6 @@ mod tests {
         }
         // 2000 × (11+4+slot 4) ≈ 38 KB → should stay under 10 pages
         assert!(f.num_pages() <= 10, "pages = {}", f.num_pages());
-        assert_eq!(f.scan().unwrap().len(), 2000);
+        assert_eq!(scan(&f).len(), 2000);
     }
 }

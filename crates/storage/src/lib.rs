@@ -5,9 +5,10 @@
 //! The paper prototypes bdbms inside PostgreSQL; this crate is the
 //! from-scratch replacement substrate: a pager with pluggable backing
 //! stores ([`pager::MemStore`], [`pager::FileStore`]), a buffer pool with
-//! LRU eviction and page-level I/O accounting ([`buffer::BufferPool`]),
-//! slotted pages for variable-length records ([`slotted`]), and heap files
-//! ([`heap::HeapFile`]) that the engine's tables sit on.
+//! scan-resistant LRU eviction and page-level I/O accounting
+//! ([`buffer::BufferPool`]), slotted pages for variable-length records
+//! ([`slotted`]), and heap files ([`heap::HeapFile`]) that the engine's
+//! tables sit on.
 //!
 //! I/O accounting matters here: the paper's evaluation claims are phrased
 //! in I/Os, so the buffer pool counts every page fetched from and flushed

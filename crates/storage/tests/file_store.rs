@@ -4,6 +4,8 @@
 //! file-backed store was dead code outside `bdbms-storage`; these tests
 //! pin the contract the engine's checkpoint/recovery path now relies on.
 
+mod support;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -118,6 +120,6 @@ fn heap_file_survives_reopen_through_a_file_backed_pool() {
     for (rid, want) in rids.iter().zip(&records) {
         assert_eq!(&heap.get(*rid).unwrap(), want);
     }
-    assert_eq!(heap.scan().unwrap().len(), records.len());
+    assert_eq!(support::live_records(&heap).len(), records.len());
     let _ = fs::remove_file(&path);
 }

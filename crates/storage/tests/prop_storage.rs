@@ -1,6 +1,9 @@
 //! Property tests: the heap file behaves like a `HashMap<Rid, Vec<u8>>`
-//! under arbitrary interleavings of insert / update / delete, including
-//! records large enough to overflow pages.
+//! under arbitrary interleavings of insert / update / delete and full
+//! in-order passes, including records large enough to overflow pages,
+//! over pools from 2 to 31 frames.
+
+mod support;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,6 +16,9 @@ enum Op {
     Insert(Vec<u8>),
     Update(usize, Vec<u8>),
     Delete(usize),
+    /// `with_records` over every live rid in page order: a scan whose
+    /// consecutive page faults take the pool's cold-end insertion path.
+    FullPass,
 }
 
 fn arb_record() -> impl Strategy<Value = Vec<u8>> {
@@ -31,6 +37,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_record().prop_map(Op::Insert),
         (any::<usize>(), arb_record()).prop_map(|(i, r)| Op::Update(i, r)),
         any::<usize>().prop_map(Op::Delete),
+        Just(Op::FullPass),
     ]
 }
 
@@ -67,6 +74,18 @@ proptest! {
                     model.remove(&rid);
                     live.retain(|&r| r != rid);
                 }
+                Op::FullPass => {
+                    let mut rids = live.clone();
+                    rids.sort();
+                    let mut got = Vec::with_capacity(rids.len());
+                    heap.with_records(&rids, |_, rec| {
+                        got.push(rec.to_vec());
+                        Ok(())
+                    })
+                    .unwrap();
+                    let want: Vec<&Vec<u8>> = rids.iter().map(|r| &model[r]).collect();
+                    prop_assert_eq!(got.iter().collect::<Vec<_>>(), want);
+                }
             }
         }
 
@@ -74,12 +93,12 @@ proptest! {
         for (rid, rec) in &model {
             prop_assert_eq!(&heap.get(*rid).unwrap(), rec);
         }
-        // Scan sees exactly the live records.
-        let mut scanned: Vec<(Rid, Vec<u8>)> = heap.scan().unwrap();
-        scanned.sort_by_key(|(r, _)| *r);
+        // The pages the file owns hold exactly the live records.
+        let mut found = support::live_records(&heap);
+        found.sort_by_key(|(r, _)| *r);
         let mut expect: Vec<(Rid, Vec<u8>)> =
             model.iter().map(|(r, d)| (*r, d.clone())).collect();
         expect.sort_by_key(|(r, _)| *r);
-        prop_assert_eq!(scanned, expect);
+        prop_assert_eq!(found, expect);
     }
 }
