@@ -426,17 +426,24 @@ impl Table {
         self.redo = redo;
     }
 
-    /// Copy every live row into a fresh heap on `pool` (checkpoint),
-    /// returning the new heap and rid map.
+    /// Copy every live row's record bytes, in row-number order, into a
+    /// fresh heap on `pool` (checkpoint), returning the new heap and rid
+    /// map.  Records move undecoded, one page pin per run of same-page
+    /// rows, a chunk of rows at a time (whole-table rid lists made the
+    /// checkpoint's peak memory spike).
     pub(crate) fn write_rows_to(
         &self,
         pool: Arc<BufferPool>,
     ) -> Result<(HeapFile, BTreeMap<u64, Rid>)> {
         let mut heap = HeapFile::create(pool)?;
         let mut rows = BTreeMap::new();
-        for entry in self.iter_rows() {
-            let (row_no, values) = entry?;
-            rows.insert(row_no, heap.insert(&Self::encode_row(row_no, &values))?);
+        let mut live = self.rows.iter().peekable();
+        while live.peek().is_some() {
+            let (nos, rids): (Vec<u64>, Vec<Rid>) = live.by_ref().take(BATCH_SIZE).unzip();
+            self.heap.with_records(&rids, |k, rec| {
+                rows.insert(nos[k], heap.insert(rec)?);
+                Ok(())
+            })?;
         }
         Ok((heap, rows))
     }

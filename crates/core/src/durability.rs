@@ -36,8 +36,9 @@
 //! **Checkpoint** writes a complete fresh image to `data.bdb.tmp`
 //! (shadow-style: new heaps, new metadata, new header), fsyncs, atomically
 //! renames over `data.bdb`, swaps the live engine onto the new pages, and
-//! truncates the WAL.  A crash at any instant leaves either the old image
-//! + old WAL or the new image + empty WAL — both consistent.
+//! truncates the WAL.  Rows move as record bytes, undecoded.  A crash at
+//! any instant leaves either the old image + old WAL or the new image +
+//! empty WAL — both consistent.
 //!
 //! **Recovery** (`Database::open`) loads the image, rebuilds indexes and
 //! statistics from the heaps (a reopen is an implicit `ANALYZE`), then
@@ -46,8 +47,9 @@
 //! records replayed and the uncommitted tail discarded.  Torn frames
 //! (bad CRC / short write) at the log's tail are truncated by the WAL
 //! layer; damage *behind* durable data surfaces as
-//! [`ErrorCode::Corrupt`].  Open always
-//! ends with a checkpoint, so the WAL is empty and the image fresh.
+//! [`ErrorCode::Corrupt`].  An open that found any WAL frame ends with a
+//! checkpoint, so the WAL is empty and the image fresh; an open that found
+//! none writes nothing and runs on the image's own pages.
 //!
 //! See `docs/STORAGE.md` for the byte-level formats.
 
@@ -1046,6 +1048,16 @@ pub(crate) struct PersistentStorage {
     pending_ticket: Option<CommitTicket>,
 }
 
+impl PersistentStorage {
+    /// Make `pool` the live pool's kind: no-steal, its dirty pages gated
+    /// behind the WAL, and its mutations stamped with the WAL's LSN.
+    fn attach_pool(&self, pool: &BufferPool) {
+        pool.set_pin_dirty(true);
+        pool.set_flush_gate(Arc::new(self.wal.clone()) as Arc<dyn FlushGate>);
+        pool.set_lsn_source(self.lsn_source.clone());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Header page
 // ---------------------------------------------------------------------
@@ -1418,9 +1430,10 @@ impl Database {
     }
 
     /// Open an existing durable database, replaying the WAL: committed
-    /// transactions become visible, the uncommitted tail is discarded,
-    /// and a fresh checkpoint is written before the database is handed
-    /// back (so the WAL is empty and the image current).
+    /// transactions become visible and the uncommitted tail is
+    /// discarded.  If the WAL held any frame, a fresh checkpoint is
+    /// written before the database is handed back (so the WAL is empty
+    /// and the image current); a clean WAL leaves the files untouched.
     pub fn open(path: impl AsRef<Path>) -> Result<Database> {
         Self::open_with(path, DurabilityOptions::default())
     }
@@ -1442,10 +1455,15 @@ impl Database {
         if let Some(inj) = &opts.fault_injector {
             wal.set_fault_injector(inj.clone());
         }
+        // A log with no frame whose LSNs continue past the image's
+        // frontier adds nothing to the image: the image already is the
+        // database.  (A log that restarted below the frontier would have
+        // its next commits skipped by a later recovery.)
+        let clean = scan.entries.is_empty() && wal.reserved_lsn() >= wal_frontier;
         let report = db.replay(scan, wal_frontier)?;
         let wal = SharedWal::new(wal);
         let lsn_source = Arc::new(AtomicU64::new(wal.with(|w| w.reserved_lsn())));
-        db.storage = Some(PersistentStorage {
+        let ps = db.storage.insert(PersistentStorage {
             dir,
             wal,
             lsn_source,
@@ -1456,9 +1474,14 @@ impl Database {
             group: None,
             pending_ticket: None,
         });
-        // fold the replayed state into a fresh image; truncates the WAL
-        // (dropping the uncommitted tail for good)
-        db.checkpoint_inner()?;
+        if clean {
+            ps.attach_pool(&db.pool);
+        } else {
+            // fold the replayed state into a fresh image and truncate the
+            // WAL: a discarded tail left in the log would become
+            // replayable behind the next commit
+            db.checkpoint_inner()?;
+        }
         db.attach_redo();
         Ok(db)
     }
@@ -1920,13 +1943,12 @@ impl Database {
     /// The checkpoint body (callers have verified preconditions).
     pub(crate) fn checkpoint_inner(&mut self) -> Result<()> {
         let cp_started = std::time::Instant::now();
-        let (dir, pool_pages, wal, lsn_source, fault) = {
+        let (dir, pool_pages, wal, fault) = {
             let ps = self.storage.as_ref().expect("checkpoint of durable db");
             (
                 ps.dir.clone(),
                 ps.opts.pool_pages,
                 ps.wal.clone(),
-                ps.lsn_source.clone(),
                 ps.opts.fault_injector.clone(),
             )
         };
@@ -1980,16 +2002,14 @@ impl Database {
         for (name, heap, rows) in moved {
             self.catalog.table_mut(&name)?.swap_storage(heap, rows);
         }
-        new_pool.set_pin_dirty(true);
-        new_pool.set_flush_gate(Arc::new(wal.clone()) as Arc<dyn FlushGate>);
-        new_pool.set_lsn_source(lsn_source);
+        let ps = self.storage.as_mut().expect("still durable");
+        ps.attach_pool(&new_pool);
         self.pool = new_pool;
         // Truncating the log is pure space reclamation at this point:
         // the image's WAL frontier makes recovery skip the old entries
         // whether or not the files disappear, so a failure here must not
         // fail the (already effective) checkpoint.
         let _ = wal.with(|w| w.reset());
-        let ps = self.storage.as_mut().expect("still durable");
         ps.commits_since_checkpoint = 0;
         self.engine_metrics.checkpoints.inc();
         self.engine_metrics

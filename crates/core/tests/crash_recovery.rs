@@ -198,6 +198,11 @@ fn torn_write_at_every_byte_of_the_final_commit() {
     // oracle for "the final transaction never committed"
     let prev = oracle_fingerprint(&SCRIPT[..SCRIPT.len() - 4]);
     assert_ne!(full, prev, "the final transaction must be observable");
+    // ... and for one more transaction committed after that recovery
+    let next_txn = "INSERT INTO Gene VALUES ('JW0100','next',100)";
+    let mut prev_then_next = SCRIPT[..SCRIPT.len() - 4].to_vec();
+    prev_then_next.push(next_txn);
+    let prev_then_next = oracle_fingerprint(&prev_then_next);
 
     // the WAL has exactly one segment here; find it and its length
     let wal_dir = master.join("wal");
@@ -223,9 +228,9 @@ fn torn_write_at_every_byte_of_the_final_commit() {
         f.set_len(seg_len - cut).unwrap();
         f.sync_all().unwrap();
         drop(f);
-        let db = Database::open(&dir).unwrap();
+        let mut db = Database::open(&dir).unwrap();
         let got = database_fingerprint(&db);
-        let rec = db.last_recovery().unwrap();
+        let rec = db.last_recovery().unwrap().clone();
         if cut == 0 {
             assert_eq!(got, full, "an intact log keeps the final transaction");
         } else {
@@ -242,6 +247,18 @@ fn torn_write_at_every_byte_of_the_final_commit() {
                 // the commit record was torn but whole op frames
                 // survived: the classic "uncommitted tail discarded" case
                 tails_reported += 1;
+                // The discarded frames must be gone from the log, not
+                // just skipped once: left in place, the next commit
+                // record would make them replayable.
+                db.execute(next_txn).unwrap();
+                db.simulate_crash();
+                db = Database::open(&dir).unwrap();
+                assert_eq!(
+                    database_fingerprint(&db),
+                    prev_then_next,
+                    "a commit after recovering from the torn tail at -{cut} \
+                     bytes resurrected part of the discarded transaction"
+                );
             }
         }
         drop(db);

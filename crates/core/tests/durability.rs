@@ -5,10 +5,10 @@
 //! `close()` + `open()` byte-identically (modulo planner statistics,
 //! which a reopen recomputes exactly, like `ANALYZE`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bdbms_common::{ErrorCode, Value};
-use bdbms_core::{Database, Durability, DurabilityOptions};
+use bdbms_core::{Database, Durability, DurabilityOptions, RecoveryReport};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -385,8 +385,9 @@ fn provenance_survives_reopen() {
 
 /// Regression: a checkpoint replaces the buffer pool; the registry must
 /// keep exporting the *live* pool's counters, not the retired one's
-/// (every durable database checkpoints once at create/open, so the
-/// `buffer.*` rows used to freeze before the first statement).
+/// (every durable database checkpoints once at create, and an open that
+/// finds WAL frames checkpoints too, so the `buffer.*` rows used to
+/// freeze before the first statement).
 #[test]
 fn buffer_counters_keep_counting_across_checkpoints() {
     let dir = tmp("buffer-metrics");
@@ -409,6 +410,134 @@ fn buffer_counters_keep_counting_across_checkpoints() {
     db.pool().clear_cache().unwrap();
     db.execute("SELECT K FROM T").unwrap();
     assert!(db.metrics_snapshot().counter("buffer.misses").unwrap() > misses);
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Format pin for the checkpoint writer: a fixed script, then
+/// `checkpoint()`, must give exactly these `data.bdb` bytes (length and
+/// CRC-32, as generated by the row-decoding writer that the byte-copy
+/// writer replaced).  The script reaches every record shape a checkpoint
+/// copies: rows updated in place and relocated, holes left by DELETEs,
+/// and overflow chains (an inserted row and an updated row longer than a
+/// page), next to an index and cell annotations.
+#[test]
+fn golden_image_bytes_do_not_drift() {
+    let dir = tmp("golden-image");
+    let mut db = Database::create(&dir).unwrap();
+    db.execute("CREATE TABLE Gene (GID TEXT, GSeq TEXT, Len INT)")
+        .unwrap();
+    db.execute("CREATE INDEX len_idx ON Gene (Len)").unwrap();
+    // 60 rows of ~200 bytes: the first heap page is full
+    for i in 0..60 {
+        let seq = "ACGT".repeat(50);
+        db.execute(&format!(
+            "INSERT INTO Gene VALUES ('JW{i:04}', '{seq}', {i})"
+        ))
+        .unwrap();
+    }
+    let long = "GATTACA".repeat(4000); // 28 KB: an overflow chain
+    db.execute(&format!(
+        "INSERT INTO Gene VALUES ('JW9000', '{long}', 9000)"
+    ))
+    .unwrap();
+    // same size: rewritten in place
+    db.execute("UPDATE Gene SET Len = 100 WHERE GID = 'JW0003'")
+        .unwrap();
+    // grows past its full page: relocated
+    let grown = "T".repeat(1000);
+    db.execute(&format!(
+        "UPDATE Gene SET GSeq = '{grown}' WHERE GID = 'JW0004'"
+    ))
+    .unwrap();
+    // grows past a page: relocated onto an overflow chain
+    let huge = "C".repeat(20_000);
+    db.execute(&format!(
+        "UPDATE Gene SET GSeq = '{huge}' WHERE GID = 'JW0007'"
+    ))
+    .unwrap();
+    db.execute("DELETE FROM Gene WHERE Len > 40 AND Len < 50")
+        .unwrap();
+    db.execute("CREATE ANNOTATION TABLE Notes ON Gene SCHEME CELL")
+        .unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Gene.Notes VALUE 'short read' \
+         ON (SELECT G.GSeq FROM Gene G WHERE Len < 5)",
+    )
+    .unwrap();
+    db.checkpoint().unwrap();
+    let image = std::fs::read(dir.join("data.bdb")).unwrap();
+    assert_eq!(
+        (image.len(), bdbms_storage::crc32(&image)),
+        (81_920, 2_275_817_280),
+        "the checkpoint image drifted"
+    );
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The WAL directory as `(file name, length)` pairs, sorted.
+fn wal_listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, e.metadata().unwrap().len())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn checkpoints(db: &Database) -> u64 {
+    db.metrics_snapshot().counter("checkpoint.count").unwrap()
+}
+
+/// An open whose WAL holds no frame replays nothing and so rewrites
+/// nothing: the image already is the database.  Commits made on it
+/// still survive a crash (the log's LSNs continue past the image's
+/// frontier), and the open that recovers them does rewrite.
+#[test]
+fn a_clean_open_writes_nothing() {
+    let dir = tmp("clean-open");
+    {
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INT, V TEXT)").unwrap();
+        db.execute("CREATE INDEX k_idx ON T (K)").unwrap();
+        db.execute("INSERT INTO T VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+            .unwrap();
+        db.execute("DELETE FROM T WHERE K = 2").unwrap();
+        db.close().unwrap();
+    }
+    let image = std::fs::read(dir.join("data.bdb")).unwrap();
+    let wal = wal_listing(&dir);
+
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(db.execute("SELECT K FROM T").unwrap().rows.len(), 2);
+    assert!(
+        std::fs::read(dir.join("data.bdb")).unwrap() == image,
+        "a clean open rewrote data.bdb"
+    );
+    assert_eq!(wal_listing(&dir), wal);
+    assert_eq!(checkpoints(&db), 0, "a clean open does not checkpoint");
+    assert_eq!(db.last_recovery(), Some(&RecoveryReport::default()));
+
+    // committed work on a clean-opened database is recoverable, and its
+    // frames continue the segment's LSNs
+    db.execute("INSERT INTO T VALUES (4, 'four')").unwrap();
+    let check = db.check().unwrap();
+    assert!(check.is_ok(), "{:?}", check.problems);
+    db.simulate_crash();
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(db.last_recovery().unwrap().replayed_commits, 1);
+    assert_eq!(checkpoints(&db), 1, "a recovering open rewrites the image");
+    let wal_after = wal_listing(&dir);
+    assert_eq!(wal_after.len(), 1);
+    assert_eq!(wal_after[0].1, 16, "the WAL is truncated to a bare header");
+    let r = db.execute("SELECT V FROM T WHERE K = 4").unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(db.execute("SELECT K FROM T").unwrap().rows.len(), 3);
     db.close().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

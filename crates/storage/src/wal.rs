@@ -26,7 +26,9 @@
 //! [16..)   payload
 //! ```
 //!
-//! LSNs are allocated densely starting at 1.  A frame that fails its
+//! LSNs are allocated densely starting at 1 and never restart: a log
+//! emptied by [`Wal::reset`] resumes, even after a reopen, at the LSN its
+//! segment header records.  A frame that fails its
 //! length or CRC check in the **final** segment is a *torn tail* — the
 //! expected signature of a crash mid-append — and is truncated away
 //! (with everything after it).  The same failure in a non-final segment
@@ -180,9 +182,9 @@ impl Wal {
     /// torn tail, and position the writer after the last valid frame.
     ///
     /// The caller decides which recovered entries are *committed*; the
-    /// WAL itself only vouches for their integrity.  After replaying,
-    /// the caller truncates the log with [`reset`](Wal::reset) (the
-    /// post-recovery checkpoint), which also drops any uncommitted
+    /// WAL itself only vouches for their integrity.  After replaying any
+    /// entry, the caller truncates the log with [`reset`](Wal::reset)
+    /// (the post-recovery checkpoint), which also drops any uncommitted
     /// entries for good.
     pub fn open(dir: impl Into<PathBuf>, durability: Durability) -> Result<(Wal, WalScan)> {
         Self::open_sized(dir, durability, DEFAULT_SEGMENT_BYTES)
@@ -217,6 +219,11 @@ impl Wal {
             let last = pos + 1 == indexes.len();
             let path = segment_path(&dir, idx);
             let bytes = fs::read(&path)?;
+            // LSNs never restart: a log emptied by `reset` resumes at the
+            // LSN its segment header recorded
+            if let Some(first) = header_lsn(&bytes) {
+                next_lsn = next_lsn.max(first);
+            }
             match scan_segment(&bytes, &mut scan.entries) {
                 Ok(()) => {}
                 Err(valid_up_to) if last => {
@@ -236,7 +243,7 @@ impl Wal {
             }
         }
         if let Some(e) = scan.entries.last() {
-            next_lsn = e.lsn + 1;
+            next_lsn = next_lsn.max(e.lsn + 1);
         }
 
         // append into the last segment (or a fresh first one)
@@ -564,6 +571,14 @@ impl Wal {
     }
 }
 
+/// The first-record LSN a segment's header records, if the header is
+/// intact.
+fn header_lsn(bytes: &[u8]) -> Option<u64> {
+    let header = bytes.get(..SEG_HEADER as usize)?;
+    (&header[..8] == SEG_MAGIC)
+        .then(|| u64::from_le_bytes(header[8..].try_into().expect("an 8-byte LSN field")))
+}
+
 /// Scan one segment's bytes, pushing valid entries.  `Err(offset)` means
 /// the segment is valid up to `offset` and damaged after it.
 ///
@@ -677,16 +692,13 @@ pub fn verify_wal_dir(dir: impl AsRef<Path>) -> Result<WalCheck> {
         let path = segment_path(dir, idx);
         let bytes = fs::read(&path)?;
         let (entries, damage) = scan_segment_bytes(&bytes);
-        if bytes.len() >= SEG_HEADER as usize && &bytes[..8] == SEG_MAGIC {
-            let hdr_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-            if let Some(first) = entries.first() {
-                if first.lsn != hdr_lsn {
-                    check.problems.push(format!(
-                        "segment {idx}: header claims first LSN {hdr_lsn}, \
-                         first frame carries {}",
-                        first.lsn
-                    ));
-                }
+        if let (Some(hdr_lsn), Some(first)) = (header_lsn(&bytes), entries.first()) {
+            if first.lsn != hdr_lsn {
+                check.problems.push(format!(
+                    "segment {idx}: header claims first LSN {hdr_lsn}, \
+                     first frame carries {}",
+                    first.lsn
+                ));
             }
         }
         if let Some(off) = damage {
@@ -1193,6 +1205,15 @@ mod tests {
         wal.reset().unwrap();
         assert_eq!(wal.segment_count().unwrap(), 1, "old segments deleted");
         assert_eq!(wal.reserved_lsn(), before, "LSNs never restart");
+        drop(wal);
+        // nor across a reopen of the emptied log
+        let (mut wal, scan) = Wal::open_sized(&dir, Durability::Full, 64).unwrap();
+        assert!(scan.entries.is_empty());
+        assert_eq!(
+            wal.reserved_lsn(),
+            before,
+            "an empty log resumes at its header"
+        );
         let lsn = wal.append(b"after-reset").unwrap();
         assert_eq!(lsn, before);
         wal.flush().unwrap();
