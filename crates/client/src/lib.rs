@@ -5,7 +5,9 @@
 //! [`Connection`] over the wire protocol in [`bdbms_server::proto`], so
 //! everything written against the trait — the REPL, the CLI, bench
 //! drivers — runs unchanged against an embedded database or a
-//! `bdbms-serve` process.
+//! `bdbms-serve` process.  A query is sent as `QueryFetch`, whose reply
+//! carries the first row batch, so a point read is one round trip;
+//! longer results page the rest with `Fetch`.
 //!
 //! [`connect`] is the front door: it takes either a filesystem path
 //! (embedded) or a `host:port` address (remote) and hands back a boxed
@@ -70,8 +72,11 @@ fn backend_mismatch() -> BdbmsError {
 
 /// A [`Connection`] over TCP to a `bdbms-serve` process.
 ///
-/// Strictly synchronous: one request frame out, one response frame
-/// back.  The explicit-transaction flag piggybacked on every response
+/// Strictly synchronous: one request frame out, one reply back — one
+/// response frame, or for [`query`](Connection::query) (sent as
+/// `QueryFetch`) `CursorOk` plus the first row batch, so a result of up
+/// to [`DEFAULT_FETCH_ROWS`] rows costs one round trip.  The
+/// explicit-transaction flag piggybacked on every response
 /// keeps [`in_transaction`](Connection::in_transaction) — and the
 /// REPL's `*` prompt — mirroring the server-side session state.
 pub struct RemoteConnection {
@@ -122,6 +127,12 @@ impl RemoteConnection {
         }
         write_request(&mut self.writer, req)?;
         self.writer.flush()?;
+        self.read_reply()
+    }
+
+    /// Read one response frame, folding its transaction flag into local
+    /// state and turning an error frame into `Err`.
+    fn read_reply(&mut self) -> Result<Response> {
         let resp = read_response(&mut self.reader)?;
         if let Some(t) = resp.in_txn() {
             self.in_txn = t;
@@ -182,18 +193,24 @@ impl Connection for RemoteConnection {
         params: &[Value],
     ) -> Result<Box<dyn Rows + 'c>> {
         let id = stmt.remote_id().ok_or_else(backend_mismatch)?;
-        match self.roundtrip(&Request::Query {
+        let (cursor, columns) = match self.roundtrip(&Request::QueryFetch {
             stmt: id,
             params: params.to_vec(),
+            max_rows: DEFAULT_FETCH_ROWS,
         })? {
             Response::CursorOk {
                 cursor, columns, ..
-            } => Ok(Box::new(RemoteRows {
+            } => (cursor, columns),
+            other => return Err(unexpected(&other)),
+        };
+        // the first batch follows CursorOk in the same reply
+        match self.read_reply()? {
+            Response::RowBatch { rows, done } => Ok(Box::new(RemoteRows {
                 conn: self,
                 cursor,
                 columns,
-                buf: VecDeque::new(),
-                done: false,
+                buf: rows.into(),
+                done,
             })),
             other => Err(unexpected(&other)),
         }
@@ -238,8 +255,9 @@ impl Drop for RemoteConnection {
     }
 }
 
-/// Rows streaming off a server-side cursor, paged in
-/// [`DEFAULT_FETCH_ROWS`]-sized batches as the client pulls.
+/// Rows streaming off a server-side cursor: the first
+/// [`DEFAULT_FETCH_ROWS`] arrive with the query's reply, the rest are
+/// paged in batches of that size as the client pulls.
 pub struct RemoteRows<'c> {
     conn: &'c mut RemoteConnection,
     cursor: u64,

@@ -4,12 +4,16 @@
 //! same behavior (results, annotations, errors with spans, transaction
 //! state).
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use bdbms_client::{connect, parse_target, RemoteConnection, Target};
 use bdbms_common::{ErrorCode, Value};
-use bdbms_core::client::Connection;
+use bdbms_core::client::{Connection, StatementHandle};
 use bdbms_core::{Database, LocalConnection};
+use bdbms_server::proto::{read_response, write_request, Request, Response, DEFAULT_FETCH_ROWS};
 use bdbms_server::{Server, ServerConfig};
 
 fn tmp(name: &str) -> PathBuf {
@@ -422,5 +426,286 @@ fn group_commit_amortizes_fsyncs_across_clients() {
     );
     check.close().unwrap();
     drop(check);
+    server.stop();
+}
+
+/// A bare protocol client that sees every frame the server sends.
+struct Raw {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Raw {
+    fn connect(addr: &str) -> Raw {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut raw = Raw {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        };
+        raw.send(&Request::Hello {
+            user: "admin".into(),
+        });
+        assert!(matches!(raw.recv(), Response::HelloOk { .. }));
+        raw
+    }
+
+    fn send(&mut self, req: &Request) {
+        let mut buf = Vec::new();
+        write_request(&mut buf, req).unwrap();
+        self.writer.write_all(&buf).unwrap();
+    }
+
+    fn recv(&mut self) -> Response {
+        read_response(&mut self.reader).unwrap()
+    }
+
+    fn prepare(&mut self, sql: &str) -> u64 {
+        self.send(&Request::Prepare { sql: sql.into() });
+        match self.recv() {
+            Response::PrepareOk { stmt, .. } => stmt,
+            other => panic!("unexpected reply to Prepare: {other:?}"),
+        }
+    }
+
+    /// Expect `CursorOk`; returns the cursor id.
+    fn cursor_ok(&mut self) -> u64 {
+        match self.recv() {
+            Response::CursorOk { cursor, .. } => cursor,
+            other => panic!("expected CursorOk, got {other:?}"),
+        }
+    }
+
+    /// Expect `RowBatch`; returns its row count and done flag.
+    fn row_batch(&mut self) -> (usize, bool) {
+        match self.recv() {
+            Response::RowBatch { rows, done } => (rows.len(), done),
+            other => panic!("expected RowBatch, got {other:?}"),
+        }
+    }
+}
+
+/// `server.requests.<kind>` as the server reports it now.
+fn requests(conn: &mut RemoteConnection, kind: &str) -> u64 {
+    conn.metrics()
+        .unwrap()
+        .counter(&format!("server.requests.{kind}"))
+        .unwrap_or_else(|| panic!("server.requests.{kind} registered"))
+}
+
+#[test]
+fn point_queries_take_one_round_trip() {
+    let (server, addr) = start_server("point-one-trip");
+    let mut conn = RemoteConnection::connect(&addr, "admin").unwrap();
+    seed_for_stats(&mut conn);
+    let sel = conn
+        .prepare("SELECT GID, Len FROM Gene WHERE GID = ?")
+        .unwrap();
+    let (qf, fetch, query) = (
+        requests(&mut conn, "query_fetch"),
+        requests(&mut conn, "fetch"),
+        requests(&mut conn, "query"),
+    );
+    for i in 0..1000i64 {
+        let gid = format!("G{:03}", i % 100);
+        let mut rows = conn.query(&sel, &[Value::Text(gid.clone())]).unwrap();
+        let row = rows.next_row().unwrap().unwrap();
+        assert_eq!(row.values, [Value::Text(gid), Value::Int(i % 100)]);
+        assert!(rows.next_row().unwrap().is_none());
+    }
+    assert_eq!(requests(&mut conn, "query_fetch") - qf, 1000);
+    assert_eq!(requests(&mut conn, "fetch") - fetch, 0);
+    assert_eq!(requests(&mut conn, "query") - query, 0);
+    conn.close().unwrap();
+    drop(conn);
+    server.stop();
+}
+
+/// Seed `Big (K INT)` with rows 0..300 through either backend.
+fn seed_big(conn: &mut dyn Connection) {
+    conn.run("CREATE TABLE Big (K INT)").unwrap();
+    let ins = conn.prepare("INSERT INTO Big VALUES (?)").unwrap();
+    conn.run("BEGIN").unwrap();
+    for k in 0..300i64 {
+        conn.execute(&ins, &[Value::Int(k)]).unwrap();
+    }
+    conn.run("COMMIT").unwrap();
+}
+
+#[test]
+fn first_batch_results_match_local_and_page_only_past_it() {
+    let mut local = LocalConnection::new(Database::new_in_memory(), "admin");
+    seed_big(&mut local);
+    let (server, addr) = start_server("first-batch");
+    let mut remote = RemoteConnection::connect(&addr, "admin").unwrap();
+    seed_big(&mut remote);
+
+    let sql = "SELECT K FROM Big WHERE K < ?";
+    let lsel = local.prepare(sql).unwrap();
+    let rsel = remote.prepare(sql).unwrap();
+    let edge = DEFAULT_FETCH_ROWS as i64;
+    for (n, fetches) in [(0, 0), (1, 0), (edge, 0), (edge + 1, 1)] {
+        let params = [Value::Int(n)];
+        let want = local
+            .query(&lsel, &params)
+            .and_then(|mut rows| rows.collect_result())
+            .unwrap();
+        let before = requests(&mut remote, "fetch");
+        let got = remote
+            .query(&rsel, &params)
+            .and_then(|mut rows| rows.collect_result())
+            .unwrap();
+        assert_eq!(requests(&mut remote, "fetch") - before, fetches, "{n} rows");
+        assert_eq!(got.columns, want.columns);
+        let values = |r: &bdbms_core::result::QueryResult| {
+            r.rows
+                .iter()
+                .map(|row| row.values.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(values(&got), values(&want), "{n} rows");
+        assert_eq!(got.rows.len(), n as usize);
+    }
+    remote.close().unwrap();
+    drop(remote);
+    server.stop();
+}
+
+#[test]
+fn raw_query_fetch_and_query_frames() {
+    let (server, addr) = start_server("raw-frames");
+    let mut conn = RemoteConnection::connect(&addr, "admin").unwrap();
+    seed_big(&mut conn);
+    conn.close().unwrap();
+    drop(conn);
+
+    let mut raw = Raw::connect(&addr);
+    let sel = raw.prepare("SELECT K FROM Big WHERE K < ?");
+    let query_fetch = |k: i64| Request::QueryFetch {
+        stmt: sel,
+        params: vec![Value::Int(k)],
+        max_rows: DEFAULT_FETCH_ROWS,
+    };
+
+    // a result the first batch exhausts: its cursor was never opened
+    raw.send(&query_fetch(1));
+    let cursor = raw.cursor_ok();
+    assert_eq!(raw.row_batch(), (1, true));
+    raw.send(&Request::Fetch {
+        cursor,
+        max_rows: DEFAULT_FETCH_ROWS,
+    });
+    match raw.recv() {
+        Response::Error { error, .. } => assert_eq!(error.code(), ErrorCode::NotFound),
+        other => panic!("Fetch on a finished cursor answered {other:?}"),
+    }
+
+    // one row past the first batch: exactly one Fetch finishes it
+    raw.send(&query_fetch(257));
+    let cursor = raw.cursor_ok();
+    assert_eq!(raw.row_batch(), (256, false));
+    raw.send(&Request::Fetch {
+        cursor,
+        max_rows: DEFAULT_FETCH_ROWS,
+    });
+    assert_eq!(raw.row_batch(), (1, true));
+
+    // the paging-only v1 form still answers CursorOk alone, then Fetch
+    raw.send(&Request::Query {
+        stmt: sel,
+        params: vec![Value::Int(3)],
+    });
+    let cursor = raw.cursor_ok();
+    raw.send(&Request::Fetch {
+        cursor,
+        max_rows: DEFAULT_FETCH_ROWS,
+    });
+    assert_eq!(raw.row_batch(), (3, true));
+
+    raw.send(&Request::Quit);
+    assert!(matches!(raw.recv(), Response::Bye));
+    server.stop();
+}
+
+#[test]
+fn failed_query_keeps_the_stream_aligned() {
+    let mut local = LocalConnection::new(Database::new_in_memory(), "admin");
+    seed_big(&mut local);
+    let (server, addr) = start_server("failed-query");
+    let mut remote = RemoteConnection::connect(&addr, "admin").unwrap();
+    seed_big(&mut remote);
+    let ok = remote.prepare("SELECT K FROM Big WHERE K = ?").unwrap();
+    let still_aligned = |remote: &mut RemoteConnection| {
+        let r = remote
+            .query(&ok, &[Value::Int(7)])
+            .and_then(|mut rows| rows.collect_result())
+            .unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.rows[0].values, [Value::Int(7)]);
+    };
+
+    // an unknown statement id: NotFound, as `Execute` answers it
+    let bogus = StatementHandle::remote(9_999, 0, "SELECT K FROM Big");
+    let err = remote.query(&bogus, &[]).map(|_| ()).unwrap_err();
+    assert_eq!(err.code(), ErrorCode::NotFound);
+    still_aligned(&mut remote);
+
+    // a runtime error in the projection: the embedded code, over the wire
+    let sql = "SELECT K / ? FROM Big";
+    let lsel = local.prepare(sql).unwrap();
+    let want = local
+        .query(&lsel, &[Value::Int(0)])
+        .and_then(|mut rows| rows.collect_result())
+        .unwrap_err();
+    assert_eq!(want.code(), ErrorCode::Eval);
+    let rsel = remote.prepare(sql).unwrap();
+    let got = remote
+        .query(&rsel, &[Value::Int(0)])
+        .and_then(|mut rows| rows.collect_result())
+        .unwrap_err();
+    assert_eq!(got.code(), want.code());
+    still_aligned(&mut remote);
+
+    remote.close().unwrap();
+    drop(remote);
+    server.stop();
+}
+
+#[test]
+fn query_fetch_waits_for_another_connections_transaction() {
+    let (server, addr) = start_server("query-fetch-deferred");
+    let mut a = RemoteConnection::connect(&addr, "admin").unwrap();
+    a.run("CREATE TABLE T (K INT)").unwrap();
+    a.run("BEGIN").unwrap();
+    a.run("INSERT INTO T VALUES (1)").unwrap();
+
+    let mut b = Raw::connect(&addr);
+    let sel = b.prepare("SELECT K FROM T");
+    b.send(&Request::QueryFetch {
+        stmt: sel,
+        params: vec![],
+        max_rows: DEFAULT_FETCH_ROWS,
+    });
+    // deferred behind a's transaction: no reply while it is open
+    b.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut probe = [0u8; 1];
+    let waited = std::io::Read::read(b.reader.get_mut(), &mut probe);
+    assert!(
+        waited.is_err(),
+        "QueryFetch answered inside a's transaction"
+    );
+    b.reader.get_ref().set_read_timeout(None).unwrap();
+
+    a.run("INSERT INTO T VALUES (2)").unwrap();
+    a.run("COMMIT").unwrap();
+    b.cursor_ok();
+    assert_eq!(b.row_batch(), (2, true), "deferred query saw a's rows");
+
+    a.close().unwrap();
+    drop(a);
+    b.send(&Request::Quit);
+    assert!(matches!(b.recv(), Response::Bye));
     server.stop();
 }

@@ -25,14 +25,21 @@
 //!
 //! Replies leave the engine as **pre-encoded frames** (`Vec<u8>`): a
 //! materialized result holds `Rc`-shared annotations and cannot leave
-//! the engine thread as a live object.
+//! the engine thread as a live object.  `Query` and `QueryFetch` share
+//! one handler ([`Cmd::Query`]); for `QueryFetch` it encodes `CursorOk`
+//! and the first `RowBatch` into one buffer, so a point read leaves in
+//! one `write(2)` and costs the client one round trip.
 //!
 //! Ordering: the protocol is strictly request/response — a client has
 //! at most one request outstanding, so for any one connection exactly
-//! one of {engine, ack pump} has a frame to write at a time and the
-//! socket never sees interleaved or reordered replies.  A client that
-//! pipelines past an unacknowledged commit forfeits that guarantee
-//! (its own stream may garble; nobody else's can).
+//! one of {engine, ack pump} has a reply to write at a time and the
+//! socket never sees interleaved or reordered replies (a two-frame
+//! reply is one write by the engine).  A client that pipelines past an
+//! unacknowledged commit forfeits that guarantee (its own stream may
+//! garble; nobody else's can).
+//!
+//! Every command the engine handles bumps its `server.requests.<kind>`
+//! registry counter, so request traffic is visible through `Metrics`.
 //!
 //! Transactions: the core has one transaction runtime, so an explicit
 //! `BEGIN` makes its connection the *transaction owner*.  Statements
@@ -49,6 +56,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use bdbms_common::metrics::Counter;
 use bdbms_common::{BdbmsError, Result, Value};
 use bdbms_core::result::AnnRow;
 use bdbms_core::{CommitTicket, Database, Prepared};
@@ -73,9 +81,13 @@ pub enum Cmd {
         stmt: u64,
         params: Vec<Value>,
     },
+    /// `Query` (`first: None`: reply `CursorOk` alone) or `QueryFetch`
+    /// (`first: Some(n)`: `CursorOk` plus the first batch of up to `n`
+    /// rows, in one write).
     Query {
         stmt: u64,
         params: Vec<Value>,
+        first: Option<u32>,
     },
     Fetch {
         cursor: u64,
@@ -97,6 +109,42 @@ pub enum Cmd {
     Metrics,
     /// The connection is gone (EOF, error, or `Quit`).  No reply.
     Disconnect,
+}
+
+/// The request kinds the engine answers, indexed by [`Cmd::kind`]; each
+/// is counted as `server.requests.<name>`.
+const REQUEST_KINDS: [&str; 11] = [
+    "hello",
+    "prepare",
+    "execute",
+    "query",
+    "query_fetch",
+    "fetch",
+    "close_stmt",
+    "close_cursor",
+    "run",
+    "set_user",
+    "metrics",
+];
+
+impl Cmd {
+    /// Index into [`REQUEST_KINDS`]; `None` for connection bookkeeping.
+    fn kind(&self) -> Option<usize> {
+        Some(match self {
+            Cmd::Connect { .. } | Cmd::Disconnect => return None,
+            Cmd::Hello { .. } => 0,
+            Cmd::Prepare { .. } => 1,
+            Cmd::Execute { .. } => 2,
+            Cmd::Query { first: None, .. } => 3,
+            Cmd::Query { first: Some(_), .. } => 4,
+            Cmd::Fetch { .. } => 5,
+            Cmd::CloseStmt { .. } => 6,
+            Cmd::CloseCursor { .. } => 7,
+            Cmd::Run { .. } => 8,
+            Cmd::SetUser { .. } => 9,
+            Cmd::Metrics => 10,
+        })
+    }
 }
 
 /// One unit of work for the engine: which connection and what to do.
@@ -298,6 +346,10 @@ fn engine_loop(mut db: Database, rx: Receiver<EngineRequest>, ack: Sender<Pendin
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut txn_owner: Option<u64> = None;
     let mut deferred: VecDeque<EngineRequest> = VecDeque::new();
+    let requests: Vec<Arc<Counter>> = REQUEST_KINDS
+        .iter()
+        .map(|kind| db.metrics().counter(&format!("server.requests.{kind}")))
+        .collect();
 
     while let Ok(first) = rx.recv() {
         let mut queue = VecDeque::new();
@@ -306,6 +358,9 @@ fn engine_loop(mut db: Database, rx: Receiver<EngineRequest>, ack: Sender<Pendin
             if touches_txn(&req.cmd) && txn_owner.is_some_and(|owner| owner != req.conn) {
                 deferred.push_back(req);
                 continue;
+            }
+            if let Some(kind) = req.cmd.kind() {
+                requests[kind].inc();
             }
             handle(&mut db, &mut conns, &mut txn_owner, &ack, req);
             if txn_owner.is_none() && !deferred.is_empty() {
@@ -428,10 +483,14 @@ fn handle(
                 None => return, // the ack pump writes it after the fsync
             }
         }
-        Cmd::Query { stmt, params } => match state.stmts.get(&stmt).cloned() {
+        Cmd::Query {
+            stmt,
+            params,
+            first,
+        } => match state.stmts.get(&stmt).cloned() {
             Some(p) => {
                 // cursors borrow their session: materialize inside this
-                // block, then page the owned rows out via Fetch
+                // block, then page the owned rows out in batches
                 let materialized = {
                     let session = db.session(&user);
                     session.query(&p, &params).and_then(|cur| {
@@ -444,15 +503,28 @@ fn handle(
                     })
                 };
                 match materialized {
-                    Ok((columns, rows)) => {
+                    Ok((columns, mut rows)) => {
                         state.next_id += 1;
                         let id = state.next_id;
-                        state.cursors.insert(id, CursorState { rows });
-                        encode(&Response::CursorOk {
+                        let mut frame = encode(&Response::CursorOk {
                             cursor: id,
                             columns,
                             in_txn: db.in_transaction(),
-                        })
+                        });
+                        // the first batch rides in the same write; a
+                        // cursor it exhausts is never registered
+                        let done = match first {
+                            Some(max_rows) => {
+                                let (batch, done) = next_batch(&mut rows, max_rows);
+                                frame.extend(encode(&batch));
+                                done
+                            }
+                            None => false,
+                        };
+                        if !done {
+                            state.cursors.insert(id, CursorState { rows });
+                        }
+                        frame
                     }
                     Err(e) => err_frame(e, db.in_transaction()),
                 }
@@ -461,13 +533,11 @@ fn handle(
         },
         Cmd::Fetch { cursor, max_rows } => match state.cursors.get_mut(&cursor) {
             Some(c) => {
-                let take = (max_rows as usize).max(1).min(c.rows.len());
-                let rows: Vec<AnnRow> = c.rows.drain(..take).collect();
-                let done = c.rows.is_empty();
+                let (batch, done) = next_batch(&mut c.rows, max_rows);
                 if done {
                     state.cursors.remove(&cursor);
                 }
-                encode(&Response::RowBatch { rows, done })
+                encode(&batch)
             }
             None => err_frame(
                 BdbmsError::not_found(format!("no open cursor {cursor}")),
@@ -504,6 +574,15 @@ fn handle(
         }),
     };
     send_frame(&stream, &frame);
+}
+
+/// Drain up to `max_rows` rows (at least one, if any are left) into a
+/// `RowBatch`; `true` when that empties the cursor.
+fn next_batch(rows: &mut VecDeque<AnnRow>, max_rows: u32) -> (Response, bool) {
+    let take = (max_rows as usize).max(1).min(rows.len());
+    let batch: Vec<AnnRow> = rows.drain(..take).collect();
+    let done = rows.is_empty();
+    (Response::RowBatch { rows: batch, done }, done)
 }
 
 fn unknown_stmt(id: u64) -> BdbmsError {

@@ -11,9 +11,11 @@
 //! encoding ([`Value::encode`]: `tag byte || payload`); options are a
 //! presence byte followed by the payload.  The protocol is synchronous
 //! request/response — the client writes one request frame and reads
-//! exactly one response frame (row data is paged explicitly with
+//! its reply: exactly one response frame, except that a successful
+//! [`Request::QueryFetch`] is answered by `CursorOk` followed by the
+//! first `RowBatch`.  Further rows are paged explicitly with
 //! [`Request::Fetch`], so a large result never monopolizes the
-//! connection).
+//! connection.
 //!
 //! Errors cross the wire losslessly: an [`Response::Error`] frame
 //! carries the [`ErrorCode`] (one byte, exhaustively mapped), the
@@ -29,8 +31,11 @@ use bdbms_core::executor::ExecStats;
 use bdbms_core::result::{AnnOut, AnnRow, QueryResult};
 use bdbms_core::xml::XmlNode;
 
-/// Protocol version, negotiated in `Hello` / `HelloOk`.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Protocol version, negotiated in `Hello` / `HelloOk`.  Version 2 adds
+/// [`Request::QueryFetch`]; a server accepts every version from 1 up to
+/// this one (v1 clients never send the newer kinds), so a v2 client
+/// that meets a v1 server is refused at `Hello`.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a single frame (64 MiB) — a garbage length prefix
 /// must not allocate unbounded memory.
@@ -53,6 +58,7 @@ const K_SET_USER: u8 = 0x09;
 const K_PING: u8 = 0x0A;
 const K_QUIT: u8 = 0x0B;
 const K_METRICS: u8 = 0x0C;
+const K_QUERY_FETCH: u8 = 0x0D;
 
 const K_HELLO_OK: u8 = 0x81;
 const K_PREPARE_OK: u8 = 0x82;
@@ -74,9 +80,20 @@ pub enum Request {
     Prepare { sql: String },
     /// Bind + execute a prepared statement, materializing the result.
     Execute { stmt: u64, params: Vec<Value> },
-    /// Bind + run a prepared SELECT; answered by `CursorOk`, then rows
-    /// are pulled with `Fetch`.
+    /// Bind + run a prepared SELECT; answered by `CursorOk` alone, then
+    /// every row is pulled with `Fetch`.  The paging-only v1 form: v2
+    /// clients send [`Request::QueryFetch`], which saves the first
+    /// `Fetch` round trip.
     Query { stmt: u64, params: Vec<Value> },
+    /// Bind + run a prepared SELECT; answered by `CursorOk` followed at
+    /// once by a `RowBatch` of up to `max_rows` rows.  When that batch
+    /// is `done` the cursor was never opened server-side; otherwise the
+    /// rest is pulled with `Fetch` as after `Query`.
+    QueryFetch {
+        stmt: u64,
+        params: Vec<Value>,
+        max_rows: u32,
+    },
     /// Pull up to `max_rows` rows from an open cursor.
     Fetch { cursor: u64, max_rows: u32 },
     /// Discard a prepared statement.
@@ -564,11 +581,12 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     if len == 0 || len > MAX_FRAME {
         return Err(bad(format!("bad frame length {len}")));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let kind = body[0];
-    body.remove(0);
-    Ok(Some((kind, body)))
+    // the kind byte first, so the payload lands in its own buffer
+    let mut kind = [0u8; 1];
+    r.read_exact(&mut kind)?;
+    let mut payload = vec![0u8; len as usize - 1];
+    r.read_exact(&mut payload)?;
+    Ok(Some((kind[0], payload)))
 }
 
 /// Write one request frame (caller flushes the stream).
@@ -593,6 +611,16 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
             put_u64(&mut p, *stmt);
             put_values(&mut p, params);
             K_QUERY
+        }
+        Request::QueryFetch {
+            stmt,
+            params,
+            max_rows,
+        } => {
+            put_u64(&mut p, *stmt);
+            put_values(&mut p, params);
+            put_u32(&mut p, *max_rows);
+            K_QUERY_FETCH
         }
         Request::Fetch { cursor, max_rows } => {
             put_u64(&mut p, *cursor);
@@ -631,9 +659,9 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>> {
     let req = match kind {
         K_HELLO => {
             let version = c.u32()?;
-            if version != PROTOCOL_VERSION {
+            if !(1..=PROTOCOL_VERSION).contains(&version) {
                 return Err(bad(format!(
-                    "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
+                    "protocol version mismatch: client {version}, server 1..={PROTOCOL_VERSION}"
                 )));
             }
             Request::Hello { user: c.str()? }
@@ -646,6 +674,11 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>> {
         K_QUERY => Request::Query {
             stmt: c.u64()?,
             params: c.values()?,
+        },
+        K_QUERY_FETCH => Request::QueryFetch {
+            stmt: c.u64()?,
+            params: c.values()?,
+            max_rows: c.u32()?,
         },
         K_FETCH => Request::Fetch {
             cursor: c.u64()?,
@@ -835,6 +868,11 @@ mod tests {
             stmt: 9,
             params: vec![],
         });
+        roundtrip_req(Request::QueryFetch {
+            stmt: 9,
+            params: vec![Value::Int(42), Value::Text("JW0080".into())],
+            max_rows: DEFAULT_FETCH_ROWS,
+        });
         roundtrip_req(Request::Fetch {
             cursor: 4,
             max_rows: 128,
@@ -850,6 +888,39 @@ mod tests {
         roundtrip_req(Request::Ping);
         roundtrip_req(Request::Quit);
         roundtrip_req(Request::Metrics);
+    }
+
+    /// A `Hello` frame announcing `version` (the frame is
+    /// `len || kind || version || user`).
+    fn hello_at(version: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_request(
+            &mut buf,
+            &Request::Hello {
+                user: "admin".into(),
+            },
+        )
+        .unwrap();
+        buf[5..9].copy_from_slice(&version.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn hello_accepts_every_version_up_to_ours() {
+        assert_eq!(PROTOCOL_VERSION, 2);
+        for version in 1..=PROTOCOL_VERSION {
+            let got = read_request(&mut hello_at(version).as_slice()).unwrap();
+            assert_eq!(
+                got,
+                Some(Request::Hello {
+                    user: "admin".into()
+                })
+            );
+        }
+        for version in [0, PROTOCOL_VERSION + 1] {
+            let err = read_request(&mut hello_at(version).as_slice()).unwrap_err();
+            assert!(err.message.contains("protocol version"), "{err}");
+        }
     }
 
     #[test]

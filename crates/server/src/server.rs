@@ -185,7 +185,20 @@ fn serve_conn(stream: TcpStream, conn: u64, engine: Sender<EngineRequest>) {
             Request::Hello { user } => Cmd::Hello { user },
             Request::Prepare { sql } => Cmd::Prepare { sql },
             Request::Execute { stmt, params } => Cmd::Execute { stmt, params },
-            Request::Query { stmt, params } => Cmd::Query { stmt, params },
+            Request::Query { stmt, params } => Cmd::Query {
+                stmt,
+                params,
+                first: None,
+            },
+            Request::QueryFetch {
+                stmt,
+                params,
+                max_rows,
+            } => Cmd::Query {
+                stmt,
+                params,
+                first: Some(max_rows),
+            },
             Request::Fetch { cursor, max_rows } => Cmd::Fetch { cursor, max_rows },
             Request::CloseStmt { stmt } => Cmd::CloseStmt { stmt },
             Request::CloseCursor { cursor } => Cmd::CloseCursor { cursor },
