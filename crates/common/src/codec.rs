@@ -1,39 +1,45 @@
-//! Tiny byte codec shared by the durability layer (snapshot blobs, WAL
-//! record payloads) and the structures that serialize themselves
-//! ([`crate::annotation::AnnotationSet`]).
+//! Tiny byte codec shared by snapshots, WAL records and the wire
+//! protocol, and by the structures that serialize themselves into them
+//! (annotation sets, result rows).
 //!
 //! Everything is little-endian and length-prefixed; decoding is fully
 //! bounds-checked and surfaces [`ErrorCode::Corrupt`] — bytes come off
-//! disk, so a short or mangled buffer must be an error, never a panic.
+//! disk or a socket, so a short or mangled buffer must be an error, never
+//! a panic.
 
-use bdbms_common::{BdbmsError, ErrorCode, Result, Value};
+use crate::{BdbmsError, ErrorCode, Result, Value};
 
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+/// Elements reserved up front for a decoded list: its count is
+/// untrusted until the elements themselves decode, so a garbage prefix
+/// must not reserve gigabytes.
+const MAX_PREALLOC: usize = 1024;
+
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(v as u8);
 }
 
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
+pub fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     match s {
         None => put_bool(out, false),
         Some(s) => {
@@ -43,25 +49,25 @@ pub(crate) fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
+pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     v.encode(out);
 }
 
-pub(crate) fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
+pub fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
     put_u32(out, vs.len() as u32);
     for v in vs {
         v.encode(out);
     }
 }
 
-pub(crate) fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
     put_u32(out, vs.len() as u32);
     for &v in vs {
         put_u64(out, v);
     }
 }
 
-pub(crate) fn put_strs(out: &mut Vec<u8>, vs: &[String]) {
+pub fn put_strs(out: &mut Vec<u8>, vs: &[String]) {
     put_u32(out, vs.len() as u32);
     for v in vs {
         put_str(out, v);
@@ -69,17 +75,18 @@ pub(crate) fn put_strs(out: &mut Vec<u8>, vs: &[String]) {
 }
 
 /// A bounds-checked cursor over encoded bytes.
-pub(crate) struct Cur<'a> {
+pub struct Cur<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cur<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cur<'a> {
+    pub fn new(buf: &'a [u8]) -> Cur<'a> {
         Cur { buf, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    /// Has every byte been consumed?
+    pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -96,29 +103,29 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8> {
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn bool(&mut self) -> Result<bool> {
+    pub fn bool(&mut self) -> Result<bool> {
         Ok(self.u8()? != 0)
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16> {
+    pub fn u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32> {
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64> {
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// A length prefix about to drive a `Vec::with_capacity`: sanity-cap
     /// it so corrupt bytes can't trigger an absurd allocation.
-    pub(crate) fn len(&mut self) -> Result<usize> {
+    pub fn len(&mut self) -> Result<usize> {
         let n = self.u32()? as usize;
         if n > self.buf.len().saturating_sub(self.pos).max(1) * 4096 {
             return Err(BdbmsError::corrupt(format!(
@@ -128,14 +135,14 @@ impl<'a> Cur<'a> {
         Ok(n)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String> {
+    pub fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| BdbmsError::corrupt("invalid utf8 in stored string"))
     }
 
-    pub(crate) fn opt_str(&mut self) -> Result<Option<String>> {
+    pub fn opt_str(&mut self) -> Result<Option<String>> {
         Ok(if self.bool()? {
             Some(self.str()?)
         } else {
@@ -143,9 +150,9 @@ impl<'a> Cur<'a> {
         })
     }
 
-    pub(crate) fn value(&mut self) -> Result<Value> {
+    pub fn value(&mut self) -> Result<Value> {
         // Value::decode reports Storage on truncation; re-badge as
-        // Corrupt — these bytes came from a snapshot or WAL frame.
+        // Corrupt — these bytes came from a snapshot, WAL frame or socket.
         let mut pos = self.pos;
         let v = Value::decode(self.buf, &mut pos)
             .map_err(|e| BdbmsError::corrupt(e.message().to_string()))?;
@@ -153,27 +160,27 @@ impl<'a> Cur<'a> {
         Ok(v)
     }
 
-    pub(crate) fn values(&mut self) -> Result<Vec<Value>> {
+    pub fn values(&mut self) -> Result<Vec<Value>> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             out.push(self.value()?);
         }
         Ok(out)
     }
 
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>> {
+    pub fn u64s(&mut self) -> Result<Vec<u64>> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             out.push(self.u64()?);
         }
         Ok(out)
     }
 
-    pub(crate) fn strs(&mut self) -> Result<Vec<String>> {
+    pub fn strs(&mut self) -> Result<Vec<String>> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             out.push(self.str()?);
         }
@@ -224,6 +231,15 @@ mod tests {
         assert_eq!(err.code(), ErrorCode::Corrupt);
         let mut c = Cur::new(&[1, 0, 0]);
         assert_eq!(c.u64().unwrap_err().code(), ErrorCode::Corrupt);
+        // a value cut short inside its payload is Corrupt too, not the
+        // Storage code `Value::decode` itself reports
+        let mut out = Vec::new();
+        put_values(&mut out, &[Value::Int(42)]);
+        out.truncate(out.len() - 1);
+        assert_eq!(
+            Cur::new(&out).values().unwrap_err().code(),
+            ErrorCode::Corrupt
+        );
     }
 
     use proptest::prelude::*;

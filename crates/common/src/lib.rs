@@ -19,10 +19,14 @@
 //!   and log-scale latency histograms for live observability
 //!   (docs/OBSERVABILITY.md),
 //! * [`clock::LogicalClock`] — the timestamp source for annotations,
-//!   provenance, and the content-approval log.
+//!   provenance, and the content-approval log,
+//! * [`codec`] — the little-endian byte codec and bounds-checked
+//!   [`codec::Cur`] shared by snapshots, WAL records and the wire
+//!   protocol.
 
 pub mod bitmap;
 pub mod clock;
+pub mod codec;
 pub mod error;
 pub mod ids;
 pub mod metrics;

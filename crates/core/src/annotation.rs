@@ -23,11 +23,11 @@
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
+use bdbms_common::codec;
 use bdbms_common::ids::AnnotationId;
 use bdbms_common::Result;
 use bdbms_index::rtree::{RTree, Rect};
 
-use crate::codec;
 use crate::xml::XmlNode;
 
 /// One annotation record.

@@ -41,15 +41,21 @@
 //! empty WAL — both consistent.
 //!
 //! **Recovery** (`Database::open`) loads the image, rebuilds indexes and
-//! statistics from the heaps (a reopen is an implicit `ANALYZE`), then
-//! replays the WAL: records are buffered per transaction and applied only
-//! when a `Commit` record is reached — ARIES-lite redo with committed
-//! records replayed and the uncommitted tail discarded.  Torn frames
-//! (bad CRC / short write) at the log's tail are truncated by the WAL
-//! layer; damage *behind* durable data surfaces as
-//! [`ErrorCode::Corrupt`].  An open that found any WAL frame ends with a
-//! checkpoint, so the WAL is empty and the image fresh; an open that found
-//! none writes nothing and runs on the image's own pages.
+//! statistics from the heaps in one pass per table (a reopen is an
+//! implicit `ANALYZE`), then replays the WAL: records are buffered per
+//! transaction and applied only when a `Commit` record is reached —
+//! ARIES-lite redo with committed records replayed and the uncommitted
+//! tail discarded.  Torn frames (bad CRC / short write) at the log's tail
+//! are truncated by the WAL layer; damage *behind* durable data surfaces
+//! as [`ErrorCode::Corrupt`].  An open that found any WAL frame ends with
+//! a checkpoint, so the WAL is empty and the image fresh; an open that
+//! found none writes nothing and runs on the image's own pages.
+//!
+//! **Salvage** (`Database::open_salvage`) runs the same recovery path
+//! with a different error policy: a table whose heap fails the load's
+//! one pass is quarantined, an unreadable image or WAL chain is dropped,
+//! a WAL record that does not decode or apply is counted and skipped,
+//! and the survivors are always re-checkpointed.
 //!
 //! See `docs/STORAGE.md` for the byte-level formats.
 
@@ -61,6 +67,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bdbms_common::codec::{self, Cur};
 use bdbms_common::{BdbmsError, DataType, ErrorCode, Result, Schema, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
@@ -75,7 +82,6 @@ use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus};
 use crate::ast::{CopyFormat, Privilege, SeqIndexKind};
 use crate::auth::AuthManager;
 use crate::catalog::{DeletedRow, Table};
-use crate::codec::{self, Cur};
 use crate::database::Database;
 use crate::dependency::DependencyRule;
 
@@ -1049,6 +1055,30 @@ pub(crate) struct PersistentStorage {
 }
 
 impl PersistentStorage {
+    /// The durable half over `dir`: the WAL, shared so the group
+    /// committer and the pool's flush gate can reach it, the LSN mirror,
+    /// and what the open recovered (`None` after a create).
+    fn new(
+        dir: PathBuf,
+        wal: Wal,
+        opts: DurabilityOptions,
+        last_recovery: Option<RecoveryReport>,
+    ) -> PersistentStorage {
+        let wal = SharedWal::new(wal);
+        let lsn_source = Arc::new(AtomicU64::new(wal.with(|w| w.reserved_lsn())));
+        PersistentStorage {
+            dir,
+            wal,
+            lsn_source,
+            opts,
+            commits_since_checkpoint: 0,
+            last_recovery,
+            skip_shutdown: false,
+            group: None,
+            pending_ticket: None,
+        }
+    }
+
     /// Make `pool` the live pool's kind: no-steal, its dirty pages gated
     /// behind the WAL, and its mutations stamped with the WAL's LSN.
     fn attach_pool(&self, pool: &BufferPool) {
@@ -1210,8 +1240,9 @@ fn encode_snapshot(
 ///
 /// Without a quarantine list every failure is fatal (normal open).
 /// With one (salvage mode), a table that fails to *rebuild* is itemized
-/// and skipped instead — rebuilding reads the whole heap (statistics,
-/// index backfill), so a damaged heap page surfaces here.  The snapshot
+/// and skipped instead — rebuilding decodes every column of every live
+/// row (statistics, index backfill), so a damaged heap page surfaces
+/// here, and salvage needs no heap pass of its own.  The snapshot
 /// cursor has fully consumed the table's bytes before the rebuild, so
 /// skipping one table cannot desync the next; decode errors of the blob
 /// itself stay fatal in both modes (the caller treats that as image
@@ -1368,6 +1399,33 @@ fn decode_snapshot_mode(
 // Database: open / create / checkpoint / recovery
 // ---------------------------------------------------------------------
 
+/// Open (scanning) the WAL under `dir`, with the fault injector armed.
+fn open_wal(dir: &Path, opts: &DurabilityOptions) -> Result<(Wal, WalScan)> {
+    let (mut wal, scan) =
+        Wal::open_sized(dir.join(WAL_DIR), opts.durability, opts.wal_segment_bytes)?;
+    if let Some(inj) = &opts.fault_injector {
+        wal.set_fault_injector(inj.clone());
+    }
+    Ok((wal, scan))
+}
+
+/// An image file as a page store, behind the fault injector if armed.
+fn page_store(file: FileStore, fault: Option<&Arc<FaultInjector>>) -> Box<dyn PageStore> {
+    match fault {
+        Some(inj) => Box::new(FaultStore::new(Box::new(file), inj.clone())),
+        None => Box::new(file),
+    }
+}
+
+/// An engine with no tables yet, on a pool that no file backs until
+/// the first checkpoint.
+fn empty_engine(opts: &DurabilityOptions) -> Database {
+    Database::with_pool(Arc::new(BufferPool::new(
+        Box::new(MemStore::new()),
+        opts.pool_pages,
+    )))
+}
+
 impl Database {
     /// Create a new durable database directory at `path` with default
     /// [`DurabilityOptions`].  Errors with `AlreadyExists` if a database
@@ -1386,30 +1444,11 @@ impl Database {
                 dir.display()
             )));
         }
-        let (mut wal, _stale) =
-            Wal::open_sized(dir.join(WAL_DIR), opts.durability, opts.wal_segment_bytes)?;
-        if let Some(inj) = &opts.fault_injector {
-            wal.set_fault_injector(inj.clone());
-        }
+        let (mut wal, _stale) = open_wal(&dir, &opts)?;
         // a WAL without a data file is debris from an interrupted create
         wal.reset()?;
-        let wal = SharedWal::new(wal);
-        let lsn_source = Arc::new(AtomicU64::new(wal.with(|w| w.reserved_lsn())));
-        let mut db = Database::with_pool(Arc::new(BufferPool::new(
-            Box::new(MemStore::new()),
-            opts.pool_pages,
-        )));
-        db.storage = Some(PersistentStorage {
-            dir,
-            wal,
-            lsn_source,
-            opts,
-            commits_since_checkpoint: 0,
-            last_recovery: None,
-            skip_shutdown: false,
-            group: None,
-            pending_ticket: None,
-        });
+        let mut db = empty_engine(&opts);
+        db.storage = Some(PersistentStorage::new(dir, wal, opts, None));
         // the first checkpoint writes the empty image and swaps the pool
         // onto the new FileStore
         db.checkpoint_inner()?;
@@ -1440,7 +1479,16 @@ impl Database {
 
     /// [`open`](Self::open) with explicit options.
     pub fn open_with(path: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Database> {
-        let dir = path.as_ref().to_path_buf();
+        Self::recover(path.as_ref(), opts, false)
+    }
+
+    /// The one recovery path behind [`open_with`](Self::open_with) and
+    /// [`open_salvage_with`](Self::open_salvage_with): load the image,
+    /// scan and replay the WAL, attach the storage, and checkpoint unless
+    /// the log added nothing.  `salvage` only picks the error policy:
+    /// where `open` refuses damage, salvage records it in the report and
+    /// goes on.
+    fn recover(dir: &Path, opts: DurabilityOptions, salvage: bool) -> Result<Database> {
         let data = dir.join(DATA_FILE);
         if !data.exists() {
             return Err(BdbmsError::not_found(format!(
@@ -1448,32 +1496,40 @@ impl Database {
                 dir.display()
             )));
         }
-        let (mut db, wal_frontier) = Self::load_image(&data, &opts, None)?;
-
-        let (mut wal, scan) =
-            Wal::open_sized(dir.join(WAL_DIR), opts.durability, opts.wal_segment_bytes)?;
-        if let Some(inj) = &opts.fault_injector {
-            wal.set_fault_injector(inj.clone());
-        }
+        let mut report = RecoveryReport::default();
+        let quarantine = salvage.then_some(&mut report.quarantined_tables);
+        let (mut db, wal_frontier) = match Self::load_image(&data, &opts, quarantine) {
+            Err(_) if salvage => {
+                report.image_lost = true;
+                report.quarantined_tables.clear();
+                // frontier 0: let the WAL rebuild everything it can
+                (empty_engine(&opts), 0)
+            }
+            loaded => loaded?,
+        };
+        let (wal, scan) = match open_wal(dir, &opts) {
+            Err(_) if salvage => {
+                // the chain is unreadable mid-stream: discard it and
+                // start a fresh log (the image state still stands)
+                report.wal_lost = true;
+                fs::remove_dir_all(dir.join(WAL_DIR))?;
+                open_wal(dir, &opts)?
+            }
+            opened => opened?,
+        };
         // A log with no frame whose LSNs continue past the image's
         // frontier adds nothing to the image: the image already is the
         // database.  (A log that restarted below the frontier would have
-        // its next commits skipped by a later recovery.)
-        let clean = scan.entries.is_empty() && wal.reserved_lsn() >= wal_frontier;
-        let report = db.replay(scan, wal_frontier)?;
-        let wal = SharedWal::new(wal);
-        let lsn_source = Arc::new(AtomicU64::new(wal.with(|w| w.reserved_lsn())));
-        let ps = db.storage.insert(PersistentStorage {
-            dir,
+        // its next commits skipped by a later recovery.)  Salvage always
+        // rewrites the image, so the damage it dropped leaves the disk.
+        let clean = !salvage && scan.entries.is_empty() && wal.reserved_lsn() >= wal_frontier;
+        db.replay(scan, wal_frontier, &mut report, salvage)?;
+        let ps = db.storage.insert(PersistentStorage::new(
+            dir.to_path_buf(),
             wal,
-            lsn_source,
             opts,
-            commits_since_checkpoint: 0,
-            last_recovery: Some(report),
-            skip_shutdown: false,
-            group: None,
-            pending_ticket: None,
-        });
+            Some(report),
+        ));
         if clean {
             ps.attach_pool(&db.pool);
         } else {
@@ -1489,20 +1545,14 @@ impl Database {
     /// Load the checkpoint image: a buffer pool over the data file, the
     /// header page, and the snapshot blob decoded into a fresh engine.
     /// Returns the table-level state and the WAL frontier.  With a
-    /// quarantine list (salvage mode), tables that fail to rebuild are
-    /// itemized there instead of failing the load.
+    /// quarantine list (salvage mode), tables whose heaps fail the
+    /// rebuild's one pass are itemized there instead of failing the load.
     fn load_image(
         data: &Path,
         opts: &DurabilityOptions,
         quarantine: Option<&mut Vec<String>>,
     ) -> Result<(Database, u64)> {
-        let store: Box<dyn PageStore> = match &opts.fault_injector {
-            Some(inj) => Box::new(FaultStore::new(
-                Box::new(FileStore::open(data)?),
-                inj.clone(),
-            )),
-            None => Box::new(FileStore::open(data)?),
-        };
+        let store = page_store(FileStore::open(data)?, opts.fault_injector.as_ref());
         let pool = Arc::new(BufferPool::new(store, opts.pool_pages));
         // no page of the image may be overwritten while we recover on it
         pool.set_pin_dirty(true);
@@ -1548,131 +1598,49 @@ impl Database {
 
     /// [`open_salvage`](Self::open_salvage) with explicit options.
     pub fn open_salvage_with(path: impl AsRef<Path>, opts: DurabilityOptions) -> Result<Database> {
-        let dir = path.as_ref().to_path_buf();
-        let data = dir.join(DATA_FILE);
-        if !data.exists() {
-            return Err(BdbmsError::not_found(format!(
-                "no database at `{}`",
-                dir.display()
-            )));
-        }
-        let mut report = RecoveryReport::default();
-
-        let (mut db, wal_frontier) =
-            match Self::load_image(&data, &opts, Some(&mut report.quarantined_tables)) {
-                Ok(v) => v,
-                Err(_) => {
-                    report.image_lost = true;
-                    report.quarantined_tables.clear();
-                    let db = Database::with_pool(Arc::new(BufferPool::new(
-                        Box::new(MemStore::new()),
-                        opts.pool_pages,
-                    )));
-                    // frontier 0: let the WAL rebuild everything it can
-                    (db, 0)
-                }
-            };
-
-        // Quarantine any table whose rows cannot all be read back (a
-        // damaged heap page surfaces here as a checksum/decode error).
-        let damaged: Vec<String> = db
-            .catalog
-            .tables()
-            .filter(|t| t.iter_rows().any(|r| r.is_err()))
-            .map(|t| t.name.clone())
-            .collect();
-        for name in damaged {
-            let _ = db.catalog.drop_table(&name);
-            report.quarantined_tables.push(name);
-        }
-
-        let wal_dir = dir.join(WAL_DIR);
-        let (mut wal, scan) =
-            match Wal::open_sized(&wal_dir, opts.durability, opts.wal_segment_bytes) {
-                Ok(v) => v,
-                Err(_) => {
-                    // the chain is unreadable mid-stream: discard it and
-                    // start a fresh log (the image state still stands)
-                    report.wal_lost = true;
-                    fs::remove_dir_all(&wal_dir)?;
-                    Wal::open_sized(&wal_dir, opts.durability, opts.wal_segment_bytes)?
-                }
-            };
-        if let Some(inj) = &opts.fault_injector {
-            wal.set_fault_injector(inj.clone());
-        }
-        report.torn_bytes = scan.torn_bytes;
-        db.replay_salvage(scan, wal_frontier, &mut report);
-
-        let wal = SharedWal::new(wal);
-        let lsn_source = Arc::new(AtomicU64::new(wal.with(|w| w.reserved_lsn())));
-        db.storage = Some(PersistentStorage {
-            dir,
-            wal,
-            lsn_source,
-            opts,
-            commits_since_checkpoint: 0,
-            last_recovery: Some(report),
-            skip_shutdown: false,
-            group: None,
-            pending_ticket: None,
-        });
-        // re-checkpoint the survivors: the on-disk image is clean again
-        db.checkpoint_inner()?;
-        db.attach_redo();
-        Ok(db)
+        Self::recover(path.as_ref(), opts, true)
     }
 
-    /// [`replay`](Self::replay) in salvage mode: undecodable or
-    /// unappliable records are counted and skipped instead of aborting
-    /// the open.
-    fn replay_salvage(&mut self, scan: WalScan, frontier: u64, report: &mut RecoveryReport) {
-        let mut pending: Vec<WalRecord> = Vec::new();
-        for entry in scan.entries {
-            if entry.lsn < frontier {
-                continue;
-            }
-            match WalRecord::decode(&entry.payload) {
-                Ok(WalRecord::Commit { clock }) => {
-                    for r in pending.drain(..) {
-                        match self.apply_wal_record(r) {
-                            Ok(()) => report.replayed_ops += 1,
-                            Err(_) => report.skipped_wal_records += 1,
-                        }
-                    }
-                    self.clock.advance_to(clock);
-                    report.replayed_commits += 1;
-                }
-                Ok(rec) => pending.push(rec),
-                Err(_) => report.skipped_wal_records += 1,
-            }
-        }
-        report.discarded_ops = pending.len() as u64;
-    }
-
-    /// Replay scanned WAL entries: buffer records, apply on each commit.
+    /// Replay scanned WAL entries into `report`: buffer records, apply
+    /// them on each commit, and count the uncommitted tail as discarded.
     /// Entries below `frontier` are already folded into the checkpoint
     /// image (a crash hit the window between the image rename and the
-    /// WAL truncation) and are skipped, not double-applied.
-    fn replay(&mut self, scan: WalScan, frontier: u64) -> Result<RecoveryReport> {
-        let mut report = RecoveryReport {
-            torn_bytes: scan.torn_bytes,
-            ..Default::default()
-        };
+    /// WAL truncation) and are skipped, not double-applied.  A record
+    /// that does not decode, or does not apply (a replay that diverged
+    /// from the image), fails the open — unless `salvage`, which counts
+    /// it in `skipped_wal_records` and goes on.
+    fn replay(
+        &mut self,
+        scan: WalScan,
+        frontier: u64,
+        report: &mut RecoveryReport,
+        salvage: bool,
+    ) -> Result<()> {
+        report.torn_bytes = scan.torn_bytes;
         let mut pending: Vec<WalRecord> = Vec::new();
         for entry in scan.entries {
             if entry.lsn < frontier {
                 continue;
             }
-            let rec = WalRecord::decode(&entry.payload)?;
+            let rec = match WalRecord::decode(&entry.payload) {
+                Ok(rec) => rec,
+                Err(_) if salvage => {
+                    report.skipped_wal_records += 1;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
             if let WalRecord::Commit { clock } = rec {
                 for r in pending.drain(..) {
-                    self.apply_wal_record(r).map_err(|e| {
-                        BdbmsError::corrupt(format!(
-                            "WAL replay diverged from the checkpoint image: {e}"
-                        ))
-                    })?;
-                    report.replayed_ops += 1;
+                    match self.apply_wal_record(r) {
+                        Ok(()) => report.replayed_ops += 1,
+                        Err(_) if salvage => report.skipped_wal_records += 1,
+                        Err(e) => {
+                            return Err(BdbmsError::corrupt(format!(
+                                "WAL replay diverged from the checkpoint image: {e}"
+                            )))
+                        }
+                    }
                 }
                 self.clock.advance_to(clock);
                 report.replayed_commits += 1;
@@ -1681,7 +1649,7 @@ impl Database {
             }
         }
         report.discarded_ops = pending.len() as u64;
-        Ok(report)
+        Ok(())
     }
 
     /// Apply one committed redo record against the live state, through
@@ -1960,13 +1928,7 @@ impl Database {
         })?;
         let tmp = dir.join(DATA_TMP);
         let _ = fs::remove_file(&tmp);
-        let tmp_store: Box<dyn PageStore> = match &fault {
-            Some(inj) => Box::new(FaultStore::new(
-                Box::new(FileStore::create(&tmp)?),
-                inj.clone(),
-            )),
-            None => Box::new(FileStore::create(&tmp)?),
-        };
+        let tmp_store = page_store(FileStore::create(&tmp)?, fault.as_ref());
         // the registry exports the live pool's counters: the successor
         // keeps counting on them, so `buffer.*` outlive the checkpoint
         let new_pool = Arc::new(BufferPool::with_metrics(

@@ -47,7 +47,6 @@ pub mod batch;
 pub mod catalog;
 pub mod check;
 pub mod client;
-pub(crate) mod codec;
 pub mod database;
 pub mod dependency;
 pub mod durability;

@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bdbms_common::ErrorCode;
-use bdbms_core::Database;
+use bdbms_core::{Database, DurabilityOptions};
 
 fn tmp(name: &str) -> PathBuf {
     let dir =
@@ -220,6 +220,100 @@ fn salvage_quarantines_only_the_damaged_table() {
     db.close().unwrap();
     let mut db = Database::open(&dir).unwrap();
     assert_eq!(rows_of(&mut db, "Gene"), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Salvage replays the WAL over the surviving tables: committed rows of
+/// an intact table come back, while records that target the quarantined
+/// one are counted as skipped instead of failing the open.
+#[test]
+fn salvage_replays_the_wal_around_a_quarantined_table() {
+    let dir = tmp("salvage-wal-replay");
+    build(&dir);
+    let mut db = Database::open(&dir).unwrap();
+    db.execute("INSERT INTO Gene VALUES ('JW0100', 'late')")
+        .unwrap();
+    db.execute("INSERT INTO Protein VALUES ('P3','thrC'), ('P4','thrD')")
+        .unwrap();
+    db.simulate_crash();
+    // the clean open wrote nothing: the image is still the one `build`
+    // checkpointed, and the commits above live only in the WAL
+    let data = dir.join("data.bdb");
+    let mut bytes = fs::read(&data).unwrap();
+    let pos = bytes
+        .windows(b"GENEMARKER".len())
+        .position(|w| w == b"GENEMARKER")
+        .expect("the Gene heap page is in the image");
+    bytes[pos] ^= 0x01;
+    fs::write(&data, &bytes).unwrap();
+
+    let err = Database::open(&dir).map(|_| ()).unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Corrupt);
+
+    let mut db = Database::open_salvage(&dir).unwrap();
+    let report = db.last_recovery().unwrap().clone();
+    assert_eq!(report.quarantined_tables, vec!["Gene".to_string()]);
+    assert!(!report.image_lost && !report.wal_lost);
+    assert!(
+        report.skipped_wal_records >= 1,
+        "the Gene insert targets a quarantined table: {report:?}"
+    );
+    assert_eq!(report.replayed_commits, 2);
+    assert_eq!(rows_of(&mut db, "Protein"), 4, "WAL rows replayed");
+    assert!(db.execute("SELECT * FROM Gene").is_err(), "quarantined");
+    assert!(db.check().unwrap().is_ok(), "salvaged image is clean");
+    db.close().unwrap();
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(rows_of(&mut db, "Protein"), 4);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A frame rotted in a non-final WAL segment fails `open` (committed
+/// records may follow it); salvage discards the whole chain and keeps
+/// the image's tables.
+#[test]
+fn salvage_drops_a_wal_chain_damaged_before_its_final_segment() {
+    let dir = tmp("salvage-wal-lost");
+    build(&dir);
+    let opts = DurabilityOptions {
+        wal_segment_bytes: 256,
+        ..Default::default()
+    };
+    let mut db = Database::open_with(&dir, opts.clone()).unwrap();
+    for i in 0..8 {
+        db.execute(&format!("INSERT INTO Protein VALUES ('Q{i}', 'late')"))
+            .unwrap();
+    }
+    db.simulate_crash();
+    let mut segments: Vec<PathBuf> = fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segments.sort();
+    assert!(segments.len() >= 2, "segments: {segments:?}");
+    // a payload byte of the first frame: past the 16-byte segment header
+    // and the 16-byte frame header
+    let mut bytes = fs::read(&segments[0]).unwrap();
+    bytes[16 + 16] ^= 0x01;
+    fs::write(&segments[0], &bytes).unwrap();
+
+    let err = Database::open_with(&dir, opts.clone())
+        .map(|_| ())
+        .unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Corrupt);
+
+    let mut db = Database::open_salvage_with(&dir, opts.clone()).unwrap();
+    let report = db.last_recovery().unwrap().clone();
+    assert!(report.wal_lost, "{report:?}");
+    assert!(!report.image_lost && report.quarantined_tables.is_empty());
+    assert_eq!(report.replayed_commits, 0);
+    assert_eq!(rows_of(&mut db, "Gene"), 8, "the image's tables stand");
+    assert_eq!(rows_of(&mut db, "Protein"), 2);
+    assert!(db.check().unwrap().is_ok(), "salvaged image is clean");
+    db.close().unwrap();
+    let mut db = Database::open_with(&dir, opts).unwrap();
+    assert_eq!(db.last_recovery(), Some(&Default::default()));
+    assert_eq!(rows_of(&mut db, "Protein"), 2);
     let _ = fs::remove_dir_all(&dir);
 }
 

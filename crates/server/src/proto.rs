@@ -6,10 +6,14 @@
 //! [u32 LE: length of kind + payload][u8: kind][payload bytes]
 //! ```
 //!
-//! Primitives inside payloads: integers are little-endian fixed-width;
-//! strings are `u32 length || utf8 bytes`; values reuse the storage
-//! encoding ([`Value::encode`]: `tag byte || payload`); options are a
-//! presence byte followed by the payload.  The protocol is synchronous
+//! Payloads are written and read with [`bdbms_common::codec`], the same
+//! primitives snapshots and WAL records use: integers are little-endian
+//! fixed-width; strings are `u32 length || utf8 bytes`; lists are a
+//! `u32` count followed by their elements; values are [`Value::encode`]'s
+//! `tag byte || payload`.  Options are a presence byte (exactly 0 or 1)
+//! followed by the payload, and a frame's payload must be consumed to
+//! its last byte.  A truncated or mangled payload is
+//! [`ErrorCode::Corrupt`].  The protocol is synchronous
 //! request/response — the client writes one request frame and reads
 //! its reply: exactly one response frame, except that a successful
 //! [`Request::QueryFetch`] is answered by `CursorOk` followed by the
@@ -25,6 +29,7 @@
 
 use std::io::{Read, Write};
 
+use bdbms_common::codec::{put_bool, put_str, put_strs, put_u32, put_u64, put_values, Cur};
 use bdbms_common::metrics::{HistogramSnapshot, MetricsSnapshot};
 use bdbms_common::{BdbmsError, ErrorCode, Result, Span, Value};
 use bdbms_core::executor::ExecStats;
@@ -209,88 +214,12 @@ fn bad(m: impl Into<String>) -> BdbmsError {
     BdbmsError::corrupt(format!("wire protocol: {}", m.into()))
 }
 
-// ---- payload primitives ----
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(b as u8);
-}
-
-fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
-    put_u32(out, vs.len() as u32);
-    for v in vs {
-        v.encode(out);
+/// A frame's payload must be consumed exactly.
+fn done(c: &Cur<'_>) -> Result<()> {
+    if !c.is_empty() {
+        return Err(bad("trailing bytes in frame"));
     }
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| bad("truncated frame"))?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let s = std::str::from_utf8(self.take(n)?).map_err(|_| bad("invalid utf8 in string"))?;
-        Ok(s.to_string())
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(Value::decode(self.buf, &mut self.pos)?);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(bad("trailing bytes in frame"));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 // ---- row / result encoding ----
@@ -365,10 +294,7 @@ fn put_stats(out: &mut Vec<u8>, st: &ExecStats) {
     put_u64(out, st.parse_ns);
     put_u64(out, st.plan_ns);
     put_u64(out, st.exec_ns);
-    put_u32(out, st.chosen_indexes.len() as u32);
-    for ix in &st.chosen_indexes {
-        put_str(out, ix);
-    }
+    put_strs(out, &st.chosen_indexes);
     put_u32(out, st.join_order.len() as u32);
     for pos in &st.join_order {
         put_u64(out, *pos as u64);
@@ -390,13 +316,9 @@ fn get_stats(c: &mut Cur<'_>) -> Result<ExecStats> {
         parse_ns: c.u64()?,
         plan_ns: c.u64()?,
         exec_ns: c.u64()?,
+        chosen_indexes: c.strs()?,
         ..Default::default()
     };
-    let n = c.u32()? as usize;
-    st.chosen_indexes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        st.chosen_indexes.push(c.str()?);
-    }
     let n = c.u32()? as usize;
     st.join_order = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -406,10 +328,7 @@ fn get_stats(c: &mut Cur<'_>) -> Result<ExecStats> {
 }
 
 fn put_result(out: &mut Vec<u8>, r: &QueryResult) {
-    put_u32(out, r.columns.len() as u32);
-    for c in &r.columns {
-        put_str(out, c);
-    }
+    put_strs(out, &r.columns);
     put_u32(out, r.rows.len() as u32);
     for row in &r.rows {
         put_row(out, row);
@@ -432,11 +351,7 @@ fn put_result(out: &mut Vec<u8>, r: &QueryResult) {
 }
 
 fn get_result(c: &mut Cur<'_>) -> Result<QueryResult> {
-    let ncols = c.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols.min(1024));
-    for _ in 0..ncols {
-        columns.push(c.str()?);
-    }
+    let columns = c.strs()?;
     let nrows = c.u32()? as usize;
     let mut rows = Vec::with_capacity(nrows.min(1024));
     for _ in 0..nrows {
@@ -693,7 +608,7 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>> {
         K_METRICS => Request::Metrics,
         k => return Err(bad(format!("unknown request kind {k:#x}"))),
     };
-    c.done()?;
+    done(&c)?;
     Ok(Some(req))
 }
 
@@ -727,10 +642,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
             in_txn,
         } => {
             put_u64(&mut p, *cursor);
-            put_u32(&mut p, columns.len() as u32);
-            for col in columns {
-                put_str(&mut p, col);
-            }
+            put_strs(&mut p, columns);
             put_bool(&mut p, *in_txn);
             K_CURSOR_OK
         }
@@ -783,19 +695,11 @@ pub fn read_response(r: &mut impl Read) -> Result<Response> {
             result: get_result(&mut c)?,
             in_txn: c.bool()?,
         },
-        K_CURSOR_OK => {
-            let cursor = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                columns.push(c.str()?);
-            }
-            Response::CursorOk {
-                cursor,
-                columns,
-                in_txn: c.bool()?,
-            }
-        }
+        K_CURSOR_OK => Response::CursorOk {
+            cursor: c.u64()?,
+            columns: c.strs()?,
+            in_txn: c.bool()?,
+        },
         K_ROW_BATCH => {
             let n = c.u32()? as usize;
             let mut rows = Vec::with_capacity(n.min(1024));
@@ -819,7 +723,7 @@ pub fn read_response(r: &mut impl Read) -> Result<Response> {
         },
         k => return Err(bad(format!("unknown response kind {k:#x}"))),
     };
-    c.done()?;
+    done(&c)?;
     Ok(resp)
 }
 
@@ -1120,5 +1024,173 @@ mod tests {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&[0x7F, 0x00]); // unknown kind
         assert!(read_request(&mut buf.as_slice()).is_err());
+    }
+
+    fn query_fetch_sample() -> Request {
+        Request::QueryFetch {
+            stmt: 7,
+            params: vec![Value::Int(42), Value::Text("JW0080".into()), Value::Null],
+            max_rows: 256,
+        }
+    }
+
+    fn row_batch_sample() -> Response {
+        let mut row = AnnRow::plain(vec![Value::Text("JW0080".into()), Value::Int(11)]);
+        row.anns[1].push(Rc::new(AnnOut {
+            source_table: "Gene".into(),
+            ann_table: "GAnn".into(),
+            id: 3,
+            raw: "<A>x</A>".into(),
+            body: XmlNode::parse_or_wrap("<A>x</A>"),
+            created: 9,
+        }));
+        Response::RowBatch {
+            rows: vec![row],
+            done: true,
+        }
+    }
+
+    /// Literal frame bytes.  The round-trip tests above would still pass
+    /// if writer and reader changed format together; these pin the
+    /// format itself.
+    #[test]
+    fn golden_frame_bytes() {
+        #[rustfmt::skip]
+        let query_fetch: &[u8] = &[
+            38, 0, 0, 0, K_QUERY_FETCH,
+            7, 0, 0, 0, 0, 0, 0, 0, // stmt
+            3, 0, 0, 0, // three params
+            1, 42, 0, 0, 0, 0, 0, 0, 0, // Int(42)
+            3, 6, 0, 0, 0, b'J', b'W', b'0', b'0', b'8', b'0', // Text
+            0, // Null
+            0, 1, 0, 0, // max_rows
+        ];
+        let mut buf = Vec::new();
+        write_request(&mut buf, &query_fetch_sample()).unwrap();
+        assert_eq!(buf, query_fetch);
+        assert_eq!(
+            read_request(&mut &query_fetch[..]).unwrap(),
+            Some(query_fetch_sample())
+        );
+
+        #[rustfmt::skip]
+        let row_batch: &[u8] = &[
+            86, 0, 0, 0, K_ROW_BATCH,
+            1, 0, 0, 0, // one row
+            2, 0, 0, 0, // two values
+            3, 6, 0, 0, 0, b'J', b'W', b'0', b'0', b'8', b'0',
+            1, 11, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, // two annotation columns
+            0, 0, 0, 0, // none on the first
+            1, 0, 0, 0, // one on the second
+            4, 0, 0, 0, b'G', b'e', b'n', b'e',
+            4, 0, 0, 0, b'G', b'A', b'n', b'n',
+            3, 0, 0, 0, 0, 0, 0, 0, // id
+            8, 0, 0, 0, b'<', b'A', b'>', b'x', b'<', b'/', b'A', b'>',
+            9, 0, 0, 0, 0, 0, 0, 0, // created
+            1, // done
+        ];
+        let mut buf = Vec::new();
+        write_response(&mut buf, &row_batch_sample()).unwrap();
+        assert_eq!(buf, row_batch);
+        let back = read_response(&mut &row_batch[..]).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{:?}", row_batch_sample()));
+    }
+
+    #[test]
+    fn truncated_values_are_corrupt() {
+        let mut buf = Vec::new();
+        write_request(&mut buf, &query_fetch_sample()).unwrap();
+        // cut the Text param short and fix up the frame length: the
+        // payload decoder, not the framing, must reject it
+        let cut = 30;
+        let mut torn = buf[..cut].to_vec();
+        torn[..4].copy_from_slice(&(cut as u32 - 4).to_le_bytes());
+        let err = read_request(&mut torn.as_slice()).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
+    }
+
+    use proptest::prelude::*;
+
+    /// One well-formed frame of each payload-bearing shape, for the
+    /// mutation fuzz to damage.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        let mut buf = Vec::new();
+        write_request(&mut buf, &query_fetch_sample()).unwrap();
+        frames.push(buf);
+        for resp in [
+            row_batch_sample(),
+            Response::Result {
+                result: QueryResult {
+                    columns: vec!["GID".into()],
+                    rows: vec![AnnRow::plain(vec![Value::Float(2.5)])],
+                    affected: 1,
+                    message: Some("ok".into()),
+                    stats: Some(ExecStats {
+                        chosen_indexes: vec!["gid_idx".into()],
+                        join_order: vec![0],
+                        ..Default::default()
+                    }),
+                },
+                in_txn: true,
+            },
+            Response::CursorOk {
+                cursor: 1,
+                columns: vec!["a".into(), "b".into()],
+                in_txn: false,
+            },
+            Response::Error {
+                error: BdbmsError {
+                    code: ErrorCode::Syntax,
+                    message: "near FROM".into(),
+                    span: Some(Span::new(3, 7)),
+                },
+                in_txn: false,
+            },
+        ] {
+            let mut buf = Vec::new();
+            write_response(&mut buf, &resp).unwrap();
+            frames.push(buf);
+        }
+        frames
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Socket bytes are outside input: whatever arrives — a garbage
+        /// length prefix, a valid frame header over a garbage payload,
+        /// or a real frame with one byte flipped — decoding returns `Ok`
+        /// or `Err` and never panics.
+        #[test]
+        fn wire_decode_never_panics(
+            raw in prop::collection::vec(any::<u8>(), 0..64),
+            kind in prop::sample::select(vec![
+                K_HELLO, K_PREPARE, K_EXECUTE, K_QUERY, K_FETCH, K_CLOSE_STMT,
+                K_CLOSE_CURSOR, K_RUN, K_SET_USER, K_PING, K_QUIT, K_METRICS,
+                K_QUERY_FETCH, K_HELLO_OK, K_PREPARE_OK, K_RESULT, K_CURSOR_OK,
+                K_ROW_BATCH, K_OK, K_PONG, K_BYE, K_METRICS_OK, K_ERROR,
+            ]),
+            payload in prop::collection::vec(any::<u8>(), 0..96),
+            pos_seed in any::<u64>(),
+            flip in 1u8..=255,
+        ) {
+            let _ = read_request(&mut raw.as_slice());
+            let _ = read_response(&mut raw.as_slice());
+
+            let mut framed = (1 + payload.len() as u32).to_le_bytes().to_vec();
+            framed.push(kind);
+            framed.extend_from_slice(&payload);
+            let _ = read_request(&mut framed.as_slice());
+            let _ = read_response(&mut framed.as_slice());
+
+            for mut frame in sample_frames() {
+                let pos = (pos_seed % frame.len() as u64) as usize;
+                frame[pos] ^= flip;
+                let _ = read_request(&mut frame.as_slice());
+                let _ = read_response(&mut frame.as_slice());
+            }
+        }
     }
 }
