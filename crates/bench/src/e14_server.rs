@@ -107,7 +107,7 @@ fn embedded_sequential_commits(total: usize) -> (Duration, u64) {
         &[Value::Int(-1), Value::Text("warm-up".into())],
     )
     .unwrap();
-    let fsyncs0 = fsyncs.load(std::sync::atomic::Ordering::Relaxed);
+    let fsyncs0 = fsyncs.get();
     let s = Instant::now();
     for i in 0..total {
         ins.execute(
@@ -117,7 +117,7 @@ fn embedded_sequential_commits(total: usize) -> (Duration, u64) {
         .unwrap();
     }
     let elapsed = s.elapsed();
-    let paid = fsyncs.load(std::sync::atomic::Ordering::Relaxed) - fsyncs0;
+    let paid = fsyncs.get() - fsyncs0;
     drop(session);
     db.simulate_crash(); // skip the shutdown checkpoint
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,8 +8,8 @@
 //!   50k-record FASTA dump ≥10x faster than the same records issued as
 //!   row-at-a-time `INSERT` statements.  Both sides run against a durable
 //!   database under `NoSync` (so the ratio measures the amortization —
-//!   deferred index build, deferred stats, one logical `BulkLoad` WAL
-//!   record instead of 50k row records — not the fsync count).
+//!   deferred index build, deferred stats, one checkpoint instead of 50k
+//!   WAL row records — not the fsync count).
 //! * **sequence index build**: filling an SBC-tree from rows that already
 //!   exist (`CREATE SEQUENCE INDEX`, every `Database::open`) by one sort
 //!   and bottom-up loads (`SbcTree::build`) must beat growing it one
@@ -186,8 +186,8 @@ pub fn run_sized(load_n: usize, search_n: usize) -> Report {
          sides — COPY defers it to one pass after the load)"
     ));
     report.note(
-        "COPY writes one logical BulkLoad WAL record plus a forced \
-         checkpoint; the INSERT side writes one WAL record per row",
+        "COPY writes no WAL record and commits by one checkpoint; the \
+         INSERT side writes one WAL record per row",
     );
     report.note(
         "index build: the incremental leg inserts one run-boundary suffix at \

@@ -352,7 +352,7 @@ pub enum Statement {
         table: String,
     },
     /// `COPY table FROM 'path' [FORMAT FASTA|TSV]` — bulk load from a file
-    /// through the deferred-index, WAL-bypassing ingest engine
+    /// through the deferred-index ingest engine, committed by checkpoint
     /// (`crate::ingest`; docs/INGEST.md).
     Copy {
         /// Target table.

@@ -943,9 +943,9 @@ impl Table {
 
     // ---- bulk load (COPY) ----
 
-    /// `COPY` fast path: append one row, deferring index maintenance,
-    /// statistics, and redo logging to [`finish_bulk`](Self::finish_bulk)
-    /// / the single logical `BulkLoad` WAL record.  The table is in a
+    /// `COPY` fast path: append one row, deferring index maintenance and
+    /// statistics to [`finish_bulk`](Self::finish_bulk); durability is
+    /// the checkpoint `COPY` commits by, not redo.  The table is in a
     /// *scan-correct but index-stale* state between the first
     /// `bulk_append` and `finish_bulk`; `crate::ingest` owns that window
     /// and never lets a query see it.

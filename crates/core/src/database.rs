@@ -607,9 +607,8 @@ impl Database {
             Statement::StopContentApproval { .. } => "STOP CONTENT APPROVAL",
             Statement::ApproveOperation { .. } => "APPROVE OPERATION",
             Statement::DisapproveOperation { .. } => "DISAPPROVE OPERATION",
-            // COPY commits through a single BulkLoad record and then
-            // *forces a checkpoint* — which cannot run inside an open
-            // transaction, so neither can COPY
+            // COPY commits by writing a checkpoint image, and an image
+            // cannot hold another statement's uncommitted work
             Statement::Copy { .. } => "COPY",
             _ => return None,
         })
@@ -662,19 +661,9 @@ impl Database {
             }
             r
         } else {
-            let copy_barrier = matches!(stmt, Statement::Copy { .. });
             // implicit transaction: atomic in memory AND on disk — the
             // statement's redo records reach the WAL only on success
-            let r = self.with_implicit(|db| db.execute_stmt_inner(stmt, user));
-            if copy_barrier && r.is_ok() {
-                // WAL-bypass barrier: the committed BulkLoad record's
-                // replay re-reads the source file, so fold the loaded
-                // rows into the checkpoint image now and close that
-                // window.  Best-effort — the commit itself is already
-                // durable, and replay covers a checkpoint that fails.
-                let _ = self.checkpoint();
-            }
-            r
+            self.with_implicit(|db| db.execute_stmt_inner(stmt, user))
         }
     }
 
@@ -1028,12 +1017,12 @@ impl Database {
 
     /// `COPY <table> FROM '<path>'`: the bulk-load protocol.  Rows go to
     /// the heap with index/stats/redo maintenance deferred
-    /// (`crate::ingest`), the WAL gets one logical `BulkLoad` record for
-    /// the whole file, and the caller (`execute_stmt`) forces a
-    /// checkpoint after the implicit commit.  Rollback on failure is the
-    /// pushed `UnBulkLoad` op (truncate the appended rows) plus the
-    /// first-touch snapshot (restore stats / allocator / bitmap) —
-    /// pushed first, so applied last.
+    /// (`crate::ingest`), and a durable database commits the load by
+    /// writing a checkpoint image before the implicit transaction ends:
+    /// nothing reaches the WAL.  Rollback on failure — of the load or of
+    /// the checkpoint — is the pushed `UnBulkLoad` op (truncate the
+    /// appended rows) plus the first-touch snapshot (restore stats /
+    /// allocator / bitmap) — pushed first, so applied last.
     fn do_copy(
         &mut self,
         table: &str,
@@ -1056,9 +1045,8 @@ impl Database {
             table: table.to_string(),
             first_row,
         });
-        // the bulk path skips per-row redo records by design; suspend
-        // the sink so nothing incidental leaks in, then log the single
-        // logical record for the whole load
+        // the bulk path logs no redo: suspend the sink so nothing
+        // incidental leaks in
         self.txn.redo_suspend();
         let loaded = self
             .catalog
@@ -1066,14 +1054,20 @@ impl Database {
             .and_then(|t| crate::ingest::bulk_load(t, std::path::Path::new(path), format));
         self.txn.redo_resume();
         let rows = loaded?;
-        self.redo(|| crate::durability::WalRecord::BulkLoad {
-            table: table.to_string(),
-            path: path.to_string(),
-            format,
-            rows,
-        });
         // new rows + rebuilt stats invalidate cached plans
         self.catalog.bump_generation();
+        if self.storage.is_some() {
+            // the checkpoint is the commit: the image holds the load once
+            // the rename succeeds.  A redo record left in the buffer would
+            // reach the WAL above the image's frontier and apply twice.
+            assert_eq!(self.txn.redo_sink().borrow().len(), 0, "COPY logs no redo");
+            self.checkpoint_inner().map_err(|e| {
+                BdbmsError::new(
+                    e.code(),
+                    format!("COPY checkpoint failed, load rolled back: {}", e.message()),
+                )
+            })?;
+        }
         let mut qr = QueryResult::affected(rows as usize);
         qr.message = Some(format!(
             "copied {rows} row(s) into `{table}` from `{path}` ({})",

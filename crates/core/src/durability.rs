@@ -40,6 +40,12 @@
 //! any instant leaves either the old image + old WAL or the new image +
 //! empty WAL — both consistent.
 //!
+//! **`COPY` commits by checkpoint**: it logs nothing, and its implicit
+//! transaction runs a checkpoint before it commits.  The image rename is
+//! the commit point: a checkpoint that fails leaves the old image and WAL
+//! in place and rolls the load back, so recovery never reads anything
+//! outside the database directory.
+//!
 //! **Recovery** (`Database::open`) loads the image, rebuilds indexes and
 //! statistics from the heaps in one pass per table (a reopen is an
 //! implicit `ANALYZE`), then replays the WAL: records are buffered per
@@ -68,6 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bdbms_common::codec::{self, Cur};
+use bdbms_common::metrics::Counter;
 use bdbms_common::{BdbmsError, DataType, ErrorCode, Result, Schema, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
@@ -79,7 +86,7 @@ pub use bdbms_storage::wal::{CommitTicket, Durability};
 
 use crate::annotation::AnnotationSet;
 use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus};
-use crate::ast::{CopyFormat, Privilege, SeqIndexKind};
+use crate::ast::{Privilege, SeqIndexKind};
 use crate::auth::AuthManager;
 use crate::catalog::{DeletedRow, Table};
 use crate::database::Database;
@@ -285,19 +292,6 @@ pub(crate) enum WalRecord {
     RuleDrop { name: String },
     /// Transaction commit barrier; carries the logical clock.
     Commit { clock: u64 },
-    /// A `COPY` bulk load: the WAL-bypass record.  Instead of one
-    /// `RowInsert` per loaded row, the committed transaction carries
-    /// this single logical record; replay re-runs the load from the
-    /// source file and cross-checks the row count.  The forced
-    /// checkpoint right after the commit keeps the replay window (in
-    /// which the source file must still exist unchanged) to the crash
-    /// of the loading process itself — see `docs/INGEST.md`.
-    BulkLoad {
-        table: String,
-        path: String,
-        format: CopyFormat,
-        rows: u64,
-    },
     /// `CREATE SEQUENCE INDEX` (definition only; payload rebuilds on
     /// replay, like `IndexCreate`).
     SeqIndexCreate {
@@ -308,24 +302,6 @@ pub(crate) enum WalRecord {
     },
     /// `DROP SEQUENCE INDEX`.
     SeqIndexDrop { table: String, index: String },
-}
-
-fn put_copy_format(out: &mut Vec<u8>, f: CopyFormat) {
-    codec::put_u8(
-        out,
-        match f {
-            CopyFormat::Fasta => 0,
-            CopyFormat::Tsv => 1,
-        },
-    );
-}
-
-fn get_copy_format(cur: &mut Cur<'_>) -> Result<CopyFormat> {
-    Ok(match cur.u8()? {
-        0 => CopyFormat::Fasta,
-        1 => CopyFormat::Tsv,
-        t => return Err(BdbmsError::corrupt(format!("unknown COPY format tag {t}"))),
-    })
 }
 
 fn put_seq_kind(out: &mut Vec<u8>, k: SeqIndexKind) {
@@ -780,18 +756,6 @@ impl WalRecord {
                 codec::put_u8(out, 24);
                 codec::put_u64(out, *clock);
             }
-            WalRecord::BulkLoad {
-                table,
-                path,
-                format,
-                rows,
-            } => {
-                codec::put_u8(out, 25);
-                codec::put_str(out, table);
-                codec::put_str(out, path);
-                put_copy_format(out, *format);
-                codec::put_u64(out, *rows);
-            }
             WalRecord::SeqIndexCreate {
                 table,
                 index,
@@ -935,12 +899,8 @@ impl WalRecord {
             },
             23 => WalRecord::RuleDrop { name: cur.str()? },
             24 => WalRecord::Commit { clock: cur.u64()? },
-            25 => WalRecord::BulkLoad {
-                table: cur.str()?,
-                path: cur.str()?,
-                format: get_copy_format(&mut cur)?,
-                rows: cur.u64()?,
-            },
+            // 25 was `COPY`'s bulk-load record: it stays unassigned, so
+            // an old log holding one fails to decode instead of misreading
             26 => WalRecord::SeqIndexCreate {
                 table: cur.str()?,
                 index: cur.str()?,
@@ -1810,21 +1770,6 @@ impl Database {
             WalRecord::Commit { clock } => {
                 self.clock.advance_to(clock);
             }
-            WalRecord::BulkLoad {
-                table,
-                path,
-                format,
-                rows,
-            } => {
-                let t = self.catalog.table_mut(&table)?;
-                let loaded = crate::ingest::bulk_load(t, Path::new(&path), format)?;
-                if loaded != rows {
-                    return Err(BdbmsError::corrupt(format!(
-                        "bulk-load replay of `{path}` into `{table}` yielded {loaded} \
-                         rows, the committed load had {rows} (source file changed?)"
-                    )));
-                }
-            }
             WalRecord::SeqIndexCreate {
                 table,
                 index,
@@ -2127,22 +2072,14 @@ impl Database {
             .and_then(|ps| ps.pending_ticket.take())
     }
 
-    /// Total fsyncs issued against the WAL so far (`None` in-memory).
-    /// The e14 experiment divides this by acknowledged commits to
-    /// measure group commit's amortization.
-    pub fn wal_fsync_count(&self) -> Option<u64> {
+    /// Shared handle to the WAL's fsync counter, the one the registry
+    /// exports as `wal.fsyncs` (`None` in-memory).  Lets the server
+    /// observe fsync totals from other threads while the database stays
+    /// pinned to its engine thread.
+    pub fn wal_sync_counter(&self) -> Option<Arc<Counter>> {
         self.storage
             .as_ref()
-            .map(|ps| ps.wal.with(|w| w.sync_count()))
-    }
-
-    /// Shared handle to the WAL's fsync counter (`None` in-memory).
-    /// Lets the server observe fsync totals from other threads while
-    /// the database stays pinned to its engine thread.
-    pub fn wal_sync_counter(&self) -> Option<Arc<AtomicU64>> {
-        self.storage
-            .as_ref()
-            .map(|ps| ps.wal.with(|w| w.sync_counter()))
+            .map(|ps| ps.wal.with(|w| w.metrics().fsyncs))
     }
 
     /// Checkpoint and shut down cleanly.  (Dropping a durable database
@@ -2325,12 +2262,6 @@ mod tests {
             },
             WalRecord::RuleDrop { name: "r1".into() },
             WalRecord::Commit { clock: 99 },
-            WalRecord::BulkLoad {
-                table: "Gene".into(),
-                path: "/tmp/genes.fasta".into(),
-                format: CopyFormat::Fasta,
-                rows: 50_000,
-            },
             WalRecord::SeqIndexCreate {
                 table: "Gene".into(),
                 index: "seq_idx".into(),
@@ -2366,6 +2297,15 @@ mod tests {
         WalRecord::Commit { clock: 7 }.encode(&mut buf);
         buf.truncate(buf.len() - 2);
         assert!(WalRecord::decode(&buf).is_err());
+        // the retired bulk-load record, framed as older versions wrote it
+        // (tag, table, source path, format byte, row count)
+        let mut buf = vec![25];
+        codec::put_str(&mut buf, "Gene");
+        codec::put_str(&mut buf, "/data/genes.fasta");
+        codec::put_u8(&mut buf, 0);
+        codec::put_u64(&mut buf, 50_000);
+        let err = WalRecord::decode(&buf).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
     }
 
     use proptest::prelude::*;

@@ -12,13 +12,11 @@
 //!   enters the new rows into every secondary B+-tree index, appends
 //!   them to the sequence indexes (bulk-building one that is still
 //!   empty), and recomputes exact statistics (the deferred `ANALYZE`);
-//! * the WAL sees a single logical [`BulkLoad`](crate::durability)
-//!   record instead of 50k `RowInsert` frames.  Atomicity under crash
-//!   recovery comes from the commit protocol, not per-row logging: a
-//!   crash before the commit record leaves nothing replayable (zero
-//!   rows), a crash after it replays the load from the source file, and
-//!   the forced checkpoint right after the commit closes that replay
-//!   window.  See `docs/INGEST.md` for the full contract.
+//! * the WAL sees nothing instead of 50k `RowInsert` frames: a durable
+//!   database commits the load by writing a checkpoint image.  A crash
+//!   before the image rename leaves the old image and zero copied rows,
+//!   a crash after it leaves the full load, and recovery never reads the
+//!   source file.  See `docs/INGEST.md` for the full contract.
 //!
 //! Two file formats are supported (`FORMAT FASTA | TSV`, inferred from
 //! the extension when omitted):
@@ -57,8 +55,7 @@ pub(crate) fn resolve_format(path: &Path, explicit: Option<CopyFormat>) -> CopyF
 ///
 /// On error the table may hold a partial heap-only append (indexes and
 /// stats untouched); the caller owns cleanup — the `COPY` statement path
-/// rolls back via its `UnBulkLoad` undo op, and WAL replay treats the
-/// error as divergence.
+/// rolls back via its `UnBulkLoad` undo op.
 pub(crate) fn bulk_load(table: &mut Table, path: &Path, format: CopyFormat) -> Result<u64> {
     let file = File::open(path)
         .map_err(|e| BdbmsError::invalid(format!("COPY cannot open `{}`: {e}", path.display())))?;

@@ -432,7 +432,8 @@ impl TxnRuntime {
     }
 
     /// Stop collecting while rollback applies undo ops (their table
-    /// mutations must not re-log).
+    /// mutations must not re-log) or `COPY` loads (it commits by
+    /// checkpoint, not by redo).
     pub(crate) fn redo_suspend(&self) {
         self.redo.borrow_mut().suspend();
     }

@@ -3,9 +3,10 @@
 //! SBC|SUFFIX`), planner routing of `CONTAINS SEQ` through the sequence
 //! index (observed via `ExecStats`), durability round trips, and the
 //! mid-COPY fault-injection sweep proving the load is atomic: after any
-//! single injected I/O fault plus a crash, recovery sees either zero
-//! copied rows or the complete load — never a partial heap, never a
-//! stale sequence index.
+//! single injected I/O fault plus a crash, recovery sees zero copied
+//! rows exactly when `COPY` failed and the complete load exactly when it
+//! succeeded — never a partial heap, never a stale sequence index, and
+//! never a read of the source file.
 
 mod support;
 
@@ -255,8 +256,9 @@ fn copy_and_sequence_index_survive_close_and_open() {
 
 #[test]
 fn crash_right_after_copy_recovers_the_full_load() {
-    // the forced checkpoint after COPY means a clean crash right after
-    // the statement returns replays nothing and still sees every row
+    // COPY commits by checkpoint, so a crash right after the statement
+    // returns replays nothing and still sees every row — without the
+    // source file, which is gone before the reopen
     let dir = tmp("post-copy-crash");
     let data = fasta_file("post-copy-crash", 20);
     {
@@ -267,16 +269,16 @@ fn crash_right_after_copy_recovers_the_full_load() {
             .unwrap();
         db.simulate_crash();
     }
+    fs::remove_file(&data).unwrap();
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.catalog().table("Gene").unwrap().len(), 20);
     let rec = db.last_recovery().unwrap();
     assert_eq!(
         rec.replayed_commits, 0,
-        "the WAL-bypass barrier folds the load into the image"
+        "the commit checkpoint folds the load into the image"
     );
     drop(db);
     let _ = fs::remove_dir_all(&dir);
-    let _ = fs::remove_file(&data);
 }
 
 /// Every way a sequence index gets (re)built from existing rows — DDL
@@ -371,25 +373,27 @@ fn rebuilt_sequence_index_answers_like_the_maintained_one() {
 
 const SWEEP_ROWS: usize = 30;
 
-fn sweep_workload(db: &mut Database, data: &std::path::Path) -> Vec<bool> {
+/// Run the workload; each statement's error message, `None` on success.
+fn sweep_workload(db: &mut Database, data: &std::path::Path) -> Vec<Option<String>> {
     [
         "CREATE TABLE Gene (Hdr TEXT, Seq TEXT)".to_string(),
         "CREATE SEQUENCE INDEX sidx ON Gene (Seq) USING SBC".to_string(),
         format!("COPY Gene FROM '{}' FORMAT FASTA", data.display()),
     ]
     .iter()
-    .map(|s| db.execute(s).is_ok())
+    .map(|s| db.execute(s).err().map(|e| e.to_string()))
     .collect()
 }
 
 /// Inject one I/O fault at every operation index across a COPY workload,
-/// crash, reopen on a healthy device, and hold the atomicity contract:
+/// crash, move the source file away, reopen on a healthy device, and
+/// hold the atomicity contract:
 ///
-/// * never a panic, never a partial load — the table holds 0 copied rows
-///   or all of them;
-/// * if `COPY` reported success, the load is durable (the reverse — a
-///   failure report with a durable load — is the usual post-barrier
-///   ambiguity window and is allowed);
+/// * never a panic, never a partial load, and recovery never needs the
+///   source file;
+/// * the load is durable exactly when `COPY` reported success: the
+///   checkpoint it commits by is the commit point, so there is no
+///   window in which a failed `COPY` leaves its rows behind;
 /// * whenever rows are present and the index definition survived, a
 ///   sequence-index probe answers exactly like a full scan.
 #[test]
@@ -405,16 +409,17 @@ fn mid_copy_fault_sweep_loads_all_or_nothing() {
     {
         let mut db = Database::create_with(&count_dir, opts(Some(inj.clone()))).unwrap();
         inj.arm(u64::MAX, FaultKind::TransientError);
-        let ok = sweep_workload(&mut db, &data);
-        assert!(ok.iter().all(|&b| b));
+        let errs = sweep_workload(&mut db, &data);
+        assert!(errs.iter().all(Option::is_none), "{errs:?}");
         db.simulate_crash();
     }
     let total_ops = inj.op_count();
     let _ = fs::remove_dir_all(&count_dir);
     assert!(total_ops > 10, "COPY must exercise real I/O ({total_ops})");
 
+    let moved = data.with_extension("moved");
     let stride = if cfg!(debug_assertions) { 7 } else { 1 };
-    let mut saw_wal_replay = false;
+    let mut saw_checkpoint_failure = false;
     for n in (0..total_ops).step_by(stride) {
         for kind in [
             FaultKind::TransientError,
@@ -427,24 +432,38 @@ fn mid_copy_fault_sweep_loads_all_or_nothing() {
             let inj = FaultInjector::new();
             let mut db = Database::create_with(&dir, opts(Some(inj.clone()))).unwrap();
             inj.arm(n, kind);
-            let ok = sweep_workload(&mut db, &data);
+            let errs = sweep_workload(&mut db, &data);
             inj.disarm();
             db.simulate_crash();
-            let db = Database::open(&dir)
-                .unwrap_or_else(|e| panic!("fault {kind:?} at op {n}: reopen failed: {e}"));
+            fs::rename(&data, &moved).unwrap();
+            let db = Database::open(&dir);
+            fs::rename(&moved, &data).unwrap();
+            let db = db.unwrap_or_else(|e| panic!("fault {kind:?} at op {n}: reopen failed: {e}"));
             let rows = db.catalog().table("Gene").map(|t| t.len()).unwrap_or(0);
             assert!(
                 rows == 0 || rows == SWEEP_ROWS,
                 "fault {kind:?} at op {n}: partial load ({rows} rows)"
             );
-            if ok[2] {
-                assert_eq!(
-                    rows, SWEEP_ROWS,
-                    "fault {kind:?} at op {n}: COPY reported success but rows are gone"
+            assert_eq!(
+                errs[2].is_none(),
+                rows == SWEEP_ROWS,
+                "fault {kind:?} at op {n}: COPY reported {:?} but {rows} rows survived",
+                errs[2]
+            );
+            if errs[..2].iter().all(Option::is_none)
+                && errs[2]
+                    .as_ref()
+                    .is_some_and(|e| e.contains("COPY checkpoint failed"))
+            {
+                // the table and index committed before COPY, and its
+                // rollback leaves them standing
+                assert!(
+                    db.catalog()
+                        .table("Gene")
+                        .is_ok_and(|t| t.seq_index_named("sidx").is_some()),
+                    "fault {kind:?} at op {n}: COPY rollback lost the DDL"
                 );
-            }
-            if db.last_recovery().unwrap().replayed_commits > 0 && rows == SWEEP_ROWS {
-                saw_wal_replay = true;
+                saw_checkpoint_failure = true;
             }
             // the sequence index (when its DDL survived) must agree with
             // the reference's scan — stale/missing candidates would diverge
@@ -463,12 +482,10 @@ fn mid_copy_fault_sweep_loads_all_or_nothing() {
             let _ = fs::remove_dir_all(&dir);
         }
     }
-    if cfg!(not(debug_assertions)) {
-        assert!(
-            saw_wal_replay,
-            "some fault must land inside the forced checkpoint, exercising \
-             BulkLoad WAL replay from the source file"
-        );
-    }
+    assert!(
+        saw_checkpoint_failure,
+        "some leg must create the table and index and then fail COPY \
+         inside the checkpoint it commits by"
+    );
     let _ = fs::remove_file(&data);
 }

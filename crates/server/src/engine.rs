@@ -51,7 +51,6 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -176,7 +175,7 @@ pub struct Engine {
     tx: Option<Sender<EngineRequest>>,
     /// WAL fsync counter, shared with the engine's database (`None`
     /// only if the database is in-memory, which a server's never is).
-    fsyncs: Option<Arc<AtomicU64>>,
+    fsyncs: Option<Arc<Counter>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -229,10 +228,7 @@ impl Engine {
 
     /// Total WAL fsyncs issued by the engine's database so far.
     pub fn fsync_count(&self) -> u64 {
-        self.fsyncs
-            .as_ref()
-            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-            .unwrap_or(0)
+        self.fsyncs.as_ref().map_or(0, |c| c.get())
     }
 
     /// Stop the engine: drops the work channel and joins the thread

@@ -35,7 +35,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bdbms_common::metrics::Counter;
-use bdbms_common::stats::IoSnapshot;
 use bdbms_common::{BdbmsError, Result};
 
 use crate::pager::{stamp_page_checksum, verify_page_checksum, PageId, PageStore, PAGE_SIZE};
@@ -86,8 +85,6 @@ struct Inner {
     tail: usize,
     /// The page of the latest fault-in, for spotting sequential ones.
     last_fault: Option<PageId>,
-    reads: u64,
-    writes: u64,
     /// WAL-before-data hook: called with a frame's LSN before its bytes
     /// may reach the store.
     gate: Option<Arc<dyn FlushGate>>,
@@ -178,7 +175,6 @@ impl Inner {
         let slot = self.claim_slot()?;
         let data = &mut self.frames[slot].data;
         let read = self.store.read_page(id, &mut data[..]).and_then(|()| {
-            self.reads += 1;
             if verify_page_checksum(&data[..]) {
                 Ok(())
             } else {
@@ -240,7 +236,6 @@ impl Inner {
         stamp_page_checksum(&mut frame.data[..]);
         self.store.write_page(frame.id, &frame.data[..])?;
         frame.dirty = false;
-        self.writes += 1;
         if self.metrics_on {
             self.metrics.dirty_writebacks.inc();
         }
@@ -327,8 +322,6 @@ impl BufferPool {
                 head: NIL,
                 tail: NIL,
                 last_fault: None,
-                reads: 0,
-                writes: 0,
                 gate: None,
                 lsn_source: None,
                 pin_dirty: false,
@@ -436,23 +429,6 @@ impl BufferPool {
         self.inner.lock().store.num_pages()
     }
 
-    /// Snapshot of physical I/O performed so far (reads = misses,
-    /// writes = dirty evictions + flushes).
-    pub fn io_stats(&self) -> IoSnapshot {
-        let g = self.inner.lock();
-        IoSnapshot {
-            reads: g.reads,
-            writes: g.writes,
-        }
-    }
-
-    /// Reset I/O counters (between benchmark phases).
-    pub fn reset_io_stats(&self) {
-        let mut g = self.inner.lock();
-        g.reads = 0;
-        g.writes = 0;
-    }
-
     /// Drop every clean frame and flush+drop every dirty frame, so the next
     /// access of each page is a miss.  Benchmarks use this to measure cold
     /// reads.
@@ -509,18 +485,20 @@ mod tests {
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |pg| pg[0] = 9).unwrap();
         p.flush_all().unwrap();
-        p.reset_io_stats();
+        let m = p.metrics();
+        let io = || m.misses.get() + m.dirty_writebacks.get();
 
         // Hit: page resident, no I/O.
+        let before = io();
         p.with_page(a, |_| ()).unwrap();
-        assert_eq!(p.io_stats().total(), 0);
+        assert_eq!(io() - before, 0);
 
         // Cold read after cache clear: one read.
         p.clear_cache().unwrap();
-        p.reset_io_stats();
+        let (misses, writebacks) = (m.misses.get(), m.dirty_writebacks.get());
         p.with_page(a, |_| ()).unwrap();
-        assert_eq!(p.io_stats().reads, 1);
-        assert_eq!(p.io_stats().writes, 0);
+        assert_eq!(m.misses.get() - misses, 1);
+        assert_eq!(m.dirty_writebacks.get() - writebacks, 0);
     }
 
     #[test]
@@ -563,11 +541,12 @@ mod tests {
         p.with_page(a, |_| ()).unwrap();
         let c = p.allocate().unwrap();
         p.with_page(c, |_| ()).unwrap();
-        p.reset_io_stats();
+        let misses = p.metrics().misses;
+        let before = misses.get();
         p.with_page(a, |_| ()).unwrap(); // still resident → hit
-        assert_eq!(p.io_stats().reads, 0);
+        assert_eq!(misses.get() - before, 0);
         p.with_page(b, |_| ()).unwrap(); // evicted → miss
-        assert_eq!(p.io_stats().reads, 1);
+        assert_eq!(misses.get() - before, 1);
     }
 
     #[test]
@@ -589,9 +568,9 @@ mod tests {
             seed ^= seed << 17;
             let i = 2 * (seed % 8) as usize;
             let was_resident = recency.contains(&i);
-            let reads = p.io_stats().reads;
+            let misses = p.metrics().misses.get();
             p.with_page(ids[i], |_| ()).unwrap();
-            let hit = p.io_stats().reads == reads;
+            let hit = p.metrics().misses.get() == misses;
             assert_eq!(hit, was_resident, "step {step}: page {i}");
             recency.retain(|&r| r != i);
             recency.push(i);
@@ -606,11 +585,11 @@ mod tests {
     fn hits_per_pass(p: &BufferPool, pages: &[PageId], passes: usize) -> Vec<u64> {
         (0..passes)
             .map(|_| {
-                let reads = p.io_stats().reads;
+                let misses = p.metrics().misses.get();
                 for &id in pages {
                     p.with_page(id, |_| ()).unwrap();
                 }
-                pages.len() as u64 - (p.io_stats().reads - reads)
+                pages.len() as u64 - (p.metrics().misses.get() - misses)
             })
             .collect()
     }
@@ -654,9 +633,13 @@ mod tests {
             p.with_page(s, |_| ()).unwrap();
             let k = step % (2 * n);
             let h = hot[if k < n { k } else { 2 * n - 1 - k }];
-            let reads = p.io_stats().reads;
+            let misses = p.metrics().misses.get();
             p.with_page(h, |_| ()).unwrap();
-            assert_eq!(p.io_stats().reads, reads, "step {step}: hot {h} missed");
+            assert_eq!(
+                p.metrics().misses.get(),
+                misses,
+                "step {step}: hot {h} missed"
+            );
         }
         assert_consistent(&p);
     }
@@ -1006,10 +989,10 @@ mod tests {
             p.with_page_mut(*id, |pg| pg[0] = i as u8).unwrap();
         }
         p.clear_cache().unwrap();
-        p.reset_io_stats();
+        let misses = p.metrics().misses.get();
         for id in &ids {
             p.with_page(*id, |_| ()).unwrap();
         }
-        assert_eq!(p.io_stats().reads, 4);
+        assert_eq!(p.metrics().misses.get() - misses, 4);
     }
 }

@@ -55,7 +55,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -144,10 +144,6 @@ pub struct Wal {
     flushed_len: u64,
     /// Fault-injection hook on the flush path (armed only by tests).
     hook: Option<Arc<FaultInjector>>,
-    /// Count of fsyncs issued against the log (flush, rotate, reset) —
-    /// the observable group commit amortizes.  Shared so servers and
-    /// benchmarks can watch it without holding the WAL lock.
-    sync_count: Arc<AtomicU64>,
     /// Live-observability instruments (appends, fsync count + latency).
     /// Always allocated; a database registers them under `wal.*` names.
     metrics: WalMetrics,
@@ -159,7 +155,9 @@ pub struct Wal {
 pub struct WalMetrics {
     /// Records appended (buffered, not necessarily durable yet).
     pub appends: Arc<Counter>,
-    /// Fsyncs issued (mirrors [`Wal::sync_count`] for registry export).
+    /// Fsyncs issued against the log (flush, rotation, reset) — the
+    /// count group commit amortizes: N commits riding one flush tick it
+    /// once.
     pub fsyncs: Arc<Counter>,
     /// Wall time of each fsync, in nanoseconds.
     pub fsync_latency_ns: Arc<Histogram>,
@@ -276,7 +274,6 @@ impl Wal {
             damaged: false,
             flushed_len: active_len,
             hook: None,
-            sync_count: Arc::new(AtomicU64::new(0)),
             metrics: WalMetrics::default(),
         };
         Ok((wal, scan))
@@ -362,18 +359,6 @@ impl Wal {
         self.flushed_lsn
     }
 
-    /// Shared handle on the fsync counter (see [`Wal::sync_count`]).
-    pub fn sync_counter(&self) -> Arc<AtomicU64> {
-        self.sync_count.clone()
-    }
-
-    /// Number of fsyncs this log has issued (flush, rotation, reset).
-    /// This is the denominator group commit divides: N commits riding
-    /// one flush tick this once.
-    pub fn sync_count(&self) -> u64 {
-        self.sync_count.load(Ordering::Relaxed)
-    }
-
     /// Handles to the log's observability instruments (for registry
     /// export).
     pub fn metrics(&self) -> WalMetrics {
@@ -381,7 +366,6 @@ impl Wal {
     }
 
     fn sync_file(&self, f: &File) -> std::io::Result<()> {
-        self.sync_count.fetch_add(1, Ordering::Relaxed);
         self.metrics.fsyncs.inc();
         let started = std::time::Instant::now();
         let r = f.sync_all();
@@ -515,7 +499,6 @@ impl Wal {
             index: self.active_index,
             lsn: self.next_lsn - 1,
             len: self.active_len,
-            sync_count: self.sync_count.clone(),
             metrics: self.metrics.clone(),
             durability: self.durability,
         })
@@ -775,7 +758,6 @@ pub struct FlushHandle {
     index: u64,
     lsn: u64,
     len: u64,
-    sync_count: Arc<AtomicU64>,
     metrics: WalMetrics,
     durability: Durability,
 }
@@ -791,7 +773,6 @@ impl FlushHandle {
     /// [`Wal::begin_flush`]).  Call **without** holding the WAL lock.
     pub fn sync(&self) -> Result<()> {
         if self.durability == Durability::Full {
-            self.sync_count.fetch_add(1, Ordering::Relaxed);
             self.metrics.fsyncs.inc();
             let started = std::time::Instant::now();
             let r = self.file.sync_all();
@@ -1298,7 +1279,7 @@ mod tests {
         }
         // all 8 commits flushed; the flusher batches, so strictly fewer
         // fsyncs than commits (usually 1-2 for a burst this tight)
-        let syncs = shared.with(|w| w.sync_count());
+        let syncs = shared.with(|w| w.metrics().fsyncs.get());
         assert!(syncs >= 1, "at least one real fsync");
         assert!(syncs < 8, "fsyncs amortized across the batch, got {syncs}");
         assert_eq!(shared.with(|w| w.flushed_lsn()), 8);
@@ -1349,20 +1330,20 @@ mod tests {
     }
 
     #[test]
-    fn sync_count_ticks_on_full_flush_only() {
-        let dir = tmp("sync-count");
+    fn fsyncs_tick_on_full_flush_only() {
+        let dir = tmp("fsyncs");
         let (mut wal, _) = Wal::open(&dir, Durability::NoSync).unwrap();
         wal.append(b"x").unwrap();
         wal.flush().unwrap();
-        assert_eq!(wal.sync_count(), 0, "NoSync never fsyncs");
+        assert_eq!(wal.metrics().fsyncs.get(), 0, "NoSync never fsyncs");
         drop(wal);
-        let dir2 = tmp("sync-count-full");
+        let dir2 = tmp("fsyncs-full");
         let (mut wal, _) = Wal::open(&dir2, Durability::Full).unwrap();
         wal.append(b"x").unwrap();
         wal.flush().unwrap();
         wal.append(b"y").unwrap();
         wal.flush().unwrap();
-        assert_eq!(wal.sync_count(), 2, "one fsync per Full flush");
+        assert_eq!(wal.metrics().fsyncs.get(), 2, "one fsync per Full flush");
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&dir2);
     }

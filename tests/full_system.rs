@@ -216,10 +216,13 @@ fn engine_correct_under_tiny_buffer_pool() {
     assert_eq!(qr.rows[0].values[0], Value::Int(expect));
     // the tiny pool really did hit the backing store: the table spans more
     // pages than the pool holds, so scans fault pages back in
-    let io = pool.io_stats();
+    let io = pool.metrics();
     assert!(
-        io.reads > 10,
+        io.misses.get() > 10,
         "scans over an evicted table must re-read pages"
     );
-    assert!(io.writes > 5, "dirty evictions must have written pages");
+    assert!(
+        io.dirty_writebacks.get() > 5,
+        "dirty evictions must have written pages"
+    );
 }
