@@ -60,24 +60,23 @@ impl CellBitmap {
 
     /// Is `(row, col)` marked outdated?
     pub fn get(&self, row: usize, col: usize) -> bool {
-        let i = self.index(row, col);
+        self.bit(self.index(row, col))
+    }
+
+    /// The `i`-th bit in row-major order.
+    #[inline]
+    fn bit(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Grow the bitmap to cover `rows` rows (new rows start clean).
+    /// Grow the bitmap to cover `rows` rows (new rows start clean).  The
+    /// layout is row-major, so every existing bit keeps its position and
+    /// growth is an in-place resize (amortized O(1) per appended row).
     pub fn grow_rows(&mut self, rows: usize) {
-        if rows <= self.rows {
-            return;
+        if rows > self.rows {
+            self.words.resize((rows * self.cols).div_ceil(64), 0);
+            self.rows = rows;
         }
-        let mut bigger = CellBitmap::new(rows, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if self.get(r, c) {
-                    bigger.set(r, c);
-                }
-            }
-        }
-        *self = bigger;
     }
 
     /// Count of set (outdated) cells.
@@ -85,12 +84,21 @@ impl CellBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterate all set cells as `(row, col)` in row-major order.
+    /// Iterate all set cells as `(row, col)` in row-major order, visiting
+    /// set bits only: zero words are skipped whole.
     pub fn iter_set(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let cols = self.cols;
-        (0..self.rows * self.cols)
-            .filter(move |i| self.words[i / 64] & (1 << (i % 64)) != 0)
-            .map(move |i| (i / cols, i % cols))
+        self.words.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some((i / cols, i % cols))
+            })
+        })
     }
 
     /// Bytes used by the dense representation (payload only).
@@ -106,16 +114,21 @@ impl CellBitmap {
     /// stripe into a single run.  [`RleBitmap::get`] and
     /// [`RleBitmap::to_dense`] honour the stored order.
     pub fn to_rle_column_major(&self) -> RleBitmap {
+        // the i-th bit in column-major enumeration
+        let rows = self.rows.max(1);
+        self.to_runs(true, |i| self.bit((i % rows) * self.cols + i / rows))
+    }
+
+    /// Compress into run-length form (row-major bit order).
+    pub fn to_rle(&self) -> RleBitmap {
+        self.to_runs(false, |i| self.bit(i))
+    }
+
+    /// Run-length encode the bits `bit_at(0..rows * cols)`.
+    fn to_runs(&self, column_major: bool, bit_at: impl Fn(usize) -> bool) -> RleBitmap {
         let total = self.rows * self.cols;
         let mut runs = Vec::new();
         let mut i = 0usize;
-        let bit_at = |i: usize| {
-            // i-th bit in column-major enumeration
-            let col = i / self.rows.max(1);
-            let row = i % self.rows.max(1);
-            let j = row * self.cols + col;
-            self.words[j / 64] & (1 << (j % 64)) != 0
-        };
         while i < total {
             let bit = bit_at(i);
             let start = i;
@@ -131,31 +144,7 @@ impl CellBitmap {
             rows: self.rows,
             cols: self.cols,
             runs,
-            column_major: true,
-        }
-    }
-
-    /// Compress into run-length form (row-major bit order).
-    pub fn to_rle(&self) -> RleBitmap {
-        let total = self.rows * self.cols;
-        let mut runs = Vec::new();
-        let mut i = 0usize;
-        while i < total {
-            let bit = self.words[i / 64] & (1 << (i % 64)) != 0;
-            let start = i;
-            while i < total && (self.words[i / 64] & (1 << (i % 64)) != 0) == bit {
-                i += 1;
-            }
-            runs.push(Run {
-                bit,
-                len: (i - start) as u32,
-            });
-        }
-        RleBitmap {
-            rows: self.rows,
-            cols: self.cols,
-            runs,
-            column_major: false,
+            column_major,
         }
     }
 }
@@ -246,6 +235,7 @@ impl RleBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn set_get_clear() {
@@ -325,6 +315,58 @@ mod tests {
         // shrinking is a no-op
         bm.grow_rows(2);
         assert_eq!(bm.rows(), 5);
+    }
+
+    #[test]
+    fn growing_one_row_at_a_time_matches_a_fresh_bitmap() {
+        // 5 columns: most row counts end in a partial last word
+        let cols = 5;
+        let mut grown = CellBitmap::new(0, cols);
+        let mut sets = Vec::new();
+        for r in 0..10_000 {
+            grown.grow_rows(r + 1);
+            if r % 13 == 0 {
+                let c = r % cols;
+                grown.set(r, c);
+                sets.push((r, c));
+            }
+            if (r + 1) % 1_000 == 0 {
+                let mut fresh = CellBitmap::new(r + 1, cols);
+                for &(sr, sc) in &sets {
+                    fresh.set(sr, sc);
+                }
+                assert_eq!(grown, fresh, "after {} rows", r + 1);
+                assert_eq!(grown.iter_set().collect::<Vec<_>>(), sets);
+            }
+        }
+        assert_ne!((10_000 * cols) % 64, 0, "the last word is partial");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn iter_set_matches_the_cell_by_cell_walk(
+            rows in 0usize..200,
+            cols in 1usize..9,
+            cells in prop::collection::vec((0usize..200, 0usize..9), 0..300),
+        ) {
+            let mut bm = CellBitmap::new(rows, cols);
+            for (r, c) in cells {
+                if r < rows && c < cols {
+                    bm.set(r, c);
+                }
+            }
+            let mut walk = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if bm.get(r, c) {
+                        walk.push((r, c));
+                    }
+                }
+            }
+            prop_assert_eq!(bm.iter_set().collect::<Vec<_>>(), walk);
+        }
     }
 
     #[test]

@@ -91,11 +91,12 @@ impl TableIndex {
         rows
     }
 
-    /// Every `(key, row_no)` entry in tree order.  `CHECK` walks this to
-    /// verify key ordering and index↔heap agreement; it is not a query
-    /// path (use [`probe`](Self::probe) there).
-    pub fn entries(&self) -> Vec<(Value, u64)> {
-        self.tree.iter_all()
+    /// Visit every indexed key in tree order, by reference.  `CHECK`
+    /// walks the leaf chain this way to count entries and verify key
+    /// order; it is not a query path (use [`probe`](Self::probe) there).
+    pub(crate) fn visit_keys(&self, mut visit: impl FnMut(&Value)) {
+        self.tree
+            .visit_bounds(Bound::Unbounded, Bound::Unbounded, |k, _| visit(k));
     }
 
     /// Number of indexed (non-NULL) entries.
@@ -1280,6 +1281,28 @@ impl Catalog {
     /// All tables, mutably.
     pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
         self.tables.values_mut()
+    }
+}
+
+#[cfg(test)]
+/// Damage hooks for `CHECK`'s tests: each breaks one invariant behind
+/// the table's write paths, which keep them all.
+impl Table {
+    /// Add or remove one entry of the `index`-th secondary index, leaving
+    /// the heap alone.
+    pub(crate) fn damage_index(&mut self, index: usize, key: &Value, row_no: u64, add: bool) {
+        let idx = &mut self.indexes[index];
+        if add {
+            idx.add(key, row_no);
+        } else {
+            idx.remove(key, row_no);
+        }
+    }
+
+    /// Overwrite a live row's heap record with raw bytes.
+    pub(crate) fn damage_record(&mut self, row_no: u64, rec: &[u8]) {
+        let rid = self.heap.update(self.rows[&row_no], rec).unwrap();
+        self.rows.insert(row_no, rid);
     }
 }
 

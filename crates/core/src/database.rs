@@ -1799,15 +1799,15 @@ impl Database {
                     continue;
                 }
             }
-            for row_no in t.row_numbers() {
-                for (c, col) in t.schema.columns().iter().enumerate() {
-                    if t.is_outdated(row_no, c) {
-                        qr.rows.push(AnnRow::plain(vec![
-                            Value::Text(t.name.clone()),
-                            Value::Int(row_no as i64),
-                            Value::Text(col.name.clone()),
-                        ]));
-                    }
+            let columns = t.schema.columns();
+            for (row_no, c) in t.outdated.iter_set() {
+                // live rows only (a bitmap wider than the schema is CHECK's finding)
+                if let Some(col) = columns.get(c).filter(|_| t.contains_row(row_no as u64)) {
+                    qr.rows.push(AnnRow::plain(vec![
+                        Value::Text(t.name.clone()),
+                        Value::Int(row_no as i64),
+                        Value::Text(col.name.clone()),
+                    ]));
                 }
             }
         }

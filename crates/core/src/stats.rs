@@ -24,7 +24,7 @@
 //! given insert history always produces the same estimates — the planner
 //! tests pin plan decisions on that.
 
-use std::collections::BTreeSet;
+use std::cell::RefCell;
 
 use bdbms_common::Value;
 
@@ -34,36 +34,39 @@ use bdbms_common::Value;
 const SKETCH_K: usize = 256;
 
 /// FNV-1a over the canonical value encoding (deterministic across runs,
-/// unlike `std`'s seeded SipHash).
+/// unlike `std`'s seeded SipHash), encoded into a reused buffer.
 fn hash_value(v: &Value) -> u64 {
-    let mut buf = Vec::with_capacity(16);
-    v.encode(&mut buf);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    thread_local! {
+        static BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     }
-    h
+    BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        v.encode(buf);
+        buf.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
 }
 
 /// A KMV (k-minimum-values) distinct-count sketch: keep the `k` smallest
-/// hashes seen; the k-th smallest estimates the hash-space density.
+/// hashes seen (sorted, so a snapshot clone is one flat copy); the k-th
+/// smallest estimates the hash-space density.
 #[derive(Debug, Clone, Default)]
 pub struct DistinctSketch {
-    mins: BTreeSet<u64>,
+    mins: Vec<u64>,
 }
 
 impl DistinctSketch {
     /// Feed one value into the sketch.
     pub fn observe(&mut self, v: &Value) {
         let h = hash_value(v);
-        if self.mins.len() < SKETCH_K {
-            self.mins.insert(h);
-        } else {
-            let max = *self.mins.iter().next_back().expect("non-empty at K");
-            if h < max && self.mins.insert(h) {
-                self.mins.pop_last();
-            }
+        if self.mins.len() == SKETCH_K && h >= self.mins[SKETCH_K - 1] {
+            return;
+        }
+        if let Err(at) = self.mins.binary_search(&h) {
+            // at K, the new hash evicts the largest
+            self.mins.truncate(SKETCH_K - 1);
+            self.mins.insert(at, h);
         }
     }
 
@@ -73,8 +76,7 @@ impl DistinctSketch {
             // fewer than K distinct hashes ever seen: the sketch is exact
             self.mins.len() as u64
         } else {
-            let kth = *self.mins.iter().next_back().expect("non-empty at K");
-            let frac = kth as f64 / u64::MAX as f64;
+            let frac = self.mins[SKETCH_K - 1] as f64 / u64::MAX as f64;
             ((SKETCH_K as f64 - 1.0) / frac.max(f64::MIN_POSITIVE)) as u64
         }
     }
@@ -200,6 +202,70 @@ mod tests {
             s.estimate()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn hash_value_is_pinned() {
+        // FNV-1a over the canonical encoding; changing a constant here
+        // changes every distinct estimate and the plans pinned on them
+        assert_eq!(hash_value(&Value::Int(42)), 0xb960_a184_f070_32c6);
+        assert_eq!(
+            hash_value(&Value::Text("JW0001".into())),
+            0x4867_97c4_d0bf_2e14
+        );
+        assert_eq!(hash_value(&Value::Float(-0.5)), 0x0e1f_ddf5_4edc_0548);
+    }
+
+    /// The sketch as an ordered set of the `SKETCH_K` smallest hashes —
+    /// the reference the flat sorted-vector sketch must track exactly.
+    #[derive(Default)]
+    struct SetSketch(std::collections::BTreeSet<u64>);
+
+    impl SetSketch {
+        fn observe(&mut self, v: &Value) {
+            let h = hash_value(v);
+            if self.0.len() < SKETCH_K {
+                self.0.insert(h);
+            } else {
+                let max = *self.0.iter().next_back().unwrap();
+                if h < max && self.0.insert(h) {
+                    self.0.pop_last();
+                }
+            }
+        }
+
+        fn estimate(&self) -> u64 {
+            if self.0.len() < SKETCH_K {
+                self.0.len() as u64
+            } else {
+                let kth = *self.0.iter().next_back().unwrap();
+                let frac = kth as f64 / u64::MAX as f64;
+                ((SKETCH_K as f64 - 1.0) / frac.max(f64::MIN_POSITIVE)) as u64
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_matches_the_ordered_set_reference() {
+        let streams: [&dyn Fn(i64) -> Value; 3] = [
+            &|i| Value::Int(i * 7 - 25_000),
+            &|i| Value::Text(format!("JW{:05}", i * 13 % 50_000)),
+            // repeated values: 300 distinct, each seen many times
+            &|i| Value::Int(i % 300),
+        ];
+        for value_of in streams {
+            let mut flat = DistinctSketch::default();
+            let mut set = SetSketch::default();
+            for i in 0..50_000i64 {
+                let v = value_of(i);
+                flat.observe(&v);
+                set.observe(&v);
+                if i % 1_000 == 999 {
+                    assert_eq!(flat.estimate(), set.estimate(), "after {} values", i + 1);
+                    assert!(flat.mins.iter().eq(&set.0), "same minima, at most K");
+                }
+            }
+        }
     }
 
     #[test]
