@@ -90,6 +90,11 @@ impl<'a> Cur<'a> {
         self.pos >= self.buf.len()
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     fn short() -> BdbmsError {
         BdbmsError::new(ErrorCode::Corrupt, "truncated encoding")
     }
@@ -127,7 +132,7 @@ impl<'a> Cur<'a> {
     /// it so corrupt bytes can't trigger an absurd allocation.
     pub fn len(&mut self) -> Result<usize> {
         let n = self.u32()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos).max(1) * 4096 {
+        if n > self.remaining().max(1) * 4096 {
             return Err(BdbmsError::corrupt(format!(
                 "implausible length prefix {n}"
             )));

@@ -227,6 +227,21 @@ impl Value {
         }
     }
 
+    /// Borrow the TEXT value encoded at `buf[*pos..]` (its payload
+    /// UTF-8-validated in place, not copied) and advance `*pos` past it.
+    /// `Ok(None)`, with `*pos` unmoved, when the value there is not TEXT;
+    /// a damaged TEXT encoding fails as [`decode`](Self::decode) does.
+    pub fn decode_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Option<&'a str>> {
+        if buf.get(*pos) != Some(&3) {
+            return Ok(None);
+        }
+        let start = *pos;
+        Self::skip(buf, pos)?;
+        std::str::from_utf8(&buf[start + 5..*pos])
+            .map(Some)
+            .map_err(|_| BdbmsError::storage("invalid utf8 in stored text"))
+    }
+
     /// Advance `*pos` past one encoded value without materializing it.
     ///
     /// Column-pruned scans use this to step over values the plan has
@@ -426,10 +441,16 @@ mod tests {
             v.encode(&mut buf);
         }
         let (mut sp, mut dp) = (0, 0);
-        for _ in &vals {
+        for v in &vals {
+            // decode_str borrows exactly the TEXT values, and only moves
+            // past those
+            let (before, mut tp) = (dp, dp);
+            let text = Value::decode_str(&buf, &mut tp).unwrap();
+            assert_eq!(text, v.as_text());
             Value::skip(&buf, &mut sp).unwrap();
             Value::decode(&buf, &mut dp).unwrap();
             assert_eq!(sp, dp);
+            assert_eq!(tp, if text.is_some() { dp } else { before });
         }
         assert_eq!(sp, buf.len());
         // truncated text payload: skip must fail, not run off the end

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use bdbms_common::bitmap::CellBitmap;
 use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
+use bdbms_index::bptree::DEFAULT_FANOUT;
 use bdbms_index::BPlusTree;
 use bdbms_seq::{RleSeq, SbcTree, StringBTree};
 use bdbms_storage::{BufferPool, HeapFile, Rid};
@@ -39,6 +40,16 @@ impl TableIndex {
             column,
             tree: BPlusTree::new(),
         }
+    }
+
+    /// Replace the tree with a bottom-up load of every live row's
+    /// non-NULL `(key, row_no)` pair, listed in ascending row order.  The
+    /// stable sort keeps equal keys in row order — the order per-row
+    /// `add`s in row order leave them in — so every probe answers as on
+    /// an insert-grown tree.
+    fn load(&mut self, mut entries: Vec<(Value, u64)>) {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        self.tree = BPlusTree::from_sorted(DEFAULT_FANOUT, entries);
     }
 
     fn add(&mut self, value: &Value, row_no: u64) {
@@ -437,16 +448,17 @@ impl Table {
         pool: Arc<BufferPool>,
     ) -> Result<(HeapFile, BTreeMap<u64, Rid>)> {
         let mut heap = HeapFile::create(pool)?;
-        let mut rows = BTreeMap::new();
+        let mut rows = Vec::with_capacity(self.rows.len());
         let mut live = self.rows.iter().peekable();
         while live.peek().is_some() {
             let (nos, rids): (Vec<u64>, Vec<Rid>) = live.by_ref().take(BATCH_SIZE).unzip();
             self.heap.with_records(&rids, |k, rec| {
-                rows.insert(nos[k], heap.insert(rec)?);
+                rows.push((nos[k], heap.insert(rec)?));
                 Ok(())
             })?;
         }
-        Ok((heap, rows))
+        // ascending row numbers: the map is built in one step
+        Ok((heap, rows.into_iter().collect()))
     }
 
     /// Adopt a freshly written heap + rid map (the checkpoint just moved
@@ -478,10 +490,7 @@ impl Table {
         keep: Option<&[usize]>,
         out: &mut Vec<Value>,
     ) -> Result<u64> {
-        if buf.len() < 8 {
-            return Err(BdbmsError::storage("row record too short"));
-        }
-        let row_no = u64::from_le_bytes(buf[..8].try_into().unwrap());
+        let row_no = Self::record_row_no(buf)?;
         let mut pos = 8;
         let start = out.len();
         let Some(keep) = keep else {
@@ -499,6 +508,14 @@ impl Table {
         }
         out.resize(start + arity, Value::Null);
         Ok(row_no)
+    }
+
+    /// The row number a record starts with; its values follow at byte 8.
+    fn record_row_no(buf: &[u8]) -> Result<u64> {
+        match buf.get(..8) {
+            Some(no) => Ok(u64::from_le_bytes(no.try_into().expect("8 bytes"))),
+            None => Err(BdbmsError::storage("row record too short")),
+        }
     }
 
     /// Insert a row (validated/coerced against the schema); returns its
@@ -740,19 +757,23 @@ impl Table {
     }
 
     /// The one heap pass behind open, `COPY`, `CREATE [SEQUENCE] INDEX`
-    /// and `ANALYZE`: a chunked, column-pruned in-pool scan that fills
-    /// whatever derived state the caller hands it —
+    /// and `ANALYZE`: a chunked in-pool walk over the record bytes that
+    /// fills whatever derived state the caller hands it —
     ///
-    /// * `stats` (fresh): exact statistics (decodes every column);
-    /// * each B+-tree in `indexes`: the rows numbered `first_row` and up
-    ///   are inserted (0 for a new index);
+    /// * `stats` (fresh): exact statistics, observed from every column's
+    ///   stored encoding (so the pass checks that every value of every
+    ///   live row decodes);
+    /// * each B+-tree in `indexes`: replaced, once the scan has
+    ///   succeeded, by a bottom-up load of every live row's key;
     /// * each sequence index in `seq_indexes`: an empty one is bulk-built
     ///   from every row once the scan has succeeded, a non-empty one gets
     ///   the rows from `first_row` up appended (its backend is
     ///   insert-only).
     ///
-    /// A failed scan leaves at most some of those rows entered, which
-    /// `truncate_rows_from` undoes (new indexes are simply dropped).
+    /// Only the index key columns are decoded.  A failed scan leaves the
+    /// B+-trees as they were and at most some rows appended to non-empty
+    /// sequence indexes, which `truncate_rows_from` undoes (new indexes
+    /// are simply dropped).
     fn derive(
         &self,
         mut stats: Option<&mut TableStats>,
@@ -760,19 +781,35 @@ impl Table {
         seq_indexes: &mut [SeqIndex],
         first_row: u64,
     ) -> Result<()> {
-        let keep = stats.is_none().then(|| {
-            let mut cols: Vec<usize> = indexes
-                .iter()
-                .map(|i| i.column)
-                .chain(seq_indexes.iter().map(|i| i.column))
-                .collect();
-            cols.sort_unstable();
-            cols.dedup();
-            cols
-        });
+        // the key columns, ascending: a row's slice of the arena holds
+        // exactly these, in this order
+        let mut keys: Vec<usize> = indexes
+            .iter()
+            .map(|i| i.column)
+            .chain(seq_indexes.iter().map(|i| i.column))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let slot = |col: usize| keys.binary_search(&col).expect("a key column");
+        // statistics read every column; otherwise the walk of a record
+        // ends at its last key column
+        let walk = match stats {
+            Some(_) => self.schema.arity(),
+            None => keys.last().map_or(0, |&col| col + 1),
+        };
         // sized once: doubling growth would leave up to half of each
         // vector reserved and unused while the index is built from it
         let live = self.rows.len();
+        let mut sorted: Vec<Vec<(Value, u64)>> =
+            indexes.iter().map(|_| Vec::with_capacity(live)).collect();
+        // a key moves out of the arena into the last index that reads it
+        let owns_key: Vec<bool> = (0..indexes.len())
+            .map(|i| {
+                indexes[i + 1..]
+                    .iter()
+                    .all(|j| j.column != indexes[i].column)
+            })
+            .collect();
         let mut loads: Vec<Option<(Vec<u64>, SeqTexts)>> = seq_indexes
             .iter()
             .map(|i| {
@@ -784,33 +821,56 @@ impl Table {
                 })
             })
             .collect();
-        let arity = self.schema.arity();
-        let (mut row_nos, mut arena) = (Vec::new(), Vec::new());
-        let mut next = Some(0);
-        while let Some(from) = next {
-            row_nos.clear();
+        let mut arena: Vec<Value> = Vec::new();
+        let mut rows = self.rows.iter().peekable();
+        while rows.peek().is_some() {
+            let (nos, rids): (Vec<u64>, Vec<Rid>) = rows.by_ref().take(BATCH_SIZE).unzip();
             arena.clear();
-            next = self.scan_chunk(from, BATCH_SIZE, keep.as_deref(), &mut row_nos, &mut arena)?;
-            for (k, &row_no) in row_nos.iter().enumerate() {
-                let values = &arena[k * arity..(k + 1) * arity];
-                if let Some(stats) = stats.as_deref_mut() {
-                    stats.observe_row(values);
+            self.heap.with_records(&rids, |k, buf| {
+                let decoded_no = Self::record_row_no(buf)?;
+                debug_assert_eq!(decoded_no, nos[k]);
+                let mut pos = 8;
+                let mut next_key = keys.iter().peekable();
+                for col in 0..walk {
+                    let start = pos;
+                    if next_key.next_if_eq(&&col).is_none() {
+                        match stats.as_deref_mut() {
+                            Some(stats) => stats.observe_encoded(col, buf, &mut pos)?,
+                            None => Value::skip(buf, &mut pos)?,
+                        }
+                        continue;
+                    }
+                    let key = Value::decode(buf, &mut pos)?;
+                    if let Some(stats) = stats.as_deref_mut() {
+                        stats.observe_decoded(col, &key, &buf[start..pos]);
+                    }
+                    arena.push(key);
                 }
-                let fresh = row_no >= first_row;
-                for idx in indexes.iter_mut().filter(|_| fresh) {
-                    idx.add(&values[idx.column], row_no);
-                }
+                Ok(())
+            })?;
+            // (without key columns the arena is empty: nothing to feed)
+            for (values, &row_no) in arena.chunks_mut(keys.len().max(1)).zip(&nos) {
                 for (sidx, load) in seq_indexes.iter_mut().zip(&mut loads) {
-                    match (load, &values[sidx.column]) {
+                    match (load, &values[slot(sidx.column)]) {
                         (Some((rows, texts)), Value::Text(s)) => {
                             rows.push(row_no);
                             texts.push(s.as_bytes());
                         }
-                        (None, value) if fresh => sidx.add(value, row_no),
+                        (None, value) if row_no >= first_row => sidx.add(value, row_no),
                         _ => {}
                     }
                 }
+                for ((idx, pairs), &owns_key) in indexes.iter().zip(&mut sorted).zip(&owns_key) {
+                    match &mut values[slot(idx.column)] {
+                        Value::Null => {}
+                        key if owns_key => pairs.push((std::mem::take(key), row_no)),
+                        key => pairs.push((key.clone(), row_no)),
+                    }
+                }
             }
+        }
+        for (idx, pairs) in indexes.iter_mut().zip(sorted) {
+            idx.load(pairs);
         }
         for (sidx, load) in seq_indexes.iter_mut().zip(loads) {
             if let Some((rows, texts)) = load {
@@ -961,10 +1021,10 @@ impl Table {
 
     /// Close out a bulk-append run that started at `first_row`: grow the
     /// outdated bitmap and, in one heap pass, recompute exact statistics
-    /// (the deferred `ANALYZE`) and bring every index up to date — the new
-    /// rows are entered into the B+-trees and appended to the sequence
-    /// indexes, except that a sequence index still empty (first `COPY`
-    /// into an indexed table) is bulk-built.
+    /// (the deferred `ANALYZE`) and bring every index up to date — the
+    /// B+-trees are reloaded from every live row and the new rows are
+    /// appended to the sequence indexes, except that a sequence index
+    /// still empty (first `COPY` into an indexed table) is bulk-built.
     pub(crate) fn finish_bulk(&mut self, first_row: u64) -> Result<()> {
         if self.outdated.rows() < self.next_row as usize {
             self.outdated.grow_rows(self.next_row as usize);
@@ -981,8 +1041,8 @@ impl Table {
     }
 
     /// Remove every row numbered `first_row` or above (bulk-load
-    /// rollback).  Index entries that were never built (load failed
-    /// before `finish_bulk`) are tolerated; statistics are restored
+    /// rollback).  Index entries that were never built (the load
+    /// failed before or in `finish_bulk`) are tolerated; statistics are restored
     /// wholesale by the accompanying first-touch snapshot, not here.
     pub(crate) fn truncate_rows_from(&mut self, first_row: u64) -> Result<()> {
         let doomed: Vec<u64> = self.rows.range(first_row..).map(|(&no, _)| no).collect();
@@ -1311,6 +1371,7 @@ mod tests {
     use super::*;
     use bdbms_common::DataType;
     use bdbms_storage::MemStore;
+    use proptest::prelude::*;
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(Box::new(MemStore::new()), 64))
@@ -1643,6 +1704,168 @@ mod tests {
             assert_eq!(err.code(), bdbms_common::ErrorCode::NotFound, "row {bad}");
             assert!(row_nos.is_empty() && values.is_empty());
         }
+    }
+
+    /// Everything a query or `CHECK` can read from an index, in Debug
+    /// form so that equal keys of different types (`Int(2)` /
+    /// `Float(2.0)`) must also agree.
+    fn index_answers(idx: &TableIndex, bounds: &[Value]) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut keys = Vec::new();
+        idx.visit_keys(|k| keys.push(format!("{k:?}")));
+        out.push(keys.join(","));
+        let mut ranges = vec![(Bound::Unbounded, Bound::Unbounded)];
+        for lo in bounds {
+            ranges.push((Bound::Included(lo), Bound::Included(lo)));
+            ranges.push((Bound::Excluded(lo), Bound::Unbounded));
+            for hi in bounds {
+                ranges.push((Bound::Included(lo), Bound::Excluded(hi)));
+            }
+        }
+        for (lo, hi) in ranges {
+            out.push(format!("{:?}", idx.probe(lo, hi)));
+            out.push(format!("{:?}", idx.probe_entries(lo, hi)));
+        }
+        out
+    }
+
+    fn arb_key() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (0i64..6).prop_map(Value::Int),
+            (0i64..6).prop_map(|i| Value::Float(i as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            "[ab日]{0,2}".prop_map(Value::Text),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Up to ~3 leaves of entries, with many duplicates of each key.
+        #[test]
+        fn bulk_loaded_index_answers_like_an_insert_grown_one(
+            keys in prop::collection::vec(arb_key(), 0..400),
+        ) {
+            let mut grown = TableIndex::new("grown", 0);
+            let mut entries = Vec::new();
+            for (row_no, k) in (0..).zip(&keys) {
+                grown.add(k, row_no);
+                if !k.is_null() {
+                    entries.push((k.clone(), row_no));
+                }
+            }
+            let mut bulk = TableIndex::new("bulk", 0);
+            bulk.load(entries);
+            prop_assert_eq!(bulk.len(), grown.len());
+            let bounds = [Value::Int(1), Value::Float(1.0), Value::Text("a".into())];
+            prop_assert_eq!(index_answers(&bulk, &bounds), index_answers(&grown, &bounds));
+        }
+    }
+
+    #[test]
+    fn create_index_bulk_loads_like_inserts_into_an_index() {
+        let schema = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("t", DataType::Text),
+        ]);
+        let row = |n: i64| {
+            let null_every = |k: i64, v: Value| if n % k == 0 { Value::Null } else { v };
+            vec![
+                null_every(7, Value::Int(n % 13)),
+                null_every(5, Value::Float((n % 9) as f64 / 4.0 - 1.0)),
+                null_every(11, Value::Text(format!("k{}", n % 17))),
+            ]
+        };
+        let mut bulk = Table::create("B", schema.clone(), "admin", pool()).unwrap();
+        let mut grown = Table::create("G", schema, "admin", pool()).unwrap();
+        for (col, name) in ["i", "f", "t"].iter().enumerate() {
+            grown.create_index(&format!("{name}_idx"), name).unwrap();
+            assert!(grown.indexes[col].is_empty());
+        }
+        for n in 0..600 {
+            bulk.insert(row(n)).unwrap();
+            grown.insert(row(n)).unwrap();
+        }
+        for n in (0..600).step_by(19) {
+            bulk.delete(n).unwrap();
+            grown.delete(n).unwrap();
+        }
+        for name in ["i", "f", "t"] {
+            bulk.create_index(&format!("{name}_idx"), name).unwrap();
+        }
+        let bounds = [Value::Int(3), Value::Float(0.25), Value::Text("k9".into())];
+        let same_answers = |bulk: &Table, grown: &Table| {
+            for col in 0..3 {
+                let (b, g) = (&bulk.indexes[col], &grown.indexes[col]);
+                assert_eq!(b.len(), g.len(), "column {col}");
+                assert_eq!(
+                    index_answers(b, &bounds),
+                    index_answers(g, &bounds),
+                    "column {col}"
+                );
+            }
+        };
+        same_answers(&bulk, &grown);
+        // a COPY appending to the now non-empty indexes reloads them
+        let first = bulk.peek_next_row();
+        for n in 600..900 {
+            bulk.bulk_append(row(n)).unwrap();
+            grown.insert(row(n)).unwrap();
+        }
+        bulk.finish_bulk(first).unwrap();
+        same_answers(&bulk, &grown);
+        // a pass that fails leaves every tree as it was
+        let before: Vec<_> = bulk
+            .indexes
+            .iter()
+            .map(|i| index_answers(i, &bounds))
+            .collect();
+        let first = bulk.peek_next_row();
+        bulk.bulk_append(row(900)).unwrap();
+        bulk.damage_record(first, &[0; 3]);
+        assert!(bulk.finish_bulk(first).is_err());
+        let after: Vec<_> = bulk
+            .indexes
+            .iter()
+            .map(|i| index_answers(i, &bounds))
+            .collect();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn derive_checks_every_column_decodes() {
+        let mut t = Table::create(
+            "T",
+            Schema::of(&[("k", DataType::Int), ("note", DataType::Text)]),
+            "admin",
+            pool(),
+        )
+        .unwrap();
+        for k in 0..4 {
+            t.insert(vec![Value::Int(k), Value::Text(format!("n{k}"))])
+                .unwrap();
+        }
+        t.create_index("k_idx", "k").unwrap();
+        // row 1's unindexed TEXT column stops being UTF-8
+        let mut rec = 1u64.to_le_bytes().to_vec();
+        Value::Int(1).encode(&mut rec);
+        rec.extend_from_slice(&[3, 2, 0, 0, 0, 0xff, 0xfe]);
+        t.damage_record(1, &rec);
+        let want = Value::decode(&rec, &mut 8).and_then(|_| Value::decode(&rec, &mut 17));
+        let want = want.unwrap_err().code();
+        assert_eq!(want, bdbms_common::ErrorCode::Storage);
+        assert_eq!(t.analyze().unwrap_err().code(), want, "ANALYZE");
+        // the pass an open makes: statistics plus a fresh index
+        let mut stats = TableStats::new(2);
+        let mut idx = TableIndex::new("k2", 0);
+        let err = t.derive(Some(&mut stats), std::slice::from_mut(&mut idx), &mut [], 0);
+        assert_eq!(err.unwrap_err().code(), want, "open's derive pass");
+        assert!(idx.is_empty(), "a failed pass loads no index");
+        // without statistics only the key column is read, as before
+        t.create_index("k3", "k").unwrap();
+        assert_eq!(t.index_named("k3").unwrap().len(), 4);
     }
 
     #[test]

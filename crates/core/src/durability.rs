@@ -1274,13 +1274,18 @@ fn decode_snapshot_mode(
         let next_row = cur.u64()?;
         let pages: Vec<PageId> = cur.u64s()?.into_iter().map(PageId).collect();
         let n = cur.len()?;
-        let mut rows = BTreeMap::new();
+        // an entry is 18 bytes, so the bytes left cap what a corrupt
+        // count can reserve
+        let mut rid_map = Vec::with_capacity(n.min(cur.remaining() / 18));
         for _ in 0..n {
             let row_no = cur.u64()?;
             let page = PageId(cur.u64()?);
             let slot = cur.u16()?;
-            rows.insert(row_no, Rid { page, slot });
+            rid_map.push((row_no, Rid { page, slot }));
         }
+        // written ascending, so the map is one bulk build; a repeated
+        // row number keeps its last entry, as per-entry inserts did
+        let rows: BTreeMap<u64, Rid> = rid_map.into_iter().collect();
         let n = cur.len()?;
         let mut index_defs = Vec::with_capacity(n);
         for _ in 0..n {

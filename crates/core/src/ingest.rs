@@ -9,9 +9,10 @@
 //! * rows go to the heap through [`Table::bulk_append`] — no index or
 //!   stats work per row;
 //! * after the last row, [`Table::finish_bulk`] makes one heap pass that
-//!   enters the new rows into every secondary B+-tree index, appends
-//!   them to the sequence indexes (bulk-building one that is still
-//!   empty), and recomputes exact statistics (the deferred `ANALYZE`);
+//!   reloads every secondary B+-tree index bottom-up from all live rows,
+//!   appends the new rows to the sequence indexes (bulk-building one
+//!   that is still empty), and recomputes exact statistics (the deferred
+//!   `ANALYZE`);
 //! * the WAL sees nothing instead of 50k `RowInsert` frames: a durable
 //!   database commits the load by writing a checkpoint image.  A crash
 //!   before the image rename leaves the old image and zero copied rows,

@@ -22,19 +22,30 @@
 //! Everything here is deterministic: the sketch hashes the canonical
 //! [`Value`] encoding with FNV-1a (no per-process hash seeds), so a
 //! given insert history always produces the same estimates — the planner
-//! tests pin plan decisions on that.
+//! tests pin plan decisions on that.  That encoding is what a stored
+//! record holds, so the `ANALYZE`-grade rebuilds (open, `ANALYZE`,
+//! `COPY`) observe columns straight from the record bytes
+//! (`ColumnStats::observe_encoded`) with the same result.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 
-use bdbms_common::Value;
+use bdbms_common::{Result, Value};
 
 /// Sketch size: the `k` of the k-minimum-values estimator.  256 keeps
 /// the estimate within a few percent, which is far more precision than
 /// index choice needs.
 const SKETCH_K: usize = 256;
 
-/// FNV-1a over the canonical value encoding (deterministic across runs,
-/// unlike `std`'s seeded SipHash), encoded into a reused buffer.
+/// FNV-1a (deterministic across runs, unlike `std`'s seeded SipHash).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over the canonical value encoding, encoded into a reused
+/// buffer — the same bytes a stored record holds for the value.
 fn hash_value(v: &Value) -> u64 {
     thread_local! {
         static BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
@@ -42,9 +53,7 @@ fn hash_value(v: &Value) -> u64 {
     BUF.with_borrow_mut(|buf| {
         buf.clear();
         v.encode(buf);
-        buf.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        fnv1a(buf)
     })
 }
 
@@ -59,7 +68,10 @@ pub struct DistinctSketch {
 impl DistinctSketch {
     /// Feed one value into the sketch.
     pub fn observe(&mut self, v: &Value) {
-        let h = hash_value(v);
+        self.observe_hash(hash_value(v));
+    }
+
+    fn observe_hash(&mut self, h: u64) {
         if self.mins.len() == SKETCH_K && h >= self.mins[SKETCH_K - 1] {
             return;
         }
@@ -107,13 +119,55 @@ impl ColumnStats {
             self.null_count += 1;
             return;
         }
-        if self.min.as_ref().is_none_or(|m| v < m) {
-            self.min = Some(v.clone());
+        self.widen(hash_value(v), |m| v.cmp(m), || v.clone());
+    }
+
+    /// [`observe`](Self::observe) the value encoded at `buf[*pos..]` (a
+    /// column of a stored record), advancing `*pos` past it, without
+    /// materializing it: NULL is counted by its tag, the sketch hashes
+    /// the stored bytes themselves, a TEXT bound is compared as the
+    /// UTF-8-validated `&str` in place and a scalar is decoded without
+    /// allocating.  Fails where [`Value::decode`] would, with the same
+    /// error code, and then records nothing.
+    pub(crate) fn observe_encoded(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        let start = *pos;
+        if let Some(text) = Value::decode_str(buf, pos)? {
+            // an empty `String` does not allocate, and against a value of
+            // another type only the types' ranks decide
+            let cmp = |m: &Value| match m {
+                Value::Text(m) => text.cmp(m.as_str()),
+                other => Value::Text(String::new()).cmp(other),
+            };
+            self.widen(fnv1a(&buf[start..*pos]), cmp, || Value::Text(text.into()));
+            return Ok(());
         }
-        if self.max.as_ref().is_none_or(|m| v > m) {
-            self.max = Some(v.clone());
+        let v = Value::decode(buf, pos)?;
+        self.observe_decoded(&v, &buf[start..*pos]);
+        Ok(())
+    }
+
+    /// [`observe`](Self::observe) `v`, already decoded from `encoding`
+    /// (its stored bytes, which the sketch hashes instead of encoding
+    /// `v` again).
+    pub(crate) fn observe_decoded(&mut self, v: &Value, encoding: &[u8]) {
+        if v.is_null() {
+            self.null_count += 1;
+        } else {
+            self.widen(fnv1a(encoding), |m| v.cmp(m), || v.clone());
         }
-        self.sketch.observe(v);
+    }
+
+    /// The one sketch-and-bounds update behind both `observe` entries:
+    /// `hash` is the value's encoding hashed, `cmp` orders it against a
+    /// recorded bound and `owned` materializes it as a new bound.
+    fn widen(&mut self, hash: u64, cmp: impl Fn(&Value) -> Ordering, owned: impl Fn() -> Value) {
+        if self.min.as_ref().is_none_or(|m| cmp(m).is_lt()) {
+            self.min = Some(owned());
+        }
+        if self.max.as_ref().is_none_or(|m| cmp(m).is_gt()) {
+            self.max = Some(owned());
+        }
+        self.sketch.observe_hash(hash);
     }
 
     /// Record a deleted value.  Bounds and the sketch are left alone
@@ -152,6 +206,23 @@ impl TableStats {
         }
     }
 
+    /// Record the value of column `col` encoded at `buf[*pos..]`,
+    /// advancing `*pos` past it (see [`ColumnStats::observe_encoded`]).
+    pub(crate) fn observe_encoded(
+        &mut self,
+        col: usize,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<()> {
+        self.cols[col].observe_encoded(buf, pos)
+    }
+
+    /// Record the value of column `col`, already decoded from
+    /// `encoding` (see [`ColumnStats::observe_decoded`]).
+    pub(crate) fn observe_decoded(&mut self, col: usize, v: &Value, encoding: &[u8]) {
+        self.cols[col].observe_decoded(v, encoding)
+    }
+
     /// Record one deleted row.
     pub fn retire_row(&mut self, values: &[Value]) {
         for (c, v) in self.cols.iter_mut().zip(values) {
@@ -169,6 +240,7 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sketch_is_exact_below_k() {
@@ -265,6 +337,133 @@ mod tests {
                     assert!(flat.mins.iter().eq(&set.0), "same minima, at most K");
                 }
             }
+        }
+    }
+
+    /// `ColumnStats::observe` written out on its own, without the shared
+    /// update: the reference both entries must track exactly.
+    #[derive(Default)]
+    struct ReferenceStats {
+        min: Option<Value>,
+        max: Option<Value>,
+        null_count: u64,
+        sketch: DistinctSketch,
+    }
+
+    impl ReferenceStats {
+        fn observe(&mut self, v: &Value) {
+            if v.is_null() {
+                self.null_count += 1;
+                return;
+            }
+            if self.min.as_ref().is_none_or(|m| v < m) {
+                self.min = Some(v.clone());
+            }
+            if self.max.as_ref().is_none_or(|m| v > m) {
+                self.max = Some(v.clone());
+            }
+            self.sketch.observe(v);
+        }
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            // small integers and integral floats interleave in the order
+            (-3i64..4).prop_map(Value::Int),
+            (-3i64..4).prop_map(|i| Value::Float(i as f64)),
+            // ±0.0, ±inf, NaN and arbitrary bit patterns
+            any::<f64>().prop_map(Value::Float),
+            "[aé日🧬]{0,3}".prop_map(Value::Text),
+            prop::collection::vec(any::<char>(), 0..6)
+                .prop_map(|cs| Value::Text(cs.into_iter().collect())),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(Value::Timestamp),
+        ]
+    }
+
+    /// Debug form, so that bounds that compare equal but differ in type
+    /// or bits (`Int(2)` / `Float(2.0)`, `0.0` / `-0.0`) still differ.
+    fn exact(v: &Option<Value>) -> String {
+        format!("{v:?}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn observe_encoded_matches_observe(column in prop::collection::vec(arb_value(), 0..300)) {
+            let (mut reference, mut by_bytes) = (ReferenceStats::default(), ColumnStats::default());
+            let mut record = Vec::new();
+            for v in &column {
+                reference.observe(v);
+                record.clear();
+                v.encode(&mut record);
+                let mut pos = 0;
+                by_bytes.observe_encoded(&record, &mut pos).unwrap();
+                prop_assert_eq!(pos, record.len());
+            }
+            prop_assert_eq!(exact(&by_bytes.min), exact(&reference.min));
+            prop_assert_eq!(exact(&by_bytes.max), exact(&reference.max));
+            prop_assert_eq!(by_bytes.null_count, reference.null_count);
+            prop_assert_eq!(&by_bytes.sketch.mins, &reference.sketch.mins);
+            // `observe` itself goes through the shared update, and so
+            // does the entry for a key column, decoded once
+            let (mut by_value, mut decoded) = (ColumnStats::default(), ColumnStats::default());
+            for v in &column {
+                by_value.observe(v);
+                record.clear();
+                v.encode(&mut record);
+                decoded.observe_decoded(&Value::decode(&record, &mut 0).unwrap(), &record);
+            }
+            for c in [&by_value, &decoded] {
+                prop_assert_eq!(exact(&c.min), exact(&reference.min));
+                prop_assert_eq!(exact(&c.max), exact(&reference.max));
+                prop_assert_eq!(c.null_count, reference.null_count);
+                prop_assert_eq!(&c.sketch.mins, &reference.sketch.mins);
+            }
+        }
+    }
+
+    #[test]
+    fn observe_encoded_walks_a_record_and_fails_like_decode() {
+        // a record's columns back to back, read one after the other
+        let mut record = Vec::new();
+        let row = [
+            Value::Int(7),
+            Value::Null,
+            Value::Text("日本".into()),
+            Value::Bool(true),
+        ];
+        row.iter().for_each(|v| v.encode(&mut record));
+        let mut t = TableStats::new(row.len());
+        let mut pos = 0;
+        for col in 0..row.len() {
+            t.observe_encoded(col, &record, &mut pos).unwrap();
+        }
+        assert_eq!(pos, record.len());
+        assert_eq!(t.column(2).max, Some(Value::Text("日本".into())));
+        assert_eq!(t.column(1).null_count, 1);
+
+        let broken: [&[u8]; 7] = [
+            &[],                          // nothing at all
+            &[9],                         // unknown tag
+            &[1, 0, 0],                   // truncated INT
+            &[3, 1, 0],                   // truncated TEXT length
+            &[3, 5, 0, 0, 0, b'a'],       // truncated TEXT payload
+            &[3, 2, 0, 0, 0, 0xff, 0xfe], // invalid UTF-8
+            &[3, 2, 0, 0, 0, 0xe6, 0x97], // a cut multi-byte character
+        ];
+        for bytes in broken {
+            let want = Value::decode(bytes, &mut 0).unwrap_err().code();
+            let mut c = ColumnStats::default();
+            let got = c.observe_encoded(bytes, &mut 0).unwrap_err().code();
+            assert_eq!(got, want, "{bytes:?}");
+            assert!(
+                c.min.is_none() && c.null_count == 0 && c.distinct() == 0,
+                "{bytes:?}"
+            );
         }
     }
 

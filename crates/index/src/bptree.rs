@@ -14,7 +14,9 @@ use bdbms_common::stats::AccessStats;
 
 use crate::pack::packed_sizes;
 
-const DEFAULT_FANOUT: usize = 128;
+/// The fanout [`BPlusTree::new`] uses: one node to a page-realistic 128
+/// entries.
+pub const DEFAULT_FANOUT: usize = 128;
 
 /// Arena index of a node.
 type NodeId = usize;

@@ -72,42 +72,45 @@ fn contiguous_free(page: &[u8]) -> usize {
     free_end(page) - (HEADER + slot_count(page) as usize * SLOT_BYTES)
 }
 
-/// Bytes reclaimable by [`compact`] (holes left by deleted records).
-fn dead_bytes(page: &[u8]) -> usize {
+/// Where a record of `len` bytes goes, from one walk of the slot
+/// directory: its slot (the first dead one, else a new one appended) and
+/// whether the page must be compacted first, or `None` when it cannot
+/// fit even after compaction.
+fn place(page: &[u8], len: usize) -> Option<(u16, bool)> {
+    if len > MAX_RECORD {
+        return None;
+    }
     let n = slot_count(page);
-    let live: usize = (0..n)
-        .map(|i| slot(page, i))
-        .filter(|(off, _)| *off != DEAD)
-        .map(|(_, len)| len as usize)
-        .sum();
-    (PAGE_END - free_end(page)) - live
+    let (mut dead_slot, mut live) = (None, 0);
+    for i in 0..n {
+        match slot(page, i) {
+            (DEAD, _) => {
+                dead_slot.get_or_insert(i);
+            }
+            (_, bytes) => live += bytes as usize,
+        }
+    }
+    let need = len + if dead_slot.is_some() { 0 } else { SLOT_BYTES };
+    let free = contiguous_free(page);
+    // holes left by deleted records, which `compact` reclaims
+    let dead_bytes = (PAGE_END - free_end(page)) - live;
+    (free + dead_bytes >= need).then_some((dead_slot.unwrap_or(n), free < need))
 }
 
 /// Can a record of `len` bytes be inserted (possibly after compaction)?
 pub fn can_insert(page: &[u8], len: usize) -> bool {
-    if len > MAX_RECORD {
-        return false;
-    }
-    let has_dead_slot = (0..slot_count(page)).any(|i| slot(page, i).0 == DEAD);
-    let slot_cost = if has_dead_slot { 0 } else { SLOT_BYTES };
-    contiguous_free(page) + dead_bytes(page) >= len + slot_cost
+    place(page, len).is_some()
 }
 
 /// Insert a record, compacting first if needed.  Returns the slot number,
 /// or `None` if the record cannot fit on this page.
 pub fn insert(page: &mut [u8], rec: &[u8]) -> Option<u16> {
-    if !can_insert(page, rec.len()) {
-        return None;
-    }
-    let has_dead_slot = (0..slot_count(page)).any(|i| slot(page, i).0 == DEAD);
-    let slot_cost = if has_dead_slot { 0 } else { SLOT_BYTES };
-    if contiguous_free(page) < rec.len() + slot_cost {
+    let (slot_no, compact_first) = place(page, rec.len())?;
+    if compact_first {
         compact(page);
     }
-    let n = slot_count(page);
-    let slot_no = (0..n).find(|&i| slot(page, i).0 == DEAD).unwrap_or(n);
-    if slot_no == n {
-        write_u16(page, 0, n + 1);
+    if slot_no == slot_count(page) {
+        write_u16(page, 0, slot_no + 1);
     }
     let new_end = free_end(page) - rec.len();
     page[new_end..new_end + rec.len()].copy_from_slice(rec);
@@ -199,11 +202,117 @@ pub fn live_records(page: &[u8]) -> impl Iterator<Item = (u16, &[u8])> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fresh() -> Vec<u8> {
         let mut p = vec![0u8; PAGE_SIZE];
         init(&mut p);
         p
+    }
+
+    /// Bytes reclaimable by [`compact`] (holes left by deleted records).
+    fn dead_bytes(page: &[u8]) -> usize {
+        let n = slot_count(page);
+        let live: usize = (0..n)
+            .map(|i| slot(page, i))
+            .filter(|(off, _)| *off != DEAD)
+            .map(|(_, len)| len as usize)
+            .sum();
+        (PAGE_END - free_end(page)) - live
+    }
+
+    /// `insert` with four walks of the slot directory (two dead-slot
+    /// checks, the live-byte sum, the dead-slot `find`): the reference
+    /// the single-walk version must match byte for byte.
+    fn reference_insert(page: &mut [u8], rec: &[u8]) -> Option<u16> {
+        fn can_insert(page: &[u8], len: usize) -> bool {
+            if len > MAX_RECORD {
+                return false;
+            }
+            let has_dead_slot = (0..slot_count(page)).any(|i| slot(page, i).0 == DEAD);
+            let slot_cost = if has_dead_slot { 0 } else { SLOT_BYTES };
+            contiguous_free(page) + dead_bytes(page) >= len + slot_cost
+        }
+        if !can_insert(page, rec.len()) {
+            return None;
+        }
+        let has_dead_slot = (0..slot_count(page)).any(|i| slot(page, i).0 == DEAD);
+        let slot_cost = if has_dead_slot { 0 } else { SLOT_BYTES };
+        if contiguous_free(page) < rec.len() + slot_cost {
+            compact(page);
+        }
+        let n = slot_count(page);
+        let slot_no = (0..n).find(|&i| slot(page, i).0 == DEAD).unwrap_or(n);
+        if slot_no == n {
+            write_u16(page, 0, n + 1);
+        }
+        let new_end = free_end(page) - rec.len();
+        page[new_end..new_end + rec.len()].copy_from_slice(rec);
+        write_u16(page, 2, new_end as u16);
+        set_slot(page, slot_no, new_end as u16, rec.len() as u16);
+        Some(slot_no)
+    }
+
+    /// One step of a page's life: insert a record of this length, or of
+    /// a few bytes around the contiguous or the reclaimable free space
+    /// (the two thresholds of `insert`), delete the n-th slot (modulo the
+    /// count), or compact.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(usize),
+        FillContiguous(usize),
+        FillReclaimable(usize),
+        Delete(usize),
+        Compact,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..600).prop_map(Op::Insert),
+            (0usize..MAX_RECORD + 8).prop_map(Op::Insert),
+            (0usize..10).prop_map(Op::FillContiguous),
+            (0usize..10).prop_map(Op::FillReclaimable),
+            (0usize..64).prop_map(Op::Delete),
+            (0usize..64).prop_map(Op::Delete),
+            Just(Op::Compact),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn insert_matches_the_four_walk_reference(ops in prop::collection::vec(arb_op(), 1..120)) {
+            let (mut page, mut reference) = (fresh(), fresh());
+            for (i, op) in ops.iter().enumerate() {
+                let free = contiguous_free(&page);
+                let len = match *op {
+                    Op::Insert(len) => Some(len),
+                    Op::FillContiguous(k) => Some((free + 2).saturating_sub(k)),
+                    Op::FillReclaimable(k) => Some((free + dead_bytes(&page) + 2).saturating_sub(k)),
+                    _ => None,
+                };
+                match (op, len) {
+                    (_, Some(len)) => {
+                        let rec: Vec<u8> = (0..len).map(|b| (b + i) as u8).collect();
+                        let fits = can_insert(&page, len);
+                        let got = insert(&mut page, &rec);
+                        prop_assert_eq!(got.is_some(), fits);
+                        prop_assert_eq!(got, reference_insert(&mut reference, &rec));
+                    }
+                    (Op::Delete(n), _) => {
+                        let count = slot_count(&page).max(1);
+                        let at = (*n % count as usize) as u16;
+                        prop_assert_eq!(delete(&mut page, at), delete(&mut reference, at));
+                    }
+                    _ => {
+                        compact(&mut page);
+                        compact(&mut reference);
+                    }
+                }
+                prop_assert!(page == reference, "pages differ after op {} ({:?})", i, op);
+            }
+        }
     }
 
     #[test]
