@@ -476,6 +476,88 @@ fn golden_image_bytes_do_not_drift() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Pins the redo stream byte for byte: a fixed script reaches every
+/// redo-emitting path (rows, both index kinds, table and annotation-set
+/// DDL, annotation add/archive/restore, a rule cascade that marks cells,
+/// VALIDATE, the deletion log, the approval log and its decisions, users
+/// and grants, and a savepoint rollback whose records must never reach
+/// the log), then crashes so the WAL segments are left as written.  A
+/// changed record, or a changed record count, moves this checksum — and
+/// with it the image's WAL frontier and page LSNs.
+#[test]
+fn golden_redo_stream_does_not_drift() {
+    let dir = tmp("golden-redo");
+    let mut db = Database::create(&dir).unwrap();
+    for sql in [
+        "CREATE TABLE Gene (GID TEXT, GSeq TEXT, Len INT)",
+        "CREATE TABLE Protein (GID TEXT, PSeq TEXT)",
+        "CREATE TABLE Scratch (K INT)",
+        "DROP TABLE Scratch",
+        "CREATE INDEX len_idx ON Gene (Len)",
+        "CREATE SEQUENCE INDEX seq_idx ON Gene (GSeq)",
+        "INSERT INTO Gene VALUES ('JW1', 'ATGC', 4), ('JW2', 'GATTACA', 7), ('JW3', 'TTT', 3)",
+        "INSERT INTO Protein VALUES ('JW1', 'M'), ('JW2', 'D'), ('JW3', 'K')",
+        "UPDATE Gene SET Len = 5 WHERE GID = 'JW1'",
+        "DROP INDEX len_idx ON Gene",
+        "DROP SEQUENCE INDEX seq_idx ON Gene",
+        "CREATE ANNOTATION TABLE Notes ON Gene SCHEME CELL",
+        "CREATE ANNOTATION TABLE Tmp ON Gene",
+        "DROP ANNOTATION TABLE Tmp ON Gene",
+        "ADD ANNOTATION TO Gene.Notes VALUE 'short' ON (SELECT G.GSeq FROM Gene G WHERE Len < 6)",
+        "ADD ANNOTATION TO Gene.Notes VALUE 'all' ON (SELECT G.GID FROM Gene G)",
+        "ARCHIVE ANNOTATION FROM Gene.Notes ON (SELECT G.GSeq FROM Gene G)",
+        "RESTORE ANNOTATION FROM Gene.Notes ON (SELECT G.GSeq FROM Gene G WHERE Len = 5)",
+        "CREATE DEPENDENCY RULE translate FROM Gene.GSeq TO Protein.PSeq \
+         VIA PROCEDURE 'translate' LINK Gene.GID = Protein.GID",
+        "UPDATE Gene SET GSeq = 'ATGG' WHERE Len < 8",
+        "VALIDATE Protein COLUMNS PSeq WHERE GID = 'JW1'",
+        "DELETE FROM Protein WHERE GID = 'JW2'",
+        "DELETE FROM Gene WHERE GID = 'JW3'",
+        "BEGIN",
+        "INSERT INTO Gene VALUES ('JW4', 'CCC', 3)",
+        "SAVEPOINT s",
+        "INSERT INTO Gene VALUES ('JW5', 'GGG', 3)",
+        "UPDATE Gene SET GSeq = 'A' WHERE GID = 'JW1'",
+        "ROLLBACK TO s",
+        "COMMIT",
+        "CREATE USER alice IN GROUP curators",
+        "CREATE USER labadmin",
+        "GRANT SELECT, INSERT, UPDATE ON Gene TO alice",
+        "REVOKE UPDATE ON Gene FROM alice",
+        "START CONTENT APPROVAL ON Gene APPROVED BY labadmin",
+    ] {
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    db.execute_as("INSERT INTO Gene VALUES ('JW6', 'TAG', 3)", "alice")
+        .unwrap();
+    db.execute_as("INSERT INTO Gene VALUES ('JW7', 'TGA', 3)", "alice")
+        .unwrap();
+    let ids: Vec<u64> = db
+        .approval()
+        .pending(None)
+        .iter()
+        .map(|op| op.id.raw())
+        .collect();
+    assert_eq!(ids.len(), 2);
+    db.execute_as(&format!("APPROVE OPERATION {}", ids[0]), "labadmin")
+        .unwrap();
+    db.execute_as(&format!("DISAPPROVE OPERATION {}", ids[1]), "labadmin")
+        .unwrap();
+    db.execute("STOP CONTENT APPROVAL ON Gene").unwrap();
+    db.execute("DROP DEPENDENCY RULE translate").unwrap();
+    db.simulate_crash();
+    let mut stream = Vec::new();
+    for (name, _) in wal_listing(&dir) {
+        stream.extend(std::fs::read(dir.join("wal").join(name)).unwrap());
+    }
+    assert_eq!(
+        (stream.len(), bdbms_storage::crc32(&stream)),
+        (3_812, 3_143_011_227),
+        "the redo stream drifted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The WAL directory as `(file name, length)` pairs, sorted.
 fn wal_listing(dir: &Path) -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = std::fs::read_dir(dir.join("wal"))
