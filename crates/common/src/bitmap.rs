@@ -79,6 +79,21 @@ impl CellBitmap {
         }
     }
 
+    /// Shrink the bitmap to its first `rows` rows (transaction rollback
+    /// undoing growth); bits past the cut are dropped, so the result
+    /// equals a bitmap grown to `rows` with the same surviving bits.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        if rows < self.rows {
+            let bits = rows * self.cols;
+            self.words.truncate(bits.div_ceil(64));
+            let tail = bits % 64;
+            if let Some(last) = self.words.last_mut().filter(|_| tail > 0) {
+                *last &= (1 << tail) - 1;
+            }
+            self.rows = rows;
+        }
+    }
+
     /// Count of set (outdated) cells.
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -315,6 +330,28 @@ mod tests {
         // shrinking is a no-op
         bm.grow_rows(2);
         assert_eq!(bm.rows(), 5);
+    }
+
+    #[test]
+    fn truncate_rows_undoes_growth() {
+        // 5 columns: the cut lands mid-word
+        let mut bm = CellBitmap::new(3, 5);
+        bm.set(1, 4);
+        let before = bm.clone();
+        bm.grow_rows(40);
+        bm.set(2, 0);
+        bm.set(3, 1);
+        bm.set(39, 4);
+        bm.truncate_rows(3);
+        let mut expect = before;
+        expect.set(2, 0);
+        assert_eq!(bm, expect, "dropped bits must not survive the cut");
+        // regrowing starts clean
+        bm.grow_rows(4);
+        assert!(!bm.get(3, 1));
+        // growing past the current size is not truncation
+        bm.truncate_rows(10);
+        assert_eq!(bm.rows(), 4);
     }
 
     #[test]

@@ -289,55 +289,42 @@ impl AnnotationSet {
 
     /// Archive (or restore) annotations attached to any of `cells`,
     /// optionally limited to a creation-time window (Figure 6b/6c).
-    /// Returns how many annotation records changed state.
+    /// Returns the ids of the annotation records that changed state.
     pub fn set_archived(
         &mut self,
         cells: &[(u64, usize)],
         between: Option<(u64, u64)>,
         archived: bool,
-    ) -> usize {
+    ) -> Vec<AnnotationId> {
         let mut ids: Vec<AnnotationId> = cells
             .iter()
             .flat_map(|&(r, c)| self.ids_for_cell(r, c))
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        let mut changed = 0;
-        for id in ids {
-            if let Some(a) = self.annotations.get_mut(&id.raw()) {
-                if let Some((lo, hi)) = between {
-                    if a.created < lo || a.created > hi {
-                        continue;
-                    }
-                }
-                if a.archived != archived {
-                    a.archived = archived;
-                    changed += 1;
-                }
+        ids.retain(|id| {
+            let Some(a) = self.annotations.get_mut(&id.raw()) else {
+                return false;
+            };
+            let in_window = between.is_none_or(|(lo, hi)| lo <= a.created && a.created <= hi);
+            let flips = in_window && a.archived != archived;
+            if flips {
+                a.archived = archived;
             }
-        }
-        changed
+            flips
+        });
+        ids
     }
 
     /// The id the next [`add`](Self::add) would allocate — the watermark
-    /// a transaction snapshot records before the set is first mutated.
+    /// an addition records as its inverse.
     pub(crate) fn next_id(&self) -> u64 {
         self.next_id
     }
 
-    /// The archived flag of every annotation, in id order (the other
-    /// half of a transaction snapshot).
-    pub(crate) fn archived_flags(&self) -> Vec<(u64, bool)> {
-        self.annotations
-            .iter()
-            .map(|(&id, a)| (id, a.archived))
-            .collect()
-    }
-
-    /// Restore the set to a snapshot: truncate annotations (and their
-    /// scheme attachments) at or past the id watermark, rewind the id
-    /// allocator, and put the survivors' archived flags back.
-    pub(crate) fn rollback_to(&mut self, next_id: u64, flags: &[(u64, bool)]) {
+    /// Roll the set back to an id watermark: truncate annotations (and
+    /// their scheme attachments) at or past it and rewind the allocator.
+    pub(crate) fn rollback_to(&mut self, next_id: u64) {
         if self.next_id > next_id {
             self.annotations.retain(|&id, _| id < next_id);
             match &mut self.scheme {
@@ -346,8 +333,13 @@ impl AnnotationSet {
             }
             self.next_id = next_id;
         }
-        for &(id, archived) in flags {
-            if let Some(a) = self.annotations.get_mut(&id) {
+    }
+
+    /// Put the archived flag of exactly these annotations back to
+    /// `archived` (rollback of a [`set_archived`](Self::set_archived)).
+    pub(crate) fn restore_archived(&mut self, ids: &[AnnotationId], archived: bool) {
+        for id in ids {
+            if let Some(a) = self.annotations.get_mut(&id.raw()) {
                 a.archived = archived;
             }
         }
@@ -624,12 +616,12 @@ mod tests {
         assert_eq!(set.for_cell(0, 0).len(), 2);
         // archive only the old one
         let changed = set.set_archived(&[(0, 0)], Some((0, 10)), true);
-        assert_eq!(changed, 1);
+        assert_eq!(changed.len(), 1);
         let live: Vec<_> = set.for_cell(0, 0).iter().map(|a| a.raw.clone()).collect();
         assert_eq!(live, vec!["new"]);
         // restore it
         let changed = set.set_archived(&[(0, 0)], None, false);
-        assert_eq!(changed, 1);
+        assert_eq!(changed.len(), 1);
         assert_eq!(set.for_cell(0, 0).len(), 2);
     }
 

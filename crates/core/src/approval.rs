@@ -199,22 +199,25 @@ impl ApprovalManager {
             .collect()
     }
 
+    /// Position of an entry: the log is ascending by id (appends
+    /// allocate upward, and `restore` / `restore_log_entry` refuse
+    /// anything else), so this is a binary search.
+    fn position(&self, id: OperationId) -> Result<usize> {
+        self.log
+            .binary_search_by_key(&id.raw(), |op| op.id.raw())
+            .map_err(|_| BdbmsError::not_found(format!("operation {id}")))
+    }
+
     /// Look up a log entry.
     pub fn get(&self, id: OperationId) -> Result<&LoggedOp> {
-        self.log
-            .iter()
-            .find(|op| op.id == id)
-            .ok_or_else(|| BdbmsError::not_found(format!("operation {id}")))
+        Ok(&self.log[self.position(id)?])
     }
 
     /// Mark an entry decided; returns the entry (with the inverse the
     /// caller must execute on disapproval).  Fails on double decisions.
     pub fn decide(&mut self, id: OperationId, approve: bool) -> Result<LoggedOp> {
-        let op = self
-            .log
-            .iter_mut()
-            .find(|op| op.id == id)
-            .ok_or_else(|| BdbmsError::not_found(format!("operation {id}")))?;
+        let pos = self.position(id)?;
+        let op = &mut self.log[pos];
         if op.status != OpStatus::Pending {
             return Err(BdbmsError::approval(format!(
                 "operation {id} was already {}",
@@ -229,8 +232,8 @@ impl ApprovalManager {
         Ok(op.clone())
     }
 
-    /// The log length and id allocator — the watermark a transaction
-    /// snapshot records before the first approval-log append.
+    /// The log length and id allocator — the watermark an append
+    /// records as its inverse.
     pub(crate) fn log_watermark(&self) -> (usize, u64) {
         (self.log.len(), self.next_id)
     }
@@ -245,8 +248,8 @@ impl ApprovalManager {
     /// Force an entry's status (transaction rollback undoing a decision
     /// whose inverse execution was itself rolled back).
     pub(crate) fn set_status(&mut self, id: OperationId, status: OpStatus) {
-        if let Some(op) = self.log.iter_mut().find(|op| op.id == id) {
-            op.status = status;
+        if let Ok(pos) = self.position(id) {
+            self.log[pos].status = status;
         }
     }
 
@@ -266,27 +269,48 @@ impl ApprovalManager {
         (configs, &self.log, self.next_id)
     }
 
-    /// Rebuild from a [`snapshot`](Self::snapshot) dump.
+    /// Rebuild from a [`snapshot`](Self::snapshot) dump.  A log whose
+    /// ids are not strictly ascending and below the allocator is
+    /// `Corrupt`: lookups binary-search it.
     pub(crate) fn restore(
         configs: Vec<(String, Option<Vec<String>>, String)>,
         log: Vec<LoggedOp>,
         next_id: u64,
-    ) -> ApprovalManager {
+    ) -> Result<ApprovalManager> {
         let mut m = ApprovalManager::new();
         for (table, columns, approver) in configs {
             // keys were stored lowercased; reinsert directly
             m.configs
                 .insert(table, ApprovalConfig { columns, approver });
         }
-        m.log = log;
+        for op in log {
+            m.restore_log_entry(op)?;
+        }
+        if m.next_id > next_id {
+            return Err(BdbmsError::corrupt(format!(
+                "approval log holds ids at or past its allocator {next_id}"
+            )));
+        }
         m.next_id = next_id;
-        m
+        Ok(m)
     }
 
     /// Re-append a logged operation with its original id (WAL replay).
-    pub(crate) fn restore_log_entry(&mut self, op: LoggedOp) {
+    /// An id not above every logged one is `Corrupt`.
+    pub(crate) fn restore_log_entry(&mut self, op: LoggedOp) -> Result<()> {
+        if self
+            .log
+            .last()
+            .is_some_and(|last| last.id.raw() >= op.id.raw())
+        {
+            return Err(BdbmsError::corrupt(format!(
+                "approval log entry {} is out of order",
+                op.id
+            )));
+        }
         self.next_id = self.next_id.max(op.id.raw() + 1);
         self.log.push(op);
+        Ok(())
     }
 
     /// Bytes of log storage (for the E11 overhead report): description +
@@ -320,6 +344,7 @@ fn value_bytes(v: &Value) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdbms_common::ErrorCode;
 
     #[test]
     fn start_stop_and_monitoring() {
@@ -401,5 +426,76 @@ mod tests {
         let mut m = ApprovalManager::new();
         assert!(m.get(OperationId(9)).is_err());
         assert!(m.decide(OperationId(9), true).is_err());
+    }
+
+    fn log_ops(m: &mut ApprovalManager, n: u64) -> Vec<OperationId> {
+        (0..n)
+            .map(|i| {
+                m.log_operation(
+                    "T",
+                    "u",
+                    i,
+                    format!("op {i}"),
+                    InverseOp::DeleteRow { row_no: i },
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lookups_by_id_after_truncate_and_restore() {
+        let mut m = ApprovalManager::new();
+        let ids = log_ops(&mut m, 6);
+        let (len, next_id) = m.log_watermark();
+        let extra = log_ops(&mut m, 3);
+        // rollback: the truncated ids are gone, the survivors still found
+        m.truncate_log(len, next_id);
+        for id in &extra {
+            assert_eq!(m.get(*id).unwrap_err().code(), ErrorCode::NotFound);
+        }
+        for id in &ids {
+            assert_eq!(m.get(*id).unwrap().id, *id);
+        }
+        // the allocator rewound: the next op reuses the first truncated id
+        let again = log_ops(&mut m, 1)[0];
+        assert_eq!(again, extra[0]);
+        m.set_status(ids[4], OpStatus::Approved);
+        assert_eq!(m.decide(ids[2], false).unwrap().id, ids[2]);
+        // a snapshot round trip keeps every id reachable
+        let (configs, log, next_id) = m.snapshot();
+        let log = log.to_vec();
+        let r = ApprovalManager::restore(configs, log, next_id).unwrap();
+        assert_eq!(r.get(ids[4]).unwrap().status, OpStatus::Approved);
+        assert_eq!(r.get(ids[2]).unwrap().status, OpStatus::Disapproved);
+        assert_eq!(r.get(again).unwrap().status, OpStatus::Pending);
+        assert_eq!(
+            r.get(OperationId(next_id)).unwrap_err().code(),
+            ErrorCode::NotFound
+        );
+    }
+
+    #[test]
+    fn out_of_order_ids_are_corrupt() {
+        let mut m = ApprovalManager::new();
+        log_ops(&mut m, 3);
+        let (configs, log, next_id) = m.snapshot();
+        let mut log = log.to_vec();
+        log.swap(0, 2);
+        let err = ApprovalManager::restore(configs.clone(), log.clone(), next_id)
+            .err()
+            .unwrap();
+        assert_eq!(err.code(), ErrorCode::Corrupt);
+        log.swap(0, 2);
+        let err = ApprovalManager::restore(configs, log.clone(), 1)
+            .err()
+            .unwrap();
+        assert_eq!(err.code(), ErrorCode::Corrupt, "ids past the allocator");
+        // replay: a duplicate id is refused and leaves the log as it was
+        let dup = log[1].clone();
+        assert_eq!(
+            m.restore_log_entry(dup).unwrap_err().code(),
+            ErrorCode::Corrupt
+        );
+        assert_eq!(m.log().len(), 3);
     }
 }

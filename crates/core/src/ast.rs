@@ -564,10 +564,10 @@ pub enum Statement {
     ShowSlowQueries,
     /// `BEGIN [TRANSACTION | WORK]` — open an explicit transaction.
     /// Until `COMMIT`/`ROLLBACK`, every statement's effects are recorded
-    /// in the session's undo log (see `crate::txn`).
+    /// in the session's transaction log (see `crate::txn`).
     Begin,
     /// `COMMIT [TRANSACTION | WORK]` — make the open transaction's
-    /// effects permanent and discard its undo log.
+    /// effects permanent and discard its transaction log.
     Commit,
     /// `ROLLBACK [TRANSACTION | WORK]` — undo everything since `BEGIN`.
     Rollback,

@@ -14,8 +14,9 @@ use bdbms_storage::{BufferPool, HeapFile, Rid};
 use crate::annotation::AnnotationSet;
 use crate::ast::SeqIndexKind;
 use crate::batch::BATCH_SIZE;
-use crate::durability::{disabled_redo_sink, RedoSink, WalRecord};
+use crate::durability::WalRecord;
 use crate::stats::TableStats;
+use crate::txn::{SharedLog, UndoOp};
 
 /// A secondary B+-tree index over one column, kept in sync by every
 /// [`Table`] write path (plain DML, approval inverses, dependency
@@ -340,10 +341,10 @@ pub struct Table {
     /// Planner statistics, maintained incrementally by every write path
     /// and rebuilt exactly by `ANALYZE`.
     stats: TableStats,
-    /// Redo sink for durable databases: every logical mutation of this
-    /// table appends a [`WalRecord`] here (disabled and record-free for
-    /// in-memory databases — see `crate::durability`).
-    redo: RedoSink,
+    /// The database's transaction log: every logical mutation of this
+    /// table records its redo [`WalRecord`] and its inverse here (see
+    /// `crate::txn`).  A detached table's own log records nothing.
+    log: SharedLog,
 }
 
 impl Table {
@@ -368,7 +369,7 @@ impl Table {
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
             stats: TableStats::new(arity),
-            redo: disabled_redo_sink(),
+            log: SharedLog::default(),
         })
     }
 
@@ -405,7 +406,7 @@ impl Table {
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
             stats: TableStats::new(arity),
-            redo: disabled_redo_sink(),
+            log: SharedLog::default(),
         };
         let column_of = |what: &str, index: &str, col: usize| {
             if col < arity {
@@ -433,9 +434,22 @@ impl Table {
         Ok(t)
     }
 
-    /// Attach the shared redo sink (durable databases).
-    pub(crate) fn set_redo(&mut self, redo: RedoSink) {
-        self.redo = redo;
+    /// Attach the database's transaction log.
+    pub(crate) fn attach_log(&mut self, log: SharedLog) {
+        self.log = log;
+    }
+
+    /// Log a change whose inverse is itself a record, replayed on
+    /// rollback; each is built, from this table's name, only if needed.
+    fn record(
+        &self,
+        redo: impl FnOnce(String) -> WalRecord,
+        undo: impl FnOnce(String) -> WalRecord,
+    ) {
+        self.log.borrow_mut().record(
+            || redo(self.name.clone()),
+            || UndoOp::Replay(undo(self.name.clone())),
+        );
     }
 
     /// Copy every live row's record bytes, in row-number order, into a
@@ -549,11 +563,14 @@ impl Table {
             sidx.add(&values[sidx.column], row_no);
         }
         self.stats.observe_row(&values);
-        self.redo.borrow_mut().push(|| WalRecord::RowInsert {
-            table: self.name.clone(),
-            row_no,
-            values: values.clone(),
-        });
+        self.record(
+            |table| WalRecord::RowInsert {
+                table,
+                row_no,
+                values: values.clone(),
+            },
+            |table| WalRecord::RowDelete { table, row_no },
+        );
         Ok(row_no)
     }
 
@@ -615,11 +632,18 @@ impl Table {
                 self.stats.update_cell(col, o, n);
             }
         }
-        self.redo.borrow_mut().push(|| WalRecord::RowUpdate {
-            table: self.name.clone(),
-            row_no,
-            values: values.clone(),
-        });
+        self.record(
+            |table| WalRecord::RowUpdate {
+                table,
+                row_no,
+                values: values.clone(),
+            },
+            |table| WalRecord::RowUpdate {
+                table,
+                row_no,
+                values: old.to_vec(),
+            },
+        );
         Ok(())
     }
 
@@ -628,9 +652,15 @@ impl Table {
         let values = self.get(row_no)?;
         let rid = self.rows.remove(&row_no).expect("checked by get");
         self.heap.delete(rid)?;
-        // clear outdated bits of the dead row
+        // clear outdated bits of the dead row; rollback re-marks each
+        // (after the row's re-insert, which leaves bits alone)
         for c in 0..self.schema.arity() {
-            self.outdated.clear(row_no as usize, c);
+            if self.outdated.get(row_no as usize, c) {
+                self.outdated.clear(row_no as usize, c);
+                self.log.borrow_mut().record_undo(|| {
+                    UndoOp::Replay(cell_record(self.name.clone(), row_no, c, true))
+                });
+            }
         }
         for idx in &mut self.indexes {
             idx.remove(&values[idx.column], row_no);
@@ -639,21 +669,28 @@ impl Table {
             sidx.remove(row_no);
         }
         self.stats.retire_row(&values);
-        self.redo.borrow_mut().push(|| WalRecord::RowDelete {
-            table: self.name.clone(),
-            row_no,
-        });
+        self.record(
+            |table| WalRecord::RowDelete { table, row_no },
+            |table| WalRecord::RowInsert {
+                table,
+                row_no,
+                values: values.clone(),
+            },
+        );
         Ok(values)
     }
 
     /// Append an entry to the deletion log (§3.2).  Routed through a
     /// method (rather than pushing on the public field) so durable
-    /// databases get a redo record.
+    /// databases get a redo record; rollback truncates the log to the
+    /// table snapshot's length.
     pub(crate) fn push_deleted(&mut self, row: DeletedRow) {
-        self.redo.borrow_mut().push(|| WalRecord::DeletedLogPush {
-            table: self.name.clone(),
-            row: row.clone(),
-        });
+        self.log
+            .borrow_mut()
+            .record_redo(|| WalRecord::DeletedLogPush {
+                table: self.name.clone(),
+                row: row.clone(),
+            });
         self.deleted_log.push(row);
     }
 
@@ -895,28 +932,41 @@ impl Table {
         let mut idx = TableIndex::new(name, col);
         self.derive(None, std::slice::from_mut(&mut idx), &mut [], 0)?;
         self.indexes.push(idx);
-        self.redo.borrow_mut().push(|| WalRecord::IndexCreate {
-            table: self.name.clone(),
-            index: name.to_string(),
-            column: column.to_string(),
-        });
+        self.record(
+            |table| WalRecord::IndexCreate {
+                table,
+                index: name.to_string(),
+                column: column.to_string(),
+            },
+            |table| WalRecord::IndexDrop {
+                table,
+                index: name.to_string(),
+            },
+        );
         Ok(())
     }
 
-    /// Drop the index named `name`.
+    /// Drop the index named `name`.  Its inverse recreates it by
+    /// backfilling, applied when the rows are back to their drop-time
+    /// state, so the rebuilt index is the dropped one.
     pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        let before = self.indexes.len();
-        self.indexes.retain(|i| !i.name.eq_ignore_ascii_case(name));
-        if self.indexes.len() == before {
-            return Err(BdbmsError::not_found(format!(
-                "index `{name}` on `{}`",
-                self.name
-            )));
-        }
-        self.redo.borrow_mut().push(|| WalRecord::IndexDrop {
-            table: self.name.clone(),
-            index: name.to_string(),
-        });
+        let pos = self
+            .indexes
+            .iter()
+            .position(|i| i.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| BdbmsError::not_found(format!("index `{name}` on `{}`", self.name)))?;
+        let idx = self.indexes.remove(pos);
+        self.record(
+            |table| WalRecord::IndexDrop {
+                table,
+                index: name.to_string(),
+            },
+            |table| WalRecord::IndexCreate {
+                table,
+                index: idx.name,
+                column: self.schema.columns()[idx.column].name.clone(),
+            },
+        );
         Ok(())
     }
 
@@ -958,30 +1008,44 @@ impl Table {
         let mut sidx = SeqIndex::new(name, col, kind);
         self.derive(None, &mut [], std::slice::from_mut(&mut sidx), 0)?;
         self.seq_indexes.push(sidx);
-        self.redo.borrow_mut().push(|| WalRecord::SeqIndexCreate {
-            table: self.name.clone(),
-            index: name.to_string(),
-            column: column.to_string(),
-            kind,
-        });
+        self.record(
+            |table| WalRecord::SeqIndexCreate {
+                table,
+                index: name.to_string(),
+                column: column.to_string(),
+                kind,
+            },
+            |table| WalRecord::SeqIndexDrop {
+                table,
+                index: name.to_string(),
+            },
+        );
         Ok(())
     }
 
-    /// Drop the sequence index named `name`.
+    /// Drop the sequence index named `name` (its inverse recreates it
+    /// by backfilling, like [`drop_index`](Self::drop_index)'s).
     pub fn drop_seq_index(&mut self, name: &str) -> Result<()> {
-        let before = self.seq_indexes.len();
-        self.seq_indexes
-            .retain(|i| !i.name.eq_ignore_ascii_case(name));
-        if self.seq_indexes.len() == before {
-            return Err(BdbmsError::not_found(format!(
-                "sequence index `{name}` on `{}`",
-                self.name
-            )));
-        }
-        self.redo.borrow_mut().push(|| WalRecord::SeqIndexDrop {
-            table: self.name.clone(),
-            index: name.to_string(),
-        });
+        let pos = self
+            .seq_indexes
+            .iter()
+            .position(|i| i.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                BdbmsError::not_found(format!("sequence index `{name}` on `{}`", self.name))
+            })?;
+        let sidx = self.seq_indexes.remove(pos);
+        self.record(
+            |table| WalRecord::SeqIndexDrop {
+                table,
+                index: name.to_string(),
+            },
+            |table| WalRecord::SeqIndexCreate {
+                table,
+                index: sidx.name,
+                column: self.schema.columns()[sidx.column].name.clone(),
+                kind: sidx.kind,
+            },
+        );
         Ok(())
     }
 
@@ -1086,7 +1150,7 @@ impl Table {
     }
 
     /// Rewind the row-number allocator (transaction rollback; the rows
-    /// past it have already been deleted by the row-level undo ops).
+    /// past it have already been deleted by the rows' own inverses).
     pub(crate) fn set_next_row(&mut self, next_row: u64) {
         self.next_row = next_row;
     }
@@ -1134,27 +1198,50 @@ impl Table {
             .find(|s| s.name.eq_ignore_ascii_case(name))
     }
 
-    /// Attach a new annotation table (logged for durable databases —
-    /// every annotation-set creation funnels through here).
+    /// Attach a new annotation table (logged — every annotation-set
+    /// creation funnels through here).
     pub(crate) fn add_ann_set(&mut self, set: AnnotationSet) {
-        self.redo.borrow_mut().push(|| WalRecord::AnnSetCreate {
-            table: self.name.clone(),
-            set: set.name.clone(),
-            cell_scheme: set.is_cell_scheme(),
-            system_only: set.system_only,
-            schema_enforced: set.schema_enforced,
-        });
+        self.record(
+            |table| WalRecord::AnnSetCreate {
+                table,
+                set: set.name.clone(),
+                cell_scheme: set.is_cell_scheme(),
+                system_only: set.system_only,
+                schema_enforced: set.schema_enforced,
+            },
+            |table| WalRecord::AnnSetDrop {
+                table,
+                set: set.name.clone(),
+            },
+        );
         self.ann_sets.push(set);
     }
 
-    /// Detach the annotation table at `pos` (DROP ANNOTATION TABLE).
-    pub(crate) fn remove_ann_set_at(&mut self, pos: usize) -> AnnotationSet {
+    /// Detach the named annotation table (DROP ANNOTATION TABLE).  Like
+    /// `DROP TABLE`, the set moves into the log wholesale: rollback puts
+    /// it back byte-identical, at its old position.
+    pub(crate) fn drop_ann_set(&mut self, name: &str) -> Result<()> {
+        let pos = self
+            .ann_sets
+            .iter()
+            .position(|s| s.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                BdbmsError::not_found(format!("annotation table `{name}` on `{}`", self.name))
+            })?;
         let set = self.ann_sets.remove(pos);
-        self.redo.borrow_mut().push(|| WalRecord::AnnSetDrop {
-            table: self.name.clone(),
-            set: set.name.clone(),
-        });
-        set
+        let name = set.name.clone();
+        self.log.borrow_mut().record(
+            || WalRecord::AnnSetDrop {
+                table: self.name.clone(),
+                set: name,
+            },
+            || UndoOp::UnDropAnnSet {
+                table: self.name.clone(),
+                pos,
+                set: Box::new(set),
+            },
+        );
+        Ok(())
     }
 
     /// Add an annotation to the named set over `rows × cols` (logged).
@@ -1169,19 +1256,23 @@ impl Table {
         cols: &[usize],
     ) -> Option<bdbms_common::ids::AnnotationId> {
         // borrow dance: record first (name lookup is immutable), then add
-        let exists = self.ann_set(set).is_some();
-        if !exists {
-            return None;
-        }
-        self.redo.borrow_mut().push(|| WalRecord::AnnAdd {
-            table: self.name.clone(),
-            set: set.to_string(),
-            raw: raw.to_string(),
-            creator: creator.to_string(),
-            created,
-            rows: rows.to_vec(),
-            cols: cols.iter().map(|&c| c as u64).collect(),
-        });
+        let next_id = self.ann_set(set)?.next_id();
+        self.log.borrow_mut().record(
+            || WalRecord::AnnAdd {
+                table: self.name.clone(),
+                set: set.to_string(),
+                raw: raw.to_string(),
+                creator: creator.to_string(),
+                created,
+                rows: rows.to_vec(),
+                cols: cols.iter().map(|&c| c as u64).collect(),
+            },
+            || UndoOp::RestoreAnnSet {
+                table: self.name.clone(),
+                set: set.to_string(),
+                next_id,
+            },
+        );
         let s = self.ann_set_mut(set).expect("checked above");
         Some(s.add(raw, creator, created, rows, cols))
     }
@@ -1195,46 +1286,75 @@ impl Table {
         between: Option<(u64, u64)>,
         archived: bool,
     ) -> Option<usize> {
-        self.ann_set(set)?;
-        self.redo.borrow_mut().push(|| WalRecord::AnnArchive {
-            table: self.name.clone(),
-            set: set.to_string(),
-            cells: cells.iter().map(|&(r, c)| (r, c as u64)).collect(),
-            between,
-            archived,
-        });
-        let s = self.ann_set_mut(set).expect("checked above");
-        Some(s.set_archived(cells, between, archived))
+        let ids = self
+            .ann_set_mut(set)?
+            .set_archived(cells, between, archived);
+        let changed = ids.len();
+        self.log.borrow_mut().record(
+            || WalRecord::AnnArchive {
+                table: self.name.clone(),
+                set: set.to_string(),
+                cells: cells.iter().map(|&(r, c)| (r, c as u64)).collect(),
+                between,
+                archived,
+            },
+            || UndoOp::UnArchive {
+                table: self.name.clone(),
+                set: set.to_string(),
+                ids,
+                archived: !archived,
+            },
+        );
+        Some(changed)
     }
 
-    /// Mark a cell outdated (§5), growing the bitmap as needed.
+    /// Mark a cell outdated (§5), growing the bitmap as needed.  Only a
+    /// bit that actually flips gets an inverse.
     pub fn mark_outdated(&mut self, row_no: u64, col: usize) {
+        let flips = !self.is_outdated(row_no, col);
         if self.outdated.rows() <= row_no as usize {
             self.outdated.grow_rows(row_no as usize + 1);
         }
         self.outdated.set(row_no as usize, col);
-        self.redo.borrow_mut().push(|| WalRecord::OutdatedMark {
-            table: self.name.clone(),
-            row_no,
-            col: col as u64,
-        });
+        self.record_cell(row_no, col, true, flips);
     }
 
     /// Clear the outdated mark (revalidation — §5).
     pub fn clear_outdated(&mut self, row_no: u64, col: usize) {
         if (row_no as usize) < self.outdated.rows() {
+            let flips = self.outdated.get(row_no as usize, col);
             self.outdated.clear(row_no as usize, col);
-            self.redo.borrow_mut().push(|| WalRecord::OutdatedClear {
-                table: self.name.clone(),
-                row_no,
-                col: col as u64,
-            });
+            self.record_cell(row_no, col, false, flips);
+        }
+    }
+
+    /// Log an outdated-bit change: its redo record always, the opposite
+    /// change as its inverse only when the bit flipped.
+    fn record_cell(&self, row_no: u64, col: usize, mark: bool, flipped: bool) {
+        if flipped {
+            self.record(
+                |table| cell_record(table, row_no, col, mark),
+                |table| cell_record(table, row_no, col, !mark),
+            );
+        } else {
+            let redo = || cell_record(self.name.clone(), row_no, col, mark);
+            self.log.borrow_mut().record_redo(redo);
         }
     }
 
     /// Is the cell marked outdated?
     pub fn is_outdated(&self, row_no: u64, col: usize) -> bool {
         (row_no as usize) < self.outdated.rows() && self.outdated.get(row_no as usize, col)
+    }
+}
+
+/// The record that marks (`mark`) or clears one outdated cell.
+fn cell_record(table: String, row_no: u64, col: usize, mark: bool) -> WalRecord {
+    let col = col as u64;
+    if mark {
+        WalRecord::OutdatedMark { table, row_no, col }
+    } else {
+        WalRecord::OutdatedClear { table, row_no, col }
     }
 }
 

@@ -23,12 +23,13 @@ use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{Catalog, DeletedRow, Table};
 use crate::dependency::{DependencyManager, DependencyRule};
+use crate::durability::WalRecord;
 use crate::executor::{run_select_traced, select_cells, table_bindings, target_rows, ExecStats};
 use crate::expr::eval;
 use crate::provenance::{self, ProvenanceRecord};
 use crate::result::{AnnRow, QueryResult};
 use crate::session::Session;
-use crate::txn::{TxnRuntime, TxnStatus, UndoOp};
+use crate::txn::{LogEntry, TxnRuntime, TxnStatus, UndoOp};
 
 /// How a dependency cascade treats non-recomputable targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,11 +140,11 @@ pub struct Database {
     pub(crate) auth: AuthManager,
     pub(crate) approval: ApprovalManager,
     pub(crate) deps: DependencyManager,
-    /// Transaction runtime: the undo log, the redo buffer, and their
-    /// watermarks.  Driven by the [`Session`] state machine
-    /// (`BEGIN`/`COMMIT`/`ROLLBACK`); outside an explicit transaction
-    /// every statement wraps itself in an implicit one, so a failing
-    /// multi-row statement is atomic.
+    /// Transaction runtime: the transaction log (each change's redo
+    /// record and inverse) and its watermarks.  Driven by the
+    /// [`Session`] state machine (`BEGIN`/`COMMIT`/`ROLLBACK`); outside
+    /// an explicit transaction every statement wraps itself in an
+    /// implicit one, so a failing multi-row statement is atomic.
     pub(crate) txn: TxnRuntime,
     /// The durable half (WAL, checkpoint paths) — `None` when in-memory.
     pub(crate) storage: Option<crate::durability::PersistentStorage>,
@@ -487,35 +488,28 @@ impl Database {
         Ok(QueryResult::message(format!("savepoint `{name}` released")))
     }
 
-    /// Apply recorded undo ops (newest first) and, if anything was
-    /// undone, bump the catalog generation: the generation only ever
-    /// moves forward, so a prepared plan cached against rolled-back DDL
-    /// can never be replayed.
+    /// Apply the inverses of taken log entries (newest first) and, if
+    /// anything was undone, bump the catalog generation: the generation
+    /// only ever moves forward, so a prepared plan cached against
+    /// rolled-back DDL can never be replayed.
     ///
-    /// Redo collection is suspended for the duration: the records of the
-    /// rolled-back work were already truncated from the buffer, and the
-    /// undo ops' own table mutations must not log fresh ones.
-    pub(crate) fn apply_undo(&mut self, ops: Vec<UndoOp>) {
-        if ops.is_empty() {
+    /// The log is suspended for the duration: the inverses' own
+    /// mutations must record nothing.
+    pub(crate) fn apply_undo(&mut self, entries: Vec<LogEntry>) {
+        if entries.is_empty() {
             return;
         }
-        self.txn.redo_suspend();
-        for op in ops.into_iter().rev() {
-            op.apply(&mut self.catalog, &mut self.deps, &mut self.approval);
+        self.txn.suspend();
+        for op in entries.into_iter().rev().filter_map(LogEntry::into_undo) {
+            op.apply(self);
         }
-        self.txn.redo_resume();
+        self.txn.resume();
         self.catalog.bump_generation();
-    }
-
-    /// Append a redo record for a mutation performed outside the tables'
-    /// own sinks (DDL, auth, approval, rules).  No-op when in-memory.
-    fn redo(&self, build: impl FnOnce() -> crate::durability::WalRecord) {
-        self.txn.redo_push(build);
     }
 
     /// Run `f` inside the implicit-transaction envelope: on success the
     /// redo records are committed to the WAL (durable databases) and the
-    /// undo log discarded; on failure — of `f` *or* of the WAL write —
+    /// log discarded; on failure — of `f` *or* of the WAL write —
     /// every applied effect is rolled back.  When a transaction is
     /// already recording, `f` simply joins it.
     fn with_implicit<R>(&mut self, f: impl FnOnce(&mut Self) -> Result<R>) -> Result<R> {
@@ -548,54 +542,47 @@ impl Database {
         }
     }
 
-    /// Push the first-touch snapshot of a table's non-row state (stats,
-    /// outdated bitmap, row allocator, deletion-log length).  Must run
-    /// *before* the mutation it covers.
+    /// Record the first-touch snapshot of a table's non-row state
+    /// (stats, row allocator, deletion-log length, outdated-bitmap row
+    /// count).  Must run *before* the mutation it covers.
     fn rec_touch_table(&mut self, table: &str) {
         if !self.txn.table_needs_snapshot(table) {
             return;
         }
         if let Ok(t) = self.catalog.table(table) {
-            let op = UndoOp::RestoreTableState {
+            self.txn.record_undo(|| UndoOp::RestoreTableState {
                 table: t.name.clone(),
                 stats: t.stats().clone(),
-                outdated: t.outdated.clone(),
                 next_row: t.peek_next_row(),
                 deleted_log_len: t.deleted_log.len(),
-            };
-            self.txn.push(op);
+                outdated_rows: t.outdated.rows(),
+            });
         }
     }
 
-    /// Push the first-touch snapshot of an annotation set (id watermark
-    /// and archived flags).  Must run *before* the mutation it covers.
-    fn rec_touch_ann_set(&mut self, table: &str, set: &str) {
-        if !self.txn.ann_set_needs_snapshot(table, set) {
-            return;
-        }
-        if let Ok(t) = self.catalog.table(table) {
-            if let Some(s) = t.ann_set(set) {
-                let op = UndoOp::RestoreAnnSet {
-                    table: t.name.clone(),
-                    set: s.name.clone(),
-                    next_id: s.next_id(),
-                    flags: s.archived_flags(),
-                };
-                self.txn.push(op);
-            }
-        }
+    /// Append a pending operation to the approval log (§6), with its
+    /// redo record and, as its inverse, the log's prior watermark.
+    fn log_for_approval(
+        &mut self,
+        table: &str,
+        user: &str,
+        description: String,
+        inverse: InverseOp,
+    ) {
+        let time = self.clock.now();
+        let (len, next_id) = self.approval.log_watermark();
+        let id = self
+            .approval
+            .log_operation(table, user, time, description, inverse);
+        self.txn.record(
+            || WalRecord::ApprovalLogged {
+                op: self.approval.get(id).expect("just logged").clone(),
+            },
+            || UndoOp::RestoreApprovalLog { len, next_id },
+        );
     }
 
-    /// Push the first-touch snapshot of the approval log.  Must run
-    /// *before* the append it covers.
-    fn rec_touch_approval(&mut self) {
-        if self.txn.approval_needs_snapshot() {
-            let (len, next_id) = self.approval.log_watermark();
-            self.txn.push(UndoOp::RestoreApprovalLog { len, next_id });
-        }
-    }
-
-    /// Statements whose effects live outside the undo log's reach
+    /// Statements whose effects live outside the log's reach
     /// (authorization and approval-workflow state) — rejected inside an
     /// explicit transaction.
     fn non_transactional(stmt: &Statement) -> Option<&'static str> {
@@ -617,8 +604,9 @@ impl Database {
     /// Execute a parsed statement.
     ///
     /// Inside an explicit transaction the statement runs against the
-    /// open undo log with statement-level atomicity (a failure undoes
-    /// the statement's own effects and leaves the transaction usable).
+    /// open transaction log with statement-level atomicity (a failure
+    /// undoes the statement's own effects and leaves the transaction
+    /// usable).
     /// Otherwise the statement wraps itself in an **implicit
     /// transaction**: on error every already-applied effect — rows of a
     /// multi-row INSERT, earlier rows of an UPDATE, cascade recomputes —
@@ -667,7 +655,7 @@ impl Database {
         }
     }
 
-    /// Execute a parsed statement against the open undo log.
+    /// Execute a parsed statement against the open transaction log.
     fn execute_stmt_inner(&mut self, stmt: Statement, user: &str) -> Result<QueryResult> {
         self.clock.tick();
         match stmt {
@@ -682,10 +670,6 @@ impl Database {
                 self.catalog
                     .table_mut(&table)?
                     .create_index(&name, &column)?;
-                self.txn.push(UndoOp::UnCreateIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                });
                 // a new access path invalidates cached prepared plans
                 self.catalog.bump_generation();
                 Ok(QueryResult::message(format!(
@@ -694,21 +678,7 @@ impl Database {
             }
             Statement::DropIndex { name, table } => {
                 self.require_owner(&table, user)?;
-                // resolve the indexed column first: rollback recreates
-                // the index by backfilling over that column
-                let column = {
-                    let t = self.catalog.table(&table)?;
-                    let idx = t.index_named(&name).ok_or_else(|| {
-                        BdbmsError::not_found(format!("index `{name}` on `{table}`"))
-                    })?;
-                    t.schema.columns()[idx.column].name.clone()
-                };
                 self.catalog.table_mut(&table)?.drop_index(&name)?;
-                self.txn.push(UndoOp::UnDropIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                    column,
-                });
                 self.catalog.bump_generation();
                 Ok(QueryResult::message(format!(
                     "index `{name}` dropped from `{table}`"
@@ -724,10 +694,6 @@ impl Database {
                 self.catalog
                     .table_mut(&table)?
                     .create_seq_index(&name, &column, kind)?;
-                self.txn.push(UndoOp::UnCreateSeqIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                });
                 self.catalog.bump_generation();
                 Ok(QueryResult::message(format!(
                     "sequence index `{name}` ({}) created on `{table}`",
@@ -736,22 +702,7 @@ impl Database {
             }
             Statement::DropSequenceIndex { name, table } => {
                 self.require_owner(&table, user)?;
-                // resolve column + kind first: rollback recreates the
-                // index by backfilling over that column with that backend
-                let (column, kind) = {
-                    let t = self.catalog.table(&table)?;
-                    let sidx = t.seq_index_named(&name).ok_or_else(|| {
-                        BdbmsError::not_found(format!("sequence index `{name}` on `{table}`"))
-                    })?;
-                    (t.schema.columns()[sidx.column].name.clone(), sidx.kind)
-                };
                 self.catalog.table_mut(&table)?.drop_seq_index(&name)?;
-                self.txn.push(UndoOp::UnDropSeqIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                    column,
-                    kind,
-                });
                 self.catalog.bump_generation();
                 Ok(QueryResult::message(format!(
                     "sequence index `{name}` dropped from `{table}`"
@@ -815,7 +766,7 @@ impl Database {
                     return Err(BdbmsError::unauthorized("only admin may create users"));
                 }
                 self.auth.create_user(&name, &groups)?;
-                self.redo(|| crate::durability::WalRecord::UserCreate {
+                self.txn.record_redo(|| WalRecord::UserCreate {
                     name: name.clone(),
                     groups: groups.clone(),
                 });
@@ -828,7 +779,7 @@ impl Database {
             } => {
                 self.require_owner(&table, user)?;
                 self.auth.grant(&to, &table, &privileges);
-                self.redo(|| crate::durability::WalRecord::Grant {
+                self.txn.record_redo(|| WalRecord::Grant {
                     grantee: to.clone(),
                     table: table.clone(),
                     privileges: privileges.clone(),
@@ -844,7 +795,7 @@ impl Database {
             } => {
                 self.require_owner(&table, user)?;
                 self.auth.revoke(&from, &table, &privileges);
-                self.redo(|| crate::durability::WalRecord::Revoke {
+                self.txn.record_redo(|| WalRecord::Revoke {
                     grantee: from.clone(),
                     table: table.clone(),
                     privileges: privileges.clone(),
@@ -866,7 +817,7 @@ impl Database {
                     Some(columns)
                 };
                 self.approval.start(&table, cols.clone(), &approved_by);
-                self.redo(|| crate::durability::WalRecord::ApprovalStart {
+                self.txn.record_redo(|| WalRecord::ApprovalStart {
                     table: table.clone(),
                     columns: cols,
                     approver: approved_by.clone(),
@@ -878,7 +829,7 @@ impl Database {
             Statement::StopContentApproval { table, columns } => {
                 self.require_owner(&table, user)?;
                 self.approval.stop(&table, &columns);
-                self.redo(|| crate::durability::WalRecord::ApprovalStop {
+                self.txn.record_redo(|| WalRecord::ApprovalStop {
                     table: table.clone(),
                     columns: columns.clone(),
                 });
@@ -964,11 +915,13 @@ impl Database {
                 }
                 let pos = self.deps.rule_position(&name).unwrap_or(0);
                 let rule = self.deps.drop_rule(&name)?;
-                self.txn.push(UndoOp::UnDropRule {
-                    pos,
-                    rule: Box::new(rule),
-                });
-                self.redo(|| crate::durability::WalRecord::RuleDrop { name: name.clone() });
+                self.txn.record(
+                    || WalRecord::RuleDrop { name: name.clone() },
+                    || UndoOp::UnDropRule {
+                        pos,
+                        rule: Box::new(rule),
+                    },
+                );
                 Ok(QueryResult::message(format!("rule `{name}` dropped")))
             }
             Statement::Analyze { table } => {
@@ -1020,9 +973,9 @@ impl Database {
     /// (`crate::ingest`), and a durable database commits the load by
     /// writing a checkpoint image before the implicit transaction ends:
     /// nothing reaches the WAL.  Rollback on failure — of the load or of
-    /// the checkpoint — is the pushed `UnBulkLoad` op (truncate the
-    /// appended rows) plus the first-touch snapshot (restore stats /
-    /// allocator / bitmap) — pushed first, so applied last.
+    /// the checkpoint — is the recorded `UnBulkLoad` inverse (truncate
+    /// the appended rows) plus the first-touch snapshot (restore stats /
+    /// allocator / bitmap size) — recorded first, so applied last.
     fn do_copy(
         &mut self,
         table: &str,
@@ -1041,18 +994,17 @@ impl Database {
         let format = crate::ingest::resolve_format(std::path::Path::new(path), format);
         self.rec_touch_table(table);
         let first_row = self.catalog.table(table)?.peek_next_row();
-        self.txn.push(UndoOp::UnBulkLoad {
+        self.txn.record_undo(|| UndoOp::UnBulkLoad {
             table: table.to_string(),
             first_row,
         });
-        // the bulk path logs no redo: suspend the sink so nothing
-        // incidental leaks in
-        self.txn.redo_suspend();
+        // the bulk path logs nothing: the inverse above covers every row
+        self.txn.suspend();
         let loaded = self
             .catalog
             .table_mut(table)
             .and_then(|t| crate::ingest::bulk_load(t, std::path::Path::new(path), format));
-        self.txn.redo_resume();
+        self.txn.resume();
         let rows = loaded?;
         // new rows + rebuilt stats invalidate cached plans
         self.catalog.bump_generation();
@@ -1060,7 +1012,7 @@ impl Database {
             // the checkpoint is the commit: the image holds the load once
             // the rename succeeds.  A redo record left in the buffer would
             // reach the WAL above the image's frontier and apply twice.
-            assert_eq!(self.txn.redo_sink().borrow().len(), 0, "COPY logs no redo");
+            assert!(!self.txn.has_redo(), "COPY logs no redo");
             self.checkpoint_inner().map_err(|e| {
                 BdbmsError::new(
                     e.code(),
@@ -1091,29 +1043,32 @@ impl Database {
                 .collect(),
         )?;
         let mut table = Table::create(name.clone(), schema, user, self.pool.clone())?;
-        // durable databases share one redo sink across every table
-        table.set_redo(self.txn.redo_sink());
-        self.redo(|| crate::durability::WalRecord::TableCreate {
-            name: table.name.clone(),
-            owner: table.owner.clone(),
-            schema: table.schema.clone(),
-        });
+        table.attach_log(self.txn.log());
         self.catalog.add_table(table)?;
-        self.txn.push(UndoOp::UnCreateTable { name: name.clone() });
+        let t = self.catalog.table(&name)?;
+        self.txn.record(
+            || WalRecord::TableCreate {
+                name: t.name.clone(),
+                owner: t.owner.clone(),
+                schema: t.schema.clone(),
+            },
+            || UndoOp::Replay(WalRecord::TableDrop { name: name.clone() }),
+        );
         Ok(QueryResult::message(format!("table `{name}` created")))
     }
 
     fn drop_table(&mut self, name: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(name, user)?;
-        // the dropped table moves into the undo log wholesale: rollback
-        // puts it back byte-identical (heap, indexes, annotations, stats)
+        // the dropped table moves into the log wholesale: rollback puts
+        // it back byte-identical (heap, indexes, annotations, stats)
         let table = self.catalog.drop_table(name)?;
-        self.redo(|| crate::durability::WalRecord::TableDrop {
-            name: table.name.clone(),
-        });
-        self.txn.push(UndoOp::UnDropTable {
-            table: Box::new(table),
-        });
+        let dropped = table.name.clone();
+        self.txn.record(
+            || WalRecord::TableDrop { name: dropped },
+            || UndoOp::UnDropTable {
+                table: Box::new(table),
+            },
+        );
         Ok(QueryResult::message(format!("table `{name}` dropped")))
     }
 
@@ -1132,10 +1087,6 @@ impl Database {
             )));
         }
         table.add_ann_set(AnnotationSet::new(name, cell_scheme));
-        self.txn.push(UndoOp::UnCreateAnnSet {
-            table: on.to_string(),
-            set: name.to_string(),
-        });
         Ok(QueryResult::message(format!(
             "annotation table `{name}` created on `{on}`"
         )))
@@ -1143,19 +1094,7 @@ impl Database {
 
     fn drop_annotation_table(&mut self, name: &str, on: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(on, user)?;
-        let table = self.catalog.table_mut(on)?;
-        let pos = table
-            .ann_sets
-            .iter()
-            .position(|s| s.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| BdbmsError::not_found(format!("annotation table `{name}` on `{on}`")))?;
-        // like DROP TABLE, the set moves into the undo log wholesale
-        let set = table.remove_ann_set_at(pos);
-        self.txn.push(UndoOp::UnDropAnnSet {
-            table: on.to_string(),
-            pos,
-            set: Box::new(set),
-        });
+        self.catalog.table_mut(on)?.drop_ann_set(name)?;
         Ok(QueryResult::message(format!(
             "annotation table `{name}` dropped from `{on}`"
         )))
@@ -1175,24 +1114,14 @@ impl Database {
         let t = self.catalog.table_mut(table)?;
         let row_no = t.insert(values)?;
         let all_cols: Vec<String> = t.schema.names().iter().map(|s| s.to_string()).collect();
-        self.txn.push(UndoOp::UnInsert {
-            table: table.to_string(),
-            row_no,
-        });
         // content approval (§6)
         if self.approval.monitors(table, &all_cols) && !self.is_approver(user, table) {
-            let time = self.clock.now();
-            self.rec_touch_approval();
-            let id = self.approval.log_operation(
+            self.log_for_approval(
                 table,
                 user,
-                time,
                 format!("INSERT INTO {table} (row {row_no})"),
                 InverseOp::DeleteRow { row_no },
             );
-            self.redo(|| crate::durability::WalRecord::ApprovalLogged {
-                op: self.approval.get(id).expect("just logged").clone(),
-            });
         }
         // dependency cascade: the new row may feed *computable* derived
         // cells; it never outdates values supplied with the fresh row
@@ -1239,13 +1168,6 @@ impl Database {
         self.rec_touch_table(table);
         let mut touched = Vec::with_capacity(plans.len());
         for (row_no, old_values, new_values, old) in plans {
-            // the undo log keeps the full old image: rollback restores
-            // the row (and its index entries) in one logical op
-            self.txn.push(UndoOp::UnUpdate {
-                table: table.to_string(),
-                row_no,
-                old: old_values.clone(),
-            });
             let t = self.catalog.table_mut(table)?;
             // the row-selection pass already materialized the old values,
             // so index maintenance needs no heap re-read
@@ -1256,12 +1178,9 @@ impl Database {
                 t.clear_outdated(row_no, col);
             }
             if monitored {
-                let time = self.clock.now();
-                self.rec_touch_approval();
-                let id = self.approval.log_operation(
+                self.log_for_approval(
                     table,
                     user,
-                    time,
                     format!(
                         "UPDATE {table} SET {} (row {row_no})",
                         touched_names.join(", ")
@@ -1271,9 +1190,6 @@ impl Database {
                         old: old.clone(),
                     },
                 );
-                self.redo(|| crate::durability::WalRecord::ApprovalLogged {
-                    op: self.approval.get(id).expect("just logged").clone(),
-                });
             }
             for &(col, _) in &old {
                 self.cascade(table, row_no, col, CascadeMode::Update)?;
@@ -1318,25 +1234,13 @@ impl Database {
                 time,
                 user: user.to_string(),
             });
-            // rollback re-inserts the image; the deletion-log entry is
-            // retired by the table snapshot's log watermark
-            self.txn.push(UndoOp::UnDelete {
-                table: table.to_string(),
-                row_no,
-                values: values.clone(),
-            });
             if monitored {
-                self.rec_touch_approval();
-                let id = self.approval.log_operation(
+                self.log_for_approval(
                     table,
                     user,
-                    time,
                     format!("DELETE FROM {table} (row {row_no})"),
                     InverseOp::InsertRow { row_no, values },
                 );
-                self.redo(|| crate::durability::WalRecord::ApprovalLogged {
-                    op: self.approval.get(id).expect("just logged").clone(),
-                });
             }
         }
         Ok(victims)
@@ -1392,16 +1296,11 @@ impl Database {
                     if dst_values[dst_col] != new_value {
                         let old = dst_values.clone();
                         dst_values[dst_col] = new_value;
-                        dt.update(dst_row, dst_values)?;
+                        dt.update_with_old(dst_row, &old, dst_values)?;
                         // recomputed: the cell is current again (Figure 10:
                         // PSequence bits stay 0); downstream saw a genuine
                         // modification, so continue in Update mode
                         dt.clear_outdated(dst_row, dst_col);
-                        self.txn.push(UndoOp::UnUpdate {
-                            table: rule.dst_table.clone(),
-                            row_no: dst_row,
-                            old,
-                        });
                         self.cascade(&rule.dst_table, dst_row, dst_col, CascadeMode::Update)?;
                     } else {
                         dt.clear_outdated(dst_row, dst_col);
@@ -1536,13 +1435,15 @@ impl Database {
         };
         let prev_next_id = self.deps.next_rule_id();
         self.deps.add_rule(rule)?;
-        self.txn.push(UndoOp::UnAddRule {
-            name: name.clone(),
-            prev_next_id,
-        });
-        self.redo(|| crate::durability::WalRecord::RuleAdd {
-            rule: self.deps.rule_by_name(&name).expect("just added").clone(),
-        });
+        self.txn.record(
+            || WalRecord::RuleAdd {
+                rule: self.deps.rule_by_name(&name).expect("just added").clone(),
+            },
+            || UndoOp::UnAddRule {
+                name: name.clone(),
+                prev_next_id,
+            },
+        );
         Ok(QueryResult::message(format!(
             "dependency rule `{name}` created"
         )))
@@ -1567,18 +1468,19 @@ impl Database {
                 op.table
             )));
         }
-        // a failing inverse execution rolls back with the statement, so
-        // the decision's status flip must be undoable too
-        self.txn.push(UndoOp::RestoreOpStatus {
-            id: op.id,
-            status: op.status,
-        });
         let decided = self
             .approval
             .decide(bdbms_common::ids::OperationId(id), approve)?;
         // replay only re-flips the status: the inverse execution below
-        // emits its own row-level records
-        self.redo(|| crate::durability::WalRecord::ApprovalDecide { id, approve });
+        // records its own row-level changes.  A failing inverse execution
+        // rolls back with the statement, so the flip is undoable too.
+        self.txn.record(
+            || WalRecord::ApprovalDecide { id, approve },
+            || UndoOp::RestoreOpStatus {
+                id: op.id,
+                status: op.status,
+            },
+        );
         if approve {
             return Ok(QueryResult::message(format!("operation {id} approved")));
         }
@@ -1597,24 +1499,15 @@ impl Database {
                 let values = t.delete(row_no)?;
                 t.push_deleted(DeletedRow {
                     row_no,
-                    values: values.clone(),
+                    values,
                     annotation: Some(format!("disapproved operation {id}")),
                     time,
                     user: user.to_string(),
-                });
-                self.txn.push(UndoOp::UnDelete {
-                    table: decided.table.clone(),
-                    row_no,
-                    values,
                 });
             }
             InverseOp::InsertRow { row_no, values } => {
                 let t = self.catalog.table_mut(&decided.table)?;
                 t.insert_with_row_no(row_no, values)?;
-                self.txn.push(UndoOp::UnInsert {
-                    table: decided.table.clone(),
-                    row_no,
-                });
                 let arity = self.catalog.table(&decided.table)?.schema.arity();
                 for col in 0..arity {
                     self.cascade(&decided.table, row_no, col, CascadeMode::Update)?;
@@ -1623,16 +1516,10 @@ impl Database {
             InverseOp::RestoreCells { row_no, old } => {
                 let t = self.catalog.table_mut(&decided.table)?;
                 let mut values = t.get(row_no)?;
-                let pre_patch = values.clone();
                 for (col, v) in &old {
                     values[*col] = v.clone();
                 }
                 t.update(row_no, values)?;
-                self.txn.push(UndoOp::UnUpdate {
-                    table: decided.table.clone(),
-                    row_no,
-                    old: pre_patch,
-                });
                 for (col, _) in &old {
                     self.cascade(&decided.table, row_no, *col, CascadeMode::Update)?;
                 }
@@ -1733,7 +1620,6 @@ impl Database {
         let time = self.clock.now();
         let mut added = 0;
         for (t, s) in &to {
-            self.rec_touch_ann_set(t, s);
             let table = self.catalog.table_mut(t)?;
             table
                 .ann_add(s, value, user, time, &rows, &cols)
@@ -1773,8 +1659,6 @@ impl Database {
                 )));
             }
             self.check_ann_write(user, t, s)?;
-            // the snapshot's archived flags cover the state flips
-            self.rec_touch_ann_set(t, s);
             let table = self.catalog.table_mut(t)?;
             changed += table
                 .ann_set_archived(s, &cells, between, archive)
@@ -1836,8 +1720,6 @@ impl Database {
             .into_iter()
             .map(|(row_no, _)| row_no)
             .collect();
-        // the snapshot's outdated bitmap covers the cleared bits
-        self.rec_touch_table(table);
         let t = self.catalog.table_mut(table)?;
         let mut cleared = 0;
         for row_no in targets {
@@ -1855,21 +1737,10 @@ impl Database {
 
     // ---- provenance API (§4) ----
 
-    /// Create the provenance set if missing, with its undo record.
-    /// Runs inside whatever transaction the caller holds open.
+    /// Create the provenance set if missing (logged like any set
+    /// creation).  Runs inside whatever transaction the caller holds open.
     fn ensure_provenance_inner(&mut self, table: &str) -> Result<()> {
-        let (name, created) = {
-            let t = self.catalog.table_mut(table)?;
-            let created = t.ann_set(provenance::PROVENANCE_TABLE).is_none();
-            provenance::ensure_provenance_set(t);
-            (t.name.clone(), created)
-        };
-        if created {
-            self.txn.push(UndoOp::UnCreateAnnSet {
-                table: name,
-                set: provenance::PROVENANCE_TABLE.to_string(),
-            });
-        }
+        provenance::ensure_provenance_set(self.catalog.table_mut(table)?);
         Ok(())
     }
 
@@ -1883,7 +1754,7 @@ impl Database {
     /// Record a provenance annotation over cells (system path — this is
     /// what integration tools call; end users go through A-SQL and hit
     /// the PROVENANCE privilege check).  Inside an open transaction the
-    /// attachment joins the undo log: a rollback removes it.  Outside
+    /// attachment joins the transaction log: a rollback removes it.  Outside
     /// one it commits (and WAL-logs) on its own.
     pub fn record_provenance(
         &mut self,
@@ -1894,7 +1765,6 @@ impl Database {
     ) -> Result<()> {
         self.with_implicit(|db| {
             db.ensure_provenance_inner(table)?;
-            db.rec_touch_ann_set(table, provenance::PROVENANCE_TABLE);
             let time = db.clock.tick();
             let t = db.catalog.table_mut(table)?;
             t.ann_add(

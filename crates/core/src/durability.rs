@@ -20,12 +20,14 @@
 //! auth and approval state, and the logical clock.
 //!
 //! **The WAL** holds logical redo records for every transaction committed
-//! since that checkpoint.  Records are buffered in memory while a
-//! transaction runs — mirroring the undo log's watermark discipline, so a
-//! `ROLLBACK` (or a failed statement, or `ROLLBACK TO SAVEPOINT`) simply
-//! truncates the buffer — and are appended + flushed at commit, *before*
-//! the commit is acknowledged.  Under [`Durability::Full`] the flush
-//! fsyncs; under [`Durability::NoSync`] it only reaches the OS.
+//! since that checkpoint.  While a transaction runs, each record sits in
+//! the transaction log (`crate::txn`) next to its change's inverse, so a
+//! `ROLLBACK` (or a failed statement, or `ROLLBACK TO SAVEPOINT`) drops
+//! both halves at once; the surviving records are appended + flushed at
+//! commit, *before* the commit is acknowledged.  Under
+//! [`Durability::Full`] the flush fsyncs; under [`Durability::NoSync`] it
+//! only reaches the OS.  Rollback applies the inverses through
+//! `Database::apply_wal_record`, the path replay takes.
 //!
 //! **WAL-before-data**: the buffer pool backing a durable database runs
 //! in no-steal mode (`pin_dirty`) — dirty data pages are never written
@@ -65,11 +67,9 @@
 //!
 //! See `docs/STORAGE.md` for the byte-level formats.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,79 +102,6 @@ pub(crate) const WAL_DIR: &str = "wal";
 const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 // v2: per-table sequence-index definitions appended to the snapshot
 const FORMAT_VERSION: u32 = 2;
-
-// ---------------------------------------------------------------------
-// Redo buffering
-// ---------------------------------------------------------------------
-
-/// The per-connection redo buffer: logical [`WalRecord`]s accumulated by
-/// the open transaction.  Shared (via [`RedoSink`]) between the
-/// transaction runtime (watermark truncation), every [`Table`] (row and
-/// annotation mutations), and the [`Database`] (DDL, auth, approval).
-///
-/// Disabled for in-memory databases: `push` then never builds the record
-/// (the closure is not called), so the legacy paths pay one branch.
-pub(crate) struct RedoLog {
-    recs: Vec<WalRecord>,
-    /// Records are only collected when enabled (durable databases).
-    pub(crate) enabled: bool,
-    /// Non-zero while rollback applies undo ops: their table-level
-    /// mutations must not re-log (the rolled-back records were already
-    /// truncated from the buffer).
-    suspended: u32,
-}
-
-impl RedoLog {
-    /// Append a record (built lazily) unless disabled or suspended.
-    pub(crate) fn push(&mut self, build: impl FnOnce() -> WalRecord) {
-        if self.enabled && self.suspended == 0 {
-            self.recs.push(build());
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.recs.len()
-    }
-
-    pub(crate) fn truncate(&mut self, len: usize) {
-        self.recs.truncate(len);
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.recs.clear();
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<WalRecord> {
-        std::mem::take(&mut self.recs)
-    }
-
-    pub(crate) fn suspend(&mut self) {
-        self.suspended += 1;
-    }
-
-    pub(crate) fn resume(&mut self) {
-        debug_assert!(self.suspended > 0);
-        self.suspended -= 1;
-    }
-}
-
-/// Shared handle to a [`RedoLog`].
-pub(crate) type RedoSink = Rc<RefCell<RedoLog>>;
-
-/// A fresh, collecting-capable sink (the transaction runtime owns one).
-pub(crate) fn fresh_redo_sink() -> RedoSink {
-    Rc::new(RefCell::new(RedoLog {
-        recs: Vec::new(),
-        enabled: false,
-        suspended: 0,
-    }))
-}
-
-/// The default sink a standalone [`Table`] starts with (disabled; the
-/// engine swaps in the shared sink for durable databases).
-pub(crate) fn disabled_redo_sink() -> RedoSink {
-    fresh_redo_sink()
-}
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -1256,7 +1183,7 @@ fn decode_snapshot_mode(
         log.push(get_logged_op(&mut cur)?);
     }
     let next_op_id = cur.u64()?;
-    db.approval = ApprovalManager::restore(configs, log, next_op_id);
+    db.approval = ApprovalManager::restore(configs, log, next_op_id)?;
 
     let n = cur.len()?;
     let mut rules = Vec::with_capacity(n);
@@ -1417,7 +1344,7 @@ impl Database {
         // the first checkpoint writes the empty image and swaps the pool
         // onto the new FileStore
         db.checkpoint_inner()?;
-        db.attach_redo();
+        db.attach_log();
         Ok(db)
     }
 
@@ -1503,7 +1430,7 @@ impl Database {
             // replayable behind the next commit
             db.checkpoint_inner()?;
         }
-        db.attach_redo();
+        db.attach_log();
         Ok(db)
     }
 
@@ -1617,9 +1544,10 @@ impl Database {
         Ok(())
     }
 
-    /// Apply one committed redo record against the live state, through
-    /// the same engine methods that produced it.
-    fn apply_wal_record(&mut self, rec: WalRecord) -> Result<()> {
+    /// Apply one redo record against the live state, through the same
+    /// engine methods that produced it: committed records on replay, and
+    /// inverses on rollback (`crate::txn`).
+    pub(crate) fn apply_wal_record(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
             WalRecord::RowInsert {
                 table,
@@ -1689,15 +1617,7 @@ impl Database {
                 self.catalog.table_mut(&table)?.add_ann_set(s);
             }
             WalRecord::AnnSetDrop { table, set } => {
-                let t = self.catalog.table_mut(&table)?;
-                let pos = t
-                    .ann_sets
-                    .iter()
-                    .position(|s| s.name.eq_ignore_ascii_case(&set))
-                    .ok_or_else(|| {
-                        BdbmsError::not_found(format!("annotation table `{set}` on `{table}`"))
-                    })?;
-                t.remove_ann_set_at(pos);
+                self.catalog.table_mut(&table)?.drop_ann_set(&set)?;
             }
             WalRecord::AnnAdd {
                 table,
@@ -1760,7 +1680,7 @@ impl Database {
                 self.approval.stop(&table, &columns);
             }
             WalRecord::ApprovalLogged { op } => {
-                self.approval.restore_log_entry(op);
+                self.approval.restore_log_entry(op)?;
             }
             WalRecord::ApprovalDecide { id, approve } => {
                 self.approval
@@ -1792,12 +1712,12 @@ impl Database {
         Ok(())
     }
 
-    /// Enable redo collection and share the sink with every table.
-    fn attach_redo(&mut self) {
-        let sink = self.txn.redo_sink();
-        sink.borrow_mut().enabled = true;
+    /// Build redo records from now on and attach every table to the
+    /// transaction log.
+    fn attach_log(&mut self) {
+        self.txn.set_durable();
         for t in self.catalog.tables_mut() {
-            t.set_redo(sink.clone());
+            t.attach_log(self.txn.log());
         }
         self.register_wal_metrics();
     }
@@ -1805,7 +1725,7 @@ impl Database {
     /// Publish the WAL's instruments (owned by [`Wal`], which lives in
     /// the storage crate and knows nothing of the registry) under their
     /// engine-wide names.  Every durable open/create path funnels through
-    /// [`attach_redo`](Self::attach_redo), so this runs exactly once per
+    /// [`attach_log`](Self::attach_log), so this runs exactly once per
     /// attached WAL.
     fn register_wal_metrics(&self) {
         let Some(ps) = &self.storage else { return };
@@ -1964,7 +1884,7 @@ impl Database {
         if self.storage.is_none() {
             return Ok(());
         }
-        let recs = self.txn.redo_take();
+        let recs = self.txn.take_redo();
         if recs.is_empty() {
             return Ok(()); // read-only transaction: no WAL traffic
         }

@@ -41,7 +41,7 @@
 //! Sessions also drive the transaction state machine:
 //! `BEGIN`/`COMMIT`/`ROLLBACK` and savepoints flow through
 //! [`Session::run`]/[`Session::execute`] (or the method mirrors
-//! [`Session::begin`] and friends), with the undo log living on the
+//! [`Session::begin`] and friends), with the transaction log living on the
 //! [`Database`] — see `docs/TRANSACTIONS.md` and [`crate::txn`].
 
 use std::cell::RefCell;

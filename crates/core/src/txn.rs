@@ -1,32 +1,48 @@
-//! Session-level transactions: the logical undo log.
+//! Session-level transactions: the one transaction log.
 //!
 //! bdbms targets curated biological databases where base data,
 //! annotations, provenance, and derived cells must change together or
 //! not at all (§3–§5 of the paper).  This module supplies the mechanism:
-//! a **logical undo log** that records, for every mutation the engine
-//! performs, the inverse operation needed to put the catalog back
-//! exactly — row images for DML, moved-out objects for `DROP`s,
+//! a **transaction log** of `LogEntry`s, one per change the engine
+//! makes, each holding
+//!
+//! * the change's **redo** `WalRecord` — built lazily, and only for a
+//!   durable database; commit hands these to the WAL in order — and
+//! * its **inverse** `UndoOp`.  Most inverses are themselves
+//!   `WalRecord`s (an insert's inverse is a `RowDelete`, a delete's a
+//!   `RowInsert` of the old image, an update's a `RowUpdate` back to it,
+//!   an outdated mark's an `OutdatedClear`, `CREATE INDEX`'s an
+//!   `IndexDrop`), so rollback applies them through
+//!   `Database::apply_wal_record`, the code crash recovery replays with.
+//!
+//! The mutator that emits the redo record records the inverse in the
+//! same call, so the two halves cannot drift apart.  A few inverses
+//! have no redo twin and stay undo-only: objects moved out by `DROP
+//! TABLE` / `DROP ANNOTATION TABLE` / `DROP DEPENDENCY RULE`, the
+//! archived flags an `ARCHIVE` flipped, `COPY`'s row truncation, id
 //! watermarks for append-only structures (annotation sets, the approval
-//! log, the deletion log), and first-touch snapshots for state that has
-//! no cheap logical inverse (planner statistics, whose KMV sketch cannot
-//! retract observations, the outdated-cell bitmaps, and row-number
-//! allocation).
+//! log), and one first-touch table snapshot per frame for state with no
+//! cheap logical inverse: planner statistics (a KMV sketch cannot
+//! retract an observation), the row-number allocator, the deletion-log
+//! length and the outdated bitmap's row count.
 //!
 //! ## How rollback works
 //!
-//! `TxnRuntime` accumulates `UndoOp`s while a transaction (explicit
-//! `BEGIN…COMMIT`, or the implicit one wrapped around every standalone
-//! statement) is open.  Rollback applies the recorded ops **in reverse
-//! order**; snapshots are pushed *before* the first mutation they cover,
-//! so in reverse order they apply last and settle the final state.
+//! Rollback takes the entries past a watermark and applies their
+//! inverses **newest first**, with the log suspended so the replayed
+//! mutations record nothing.  Snapshots are recorded *before* the first
+//! mutation they cover, so in reverse order they apply last and settle
+//! the final state.  The redo halves of the taken entries simply vanish:
+//! they describe work that no longer survives, so the WAL never sees
+//! them.
 //!
-//! Savepoints and statement boundaries are watermarks into the op list.
-//! At every watermark the first-touch sets are reset, so the next
+//! Savepoints and statement boundaries are watermarks (log lengths).
+//! At every watermark the first-touch set is reset, so the next
 //! mutation of a table re-snapshots it *at the watermark's state* —
 //! which is exactly what a partial rollback must restore.  Extra
 //! snapshots are harmless (an older snapshot applied after a newer one
-//! wins, and both describe the same restore point for the ops between
-//! them).
+//! wins, and both describe the same restore point for the entries
+//! between them).
 //!
 //! ## What is (and is not) transactional
 //!
@@ -44,17 +60,18 @@
 //! INDEX` that was rolled back) can never be replayed against the
 //! restored catalog.  See `docs/TRANSACTIONS.md`.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 
-use bdbms_common::bitmap::CellBitmap;
-use bdbms_common::ids::OperationId;
-use bdbms_common::Value;
+use bdbms_common::ids::{AnnotationId, OperationId};
 
 use crate::annotation::AnnotationSet;
-use crate::approval::{ApprovalManager, OpStatus};
-use crate::catalog::{Catalog, Table};
-use crate::dependency::{DependencyManager, DependencyRule};
-use crate::durability::{fresh_redo_sink, RedoSink, WalRecord};
+use crate::approval::OpStatus;
+use crate::catalog::Table;
+use crate::database::Database;
+use crate::dependency::DependencyRule;
+use crate::durability::WalRecord;
 use crate::stats::TableStats;
 
 /// Observable state of the transaction machinery (see
@@ -70,63 +87,34 @@ pub enum TxnStatus {
     },
 }
 
-/// One recorded inverse operation.  Applied in reverse recording order
-/// by rollback; every application is tolerant of objects that earlier
+/// One recorded inverse.  Applied in reverse recording order by
+/// rollback; every application is tolerant of objects that earlier
 /// undo steps (or the recorded history itself) already removed.
 pub(crate) enum UndoOp {
-    /// Undo an INSERT: delete the row again.
-    UnInsert { table: String, row_no: u64 },
-    /// Undo a DELETE: re-insert the old tuple under its old row number
-    /// (the deletion-log entry is retired by the table snapshot).
-    UnDelete {
-        table: String,
-        row_no: u64,
-        values: Vec<Value>,
-    },
-    /// Undo an UPDATE (or a dependency-cascade recompute): restore the
-    /// old row image.
-    UnUpdate {
-        table: String,
-        row_no: u64,
-        old: Vec<Value>,
-    },
-    /// Undo `CREATE TABLE`.
-    UnCreateTable { name: String },
+    /// An inverse that is itself a redo record, applied through the
+    /// recovery replay path (`Database::apply_wal_record`).
+    Replay(WalRecord),
     /// Undo `DROP TABLE`: the dropped table is moved here wholesale and
     /// put back on rollback.
     UnDropTable { table: Box<Table> },
-    /// Undo `CREATE INDEX`.
-    UnCreateIndex { table: String, index: String },
-    /// Undo `DROP INDEX`: recreate and backfill.  Applied when the
-    /// table's rows are already back to their drop-time state, so the
-    /// backfill reproduces the dropped index exactly.
-    UnDropIndex {
-        table: String,
-        index: String,
-        column: String,
-    },
-    /// Undo `CREATE SEQUENCE INDEX`.
-    UnCreateSeqIndex { table: String, index: String },
-    /// Undo `DROP SEQUENCE INDEX`: recreate and backfill (same timing
-    /// contract as [`UndoOp::UnDropIndex`]).
-    UnDropSeqIndex {
-        table: String,
-        index: String,
-        column: String,
-        kind: crate::ast::SeqIndexKind,
-    },
     /// Undo a `COPY` bulk load: remove every row the load appended
     /// (they all sit at or above `first_row`).  The accompanying
-    /// first-touch snapshot restores stats / allocator / bitmap state.
+    /// first-touch snapshot restores stats / allocator / bitmap size.
     UnBulkLoad { table: String, first_row: u64 },
-    /// Undo `CREATE ANNOTATION TABLE`.
-    UnCreateAnnSet { table: String, set: String },
     /// Undo `DROP ANNOTATION TABLE`: the set is moved here and
     /// reinserted at its old position.
     UnDropAnnSet {
         table: String,
         pos: usize,
         set: Box<AnnotationSet>,
+    },
+    /// Undo `ARCHIVE` / `RESTORE ANNOTATION`: put back the flag of
+    /// exactly the annotations the statement flipped.
+    UnArchive {
+        table: String,
+        set: String,
+        ids: Vec<AnnotationId>,
+        archived: bool,
     },
     /// Undo `CREATE DEPENDENCY RULE` (restores the id allocator too).
     UnAddRule { name: String, prev_next_id: u64 },
@@ -136,28 +124,27 @@ pub(crate) enum UndoOp {
         rule: Box<DependencyRule>,
     },
     /// First-touch snapshot of a table's non-row state: planner stats
-    /// (the KMV sketch cannot retract), the outdated bitmap, the
-    /// row-number allocator, and the deletion-log length.
+    /// (the KMV sketch cannot retract), the row-number allocator, the
+    /// deletion-log length, and the outdated bitmap's row count (its
+    /// bits are restored by the marks' and clears' own inverses).
     RestoreTableState {
         table: String,
         stats: TableStats,
-        outdated: CellBitmap,
         next_row: u64,
         deleted_log_len: usize,
+        outdated_rows: usize,
     },
-    /// First-touch snapshot of an annotation set: the id watermark
-    /// (annotations at or past it are truncated, with their scheme
-    /// attachments) and the archived flags of the survivors.
+    /// Undo `ADD ANNOTATION`: truncate the set at its id watermark
+    /// (annotations at or past it go, with their scheme attachments).
     RestoreAnnSet {
         table: String,
         set: String,
         next_id: u64,
-        flags: Vec<(u64, bool)>,
     },
-    /// First-touch snapshot of the approval log (length + id allocator).
+    /// Undo an approval-log append (length + id allocator).
     RestoreApprovalLog { len: usize, next_id: u64 },
     /// Undo an approval decision's status flip (the data changes of the
-    /// executed inverse are undone by their own row ops).
+    /// executed inverse are undone by their own entries).
     RestoreOpStatus { id: OperationId, status: OpStatus },
 }
 
@@ -166,75 +153,18 @@ impl UndoOp {
     /// objects are skipped: they can only be missing because the
     /// recorded history already accounts for them (e.g. a row op on a
     /// table the same rollback later un-creates).
-    pub(crate) fn apply(
-        self,
-        catalog: &mut Catalog,
-        deps: &mut DependencyManager,
-        approval: &mut ApprovalManager,
-    ) {
+    pub(crate) fn apply(self, db: &mut Database) {
+        let catalog = &mut db.catalog;
         match self {
-            UndoOp::UnInsert { table, row_no } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.delete(row_no);
-                }
-            }
-            UndoOp::UnDelete {
-                table,
-                row_no,
-                values,
-            } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.insert_with_row_no(row_no, values);
-                }
-            }
-            UndoOp::UnUpdate { table, row_no, old } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.update(row_no, old);
-                }
-            }
-            UndoOp::UnCreateTable { name } => {
-                let _ = catalog.drop_table(&name);
+            UndoOp::Replay(rec) => {
+                let _ = db.apply_wal_record(rec);
             }
             UndoOp::UnDropTable { table } => {
                 let _ = catalog.add_table(*table);
             }
-            UndoOp::UnCreateIndex { table, index } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.drop_index(&index);
-                }
-            }
-            UndoOp::UnDropIndex {
-                table,
-                index,
-                column,
-            } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.create_index(&index, &column);
-                }
-            }
-            UndoOp::UnCreateSeqIndex { table, index } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.drop_seq_index(&index);
-                }
-            }
-            UndoOp::UnDropSeqIndex {
-                table,
-                index,
-                column,
-                kind,
-            } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    let _ = t.create_seq_index(&index, &column, kind);
-                }
-            }
             UndoOp::UnBulkLoad { table, first_row } => {
                 if let Ok(t) = catalog.table_mut(&table) {
                     let _ = t.truncate_rows_from(first_row);
-                }
-            }
-            UndoOp::UnCreateAnnSet { table, set } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    t.ann_sets.retain(|s| !s.name.eq_ignore_ascii_case(&set));
                 }
             }
             UndoOp::UnDropAnnSet { table, pos, set } => {
@@ -242,60 +172,141 @@ impl UndoOp {
                     t.ann_sets.insert(pos.min(t.ann_sets.len()), *set);
                 }
             }
+            UndoOp::UnArchive {
+                table,
+                set,
+                ids,
+                archived,
+            } => {
+                if let Some(s) = catalog
+                    .table_mut(&table)
+                    .ok()
+                    .and_then(|t| t.ann_set_mut(&set))
+                {
+                    s.restore_archived(&ids, archived);
+                }
+            }
             UndoOp::UnAddRule { name, prev_next_id } => {
-                let _ = deps.drop_rule(&name);
-                deps.set_next_rule_id(prev_next_id);
+                let _ = db.deps.drop_rule(&name);
+                db.deps.set_next_rule_id(prev_next_id);
             }
             UndoOp::UnDropRule { pos, rule } => {
-                deps.insert_rule_at(pos, *rule);
+                db.deps.insert_rule_at(pos, *rule);
             }
             UndoOp::RestoreTableState {
                 table,
                 stats,
-                outdated,
                 next_row,
                 deleted_log_len,
+                outdated_rows,
             } => {
                 if let Ok(t) = catalog.table_mut(&table) {
                     t.set_stats(stats);
-                    t.outdated = outdated;
                     t.set_next_row(next_row);
                     t.deleted_log.truncate(deleted_log_len);
+                    t.outdated.truncate_rows(outdated_rows);
                 }
             }
             UndoOp::RestoreAnnSet {
                 table,
                 set,
                 next_id,
-                flags,
             } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    if let Some(s) = t.ann_set_mut(&set) {
-                        s.rollback_to(next_id, &flags);
-                    }
+                if let Some(s) = catalog
+                    .table_mut(&table)
+                    .ok()
+                    .and_then(|t| t.ann_set_mut(&set))
+                {
+                    s.rollback_to(next_id);
                 }
             }
             UndoOp::RestoreApprovalLog { len, next_id } => {
-                approval.truncate_log(len, next_id);
+                db.approval.truncate_log(len, next_id);
             }
             UndoOp::RestoreOpStatus { id, status } => {
-                approval.set_status(id, status);
+                db.approval.set_status(id, status);
             }
         }
     }
 }
 
-/// A watermark into the transaction's two logs: the undo-op list and
-/// the redo-record buffer.  Savepoints and statement boundaries record
-/// one; partial rollback truncates both logs to it (the undo ops are
-/// applied, the redo records simply vanish — they describe work that no
-/// longer survives, so the WAL never sees them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TxnMark {
-    /// Position in the undo-op list.
-    pub(crate) ops: usize,
-    /// Position in the redo-record buffer.
-    pub(crate) redo: usize,
+/// One change of the open transaction: its redo record (durable
+/// databases only) and its inverse.  Either half may be absent — a
+/// change whose undo is a snapshot, or a non-transactional one, has no
+/// inverse of its own; a snapshot has no redo.
+pub(crate) struct LogEntry {
+    redo: Option<WalRecord>,
+    undo: Option<UndoOp>,
+}
+
+impl LogEntry {
+    /// The inverse half (rollback applies these newest first).
+    pub(crate) fn into_undo(self) -> Option<UndoOp> {
+        self.undo
+    }
+}
+
+/// The transaction log, shared (see [`SharedLog`]) between the
+/// transaction runtime (watermarks, commit, rollback), every [`Table`]
+/// (row, index, annotation and outdated-bit changes) and the
+/// [`Database`] (table DDL, rules, auth, approval).  A table not yet
+/// attached to a database holds a default one, which records nothing.
+#[derive(Default)]
+pub(crate) struct TxnLog {
+    entries: Vec<LogEntry>,
+    /// Build redo records (durable databases).
+    durable: bool,
+    /// A transaction (implicit or explicit) is open.
+    open: bool,
+    /// Non-zero while rollback applies inverses (their own mutations
+    /// must record nothing) or `COPY` loads (it commits by checkpoint,
+    /// and its one inverse truncates the whole load).
+    suspended: u32,
+}
+
+/// Shared handle to the [`TxnLog`].
+pub(crate) type SharedLog = Rc<RefCell<TxnLog>>;
+
+impl TxnLog {
+    fn recording(&self) -> bool {
+        self.open && self.suspended == 0
+    }
+
+    /// Record a change and its inverse, each built only when needed.
+    pub(crate) fn record(
+        &mut self,
+        redo: impl FnOnce() -> WalRecord,
+        undo: impl FnOnce() -> UndoOp,
+    ) {
+        if self.recording() {
+            let redo = self.durable.then(redo);
+            self.entries.push(LogEntry {
+                redo,
+                undo: Some(undo()),
+            });
+        }
+    }
+
+    /// Record a change whose inverse lives elsewhere (a snapshot or
+    /// watermark) or that has none (non-transactional statements).
+    pub(crate) fn record_redo(&mut self, redo: impl FnOnce() -> WalRecord) {
+        if self.recording() && self.durable {
+            self.entries.push(LogEntry {
+                redo: Some(redo()),
+                undo: None,
+            });
+        }
+    }
+
+    /// Record an inverse with no redo twin.
+    pub(crate) fn record_undo(&mut self, undo: impl FnOnce() -> UndoOp) {
+        if self.recording() {
+            self.entries.push(LogEntry {
+                redo: None,
+                undo: Some(undo()),
+            });
+        }
+    }
 }
 
 /// Mode of the transaction machinery.
@@ -309,26 +320,18 @@ enum Mode {
     Explicit,
 }
 
-/// The per-connection transaction runtime: mode, undo log, savepoint
+/// The per-connection transaction runtime: mode, the log, savepoint
 /// watermarks, and the first-touch bookkeeping that decides when a
-/// snapshot op must be pushed.  Owned by [`crate::Database`]; driven by
-/// the [`crate::Session`] state machine.
+/// table snapshot must be recorded.  Owned by [`crate::Database`];
+/// driven by the [`crate::Session`] state machine.
 pub(crate) struct TxnRuntime {
     mode: Mode,
-    ops: Vec<UndoOp>,
-    /// The redo buffer shared with every table and the database (see
-    /// `crate::durability`): logical WAL records of the open
-    /// transaction, drained at commit, truncated by rollback.
-    redo: RedoSink,
+    log: SharedLog,
     /// Savepoint stack: `(lowercased name, watermark)`.  Names may
     /// shadow; lookups find the most recent.
-    savepoints: Vec<(String, TxnMark)>,
+    savepoints: Vec<(String, usize)>,
     /// Tables snapshotted since the last watermark (lowercased names).
     touched_tables: HashSet<String>,
-    /// Annotation sets snapshotted since the last watermark.
-    touched_sets: HashSet<(String, String)>,
-    /// Approval log snapshotted since the last watermark?
-    touched_approval: bool,
     /// Tables with a *retained* snapshot since the last frame boundary
     /// (`BEGIN` / `SAVEPOINT` / `ROLLBACK TO`).  A later statement's
     /// snapshot of such a table only serves that statement's own
@@ -336,26 +339,22 @@ pub(crate) struct TxnRuntime {
     /// prunes it, so a long transaction holds one snapshot per table
     /// per frame instead of one per table per statement.
     frame_tables: HashSet<String>,
-    /// Annotation sets with a retained snapshot since the frame boundary.
-    frame_sets: HashSet<(String, String)>,
-    /// Approval log snapshot retained since the frame boundary?
-    frame_approval: bool,
 }
 
 impl TxnRuntime {
     pub(crate) fn new() -> TxnRuntime {
         TxnRuntime {
             mode: Mode::Idle,
-            ops: Vec::new(),
-            redo: fresh_redo_sink(),
+            log: SharedLog::default(),
             savepoints: Vec::new(),
             touched_tables: HashSet::new(),
-            touched_sets: HashSet::new(),
-            touched_approval: false,
             frame_tables: HashSet::new(),
-            frame_sets: HashSet::new(),
-            frame_approval: false,
         }
+    }
+
+    fn set_mode(&mut self, mode: Mode) {
+        self.mode = mode;
+        self.log.borrow_mut().open = mode != Mode::Idle;
     }
 
     /// Is any transaction (implicit or explicit) recording?
@@ -373,186 +372,163 @@ impl TxnRuntime {
         self.savepoints.len()
     }
 
-    /// Record one inverse op (no-op when idle).
-    pub(crate) fn push(&mut self, op: UndoOp) {
-        if self.recording() {
-            self.ops.push(op);
-        }
+    /// The shared log (tables attach to it).
+    pub(crate) fn log(&self) -> SharedLog {
+        self.log.clone()
     }
 
-    /// Should the caller push a first-touch table snapshot now?
+    /// Build redo records from now on (durable databases).
+    pub(crate) fn set_durable(&self) {
+        self.log.borrow_mut().durable = true;
+    }
+
+    /// See [`TxnLog::record`].
+    pub(crate) fn record(&self, redo: impl FnOnce() -> WalRecord, undo: impl FnOnce() -> UndoOp) {
+        self.log.borrow_mut().record(redo, undo);
+    }
+
+    /// See [`TxnLog::record_redo`].
+    pub(crate) fn record_redo(&self, redo: impl FnOnce() -> WalRecord) {
+        self.log.borrow_mut().record_redo(redo);
+    }
+
+    /// See [`TxnLog::record_undo`].
+    pub(crate) fn record_undo(&self, undo: impl FnOnce() -> UndoOp) {
+        self.log.borrow_mut().record_undo(undo);
+    }
+
+    /// Stop recording while rollback applies inverses or `COPY` loads.
+    pub(crate) fn suspend(&self) {
+        self.log.borrow_mut().suspended += 1;
+    }
+
+    /// Resume recording.
+    pub(crate) fn resume(&self) {
+        let mut log = self.log.borrow_mut();
+        debug_assert!(log.suspended > 0);
+        log.suspended -= 1;
+    }
+
+    /// Should the caller record a first-touch table snapshot now?
     /// (Registers the touch.)
     pub(crate) fn table_needs_snapshot(&mut self, table: &str) -> bool {
         self.recording() && self.touched_tables.insert(table.to_ascii_lowercase())
     }
 
-    /// Should the caller push a first-touch annotation-set snapshot now?
-    pub(crate) fn ann_set_needs_snapshot(&mut self, table: &str, set: &str) -> bool {
-        self.recording()
-            && self
-                .touched_sets
-                .insert((table.to_ascii_lowercase(), set.to_ascii_lowercase()))
-    }
-
-    /// Should the caller push a first-touch approval-log snapshot now?
-    pub(crate) fn approval_needs_snapshot(&mut self) -> bool {
-        if !self.recording() || self.touched_approval {
-            return false;
-        }
-        self.touched_approval = true;
-        true
-    }
-
-    /// A watermark covering the current point in both logs.  The
-    /// first-touch sets are reset so the next mutation re-snapshots at
-    /// this point's state (the invariant every partial rollback needs).
-    pub(crate) fn watermark(&mut self) -> TxnMark {
-        self.reset_touches();
-        TxnMark {
-            ops: self.ops.len(),
-            redo: self.redo.borrow().len(),
-        }
-    }
-
-    // ---- redo buffer plumbing (see `crate::durability`) ----
-
-    /// The shared redo sink (tables and the database clone this).
-    pub(crate) fn redo_sink(&self) -> RedoSink {
-        self.redo.clone()
-    }
-
-    /// Append a redo record (no-op when redo is disabled or suspended).
-    pub(crate) fn redo_push(&self, build: impl FnOnce() -> WalRecord) {
-        self.redo.borrow_mut().push(build);
-    }
-
-    /// Drain the redo buffer (commit hands the records to the WAL).
-    pub(crate) fn redo_take(&mut self) -> Vec<WalRecord> {
-        self.redo.borrow_mut().take()
-    }
-
-    /// Stop collecting while rollback applies undo ops (their table
-    /// mutations must not re-log) or `COPY` loads (it commits by
-    /// checkpoint, not by redo).
-    pub(crate) fn redo_suspend(&self) {
-        self.redo.borrow_mut().suspend();
-    }
-
-    /// Resume collecting after rollback.
-    pub(crate) fn redo_resume(&self) {
-        self.redo.borrow_mut().resume();
-    }
-
-    fn reset_touches(&mut self) {
+    /// A watermark at the current end of the log.  The first-touch set
+    /// is reset so the next mutation re-snapshots at this point's state
+    /// (the invariant every partial rollback needs).
+    pub(crate) fn watermark(&mut self) -> usize {
         self.touched_tables.clear();
-        self.touched_sets.clear();
-        self.touched_approval = false;
+        self.log.borrow().entries.len()
+    }
+
+    /// Take the redo records, in order (commit hands them to the WAL).
+    /// The inverses stay: a failed WAL write still rolls back.
+    pub(crate) fn take_redo(&mut self) -> Vec<WalRecord> {
+        let mut log = self.log.borrow_mut();
+        log.entries
+            .iter_mut()
+            .filter_map(|e| e.redo.take())
+            .collect()
+    }
+
+    /// Does any entry carry a redo record?
+    pub(crate) fn has_redo(&self) -> bool {
+        self.log.borrow().entries.iter().any(|e| e.redo.is_some())
     }
 
     fn reset_frames(&mut self) {
+        self.touched_tables.clear();
         self.frame_tables.clear();
-        self.frame_sets.clear();
-        self.frame_approval = false;
     }
 
     /// A statement inside an explicit transaction completed: prune the
-    /// snapshot ops it pushed for objects the current frame already
-    /// holds a snapshot of.  Those copies could only ever serve the
+    /// snapshots it recorded for tables the current frame already holds
+    /// a snapshot of.  Those copies could only ever serve the
     /// statement's own rollback (every live mark — `BEGIN` and each
     /// savepoint — is older than the frame's retained snapshot, and
     /// during reverse replay the older snapshot wins), so keeping them
-    /// would grow the log by a full stats + bitmap copy per statement.
-    pub(crate) fn statement_succeeded(&mut self, mark: TxnMark) {
+    /// would grow the log by a full stats copy per statement.
+    pub(crate) fn statement_succeeded(&mut self, mark: usize) {
         if self.mode != Mode::Explicit {
             return;
         }
-        let tail = self.ops.split_off(mark.ops.min(self.ops.len()));
-        for op in tail {
-            let redundant = match &op {
-                UndoOp::RestoreTableState { table, .. } => {
-                    self.frame_tables.contains(&table.to_ascii_lowercase())
-                }
-                UndoOp::RestoreAnnSet { table, set, .. } => self
-                    .frame_sets
-                    .contains(&(table.to_ascii_lowercase(), set.to_ascii_lowercase())),
-                UndoOp::RestoreApprovalLog { .. } => self.frame_approval,
-                _ => false,
-            };
-            if !redundant {
-                self.ops.push(op);
-            }
-        }
+        let frame = &self.frame_tables;
+        let mut log = self.log.borrow_mut();
+        let at = mark.min(log.entries.len());
+        let tail = log.entries.split_off(at);
+        log.entries.extend(tail.into_iter().filter(|e| {
+            !matches!(&e.undo, Some(UndoOp::RestoreTableState { table, .. })
+                if frame.contains(&table.to_ascii_lowercase()))
+        }));
+        drop(log);
         self.frame_tables.extend(self.touched_tables.drain());
-        self.frame_sets.extend(self.touched_sets.drain());
-        self.frame_approval |= self.touched_approval;
-        self.touched_approval = false;
     }
 
-    /// Number of recorded undo ops (tests observe snapshot pruning).
+    /// Number of log entries (tests observe snapshot pruning).
     #[cfg(test)]
-    fn ops_len(&self) -> usize {
-        self.ops.len()
+    fn len(&self) -> usize {
+        self.log.borrow().entries.len()
     }
 
     /// Open the implicit transaction around one statement (idle only).
     pub(crate) fn begin_implicit(&mut self) {
         debug_assert_eq!(self.mode, Mode::Idle);
-        self.mode = Mode::Implicit;
-        self.reset_touches();
+        self.set_mode(Mode::Implicit);
+        self.touched_tables.clear();
     }
 
     /// Open an explicit transaction (idle only — nested `BEGIN` is the
     /// caller's `TxnState` error).
     pub(crate) fn begin_explicit(&mut self) {
         debug_assert_eq!(self.mode, Mode::Idle);
-        self.mode = Mode::Explicit;
-        self.reset_touches();
+        self.set_mode(Mode::Explicit);
         self.reset_frames();
     }
 
-    /// Commit: discard the log and return to idle.  (For durable
-    /// databases the redo buffer was already drained into the WAL by
-    /// `Database::wal_commit`; clearing here is the in-memory no-op.)
+    /// Return to idle, forgetting savepoints and frames.
+    fn end(&mut self) {
+        self.set_mode(Mode::Idle);
+        self.savepoints.clear();
+        self.reset_frames();
+    }
+
+    /// Commit: discard the log (keeping its capacity) and return to
+    /// idle.  (For durable databases the redo records were already
+    /// handed to the WAL by `Database::wal_commit`.)
     pub(crate) fn commit(&mut self) {
-        self.mode = Mode::Idle;
-        self.ops.clear();
-        self.redo.borrow_mut().clear();
-        self.savepoints.clear();
-        self.reset_touches();
-        self.reset_frames();
+        self.end();
+        self.log.borrow_mut().entries.clear();
     }
 
-    /// Take every recorded op (rollback of the whole transaction) and
-    /// return to idle.  The caller applies them in reverse.  The redo
-    /// buffer is discarded wholesale: nothing of this transaction may
-    /// reach the WAL.
-    pub(crate) fn take_all(&mut self) -> Vec<UndoOp> {
-        self.mode = Mode::Idle;
-        self.savepoints.clear();
-        self.reset_touches();
-        self.reset_frames();
-        self.redo.borrow_mut().clear();
-        std::mem::take(&mut self.ops)
+    /// Take every entry (rollback of the whole transaction) and return
+    /// to idle.  The caller applies the inverses in reverse; the redo
+    /// records go with them — nothing of this transaction may reach the
+    /// WAL.
+    pub(crate) fn take_all(&mut self) -> Vec<LogEntry> {
+        self.end();
+        std::mem::take(&mut self.log.borrow_mut().entries)
     }
 
-    /// Take the ops recorded past `mark` (partial rollback — savepoint
-    /// or failed statement).  The transaction stays open; savepoints
-    /// created past the mark are dropped and the first-touch sets reset.
-    /// Frame bookkeeping resets too: snapshots consumed by this rollback
-    /// are no longer retained, so later touches re-snapshot (redundant
-    /// copies for objects whose frame snapshot pre-dates the mark are
-    /// harmless — the older snapshot wins during reverse replay).
-    pub(crate) fn take_after(&mut self, mark: TxnMark) -> Vec<UndoOp> {
-        self.savepoints.retain(|(_, m)| m.ops <= mark.ops);
-        self.reset_touches();
+    /// Take the entries recorded past `mark` (partial rollback —
+    /// savepoint or failed statement).  The transaction stays open;
+    /// savepoints created past the mark are dropped and the first-touch
+    /// and frame sets reset: snapshots consumed by this rollback are no
+    /// longer retained, so later touches re-snapshot (redundant copies
+    /// for tables whose frame snapshot pre-dates the mark are harmless —
+    /// the older snapshot wins during reverse replay).
+    pub(crate) fn take_after(&mut self, mark: usize) -> Vec<LogEntry> {
+        self.savepoints.retain(|&(_, m)| m <= mark);
         self.reset_frames();
-        self.redo.borrow_mut().truncate(mark.redo);
-        self.ops.split_off(mark.ops.min(self.ops.len()))
+        let mut log = self.log.borrow_mut();
+        let at = mark.min(log.entries.len());
+        log.entries.split_off(at)
     }
 
     /// Create a savepoint at the current point.  Starts a new snapshot
     /// frame: the savepoint is a fresh restore target, so the next touch
-    /// of each object must snapshot (and retain) its state here.
+    /// of each table must snapshot (and retain) its state here.
     pub(crate) fn add_savepoint(&mut self, name: &str) {
         let mark = self.watermark();
         self.reset_frames();
@@ -560,7 +536,7 @@ impl TxnRuntime {
     }
 
     /// The watermark of the most recent savepoint with this name.
-    pub(crate) fn find_savepoint(&self, name: &str) -> Option<TxnMark> {
+    pub(crate) fn find_savepoint(&self, name: &str) -> Option<usize> {
         let key = name.to_ascii_lowercase();
         self.savepoints
             .iter()
@@ -590,27 +566,40 @@ mod tests {
     #[test]
     fn watermarks_reset_first_touch_sets() {
         let mut txn = TxnRuntime::new();
+        assert!(!txn.table_needs_snapshot("Gene"), "idle records nothing");
         txn.begin_explicit();
         assert!(txn.table_needs_snapshot("Gene"));
         assert!(!txn.table_needs_snapshot("GENE"), "case-insensitive");
-        assert!(txn.ann_set_needs_snapshot("Gene", "Curation"));
-        assert!(!txn.ann_set_needs_snapshot("gene", "curation"));
-        assert!(txn.approval_needs_snapshot());
-        assert!(!txn.approval_needs_snapshot());
         let _ = txn.watermark();
         assert!(txn.table_needs_snapshot("Gene"), "re-snapshot after mark");
-        assert!(txn.ann_set_needs_snapshot("Gene", "Curation"));
-        assert!(txn.approval_needs_snapshot());
     }
 
     fn table_snapshot(table: &str) -> UndoOp {
         UndoOp::RestoreTableState {
             table: table.into(),
             stats: TableStats::new(1),
-            outdated: CellBitmap::new(0, 1),
             next_row: 0,
             deleted_log_len: 0,
+            outdated_rows: 0,
         }
+    }
+
+    fn row_delete(row_no: u64) -> WalRecord {
+        WalRecord::RowDelete {
+            table: "t".into(),
+            row_no,
+        }
+    }
+
+    fn insert(txn: &TxnRuntime, row_no: u64) {
+        txn.record(
+            || WalRecord::RowInsert {
+                table: "t".into(),
+                row_no,
+                values: Vec::new(),
+            },
+            || UndoOp::Replay(row_delete(row_no)),
+        );
     }
 
     #[test]
@@ -620,61 +609,79 @@ mod tests {
         // statement 1 first-touches t: snapshot retained
         let m = txn.watermark();
         assert!(txn.table_needs_snapshot("t"));
-        txn.push(table_snapshot("t"));
-        txn.push(UndoOp::UnInsert {
-            table: "t".into(),
-            row_no: 0,
-        });
+        txn.record_undo(|| table_snapshot("t"));
+        insert(&txn, 0);
         txn.statement_succeeded(m);
-        assert_eq!(txn.ops_len(), 2);
+        assert_eq!(txn.len(), 2);
         // statement 2 re-snapshots for its own rollback; the copy is
         // pruned on success — the log stays one snapshot per frame
         let m = txn.watermark();
         assert!(txn.table_needs_snapshot("t"), "per-statement re-snapshot");
-        txn.push(table_snapshot("t"));
-        txn.push(UndoOp::UnInsert {
-            table: "t".into(),
-            row_no: 1,
-        });
+        txn.record_undo(|| table_snapshot("t"));
+        insert(&txn, 1);
         txn.statement_succeeded(m);
-        assert_eq!(txn.ops_len(), 3, "second snapshot pruned");
+        assert_eq!(txn.len(), 3, "second snapshot pruned");
         // a savepoint opens a new frame: its first snapshot is retained
         txn.add_savepoint("s");
         let m = txn.watermark();
         assert!(txn.table_needs_snapshot("t"));
-        txn.push(table_snapshot("t"));
+        txn.record_undo(|| table_snapshot("t"));
         txn.statement_succeeded(m);
-        assert_eq!(txn.ops_len(), 4, "new frame retains its snapshot");
+        assert_eq!(txn.len(), 4, "new frame retains its snapshot");
+    }
+
+    #[test]
+    fn redo_is_built_only_when_durable_and_open() {
+        let mut txn = TxnRuntime::new();
+        insert(&txn, 0);
+        assert_eq!(txn.len(), 0, "idle records nothing");
+        txn.begin_implicit();
+        txn.record_redo(|| row_delete(0));
+        assert_eq!(txn.len(), 0, "in-memory: a redo-only change is not logged");
+        insert(&txn, 0);
+        assert!(!txn.has_redo(), "in-memory: the inverse alone");
+        txn.set_durable();
+        insert(&txn, 1);
+        txn.suspend();
+        insert(&txn, 2);
+        txn.resume();
+        assert_eq!(txn.len(), 2, "suspension records nothing");
+        let redo = txn.take_redo();
+        assert!(matches!(redo[..], [WalRecord::RowInsert { row_no: 1, .. }]));
+        // the inverses outlive the redo hand-off: a failed WAL write
+        // still rolls everything back
+        let undo: Vec<UndoOp> = txn
+            .take_all()
+            .into_iter()
+            .filter_map(LogEntry::into_undo)
+            .collect();
+        assert!(matches!(
+            undo[..],
+            [
+                UndoOp::Replay(WalRecord::RowDelete { row_no: 0, .. }),
+                UndoOp::Replay(WalRecord::RowDelete { row_no: 1, .. })
+            ]
+        ));
+        assert!(!txn.recording());
     }
 
     #[test]
     fn savepoint_stack_shadows_and_releases() {
         let mut txn = TxnRuntime::new();
         txn.begin_explicit();
-        txn.push(UndoOp::UnInsert {
-            table: "t".into(),
-            row_no: 0,
-        });
+        insert(&txn, 0);
         txn.add_savepoint("a");
-        txn.push(UndoOp::UnInsert {
-            table: "t".into(),
-            row_no: 1,
-        });
+        insert(&txn, 1);
         txn.add_savepoint("a"); // shadows
-        let ops_of = |m: Option<TxnMark>| m.map(|m| m.ops);
-        assert_eq!(ops_of(txn.find_savepoint("A")), Some(2), "most recent wins");
+        assert_eq!(txn.find_savepoint("A"), Some(2), "most recent wins");
         assert!(txn.release_savepoint("a"));
-        assert_eq!(
-            ops_of(txn.find_savepoint("a")),
-            Some(1),
-            "outer `a` survives"
-        );
+        assert_eq!(txn.find_savepoint("a"), Some(1), "outer `a` survives");
         // rollback past a savepoint drops it
-        let ops = txn.take_after(TxnMark { ops: 1, redo: 0 });
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops_of(txn.find_savepoint("a")), Some(1));
-        let ops = txn.take_after(TxnMark { ops: 0, redo: 0 });
-        assert_eq!(ops.len(), 1);
+        let entries = txn.take_after(1);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(txn.find_savepoint("a"), Some(1));
+        let entries = txn.take_after(0);
+        assert_eq!(entries.len(), 1);
         assert_eq!(txn.find_savepoint("a"), None);
         assert!(!txn.release_savepoint("a"));
         assert!(txn.explicit(), "partial rollback keeps the txn open");

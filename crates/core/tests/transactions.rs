@@ -8,12 +8,19 @@
 //! *forward*, so prepared plans cached against rolled-back DDL are
 //! never replayed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use bdbms_common::{ErrorCode, Value};
 use bdbms_core::provenance::{ProvOp, ProvenanceRecord};
-use bdbms_core::{Database, TxnStatus};
+use bdbms_core::{Database, DurabilityOptions, TxnStatus};
+use proptest::prelude::*;
 
 fn curated_db() -> Database {
-    let mut db = Database::new_in_memory();
+    curate(Database::new_in_memory())
+}
+
+/// `curated_db()`'s contents, on any database.
+fn curate(mut db: Database) -> Database {
     db.execute("CREATE TABLE Gene (GID TEXT, Len INT)").unwrap();
     db.execute("CREATE ANNOTATION TABLE Curation ON Gene")
         .unwrap();
@@ -528,4 +535,178 @@ fn transaction_control_statement_errors() {
     db.execute("BEGIN").unwrap();
     db.execute("ROLLBACK").unwrap();
     assert_eq!(db.transaction_status(), TxnStatus::Idle);
+}
+
+// ---- randomized rollback ----
+
+/// `curated_db()` plus a Protein table fed by two rules on `Gene.Len`:
+/// `PLen` is recomputed (a cascading UPDATE), `PFun` goes outdated.
+/// One cell is outdated before any transaction starts, so a DELETE of
+/// its row must re-mark it on rollback.
+fn cascading(mut db: Database) -> Database {
+    db.register_procedure("double", |args| match args[0] {
+        Value::Int(v) => Value::Int(2 * v),
+        _ => Value::Null,
+    });
+    for sql in [
+        "CREATE TABLE Protein (GID TEXT, PFun TEXT, PLen INT)",
+        "INSERT INTO Protein VALUES ('JW0080', 'kinase', 22), ('JW0082', 'ligase', 84), \
+         ('JW0055', 'unknown', 14)",
+        "CREATE DEPENDENCY RULE plen FROM Gene.Len TO Protein.PLen \
+         VIA PROCEDURE 'double' EXECUTABLE LINK Gene.GID = Protein.GID",
+        "CREATE DEPENDENCY RULE pfun FROM Gene.Len TO Protein.PFun \
+         VIA PROCEDURE 'assay' LINK Gene.GID = Protein.GID",
+        "UPDATE Gene SET Len = 43 WHERE GID = 'JW0082'",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    assert!(db.catalog().table("Protein").unwrap().is_outdated(1, 1));
+    db
+}
+
+const GIDS: [&str; 4] = ["JW0080", "JW0082", "JW0055", "JW0099"];
+
+/// One generated statement, `(kind, gene, number)`, over the tables of
+/// [`cascading`].  Some fail (a duplicate index, a missing one); inside
+/// a transaction those roll back alone.
+fn statement((kind, pick, n): (u8, usize, i64)) -> String {
+    let gid = GIDS[pick];
+    match kind {
+        0 => format!("INSERT INTO Gene VALUES ('{gid}', {n})"),
+        1 => format!("UPDATE Gene SET Len = {n} WHERE GID = '{gid}'"),
+        2 => format!("DELETE FROM Gene WHERE GID = '{gid}'"),
+        3 => format!("DELETE FROM Protein WHERE GID = '{gid}'"),
+        4 => format!("INSERT INTO Protein VALUES ('{gid}', 'new', {n})"),
+        5 => format!("UPDATE Protein SET PFun = 'f{n}' WHERE GID = '{gid}'"),
+        6 => format!("CREATE INDEX len{pick} ON Gene (Len)"),
+        7 => format!("DROP INDEX len{pick} ON Gene"),
+        8 => format!("CREATE SEQUENCE INDEX gid{pick} ON Gene (GID)"),
+        9 => format!("DROP SEQUENCE INDEX gid{pick} ON Gene"),
+        10 => format!(
+            "ADD ANNOTATION TO Gene.Curation VALUE 'n{n}' \
+             ON (SELECT G.GID, G.Len FROM Gene G WHERE Len < {n})"
+        ),
+        11 => format!(
+            "ARCHIVE ANNOTATION FROM Gene.Curation ON (SELECT G.GID, G.Len FROM Gene G WHERE Len < {n})"
+        ),
+        12 => format!(
+            "RESTORE ANNOTATION FROM Gene.Curation ON (SELECT G.GID FROM Gene G WHERE GID = '{gid}')"
+        ),
+        13 => format!("VALIDATE Protein COLUMNS PFun WHERE GID = '{gid}'"),
+        14 => ["ANALYZE Gene", "ANALYZE Protein"][pick % 2].to_string(),
+        _ => format!(
+            "ADD ANNOTATION TO Gene.Curation VALUE 'obsolete' ON (DELETE FROM Gene WHERE Len = {n})"
+        ),
+    }
+}
+
+fn arb_statements() -> impl Strategy<Value = Vec<(u8, usize, i64)>> {
+    prop::collection::vec((0u8..16, 0usize..4, 0i64..60), 1..12)
+}
+
+fn run(db: &mut Database, stmts: &[(u8, usize, i64)]) {
+    for &stmt in stmts {
+        let _ = db.execute(&statement(stmt));
+    }
+}
+
+/// What [`table_fingerprint`] summarizes or leaves out — outdated bits,
+/// sequence indexes, deletion-log entries — next to everything else it
+/// holds but planner statistics, which a reopen re-derives.
+fn row_state(db: &Database, table: &str) -> String {
+    let t = db.catalog().table(table).unwrap();
+    let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
+    let indexes: Vec<(String, usize, usize)> = t
+        .indexes()
+        .iter()
+        .map(|i| (i.name.clone(), i.column, i.len()))
+        .collect();
+    let seq_indexes: Vec<(String, usize, usize)> = t
+        .seq_indexes()
+        .iter()
+        .map(|i| (i.name.clone(), i.column, i.len()))
+        .collect();
+    let anns: Vec<(String, usize, AnnFacts)> = t
+        .ann_sets
+        .iter()
+        .map(|s| {
+            let facts = s.iter().map(|a| (a.id.raw(), a.archived, a.raw.clone()));
+            (s.name.clone(), s.attachment_records(), facts.collect())
+        })
+        .collect();
+    let outdated: Vec<(usize, usize)> = t.outdated.iter_set().collect();
+    let deleted: Vec<(u64, &[Value], Option<&str>)> = t
+        .deleted_log
+        .iter()
+        .map(|d| (d.row_no, &d.values[..], d.annotation.as_deref()))
+        .collect();
+    format!(
+        "rows={rows:?} indexes={indexes:?} seq={seq_indexes:?} anns={anns:?} \
+         outdated={outdated:?} of {} deleted={deleted:?}",
+        t.outdated.rows()
+    )
+}
+
+/// Every table's fingerprint (with statistics) and row state.
+fn every_table(db: &Database) -> Vec<(String, String)> {
+    ["Gene", "Protein"]
+        .iter()
+        .map(|t| (table_fingerprint(db, t), row_state(db, t)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random DML, index DDL, annotation, archive, cascade, VALIDATE,
+    /// ANALYZE and DELETE sequences leave no trace after `ROLLBACK`, and
+    /// none past a savepoint after `ROLLBACK TO`.
+    #[test]
+    fn random_transactions_roll_back_exactly(stmts in arb_statements(), split in 0usize..12) {
+        let mut db = cascading(curated_db());
+        let before = every_table(&db);
+        db.execute("BEGIN").unwrap();
+        run(&mut db, &stmts);
+        db.execute("ROLLBACK").unwrap();
+        prop_assert_eq!(every_table(&db), before.clone());
+
+        let (head, tail) = stmts.split_at(split.min(stmts.len()));
+        db.execute("BEGIN").unwrap();
+        run(&mut db, head);
+        let at_savepoint = every_table(&db);
+        db.execute("SAVEPOINT s").unwrap();
+        run(&mut db, tail);
+        db.execute("ROLLBACK TO s").unwrap();
+        prop_assert_eq!(every_table(&db), at_savepoint);
+        db.execute("ROLLBACK").unwrap();
+        prop_assert_eq!(every_table(&db), before);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same sequences, committed on a durable database and
+    /// recovered from the WAL alone, come back as they were live.
+    #[test]
+    fn random_committed_transactions_replay_exactly(stmts in arb_statements()) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "bdbms-txn-replay-{}-{}.bdbms",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::create_with(&dir, DurabilityOptions::no_sync()).unwrap();
+        let mut db = cascading(curate(db));
+        db.execute("BEGIN").unwrap();
+        run(&mut db, &stmts);
+        db.execute("COMMIT").unwrap();
+        let live: Vec<String> = ["Gene", "Protein"].iter().map(|t| row_state(&db, t)).collect();
+        db.simulate_crash();
+        let db = Database::open_with(&dir, DurabilityOptions::no_sync()).unwrap();
+        let recovered: Vec<String> = ["Gene", "Protein"].iter().map(|t| row_state(&db, t)).collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(recovered, live);
+    }
 }
