@@ -1000,10 +1000,13 @@ fn read_header(pg: &[u8]) -> Result<Rid> {
             "database header page checksum mismatch",
         ));
     }
+    // the CRC vouches for the version: another one is a database this
+    // build cannot read, not damage, and salvage must leave it alone
     let version = u32::from_le_bytes(pg[8..12].try_into().unwrap());
     if version != FORMAT_VERSION {
-        return Err(BdbmsError::corrupt(format!(
-            "unsupported database format version {version}"
+        return Err(BdbmsError::invalid(format!(
+            "database format version {version} is not supported \
+             (this build reads version {FORMAT_VERSION})"
         )));
     }
     Ok(Rid {
@@ -1391,7 +1394,9 @@ impl Database {
         let mut report = RecoveryReport::default();
         let quarantine = salvage.then_some(&mut report.quarantined_tables);
         let (mut db, wal_frontier) = match Self::load_image(&data, &opts, quarantine) {
-            Err(_) if salvage => {
+            // only damage is dropped: an image of another format version
+            // is refused, in salvage too
+            Err(e) if salvage && e.code() == ErrorCode::Corrupt => {
                 report.image_lost = true;
                 report.quarantined_tables.clear();
                 // frontier 0: let the WAL rebuild everything it can

@@ -623,3 +623,56 @@ fn a_clean_open_writes_nothing() {
     db.close().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A database written in another format version is refused, not
+/// repaired: `open` and `open_salvage` both answer `Invalid`, naming
+/// the two versions, and leave `data.bdb` byte for byte as it was.  The
+/// header here is rewritten to the previous version with a valid CRC,
+/// which is what an older build leaves on disk.
+#[test]
+fn another_format_version_is_refused_and_left_alone() {
+    use bdbms_storage::{crc32, stamp_page_checksum, PAGE_SIZE};
+    let dir = tmp("format-version");
+    {
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INT)").unwrap();
+        for k in 0..10 {
+            db.execute(&format!("INSERT INTO T VALUES ({k})")).unwrap();
+        }
+        db.close().unwrap();
+    }
+    let data = dir.join("data.bdb");
+    let mut bytes = std::fs::read(&data).unwrap();
+    // header page: magic (8), version (4), metadata rid (10), CRC of
+    // those 22 bytes (4); the page's own checksum trailer follows
+    let current = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let previous = current - 1;
+    bytes[8..12].copy_from_slice(&previous.to_le_bytes());
+    let crc = crc32(&bytes[..22]);
+    bytes[22..26].copy_from_slice(&crc.to_le_bytes());
+    stamp_page_checksum(&mut bytes[..PAGE_SIZE]);
+    std::fs::write(&data, &bytes).unwrap();
+
+    for salvage in [false, true] {
+        let err = if salvage {
+            Database::open_salvage(&dir)
+        } else {
+            Database::open(&dir)
+        }
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Invalid, "salvage={salvage}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("version {previous}"))
+                && msg.contains(&format!("version {current}")),
+            "{msg}"
+        );
+        assert_eq!(
+            std::fs::read(&data).unwrap(),
+            bytes,
+            "salvage={salvage} rewrote the image"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
