@@ -121,23 +121,41 @@ impl ApprovalManager {
 
     /// Turn approval off (STOP CONTENT APPROVAL).  With explicit columns,
     /// stops monitoring only those; stopping the last column clears the
-    /// config.
-    pub fn stop(&mut self, table: &str, columns: &[String]) {
+    /// config.  A stop that would change nothing — no config, an
+    /// all-column config asked to drop some columns, or columns it does
+    /// not monitor — is `Invalid`, so it is never reported as done.
+    pub fn stop(&mut self, table: &str, columns: &[String]) -> Result<()> {
         let key = Self::key(table);
-        if columns.is_empty() {
-            self.configs.remove(&key);
-            return;
-        }
-        if let Some(cfg) = self.configs.get_mut(&key) {
-            if let Some(cols) = &mut cfg.columns {
-                cols.retain(|c| !columns.iter().any(|x| x.eq_ignore_ascii_case(c)));
-                if cols.is_empty() {
-                    self.configs.remove(&key);
-                }
+        let Some(cfg) = self.configs.get_mut(&key) else {
+            return Err(BdbmsError::invalid(format!(
+                "no content approval is active on `{table}`"
+            )));
+        };
+        let cols = match (&mut cfg.columns, columns.is_empty()) {
+            (_, true) => {
+                self.configs.remove(&key);
+                return Ok(());
             }
-            // configured for all columns: an explicit column list cannot
-            // partially disable it; keep monitoring (caller may STOP fully).
+            (Some(cols), false) => cols,
+            (None, false) => {
+                return Err(BdbmsError::invalid(format!(
+                    "content approval on `{table}` monitors every column; stop it \
+                     with `STOP CONTENT APPROVAL ON {table}`"
+                )))
+            }
+        };
+        let before = cols.len();
+        cols.retain(|c| !columns.iter().any(|x| x.eq_ignore_ascii_case(c)));
+        if cols.len() == before {
+            return Err(BdbmsError::invalid(format!(
+                "content approval on `{table}` monitors none of those columns; \
+                 `STOP CONTENT APPROVAL ON {table}` stops it"
+            )));
         }
+        if cols.is_empty() {
+            self.configs.remove(&key);
+        }
+        Ok(())
     }
 
     /// The active config for a table, if any.
@@ -352,14 +370,14 @@ mod tests {
         assert!(!m.monitors("Gene", &["gsequence".into()]));
         m.start("Gene", None, "labadmin");
         assert!(m.monitors("gene", &["anything".into()]));
-        m.stop("Gene", &[]);
+        m.stop("Gene", &[]).unwrap();
         assert!(!m.monitors("Gene", &["anything".into()]));
 
         // column-scoped monitoring (the paper's GSequence example)
         m.start("Gene", Some(vec!["GSequence".into()]), "labadmin");
         assert!(m.monitors("Gene", &["gsequence".into()]));
         assert!(!m.monitors("Gene", &["gname".into()]));
-        m.stop("Gene", &["GSequence".into()]);
+        m.stop("Gene", &["GSequence".into()]).unwrap();
         assert!(!m.monitors("Gene", &["gsequence".into()]));
     }
 

@@ -828,7 +828,7 @@ impl Database {
             }
             Statement::StopContentApproval { table, columns } => {
                 self.require_owner(&table, user)?;
-                self.approval.stop(&table, &columns);
+                self.approval.stop(&table, &columns)?;
                 self.txn.record_redo(|| WalRecord::ApprovalStop {
                     table: table.clone(),
                     columns: columns.clone(),

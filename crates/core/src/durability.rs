@@ -1682,7 +1682,7 @@ impl Database {
                 self.approval.start(&table, columns, &approver);
             }
             WalRecord::ApprovalStop { table, columns } => {
-                self.approval.stop(&table, &columns);
+                self.approval.stop(&table, &columns)?;
             }
             WalRecord::ApprovalLogged { op } => {
                 self.approval.restore_log_entry(op)?;

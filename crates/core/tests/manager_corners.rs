@@ -250,3 +250,38 @@ fn annotation_target_rejects_annotation_clauses() {
         .unwrap_err();
     assert_eq!(err.kind(), "invalid");
 }
+
+/// `STOP CONTENT APPROVAL` that would change nothing is `Invalid` and
+/// names the full `STOP` form; monitoring goes on as before.
+#[test]
+fn stop_content_approval_that_changes_nothing_is_invalid() {
+    use bdbms_common::ErrorCode;
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE G (GID TEXT, Seq TEXT)").unwrap();
+    db.execute("CREATE TABLE H (v INT)").unwrap();
+    db.execute("INSERT INTO G VALUES ('g1', 'ATG')").unwrap();
+    db.execute("CREATE USER bob").unwrap();
+    db.execute("GRANT UPDATE ON G TO bob").unwrap();
+    db.execute("START CONTENT APPROVAL ON G APPROVED BY admin")
+        .unwrap();
+    let err = db
+        .execute("STOP CONTENT APPROVAL ON G COLUMNS Seq")
+        .unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Invalid);
+    assert!(err.to_string().contains("STOP CONTENT APPROVAL ON G`"), "{err}");
+    // still monitored: bob's update is logged as an operation
+    db.execute_as("UPDATE G SET Seq = 'GTG'", "bob").unwrap();
+    assert_eq!(db.execute("SHOW PENDING OPERATIONS ON G").unwrap().rows.len(), 1);
+    // no config at all
+    let err = db.execute("STOP CONTENT APPROVAL ON H").unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Invalid);
+    // a column list that monitors none of the named columns
+    db.execute("START CONTENT APPROVAL ON G COLUMNS GID APPROVED BY admin")
+        .unwrap();
+    let err = db
+        .execute("STOP CONTENT APPROVAL ON G COLUMNS Seq")
+        .unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Invalid);
+    db.execute("STOP CONTENT APPROVAL ON G COLUMNS GID").unwrap();
+    assert!(db.approval().config("G").is_none(), "last column stopped");
+}
