@@ -95,8 +95,11 @@ pub fn run() -> Report {
     ]);
 
     // storage-compactness aside from §3.1: B3 covers 5 cells with ONE record
-    let table = db.catalog().table("DB2_Gene").unwrap();
-    let set = table.ann_set("GAnnotation").unwrap();
+    let set = db
+        .catalog()
+        .annotation_set("DB2_Gene", "GAnnotation")
+        .unwrap();
+    let set = set.index();
     r.row(vec![
         "attachment records (rect scheme)".into(),
         "1 record per annotation (B1-B5)".into(),

@@ -91,13 +91,8 @@ pub fn run() -> Report {
             }
         }
         let elapsed = t0.elapsed() / total as u32;
-        let prov_records = db
-            .catalog()
-            .table("T")
-            .unwrap()
-            .ann_set("provenance")
-            .unwrap()
-            .len();
+        let prov_set = db.catalog().annotation_set("T", "provenance").unwrap();
+        let prov_records = prov_set.index().len();
         r.row(vec![
             n.to_string(),
             prov_records.to_string(),

@@ -6,6 +6,8 @@
 
 use std::time::Instant;
 
+use bdbms_core::approval::LoggedOp;
+
 use crate::report::{ms, Report};
 use crate::workloads::pipeline_db;
 
@@ -73,12 +75,14 @@ pub fn run() -> Report {
             .unwrap();
         }
         let on_t = t0.elapsed() / n as u32;
-        let log_entries = db.approval().log().len();
-        let log_bytes = db.approval().log_bytes();
+        let log = db.approval_log(None).unwrap();
+        let log_entries = log.len();
+        let arity = db.catalog().table("Gene").unwrap().schema.arity();
+        let log_bytes = log_bytes(&log, arity);
         // disapprove everything; all originals must come back
         let ids: Vec<u64> = db
-            .approval()
-            .pending(None)
+            .pending_operations(None)
+            .unwrap()
             .iter()
             .map(|op| op.id.raw())
             .collect();
@@ -111,4 +115,16 @@ pub fn run() -> Report {
     }
     r.note("updates stay visible while pending (§6); disapproval restores every original value through the stored inverse");
     r
+}
+
+/// Bytes of log storage: each entry's row as the approval log stores
+/// it (the inverse's old values included).
+fn log_bytes(log: &[LoggedOp], arity: usize) -> usize {
+    let row_bytes = |op: &LoggedOp| {
+        let mut buf = Vec::new();
+        let row = op.to_row(arity).expect("a logged op fits its log");
+        row.iter().for_each(|v| v.encode(&mut buf));
+        buf.len()
+    };
+    log.iter().map(row_bytes).sum()
 }

@@ -113,7 +113,7 @@ fn render_stats(st: &bdbms_core::executor::ExecStats) -> String {
 
 fn list_tables(db: &Database) {
     for t in db.catalog().tables() {
-        let anns: Vec<&str> = t.ann_sets.iter().map(|s| s.name.as_str()).collect();
+        let anns = db.catalog().ann_set_names(&t.name);
         println!(
             "{:<16} {:>6} rows   annotation tables: [{}]",
             t.name,

@@ -7,8 +7,24 @@
 //! archived flag (§3.3 — archived annotations are not propagated but can
 //! be restored), and a creator.
 //!
-//! Two attachment storage schemes are implemented, matching the paper's
-//! Figures 3 and 5:
+//! As in the paper, the annotations are stored in tables.  Set `S` on
+//! table `T` keeps two hidden tables in the catalog, ordinary heap tables
+//! whose names no SQL identifier can spell:
+//!
+//! * `T$S` — one row per annotation (`record_schema`); the annotation
+//!   id is the row number;
+//! * `T$S$rects` — the attachments, one Figure 5 rectangle record
+//!   `(ann, col_lo, col_hi, row_lo, row_hi)` per row (`rect_schema`).
+//!
+//! Their rows are written, logged, undone, replayed and checkpointed like
+//! any other rows.  What memory keeps is *derived* from them: the
+//! [`AnnotationSet`] — the attachment index of the set's scheme plus each
+//! annotation's archived flag.  The hidden tables' own row write path
+//! keeps it current (`crate::catalog::History`), and the open pass
+//! rebuilds it, so rollback and recovery need nothing of their own.
+//!
+//! Two attachment indexes are implemented, matching the paper's Figures
+//! 3 and 5; both derive from the same rectangle rows:
 //!
 //! * [`CellScheme`] — the naive scheme where every data cell carries its
 //!   own annotation list (the paper's Figure 3, where annotation `A2` is
@@ -20,20 +36,18 @@
 //!
 //! Experiment **E05** compares the two schemes' storage and lookup costs.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-use bdbms_common::codec;
 use bdbms_common::ids::AnnotationId;
-use bdbms_common::Result;
-use bdbms_index::rtree::{RTree, Rect};
+use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
+use bdbms_index::rtree::{RTree, Rect, DEFAULT_MAX_ENTRIES};
 
 use crate::xml::XmlNode;
 
-/// One annotation record.
+/// One annotation record, as read from its set's record table.
 #[derive(Debug, Clone)]
 pub struct Annotation {
-    /// Unique id within the annotation set.
+    /// Unique id within the annotation set (its record's row number).
     pub id: AnnotationId,
     /// Parsed body.
     pub body: XmlNode,
@@ -47,6 +61,125 @@ pub struct Annotation {
     pub archived: bool,
 }
 
+/// Column of the archived flag in a record row.
+pub(crate) const ARCHIVED: usize = 3;
+
+/// Columns of a set's record table `T$S`.
+pub(crate) fn record_schema() -> Schema {
+    Schema::of(&[
+        ("body", DataType::Text),
+        ("created", DataType::Timestamp),
+        ("creator", DataType::Text),
+        ("archived", DataType::Bool),
+    ])
+}
+
+/// Columns of a set's rectangle table `T$S$rects`.
+pub(crate) fn rect_schema() -> Schema {
+    Schema::of(&[
+        ("ann", DataType::Int),
+        ("col_lo", DataType::Int),
+        ("col_hi", DataType::Int),
+        ("row_lo", DataType::Int),
+        ("row_hi", DataType::Int),
+    ])
+}
+
+impl Annotation {
+    /// The record row of a new annotation.
+    pub(crate) fn row(raw: &str, created: u64, creator: &str) -> Vec<Value> {
+        vec![
+            Value::Text(raw.to_string()),
+            Value::Timestamp(created),
+            Value::Text(creator.to_string()),
+            Value::Bool(false),
+        ]
+    }
+
+    /// Decode record row `id`.
+    pub(crate) fn from_row(id: u64, row: Vec<Value>) -> Result<Annotation> {
+        match <[Value; 4]>::try_from(row) {
+            Ok(
+                [Value::Text(raw), Value::Timestamp(created), Value::Text(creator), Value::Bool(archived)],
+            ) => Ok(Annotation {
+                id: AnnotationId(id),
+                body: XmlNode::parse_or_wrap(&raw),
+                raw,
+                created,
+                creator,
+                archived,
+            }),
+            _ => Err(BdbmsError::corrupt(format!(
+                "malformed annotation record {id}"
+            ))),
+        }
+    }
+}
+
+/// One attachment record: annotation `ann` over columns `cols.0..=cols.1`
+/// of rows `rows.0..=rows.1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rectangle {
+    /// The attached annotation.
+    pub ann: AnnotationId,
+    /// First and last column.
+    pub cols: (usize, usize),
+    /// First and last row number.
+    pub rows: (u64, u64),
+}
+
+impl Rectangle {
+    /// The rectangle row holding this record.
+    pub(crate) fn row(&self) -> Vec<Value> {
+        [
+            self.ann.raw(),
+            self.cols.0 as u64,
+            self.cols.1 as u64,
+            self.rows.0,
+            self.rows.1,
+        ]
+        .map(|v| Value::Int(v as i64))
+        .to_vec()
+    }
+
+    /// Decode a rectangle row (`None` when it is not one).
+    pub(crate) fn from_row(row: &[Value]) -> Option<Rectangle> {
+        let int = |k: usize| match row.get(k) {
+            Some(Value::Int(v)) => u64::try_from(*v).ok(),
+            _ => None,
+        };
+        Some(Rectangle {
+            ann: AnnotationId(int(0)?),
+            cols: (int(1)? as usize, int(2)? as usize),
+            rows: (int(3)?, int(4)?),
+        })
+    }
+
+    fn rect(&self) -> Rect {
+        Rect::new(
+            [self.cols.0 as f64, self.rows.0 as f64],
+            [self.cols.1 as f64, self.rows.1 as f64],
+        )
+    }
+}
+
+/// Decompose the `rows × cols` cells of one annotation into maximal
+/// contiguous rectangles, exactly as Figure 5 suggests.
+pub(crate) fn rectangles(ann: AnnotationId, rows: &[u64], cols: &[usize]) -> Vec<Rectangle> {
+    let cols: Vec<u64> = cols.iter().map(|&c| c as u64).collect();
+    let mut out = Vec::new();
+    for (clo, chi) in contiguous_u64(&cols) {
+        for (rlo, rhi) in contiguous_u64(rows) {
+            out.push(Rectangle {
+                ann,
+                cols: (clo as usize, chi as usize),
+                rows: (rlo, rhi),
+            });
+        }
+    }
+    out
+}
+
 /// Attachment storage scheme.
 pub enum Scheme {
     /// Per-cell lists (Figure 3).
@@ -56,33 +189,40 @@ pub enum Scheme {
 }
 
 /// Naive per-cell attachment: every annotated cell stores the id list.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 pub struct CellScheme {
     cells: HashMap<(u64, usize), Vec<AnnotationId>>,
 }
 
 impl CellScheme {
-    fn attach(&mut self, ann: AnnotationId, rows: &[u64], cols: &[usize]) {
-        for &r in rows {
-            for &c in cols {
-                self.cells.entry((r, c)).or_default().push(ann);
+    fn cells(r: &Rectangle) -> impl Iterator<Item = (u64, usize)> {
+        let (cols, rows) = (r.cols, r.rows);
+        (rows.0..=rows.1).flat_map(move |row| (cols.0..=cols.1).map(move |col| (row, col)))
+    }
+
+    fn attach(&mut self, r: &Rectangle) {
+        for cell in Self::cells(r) {
+            self.cells.entry(cell).or_default().push(r.ann);
+        }
+    }
+
+    /// Remove one attachment of `r.ann` per covered cell; cells left
+    /// without attachments go, as if the record had never been added.
+    fn detach(&mut self, r: &Rectangle) {
+        for cell in Self::cells(r) {
+            if let Some(ids) = self.cells.get_mut(&cell) {
+                if let Some(pos) = ids.iter().rposition(|&id| id == r.ann) {
+                    ids.remove(pos);
+                }
+                if ids.is_empty() {
+                    self.cells.remove(&cell);
+                }
             }
         }
     }
 
     fn for_cell(&self, row: u64, col: usize) -> Vec<AnnotationId> {
         self.cells.get(&(row, col)).cloned().unwrap_or_default()
-    }
-
-    /// Drop every attachment of annotations at or past the id watermark
-    /// (transaction rollback).  Cells left without attachments are
-    /// removed so storage accounting matches a history where the
-    /// annotations never existed.
-    fn detach_from(&mut self, watermark: u64) {
-        self.cells.retain(|_, ids| {
-            ids.retain(|id| id.raw() < watermark);
-            !ids.is_empty()
-        });
     }
 
     /// Attachment records stored (one per annotated cell per annotation —
@@ -97,81 +237,58 @@ impl CellScheme {
     }
 }
 
-/// Compact rectangle attachment over the (column, row) plane.
+/// Compact rectangle attachment over the (column, row) plane: an
+/// R-tree over the rectangles (x = column span, y = row span), each
+/// carrying its annotation id.
 #[derive(Default)]
 pub struct RectScheme {
-    /// (col_lo, col_hi, row_lo, row_hi, ann).
-    rects: Vec<(usize, usize, u64, u64, AnnotationId)>,
-    /// R-tree over the rectangles (x = column span, y = row span).
     index: RTree,
 }
 
 impl RectScheme {
-    fn attach(&mut self, ann: AnnotationId, rows: &[u64], cols: &[usize]) {
-        // Decompose the (row set × col set) into maximal contiguous
-        // rectangles, exactly as Figure 5 suggests.
-        for (clo, chi) in contiguous_usize(cols) {
-            for (rlo, rhi) in contiguous_u64(rows) {
-                let idx = self.rects.len();
-                self.rects.push((clo, chi, rlo, rhi, ann));
-                self.index.insert(
-                    Rect::new([clo as f64, rlo as f64], [chi as f64, rhi as f64]),
-                    idx as u64,
-                );
-            }
-        }
+    fn attach(&mut self, r: &Rectangle) {
+        self.index.insert(r.rect(), r.ann.raw());
+    }
+
+    fn detach(&mut self, r: &Rectangle) {
+        self.index.remove(&r.rect(), r.ann.raw());
     }
 
     fn for_cell(&self, row: u64, col: usize) -> Vec<AnnotationId> {
-        self.index
-            .search(&Rect::point(col as f64, row as f64))
-            .into_iter()
-            .map(|(_, idx)| self.rects[idx as usize].4)
-            .collect()
+        let cell = Rect::point(col as f64, row as f64);
+        let hits = self.index.search(&cell).into_iter();
+        hits.map(|(_, ann)| AnnotationId(ann)).collect()
     }
 
     /// Linear-scan variant (ablation: what the R-tree buys on lookups).
     pub fn for_cell_scan(&self, row: u64, col: usize) -> Vec<AnnotationId> {
-        self.rects
-            .iter()
-            .filter(|(clo, chi, rlo, rhi, _)| {
-                *clo <= col && col <= *chi && *rlo <= row && row <= *rhi
+        let cell = Rect::point(col as f64, row as f64);
+        let hits = self.index.entries().filter(|(r, _)| r.intersects(&cell));
+        hits.map(|&(_, ann)| AnnotationId(ann)).collect()
+    }
+
+    /// Every rectangle as `(col_lo, col_hi, row_lo, row_hi, ann)`, sorted.
+    fn records(&self) -> Vec<[u64; 5]> {
+        let mut all: Vec<[u64; 5]> = self
+            .index
+            .entries()
+            .map(|(r, ann)| {
+                let [clo, rlo] = r.min.map(|c| c as u64);
+                let [chi, rhi] = r.max.map(|c| c as u64);
+                [clo, chi, rlo, rhi, *ann]
             })
-            .map(|(_, _, _, _, a)| *a)
-            .collect()
+            .collect();
+        all.sort_unstable();
+        all
     }
 
     fn record_count(&self) -> usize {
-        self.rects.len()
-    }
-
-    /// Drop every rectangle of annotations at or past the id watermark
-    /// (transaction rollback).  Annotations are appended in id order, so
-    /// the survivors are a prefix of the rectangle list; rebuilding the
-    /// R-tree over that prefix reproduces the pre-transaction structure
-    /// exactly (same rectangles, same insertion order).
-    fn detach_from(&mut self, watermark: u64) {
-        let keep = self
-            .rects
-            .iter()
-            .take_while(|(_, _, _, _, ann)| ann.raw() < watermark)
-            .count();
-        if keep == self.rects.len() {
-            return;
-        }
-        self.rects.truncate(keep);
-        self.index = RTree::default();
-        for (idx, &(clo, chi, rlo, rhi, _)) in self.rects.iter().enumerate() {
-            self.index.insert(
-                Rect::new([clo as f64, rlo as f64], [chi as f64, rhi as f64]),
-                idx as u64,
-            );
-        }
+        self.index.len()
     }
 
     /// 40 bytes per rectangle record (4 coordinates + id), plus the R-tree.
     fn storage_bytes(&self) -> usize {
-        self.rects.len() * 40 + self.index.storage_bytes()
+        self.index.len() * 40 + self.index.storage_bytes()
     }
 }
 
@@ -195,14 +312,9 @@ fn contiguous_u64(xs: &[u64]) -> Vec<(u64, u64)> {
     out
 }
 
-fn contiguous_usize(xs: &[usize]) -> Vec<(usize, usize)> {
-    contiguous_u64(&xs.iter().map(|&x| x as u64).collect::<Vec<_>>())
-        .into_iter()
-        .map(|(a, b)| (a as usize, b as usize))
-        .collect()
-}
-
-/// One annotation table (category) attached to a user relation.
+/// One annotation table (category) attached to a user relation: its
+/// definition and the in-memory state derived from its hidden tables —
+/// the attachment index and each annotation's archived flag.
 pub struct AnnotationSet {
     /// Category name (e.g. `GAnnotation`, `provenance`).
     pub name: String,
@@ -210,73 +322,97 @@ pub struct AnnotationSet {
     pub system_only: bool,
     /// Enforce the provenance XML schema on bodies (§4).
     pub schema_enforced: bool,
-    annotations: BTreeMap<u64, Annotation>,
     scheme: Scheme,
-    next_id: u64,
+    /// By annotation id: `Some(archived)` for each stored record.
+    flags: Vec<Option<bool>>,
 }
 
 impl AnnotationSet {
-    /// New annotation set with the chosen scheme.
+    /// New, empty annotation set with the chosen scheme.
     pub fn new(name: impl Into<String>, cell_scheme: bool) -> Self {
         AnnotationSet {
             name: name.into(),
             system_only: false,
             schema_enforced: false,
-            annotations: BTreeMap::new(),
             scheme: if cell_scheme {
                 Scheme::Cell(CellScheme::default())
             } else {
                 Scheme::Rect(RectScheme::default())
             },
-            next_id: 0,
+            flags: Vec::new(),
         }
     }
 
-    /// Add an annotation over `rows × cols` cells.
+    /// Index a new annotation over `rows × cols` in this set alone — the
+    /// storage-scheme experiments (E05) and model tests, which need no
+    /// record table.  The body fields are not kept: in a database they
+    /// live in the set's record table, and the index is fed from its rows.
     pub fn add(
         &mut self,
-        raw: &str,
-        creator: &str,
-        created: u64,
+        _raw: &str,
+        _creator: &str,
+        _created: u64,
         rows: &[u64],
         cols: &[usize],
     ) -> AnnotationId {
-        let id = AnnotationId(self.next_id);
-        self.next_id += 1;
-        let body = XmlNode::parse_or_wrap(raw);
-        self.annotations.insert(
-            id.raw(),
-            Annotation {
-                id,
-                body,
-                raw: raw.to_string(),
-                created,
-                creator: creator.to_string(),
-                archived: false,
-            },
-        );
-        match &mut self.scheme {
-            Scheme::Cell(s) => s.attach(id, rows, cols),
-            Scheme::Rect(s) => s.attach(id, rows, cols),
+        let id = AnnotationId(self.flags.len() as u64);
+        self.record_written(id.raw(), Some(false));
+        for r in rectangles(id, rows, cols) {
+            self.attach(&r);
         }
         id
     }
 
-    /// The annotation record by id.
-    pub fn get(&self, id: AnnotationId) -> Option<&Annotation> {
-        self.annotations.get(&id.raw())
+    /// Record row `id` was written (`Some(archived)`) or removed (`None`).
+    pub(crate) fn record_written(&mut self, id: u64, archived: Option<bool>) {
+        let id = id as usize;
+        if self.flags.len() <= id {
+            self.flags.resize(id + 1, None);
+        }
+        self.flags[id] = archived;
+        while self.flags.last() == Some(&None) {
+            self.flags.pop();
+        }
     }
 
-    /// Non-archived annotations attached to a cell.
-    pub fn for_cell(&self, row: u64, col: usize) -> Vec<&Annotation> {
-        self.ids_for_cell(row, col)
-            .into_iter()
-            .filter_map(|id| self.annotations.get(&id.raw()))
-            .filter(|a| !a.archived)
-            .collect()
+    /// A rectangle row was written.
+    pub(crate) fn attach(&mut self, r: &Rectangle) {
+        match &mut self.scheme {
+            Scheme::Cell(s) => s.attach(r),
+            Scheme::Rect(s) => s.attach(r),
+        }
     }
 
-    /// All annotation ids attached to a cell (archived included).
+    /// Attach every rectangle of a freshly opened set at once: an empty
+    /// R-tree is bulk-loaded (Sort-Tile-Recursive), not grown by splits.
+    pub(crate) fn load(&mut self, mut rects: Vec<Rectangle>) {
+        match &mut self.scheme {
+            Scheme::Rect(s) if s.index.is_empty() => {
+                rects.sort_by_key(|r| r.cols.0 + r.cols.1);
+                let entries = rects.iter().map(|r| (r.rect(), r.ann.raw()));
+                s.index = RTree::bulk_load(DEFAULT_MAX_ENTRIES, entries);
+            }
+            _ => rects.iter().for_each(|r| self.attach(r)),
+        }
+    }
+
+    /// A rectangle row was removed.
+    pub(crate) fn detach(&mut self, r: &Rectangle) {
+        match &mut self.scheme {
+            Scheme::Cell(s) => s.detach(r),
+            Scheme::Rect(s) => s.detach(r),
+        }
+    }
+
+    /// Non-archived annotations attached to a cell, ascending.
+    pub fn for_cell(&self, row: u64, col: usize) -> Vec<AnnotationId> {
+        let mut ids = self.ids_for_cell(row, col);
+        ids.retain(|&id| !self.is_archived(id));
+        ids
+    }
+
+    /// All annotation ids attached to a cell (archived included),
+    /// ascending.
     pub fn ids_for_cell(&self, row: u64, col: usize) -> Vec<AnnotationId> {
         let mut ids = match &self.scheme {
             Scheme::Cell(s) => s.for_cell(row, col),
@@ -287,85 +423,52 @@ impl AnnotationSet {
         ids
     }
 
-    /// Archive (or restore) annotations attached to any of `cells`,
-    /// optionally limited to a creation-time window (Figure 6b/6c).
-    /// Returns the ids of the annotation records that changed state.
-    pub fn set_archived(
-        &mut self,
-        cells: &[(u64, usize)],
-        between: Option<(u64, u64)>,
-        archived: bool,
-    ) -> Vec<AnnotationId> {
-        let mut ids: Vec<AnnotationId> = cells
-            .iter()
-            .flat_map(|&(r, c)| self.ids_for_cell(r, c))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.retain(|id| {
-            let Some(a) = self.annotations.get_mut(&id.raw()) else {
-                return false;
-            };
-            let in_window = between.is_none_or(|(lo, hi)| lo <= a.created && a.created <= hi);
-            let flips = in_window && a.archived != archived;
-            if flips {
-                a.archived = archived;
-            }
-            flips
-        });
-        ids
-    }
-
-    /// The id the next [`add`](Self::add) would allocate — the watermark
-    /// an addition records as its inverse.
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
-    }
-
-    /// Roll the set back to an id watermark: truncate annotations (and
-    /// their scheme attachments) at or past it and rewind the allocator.
-    pub(crate) fn rollback_to(&mut self, next_id: u64) {
-        if self.next_id > next_id {
-            self.annotations.retain(|&id, _| id < next_id);
-            match &mut self.scheme {
-                Scheme::Cell(s) => s.detach_from(next_id),
-                Scheme::Rect(s) => s.detach_from(next_id),
-            }
-            self.next_id = next_id;
-        }
-    }
-
-    /// Put the archived flag of exactly these annotations back to
-    /// `archived` (rollback of a [`set_archived`](Self::set_archived)).
-    pub(crate) fn restore_archived(&mut self, ids: &[AnnotationId], archived: bool) {
-        for id in ids {
-            if let Some(a) = self.annotations.get_mut(&id.raw()) {
-                a.archived = archived;
-            }
-        }
+    /// Is the annotation archived?
+    pub fn is_archived(&self, id: AnnotationId) -> bool {
+        self.flags.get(id.raw() as usize) == Some(&Some(true))
     }
 
     /// Number of annotation records.
     pub fn len(&self) -> usize {
-        self.annotations.len()
+        self.flags.iter().flatten().count()
     }
 
     /// True when no annotations stored.
     pub fn is_empty(&self) -> bool {
-        self.annotations.is_empty()
+        self.flags.is_empty()
     }
 
-    /// Every annotation id referenced by an attachment record, sorted and
-    /// deduplicated.  `CHECK` verifies these never dangle (each must
-    /// resolve through [`get`](Self::get)).
-    pub fn referenced_ids(&self) -> Vec<AnnotationId> {
-        let mut ids: Vec<AnnotationId> = match &self.scheme {
-            Scheme::Cell(s) => s.cells.values().flatten().copied().collect(),
-            Scheme::Rect(s) => s.rects.iter().map(|r| r.4).collect(),
-        };
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+    /// Does this index hold exactly what `other` holds — the same
+    /// records, flags and attachments?  (`CHECK` compares the live index
+    /// with one rebuilt from the rows.)
+    pub(crate) fn same_index(&self, other: &AnnotationSet) -> bool {
+        self.flags == other.flags
+            && match (&self.scheme, &other.scheme) {
+                (Scheme::Cell(a), Scheme::Cell(b)) => {
+                    let sorted = |s: &CellScheme| {
+                        let mut cells: Vec<_> = s.cells.iter().collect();
+                        cells.sort_unstable_by_key(|(cell, _)| **cell);
+                        cells
+                            .into_iter()
+                            .map(|(cell, ids)| {
+                                let mut ids = ids.clone();
+                                ids.sort_unstable();
+                                (*cell, ids)
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    sorted(a) == sorted(b)
+                }
+                // the R-tree must also find each rectangle at its corner
+                (Scheme::Rect(a), Scheme::Rect(b)) => {
+                    a.records() == b.records()
+                        && a.index.entries().all(|(r, ann)| {
+                            let corner = Rect::point(r.min[0], r.min[1]);
+                            a.index.search(&corner).contains(&(*r, *ann))
+                        })
+                }
+                _ => false,
+            }
     }
 
     /// Attachment records stored by the scheme (the compactness metric of
@@ -395,141 +498,10 @@ impl AnnotationSet {
         }
     }
 
-    /// Iterate all annotations (archived included).
-    pub fn iter(&self) -> impl Iterator<Item = &Annotation> {
-        self.annotations.values()
-    }
-
     /// Is this set stored in the per-cell scheme (Figure 3) rather than
     /// the rectangle scheme (Figure 5)?
     pub fn is_cell_scheme(&self) -> bool {
         matches!(self.scheme, Scheme::Cell(_))
-    }
-
-    // ---- durable form (checkpoint snapshots — see `crate::durability`) ----
-
-    /// Serialize the whole set: annotation records (bodies as their raw
-    /// text, re-parsed on load) plus the exact attachment-scheme state.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_str(out, &self.name);
-        codec::put_bool(out, self.system_only);
-        codec::put_bool(out, self.schema_enforced);
-        codec::put_u64(out, self.next_id);
-        codec::put_u32(out, self.annotations.len() as u32);
-        for a in self.annotations.values() {
-            codec::put_u64(out, a.id.raw());
-            codec::put_str(out, &a.raw);
-            codec::put_u64(out, a.created);
-            codec::put_str(out, &a.creator);
-            codec::put_bool(out, a.archived);
-        }
-        match &self.scheme {
-            Scheme::Cell(s) => {
-                codec::put_u8(out, 0);
-                // deterministic order: sorted by (row, col)
-                let mut cells: Vec<(&(u64, usize), &Vec<AnnotationId>)> = s.cells.iter().collect();
-                cells.sort_by_key(|(k, _)| **k);
-                codec::put_u32(out, cells.len() as u32);
-                for ((row, col), ids) in cells {
-                    codec::put_u64(out, *row);
-                    codec::put_u32(out, *col as u32);
-                    codec::put_u32(out, ids.len() as u32);
-                    for id in ids {
-                        codec::put_u64(out, id.raw());
-                    }
-                }
-            }
-            Scheme::Rect(s) => {
-                codec::put_u8(out, 1);
-                codec::put_u32(out, s.rects.len() as u32);
-                for &(clo, chi, rlo, rhi, ann) in &s.rects {
-                    codec::put_u32(out, clo as u32);
-                    codec::put_u32(out, chi as u32);
-                    codec::put_u64(out, rlo);
-                    codec::put_u64(out, rhi);
-                    codec::put_u64(out, ann.raw());
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode).  Rebuilds parsed bodies and
-    /// the R-tree, reproducing the in-memory structure exactly (the
-    /// rectangle list keeps its insertion order, which the rollback
-    /// machinery's prefix-truncation relies on).
-    pub(crate) fn decode(cur: &mut codec::Cur<'_>) -> Result<AnnotationSet> {
-        let name = cur.str()?;
-        let system_only = cur.bool()?;
-        let schema_enforced = cur.bool()?;
-        let next_id = cur.u64()?;
-        let n = cur.len()?;
-        let mut annotations = BTreeMap::new();
-        for _ in 0..n {
-            let id = cur.u64()?;
-            let raw = cur.str()?;
-            let created = cur.u64()?;
-            let creator = cur.str()?;
-            let archived = cur.bool()?;
-            annotations.insert(
-                id,
-                Annotation {
-                    id: AnnotationId(id),
-                    body: XmlNode::parse_or_wrap(&raw),
-                    raw,
-                    created,
-                    creator,
-                    archived,
-                },
-            );
-        }
-        let scheme = match cur.u8()? {
-            0 => {
-                let n = cur.len()?;
-                let mut cells = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let row = cur.u64()?;
-                    let col = cur.u32()? as usize;
-                    let k = cur.len()?;
-                    let mut ids = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        ids.push(AnnotationId(cur.u64()?));
-                    }
-                    cells.insert((row, col), ids);
-                }
-                Scheme::Cell(CellScheme { cells })
-            }
-            1 => {
-                let n = cur.len()?;
-                let mut s = RectScheme::default();
-                for _ in 0..n {
-                    let clo = cur.u32()? as usize;
-                    let chi = cur.u32()? as usize;
-                    let rlo = cur.u64()?;
-                    let rhi = cur.u64()?;
-                    let ann = AnnotationId(cur.u64()?);
-                    let idx = s.rects.len();
-                    s.rects.push((clo, chi, rlo, rhi, ann));
-                    s.index.insert(
-                        Rect::new([clo as f64, rlo as f64], [chi as f64, rhi as f64]),
-                        idx as u64,
-                    );
-                }
-                Scheme::Rect(s)
-            }
-            t => {
-                return Err(bdbms_common::BdbmsError::corrupt(format!(
-                    "unknown annotation scheme tag {t}"
-                )))
-            }
-        };
-        Ok(AnnotationSet {
-            name,
-            system_only,
-            schema_enforced,
-            annotations,
-            scheme,
-            next_id,
-        })
     }
 }
 
@@ -571,17 +543,11 @@ mod tests {
                 &[0, 1, 2],
             );
             // cell lookups
-            let on_00: Vec<_> = set.for_cell(0, 0).iter().map(|a| a.id).collect();
+            let on_00 = set.for_cell(0, 0);
             assert!(on_00.contains(&b1) && on_00.contains(&b5));
-            let on_42 = set.for_cell(4, 2);
-            assert_eq!(on_42.len(), 1);
-            assert_eq!(on_42[0].id, b3);
+            assert_eq!(set.for_cell(4, 2), vec![b3]);
             assert!(set.for_cell(4, 0).is_empty());
-            // xml body parsed
-            assert_eq!(
-                set.get(b3).unwrap().body.full_text(),
-                "obtained from GenoBase"
-            );
+            assert_eq!(set.len(), 3);
         }
     }
 
@@ -608,31 +574,63 @@ mod tests {
         assert!(set.for_cell(3, 1).is_empty());
     }
 
+    /// `ARCHIVE … BETWEEN` flips only the records created in the window,
+    /// and `RESTORE` flips them back: the record rows change, and the
+    /// index's flags with them.
     #[test]
     fn archive_and_restore_with_time_window() {
-        let mut set = AnnotationSet::new("a", false);
-        let _a1 = set.add("old", "u", 5, &[0], &[0]);
-        let _a2 = set.add("new", "u", 15, &[0], &[0]);
-        assert_eq!(set.for_cell(0, 0).len(), 2);
+        let mut db = crate::Database::new_in_memory();
+        db.execute("CREATE TABLE T (v INT)").unwrap();
+        db.execute("CREATE ANNOTATION TABLE a ON T").unwrap();
+        db.execute("INSERT INTO T VALUES (1)").unwrap();
+        let add = |db: &mut crate::Database, body: &str| {
+            db.execute(&format!(
+                "ADD ANNOTATION TO T.a VALUE '{body}' ON (SELECT G.v FROM T G)"
+            ))
+            .unwrap();
+            db.now()
+        };
+        let old = add(&mut db, "old");
+        add(&mut db, "new");
+        let live = |db: &crate::Database| {
+            let set = db.catalog().annotation_set("T", "a").unwrap();
+            let ids = set.index().for_cell(0, 0);
+            ids.into_iter()
+                .map(|id| set.get(id).unwrap().raw)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(live(&db), ["old", "new"]);
         // archive only the old one
-        let changed = set.set_archived(&[(0, 0)], Some((0, 10)), true);
-        assert_eq!(changed.len(), 1);
-        let live: Vec<_> = set.for_cell(0, 0).iter().map(|a| a.raw.clone()).collect();
-        assert_eq!(live, vec!["new"]);
+        let r = db
+            .execute(&format!(
+                "ARCHIVE ANNOTATION FROM T.a BETWEEN 0 AND {old} ON (SELECT G.v FROM T G)"
+            ))
+            .unwrap();
+        assert_eq!(r.message.as_deref(), Some("1 annotation(s) archived"));
+        assert_eq!(live(&db), ["new"]);
+        let set = db.catalog().annotation_set("T", "a").unwrap();
+        assert!(
+            set.get(AnnotationId(0)).unwrap().archived,
+            "the row changed"
+        );
         // restore it
-        let changed = set.set_archived(&[(0, 0)], None, false);
-        assert_eq!(changed.len(), 1);
-        assert_eq!(set.for_cell(0, 0).len(), 2);
+        let r = db
+            .execute("RESTORE ANNOTATION FROM T.a ON (SELECT G.v FROM T G)")
+            .unwrap();
+        assert_eq!(r.message.as_deref(), Some("1 annotation(s) restored"));
+        assert_eq!(live(&db), ["old", "new"]);
     }
 
     #[test]
     fn archived_not_propagated_but_queryable() {
-        let mut set = AnnotationSet::new("a", true);
-        let id = set.add("B5", "u", 1, &[3], &[1]);
-        set.set_archived(&[(3, 1)], None, true);
-        assert!(set.for_cell(3, 1).is_empty(), "archived must not propagate");
-        assert!(set.get(id).unwrap().archived);
-        assert_eq!(set.ids_for_cell(3, 1), vec![id]);
+        for cell_scheme in [true, false] {
+            let mut set = AnnotationSet::new("a", cell_scheme);
+            let id = set.add("B5", "u", 1, &[3], &[1]);
+            set.record_written(id.raw(), Some(true));
+            assert!(set.for_cell(3, 1).is_empty(), "archived must not propagate");
+            assert!(set.is_archived(id));
+            assert_eq!(set.ids_for_cell(3, 1), vec![id]);
+        }
     }
 
     #[test]
@@ -645,11 +643,9 @@ mod tests {
         for row in 0..52u64 {
             for col in 0..3usize {
                 let mut a = rs.for_cell_scan(row, col);
-                let mut b = set.ids_for_cell(row, col);
                 a.sort_unstable();
                 a.dedup();
-                b.sort_unstable();
-                assert_eq!(a, b, "cell ({row},{col})");
+                assert_eq!(a, set.ids_for_cell(row, col), "cell ({row},{col})");
             }
         }
     }
@@ -660,5 +656,75 @@ mod tests {
         // Overlapping rectangles from one annotation (rows given twice).
         let id = set.add("x", "u", 1, &[0, 0, 1], &[0]);
         assert_eq!(set.ids_for_cell(0, 0), vec![id]);
+    }
+
+    /// Removing the rows of the newest annotations (a rollback) leaves
+    /// the index equal to one that never saw them — in both schemes, and
+    /// when the freed row numbers are reused.
+    #[test]
+    fn detaching_rows_restores_the_index_exactly() {
+        for cell_scheme in [true, false] {
+            let build = |n: u64| {
+                let mut set = AnnotationSet::new("a", cell_scheme);
+                for i in 0..n {
+                    set.add("x", "u", 1, &[i, i + 1, i + 5], &[0, 1]);
+                }
+                set
+            };
+            let mut set = build(6);
+            for rect in rectangles(AnnotationId(5), &[5, 6, 10], &[0, 1]) {
+                set.detach(&rect);
+            }
+            set.record_written(5, None);
+            assert!(set.same_index(&build(5)));
+            let again = set.add("y", "u", 2, &[0], &[3]);
+            assert_eq!(again, AnnotationId(5), "the freed id is reused");
+            assert_eq!(set.for_cell(0, 3), vec![again]);
+            assert!(set.for_cell(10, 0).is_empty());
+        }
+    }
+
+    /// The open pass bulk-loads a set's R-tree; it must answer, and take
+    /// further rows, like one grown by inserts.
+    #[test]
+    fn a_bulk_loaded_index_answers_like_a_grown_one() {
+        let mut grown = AnnotationSet::new("a", false);
+        let mut rects = Vec::new();
+        for i in 0..300u64 {
+            let (rows, cols) = ([i % 97, i % 97 + 1, i % 89 + 40], [(i % 4) as usize]);
+            let id = grown.add("x", "u", 1, &rows, &cols);
+            rects.extend(rectangles(id, &rows, &cols));
+        }
+        let mut loaded = AnnotationSet::new("a", false);
+        (0..300).for_each(|id| loaded.record_written(id, Some(false)));
+        loaded.load(rects.clone());
+        assert!(loaded.same_index(&grown));
+        for set in [&mut grown, &mut loaded] {
+            rects[..50].iter().for_each(|r| set.detach(r));
+            set.add("y", "u", 2, &[5, 6], &[0, 1]);
+        }
+        assert!(loaded.same_index(&grown));
+        for (row, col) in (0..140).flat_map(|r| (0..4).map(move |c| (r, c))) {
+            assert_eq!(loaded.for_cell(row, col), grown.for_cell(row, col));
+        }
+    }
+
+    #[test]
+    fn rows_round_trip() {
+        let r = Rectangle {
+            ann: AnnotationId(7),
+            cols: (1, 2),
+            rows: (40, 90),
+        };
+        assert_eq!(Rectangle::from_row(&r.row()), Some(r));
+        let a = Annotation::from_row(3, Annotation::row("<A>x</A>", 9, "bob")).unwrap();
+        assert_eq!((a.id.raw(), a.created, a.archived), (3, 9, false));
+        assert_eq!(a.body.full_text(), "x");
+        assert_eq!(
+            Annotation::from_row(3, vec![Value::Null])
+                .unwrap_err()
+                .code(),
+            bdbms_common::ErrorCode::Corrupt
+        );
     }
 }

@@ -9,11 +9,18 @@
 //! The approver later approves (log entry closed) or disapproves (the
 //! stored inverse is executed by the `Database`, which also routes the
 //! undo through dependency tracking, as §6's last paragraph requires).
+//!
+//! The log is a table, as in the paper: each table `T` keeps
+//! its entries as rows of the hidden table `T$$approval`
+//! (`LoggedOp::schema`), under the operation id as the row number, so
+//! appending, deciding and rolling either back are row changes.
 
 use std::collections::HashMap;
 
 use bdbms_common::ids::OperationId;
-use bdbms_common::{BdbmsError, Result, Value};
+use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
+
+use crate::catalog::history_schema;
 
 /// Approval configuration for one table (Figure 11's START command).
 #[derive(Debug, Clone)]
@@ -90,12 +97,131 @@ pub struct LoggedOp {
     pub status: OpStatus,
 }
 
-/// The content-based approval manager.
+impl LoggedOp {
+    /// The columns of `table`'s approval log.
+    pub(crate) fn schema(table: &Schema) -> Schema {
+        let fixed = [
+            ("$row", DataType::Int),
+            ("$user", DataType::Text),
+            ("$time", DataType::Timestamp),
+            ("$description", DataType::Text),
+            ("$status", DataType::Int),
+            ("$inverse", DataType::Int),
+            ("$restored", DataType::Int),
+        ];
+        history_schema(&fixed, table)
+    }
+
+    /// This entry as a row of its table's approval log, stored under the
+    /// operation id as its row number: the fixed columns, then the
+    /// table's own columns holding the inverse's old values (NULL where
+    /// it restores nothing).  `$restored` masks the
+    /// columns a `RestoreCells` puts back, so one touching a column past
+    /// the 63rd cannot be logged.
+    pub fn to_row(&self, arity: usize) -> Result<Vec<Value>> {
+        let mut values = vec![Value::Null; arity];
+        let mut mask = 0i64;
+        let (kind, row_no) = match &self.inverse {
+            InverseOp::DeleteRow { row_no } => (0, *row_no),
+            InverseOp::InsertRow { row_no, values: v } => {
+                values.clone_from(v);
+                (1, *row_no)
+            }
+            InverseOp::RestoreCells { row_no, old } => {
+                for (col, v) in old {
+                    if *col >= 63 {
+                        return Err(BdbmsError::invalid(format!(
+                            "content approval logs updates of the first 63 columns \
+                             only; column {col} of `{}` is past them",
+                            self.table
+                        )));
+                    }
+                    mask |= 1 << col;
+                    values[*col] = v.clone();
+                }
+                (2, *row_no)
+            }
+        };
+        let mut row = vec![
+            Value::Int(row_no as i64),
+            Value::Text(self.user.clone()),
+            Value::Timestamp(self.time),
+            Value::Text(self.description.clone()),
+            Value::Int(self.status.code()),
+            Value::Int(kind),
+            Value::Int(mask),
+        ];
+        row.extend(values);
+        Ok(row)
+    }
+
+    /// Decode row `id` of `table`'s approval log.
+    pub(crate) fn from_row(table: &str, id: u64, mut row: Vec<Value>) -> Result<LoggedOp> {
+        let values = row.split_off(LOG_FIXED.min(row.len()));
+        let bad = || BdbmsError::corrupt(format!("malformed approval-log row on `{table}`"));
+        let Ok(
+            [Value::Int(row_no), Value::Text(user), Value::Timestamp(time), Value::Text(description), Value::Int(status), Value::Int(kind), Value::Int(mask)],
+        ) = <[Value; LOG_FIXED]>::try_from(row)
+        else {
+            return Err(bad());
+        };
+        let row_no = row_no as u64;
+        let inverse = match kind {
+            0 => InverseOp::DeleteRow { row_no },
+            1 => InverseOp::InsertRow { row_no, values },
+            2 => InverseOp::RestoreCells {
+                row_no,
+                old: values
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(col, _)| *col < 63 && mask & (1 << col) != 0)
+                    .collect(),
+            },
+            _ => return Err(bad()),
+        };
+        Ok(LoggedOp {
+            id: OperationId(id),
+            table: table.to_string(),
+            user,
+            time,
+            description,
+            inverse,
+            status: OpStatus::from_code(status).ok_or_else(bad)?,
+        })
+    }
+}
+
+/// Column of the status in an approval-log row.
+pub(crate) const STATUS: usize = 4;
+/// Columns an approval-log row puts before its table's own.
+const LOG_FIXED: usize = 7;
+
+impl OpStatus {
+    /// The status as stored in an approval-log row.
+    pub(crate) fn code(self) -> i64 {
+        match self {
+            OpStatus::Pending => 0,
+            OpStatus::Approved => 1,
+            OpStatus::Disapproved => 2,
+        }
+    }
+
+    fn from_code(code: i64) -> Option<OpStatus> {
+        Some(match code {
+            0 => OpStatus::Pending,
+            1 => OpStatus::Approved,
+            2 => OpStatus::Disapproved,
+            _ => return None,
+        })
+    }
+}
+
+/// The content-based approval manager: which tables are monitored, and
+/// by whom.  The log itself is each table's hidden approval log (see
+/// `crate::catalog`).
 #[derive(Default)]
 pub struct ApprovalManager {
     configs: HashMap<String, ApprovalConfig>,
-    log: Vec<LoggedOp>,
-    next_id: u64,
 }
 
 impl ApprovalManager {
@@ -177,185 +303,29 @@ impl ApprovalManager {
         }
     }
 
-    /// Append a pending operation to the log.
-    pub fn log_operation(
-        &mut self,
-        table: &str,
-        user: &str,
-        time: u64,
-        description: String,
-        inverse: InverseOp,
-    ) -> OperationId {
-        let id = OperationId(self.next_id);
-        self.next_id += 1;
-        self.log.push(LoggedOp {
-            id,
-            table: table.to_string(),
-            user: user.to_string(),
-            time,
-            description,
-            inverse,
-            status: OpStatus::Pending,
-        });
-        id
-    }
-
-    /// The full log (newest last).
-    pub fn log(&self) -> &[LoggedOp] {
-        &self.log
-    }
-
-    /// Pending entries, optionally filtered by table.
-    pub fn pending(&self, table: Option<&str>) -> Vec<&LoggedOp> {
-        self.log
-            .iter()
-            .filter(|op| op.status == OpStatus::Pending)
-            .filter(|op| match table {
-                Some(t) => op.table.eq_ignore_ascii_case(t),
-                None => true,
-            })
-            .collect()
-    }
-
-    /// Position of an entry: the log is ascending by id (appends
-    /// allocate upward, and `restore` / `restore_log_entry` refuse
-    /// anything else), so this is a binary search.
-    fn position(&self, id: OperationId) -> Result<usize> {
-        self.log
-            .binary_search_by_key(&id.raw(), |op| op.id.raw())
-            .map_err(|_| BdbmsError::not_found(format!("operation {id}")))
-    }
-
-    /// Look up a log entry.
-    pub fn get(&self, id: OperationId) -> Result<&LoggedOp> {
-        Ok(&self.log[self.position(id)?])
-    }
-
-    /// Mark an entry decided; returns the entry (with the inverse the
-    /// caller must execute on disapproval).  Fails on double decisions.
-    pub fn decide(&mut self, id: OperationId, approve: bool) -> Result<LoggedOp> {
-        let pos = self.position(id)?;
-        let op = &mut self.log[pos];
-        if op.status != OpStatus::Pending {
-            return Err(BdbmsError::approval(format!(
-                "operation {id} was already {}",
-                op.status
-            )));
-        }
-        op.status = if approve {
-            OpStatus::Approved
-        } else {
-            OpStatus::Disapproved
-        };
-        Ok(op.clone())
-    }
-
-    /// The log length and id allocator — the watermark an append
-    /// records as its inverse.
-    pub(crate) fn log_watermark(&self) -> (usize, u64) {
-        (self.log.len(), self.next_id)
-    }
-
-    /// Restore the log to a snapshot: drop entries appended past the
-    /// watermark and rewind the id allocator (transaction rollback).
-    pub(crate) fn truncate_log(&mut self, len: usize, next_id: u64) {
-        self.log.truncate(len);
-        self.next_id = next_id;
-    }
-
-    /// Force an entry's status (transaction rollback undoing a decision
-    /// whose inverse execution was itself rolled back).
-    pub(crate) fn set_status(&mut self, id: OperationId, status: OpStatus) {
-        if let Ok(pos) = self.position(id) {
-            self.log[pos].status = status;
-        }
-    }
-
-    /// Deterministic dump of the manager (checkpoint snapshots — see
-    /// `crate::durability`): sorted per-table configs, the full log, and
-    /// the id allocator.
+    /// Deterministic dump of the configs (checkpoint snapshots — see
+    /// `crate::durability`), sorted by table.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot(
-        &self,
-    ) -> (Vec<(String, Option<Vec<String>>, String)>, &[LoggedOp], u64) {
+    pub(crate) fn snapshot(&self) -> Vec<(String, Option<Vec<String>>, String)> {
         let mut configs: Vec<(String, Option<Vec<String>>, String)> = self
             .configs
             .iter()
             .map(|(t, c)| (t.clone(), c.columns.clone(), c.approver.clone()))
             .collect();
         configs.sort();
-        (configs, &self.log, self.next_id)
+        configs
     }
 
-    /// Rebuild from a [`snapshot`](Self::snapshot) dump.  A log whose
-    /// ids are not strictly ascending and below the allocator is
-    /// `Corrupt`: lookups binary-search it.
-    pub(crate) fn restore(
-        configs: Vec<(String, Option<Vec<String>>, String)>,
-        log: Vec<LoggedOp>,
-        next_id: u64,
-    ) -> Result<ApprovalManager> {
-        let mut m = ApprovalManager::new();
-        for (table, columns, approver) in configs {
+    /// Rebuild from a [`snapshot`](Self::snapshot) dump.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn restore(configs: Vec<(String, Option<Vec<String>>, String)>) -> ApprovalManager {
+        ApprovalManager {
             // keys were stored lowercased; reinsert directly
-            m.configs
-                .insert(table, ApprovalConfig { columns, approver });
+            configs: configs
+                .into_iter()
+                .map(|(table, columns, approver)| (table, ApprovalConfig { columns, approver }))
+                .collect(),
         }
-        for op in log {
-            m.restore_log_entry(op)?;
-        }
-        if m.next_id > next_id {
-            return Err(BdbmsError::corrupt(format!(
-                "approval log holds ids at or past its allocator {next_id}"
-            )));
-        }
-        m.next_id = next_id;
-        Ok(m)
-    }
-
-    /// Re-append a logged operation with its original id (WAL replay).
-    /// An id not above every logged one is `Corrupt`.
-    pub(crate) fn restore_log_entry(&mut self, op: LoggedOp) -> Result<()> {
-        if self
-            .log
-            .last()
-            .is_some_and(|last| last.id.raw() >= op.id.raw())
-        {
-            return Err(BdbmsError::corrupt(format!(
-                "approval log entry {} is out of order",
-                op.id
-            )));
-        }
-        self.next_id = self.next_id.max(op.id.raw() + 1);
-        self.log.push(op);
-        Ok(())
-    }
-
-    /// Bytes of log storage (for the E11 overhead report): description +
-    /// stored inverse values.
-    pub fn log_bytes(&self) -> usize {
-        self.log
-            .iter()
-            .map(|op| {
-                let inv = match &op.inverse {
-                    InverseOp::DeleteRow { .. } => 8,
-                    InverseOp::InsertRow { values, .. } => {
-                        8 + values.iter().map(value_bytes).sum::<usize>()
-                    }
-                    InverseOp::RestoreCells { old, .. } => {
-                        8 + old.iter().map(|(_, v)| 4 + value_bytes(v)).sum::<usize>()
-                    }
-                };
-                40 + op.description.len() + inv
-            })
-            .sum()
-    }
-}
-
-fn value_bytes(v: &Value) -> usize {
-    match v {
-        Value::Text(s) => 5 + s.len(),
-        _ => 9,
     }
 }
 
@@ -381,29 +351,131 @@ mod tests {
         assert!(!m.monitors("Gene", &["gsequence".into()]));
     }
 
+    /// Gene with `alice` allowed to insert and update, approval on (by
+    /// admin), and `n` of her inserts logged.
+    fn logged_db(n: usize) -> crate::Database {
+        let mut db = crate::Database::new_in_memory();
+        db.execute("CREATE TABLE Gene (GID TEXT, GSequence TEXT)")
+            .unwrap();
+        db.execute("CREATE USER alice").unwrap();
+        db.execute("GRANT INSERT, UPDATE ON Gene TO alice").unwrap();
+        db.execute("START CONTENT APPROVAL ON Gene APPROVED BY admin")
+            .unwrap();
+        for i in 0..n {
+            db.execute_as(&format!("INSERT INTO Gene VALUES ('g{i}', 'ATG')"), "alice")
+                .unwrap();
+        }
+        db
+    }
+
     #[test]
     fn log_and_decide() {
-        let mut m = ApprovalManager::new();
-        m.start("Gene", None, "labadmin");
-        let id = m.log_operation(
-            "Gene",
-            "alice",
-            7,
-            "UPDATE Gene SET GSequence='GTG' (row 0)".into(),
+        let mut db = logged_db(0);
+        db.execute("INSERT INTO Gene VALUES ('JW0080', 'ATG')")
+            .unwrap();
+        db.execute_as("UPDATE Gene SET GSequence = 'GTG'", "alice")
+            .unwrap();
+        let pending = db.pending_operations(None).unwrap();
+        assert_eq!(pending.len(), 1);
+        assert_eq!(db.pending_operations(Some("gene")).unwrap().len(), 1);
+        assert_eq!(db.pending_operations(Some("other")).unwrap().len(), 0);
+        assert_eq!(
+            pending[0].inverse,
             InverseOp::RestoreCells {
                 row_no: 0,
-                old: vec![(2, Value::Text("ATG".into()))],
-            },
+                old: vec![(1, Value::Text("ATG".into()))],
+            }
         );
-        assert_eq!(m.pending(None).len(), 1);
-        assert_eq!(m.pending(Some("gene")).len(), 1);
-        assert_eq!(m.pending(Some("other")).len(), 0);
-        let decided = m.decide(id, false).unwrap();
-        assert_eq!(decided.status, OpStatus::Disapproved);
-        assert!(matches!(decided.inverse, InverseOp::RestoreCells { .. }));
-        assert!(m.pending(None).is_empty());
+        let id = pending[0].id.raw();
+        db.execute(&format!("DISAPPROVE OPERATION {id}")).unwrap();
+        let log = db.approval_log(None).unwrap();
+        assert_eq!(log[0].status, OpStatus::Disapproved);
+        assert!(db.pending_operations(None).unwrap().is_empty());
+        let r = db.execute("SELECT GSequence FROM Gene").unwrap();
+        assert_eq!(
+            r.rows[0].values[0],
+            Value::Text("ATG".into()),
+            "inverse ran"
+        );
         // double decision rejected
-        assert_eq!(m.decide(id, true).unwrap_err().kind(), "approval");
+        let err = db.execute(&format!("APPROVE OPERATION {id}")).unwrap_err();
+        assert_eq!(err.kind(), "approval");
+    }
+
+    /// The log is rows of the table's hidden approval log: each logged
+    /// operation adds one, holding its inverse's values.
+    #[test]
+    fn log_bytes_grow() {
+        let db = logged_db(10);
+        let log = db.catalog().table("Gene$$approval").unwrap();
+        assert_eq!(log.len(), 10);
+        let row = log.get(3).unwrap();
+        assert_eq!(row[STATUS], Value::Int(OpStatus::Pending.code()));
+        assert_eq!(db.approval_log(Some("Gene")).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn unknown_operation() {
+        let mut db = logged_db(1);
+        for verb in ["APPROVE", "DISAPPROVE"] {
+            let err = db.execute(&format!("{verb} OPERATION 9")).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::NotFound);
+        }
+    }
+
+    /// Ids are handed out one past the highest logged, so a rolled-back
+    /// append frees its id again; a reopen keeps every id reachable.
+    #[test]
+    fn lookups_by_id_after_truncate_and_restore() {
+        let dir =
+            std::env::temp_dir().join(format!("bdbms-approval-ids-{}.bdbms", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = crate::Database::create(&dir).unwrap();
+        for sql in [
+            "CREATE TABLE Gene (GID TEXT, GSequence TEXT)",
+            "CREATE TABLE Protein (PID TEXT)",
+            "CREATE USER alice",
+            "GRANT INSERT ON Gene TO alice",
+            "GRANT INSERT ON Protein TO alice",
+            "START CONTENT APPROVAL ON Gene APPROVED BY admin",
+            "START CONTENT APPROVAL ON Protein APPROVED BY admin",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let insert = |db: &mut crate::Database, sql: &str| db.execute_as(sql, "alice");
+        for i in 0..3 {
+            insert(&mut db, &format!("INSERT INTO Gene VALUES ('g{i}', 'A')")).unwrap();
+            insert(&mut db, &format!("INSERT INTO Protein VALUES ('p{i}')")).unwrap();
+        }
+        // a failing statement's appends roll back with it
+        let err = insert(
+            &mut db,
+            "INSERT INTO Gene VALUES ('x', 'A'), ('y', 'A', 'z')",
+        );
+        assert!(err.is_err());
+        insert(&mut db, "INSERT INTO Protein VALUES ('p3')").unwrap();
+        db.execute("APPROVE OPERATION 4").unwrap();
+        let ids = |db: &crate::Database| -> Vec<(u64, String, OpStatus)> {
+            let log = db.approval_log(None).unwrap();
+            log.into_iter()
+                .map(|op| (op.id.raw(), op.table, op.status))
+                .collect()
+        };
+        let before = ids(&db);
+        let want: Vec<u64> = (0..7).collect();
+        assert_eq!(before.iter().map(|e| e.0).collect::<Vec<_>>(), want);
+        assert_eq!(before[6].1, "Protein", "the freed id 6 was reused");
+        assert_eq!(before[4].2, OpStatus::Approved);
+        db.close().unwrap();
+        let mut db = crate::Database::open(&dir).unwrap();
+        assert_eq!(ids(&db), before);
+        db.execute("DISAPPROVE OPERATION 2").unwrap();
+        assert_eq!(
+            db.execute("APPROVE OPERATION 7").unwrap_err().code(),
+            ErrorCode::NotFound
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -422,98 +494,62 @@ mod tests {
         assert_ne!(del_inv, upd_inv);
     }
 
+    fn op(inverse: InverseOp, status: OpStatus) -> LoggedOp {
+        LoggedOp {
+            id: OperationId(9),
+            table: "Gene".into(),
+            user: "alice".into(),
+            time: 44,
+            description: "UPDATE Gene".into(),
+            inverse,
+            status,
+        }
+    }
+
+    /// Every inverse kind and status survives its log row, values typed.
     #[test]
-    fn log_bytes_grow() {
-        let mut m = ApprovalManager::new();
-        let empty = m.log_bytes();
-        for i in 0..10 {
-            m.log_operation(
-                "T",
-                "u",
-                i,
-                format!("op {i}"),
-                InverseOp::DeleteRow { row_no: i },
+    fn log_rows_round_trip() {
+        for (inverse, status) in [
+            (InverseOp::DeleteRow { row_no: 3 }, OpStatus::Pending),
+            (
+                InverseOp::InsertRow {
+                    row_no: 4,
+                    values: vec![Value::Text("JW1".into()), Value::Null, Value::Float(2.5)],
+                },
+                OpStatus::Approved,
+            ),
+            (
+                InverseOp::RestoreCells {
+                    row_no: 5,
+                    old: vec![(0, Value::Null), (2, Value::Int(7))],
+                },
+                OpStatus::Disapproved,
+            ),
+        ] {
+            let logged = op(inverse, status);
+            let row = logged.to_row(3).unwrap();
+            let back = LoggedOp::from_row("Gene", 9, row).unwrap();
+            assert_eq!(back.inverse, logged.inverse);
+            assert_eq!(
+                (back.id, back.status, back.time, back.user, back.description),
+                (
+                    logged.id,
+                    logged.status,
+                    44,
+                    logged.user,
+                    logged.description
+                )
             );
         }
-        assert!(m.log_bytes() > empty + 10 * 40);
-        assert_eq!(m.log().len(), 10);
-    }
-
-    #[test]
-    fn unknown_operation() {
-        let mut m = ApprovalManager::new();
-        assert!(m.get(OperationId(9)).is_err());
-        assert!(m.decide(OperationId(9), true).is_err());
-    }
-
-    fn log_ops(m: &mut ApprovalManager, n: u64) -> Vec<OperationId> {
-        (0..n)
-            .map(|i| {
-                m.log_operation(
-                    "T",
-                    "u",
-                    i,
-                    format!("op {i}"),
-                    InverseOp::DeleteRow { row_no: i },
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lookups_by_id_after_truncate_and_restore() {
-        let mut m = ApprovalManager::new();
-        let ids = log_ops(&mut m, 6);
-        let (len, next_id) = m.log_watermark();
-        let extra = log_ops(&mut m, 3);
-        // rollback: the truncated ids are gone, the survivors still found
-        m.truncate_log(len, next_id);
-        for id in &extra {
-            assert_eq!(m.get(*id).unwrap_err().code(), ErrorCode::NotFound);
-        }
-        for id in &ids {
-            assert_eq!(m.get(*id).unwrap().id, *id);
-        }
-        // the allocator rewound: the next op reuses the first truncated id
-        let again = log_ops(&mut m, 1)[0];
-        assert_eq!(again, extra[0]);
-        m.set_status(ids[4], OpStatus::Approved);
-        assert_eq!(m.decide(ids[2], false).unwrap().id, ids[2]);
-        // a snapshot round trip keeps every id reachable
-        let (configs, log, next_id) = m.snapshot();
-        let log = log.to_vec();
-        let r = ApprovalManager::restore(configs, log, next_id).unwrap();
-        assert_eq!(r.get(ids[4]).unwrap().status, OpStatus::Approved);
-        assert_eq!(r.get(ids[2]).unwrap().status, OpStatus::Disapproved);
-        assert_eq!(r.get(again).unwrap().status, OpStatus::Pending);
-        assert_eq!(
-            r.get(OperationId(next_id)).unwrap_err().code(),
-            ErrorCode::NotFound
+        let wide = op(
+            InverseOp::RestoreCells {
+                row_no: 0,
+                old: vec![(63, Value::Int(1))],
+            },
+            OpStatus::Pending,
         );
-    }
-
-    #[test]
-    fn out_of_order_ids_are_corrupt() {
-        let mut m = ApprovalManager::new();
-        log_ops(&mut m, 3);
-        let (configs, log, next_id) = m.snapshot();
-        let mut log = log.to_vec();
-        log.swap(0, 2);
-        let err = ApprovalManager::restore(configs.clone(), log.clone(), next_id)
-            .err()
-            .unwrap();
+        assert_eq!(wide.to_row(64).unwrap_err().code(), ErrorCode::Invalid);
+        let err = LoggedOp::from_row("Gene", 9, vec![Value::Null; 9]).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Corrupt);
-        log.swap(0, 2);
-        let err = ApprovalManager::restore(configs, log.clone(), 1)
-            .err()
-            .unwrap();
-        assert_eq!(err.code(), ErrorCode::Corrupt, "ids past the allocator");
-        // replay: a duplicate id is refused and leaves the log as it was
-        let dup = log[1].clone();
-        assert_eq!(
-            m.restore_log_entry(dup).unwrap_err().code(),
-            ErrorCode::Corrupt
-        );
-        assert_eq!(m.log().len(), 3);
     }
 }

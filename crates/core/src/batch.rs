@@ -532,7 +532,7 @@ impl<'a> BatchOp<'a> for BatchAttach<'a> {
         for &i in &batch.sel {
             let slots = &mut slots[batch.cells(i)];
             for (attacher, &row_no) in self.attachers.iter_mut().zip(batch.row_nos(i)) {
-                attached += attacher.attach_into(row_no, slots);
+                attached += attacher.attach_into(row_no, slots)?;
             }
         }
         batch.anns = Some(slots);

@@ -1,7 +1,16 @@
 //! The catalog: tables, their heaps, annotation sets, and outdated bitmaps.
+//!
+//! The curator's history lives in **hidden tables**, ordinary [`Table`]s
+//! whose names contain `$`, which no SQL identifier can spell: for table
+//! `T`, `T$$deleted` (the deletion log), `T$$approval` (the approval
+//! log), and for each annotation set `S`, `T$S` and `T$S$rects` (see
+//! `crate::annotation`).  They are created and dropped with their owner,
+//! and [`Catalog::tables`] does not list them.
 
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bdbms_common::bitmap::CellBitmap;
@@ -11,7 +20,7 @@ use bdbms_index::BPlusTree;
 use bdbms_seq::{RleSeq, SbcTree, StringBTree};
 use bdbms_storage::{BufferPool, HeapFile, Rid};
 
-use crate::annotation::AnnotationSet;
+use crate::annotation::{Annotation, AnnotationSet, Rectangle, ARCHIVED};
 use crate::ast::SeqIndexKind;
 use crate::batch::BATCH_SIZE;
 use crate::durability::WalRecord;
@@ -317,6 +326,167 @@ pub struct DeletedRow {
     pub user: String,
 }
 
+/// Columns `T$$deleted` puts before `T`'s own: the row number, why,
+/// when and by whom.
+const DELETED_FIXED: usize = 4;
+
+impl DeletedRow {
+    /// The columns of `table`'s deletion log.
+    pub(crate) fn schema(table: &Schema) -> Schema {
+        let fixed = [
+            ("$row", DataType::Int),
+            ("$why", DataType::Text),
+            ("$time", DataType::Timestamp),
+            ("$user", DataType::Text),
+        ];
+        history_schema(&fixed, table)
+    }
+
+    /// This entry as a row of the deletion log.
+    pub(crate) fn into_row(self) -> Vec<Value> {
+        let mut row = vec![
+            Value::Int(self.row_no as i64),
+            self.annotation.map_or(Value::Null, Value::Text),
+            Value::Timestamp(self.time),
+            Value::Text(self.user),
+        ];
+        row.extend(self.values);
+        row
+    }
+
+    /// Decode a deletion-log row.
+    pub(crate) fn from_row(mut row: Vec<Value>) -> Result<DeletedRow> {
+        let values = row.split_off(DELETED_FIXED.min(row.len()));
+        match <[Value; DELETED_FIXED]>::try_from(row) {
+            Ok([Value::Int(row_no), why, Value::Timestamp(time), Value::Text(user)]) => {
+                Ok(DeletedRow {
+                    row_no: row_no as u64,
+                    values,
+                    annotation: match why {
+                        Value::Text(s) => Some(s),
+                        _ => None,
+                    },
+                    time,
+                    user,
+                })
+            }
+            _ => Err(BdbmsError::corrupt("malformed deletion-log row")),
+        }
+    }
+}
+
+/// `fixed` columns followed by every column of `table` (names with `$`
+/// cannot clash with a user column's).
+pub(crate) fn history_schema(fixed: &[(&str, DataType)], table: &Schema) -> Schema {
+    let fixed = fixed
+        .iter()
+        .map(|&(n, t)| bdbms_common::ColumnDef::new(n, t));
+    Schema::new(fixed.chain(table.columns().iter().cloned()).collect())
+        .expect("user column names contain no `$`")
+}
+
+/// The deletion log of `table`.
+pub(crate) fn deleted_table(table: &str) -> String {
+    format!("{table}$$deleted")
+}
+
+/// The approval log of `table`.
+pub(crate) fn approval_table(table: &str) -> String {
+    format!("{table}$$approval")
+}
+
+/// The owner of an approval log, if `name` is one.
+pub(crate) fn approval_log_owner(name: &str) -> Option<&str> {
+    name.strip_suffix("$$approval")
+}
+
+/// The record table of annotation set `set` on `table`.
+pub(crate) fn records_table(table: &str, set: &str) -> String {
+    format!("{table}${set}")
+}
+
+/// The rectangle table of annotation set `set` on `table`.
+pub(crate) fn rects_table(table: &str, set: &str) -> String {
+    format!("{table}${set}$rects")
+}
+
+/// The user table that owns hidden history table `name` (`None` for a
+/// user table's own name).
+pub fn owner_of(name: &str) -> Option<&str> {
+    name.split_once('$').map(|(owner, _)| owner)
+}
+
+/// An annotation set, shared by its two hidden tables, whose row writes
+/// keep it current.
+pub(crate) type SharedSet = Rc<RefCell<AnnotationSet>>;
+
+/// The in-memory state a hidden table derives from its rows.  The
+/// table's row write path — the one that keeps its B+-trees — keeps it
+/// too, so live writes, rollback and replay agree with no code of their
+/// own, and the open pass rebuilds it with the indexes.
+pub(crate) enum History {
+    /// `T$S`: the set itself — its definition, and the archived flag of
+    /// each annotation.
+    Records(SharedSet),
+    /// `T$S$rects`: the attachment index.
+    Rects(SharedSet),
+}
+
+impl History {
+    fn row_added(&mut self, row_no: u64, row: &[Value]) {
+        match self {
+            History::Records(set) => {
+                let archived = row[ARCHIVED] == Value::Bool(true);
+                set.borrow_mut().record_written(row_no, Some(archived));
+            }
+            History::Rects(set) => {
+                if let Some(r) = Rectangle::from_row(row) {
+                    set.borrow_mut().attach(&r);
+                }
+            }
+        }
+    }
+
+    fn row_removed(&mut self, row_no: u64, row: &[Value]) {
+        match self {
+            History::Records(set) => set.borrow_mut().record_written(row_no, None),
+            History::Rects(set) => {
+                if let Some(r) = Rectangle::from_row(row) {
+                    set.borrow_mut().detach(&r);
+                }
+            }
+        }
+    }
+}
+
+/// One annotation set as queries read it: the in-memory index, and the
+/// record table the bodies are fetched from.
+#[derive(Clone, Copy)]
+pub struct SetRef<'a> {
+    set: &'a RefCell<AnnotationSet>,
+    records: &'a Table,
+}
+
+impl<'a> SetRef<'a> {
+    /// The derived index (attachments and archived flags).
+    pub fn index(&self) -> Ref<'a, AnnotationSet> {
+        self.set.borrow()
+    }
+
+    /// Fetch one annotation record through the buffer pool.
+    pub fn get(&self, id: bdbms_common::ids::AnnotationId) -> Result<Annotation> {
+        Annotation::from_row(id.raw(), self.records.get(id.raw())?)
+    }
+
+    /// Every annotation record, in id order.
+    pub fn annotations(&self) -> Result<Vec<Annotation>> {
+        self.records
+            .iter_rows()
+            .map(|r| r.and_then(|(id, row)| Annotation::from_row(id, row)))
+            .collect()
+    }
+}
+
 /// One user table.
 pub struct Table {
     /// Case-preserved name.
@@ -328,12 +498,10 @@ pub struct Table {
     heap: HeapFile,
     rows: BTreeMap<u64, Rid>,
     next_row: u64,
-    /// Annotation tables attached to this relation (§3.1).
-    pub ann_sets: Vec<AnnotationSet>,
     /// Outdated-cell bitmap (§5, Figure 10), indexed `[row_no][col]`.
     pub outdated: CellBitmap,
-    /// Deletion log.
-    pub deleted_log: Vec<DeletedRow>,
+    /// What a hidden history table derives from its rows.
+    history: Option<History>,
     /// Secondary indexes (`CREATE INDEX … ON …`).
     indexes: Vec<TableIndex>,
     /// Sequence indexes (`CREATE SEQUENCE INDEX … ON …`).
@@ -363,9 +531,8 @@ impl Table {
             heap: HeapFile::create(pool)?,
             rows: BTreeMap::new(),
             next_row: 0,
-            ann_sets: Vec::new(),
             outdated: CellBitmap::new(0, arity),
-            deleted_log: Vec::new(),
+            history: None,
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
             stats: TableStats::new(arity),
@@ -373,11 +540,18 @@ impl Table {
         })
     }
 
+    /// A hidden history table keeping `history` from its rows.
+    pub(crate) fn with_history(mut self, history: Option<History>) -> Table {
+        self.history = history;
+        self
+    }
+
     /// Rebuild a table from its persisted parts (database open).  The
     /// heap is already attached to the live buffer pool; statistics are
     /// recomputed exactly (a reopen is an implicit `ANALYZE`) and the
-    /// secondary indexes are backfilled from the heap — index *payloads*
-    /// are never persisted, only their definitions.
+    /// secondary indexes — and a hidden table's `history` — are rebuilt
+    /// from the heap: derived *payloads* are never persisted, only their
+    /// definitions.
     #[allow(clippy::too_many_arguments)] // mirrors the persisted fields
     pub(crate) fn from_parts(
         name: String,
@@ -386,9 +560,8 @@ impl Table {
         heap: HeapFile,
         rows: BTreeMap<u64, Rid>,
         next_row: u64,
-        ann_sets: Vec<AnnotationSet>,
         outdated: CellBitmap,
-        deleted_log: Vec<DeletedRow>,
+        mut history: Option<History>,
         index_defs: &[(String, usize)],
         seq_index_defs: &[(String, usize, SeqIndexKind)],
     ) -> Result<Table> {
@@ -400,9 +573,8 @@ impl Table {
             heap,
             rows,
             next_row,
-            ann_sets,
             outdated,
-            deleted_log,
+            history: None,
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
             stats: TableStats::new(arity),
@@ -427,10 +599,17 @@ impl Table {
             seq_indexes.push(SeqIndex::new(index, col, *kind));
         }
         let mut stats = TableStats::new(arity);
-        t.derive(Some(&mut stats), &mut indexes, &mut seq_indexes, 0)?;
+        t.derive(
+            Some(&mut stats),
+            &mut indexes,
+            &mut seq_indexes,
+            history.as_mut(),
+            0,
+        )?;
         t.stats = stats;
         t.indexes = indexes;
         t.seq_indexes = seq_indexes;
+        t.history = history;
         Ok(t)
     }
 
@@ -562,6 +741,9 @@ impl Table {
         for sidx in &mut self.seq_indexes {
             sidx.add(&values[sidx.column], row_no);
         }
+        if let Some(h) = &mut self.history {
+            h.row_added(row_no, &values);
+        }
         self.stats.observe_row(&values);
         self.record(
             |table| WalRecord::RowInsert {
@@ -627,6 +809,10 @@ impl Table {
                 sidx.add(&values[sidx.column], row_no);
             }
         }
+        if let Some(h) = &mut self.history {
+            h.row_removed(row_no, old);
+            h.row_added(row_no, &values);
+        }
         for (col, (o, n)) in old.iter().zip(&values).enumerate() {
             if o != n {
                 self.stats.update_cell(col, o, n);
@@ -668,6 +854,9 @@ impl Table {
         for sidx in &mut self.seq_indexes {
             sidx.remove(row_no);
         }
+        if let Some(h) = &mut self.history {
+            h.row_removed(row_no, &values);
+        }
         self.stats.retire_row(&values);
         self.record(
             |table| WalRecord::RowDelete { table, row_no },
@@ -678,20 +867,6 @@ impl Table {
             },
         );
         Ok(values)
-    }
-
-    /// Append an entry to the deletion log (§3.2).  Routed through a
-    /// method (rather than pushing on the public field) so durable
-    /// databases get a redo record; rollback truncates the log to the
-    /// table snapshot's length.
-    pub(crate) fn push_deleted(&mut self, row: DeletedRow) {
-        self.log
-            .borrow_mut()
-            .record_redo(|| WalRecord::DeletedLogPush {
-                table: self.name.clone(),
-                row: row.clone(),
-            });
-        self.deleted_log.push(row);
     }
 
     /// All `(row_no, values)` pairs in row-number order, fetched from the
@@ -805,9 +980,12 @@ impl Table {
     /// * each sequence index in `seq_indexes`: an empty one is bulk-built
     ///   from every row once the scan has succeeded, a non-empty one gets
     ///   the rows from `first_row` up appended (its backend is
-    ///   insert-only).
+    ///   insert-only);
+    /// * a hidden table's (fresh) `history`: fed every row, a rectangle
+    ///   table's R-tree bulk-loaded from all of them.
     ///
-    /// Only the index key columns are decoded.  A failed scan leaves the
+    /// Only the index key columns are decoded (every column when a
+    /// `history` is fed).  A failed scan leaves the
     /// B+-trees as they were and at most some rows appended to non-empty
     /// sequence indexes, which `truncate_rows_from` undoes (new indexes
     /// are simply dropped).
@@ -816,14 +994,17 @@ impl Table {
         mut stats: Option<&mut TableStats>,
         indexes: &mut [TableIndex],
         seq_indexes: &mut [SeqIndex],
+        mut history: Option<&mut History>,
         first_row: u64,
     ) -> Result<()> {
         // the key columns, ascending: a row's slice of the arena holds
         // exactly these, in this order
+        let all = history.is_some().then(|| 0..self.schema.arity());
         let mut keys: Vec<usize> = indexes
             .iter()
             .map(|i| i.column)
             .chain(seq_indexes.iter().map(|i| i.column))
+            .chain(all.into_iter().flatten())
             .collect();
         keys.sort_unstable();
         keys.dedup();
@@ -859,6 +1040,8 @@ impl Table {
             })
             .collect();
         let mut arena: Vec<Value> = Vec::new();
+        // a rectangle table's index loads in one step, after the scan
+        let mut rects = Vec::new();
         let mut rows = self.rows.iter().peekable();
         while rows.peek().is_some() {
             let (nos, rids): (Vec<u64>, Vec<Rid>) = rows.by_ref().take(BATCH_SIZE).unzip();
@@ -887,6 +1070,11 @@ impl Table {
             })?;
             // (without key columns the arena is empty: nothing to feed)
             for (values, &row_no) in arena.chunks_mut(keys.len().max(1)).zip(&nos) {
+                match history.as_deref_mut() {
+                    Some(History::Rects(_)) => rects.extend(Rectangle::from_row(values)),
+                    Some(h) => h.row_added(row_no, values),
+                    None => {}
+                }
                 for (sidx, load) in seq_indexes.iter_mut().zip(&mut loads) {
                     match (load, &values[slot(sidx.column)]) {
                         (Some((rows, texts)), Value::Text(s)) => {
@@ -909,6 +1097,9 @@ impl Table {
         for (idx, pairs) in indexes.iter_mut().zip(sorted) {
             idx.load(pairs);
         }
+        if let Some(History::Rects(set)) = history {
+            set.borrow_mut().load(rects);
+        }
         for (sidx, load) in seq_indexes.iter_mut().zip(loads) {
             if let Some((rows, texts)) = load {
                 sidx.load(rows, texts);
@@ -930,7 +1121,7 @@ impl Table {
         }
         let col = self.schema.require(column)?;
         let mut idx = TableIndex::new(name, col);
-        self.derive(None, std::slice::from_mut(&mut idx), &mut [], 0)?;
+        self.derive(None, std::slice::from_mut(&mut idx), &mut [], None, 0)?;
         self.indexes.push(idx);
         self.record(
             |table| WalRecord::IndexCreate {
@@ -1006,7 +1197,7 @@ impl Table {
             )));
         }
         let mut sidx = SeqIndex::new(name, col, kind);
-        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), 0)?;
+        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)?;
         self.seq_indexes.push(sidx);
         self.record(
             |table| WalRecord::SeqIndexCreate {
@@ -1096,7 +1287,13 @@ impl Table {
         let mut stats = TableStats::new(self.schema.arity());
         let mut indexes = std::mem::take(&mut self.indexes);
         let mut seq_indexes = std::mem::take(&mut self.seq_indexes);
-        let derived = self.derive(Some(&mut stats), &mut indexes, &mut seq_indexes, first_row);
+        let derived = self.derive(
+            Some(&mut stats),
+            &mut indexes,
+            &mut seq_indexes,
+            None,
+            first_row,
+        );
         self.indexes = indexes;
         self.seq_indexes = seq_indexes;
         derived?;
@@ -1124,6 +1321,9 @@ impl Table {
             }
             for sidx in &mut self.seq_indexes {
                 sidx.remove(row_no);
+            }
+            if let Some(h) = &mut self.history {
+                h.row_removed(row_no, &values);
             }
         }
         self.set_next_row(first_row);
@@ -1159,7 +1359,7 @@ impl Table {
     /// Returns the number of rows scanned.
     pub fn analyze(&mut self) -> Result<u64> {
         let mut stats = TableStats::new(self.schema.arity());
-        self.derive(Some(&mut stats), &mut [], &mut [], 0)?;
+        self.derive(Some(&mut stats), &mut [], &mut [], None, 0)?;
         self.stats = stats;
         Ok(self.rows.len() as u64)
     }
@@ -1184,128 +1384,12 @@ impl Table {
         self.rows.contains_key(&row_no)
     }
 
-    /// Find the annotation set with this name (case-insensitive).
-    pub fn ann_set(&self, name: &str) -> Option<&AnnotationSet> {
-        self.ann_sets
-            .iter()
-            .find(|s| s.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Mutable variant of [`ann_set`](Self::ann_set).
-    pub fn ann_set_mut(&mut self, name: &str) -> Option<&mut AnnotationSet> {
-        self.ann_sets
-            .iter_mut()
-            .find(|s| s.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Attach a new annotation table (logged — every annotation-set
-    /// creation funnels through here).
-    pub(crate) fn add_ann_set(&mut self, set: AnnotationSet) {
-        self.record(
-            |table| WalRecord::AnnSetCreate {
-                table,
-                set: set.name.clone(),
-                cell_scheme: set.is_cell_scheme(),
-                system_only: set.system_only,
-                schema_enforced: set.schema_enforced,
-            },
-            |table| WalRecord::AnnSetDrop {
-                table,
-                set: set.name.clone(),
-            },
-        );
-        self.ann_sets.push(set);
-    }
-
-    /// Detach the named annotation table (DROP ANNOTATION TABLE).  Like
-    /// `DROP TABLE`, the set moves into the log wholesale: rollback puts
-    /// it back byte-identical, at its old position.
-    pub(crate) fn drop_ann_set(&mut self, name: &str) -> Result<()> {
-        let pos = self
-            .ann_sets
-            .iter()
-            .position(|s| s.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| {
-                BdbmsError::not_found(format!("annotation table `{name}` on `{}`", self.name))
-            })?;
-        let set = self.ann_sets.remove(pos);
-        let name = set.name.clone();
-        self.log.borrow_mut().record(
-            || WalRecord::AnnSetDrop {
-                table: self.name.clone(),
-                set: name,
-            },
-            || UndoOp::UnDropAnnSet {
-                table: self.name.clone(),
-                pos,
-                set: Box::new(set),
-            },
-        );
-        Ok(())
-    }
-
-    /// Add an annotation to the named set over `rows × cols` (logged).
-    /// Returns `None` when the set does not exist.
-    pub(crate) fn ann_add(
-        &mut self,
-        set: &str,
-        raw: &str,
-        creator: &str,
-        created: u64,
-        rows: &[u64],
-        cols: &[usize],
-    ) -> Option<bdbms_common::ids::AnnotationId> {
-        // borrow dance: record first (name lookup is immutable), then add
-        let next_id = self.ann_set(set)?.next_id();
-        self.log.borrow_mut().record(
-            || WalRecord::AnnAdd {
-                table: self.name.clone(),
-                set: set.to_string(),
-                raw: raw.to_string(),
-                creator: creator.to_string(),
-                created,
-                rows: rows.to_vec(),
-                cols: cols.iter().map(|&c| c as u64).collect(),
-            },
-            || UndoOp::RestoreAnnSet {
-                table: self.name.clone(),
-                set: set.to_string(),
-                next_id,
-            },
-        );
-        let s = self.ann_set_mut(set).expect("checked above");
-        Some(s.add(raw, creator, created, rows, cols))
-    }
-
-    /// Archive/restore annotations of the named set (logged).  Returns
-    /// the change count, or `None` when the set does not exist.
-    pub(crate) fn ann_set_archived(
-        &mut self,
-        set: &str,
-        cells: &[(u64, usize)],
-        between: Option<(u64, u64)>,
-        archived: bool,
-    ) -> Option<usize> {
-        let ids = self
-            .ann_set_mut(set)?
-            .set_archived(cells, between, archived);
-        let changed = ids.len();
-        self.log.borrow_mut().record(
-            || WalRecord::AnnArchive {
-                table: self.name.clone(),
-                set: set.to_string(),
-                cells: cells.iter().map(|&(r, c)| (r, c as u64)).collect(),
-                between,
-                archived,
-            },
-            || UndoOp::UnArchive {
-                table: self.name.clone(),
-                set: set.to_string(),
-                ids,
-                archived: !archived,
-            },
-        );
-        Some(changed)
+    /// The annotation set a hidden record table holds.
+    pub(crate) fn annotation_set(&self) -> Option<&SharedSet> {
+        match &self.history {
+            Some(History::Records(set)) => Some(set),
+            _ => None,
+        }
     }
 
     /// Mark a cell outdated (§5), growing the bitmap as needed.  Only a
@@ -1424,14 +1508,25 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drop a table.
-    pub fn drop_table(&mut self, name: &str) -> Result<Table> {
+    /// Drop a table with every hidden table it owns (all named
+    /// `name$…`); returns them, the table first.
+    pub fn drop_table(&mut self, name: &str) -> Result<Vec<Table>> {
+        let key = Self::key(name);
         let t = self
             .tables
-            .remove(&Self::key(name))
+            .remove(&key)
             .ok_or_else(|| BdbmsError::not_found(format!("table `{name}`")))?;
+        let prefix = format!("{key}$");
+        let owned: Vec<String> = self
+            .tables
+            .range(prefix.clone()..)
+            .take_while(|(k, _)| k.starts_with(&prefix))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let mut dropped = vec![t];
+        dropped.extend(owned.iter().filter_map(|k| self.tables.remove(k)));
         self.bump_generation();
-        Ok(t)
+        Ok(dropped)
     }
 
     /// Case-insensitive lookup.
@@ -1453,14 +1548,50 @@ impl Catalog {
         self.tables.contains_key(&Self::key(name))
     }
 
-    /// All tables in name order.
+    /// All user tables in name order (hidden history tables are not
+    /// listed).
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
+        self.all_tables().filter(|t| owner_of(&t.name).is_none())
+    }
+
+    /// Every table, hidden history tables included, in name order — an
+    /// owner right before the tables it owns.
+    pub(crate) fn all_tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.values()
     }
 
-    /// All tables, mutably.
+    /// Every table, hidden history tables included, mutably.
     pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
         self.tables.values_mut()
+    }
+
+    /// Annotation set `set` on `table`, as queries read it.
+    pub fn annotation_set(&self, table: &str, set: &str) -> Result<SetRef<'_>> {
+        let records = self
+            .table(table)
+            .and_then(|_| self.table(&records_table(table, set)));
+        match records.as_ref().map(|t| (t, t.annotation_set())) {
+            Ok((records, Some(set))) => Ok(SetRef { set, records }),
+            _ => Err(BdbmsError::not_found(format!(
+                "annotation table `{set}` on `{table}`"
+            ))),
+        }
+    }
+
+    /// The annotation sets attached to `table`, in name order.
+    pub fn ann_set_names(&self, table: &str) -> Vec<String> {
+        let prefix = format!("{}$", Self::key(table));
+        self.tables
+            .range(prefix.clone()..)
+            .take_while(|(k, _)| k.starts_with(&prefix))
+            .filter_map(|(_, t)| Some(t.annotation_set()?.borrow().name.clone()))
+            .collect()
+    }
+
+    /// The history a rectangle table derives: its record table's set.
+    pub(crate) fn rects_history(&self, name: &str) -> Option<History> {
+        let records = self.table(name.strip_suffix("$rects")?).ok()?;
+        Some(History::Rects(records.annotation_set()?.clone()))
     }
 }
 
@@ -1980,7 +2111,13 @@ mod tests {
         // the pass an open makes: statistics plus a fresh index
         let mut stats = TableStats::new(2);
         let mut idx = TableIndex::new("k2", 0);
-        let err = t.derive(Some(&mut stats), std::slice::from_mut(&mut idx), &mut [], 0);
+        let err = t.derive(
+            Some(&mut stats),
+            std::slice::from_mut(&mut idx),
+            &mut [],
+            None,
+            0,
+        );
         assert_eq!(err.unwrap_err().code(), want, "open's derive pass");
         assert!(idx.is_empty(), "a failed pass loads no index");
         // without statistics only the key column is read, as before

@@ -12,7 +12,8 @@
 //!   from disk so buffer-pool hits cannot mask a rotted page;
 //! * row decodability of every table heap;
 //! * secondary-index key order and index↔heap agreement;
-//! * annotation attachments resolving to existing annotation records;
+//! * each annotation set's in-memory index equal to one rebuilt from
+//!   its hidden tables' rows, every attachment resolving to a record;
 //! * outdated-bitmap shape (arity) and liveness (bits only on live rows);
 //! * WAL chain continuity (segment numbering, header agreement, frame
 //!   CRCs, dense LSNs) via [`verify_wal_dir`].
@@ -24,12 +25,13 @@
 use std::ops::Bound;
 use std::path::Path;
 
-use bdbms_common::{Result, Value};
+use bdbms_common::{BdbmsError, Result, Value};
 use bdbms_storage::{
     verify_page_checksum, verify_wal_dir, FileStore, PageId, PageStore, PAGE_SIZE,
 };
 
-use crate::catalog::Table;
+use crate::annotation::{AnnotationSet, Rectangle, ARCHIVED};
+use crate::catalog::{owner_of, records_table, rects_table, Catalog, Table};
 use crate::database::Database;
 use crate::durability::{DATA_FILE, WAL_DIR};
 use crate::result::{AnnRow, QueryResult};
@@ -81,13 +83,18 @@ impl Database {
         if let Some(dir) = self.path() {
             check_durable_image(dir, &mut rep);
         }
-        for t in self.catalog().tables() {
+        // a filtered check covers the table's history tables too
+        for t in self.catalog().all_tables() {
             if let Some(f) = filter {
-                if !t.name.eq_ignore_ascii_case(f) {
+                let owner = owner_of(&t.name).unwrap_or(&t.name);
+                if !owner.eq_ignore_ascii_case(f) {
                     continue;
                 }
             }
             check_table(t, &mut rep);
+            for set in self.catalog().ann_set_names(&t.name) {
+                check_ann_set(self.catalog(), &t.name, &set, &mut rep);
+            }
         }
         Ok(rep)
     }
@@ -222,19 +229,6 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
             ));
         }
     }
-    // Annotation attachments must resolve.
-    for s in &t.ann_sets {
-        for id in s.referenced_ids() {
-            if s.get(id).is_none() {
-                rep.problems.push(format!(
-                    "annotation set `{}` on `{name}`: attachment references \
-                     missing annotation {}",
-                    s.name,
-                    id.raw()
-                ));
-            }
-        }
-    }
     // Outdated bitmap: right shape, bits only on live rows.
     if t.outdated.cols() != t.schema.arity() {
         rep.problems.push(format!(
@@ -252,6 +246,33 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
     }
 }
 
+/// Verify one annotation set: its in-memory index must equal one
+/// rebuilt from its record and rectangle rows.
+fn check_ann_set(catalog: &Catalog, table: &str, set: &str, rep: &mut CheckReport) {
+    let rebuilt = (|| -> Result<bool> {
+        let live = catalog.annotation_set(table, set)?.index();
+        let mut fresh = AnnotationSet::new(set, live.is_cell_scheme());
+        for row in catalog.table(&records_table(table, set))?.iter_rows() {
+            let (id, row) = row?;
+            fresh.record_written(id, Some(row[ARCHIVED] == Value::Bool(true)));
+        }
+        for row in catalog.table(&rects_table(table, set))?.iter_rows() {
+            let (key, row) = row?;
+            let r = Rectangle::from_row(&row)
+                .ok_or_else(|| BdbmsError::corrupt(format!("malformed rectangle row {key}")))?;
+            fresh.attach(&r);
+        }
+        Ok(live.same_index(&fresh))
+    })();
+    let problem = match rebuilt {
+        Ok(true) => return,
+        Ok(false) => "attachment index disagrees with its rows".to_string(),
+        Err(e) => format!("unreadable history: {e}"),
+    };
+    rep.problems
+        .push(format!("annotation set `{set}` on `{table}`: {problem}"));
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -260,6 +281,7 @@ mod tests {
     use bdbms_storage::{BufferPool, MemStore};
 
     use super::*;
+    use crate::Database;
 
     /// `T (K INT, V TEXT)` with rows 0..3 (`K` = 10, 20, 30) and an index
     /// on `K`.
@@ -347,6 +369,30 @@ mod tests {
         assert_eq!(
             problems(&t),
             ["table `T`: outdated bit on dead row 2, column 1"]
+        );
+    }
+
+    /// An annotation set's in-memory index must equal the one its rows
+    /// rebuild.
+    #[test]
+    fn an_annotation_index_out_of_step_with_its_rows_is_reported() {
+        let mut db = Database::new_in_memory();
+        for sql in [
+            "CREATE TABLE T (v INT)",
+            "CREATE ANNOTATION TABLE a ON T",
+            "INSERT INTO T VALUES (1), (2)",
+            "ADD ANNOTATION TO T.a VALUE 'x' ON (SELECT G.v FROM T G)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        assert!(db.check().unwrap().is_ok());
+        let records = db.catalog.table("T$a").unwrap();
+        // archived in memory only: the record row still says live
+        let set = records.annotation_set().unwrap();
+        set.borrow_mut().record_written(0, Some(true));
+        assert_eq!(
+            db.check().unwrap().problems,
+            ["annotation set `a` on `T`: attachment index disagrees with its rows"]
         );
     }
 }

@@ -8,7 +8,9 @@
 //! [`Database::execute_as`], which parses A-SQL and routes each command
 //! through authorization, approval logging, and dependency tracking.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,11 +19,16 @@ use bdbms_common::metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot
 use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
 use bdbms_storage::{BufferPool, MemStore};
 
-use crate::annotation::AnnotationSet;
-use crate::approval::{ApprovalManager, InverseOp, OpStatus};
+use bdbms_common::ids::{AnnotationId, OperationId};
+
+use crate::annotation::{self, Annotation, AnnotationSet, ARCHIVED};
+use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus, STATUS};
 use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
-use crate::catalog::{Catalog, DeletedRow, Table};
+use crate::catalog::{
+    approval_log_owner, approval_table, deleted_table, records_table, rects_table, Catalog,
+    DeletedRow, History, SharedSet, Table,
+};
 use crate::dependency::{DependencyManager, DependencyRule};
 use crate::durability::WalRecord;
 use crate::executor::{run_select_traced, select_cells, table_bindings, target_rows, ExecStats};
@@ -543,8 +550,8 @@ impl Database {
     }
 
     /// Record the first-touch snapshot of a table's non-row state
-    /// (stats, row allocator, deletion-log length, outdated-bitmap row
-    /// count).  Must run *before* the mutation it covers.
+    /// (stats, row allocator, outdated-bitmap row count).  Must run
+    /// *before* the mutation it covers.
     fn rec_touch_table(&mut self, table: &str) {
         if !self.txn.table_needs_snapshot(table) {
             return;
@@ -554,32 +561,216 @@ impl Database {
                 table: t.name.clone(),
                 stats: t.stats().clone(),
                 next_row: t.peek_next_row(),
-                deleted_log_len: t.deleted_log.len(),
                 outdated_rows: t.outdated.rows(),
             });
         }
     }
 
-    /// Append a pending operation to the approval log (§6), with its
-    /// redo record and, as its inverse, the log's prior watermark.
+    // ---- the curator's history: rows of hidden tables ----
+
+    /// Append a row to hidden table `name`, snapshotting its non-row
+    /// state first; returns the row number.  The row is logged and
+    /// undone like any other, and the table's derived state follows it.
+    fn history_insert(&mut self, name: &str, row: Vec<Value>) -> Result<u64> {
+        self.rec_touch_table(name);
+        self.catalog.table_mut(name)?.insert(row)
+    }
+
+    /// Overwrite row `row_no` of hidden table `name`.
+    fn history_update(
+        &mut self,
+        name: &str,
+        row_no: u64,
+        old: &[Value],
+        row: Vec<Value>,
+    ) -> Result<()> {
+        self.rec_touch_table(name);
+        self.catalog
+            .table_mut(name)?
+            .update_with_old(row_no, old, row)
+    }
+
+    /// Create table `name` with its deletion and approval logs.  Not
+    /// logged: the caller logs `TableCreate`, whose replay lands here.
+    pub(crate) fn create_table_with_history(
+        &mut self,
+        name: &str,
+        owner: &str,
+        schema: Schema,
+    ) -> Result<()> {
+        let deleted = DeletedRow::schema(&schema);
+        let approval = LoggedOp::schema(&schema);
+        self.add_table(name, owner, schema, None)?;
+        self.add_table(&deleted_table(name), owner, deleted, None)?;
+        self.add_table(&approval_table(name), owner, approval, None)
+    }
+
+    /// Attach `set` to `table`: its record and rectangle tables, which
+    /// share it.  Not logged: the caller logs `AnnSetCreate`, whose
+    /// replay lands here.  (`AnnSetDrop` drops the record table, and
+    /// with it the rectangles.)
+    pub(crate) fn attach_ann_set(&mut self, table: &str, set: AnnotationSet) -> Result<()> {
+        let t = self.catalog.table(table)?;
+        let owner = t.owner.clone();
+        let (records, rects) = (
+            records_table(&t.name, &set.name),
+            rects_table(&t.name, &set.name),
+        );
+        let set: SharedSet = Rc::new(RefCell::new(set));
+        let rects_history = History::Rects(set.clone());
+        let schema = annotation::record_schema();
+        self.add_table(&records, &owner, schema, Some(History::Records(set)))?;
+        let schema = annotation::rect_schema();
+        self.add_table(&rects, &owner, schema, Some(rects_history))
+    }
+
+    fn add_table(
+        &mut self,
+        name: &str,
+        owner: &str,
+        schema: Schema,
+        history: Option<History>,
+    ) -> Result<()> {
+        let mut t = Table::create(name, schema, owner, self.pool.clone())?.with_history(history);
+        t.attach_log(self.txn.log());
+        self.catalog.add_table(t)
+    }
+
+    /// Store a new annotation over `rows × cols` of `table` in `set`:
+    /// one record row (whose row number is the id) and its rectangles
+    /// (`T$S$rects`).
+    #[allow(clippy::too_many_arguments)] // the annotation's fields
+    fn insert_annotation(
+        &mut self,
+        table: &str,
+        set: &str,
+        raw: &str,
+        creator: &str,
+        created: u64,
+        rows: &[u64],
+        cols: &[usize],
+    ) -> Result<AnnotationId> {
+        let records = records_table(table, set);
+        let id =
+            AnnotationId(self.history_insert(&records, Annotation::row(raw, created, creator))?);
+        let rects = rects_table(table, set);
+        for r in annotation::rectangles(id, rows, cols) {
+            self.history_insert(&rects, r.row())?;
+        }
+        Ok(id)
+    }
+
+    /// Archive (or restore) the annotations of `set` attached to any of
+    /// `cells`, optionally limited to a creation-time window (Figure
+    /// 6b/6c): each one that changes state is one record-row update.
+    /// Returns how many changed.
+    fn set_archived(
+        &mut self,
+        table: &str,
+        set: &str,
+        cells: &[(u64, usize)],
+        between: Option<(u64, u64)>,
+        archived: bool,
+    ) -> Result<usize> {
+        let index = self.catalog.annotation_set(table, set)?.index();
+        let mut ids: Vec<AnnotationId> = cells
+            .iter()
+            .flat_map(|&(r, c)| index.ids_for_cell(r, c))
+            .filter(|&id| index.is_archived(id) != archived)
+            .collect();
+        drop(index);
+        ids.sort_unstable();
+        ids.dedup();
+        let records = records_table(table, set);
+        let mut changed = 0;
+        for id in ids {
+            let old = self.catalog.table(&records)?.get(id.raw())?;
+            let created = Annotation::from_row(id.raw(), old.clone())?.created;
+            if between.is_some_and(|(lo, hi)| created < lo || hi < created) {
+                continue;
+            }
+            let mut row = old.clone();
+            row[ARCHIVED] = Value::Bool(archived);
+            self.history_update(&records, id.raw(), &old, row)?;
+            changed += 1;
+        }
+        Ok(changed)
+    }
+
+    /// Every approval log, with its owner's name.  An operation's id is
+    /// its row number in its table's log: the logs' row maps are the
+    /// id → row map.
+    fn approval_logs(&self) -> impl Iterator<Item = (&str, &Table)> {
+        let logs = self.catalog.all_tables();
+        logs.filter_map(|t| Some((approval_log_owner(&t.name)?, t)))
+    }
+
+    /// Append a pending operation to `table`'s approval log (§6).
     fn log_for_approval(
         &mut self,
         table: &str,
         user: &str,
         description: String,
         inverse: InverseOp,
-    ) {
-        let time = self.clock.now();
-        let (len, next_id) = self.approval.log_watermark();
-        let id = self
-            .approval
-            .log_operation(table, user, time, description, inverse);
-        self.txn.record(
-            || WalRecord::ApprovalLogged {
-                op: self.approval.get(id).expect("just logged").clone(),
-            },
-            || UndoOp::RestoreApprovalLog { len, next_id },
-        );
+    ) -> Result<()> {
+        // ids are global: one past the highest any log has handed out
+        // (a rollback rewinds its log's allocator, freeing the id again)
+        let logs = self.approval_logs().map(|(_, log)| log.peek_next_row());
+        let id = logs.max().unwrap_or(0);
+        let op = LoggedOp {
+            id: OperationId(id),
+            table: table.to_string(),
+            user: user.to_string(),
+            time: self.clock.now(),
+            description,
+            inverse,
+            status: OpStatus::Pending,
+        };
+        let row = op.to_row(self.catalog.table(table)?.schema.arity())?;
+        let log = approval_table(table);
+        self.rec_touch_table(&log);
+        self.catalog
+            .table_mut(&log)?
+            .insert_with_row_no(id, row)
+            .map(drop)
+    }
+
+    /// Keep a deleted tuple in `table`'s deletion log (§3.2).
+    fn log_deletion(&mut self, table: &str, deleted: DeletedRow) -> Result<()> {
+        let log = deleted_table(table);
+        self.history_insert(&log, deleted.into_row()).map(drop)
+    }
+
+    /// The deletion log of `table` (§3.2), oldest first.
+    pub fn deleted_log(&self, table: &str) -> Result<Vec<DeletedRow>> {
+        self.catalog.table(table)?;
+        let log = self.catalog.table(&deleted_table(table))?;
+        log.iter_rows()
+            .map(|r| r.and_then(|(_, row)| DeletedRow::from_row(row)))
+            .collect()
+    }
+
+    /// Every logged operation (§6), optionally of one table only, in id
+    /// order, decided or not.
+    pub fn approval_log(&self, table: Option<&str>) -> Result<Vec<LoggedOp>> {
+        let mut ops = Vec::new();
+        for (owner, log) in self.approval_logs() {
+            if table.is_none_or(|f| f.eq_ignore_ascii_case(owner)) {
+                for row in log.iter_rows() {
+                    let (id, row) = row?;
+                    ops.push(LoggedOp::from_row(owner, id, row)?);
+                }
+            }
+        }
+        ops.sort_by_key(|op| op.id);
+        Ok(ops)
+    }
+
+    /// The operations awaiting a decision, optionally of one table only.
+    pub fn pending_operations(&self, table: Option<&str>) -> Result<Vec<LoggedOp>> {
+        let mut ops = self.approval_log(table)?;
+        ops.retain(|op| op.status == OpStatus::Pending);
+        Ok(ops)
     }
 
     /// Statements whose effects live outside the log's reach
@@ -851,14 +1042,14 @@ impl Database {
                     ],
                     ..Default::default()
                 };
-                for op in self.approval.pending(table.as_deref()) {
+                for op in self.pending_operations(table.as_deref())? {
                     qr.rows.push(AnnRow::plain(vec![
                         Value::Int(op.id.raw() as i64),
-                        Value::Text(op.table.clone()),
-                        Value::Text(op.user.clone()),
+                        Value::Text(op.table),
+                        Value::Text(op.user),
                         Value::Timestamp(op.time),
                         Value::Text(op.status.to_string()),
-                        Value::Text(op.description.clone()),
+                        Value::Text(op.description),
                     ]));
                 }
                 Ok(qr)
@@ -1042,9 +1233,7 @@ impl Database {
                 .map(|(n, t)| bdbms_common::ColumnDef::new(n, t))
                 .collect(),
         )?;
-        let mut table = Table::create(name.clone(), schema, user, self.pool.clone())?;
-        table.attach_log(self.txn.log());
-        self.catalog.add_table(table)?;
+        self.create_table_with_history(&name, user, schema)?;
         let t = self.catalog.table(&name)?;
         self.txn.record(
             || WalRecord::TableCreate {
@@ -1059,15 +1248,14 @@ impl Database {
 
     fn drop_table(&mut self, name: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(name, user)?;
-        // the dropped table moves into the log wholesale: rollback puts
-        // it back byte-identical (heap, indexes, annotations, stats)
-        let table = self.catalog.drop_table(name)?;
-        let dropped = table.name.clone();
+        // the dropped table and its history tables move into the log
+        // wholesale: rollback puts them back byte-identical (heaps,
+        // indexes, annotations, stats)
+        let tables = self.catalog.drop_table(name)?;
+        let dropped = tables[0].name.clone();
         self.txn.record(
             || WalRecord::TableDrop { name: dropped },
-            || UndoOp::UnDropTable {
-                table: Box::new(table),
-            },
+            || UndoOp::UnDropTable { tables },
         );
         Ok(QueryResult::message(format!("table `{name}` dropped")))
     }
@@ -1080,13 +1268,12 @@ impl Database {
         user: &str,
     ) -> Result<QueryResult> {
         self.require_owner(on, user)?;
-        let table = self.catalog.table_mut(on)?;
-        if table.ann_set(name).is_some() {
+        if self.catalog.annotation_set(on, name).is_ok() {
             return Err(BdbmsError::already_exists(format!(
                 "annotation table `{name}` on `{on}`"
             )));
         }
-        table.add_ann_set(AnnotationSet::new(name, cell_scheme));
+        self.create_ann_set(on, AnnotationSet::new(name, cell_scheme))?;
         Ok(QueryResult::message(format!(
             "annotation table `{name}` created on `{on}`"
         )))
@@ -1094,10 +1281,42 @@ impl Database {
 
     fn drop_annotation_table(&mut self, name: &str, on: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(on, user)?;
-        self.catalog.table_mut(on)?.drop_ann_set(name)?;
+        self.catalog.annotation_set(on, name)?;
+        let tables = self.catalog.drop_table(&records_table(on, name))?;
+        self.txn.record(
+            || WalRecord::AnnSetDrop {
+                table: on.to_string(),
+                set: name.to_string(),
+            },
+            || UndoOp::UnDropTable { tables },
+        );
         Ok(QueryResult::message(format!(
             "annotation table `{name}` dropped from `{on}`"
         )))
+    }
+
+    /// Attach `set` to `table` with its hidden tables, logged — every
+    /// annotation-set creation funnels through here.
+    fn create_ann_set(&mut self, table: &str, set: AnnotationSet) -> Result<()> {
+        let (name, cell_scheme) = (set.name.clone(), set.is_cell_scheme());
+        let (system_only, schema_enforced) = (set.system_only, set.schema_enforced);
+        self.attach_ann_set(table, set)?;
+        self.txn.record(
+            || WalRecord::AnnSetCreate {
+                table: table.to_string(),
+                set: name.clone(),
+                cell_scheme,
+                system_only,
+                schema_enforced,
+            },
+            || {
+                UndoOp::Replay(WalRecord::AnnSetDrop {
+                    table: table.to_string(),
+                    set: name.clone(),
+                })
+            },
+        );
+        Ok(())
     }
 
     // ---- DML with approval + dependency integration ----
@@ -1121,7 +1340,7 @@ impl Database {
                 user,
                 format!("INSERT INTO {table} (row {row_no})"),
                 InverseOp::DeleteRow { row_no },
-            );
+            )?;
         }
         // dependency cascade: the new row may feed *computable* derived
         // cells; it never outdates values supplied with the fresh row
@@ -1189,7 +1408,7 @@ impl Database {
                         row_no,
                         old: old.clone(),
                     },
-                );
+                )?;
             }
             for &(col, _) in &old {
                 self.cascade(table, row_no, col, CascadeMode::Update)?;
@@ -1225,22 +1444,24 @@ impl Database {
                 self.cascade(table, row_no, col, CascadeMode::Stale)?;
             }
             let time = self.clock.now();
-            let t = self.catalog.table_mut(table)?;
-            let values = t.delete(row_no)?;
-            t.push_deleted(DeletedRow {
-                row_no,
-                values: values.clone(),
-                annotation: why.map(|s| s.to_string()),
-                time,
-                user: user.to_string(),
-            });
+            let values = self.catalog.table_mut(table)?.delete(row_no)?;
+            self.log_deletion(
+                table,
+                DeletedRow {
+                    row_no,
+                    values: values.clone(),
+                    annotation: why.map(|s| s.to_string()),
+                    time,
+                    user: user.to_string(),
+                },
+            )?;
             if monitored {
                 self.log_for_approval(
                     table,
                     user,
                     format!("DELETE FROM {table} (row {row_no})"),
                     InverseOp::InsertRow { row_no, values },
-                );
+                )?;
             }
         }
         Ok(victims)
@@ -1452,41 +1673,45 @@ impl Database {
     // ---- approval decisions ----
 
     fn decide(&mut self, id: u64, approve: bool, user: &str) -> Result<QueryResult> {
-        let op = self
-            .approval
-            .get(bdbms_common::ids::OperationId(id))?
-            .clone();
+        let (owner, log) = self
+            .approval_logs()
+            .find(|(_, log)| log.contains_row(id))
+            .ok_or_else(|| BdbmsError::not_found(format!("operation {}", OperationId(id))))?;
+        let (log, old) = (log.name.clone(), log.get(id)?);
+        let decided = LoggedOp::from_row(owner, id, old.clone())?;
         // the decision-maker must be the configured approver (or admin)
         let allowed = user == ADMIN
-            || match self.approval.config(&op.table) {
+            || match self.approval.config(&decided.table) {
                 Some(cfg) => self.auth.acts_as(user, &cfg.approver),
                 None => false,
             };
         if !allowed {
             return Err(BdbmsError::unauthorized(format!(
                 "user `{user}` may not decide operations on `{}`",
-                op.table
+                decided.table
             )));
         }
-        let decided = self
-            .approval
-            .decide(bdbms_common::ids::OperationId(id), approve)?;
-        // replay only re-flips the status: the inverse execution below
-        // records its own row-level changes.  A failing inverse execution
-        // rolls back with the statement, so the flip is undoable too.
-        self.txn.record(
-            || WalRecord::ApprovalDecide { id, approve },
-            || UndoOp::RestoreOpStatus {
-                id: op.id,
-                status: op.status,
-            },
-        );
+        if decided.status != OpStatus::Pending {
+            return Err(BdbmsError::approval(format!(
+                "operation {} was already {}",
+                decided.id, decided.status
+            )));
+        }
+        // the status flip is a row update; a failing inverse execution
+        // below rolls back with the statement, flip included
+        let status = if approve {
+            OpStatus::Approved
+        } else {
+            OpStatus::Disapproved
+        };
+        let mut row = old.clone();
+        row[STATUS] = Value::Int(status.code());
+        self.history_update(&log, id, &old, row)?;
         if approve {
             return Ok(QueryResult::message(format!("operation {id} approved")));
         }
         // §6: execute the inverse statement; dependency tracking then
         // invalidates anything derived from the undone values.
-        debug_assert_eq!(decided.status, OpStatus::Disapproved);
         self.rec_touch_table(&decided.table);
         match decided.inverse {
             InverseOp::DeleteRow { row_no } => {
@@ -1495,15 +1720,17 @@ impl Database {
                     self.cascade(&decided.table, row_no, col, CascadeMode::Stale)?;
                 }
                 let time = self.clock.now();
-                let t = self.catalog.table_mut(&decided.table)?;
-                let values = t.delete(row_no)?;
-                t.push_deleted(DeletedRow {
-                    row_no,
-                    values,
-                    annotation: Some(format!("disapproved operation {id}")),
-                    time,
-                    user: user.to_string(),
-                });
+                let values = self.catalog.table_mut(&decided.table)?.delete(row_no)?;
+                self.log_deletion(
+                    &decided.table,
+                    DeletedRow {
+                        row_no,
+                        values,
+                        annotation: Some(format!("disapproved operation {id}")),
+                        time,
+                        user: user.to_string(),
+                    },
+                )?;
             }
             InverseOp::InsertRow { row_no, values } => {
                 let t = self.catalog.table_mut(&decided.table)?;
@@ -1534,9 +1761,7 @@ impl Database {
 
     fn check_ann_write(&self, user: &str, table: &str, set_name: &str) -> Result<()> {
         let t = self.catalog.table(table)?;
-        let set = t.ann_set(set_name).ok_or_else(|| {
-            BdbmsError::not_found(format!("annotation table `{set_name}` on `{table}`"))
-        })?;
+        let set = self.catalog.annotation_set(table, set_name)?.index();
         if set.system_only {
             // §4: provenance writes restricted to integration tools
             self.auth
@@ -1555,7 +1780,7 @@ impl Database {
     ) -> Result<QueryResult> {
         for (t, s) in &to {
             self.check_ann_write(user, t, s)?;
-            let set = self.catalog.table(t)?.ann_set(s).expect("checked");
+            let set = self.catalog.annotation_set(t, s)?.index();
             if set.schema_enforced {
                 provenance::validate_body(value)?;
             }
@@ -1620,10 +1845,7 @@ impl Database {
         let time = self.clock.now();
         let mut added = 0;
         for (t, s) in &to {
-            let table = self.catalog.table_mut(t)?;
-            table
-                .ann_add(s, value, user, time, &rows, &cols)
-                .expect("checked");
+            self.insert_annotation(t, s, value, user, time, &rows, &cols)?;
             added += 1;
         }
         Ok(QueryResult {
@@ -1659,10 +1881,7 @@ impl Database {
                 )));
             }
             self.check_ann_write(user, t, s)?;
-            let table = self.catalog.table_mut(t)?;
-            changed += table
-                .ann_set_archived(s, &cells, between, archive)
-                .ok_or_else(|| BdbmsError::not_found(format!("annotation table `{s}` on `{t}`")))?;
+            changed += self.set_archived(t, s, &cells, between, archive)?;
         }
         Ok(QueryResult::message(format!(
             "{changed} annotation(s) {}",
@@ -1740,7 +1959,13 @@ impl Database {
     /// Create the provenance set if missing (logged like any set
     /// creation).  Runs inside whatever transaction the caller holds open.
     fn ensure_provenance_inner(&mut self, table: &str) -> Result<()> {
-        provenance::ensure_provenance_set(self.catalog.table_mut(table)?);
+        self.catalog.table(table)?;
+        let set = self
+            .catalog
+            .annotation_set(table, provenance::PROVENANCE_TABLE);
+        if set.is_err() {
+            self.create_ann_set(table, provenance::provenance_set())?;
+        }
         Ok(())
     }
 
@@ -1766,16 +1991,15 @@ impl Database {
         self.with_implicit(|db| {
             db.ensure_provenance_inner(table)?;
             let time = db.clock.tick();
-            let t = db.catalog.table_mut(table)?;
-            t.ann_add(
+            db.insert_annotation(
+                table,
                 provenance::PROVENANCE_TABLE,
                 &record.to_xml().to_xml(),
                 "system",
                 time,
                 rows,
                 cols,
-            )
-            .expect("just ensured");
+            )?;
             Ok(())
         })
     }
@@ -1788,12 +2012,7 @@ impl Database {
         col: usize,
         at: u64,
     ) -> Result<Option<ProvenanceRecord>> {
-        Ok(provenance::source_of(
-            self.catalog.table(table)?,
-            row,
-            col,
-            at,
-        ))
+        provenance::source_of(&self.catalog, table, row, col, at)
     }
 
     /// Full provenance history of a cell.
@@ -1803,7 +2022,7 @@ impl Database {
         row: u64,
         col: usize,
     ) -> Result<Vec<ProvenanceRecord>> {
-        Ok(provenance::history_of(self.catalog.table(table)?, row, col))
+        provenance::history_of(&self.catalog, table, row, col)
     }
 }
 

@@ -12,12 +12,15 @@
 //! ```
 //!
 //! **`data.bdb`** holds the last checkpoint: page 0 is a header (magic +
-//! CRC + the record id of the metadata blob), each table's rows live in
-//! their own heap-file pages (the existing slotted-page/overflow-chain
-//! machinery), and one metadata record describes everything else — table
-//! schemas, rid maps, annotation sets, outdated bitmaps, deletion logs,
-//! index *definitions* (payloads are rebuilt on open), dependency rules,
-//! auth and approval state, and the logical clock.
+//! format version + the record id of the metadata blob + CRC), each
+//! table's rows live in their own heap-file pages (the existing
+//! slotted-page/overflow-chain machinery), and one metadata record
+//! describes everything else — table schemas, rid maps, outdated
+//! bitmaps, annotation-set and index *definitions* (derived payloads are
+//! rebuilt on open), dependency rules, auth state, approval configs, and
+//! the logical clock.  The curator's history — annotation records and
+//! attachments, deletion logs, approval logs — is rows of hidden tables
+//! (`crate::catalog`), copied with every other heap.
 //!
 //! **The WAL** holds logical redo records for every transaction committed
 //! since that checkpoint.  While a transaction runs, each record sits in
@@ -63,13 +66,17 @@
 //! with a different error policy: a table whose heap fails the load's
 //! one pass is quarantined, an unreadable image or WAL chain is dropped,
 //! a WAL record that does not decode or apply is counted and skipped,
-//! and the survivors are always re-checkpointed.
+//! and the survivors are always re-checkpointed.  Only damage drops an
+//! image: one of another format version is refused (`Invalid`) and left
+//! alone, by salvage as by `open`.
 //!
 //! See `docs/STORAGE.md` for the byte-level formats.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,10 +92,10 @@ use bdbms_storage::{
 pub use bdbms_storage::wal::{CommitTicket, Durability};
 
 use crate::annotation::AnnotationSet;
-use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus};
+use crate::approval::ApprovalManager;
 use crate::ast::{Privilege, SeqIndexKind};
 use crate::auth::AuthManager;
-use crate::catalog::{DeletedRow, Table};
+use crate::catalog::{owner_of, records_table, History, Table};
 use crate::database::Database;
 use crate::dependency::DependencyRule;
 
@@ -101,7 +108,9 @@ pub(crate) const WAL_DIR: &str = "wal";
 
 const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 // v2: per-table sequence-index definitions appended to the snapshot
-const FORMAT_VERSION: u32 = 2;
+// v3: the history is hidden tables; the snapshot keeps set definitions
+//     and approval configs only (v2 images are refused, not read)
+const FORMAT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -140,15 +149,13 @@ pub(crate) enum WalRecord {
         row_no: u64,
         col: u64,
     },
-    /// An entry appended to the deletion log (§3.2).
-    DeletedLogPush { table: String, row: DeletedRow },
-    /// `CREATE TABLE`.
+    /// `CREATE TABLE` (its hidden history tables come with it).
     TableCreate {
         name: String,
         owner: String,
         schema: Schema,
     },
-    /// `DROP TABLE`.
+    /// `DROP TABLE` (with its hidden history tables).
     TableDrop { name: String },
     /// `CREATE INDEX` (definition only; payload rebuilds on replay).
     IndexCreate {
@@ -158,7 +165,8 @@ pub(crate) enum WalRecord {
     },
     /// `DROP INDEX`.
     IndexDrop { table: String, index: String },
-    /// `CREATE ANNOTATION TABLE` (or the provenance set auto-creation).
+    /// `CREATE ANNOTATION TABLE` (or the provenance set auto-creation),
+    /// with the set's two hidden tables.
     AnnSetCreate {
         table: String,
         set: String,
@@ -168,24 +176,6 @@ pub(crate) enum WalRecord {
     },
     /// `DROP ANNOTATION TABLE`.
     AnnSetDrop { table: String, set: String },
-    /// `ADD ANNOTATION` over `rows × cols` cells.
-    AnnAdd {
-        table: String,
-        set: String,
-        raw: String,
-        creator: String,
-        created: u64,
-        rows: Vec<u64>,
-        cols: Vec<u64>,
-    },
-    /// `ARCHIVE`/`RESTORE ANNOTATION` over cells.
-    AnnArchive {
-        table: String,
-        set: String,
-        cells: Vec<(u64, u64)>,
-        between: Option<(u64, u64)>,
-        archived: bool,
-    },
     /// `CREATE USER`.
     UserCreate { name: String, groups: Vec<String> },
     /// `GRANT`.
@@ -208,11 +198,6 @@ pub(crate) enum WalRecord {
     },
     /// `STOP CONTENT APPROVAL`.
     ApprovalStop { table: String, columns: Vec<String> },
-    /// An operation appended to the approval log.
-    ApprovalLogged { op: LoggedOp },
-    /// An approval decision (the inverse's row effects have their own
-    /// records; replay only flips the status).
-    ApprovalDecide { id: u64, approve: bool },
     /// `CREATE DEPENDENCY RULE` (with its allocated id).
     RuleAdd { rule: DependencyRule },
     /// `DROP DEPENDENCY RULE`.
@@ -328,110 +313,6 @@ fn get_privileges(cur: &mut Cur<'_>) -> Result<Vec<Privilege>> {
     Ok(out)
 }
 
-fn put_deleted_row(out: &mut Vec<u8>, row: &DeletedRow) {
-    codec::put_u64(out, row.row_no);
-    codec::put_values(out, &row.values);
-    codec::put_opt_str(out, row.annotation.as_deref());
-    codec::put_u64(out, row.time);
-    codec::put_str(out, &row.user);
-}
-
-fn get_deleted_row(cur: &mut Cur<'_>) -> Result<DeletedRow> {
-    Ok(DeletedRow {
-        row_no: cur.u64()?,
-        values: cur.values()?,
-        annotation: cur.opt_str()?,
-        time: cur.u64()?,
-        user: cur.str()?,
-    })
-}
-
-fn put_inverse(out: &mut Vec<u8>, inv: &InverseOp) {
-    match inv {
-        InverseOp::DeleteRow { row_no } => {
-            codec::put_u8(out, 0);
-            codec::put_u64(out, *row_no);
-        }
-        InverseOp::InsertRow { row_no, values } => {
-            codec::put_u8(out, 1);
-            codec::put_u64(out, *row_no);
-            codec::put_values(out, values);
-        }
-        InverseOp::RestoreCells { row_no, old } => {
-            codec::put_u8(out, 2);
-            codec::put_u64(out, *row_no);
-            codec::put_u32(out, old.len() as u32);
-            for (col, v) in old {
-                codec::put_u64(out, *col as u64);
-                codec::put_value(out, v);
-            }
-        }
-    }
-}
-
-fn get_inverse(cur: &mut Cur<'_>) -> Result<InverseOp> {
-    Ok(match cur.u8()? {
-        0 => InverseOp::DeleteRow { row_no: cur.u64()? },
-        1 => InverseOp::InsertRow {
-            row_no: cur.u64()?,
-            values: cur.values()?,
-        },
-        2 => {
-            let row_no = cur.u64()?;
-            let n = cur.len()?;
-            let mut old = Vec::with_capacity(n);
-            for _ in 0..n {
-                let col = cur.u64()? as usize;
-                old.push((col, cur.value()?));
-            }
-            InverseOp::RestoreCells { row_no, old }
-        }
-        t => return Err(BdbmsError::corrupt(format!("unknown inverse tag {t}"))),
-    })
-}
-
-fn put_status(out: &mut Vec<u8>, s: OpStatus) {
-    codec::put_u8(
-        out,
-        match s {
-            OpStatus::Pending => 0,
-            OpStatus::Approved => 1,
-            OpStatus::Disapproved => 2,
-        },
-    );
-}
-
-fn get_status(cur: &mut Cur<'_>) -> Result<OpStatus> {
-    Ok(match cur.u8()? {
-        0 => OpStatus::Pending,
-        1 => OpStatus::Approved,
-        2 => OpStatus::Disapproved,
-        t => return Err(BdbmsError::corrupt(format!("unknown op status tag {t}"))),
-    })
-}
-
-fn put_logged_op(out: &mut Vec<u8>, op: &LoggedOp) {
-    codec::put_u64(out, op.id.raw());
-    codec::put_str(out, &op.table);
-    codec::put_str(out, &op.user);
-    codec::put_u64(out, op.time);
-    codec::put_str(out, &op.description);
-    put_inverse(out, &op.inverse);
-    put_status(out, op.status);
-}
-
-fn get_logged_op(cur: &mut Cur<'_>) -> Result<LoggedOp> {
-    Ok(LoggedOp {
-        id: bdbms_common::ids::OperationId(cur.u64()?),
-        table: cur.str()?,
-        user: cur.str()?,
-        time: cur.u64()?,
-        description: cur.str()?,
-        inverse: get_inverse(cur)?,
-        status: get_status(cur)?,
-    })
-}
-
 fn put_rule(out: &mut Vec<u8>, r: &DependencyRule) {
     codec::put_u64(out, r.id.raw());
     codec::put_str(out, &r.name);
@@ -526,11 +407,6 @@ impl WalRecord {
                 codec::put_u64(out, *row_no);
                 codec::put_u64(out, *col);
             }
-            WalRecord::DeletedLogPush { table, row } => {
-                codec::put_u8(out, 6);
-                codec::put_str(out, table);
-                put_deleted_row(out, row);
-            }
             WalRecord::TableCreate {
                 name,
                 owner,
@@ -579,49 +455,6 @@ impl WalRecord {
                 codec::put_str(out, table);
                 codec::put_str(out, set);
             }
-            WalRecord::AnnAdd {
-                table,
-                set,
-                raw,
-                creator,
-                created,
-                rows,
-                cols,
-            } => {
-                codec::put_u8(out, 13);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_str(out, raw);
-                codec::put_str(out, creator);
-                codec::put_u64(out, *created);
-                codec::put_u64s(out, rows);
-                codec::put_u64s(out, cols);
-            }
-            WalRecord::AnnArchive {
-                table,
-                set,
-                cells,
-                between,
-                archived,
-            } => {
-                codec::put_u8(out, 14);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_u32(out, cells.len() as u32);
-                for (r, c) in cells {
-                    codec::put_u64(out, *r);
-                    codec::put_u64(out, *c);
-                }
-                match between {
-                    None => codec::put_bool(out, false),
-                    Some((lo, hi)) => {
-                        codec::put_bool(out, true);
-                        codec::put_u64(out, *lo);
-                        codec::put_u64(out, *hi);
-                    }
-                }
-                codec::put_bool(out, *archived);
-            }
             WalRecord::UserCreate { name, groups } => {
                 codec::put_u8(out, 15);
                 codec::put_str(out, name);
@@ -661,15 +494,6 @@ impl WalRecord {
                 codec::put_u8(out, 19);
                 codec::put_str(out, table);
                 codec::put_strs(out, columns);
-            }
-            WalRecord::ApprovalLogged { op } => {
-                codec::put_u8(out, 20);
-                put_logged_op(out, op);
-            }
-            WalRecord::ApprovalDecide { id, approve } => {
-                codec::put_u8(out, 21);
-                codec::put_u64(out, *id);
-                codec::put_bool(out, *approve);
             }
             WalRecord::RuleAdd { rule } => {
                 codec::put_u8(out, 22);
@@ -731,10 +555,6 @@ impl WalRecord {
                 row_no: cur.u64()?,
                 col: cur.u64()?,
             },
-            6 => WalRecord::DeletedLogPush {
-                table: cur.str()?,
-                row: get_deleted_row(&mut cur)?,
-            },
             7 => WalRecord::TableCreate {
                 name: cur.str()?,
                 owner: cur.str()?,
@@ -761,36 +581,6 @@ impl WalRecord {
                 table: cur.str()?,
                 set: cur.str()?,
             },
-            13 => WalRecord::AnnAdd {
-                table: cur.str()?,
-                set: cur.str()?,
-                raw: cur.str()?,
-                creator: cur.str()?,
-                created: cur.u64()?,
-                rows: cur.u64s()?,
-                cols: cur.u64s()?,
-            },
-            14 => {
-                let table = cur.str()?;
-                let set = cur.str()?;
-                let n = cur.len()?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push((cur.u64()?, cur.u64()?));
-                }
-                let between = if cur.bool()? {
-                    Some((cur.u64()?, cur.u64()?))
-                } else {
-                    None
-                };
-                WalRecord::AnnArchive {
-                    table,
-                    set,
-                    cells,
-                    between,
-                    archived: cur.bool()?,
-                }
-            }
             15 => WalRecord::UserCreate {
                 name: cur.str()?,
                 groups: cur.strs()?,
@@ -814,20 +604,15 @@ impl WalRecord {
                 table: cur.str()?,
                 columns: cur.strs()?,
             },
-            20 => WalRecord::ApprovalLogged {
-                op: get_logged_op(&mut cur)?,
-            },
-            21 => WalRecord::ApprovalDecide {
-                id: cur.u64()?,
-                approve: cur.bool()?,
-            },
             22 => WalRecord::RuleAdd {
                 rule: get_rule(&mut cur)?,
             },
             23 => WalRecord::RuleDrop { name: cur.str()? },
             24 => WalRecord::Commit { clock: cur.u64()? },
-            // 25 was `COPY`'s bulk-load record: it stays unassigned, so
-            // an old log holding one fails to decode instead of misreading
+            // 6, 13, 14, 20, 21 were the history records (deletion log,
+            // annotation add/archive, approval log/decision) and 25
+            // `COPY`'s bulk load: they stay unassigned, so an old log
+            // holding one fails to decode instead of misreading
             26 => WalRecord::SeqIndexCreate {
                 table: cur.str()?,
                 index: cur.str()?,
@@ -1049,18 +834,13 @@ fn encode_snapshot(
         put_privileges(&mut body, privs);
     }
 
-    let (configs, log, next_op_id) = db.approval.snapshot();
+    let configs = db.approval.snapshot();
     codec::put_u32(&mut body, configs.len() as u32);
     for (table, columns, approver) in &configs {
         codec::put_str(&mut body, table);
         put_opt_strs(&mut body, columns.as_deref());
         codec::put_str(&mut body, approver);
     }
-    codec::put_u32(&mut body, log.len() as u32);
-    for op in log {
-        put_logged_op(&mut body, op);
-    }
-    codec::put_u64(&mut body, next_op_id);
 
     let rules = db.deps.rules();
     codec::put_u32(&mut body, rules.len() as u32);
@@ -1070,7 +850,7 @@ fn encode_snapshot(
     codec::put_u64(&mut body, db.deps.next_rule_id());
 
     codec::put_u32(&mut body, moved.len() as u32);
-    for ((name, heap, rows), t) in moved.iter().zip(db.catalog.tables()) {
+    for ((name, heap, rows), t) in moved.iter().zip(db.catalog.all_tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
         codec::put_str(&mut body, &t.name);
         codec::put_str(&mut body, &t.owner);
@@ -1106,13 +886,14 @@ fn encode_snapshot(
             codec::put_u64(&mut body, r as u64);
             codec::put_u64(&mut body, c as u64);
         }
-        codec::put_u32(&mut body, t.deleted_log.len() as u32);
-        for row in &t.deleted_log {
-            put_deleted_row(&mut body, row);
-        }
-        codec::put_u32(&mut body, t.ann_sets.len() as u32);
-        for set in &t.ann_sets {
-            set.encode(&mut body);
+        // a set's record table carries the set's definition
+        let set = t.annotation_set().map(|s| s.borrow());
+        codec::put_bool(&mut body, set.is_some());
+        if let Some(set) = set {
+            codec::put_str(&mut body, &set.name);
+            codec::put_bool(&mut body, set.is_cell_scheme());
+            codec::put_bool(&mut body, set.system_only);
+            codec::put_bool(&mut body, set.schema_enforced);
         }
     }
 
@@ -1136,7 +917,8 @@ fn encode_snapshot(
 /// cursor has fully consumed the table's bytes before the rebuild, so
 /// skipping one table cannot desync the next; decode errors of the blob
 /// itself stay fatal in both modes (the caller treats that as image
-/// loss).
+/// loss).  A table and its hidden history tables are quarantined
+/// together, itemized under the owner's name.
 fn decode_snapshot_mode(
     db: &mut Database,
     blob: &[u8],
@@ -1180,13 +962,7 @@ fn decode_snapshot_mode(
     for _ in 0..n {
         configs.push((cur.str()?, get_opt_strs(&mut cur)?, cur.str()?));
     }
-    let n = cur.len()?;
-    let mut log = Vec::with_capacity(n);
-    for _ in 0..n {
-        log.push(get_logged_op(&mut cur)?);
-    }
-    let next_op_id = cur.u64()?;
-    db.approval = ApprovalManager::restore(configs, log, next_op_id)?;
+    db.approval = ApprovalManager::restore(configs);
 
     let n = cur.len()?;
     let mut rules = Vec::with_capacity(n);
@@ -1249,15 +1025,24 @@ fn decode_snapshot_mode(
             }
             outdated.set(r, c);
         }
-        let n = cur.len()?;
-        let mut deleted_log = Vec::with_capacity(n);
-        for _ in 0..n {
-            deleted_log.push(get_deleted_row(&mut cur)?);
-        }
-        let n = cur.len()?;
-        let mut ann_sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            ann_sets.push(AnnotationSet::decode(&mut cur)?);
+        let history = if cur.bool()? {
+            let mut set = AnnotationSet::new(cur.str()?, cur.bool()?);
+            set.system_only = cur.bool()?;
+            set.schema_enforced = cur.bool()?;
+            Some(History::Records(Rc::new(RefCell::new(set))))
+        } else {
+            db.catalog.rects_history(&name)
+        };
+        // a hidden table follows its owner; the owner of one that is gone
+        // was quarantined, and it goes too
+        let owner_name = owner_of(&name);
+        if owner_name.is_some_and(|owner| !db.catalog.has_table(owner)) {
+            if quarantine.is_some() {
+                continue;
+            }
+            return Err(BdbmsError::corrupt(format!(
+                "history table `{name}` has no owner"
+            )));
         }
         let heap = HeapFile::attach(pool.clone(), pages);
         let table = Table::from_parts(
@@ -1267,20 +1052,22 @@ fn decode_snapshot_mode(
             heap,
             rows,
             next_row,
-            ann_sets,
             outdated,
-            deleted_log,
+            history,
             &index_defs,
             &seq_index_defs,
         );
-        match table {
-            Ok(table) => db
+        match (table, &mut quarantine) {
+            (Ok(table), _) => db
                 .catalog
                 .add_table(table)
                 .map_err(|e| BdbmsError::corrupt(e.message().to_string()))?,
-            Err(e) => match &mut quarantine {
-                Some(q) => q.push(name),
-                None => return Err(e),
+            (Err(e), None) => return Err(e),
+            // a table goes with all its history: damage to either
+            // quarantines the owner
+            (Err(_), Some(q)) => match owner_name {
+                Some(owner) => q.push(db.catalog.drop_table(owner)?.remove(0).name),
+                None => q.push(name),
             },
         }
     }
@@ -1479,7 +1266,8 @@ impl Database {
     ///   table opens normally;
     /// * an unreadable checkpoint image (bad header, snapshot checksum)
     ///   loses all tables ([`RecoveryReport::image_lost`]) but recovery
-    ///   still proceeds from empty state plus the WAL;
+    ///   still proceeds from empty state plus the WAL — while an image of
+    ///   another format version is refused with `Invalid`, untouched;
     /// * WAL records that cannot be decoded or applied are skipped and
     ///   counted, not fatal; an unreadable WAL chain is discarded
     ///   ([`RecoveryReport::wal_lost`]).
@@ -1583,16 +1371,12 @@ impl Database {
                     .table_mut(&table)?
                     .clear_outdated(row_no, col as usize);
             }
-            WalRecord::DeletedLogPush { table, row } => {
-                self.catalog.table_mut(&table)?.push_deleted(row);
-            }
             WalRecord::TableCreate {
                 name,
                 owner,
                 schema,
             } => {
-                let table = Table::create(name, schema, owner, self.pool.clone())?;
-                self.catalog.add_table(table)?;
+                self.create_table_with_history(&name, &owner, schema)?;
             }
             WalRecord::TableDrop { name } => {
                 self.catalog.drop_table(&name)?;
@@ -1619,43 +1403,11 @@ impl Database {
                 let mut s = AnnotationSet::new(set, cell_scheme);
                 s.system_only = system_only;
                 s.schema_enforced = schema_enforced;
-                self.catalog.table_mut(&table)?.add_ann_set(s);
+                self.attach_ann_set(&table, s)?;
             }
             WalRecord::AnnSetDrop { table, set } => {
-                self.catalog.table_mut(&table)?.drop_ann_set(&set)?;
-            }
-            WalRecord::AnnAdd {
-                table,
-                set,
-                raw,
-                creator,
-                created,
-                rows,
-                cols,
-            } => {
-                let cols: Vec<usize> = cols.into_iter().map(|c| c as usize).collect();
-                self.catalog
-                    .table_mut(&table)?
-                    .ann_add(&set, &raw, &creator, created, &rows, &cols)
-                    .ok_or_else(|| {
-                        BdbmsError::not_found(format!("annotation table `{set}` on `{table}`"))
-                    })?;
-            }
-            WalRecord::AnnArchive {
-                table,
-                set,
-                cells,
-                between,
-                archived,
-            } => {
-                let cells: Vec<(u64, usize)> =
-                    cells.into_iter().map(|(r, c)| (r, c as usize)).collect();
-                self.catalog
-                    .table_mut(&table)?
-                    .ann_set_archived(&set, &cells, between, archived)
-                    .ok_or_else(|| {
-                        BdbmsError::not_found(format!("annotation table `{set}` on `{table}`"))
-                    })?;
+                self.catalog.annotation_set(&table, &set)?;
+                self.catalog.drop_table(&records_table(&table, &set))?;
             }
             WalRecord::UserCreate { name, groups } => {
                 self.auth.create_user(&name, &groups)?;
@@ -1683,13 +1435,6 @@ impl Database {
             }
             WalRecord::ApprovalStop { table, columns } => {
                 self.approval.stop(&table, &columns)?;
-            }
-            WalRecord::ApprovalLogged { op } => {
-                self.approval.restore_log_entry(op)?;
-            }
-            WalRecord::ApprovalDecide { id, approve } => {
-                self.approval
-                    .decide(bdbms_common::ids::OperationId(id), approve)?;
             }
             WalRecord::RuleAdd { rule } => {
                 self.deps.replay_rule(rule);
@@ -1814,7 +1559,7 @@ impl Database {
         let header = new_pool.allocate()?;
         debug_assert_eq!(header, PageId(0));
         let mut moved: Vec<(String, HeapFile, BTreeMap<u64, Rid>)> = Vec::new();
-        for t in self.catalog.tables() {
+        for t in self.catalog.all_tables() {
             let (heap, rows) = t.write_rows_to(new_pool.clone())?;
             moved.push((t.name.clone(), heap, rows));
         }
@@ -2081,16 +1826,6 @@ mod tests {
                 row_no: 1,
                 col: 2,
             },
-            WalRecord::DeletedLogPush {
-                table: "Gene".into(),
-                row: DeletedRow {
-                    row_no: 4,
-                    values: vec![Value::Bool(true)],
-                    annotation: Some("why".into()),
-                    time: 8,
-                    user: "alice".into(),
-                },
-            },
             WalRecord::TableCreate {
                 name: "Gene".into(),
                 owner: "admin".into(),
@@ -2119,22 +1854,6 @@ mod tests {
                 table: "Gene".into(),
                 set: "Curation".into(),
             },
-            WalRecord::AnnAdd {
-                table: "Gene".into(),
-                set: "Curation".into(),
-                raw: "<Annotation>x</Annotation>".into(),
-                creator: "bob".into(),
-                created: 12,
-                rows: vec![0, 1, 5],
-                cols: vec![2],
-            },
-            WalRecord::AnnArchive {
-                table: "Gene".into(),
-                set: "Curation".into(),
-                cells: vec![(0, 2), (1, 2)],
-                between: Some((3, 9)),
-                archived: true,
-            },
             WalRecord::UserCreate {
                 name: "alice".into(),
                 groups: vec!["lab1".into()],
@@ -2157,24 +1876,6 @@ mod tests {
             WalRecord::ApprovalStop {
                 table: "Gene".into(),
                 columns: vec![],
-            },
-            WalRecord::ApprovalLogged {
-                op: LoggedOp {
-                    id: bdbms_common::ids::OperationId(5),
-                    table: "Gene".into(),
-                    user: "alice".into(),
-                    time: 44,
-                    description: "UPDATE Gene".into(),
-                    inverse: InverseOp::RestoreCells {
-                        row_no: 2,
-                        old: vec![(1, Value::Int(7))],
-                    },
-                    status: OpStatus::Pending,
-                },
-            },
-            WalRecord::ApprovalDecide {
-                id: 5,
-                approve: false,
             },
             WalRecord::RuleAdd {
                 rule: DependencyRule {
@@ -2211,8 +1912,8 @@ mod tests {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
             let back = WalRecord::decode(&buf).unwrap();
-            // LoggedOp/DeletedRow/DependencyRule don't implement
-            // PartialEq wholesale; compare re-encodings instead
+            // DependencyRule doesn't implement PartialEq wholesale;
+            // compare re-encodings instead
             let mut buf2 = Vec::new();
             back.encode(&mut buf2);
             assert_eq!(buf, buf2, "roundtrip drift for {rec:?}");

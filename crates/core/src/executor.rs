@@ -72,15 +72,15 @@
 //! engine evaluates a WHERE or an aggregate over table rows.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::rc::Rc;
 
 use bdbms_common::{BdbmsError, Result, Value};
 
-use crate::annotation::AnnotationSet;
 use crate::ast::{AnnExpr, BinaryOp, Expr, Projection, Select, SelectItem, SetOp, TableRef};
-use crate::catalog::{Catalog, Table};
+use crate::catalog::{Catalog, SetRef, Table};
 use crate::expr::{referenced_columns, resolve_column, ColBinding};
 use crate::plan::{self, ConjunctSite, Probe, ProbeChoice};
 use crate::result::{AnnOut, AnnRef, AnnRow, QueryResult};
@@ -162,7 +162,7 @@ pub(crate) struct Source<'a> {
     table: &'a Table,
     /// The annotation sets named in the FROM entry's `ANNOTATION(…)`,
     /// resolved up front.
-    sets: Vec<&'a AnnotationSet>,
+    sets: Vec<SetRef<'a>>,
     /// First column position of this source in the joined binding list.
     pub(crate) offset: usize,
     pub(crate) arity: usize,
@@ -170,10 +170,12 @@ pub(crate) struct Source<'a> {
 
 /// Attaches one source's annotations (named sets + synthetic `outdated`)
 /// to joined tuples, sharing one `Rc` per distinct annotation via a cache,
-/// on the columns the plan says are needed.
+/// on the columns the plan says are needed.  The set's in-memory index
+/// answers which annotations a cell carries; a body is fetched from the
+/// set's record table on its first use in the statement only.
 pub(crate) struct SourceAttach<'a> {
     table: &'a Table,
-    sets: Vec<&'a AnnotationSet>,
+    sets: Vec<SetRef<'a>>,
     /// Source-local columns to attach (sorted).
     cols: Vec<usize>,
     /// Column offset of this source in the joined row.
@@ -209,26 +211,28 @@ impl<'a> SourceAttach<'a> {
     /// Attach annotations of `row_no` into the row's slots.  Returns how
     /// many were attached, so operators bump `anns_attached` once per
     /// batch instead of once per row.
-    pub(crate) fn attach_into(&mut self, row_no: u64, out: &mut [Vec<AnnRef>]) -> u64 {
+    pub(crate) fn attach_into(&mut self, row_no: u64, out: &mut [Vec<AnnRef>]) -> Result<u64> {
         let mut attached = 0u64;
         for (set_idx, set) in self.sets.iter().enumerate() {
+            let index = set.index();
             for &col in &self.cols {
                 let slot = &mut out[self.offset + col];
-                for a in set.for_cell(row_no, col) {
-                    let snap = self
-                        .cache
-                        .entry((set_idx, a.id.raw()))
-                        .or_insert_with(|| {
-                            Rc::new(AnnOut {
+                for id in index.for_cell(row_no, col) {
+                    let snap = match self.cache.entry((set_idx, id.raw())) {
+                        Entry::Occupied(e) => e.get().clone(),
+                        Entry::Vacant(e) => {
+                            let a = set.get(id)?;
+                            let snap = Rc::new(AnnOut {
                                 source_table: self.table.name.clone(),
-                                ann_table: set.name.clone(),
-                                id: a.id.raw(),
-                                raw: a.raw.clone(),
-                                body: a.body.clone(),
+                                ann_table: index.name.clone(),
+                                id: id.raw(),
+                                raw: a.raw,
+                                body: a.body,
                                 created: a.created,
-                            })
-                        })
-                        .clone();
+                            });
+                            e.insert(snap).clone()
+                        }
+                    };
                     slot.push(snap);
                     attached += 1;
                 }
@@ -248,7 +252,7 @@ impl<'a> SourceAttach<'a> {
                 attached += 1;
             }
         }
-        attached
+        Ok(attached)
     }
 }
 
@@ -1197,12 +1201,7 @@ fn plan_simple_select<'a>(
         let table = catalog.table(&tref.table)?;
         // validate requested annotation tables up front
         for ann in &tref.annotations {
-            if table.ann_set(ann).is_none() {
-                return Err(BdbmsError::not_found(format!(
-                    "annotation table `{}` on `{}`",
-                    ann, table.name
-                )));
-            }
+            catalog.annotation_set(&table.name, ann)?;
         }
         resolved.push((table, tref));
     }
@@ -1291,8 +1290,8 @@ fn plan_simple_select<'a>(
             sets: tref
                 .annotations
                 .iter()
-                .map(|n| table.ann_set(n).expect("validated above"))
-                .collect(),
+                .map(|n| catalog.annotation_set(&table.name, n))
+                .collect::<Result<_>>()?,
             offset,
             arity: table.schema.arity(),
         });

@@ -16,8 +16,8 @@
 
 use bdbms_common::{BdbmsError, Result};
 
-use crate::annotation::AnnotationSet;
-use crate::catalog::Table;
+use crate::annotation::{Annotation, AnnotationSet};
+use crate::catalog::Catalog;
 use crate::xml::XmlNode;
 
 /// Name of the reserved provenance annotation table on each relation.
@@ -114,26 +114,38 @@ pub fn validate_body(raw: &str) -> Result<()> {
     ProvenanceRecord::from_xml(&body, 0).map(|_| ())
 }
 
-/// Ensure the table has its provenance annotation set (idempotent);
-/// the set is flagged system-only and schema-enforced.
-pub fn ensure_provenance_set(table: &mut Table) {
-    if table.ann_set(PROVENANCE_TABLE).is_none() {
-        let mut set = AnnotationSet::new(PROVENANCE_TABLE, false);
-        set.system_only = true;
-        set.schema_enforced = true;
-        // add_ann_set (not a raw push) so durable databases redo-log it
-        table.add_ann_set(set);
-    }
+/// A fresh provenance annotation set, flagged system-only and
+/// schema-enforced.
+pub(crate) fn provenance_set() -> AnnotationSet {
+    let mut set = AnnotationSet::new(PROVENANCE_TABLE, false);
+    set.system_only = true;
+    set.schema_enforced = true;
+    set
+}
+
+/// Every provenance record attached to `(row, col)` of `table`, archived
+/// ones included (history is not curated away), with its creation time.
+fn cell_records(catalog: &Catalog, table: &str, row: u64, col: usize) -> Result<Vec<Annotation>> {
+    catalog.table(table)?;
+    let Ok(set) = catalog.annotation_set(table, PROVENANCE_TABLE) else {
+        return Ok(Vec::new());
+    };
+    let ids = set.index().ids_for_cell(row, col);
+    ids.into_iter().map(|id| set.get(id)).collect()
 }
 
 /// The source of `(row, col)` at time `at` — the newest provenance record
 /// with `time <= at` (Figure 8's query).  `None` when the cell has no
 /// provenance that old.
-pub fn source_of(table: &Table, row: u64, col: usize, at: u64) -> Option<ProvenanceRecord> {
-    let set = table.ann_set(PROVENANCE_TABLE)?;
+pub fn source_of(
+    catalog: &Catalog,
+    table: &str,
+    row: u64,
+    col: usize,
+    at: u64,
+) -> Result<Option<ProvenanceRecord>> {
     let mut best: Option<ProvenanceRecord> = None;
-    for id in set.ids_for_cell(row, col) {
-        let ann = set.get(id)?;
+    for ann in cell_records(catalog, table, row, col)? {
         if ann.created > at {
             continue;
         }
@@ -143,64 +155,48 @@ pub fn source_of(table: &Table, row: u64, col: usize, at: u64) -> Option<Provena
             }
         }
     }
-    best
+    Ok(best)
 }
 
 /// Full provenance history of a cell, oldest first.
-pub fn history_of(table: &Table, row: u64, col: usize) -> Vec<ProvenanceRecord> {
-    let Some(set) = table.ann_set(PROVENANCE_TABLE) else {
-        return Vec::new();
-    };
-    let mut out: Vec<ProvenanceRecord> = set
-        .ids_for_cell(row, col)
-        .into_iter()
-        .filter_map(|id| set.get(id))
+pub fn history_of(
+    catalog: &Catalog,
+    table: &str,
+    row: u64,
+    col: usize,
+) -> Result<Vec<ProvenanceRecord>> {
+    let mut out: Vec<ProvenanceRecord> = cell_records(catalog, table, row, col)?
+        .iter()
         .filter_map(|a| ProvenanceRecord::from_xml(&a.body, a.created).ok())
         .collect();
     out.sort_by_key(|r| r.time);
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdbms_common::{DataType, Schema};
-    use bdbms_storage::{BufferPool, MemStore};
-    use std::sync::Arc;
+    use crate::Database;
 
-    fn table() -> Table {
-        let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 16));
-        let mut t = Table::create(
-            "Gene",
-            Schema::of(&[("GID", DataType::Text), ("GSequence", DataType::Text)]),
-            "admin",
-            pool,
-        )
-        .unwrap();
-        t.insert(vec!["JW0080".into(), "ATG".into()]).unwrap();
-        ensure_provenance_set(&mut t);
-        t
+    fn db() -> Database {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE Gene (GID TEXT, GSequence TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO Gene VALUES ('JW0080', 'ATG')")
+            .unwrap();
+        db.enable_provenance("Gene").unwrap();
+        db
     }
 
-    fn record(
-        table: &mut Table,
-        time: u64,
-        source: &str,
-        op: ProvOp,
-        rows: &[u64],
-        cols: &[usize],
-    ) {
+    fn record(db: &mut Database, source: &str, op: ProvOp, rows: &[u64], cols: &[usize]) -> u64 {
         let rec = ProvenanceRecord {
             source: source.to_string(),
             operation: op,
             program: None,
-            time,
+            time: 0,
         };
-        let xml = rec.to_xml().to_xml();
-        table
-            .ann_set_mut(PROVENANCE_TABLE)
-            .unwrap()
-            .add(&xml, "system", time, rows, cols);
+        db.record_provenance("Gene", rows, cols, &rec).unwrap();
+        db.now()
     }
 
     #[test]
@@ -232,36 +228,34 @@ mod tests {
 
     #[test]
     fn figure8_source_at_time_t() {
-        let mut t = table();
-        // history: copied from S2 at t=1, updated by P1 at t=5,
-        // overwritten from S3 at t=9
-        record(&mut t, 1, "S2", ProvOp::Copy, &[0], &[1]);
-        record(&mut t, 5, "P1", ProvOp::ProgramUpdate, &[0], &[1]);
-        record(&mut t, 9, "S3", ProvOp::Overwrite, &[0], &[1]);
-        assert_eq!(source_of(&t, 0, 1, 0), None);
-        assert_eq!(source_of(&t, 0, 1, 1).unwrap().source, "S2");
-        assert_eq!(source_of(&t, 0, 1, 4).unwrap().source, "S2");
-        assert_eq!(source_of(&t, 0, 1, 5).unwrap().source, "P1");
-        assert_eq!(source_of(&t, 0, 1, 100).unwrap().source, "S3");
-        let hist = history_of(&t, 0, 1);
+        let mut db = db();
+        // history: copied from S2, updated by P1, overwritten from S3
+        let t1 = record(&mut db, "S2", ProvOp::Copy, &[0], &[1]);
+        let t5 = record(&mut db, "P1", ProvOp::ProgramUpdate, &[0], &[1]);
+        let t9 = record(&mut db, "S3", ProvOp::Overwrite, &[0], &[1]);
+        let source = |at: u64| db.source_of("Gene", 0, 1, at).unwrap().map(|r| r.source);
+        assert_eq!(source(t1 - 1), None);
+        assert_eq!(source(t1).unwrap(), "S2");
+        assert_eq!(source(t5 - 1).unwrap(), "S2");
+        assert_eq!(source(t5).unwrap(), "P1");
+        assert_eq!(source(t9 + 100).unwrap(), "S3");
+        let hist = db.provenance_history("Gene", 0, 1).unwrap();
         assert_eq!(hist.len(), 3);
         assert!(hist.windows(2).all(|w| w[0].time <= w[1].time));
         // other cells untouched
-        assert_eq!(source_of(&t, 0, 0, 100), None);
+        assert_eq!(db.source_of("Gene", 0, 0, t9 + 100).unwrap(), None);
     }
 
     #[test]
     fn ensure_is_idempotent_and_flagged() {
-        let mut t = table();
-        ensure_provenance_set(&mut t);
-        assert_eq!(
-            t.ann_sets
-                .iter()
-                .filter(|s| s.name == PROVENANCE_TABLE)
-                .count(),
-            1
-        );
-        let set = t.ann_set(PROVENANCE_TABLE).unwrap();
+        let mut db = db();
+        db.enable_provenance("Gene").unwrap();
+        assert_eq!(db.catalog().ann_set_names("Gene"), [PROVENANCE_TABLE]);
+        let set = db
+            .catalog()
+            .annotation_set("Gene", PROVENANCE_TABLE)
+            .unwrap();
+        let set = set.index();
         assert!(set.system_only);
         assert!(set.schema_enforced);
     }

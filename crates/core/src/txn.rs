@@ -16,15 +16,18 @@
 //!   `Database::apply_wal_record`, the code crash recovery replays with.
 //!
 //! The mutator that emits the redo record records the inverse in the
-//! same call, so the two halves cannot drift apart.  A few inverses
-//! have no redo twin and stay undo-only: objects moved out by `DROP
-//! TABLE` / `DROP ANNOTATION TABLE` / `DROP DEPENDENCY RULE`, the
-//! archived flags an `ARCHIVE` flipped, `COPY`'s row truncation, id
-//! watermarks for append-only structures (annotation sets, the approval
-//! log), and one first-touch table snapshot per frame for state with no
-//! cheap logical inverse: planner statistics (a KMV sketch cannot
-//! retract an observation), the row-number allocator, the deletion-log
-//! length and the outdated bitmap's row count.
+//! same call, so the two halves cannot drift apart.  The curator's
+//! history — annotation records and attachments, the deletion logs and
+//! the approval logs — is rows of hidden tables (`crate::catalog`), so
+//! its changes are row records with row inverses like any other.  A few
+//! inverses have no redo twin and stay undo-only: objects moved out by
+//! `DROP TABLE` / `DROP ANNOTATION TABLE` (the set's hidden tables) /
+//! `DROP DEPENDENCY RULE`,
+//! `COPY`'s row truncation, and one first-touch table snapshot per frame
+//! for state with no cheap logical inverse: planner statistics (a KMV
+//! sketch cannot retract an observation), the row-number allocator
+//! (which also hands out annotation ids) and the outdated bitmap's row
+//! count.
 //!
 //! ## How rollback works
 //!
@@ -64,10 +67,6 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use bdbms_common::ids::{AnnotationId, OperationId};
-
-use crate::annotation::AnnotationSet;
-use crate::approval::OpStatus;
 use crate::catalog::Table;
 use crate::database::Database;
 use crate::dependency::DependencyRule;
@@ -94,28 +93,14 @@ pub(crate) enum UndoOp {
     /// An inverse that is itself a redo record, applied through the
     /// recovery replay path (`Database::apply_wal_record`).
     Replay(WalRecord),
-    /// Undo `DROP TABLE`: the dropped table is moved here wholesale and
-    /// put back on rollback.
-    UnDropTable { table: Box<Table> },
+    /// Undo `DROP TABLE` / `DROP ANNOTATION TABLE`: the dropped table
+    /// and the hidden tables it owns are moved here wholesale and put
+    /// back on rollback.
+    UnDropTable { tables: Vec<Table> },
     /// Undo a `COPY` bulk load: remove every row the load appended
     /// (they all sit at or above `first_row`).  The accompanying
     /// first-touch snapshot restores stats / allocator / bitmap size.
     UnBulkLoad { table: String, first_row: u64 },
-    /// Undo `DROP ANNOTATION TABLE`: the set is moved here and
-    /// reinserted at its old position.
-    UnDropAnnSet {
-        table: String,
-        pos: usize,
-        set: Box<AnnotationSet>,
-    },
-    /// Undo `ARCHIVE` / `RESTORE ANNOTATION`: put back the flag of
-    /// exactly the annotations the statement flipped.
-    UnArchive {
-        table: String,
-        set: String,
-        ids: Vec<AnnotationId>,
-        archived: bool,
-    },
     /// Undo `CREATE DEPENDENCY RULE` (restores the id allocator too).
     UnAddRule { name: String, prev_next_id: u64 },
     /// Undo `DROP DEPENDENCY RULE`: reinsert at the old position.
@@ -124,28 +109,15 @@ pub(crate) enum UndoOp {
         rule: Box<DependencyRule>,
     },
     /// First-touch snapshot of a table's non-row state: planner stats
-    /// (the KMV sketch cannot retract), the row-number allocator, the
-    /// deletion-log length, and the outdated bitmap's row count (its
-    /// bits are restored by the marks' and clears' own inverses).
+    /// (the KMV sketch cannot retract), the row-number allocator, and
+    /// the outdated bitmap's row count (its bits are restored by the
+    /// marks' and clears' own inverses).
     RestoreTableState {
         table: String,
         stats: TableStats,
         next_row: u64,
-        deleted_log_len: usize,
         outdated_rows: usize,
     },
-    /// Undo `ADD ANNOTATION`: truncate the set at its id watermark
-    /// (annotations at or past it go, with their scheme attachments).
-    RestoreAnnSet {
-        table: String,
-        set: String,
-        next_id: u64,
-    },
-    /// Undo an approval-log append (length + id allocator).
-    RestoreApprovalLog { len: usize, next_id: u64 },
-    /// Undo an approval decision's status flip (the data changes of the
-    /// executed inverse are undone by their own entries).
-    RestoreOpStatus { id: OperationId, status: OpStatus },
 }
 
 impl UndoOp {
@@ -159,31 +131,14 @@ impl UndoOp {
             UndoOp::Replay(rec) => {
                 let _ = db.apply_wal_record(rec);
             }
-            UndoOp::UnDropTable { table } => {
-                let _ = catalog.add_table(*table);
+            UndoOp::UnDropTable { tables } => {
+                for t in tables {
+                    let _ = catalog.add_table(t);
+                }
             }
             UndoOp::UnBulkLoad { table, first_row } => {
                 if let Ok(t) = catalog.table_mut(&table) {
                     let _ = t.truncate_rows_from(first_row);
-                }
-            }
-            UndoOp::UnDropAnnSet { table, pos, set } => {
-                if let Ok(t) = catalog.table_mut(&table) {
-                    t.ann_sets.insert(pos.min(t.ann_sets.len()), *set);
-                }
-            }
-            UndoOp::UnArchive {
-                table,
-                set,
-                ids,
-                archived,
-            } => {
-                if let Some(s) = catalog
-                    .table_mut(&table)
-                    .ok()
-                    .and_then(|t| t.ann_set_mut(&set))
-                {
-                    s.restore_archived(&ids, archived);
                 }
             }
             UndoOp::UnAddRule { name, prev_next_id } => {
@@ -197,34 +152,13 @@ impl UndoOp {
                 table,
                 stats,
                 next_row,
-                deleted_log_len,
                 outdated_rows,
             } => {
                 if let Ok(t) = catalog.table_mut(&table) {
                     t.set_stats(stats);
                     t.set_next_row(next_row);
-                    t.deleted_log.truncate(deleted_log_len);
                     t.outdated.truncate_rows(outdated_rows);
                 }
-            }
-            UndoOp::RestoreAnnSet {
-                table,
-                set,
-                next_id,
-            } => {
-                if let Some(s) = catalog
-                    .table_mut(&table)
-                    .ok()
-                    .and_then(|t| t.ann_set_mut(&set))
-                {
-                    s.rollback_to(next_id);
-                }
-            }
-            UndoOp::RestoreApprovalLog { len, next_id } => {
-                db.approval.truncate_log(len, next_id);
-            }
-            UndoOp::RestoreOpStatus { id, status } => {
-                db.approval.set_status(id, status);
             }
         }
     }
@@ -248,8 +182,8 @@ impl LogEntry {
 
 /// The transaction log, shared (see [`SharedLog`]) between the
 /// transaction runtime (watermarks, commit, rollback), every [`Table`]
-/// (row, index, annotation and outdated-bit changes) and the
-/// [`Database`] (table DDL, rules, auth, approval).  A table not yet
+/// (row, index, annotation-set and outdated-bit changes) and the
+/// [`Database`] (table DDL, rules, auth, approval configs).  A table not yet
 /// attached to a database holds a default one, which records nothing.
 #[derive(Default)]
 pub(crate) struct TxnLog {
@@ -579,7 +513,6 @@ mod tests {
             table: table.into(),
             stats: TableStats::new(1),
             next_row: 0,
-            deleted_log_len: 0,
             outdated_rows: 0,
         }
     }

@@ -491,7 +491,7 @@ fn delete_with_annotation_goes_to_log() {
     )
     .unwrap();
     assert_eq!(db.execute("SELECT * FROM G").unwrap().rows.len(), 1);
-    let log = &db.catalog().table("G").unwrap().deleted_log;
+    let log = db.deleted_log("G").unwrap();
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].annotation.as_deref(), Some("retracted by journal"));
     assert_eq!(log[0].values[0].to_string(), "dead");

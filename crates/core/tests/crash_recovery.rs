@@ -99,14 +99,18 @@ fn fingerprint(db: &Database, redact_clock: bool) -> String {
             .map(|i| (i.name.clone(), i.column, i.len()))
             .collect();
         #[allow(clippy::type_complexity)]
-        let anns: Vec<(String, usize, Vec<(u64, bool, String, u64, String)>)> = t
-            .ann_sets
-            .iter()
-            .map(|s| {
+        let anns: Vec<(String, usize, Vec<(u64, bool, String, u64, String)>)> = db
+            .catalog()
+            .ann_set_names(&t.name)
+            .into_iter()
+            .map(|name| {
+                let s = db.catalog().annotation_set(&t.name, &name).unwrap();
                 (
-                    s.name.clone(),
-                    s.attachment_records(),
-                    s.iter()
+                    name,
+                    s.index().attachment_records(),
+                    s.annotations()
+                        .unwrap()
+                        .iter()
                         .map(|a| {
                             (
                                 a.id.raw(),
@@ -121,8 +125,9 @@ fn fingerprint(db: &Database, redact_clock: bool) -> String {
             })
             .collect();
         let outdated: Vec<(usize, usize)> = t.outdated.iter_set().collect();
-        let deleted: Vec<String> = t
-            .deleted_log
+        let deleted: Vec<String> = db
+            .deleted_log(&t.name)
+            .unwrap()
             .iter()
             .map(|d| {
                 let time = if redact_clock { 0 } else { d.time };

@@ -77,7 +77,7 @@ fn double_decision_is_approval_error() {
         .unwrap();
     db.execute_as("INSERT INTO Gene VALUES ('JW0002', 7)", "intern")
         .unwrap();
-    let id = db.approval().pending(None)[0].id.raw();
+    let id = db.pending_operations(None).unwrap()[0].id.raw();
     db.execute(&format!("APPROVE OPERATION {id}")).unwrap();
     let err = db.execute(&format!("APPROVE OPERATION {id}")).unwrap_err();
     assert_eq!(err.code(), ErrorCode::Approval);

@@ -106,9 +106,10 @@ fn deleted_rows_keep_annotation_log_and_row_numbers_not_reused() {
         .unwrap();
     db.execute("INSERT INTO T VALUES ('c')").unwrap();
     let t = db.catalog().table("T").unwrap();
-    assert_eq!(t.deleted_log.len(), 1);
-    assert_eq!(t.deleted_log[0].row_no, 0);
-    assert_eq!(t.deleted_log[0].annotation.as_deref(), Some("dup of b"));
+    let deleted_log = db.deleted_log("T").unwrap();
+    assert_eq!(deleted_log.len(), 1);
+    assert_eq!(deleted_log[0].row_no, 0);
+    assert_eq!(deleted_log[0].annotation.as_deref(), Some("dup of b"));
     // 'c' got a fresh row number, not the freed 0
     assert_eq!(t.row_numbers(), vec![1, 2]);
 }
@@ -145,7 +146,7 @@ fn show_pending_table_filter_and_statuses() {
     db.execute_as(&format!("APPROVE OPERATION {id}"), "boss")
         .unwrap();
     assert_eq!(db.execute("SHOW PENDING OPERATIONS").unwrap().rows.len(), 1);
-    assert_eq!(db.approval().log().len(), 2);
+    assert_eq!(db.approval_log(None).unwrap().len(), 2);
 }
 
 #[test]
@@ -268,10 +269,19 @@ fn stop_content_approval_that_changes_nothing_is_invalid() {
         .execute("STOP CONTENT APPROVAL ON G COLUMNS Seq")
         .unwrap_err();
     assert_eq!(err.code(), ErrorCode::Invalid);
-    assert!(err.to_string().contains("STOP CONTENT APPROVAL ON G`"), "{err}");
+    assert!(
+        err.to_string().contains("STOP CONTENT APPROVAL ON G`"),
+        "{err}"
+    );
     // still monitored: bob's update is logged as an operation
     db.execute_as("UPDATE G SET Seq = 'GTG'", "bob").unwrap();
-    assert_eq!(db.execute("SHOW PENDING OPERATIONS ON G").unwrap().rows.len(), 1);
+    assert_eq!(
+        db.execute("SHOW PENDING OPERATIONS ON G")
+            .unwrap()
+            .rows
+            .len(),
+        1
+    );
     // no config at all
     let err = db.execute("STOP CONTENT APPROVAL ON H").unwrap_err();
     assert_eq!(err.code(), ErrorCode::Invalid);
@@ -282,6 +292,36 @@ fn stop_content_approval_that_changes_nothing_is_invalid() {
         .execute("STOP CONTENT APPROVAL ON G COLUMNS Seq")
         .unwrap_err();
     assert_eq!(err.code(), ErrorCode::Invalid);
-    db.execute("STOP CONTENT APPROVAL ON G COLUMNS GID").unwrap();
+    db.execute("STOP CONTENT APPROVAL ON G COLUMNS GID")
+        .unwrap();
     assert!(db.approval().config("G").is_none(), "last column stopped");
+}
+
+/// The curator's history lives in hidden tables: `CHECK` reads them,
+/// listings and SQL never show them.
+#[test]
+fn history_tables_are_hidden_but_checked() {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE G (GID TEXT)").unwrap();
+    db.execute("CREATE ANNOTATION TABLE why ON G").unwrap();
+    db.execute("INSERT INTO G VALUES ('a'), ('b')").unwrap();
+    db.execute("ADD ANNOTATION TO G.why VALUE 'gone' ON (DELETE FROM G WHERE GID = 'a')")
+        .unwrap();
+    let names: Vec<&str> = db.catalog().tables().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["G"]);
+    assert_eq!(db.catalog().table("G$$deleted").unwrap().len(), 1);
+    assert_eq!(db.catalog().ann_set_names("G"), ["why"]);
+    let report = db.check().unwrap();
+    assert!(report.is_ok(), "{:?}", report.problems);
+    assert_eq!(
+        report.rows_checked, 2,
+        "the live row and the deletion-log row"
+    );
+    // no identifier can spell a history table
+    assert!(db.execute("SELECT * FROM G$$deleted").is_err());
+    db.execute("DROP TABLE G").unwrap();
+    assert!(
+        !db.catalog().has_table("G$$deleted"),
+        "dropped with its owner"
+    );
 }

@@ -12,9 +12,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bdbms_common::{BdbmsError, Result, Value};
-use bdbms_core::annotation::AnnotationSet;
 use bdbms_core::ast::{AggFunc, AnnExpr, Expr, Projection, Select, SetOp};
-use bdbms_core::catalog::{Catalog, Table};
+use bdbms_core::catalog::{Catalog, SetRef, Table};
 use bdbms_core::executor::eval_ann;
 use bdbms_core::expr::{eval, ColBinding};
 use bdbms_core::result::{AnnOut, AnnRef, AnnRow};
@@ -172,8 +171,7 @@ fn from_rows(catalog: &Catalog, sel: &Select) -> Result<(Vec<ColBinding>, Vec<An
         let table = catalog.table(&tref.table)?;
         let mut sets = Vec::new();
         for n in &tref.annotations {
-            let missing = || BdbmsError::not_found(format!("annotation table `{n}`"));
-            sets.push(table.ann_set(n).ok_or_else(missing)?);
+            sets.push(catalog.annotation_set(&table.name, n)?);
         }
         let qualifier = Some(tref.alias.as_deref().unwrap_or(&tref.table));
         let columns = table.schema.columns().iter();
@@ -182,7 +180,7 @@ fn from_rows(catalog: &Catalog, sel: &Select) -> Result<(Vec<ColBinding>, Vec<An
         for entry in table.iter_rows() {
             let (row_no, values) = entry?;
             let anns = (0..values.len()).map(|col| cell_anns(table, &sets, row_no, col));
-            let anns: Vec<Vec<AnnRef>> = anns.collect();
+            let anns: Vec<Vec<AnnRef>> = anns.collect::<Result<_>>()?;
             for left in &joined {
                 let mut row = AnnRow::plain(left.values.iter().chain(&values).cloned().collect());
                 row.anns = left.anns.iter().chain(&anns).cloned().collect();
@@ -196,7 +194,7 @@ fn from_rows(catalog: &Catalog, sel: &Select) -> Result<(Vec<ColBinding>, Vec<An
 
 /// Every live annotation on one cell, from the requested sets, plus the
 /// synthetic `outdated` annotation (§5) when the cell is flagged.
-fn cell_anns(table: &Table, sets: &[&AnnotationSet], row: u64, col: usize) -> Vec<AnnRef> {
+fn cell_anns(table: &Table, sets: &[SetRef<'_>], row: u64, col: usize) -> Result<Vec<AnnRef>> {
     let snapshot = |ann_table: &str, id: u64, raw: &str, created: u64| AnnOut {
         source_table: table.name.clone(),
         ann_table: ann_table.to_string(),
@@ -207,13 +205,20 @@ fn cell_anns(table: &Table, sets: &[&AnnotationSet], row: u64, col: usize) -> Ve
     };
     let mut out = Vec::new();
     for set in sets {
-        let ids = match set.rect_scheme() {
+        let index = set.index();
+        let mut ids = match index.rect_scheme() {
             Some(rects) => rects.for_cell_scan(row, col), // not the R-tree
-            None => set.ids_for_cell(row, col),
+            None => index.ids_for_cell(row, col),
         };
-        let live = ids.into_iter().filter_map(|id| set.get(id));
-        let live = live.filter(|a| !a.archived);
-        out.extend(live.map(|a| snapshot(&set.name, a.id.raw(), &a.raw, a.created)));
+        ids.sort_unstable();
+        ids.dedup();
+        // bodies and archived flags from the record rows
+        for id in ids {
+            let a = set.get(id)?;
+            if !a.archived {
+                out.push(snapshot(&index.name, id.raw(), &a.raw, a.created));
+            }
+        }
     }
     if table.is_outdated(row, col) {
         let (id, text) = (
@@ -222,7 +227,7 @@ fn cell_anns(table: &Table, sets: &[&AnnotationSet], row: u64, col: usize) -> Ve
         );
         out.push(snapshot("outdated", id, text, 0));
     }
-    out.into_iter().map(Rc::new).collect()
+    Ok(out.into_iter().map(Rc::new).collect())
 }
 
 /// Duplicate elimination: equal tuples merge, annotations unioned.

@@ -46,15 +46,19 @@ fn table_fingerprint(db: &Database, table: &str) -> String {
         .iter()
         .map(|i| (i.name.clone(), i.column, i.len()))
         .collect();
-    let anns: Vec<(String, usize, usize, AnnFacts)> = t
-        .ann_sets
-        .iter()
-        .map(|s| {
+    let anns: Vec<(String, usize, usize, AnnFacts)> = db
+        .catalog()
+        .ann_set_names(table)
+        .into_iter()
+        .map(|name| {
+            let s = db.catalog().annotation_set(table, &name).unwrap();
             (
-                s.name.clone(),
-                s.len(),
-                s.attachment_records(),
-                s.iter()
+                name,
+                s.index().len(),
+                s.index().attachment_records(),
+                s.annotations()
+                    .unwrap()
+                    .iter()
                     .map(|a| (a.id.raw(), a.archived, a.raw.clone()))
                     .collect(),
             )
@@ -65,7 +69,7 @@ fn table_fingerprint(db: &Database, table: &str) -> String {
          outdated_rows={} deleted_log={}",
         t.stats(),
         t.outdated.rows(),
-        t.deleted_log.len()
+        db.deleted_log(table).unwrap().len()
     )
 }
 
@@ -513,7 +517,7 @@ fn approval_log_rolls_back_with_the_statement_that_wrote_it() {
         .unwrap_err();
     assert_eq!(err.code(), ErrorCode::TypeMismatch);
     assert!(
-        db.approval().pending(None).is_empty(),
+        db.pending_operations(None).unwrap().is_empty(),
         "no stale pending operation may reference a rolled-back row"
     );
 }
@@ -626,17 +630,22 @@ fn row_state(db: &Database, table: &str) -> String {
         .iter()
         .map(|i| (i.name.clone(), i.column, i.len()))
         .collect();
-    let anns: Vec<(String, usize, AnnFacts)> = t
-        .ann_sets
-        .iter()
-        .map(|s| {
-            let facts = s.iter().map(|a| (a.id.raw(), a.archived, a.raw.clone()));
-            (s.name.clone(), s.attachment_records(), facts.collect())
+    let anns: Vec<(String, usize, AnnFacts)> = db
+        .catalog()
+        .ann_set_names(table)
+        .into_iter()
+        .map(|name| {
+            let s = db.catalog().annotation_set(table, &name).unwrap();
+            let annotations = s.annotations().unwrap();
+            let facts = annotations
+                .iter()
+                .map(|a| (a.id.raw(), a.archived, a.raw.clone()));
+            (name, s.index().attachment_records(), facts.collect())
         })
         .collect();
     let outdated: Vec<(usize, usize)> = t.outdated.iter_set().collect();
-    let deleted: Vec<(u64, &[Value], Option<&str>)> = t
-        .deleted_log
+    let deleted_log = db.deleted_log(table).unwrap();
+    let deleted: Vec<(u64, &[Value], Option<&str>)> = deleted_log
         .iter()
         .map(|d| (d.row_no, &d.values[..], d.annotation.as_deref()))
         .collect();

@@ -98,6 +98,9 @@ impl Node {
     }
 }
 
+/// Entries per node of [`RTree::new`] (a realistic page fanout).
+pub const DEFAULT_MAX_ENTRIES: usize = 64;
+
 /// R-tree mapping rectangles to `u64` payloads.
 pub struct RTree {
     nodes: Vec<Node>,
@@ -110,7 +113,7 @@ pub struct RTree {
 impl RTree {
     /// Empty tree with default node capacity (realistic page fanout).
     pub fn new() -> Self {
-        Self::with_capacity(64)
+        Self::with_capacity(DEFAULT_MAX_ENTRIES)
     }
 
     /// Empty tree with `max_entries` per node (min 4).
@@ -317,6 +320,42 @@ impl RTree {
         self.stats.record_write();
         self.stats.record_write();
         (r1, id, r2, self.nodes.len() - 1)
+    }
+
+    /// Remove one `rect → payload` entry; `false` when there is none.
+    /// Node bounds are left as they are: a bound still covers everything
+    /// its node holds, so every search stays exact.
+    pub fn remove(&mut self, rect: &Rect, payload: u64) -> bool {
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            self.stats.record_read();
+            match &mut self.nodes[id] {
+                Node::Inner { entries } => stack.extend(
+                    entries
+                        .iter()
+                        .filter(|(r, _)| r.contains(rect))
+                        .map(|&(_, child)| child),
+                ),
+                Node::Leaf { entries } => {
+                    if let Some(pos) = entries.iter().position(|e| *e == (*rect, payload)) {
+                        entries.remove(pos);
+                        self.len -= 1;
+                        self.stats.record_write();
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Every `(rect, payload)` entry, in no particular order (a linear
+    /// walk of the leaves: no bound is consulted).
+    pub fn entries(&self) -> impl Iterator<Item = &(Rect, u64)> {
+        self.nodes.iter().flat_map(|n| match n {
+            Node::Leaf { entries } => entries.as_slice(),
+            Node::Inner { .. } => &[],
+        })
     }
 
     /// All `(rect, payload)` entries intersecting `query`.
@@ -669,5 +708,33 @@ mod tests {
         assert!(t.stats().reads() > 0);
         // point search should touch far fewer nodes than exist
         assert!(t.stats().reads() < t.node_count() as u64 / 2);
+    }
+    #[test]
+    fn remove_takes_out_exactly_one_entry() {
+        let mut t = RTree::with_capacity(4);
+        let rects: Vec<Rect> = (0..40)
+            .map(|i| Rect::new([i as f64, 0.0], [i as f64 + 2.0, 1.0]))
+            .collect();
+        for (i, r) in rects.iter().enumerate() {
+            t.insert(*r, i as u64);
+        }
+        assert!(t.remove(&rects[7], 7));
+        assert!(!t.remove(&rects[7], 7), "already gone");
+        assert!(!t.remove(&rects[8], 9), "payload must match too");
+        assert_eq!(t.len(), 39);
+        let mut all: Vec<u64> = t.entries().map(|e| e.1).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..40).filter(|&i| i != 7).collect::<Vec<_>>());
+        let hits: Vec<u64> = t
+            .search(&Rect::point(8.0, 0.5))
+            .iter()
+            .map(|e| e.1)
+            .collect();
+        assert!(!hits.contains(&7) && hits.contains(&6) && hits.contains(&8));
+        for i in (0..40).filter(|&i| i != 7) {
+            assert!(t.remove(&rects[i], i as u64), "entry {i}");
+        }
+        assert!(t.is_empty() && t.search(&Rect::point(1.0, 0.5)).is_empty());
+        assert_eq!(t.entries().count(), 0);
     }
 }
