@@ -681,3 +681,46 @@ fn another_format_version_is_refused_and_left_alone() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A table goes with its history: damage in one of its hidden history
+/// tables quarantines the table that owns it, history and all, and the
+/// name is free again afterwards.
+#[test]
+fn damaged_history_quarantines_its_owner() {
+    let dir = tmp("history-quarantine");
+    {
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE Gene (GID TEXT)").unwrap();
+        db.execute("CREATE TABLE Protein (PID TEXT)").unwrap();
+        db.execute("CREATE ANNOTATION TABLE Notes ON Gene").unwrap();
+        db.execute("INSERT INTO Gene VALUES ('g1')").unwrap();
+        db.execute("INSERT INTO Protein VALUES ('p1')").unwrap();
+        db.execute(
+            "ADD ANNOTATION TO Gene.Notes VALUE 'HISTORYMARKER' ON (SELECT G.GID FROM Gene G)",
+        )
+        .unwrap();
+        db.close().unwrap();
+    }
+    let data = dir.join("data.bdb");
+    let mut bytes = std::fs::read(&data).unwrap();
+    let pos = bytes
+        .windows(b"HISTORYMARKER".len())
+        .position(|w| w == b"HISTORYMARKER")
+        .expect("the record table's page is in the image");
+    bytes[pos] ^= 0x01;
+    std::fs::write(&data, &bytes).unwrap();
+    let err = Database::open(&dir).map(|_| ()).unwrap_err();
+    assert_eq!(err.code(), ErrorCode::Corrupt);
+    let mut db = Database::open_salvage(&dir).unwrap();
+    let report = db.last_recovery().unwrap().clone();
+    assert_eq!(report.quarantined_tables, ["Gene"]);
+    assert!(
+        !db.catalog().has_table("Gene$$deleted"),
+        "its history went too"
+    );
+    assert_eq!(db.execute("SELECT * FROM Protein").unwrap().rows.len(), 1);
+    assert!(db.check().unwrap().is_ok());
+    db.execute("CREATE TABLE Gene (GID TEXT)").unwrap();
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
