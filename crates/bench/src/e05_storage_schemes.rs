@@ -39,28 +39,28 @@ fn populate(set: &mut AnnotationSet, w: &Workload) {
         Workload::Columns => {
             let all_rows: Vec<u64> = (0..ROWS).collect();
             for c in 0..COLS {
-                set.add(&format!("col-ann {c}"), "u", 1, &all_rows, &[c]);
+                set.add(&all_rows, &[c]);
             }
         }
         Workload::Rows => {
             let all_cols: Vec<usize> = (0..COLS).collect();
             for row in (0..ROWS).step_by(10) {
-                set.add(&format!("row-ann {row}"), "u", 1, &[row], &all_cols);
+                set.add(&[row], &all_cols);
             }
         }
         Workload::Cells => {
-            for i in 0..(ROWS / 10) {
+            for _ in 0..(ROWS / 10) {
                 let row = rng.gen_range(0..ROWS);
                 let col = rng.gen_range(0..COLS);
-                set.add(&format!("cell-ann {i}"), "u", 1, &[row], &[col]);
+                set.add(&[row], &[col]);
             }
         }
         Workload::Blocks => {
-            for i in 0..(ROWS / 100) {
+            for _ in 0..(ROWS / 100) {
                 let start = rng.gen_range(0..ROWS - 50);
                 let rows: Vec<u64> = (start..start + 50).collect();
                 let c0 = rng.gen_range(0..COLS - 1);
-                set.add(&format!("block-ann {i}"), "u", 1, &rows, &[c0, c0 + 1]);
+                set.add(&rows, &[c0, c0 + 1]);
             }
         }
     }

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 
 use bdbms_common::ids::AnnotationId;
 use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
-use bdbms_index::rtree::{RTree, Rect, DEFAULT_MAX_ENTRIES};
+use bdbms_index::rtree::{RTree, Rect};
 
 use crate::xml::XmlNode;
 
@@ -345,16 +345,8 @@ impl AnnotationSet {
 
     /// Index a new annotation over `rows × cols` in this set alone — the
     /// storage-scheme experiments (E05) and model tests, which need no
-    /// record table.  The body fields are not kept: in a database they
-    /// live in the set's record table, and the index is fed from its rows.
-    pub fn add(
-        &mut self,
-        _raw: &str,
-        _creator: &str,
-        _created: u64,
-        rows: &[u64],
-        cols: &[usize],
-    ) -> AnnotationId {
+    /// record table (in a database the index is fed from the set's rows).
+    pub fn add(&mut self, rows: &[u64], cols: &[usize]) -> AnnotationId {
         let id = AnnotationId(self.flags.len() as u64);
         self.record_written(id.raw(), Some(false));
         for r in rectangles(id, rows, cols) {
@@ -380,19 +372,6 @@ impl AnnotationSet {
         match &mut self.scheme {
             Scheme::Cell(s) => s.attach(r),
             Scheme::Rect(s) => s.attach(r),
-        }
-    }
-
-    /// Attach every rectangle of a freshly opened set at once: an empty
-    /// R-tree is bulk-loaded (Sort-Tile-Recursive), not grown by splits.
-    pub(crate) fn load(&mut self, mut rects: Vec<Rectangle>) {
-        match &mut self.scheme {
-            Scheme::Rect(s) if s.index.is_empty() => {
-                rects.sort_by_key(|r| r.cols.0 + r.cols.1);
-                let entries = rects.iter().map(|r| (r.rect(), r.ann.raw()));
-                s.index = RTree::bulk_load(DEFAULT_MAX_ENTRIES, entries);
-            }
-            _ => rects.iter().for_each(|r| self.attach(r)),
         }
     }
 
@@ -527,21 +506,9 @@ mod tests {
         // rows mraW, fixB, caiB on GID+GName; we model: rows 0,1,2 on cols 0,1.
         for cell_scheme in [true, false] {
             let mut set = AnnotationSet::new("GAnnotation", cell_scheme);
-            let b1 = set.add("Curated by user admin", "admin", 1, &[0, 1, 2], &[0, 1]);
-            let b3 = set.add(
-                "<Annotation>obtained from GenoBase</Annotation>",
-                "admin",
-                2,
-                &[0, 1, 2, 3, 4],
-                &[2],
-            );
-            let b5 = set.add(
-                "This gene has an unknown function",
-                "alice",
-                3,
-                &[0],
-                &[0, 1, 2],
-            );
+            let b1 = set.add(&[0, 1, 2], &[0, 1]);
+            let b3 = set.add(&[0, 1, 2, 3, 4], &[2]);
+            let b5 = set.add(&[0], &[0, 1, 2]);
             // cell lookups
             let on_00 = set.for_cell(0, 0);
             assert!(on_00.contains(&b1) && on_00.contains(&b5));
@@ -556,9 +523,9 @@ mod tests {
         // Column annotation over 1000 rows: 1 rectangle vs 1000 cell records.
         let rows: Vec<u64> = (0..1000).collect();
         let mut rect = AnnotationSet::new("a", false);
-        rect.add("B3", "u", 1, &rows, &[2]);
+        rect.add(&rows, &[2]);
         let mut cell = AnnotationSet::new("a", true);
-        cell.add("B3", "u", 1, &rows, &[2]);
+        cell.add(&rows, &[2]);
         assert_eq!(rect.attachment_records(), 1);
         assert_eq!(cell.attachment_records(), 1000);
         assert!(rect.attachment_bytes() * 10 < cell.attachment_bytes());
@@ -567,7 +534,7 @@ mod tests {
     #[test]
     fn scattered_rows_make_multiple_rectangles() {
         let mut set = AnnotationSet::new("a", false);
-        set.add("x", "u", 1, &[0, 1, 5, 6, 9], &[0, 1, 2]);
+        set.add(&[0, 1, 5, 6, 9], &[0, 1, 2]);
         // 3 row runs × 1 col run = 3 rectangles
         assert_eq!(set.attachment_records(), 3);
         assert_eq!(set.for_cell(5, 1).len(), 1);
@@ -625,7 +592,7 @@ mod tests {
     fn archived_not_propagated_but_queryable() {
         for cell_scheme in [true, false] {
             let mut set = AnnotationSet::new("a", cell_scheme);
-            let id = set.add("B5", "u", 1, &[3], &[1]);
+            let id = set.add(&[3], &[1]);
             set.record_written(id.raw(), Some(true));
             assert!(set.for_cell(3, 1).is_empty(), "archived must not propagate");
             assert!(set.is_archived(id));
@@ -637,7 +604,7 @@ mod tests {
     fn rect_scan_ablation_agrees_with_rtree() {
         let mut set = AnnotationSet::new("a", false);
         for i in 0..50u64 {
-            set.add("x", "u", 1, &[i, i + 1], &[(i % 3) as usize]);
+            set.add(&[i, i + 1], &[(i % 3) as usize]);
         }
         let rs = set.rect_scheme().unwrap();
         for row in 0..52u64 {
@@ -654,7 +621,7 @@ mod tests {
     fn duplicate_attachment_ids_deduped() {
         let mut set = AnnotationSet::new("a", false);
         // Overlapping rectangles from one annotation (rows given twice).
-        let id = set.add("x", "u", 1, &[0, 0, 1], &[0]);
+        let id = set.add(&[0, 0, 1], &[0]);
         assert_eq!(set.ids_for_cell(0, 0), vec![id]);
     }
 
@@ -667,7 +634,7 @@ mod tests {
             let build = |n: u64| {
                 let mut set = AnnotationSet::new("a", cell_scheme);
                 for i in 0..n {
-                    set.add("x", "u", 1, &[i, i + 1, i + 5], &[0, 1]);
+                    set.add(&[i, i + 1, i + 5], &[0, 1]);
                 }
                 set
             };
@@ -677,35 +644,10 @@ mod tests {
             }
             set.record_written(5, None);
             assert!(set.same_index(&build(5)));
-            let again = set.add("y", "u", 2, &[0], &[3]);
+            let again = set.add(&[0], &[3]);
             assert_eq!(again, AnnotationId(5), "the freed id is reused");
             assert_eq!(set.for_cell(0, 3), vec![again]);
             assert!(set.for_cell(10, 0).is_empty());
-        }
-    }
-
-    /// The open pass bulk-loads a set's R-tree; it must answer, and take
-    /// further rows, like one grown by inserts.
-    #[test]
-    fn a_bulk_loaded_index_answers_like_a_grown_one() {
-        let mut grown = AnnotationSet::new("a", false);
-        let mut rects = Vec::new();
-        for i in 0..300u64 {
-            let (rows, cols) = ([i % 97, i % 97 + 1, i % 89 + 40], [(i % 4) as usize]);
-            let id = grown.add("x", "u", 1, &rows, &cols);
-            rects.extend(rectangles(id, &rows, &cols));
-        }
-        let mut loaded = AnnotationSet::new("a", false);
-        (0..300).for_each(|id| loaded.record_written(id, Some(false)));
-        loaded.load(rects.clone());
-        assert!(loaded.same_index(&grown));
-        for set in [&mut grown, &mut loaded] {
-            rects[..50].iter().for_each(|r| set.detach(r));
-            set.add("y", "u", 2, &[5, 6], &[0, 1]);
-        }
-        assert!(loaded.same_index(&grown));
-        for (row, col) in (0..140).flat_map(|r| (0..4).map(move |c| (r, c))) {
-            assert_eq!(loaded.for_cell(row, col), grown.for_cell(row, col));
         }
     }
 

@@ -107,7 +107,7 @@ impl LoggedOp {
             ("$description", DataType::Text),
             ("$status", DataType::Int),
             ("$inverse", DataType::Int),
-            ("$restored", DataType::Int),
+            ("$restored", DataType::Text),
         ];
         history_schema(&fixed, table)
     }
@@ -115,12 +115,11 @@ impl LoggedOp {
     /// This entry as a row of its table's approval log, stored under the
     /// operation id as its row number: the fixed columns, then the
     /// table's own columns holding the inverse's old values (NULL where
-    /// it restores nothing).  `$restored` masks the
-    /// columns a `RestoreCells` puts back, so one touching a column past
-    /// the 63rd cannot be logged.
-    pub fn to_row(&self, arity: usize) -> Result<Vec<Value>> {
+    /// it restores nothing).  `$restored` lists the columns a
+    /// `RestoreCells` puts back, as comma-separated indices.
+    pub fn to_row(&self, arity: usize) -> Vec<Value> {
         let mut values = vec![Value::Null; arity];
-        let mut mask = 0i64;
+        let mut restored = Vec::new();
         let (kind, row_no) = match &self.inverse {
             InverseOp::DeleteRow { row_no } => (0, *row_no),
             InverseOp::InsertRow { row_no, values: v } => {
@@ -129,14 +128,7 @@ impl LoggedOp {
             }
             InverseOp::RestoreCells { row_no, old } => {
                 for (col, v) in old {
-                    if *col >= 63 {
-                        return Err(BdbmsError::invalid(format!(
-                            "content approval logs updates of the first 63 columns \
-                             only; column {col} of `{}` is past them",
-                            self.table
-                        )));
-                    }
-                    mask |= 1 << col;
+                    restored.push(col.to_string());
                     values[*col] = v.clone();
                 }
                 (2, *row_no)
@@ -149,18 +141,18 @@ impl LoggedOp {
             Value::Text(self.description.clone()),
             Value::Int(self.status.code()),
             Value::Int(kind),
-            Value::Int(mask),
+            Value::Text(restored.join(",")),
         ];
         row.extend(values);
-        Ok(row)
+        row
     }
 
     /// Decode row `id` of `table`'s approval log.
     pub(crate) fn from_row(table: &str, id: u64, mut row: Vec<Value>) -> Result<LoggedOp> {
-        let values = row.split_off(LOG_FIXED.min(row.len()));
+        let mut values = row.split_off(LOG_FIXED.min(row.len()));
         let bad = || BdbmsError::corrupt(format!("malformed approval-log row on `{table}`"));
         let Ok(
-            [Value::Int(row_no), Value::Text(user), Value::Timestamp(time), Value::Text(description), Value::Int(status), Value::Int(kind), Value::Int(mask)],
+            [Value::Int(row_no), Value::Text(user), Value::Timestamp(time), Value::Text(description), Value::Int(status), Value::Int(kind), Value::Text(restored)],
         ) = <[Value; LOG_FIXED]>::try_from(row)
         else {
             return Err(bad());
@@ -171,11 +163,15 @@ impl LoggedOp {
             1 => InverseOp::InsertRow { row_no, values },
             2 => InverseOp::RestoreCells {
                 row_no,
-                old: values
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(col, _)| *col < 63 && mask & (1 << col) != 0)
-                    .collect(),
+                old: restored
+                    .split(',')
+                    .filter(|c| !c.is_empty())
+                    .map(|c| {
+                        let col: usize = c.parse().map_err(|_| bad())?;
+                        let v = values.get_mut(col).ok_or_else(bad)?;
+                        Ok((col, std::mem::take(v)))
+                    })
+                    .collect::<Result<_>>()?,
             },
             _ => return Err(bad()),
         };
@@ -222,6 +218,9 @@ impl OpStatus {
 #[derive(Default)]
 pub struct ApprovalManager {
     configs: HashMap<String, ApprovalConfig>,
+    /// One past the highest operation id a since-dropped log handed out:
+    /// new ids start at least here, so no id is ever reused.
+    id_floor: u64,
 }
 
 impl ApprovalManager {
@@ -303,6 +302,17 @@ impl ApprovalManager {
         }
     }
 
+    /// The lowest id a new operation may take (see [`retire_ids`](Self::retire_ids)).
+    pub(crate) fn id_floor(&self) -> u64 {
+        self.id_floor
+    }
+
+    /// A log that handed out ids below `next` was dropped: never hand
+    /// them out again.
+    pub(crate) fn retire_ids(&mut self, next: u64) {
+        self.id_floor = self.id_floor.max(next);
+    }
+
     /// Deterministic dump of the configs (checkpoint snapshots — see
     /// `crate::durability`), sorted by table.
     #[allow(clippy::type_complexity)]
@@ -316,10 +326,15 @@ impl ApprovalManager {
         configs
     }
 
-    /// Rebuild from a [`snapshot`](Self::snapshot) dump.
+    /// Rebuild from a [`snapshot`](Self::snapshot) dump and the
+    /// [`id_floor`](Self::id_floor).
     #[allow(clippy::type_complexity)]
-    pub(crate) fn restore(configs: Vec<(String, Option<Vec<String>>, String)>) -> ApprovalManager {
+    pub(crate) fn restore(
+        configs: Vec<(String, Option<Vec<String>>, String)>,
+        id_floor: u64,
+    ) -> ApprovalManager {
         ApprovalManager {
+            id_floor,
             // keys were stored lowercased; reinsert directly
             configs: configs
                 .into_iter()
@@ -478,6 +493,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Content approval logs and disapproves an update of any column,
+    /// however wide the table.
+    #[test]
+    fn an_update_past_the_63rd_column_is_logged_and_undone() {
+        let mut db = crate::Database::new_in_memory();
+        let cols: Vec<String> = (0..70).map(|c| format!("c{c} INT")).collect();
+        db.execute(&format!("CREATE TABLE W ({})", cols.join(", ")))
+            .unwrap();
+        let zeros = vec!["0"; 70].join(", ");
+        for sql in [
+            format!("INSERT INTO W VALUES ({zeros})"),
+            "CREATE USER alice".into(),
+            "GRANT UPDATE ON W TO alice".into(),
+            "START CONTENT APPROVAL ON W APPROVED BY admin".into(),
+        ] {
+            db.execute(&sql).unwrap();
+        }
+        db.execute_as("UPDATE W SET c5 = 5, c64 = 64, c69 = 69", "alice")
+            .unwrap();
+        let pending = db.pending_operations(None).unwrap();
+        assert_eq!(
+            pending[0].inverse,
+            InverseOp::RestoreCells {
+                row_no: 0,
+                old: [5, 64, 69].map(|c| (c, Value::Int(0))).to_vec(),
+            }
+        );
+        db.execute("DISAPPROVE OPERATION 0").unwrap();
+        let r = db.execute("SELECT c5, c64, c69 FROM W").unwrap();
+        assert_eq!(
+            r.rows[0].values,
+            vec![Value::Int(0); 3],
+            "every cell restored"
+        );
+    }
+
+    /// Dropping a table drops its pending operations with it, but never
+    /// frees their ids: later operations — after a checkpoint, and after
+    /// a crash that replays the drop — get fresh ones.
+    #[test]
+    fn ids_of_a_dropped_table_are_never_reused() {
+        let dir = std::env::temp_dir().join(format!(
+            "bdbms-approval-dropped-{}.bdbms",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = crate::Database::create(&dir).unwrap();
+        let monitor = |db: &mut crate::Database, table: &str| {
+            db.execute(&format!("CREATE TABLE {table} (K TEXT)"))
+                .unwrap();
+            db.execute(&format!("GRANT INSERT ON {table} TO alice"))
+                .unwrap();
+            db.execute(&format!(
+                "START CONTENT APPROVAL ON {table} APPROVED BY admin"
+            ))
+            .unwrap();
+        };
+        db.execute("CREATE USER alice").unwrap();
+        monitor(&mut db, "Gene");
+        monitor(&mut db, "Protein");
+        let insert = |db: &mut crate::Database, table: &str| {
+            db.execute_as(&format!("INSERT INTO {table} VALUES ('k')"), "alice")
+                .unwrap();
+            db.approval_log(None).unwrap().last().unwrap().id.raw()
+        };
+        let ids = ["Gene", "Protein", "Gene"].map(|t| insert(&mut db, t));
+        assert_eq!(ids, [0, 1, 2]);
+        db.execute("DROP TABLE Gene").unwrap();
+        let pending = db.pending_operations(None).unwrap();
+        assert_eq!(
+            pending.iter().map(|op| op.id.raw()).collect::<Vec<_>>(),
+            [1]
+        );
+        let err = db.execute("APPROVE OPERATION 2").unwrap_err();
+        assert_eq!(err.code(), ErrorCode::NotFound);
+        db.close().unwrap();
+        let mut db = crate::Database::open(&dir).unwrap();
+        assert_eq!(
+            insert(&mut db, "Protein"),
+            3,
+            "the checkpoint keeps 2 retired"
+        );
+        monitor(&mut db, "Gene");
+        assert_eq!(insert(&mut db, "Gene"), 4, "the floor is checkpointed");
+        db.execute("DROP TABLE Gene").unwrap();
+        db.simulate_crash();
+        let mut db = crate::Database::open(&dir).unwrap();
+        assert_eq!(
+            insert(&mut db, "Protein"),
+            5,
+            "the replayed drop retires its ids"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn inverse_shapes() {
         // the three inverse kinds of §6
@@ -527,7 +638,7 @@ mod tests {
             ),
         ] {
             let logged = op(inverse, status);
-            let row = logged.to_row(3).unwrap();
+            let row = logged.to_row(3);
             let back = LoggedOp::from_row("Gene", 9, row).unwrap();
             assert_eq!(back.inverse, logged.inverse);
             assert_eq!(
@@ -541,14 +652,6 @@ mod tests {
                 )
             );
         }
-        let wide = op(
-            InverseOp::RestoreCells {
-                row_no: 0,
-                old: vec![(63, Value::Int(1))],
-            },
-            OpStatus::Pending,
-        );
-        assert_eq!(wide.to_row(64).unwrap_err().code(), ErrorCode::Invalid);
         let err = LoggedOp::from_row("Gene", 9, vec![Value::Null; 9]).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Corrupt);
     }

@@ -523,9 +523,10 @@ impl Table {
         owner: impl Into<String>,
         pool: Arc<BufferPool>,
     ) -> Result<Table> {
-        let arity = schema.arity();
+        let (name, arity) = (name.into(), schema.arity());
         Ok(Table {
-            name: name.into(),
+            stats: Self::fresh_stats(&name, arity),
+            name,
             schema,
             owner: owner.into(),
             heap: HeapFile::create(pool)?,
@@ -535,9 +536,15 @@ impl Table {
             history: None,
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
-            stats: TableStats::new(arity),
             log: SharedLog::default(),
         })
+    }
+
+    /// Empty planner statistics for table `name`.  A hidden history
+    /// table keeps none: no SQL can name it, so no query plans over it,
+    /// and its writes and first-touch snapshots pay for no upkeep.
+    fn fresh_stats(name: &str, arity: usize) -> TableStats {
+        TableStats::new(if owner_of(name).is_some() { 0 } else { arity })
     }
 
     /// A hidden history table keeping `history` from its rows.
@@ -567,6 +574,7 @@ impl Table {
     ) -> Result<Table> {
         let arity = schema.arity();
         let mut t = Table {
+            stats: Self::fresh_stats(&name, arity),
             name,
             schema,
             owner,
@@ -577,7 +585,6 @@ impl Table {
             history: None,
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
-            stats: TableStats::new(arity),
             log: SharedLog::default(),
         };
         let column_of = |what: &str, index: &str, col: usize| {
@@ -598,6 +605,8 @@ impl Table {
             let col = column_of("sequence index", index, *col)?;
             seq_indexes.push(SeqIndex::new(index, col, *kind));
         }
+        // every table's statistics are computed, so the walk checks that
+        // every value decodes; a hidden table's are then dropped
         let mut stats = TableStats::new(arity);
         t.derive(
             Some(&mut stats),
@@ -606,7 +615,9 @@ impl Table {
             history.as_mut(),
             0,
         )?;
-        t.stats = stats;
+        if owner_of(&t.name).is_none() {
+            t.stats = stats;
+        }
         t.indexes = indexes;
         t.seq_indexes = seq_indexes;
         t.history = history;
@@ -981,8 +992,7 @@ impl Table {
     ///   from every row once the scan has succeeded, a non-empty one gets
     ///   the rows from `first_row` up appended (its backend is
     ///   insert-only);
-    /// * a hidden table's (fresh) `history`: fed every row, a rectangle
-    ///   table's R-tree bulk-loaded from all of them.
+    /// * a hidden table's (fresh) `history`: fed every row.
     ///
     /// Only the index key columns are decoded (every column when a
     /// `history` is fed).  A failed scan leaves the
@@ -1040,8 +1050,6 @@ impl Table {
             })
             .collect();
         let mut arena: Vec<Value> = Vec::new();
-        // a rectangle table's index loads in one step, after the scan
-        let mut rects = Vec::new();
         let mut rows = self.rows.iter().peekable();
         while rows.peek().is_some() {
             let (nos, rids): (Vec<u64>, Vec<Rid>) = rows.by_ref().take(BATCH_SIZE).unzip();
@@ -1070,10 +1078,8 @@ impl Table {
             })?;
             // (without key columns the arena is empty: nothing to feed)
             for (values, &row_no) in arena.chunks_mut(keys.len().max(1)).zip(&nos) {
-                match history.as_deref_mut() {
-                    Some(History::Rects(_)) => rects.extend(Rectangle::from_row(values)),
-                    Some(h) => h.row_added(row_no, values),
-                    None => {}
+                if let Some(h) = history.as_deref_mut() {
+                    h.row_added(row_no, values);
                 }
                 for (sidx, load) in seq_indexes.iter_mut().zip(&mut loads) {
                     match (load, &values[slot(sidx.column)]) {
@@ -1096,9 +1102,6 @@ impl Table {
         }
         for (idx, pairs) in indexes.iter_mut().zip(sorted) {
             idx.load(pairs);
-        }
-        if let Some(History::Rects(set)) = history {
-            set.borrow_mut().load(rects);
         }
         for (sidx, load) in seq_indexes.iter_mut().zip(loads) {
             if let Some((rows, texts)) = load {

@@ -605,6 +605,21 @@ impl Database {
         self.add_table(&approval_table(name), owner, approval, None)
     }
 
+    /// Drop table `name` with its hidden tables (see
+    /// [`Catalog::drop_table`]).  The ids its approval log handed out
+    /// stay retired, and its operations go with it: none can be decided
+    /// any more.  Not logged: the caller logs `TableDrop`, whose replay
+    /// lands here.
+    pub(crate) fn drop_table_with_history(&mut self, name: &str) -> Result<Vec<Table>> {
+        let tables = self.catalog.drop_table(name)?;
+        let log = tables
+            .iter()
+            .find(|t| approval_log_owner(&t.name).is_some());
+        self.approval
+            .retire_ids(log.map_or(0, Table::peek_next_row));
+        Ok(tables)
+    }
+
     /// Attach `set` to `table`: its record and rectangle tables, which
     /// share it.  Not logged: the caller logs `AnnSetCreate`, whose
     /// replay lands here.  (`AnnSetDrop` drops the record table, and
@@ -713,10 +728,11 @@ impl Database {
         description: String,
         inverse: InverseOp,
     ) -> Result<()> {
-        // ids are global: one past the highest any log has handed out
-        // (a rollback rewinds its log's allocator, freeing the id again)
+        // ids are global: one past the highest any log, dropped ones
+        // included, has handed out (a rollback rewinds its log's
+        // allocator, freeing the id again)
         let logs = self.approval_logs().map(|(_, log)| log.peek_next_row());
-        let id = logs.max().unwrap_or(0);
+        let id = logs.fold(self.approval.id_floor(), u64::max);
         let op = LoggedOp {
             id: OperationId(id),
             table: table.to_string(),
@@ -726,7 +742,7 @@ impl Database {
             inverse,
             status: OpStatus::Pending,
         };
-        let row = op.to_row(self.catalog.table(table)?.schema.arity())?;
+        let row = op.to_row(self.catalog.table(table)?.schema.arity());
         let log = approval_table(table);
         self.rec_touch_table(&log);
         self.catalog
@@ -1251,7 +1267,7 @@ impl Database {
         // the dropped table and its history tables move into the log
         // wholesale: rollback puts them back byte-identical (heaps,
         // indexes, annotations, stats)
-        let tables = self.catalog.drop_table(name)?;
+        let tables = self.drop_table_with_history(name)?;
         let dropped = tables[0].name.clone();
         self.txn.record(
             || WalRecord::TableDrop { name: dropped },

@@ -841,6 +841,7 @@ fn encode_snapshot(
         put_opt_strs(&mut body, columns.as_deref());
         codec::put_str(&mut body, approver);
     }
+    codec::put_u64(&mut body, db.approval.id_floor());
 
     let rules = db.deps.rules();
     codec::put_u32(&mut body, rules.len() as u32);
@@ -962,7 +963,7 @@ fn decode_snapshot_mode(
     for _ in 0..n {
         configs.push((cur.str()?, get_opt_strs(&mut cur)?, cur.str()?));
     }
-    db.approval = ApprovalManager::restore(configs);
+    db.approval = ApprovalManager::restore(configs, cur.u64()?);
 
     let n = cur.len()?;
     let mut rules = Vec::with_capacity(n);
@@ -1379,7 +1380,7 @@ impl Database {
                 self.create_table_with_history(&name, &owner, schema)?;
             }
             WalRecord::TableDrop { name } => {
-                self.catalog.drop_table(&name)?;
+                self.drop_table_with_history(&name)?;
             }
             WalRecord::IndexCreate {
                 table,

@@ -230,10 +230,13 @@ impl TableStats {
         }
     }
 
-    /// Record an in-place update of one column.
+    /// Record an in-place update of one column (of none, when these
+    /// statistics cover no columns: a hidden table keeps none).
     pub fn update_cell(&mut self, col: usize, old: &Value, new: &Value) {
-        self.cols[col].retire(old);
-        self.cols[col].observe(new);
+        if let Some(c) = self.cols.get_mut(col) {
+            c.retire(old);
+            c.observe(new);
+        }
     }
 }
 

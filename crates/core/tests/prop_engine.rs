@@ -156,13 +156,13 @@ proptest! {
         let mut cell = AnnotationSet::new("a", true);
         let mut rect = AnnotationSet::new("a", false);
         let mut model: Vec<HashSet<(u64, usize)>> = Vec::new();
-        for (i, (r1, r2, c1, c2)) in attaches.iter().enumerate() {
+        for (r1, r2, c1, c2) in &attaches {
             let (rlo, rhi) = (*r1.min(r2), *r1.max(r2));
             let (clo, chi) = (*c1.min(c2), *c1.max(c2));
             let rows: Vec<u64> = (rlo..=rhi).collect();
             let cols: Vec<usize> = (clo..=chi).collect();
-            cell.add(&format!("ann{i}"), "u", i as u64, &rows, &cols);
-            rect.add(&format!("ann{i}"), "u", i as u64, &rows, &cols);
+            cell.add(&rows, &cols);
+            rect.add(&rows, &cols);
             let mut covered = HashSet::new();
             for r in rlo..=rhi {
                 for c in clo..=chi {

@@ -98,9 +98,6 @@ impl Node {
     }
 }
 
-/// Entries per node of [`RTree::new`] (a realistic page fanout).
-pub const DEFAULT_MAX_ENTRIES: usize = 64;
-
 /// R-tree mapping rectangles to `u64` payloads.
 pub struct RTree {
     nodes: Vec<Node>,
@@ -113,7 +110,7 @@ pub struct RTree {
 impl RTree {
     /// Empty tree with default node capacity (realistic page fanout).
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MAX_ENTRIES)
+        Self::with_capacity(64)
     }
 
     /// Empty tree with `max_entries` per node (min 4).
