@@ -433,6 +433,11 @@ pub(crate) enum History {
 }
 
 impl History {
+    /// The history of a new set's record table: the set itself.
+    pub(crate) fn records(set: AnnotationSet) -> History {
+        History::Records(Rc::new(RefCell::new(set)))
+    }
+
     fn row_added(&mut self, row_no: u64, row: &[Value]) {
         match self {
             History::Records(set) => {

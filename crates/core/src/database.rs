@@ -8,9 +8,7 @@
 //! [`Database::execute_as`], which parses A-SQL and routes each command
 //! through authorization, approval logging, and dependency tracking.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,7 +25,7 @@ use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{
     approval_log_owner, approval_table, deleted_table, records_table, rects_table, Catalog,
-    DeletedRow, History, SharedSet, Table,
+    DeletedRow, History, Table,
 };
 use crate::dependency::{DependencyManager, DependencyRule};
 use crate::durability::WalRecord;
@@ -631,12 +629,10 @@ impl Database {
             records_table(&t.name, &set.name),
             rects_table(&t.name, &set.name),
         );
-        let set: SharedSet = Rc::new(RefCell::new(set));
-        let rects_history = History::Rects(set.clone());
         let schema = annotation::record_schema();
-        self.add_table(&records, &owner, schema, Some(History::Records(set)))?;
-        let schema = annotation::rect_schema();
-        self.add_table(&rects, &owner, schema, Some(rects_history))
+        self.add_table(&records, &owner, schema, Some(History::records(set)))?;
+        let history = self.catalog.rects_history(&rects);
+        self.add_table(&rects, &owner, annotation::rect_schema(), history)
     }
 
     fn add_table(

@@ -72,11 +72,9 @@
 //!
 //! See `docs/STORAGE.md` for the byte-level formats.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -108,8 +106,8 @@ pub(crate) const WAL_DIR: &str = "wal";
 
 const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 // v2: per-table sequence-index definitions appended to the snapshot
-// v3: the history is hidden tables; the snapshot keeps set definitions
-//     and approval configs only (v2 images are refused, not read)
+// v3: the history is hidden tables; the snapshot keeps set definitions,
+//     approval configs and the operation-id floor (v2 is refused, not read)
 const FORMAT_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
@@ -1030,7 +1028,7 @@ fn decode_snapshot_mode(
             let mut set = AnnotationSet::new(cur.str()?, cur.bool()?);
             set.system_only = cur.bool()?;
             set.schema_enforced = cur.bool()?;
-            Some(History::Records(Rc::new(RefCell::new(set))))
+            Some(History::records(set))
         } else {
             db.catalog.rects_history(&name)
         };
@@ -1067,7 +1065,7 @@ fn decode_snapshot_mode(
             // a table goes with all its history: damage to either
             // quarantines the owner
             (Err(_), Some(q)) => match owner_name {
-                Some(owner) => q.push(db.catalog.drop_table(owner)?.remove(0).name),
+                Some(owner) => q.push(db.drop_table_with_history(owner)?.remove(0).name),
                 None => q.push(name),
             },
         }
