@@ -730,9 +730,7 @@ impl Table {
     /// Insert a row (validated/coerced against the schema); returns its
     /// stable row number.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<u64> {
-        let values = self.schema.check_row(values)?;
-        let row_no = self.next_row;
-        self.insert_with_row_no(row_no, values)
+        self.insert_with_row_no(self.next_row, values)
     }
 
     /// Insert preserving a specific row number (used by disapproval

@@ -566,26 +566,12 @@ impl Database {
 
     // ---- the curator's history: rows of hidden tables ----
 
-    /// Append a row to hidden table `name`, snapshotting its non-row
-    /// state first; returns the row number.  The row is logged and
-    /// undone like any other, and the table's derived state follows it.
-    fn history_insert(&mut self, name: &str, row: Vec<Value>) -> Result<u64> {
+    /// Hidden table `name`, ready for a row write: its non-row state is
+    /// snapshotted first.  The row is logged and undone like any other,
+    /// and the table's derived state follows it.
+    fn history_table(&mut self, name: &str) -> Result<&mut Table> {
         self.rec_touch_table(name);
-        self.catalog.table_mut(name)?.insert(row)
-    }
-
-    /// Overwrite row `row_no` of hidden table `name`.
-    fn history_update(
-        &mut self,
-        name: &str,
-        row_no: u64,
-        old: &[Value],
-        row: Vec<Value>,
-    ) -> Result<()> {
-        self.rec_touch_table(name);
-        self.catalog
-            .table_mut(name)?
-            .update_with_old(row_no, old, row)
+        self.catalog.table_mut(name)
     }
 
     /// Create table `name` with its deletion and approval logs.  Not
@@ -661,12 +647,11 @@ impl Database {
         rows: &[u64],
         cols: &[usize],
     ) -> Result<AnnotationId> {
-        let records = records_table(table, set);
-        let id =
-            AnnotationId(self.history_insert(&records, Annotation::row(raw, created, creator))?);
+        let records = self.history_table(&records_table(table, set))?;
+        let id = AnnotationId(records.insert(Annotation::row(raw, created, creator))?);
         let rects = rects_table(table, set);
         for r in annotation::rectangles(id, rows, cols) {
-            self.history_insert(&rects, r.row())?;
+            self.history_table(&rects)?.insert(r.row())?;
         }
         Ok(id)
     }
@@ -702,7 +687,8 @@ impl Database {
             }
             let mut row = old.clone();
             row[ARCHIVED] = Value::Bool(archived);
-            self.history_update(&records, id.raw(), &old, row)?;
+            let records = self.history_table(&records)?;
+            records.update_with_old(id.raw(), &old, row)?;
             changed += 1;
         }
         Ok(changed)
@@ -739,18 +725,14 @@ impl Database {
             status: OpStatus::Pending,
         };
         let row = op.to_row(self.catalog.table(table)?.schema.arity());
-        let log = approval_table(table);
-        self.rec_touch_table(&log);
-        self.catalog
-            .table_mut(&log)?
-            .insert_with_row_no(id, row)
-            .map(drop)
+        let log = self.history_table(&approval_table(table))?;
+        log.insert_with_row_no(id, row).map(drop)
     }
 
     /// Keep a deleted tuple in `table`'s deletion log (§3.2).
     fn log_deletion(&mut self, table: &str, deleted: DeletedRow) -> Result<()> {
-        let log = deleted_table(table);
-        self.history_insert(&log, deleted.into_row()).map(drop)
+        let log = self.history_table(&deleted_table(table))?;
+        log.insert(deleted.into_row()).map(drop)
     }
 
     /// The deletion log of `table` (§3.2), oldest first.
@@ -1718,7 +1700,7 @@ impl Database {
         };
         let mut row = old.clone();
         row[STATUS] = Value::Int(status.code());
-        self.history_update(&log, id, &old, row)?;
+        self.history_table(&log)?.update_with_old(id, &old, row)?;
         if approve {
             return Ok(QueryResult::message(format!("operation {id} approved")));
         }
