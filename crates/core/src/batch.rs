@@ -10,10 +10,12 @@
 //! ```
 //!
 //! and moves up to [`BATCH_SIZE`] tuples per call, so dispatch and
-//! bookkeeping amortize across the batch and predicates run as
-//! per-conjunct tight loops over a selection vector.  `demand` makes the
-//! pull *demand-driven*: a pushed `LIMIT k` asks its child for exactly
-//! `k` tuples, which keeps filterless scans' fetch counts exact.
+//! bookkeeping amortize across the batch.  A scan evaluates its pushed
+//! conjuncts on each row as soon as the columns they read are decoded
+//! and decodes the rest of a row only if it survives; later predicates
+//! run as per-conjunct tight loops over a selection vector.  `demand`
+//! makes the pull *demand-driven*: a pushed `LIMIT k` asks its child for
+//! exactly `k` tuples, which keeps filterless scans' fetch counts exact.
 //!
 //! A `Batch` is **flat**: one row-major value arena, one row-number
 //! arena and — downstream of `BatchAttach`, the one operator that
@@ -41,7 +43,7 @@ use std::rc::Rc;
 use bdbms_common::{BdbmsError, Result, Value};
 
 use crate::ast::{AggFunc, AnnExpr, BinaryOp, Expr, Select, SelectItem, UnaryOp};
-use crate::catalog::Table;
+use crate::catalog::{Sieve, Table};
 use crate::executor::{eval_ann, has_aggregate, item_ann_columns, ExecStats, SourceAttach};
 use crate::expr::{compile, eval_compiled, resolve_column, CExpr, ColBinding};
 use crate::result::{AnnRef, AnnRow};
@@ -126,9 +128,8 @@ impl Batch {
     }
 
     /// Sweep `conjuncts` over the live tuples in per-conjunct tight
-    /// loops — each sweeps the survivors of the previous one — adding
-    /// the rejected tuples to `filtered` (also on error).
-    fn retain_true(&mut self, conjuncts: &[CExpr], filtered: &mut u64) -> Result<()> {
+    /// loops, each over the survivors of the previous one.
+    fn retain_true(&mut self, conjuncts: &[CExpr]) -> Result<()> {
         for conjunct in conjuncts {
             if self.sel.is_empty() {
                 break;
@@ -137,8 +138,6 @@ impl Batch {
             for &i in &self.sel {
                 if eval_compiled(conjunct, self.row(i))?.is_true() {
                     kept.push(i);
-                } else {
-                    *filtered += 1;
                 }
             }
             self.sel = kept;
@@ -248,15 +247,43 @@ pub(crate) enum ScanBase<'a> {
     },
 }
 
+impl ScanBase<'_> {
+    /// Narrow a heap-reading scan to decode `first` (ascending) up front
+    /// and return the kept columns it defers, ascending: the ones a
+    /// [`BatchScan`] decodes only for the rows that survive.  An
+    /// index-only scan defers nothing, nor does a scan whose kept
+    /// columns are all in `first`.
+    pub(crate) fn defer_all_but(&mut self, first: Vec<usize>, arity: usize) -> Vec<usize> {
+        let (ScanBase::Rows { keep, .. } | ScanBase::Chunk { keep, .. }) = self else {
+            return Vec::new();
+        };
+        let kept = keep.clone().unwrap_or_else(|| (0..arity).collect());
+        let late: Vec<usize> = kept.into_iter().filter(|c| !first.contains(c)).collect();
+        if !late.is_empty() {
+            *keep = Some(first);
+        }
+        late
+    }
+}
+
 /// Scan: wraps the access path chosen at assembly time
-/// ([`crate::executor`]'s `scan_base_batch`), fetches up to `demand`
+/// ([`crate::executor`]'s `scan_base_batch`) and fetches up to `demand`
 /// tuples — a whole chunk of the table or of the probe's candidate list
-/// at once — then re-checks the pushed conjuncts (all but the one an
-/// exact probe has answered) in per-conjunct tight loops over the
-/// selection vector.
+/// at once.  A fetched row survives when its pushed conjuncts (all but
+/// the one an exact probe has answered) accept it — evaluated in order
+/// as soon as the columns they read are decoded, each only on the rows
+/// every conjunct before it accepted — and, on the streamed side of hash
+/// joins, when each join's build side has its key.  A rejected row never
+/// enters the batch, and a survivor's `late` columns are decoded from
+/// the same record under the same page pin ([`Sieve`]).
 pub(crate) struct BatchScan<'a> {
     base: ScanBase<'a>,
     pushed: Vec<CExpr>,
+    /// `(column, build-side keys)` per hash join this scan streams into.
+    joins: Vec<(usize, JoinKeys)>,
+    /// Kept columns decoded only for the rows that survive,
+    /// source-local and ascending.
+    late: Vec<usize>,
     arity: usize,
     st: Rc<RefCell<ExecStats>>,
     done: bool,
@@ -266,15 +293,28 @@ impl<'a> BatchScan<'a> {
     pub(crate) fn new(
         base: ScanBase<'a>,
         pushed: Vec<CExpr>,
+        late: Vec<usize>,
         arity: usize,
         st: Rc<RefCell<ExecStats>>,
     ) -> Self {
         BatchScan {
             base,
             pushed,
+            joins: Vec::new(),
+            late,
             arity,
             st,
             done: false,
+        }
+    }
+
+    /// On the streamed side of a join — whose columns lead every joined
+    /// tuple — drop, in the scan, the rows that match no build tuple on
+    /// `side`'s equi-join key when that key is one of the scan's own
+    /// columns: they would join nothing.
+    pub(crate) fn semi_join(&mut self, side: &BuildSide) {
+        if let Some((col, keys)) = side.key.as_ref().filter(|(col, _)| *col < self.arity) {
+            self.joins.push((*col, keys.clone()));
         }
     }
 }
@@ -287,6 +327,20 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
         let want = demand.clamp(1, BATCH_SIZE);
         let arity = self.arity;
         let mut batch = Batch::new(arity, 1);
+        let (mut fetched, mut filtered) = (0u64, 0u64);
+        let (pushed, joins) = (&self.pushed, &self.joins);
+        let mut survives = |row: &[Value]| -> Result<bool> {
+            fetched += 1;
+            for conjunct in pushed {
+                if !eval_compiled(conjunct, row)?.is_true() {
+                    filtered += 1;
+                    return Ok(false);
+                }
+            }
+            Ok(joins
+                .iter()
+                .all(|(col, keys)| keys.contains_key(&row[*col])))
+        };
         let fetch = match &mut self.base {
             ScanBase::Rows {
                 table,
@@ -297,57 +351,59 @@ impl<'a> BatchOp<'a> for BatchScan<'a> {
                 let run = &rows[*next..rows.len().min(*next + want)];
                 *next += run.len();
                 self.done = *next == rows.len();
-                table.fetch_rows(run, keep.as_deref(), &mut batch.row_nos, &mut batch.values)
+                let sieve = Sieve {
+                    keep: keep.as_deref(),
+                    survives: &mut survives,
+                    late: &self.late,
+                };
+                table.fetch_rows(run, sieve, &mut batch.row_nos, &mut batch.values)
             }
             ScanBase::Keys { column, entries } => {
                 // the key in its column, every other slot NULL (provably
                 // unread)
-                for (row_no, key) in entries.by_ref().take(want) {
-                    let start = batch.values.len();
-                    batch.row_nos.push(row_no);
-                    batch.values.resize(start + arity, Value::Null);
-                    batch.values[start + *column] = key;
-                }
+                let mut sift = || {
+                    for (row_no, key) in entries.by_ref().take(want) {
+                        let start = batch.values.len();
+                        batch.values.resize(start + arity, Value::Null);
+                        batch.values[start + *column] = key;
+                        if survives(&batch.values[start..])? {
+                            batch.row_nos.push(row_no);
+                        } else {
+                            batch.values.truncate(start);
+                        }
+                    }
+                    Ok(())
+                };
+                let sifted = sift();
                 self.done = entries.len() == 0;
-                Ok(())
+                sifted
             }
-            ScanBase::Chunk { table, next, keep } => table
-                .scan_chunk(
-                    *next,
-                    want,
-                    keep.as_deref(),
-                    &mut batch.row_nos,
-                    &mut batch.values,
-                )
-                .map(|resume| match resume {
-                    Some(n) => *next = n,
-                    None => self.done = true,
-                }),
+            ScanBase::Chunk { table, next, keep } => {
+                let sieve = Sieve {
+                    keep: keep.as_deref(),
+                    survives: &mut survives,
+                    late: &self.late,
+                };
+                table
+                    .scan_chunk(*next, want, sieve, &mut batch.row_nos, &mut batch.values)
+                    .map(|resume| match resume {
+                        Some(n) => *next = n,
+                        None => self.done = true,
+                    })
+            }
         };
-        let fetched = batch.len();
+        let mut s = self.st.borrow_mut();
+        s.rows_fetched += fetched;
+        s.rows_scan_filtered += filtered;
         if let Err(e) = fetch {
             self.done = true;
-            self.st.borrow_mut().rows_fetched += fetched as u64;
             return Err(e);
         }
         if fetched == 0 {
             return Ok(None);
         }
-        {
-            let mut s = self.st.borrow_mut();
-            s.rows_fetched += fetched as u64;
-            s.scan_batches += 1;
-        }
+        s.scan_batches += 1;
         batch.select_all();
-        let mut filtered = 0u64;
-        let checked = batch.retain_true(&self.pushed, &mut filtered);
-        if filtered > 0 {
-            self.st.borrow_mut().rows_scan_filtered += filtered;
-        }
-        if let Err(e) = checked {
-            self.done = true;
-            return Err(e);
-        }
         Ok(Some(batch))
     }
 }
@@ -367,6 +423,37 @@ pub(crate) fn drain_build<'a>(mut scan: impl BatchOp<'a>, arity: usize) -> Resul
 // Join
 // ---------------------------------------------------------------------------
 
+/// A build side's hash on its join key: the build tuples per non-NULL
+/// key, shared by the join and the streamed scan that drops the rows it
+/// would not match ([`BatchScan::semi_join`]).
+pub(crate) type JoinKeys = Rc<HashMap<Value, Vec<usize>>>;
+
+/// A drained build side, hashed on its join key for an equi-join.
+pub(crate) struct BuildSide {
+    /// Every tuple live.
+    build: Batch,
+    /// `Some((probe column, build-side hash))` for an equi-join.
+    key: Option<(usize, JoinKeys)>,
+}
+
+impl BuildSide {
+    /// Hash `build` on its column `rcol` for `key = Some((lcol, rcol))`
+    /// (NULL keys never match, per SQL).
+    pub(crate) fn new(build: Batch, key: Option<(usize, usize)>) -> Self {
+        let key = key.map(|(lcol, rcol)| {
+            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
+            for ri in 0..build.len() {
+                let k = &build.row(ri)[rcol];
+                if !k.is_null() {
+                    map.entry(k.clone()).or_default().push(ri);
+                }
+            }
+            (lcol, Rc::new(map))
+        });
+        BuildSide { build, key }
+    }
+}
+
 /// Join against a materialized build side: hash join on an equi-key
 /// (NULL keys never match, per SQL) or cross product without one.
 /// Joined tuples are written straight into the output arena; when a left
@@ -377,7 +464,7 @@ pub(crate) struct BatchJoin<'a> {
     /// The build side, every tuple live.
     build: Batch,
     /// `Some((probe column, build-side hash))` for an equi-join.
-    key: Option<(usize, HashMap<Value, Vec<usize>>)>,
+    key: Option<(usize, JoinKeys)>,
     /// Every build tuple: what a left tuple matches without a key.
     all: Vec<usize>,
     /// The left batch being joined, the position in its `sel` of the
@@ -388,21 +475,8 @@ pub(crate) struct BatchJoin<'a> {
 }
 
 impl<'a> BatchJoin<'a> {
-    pub(crate) fn new(
-        left: Box<dyn BatchOp<'a> + 'a>,
-        build: Batch,
-        key: Option<(usize, usize)>,
-    ) -> Self {
-        let key = key.map(|(lcol, rcol)| {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for ri in 0..build.len() {
-                let k = &build.row(ri)[rcol];
-                if !k.is_null() {
-                    map.entry(k.clone()).or_default().push(ri);
-                }
-            }
-            (lcol, map)
-        });
+    pub(crate) fn new(left: Box<dyn BatchOp<'a> + 'a>, side: BuildSide) -> Self {
+        let BuildSide { build, key } = side;
         let all = match key {
             Some(_) => Vec::new(),
             None => (0..build.len()).collect(),
@@ -489,7 +563,7 @@ impl<'a> BatchOp<'a> for BatchFilter<'a> {
         let Some(mut batch) = self.child.next_batch(demand)? else {
             return Ok(None);
         };
-        batch.retain_true(&self.conjuncts, &mut 0)?;
+        batch.retain_true(&self.conjuncts)?;
         Ok(Some(batch))
     }
 }
@@ -1255,7 +1329,7 @@ mod tests {
             ],
         );
         build.row_nos = vec![100, 101, 102, 103];
-        let mut join = BatchJoin::new(feed(vec![left]), build, Some((0, 0)));
+        let mut join = BatchJoin::new(feed(vec![left]), BuildSide::new(build, Some((0, 0))));
         // demand 1: the second match of the same left tuple comes on the
         // next pull
         let first = join.next_batch(1).unwrap().unwrap();
@@ -1274,7 +1348,7 @@ mod tests {
     fn cross_join_resumes_inside_a_left_tuple() {
         let left = batch(1, &[&[Value::Int(1)], &[Value::Int(2)]]);
         let build = batch(1, &[&["a".into()], &["b".into()], &["c".into()]]);
-        let mut join = BatchJoin::new(feed(vec![left]), build, None);
+        let mut join = BatchJoin::new(feed(vec![left]), BuildSide::new(build, None));
         let mut pairs = Vec::new();
         while let Some(b) = join.next_batch(2).unwrap() {
             assert!(b.len() <= 2, "never more than the demand");
@@ -1399,7 +1473,7 @@ mod tests {
             column: 1,
             entries: entries.into_iter(),
         };
-        let mut scan = BatchScan::new(base, Vec::new(), 3, st.clone());
+        let mut scan = BatchScan::new(base, Vec::new(), Vec::new(), 3, st.clone());
         let b = scan.next_batch(BATCH_SIZE).unwrap().unwrap();
         assert_eq!(b.row_nos, [3, 8]);
         assert_eq!(b.row(0), [Value::Null, Value::Int(30), Value::Null]);
@@ -1407,5 +1481,26 @@ mod tests {
         assert_eq!(st.borrow().rows_fetched, 2);
         assert!(b.anns.is_none(), "scans create no annotation slots");
         assert!(scan.next_batch(BATCH_SIZE).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_streamed_scan_drops_the_rows_no_build_side_matches() {
+        let st = Rc::new(RefCell::new(ExecStats::default()));
+        let keys = [Value::Int(1), Value::Int(2), Value::Null, Value::Float(3.0)];
+        let base = ScanBase::Keys {
+            column: 0,
+            entries: (0..).zip(keys).collect::<Vec<_>>().into_iter(),
+        };
+        let mut scan = BatchScan::new(base, Vec::new(), Vec::new(), 1, st.clone());
+        let build = batch(1, &[&[Value::Int(3)], &[Value::Null], &[Value::Int(2)]]);
+        scan.semi_join(&BuildSide::new(build, Some((0, 0))));
+        // a cross join's side, or a key on another source's column, drops
+        // nothing
+        scan.semi_join(&BuildSide::new(batch(1, &[]), None));
+        scan.semi_join(&BuildSide::new(batch(1, &[]), Some((1, 0))));
+        let b = scan.next_batch(BATCH_SIZE).unwrap().unwrap();
+        assert_eq!(b.row_nos, [1, 3], "NULL never matches, 3.0 matches 3");
+        let s = st.borrow();
+        assert_eq!((s.rows_fetched, s.rows_scan_filtered), (4, 0));
     }
 }

@@ -492,6 +492,17 @@ impl<'a> SetRef<'a> {
     }
 }
 
+/// What a scan decodes of each record it visits and which rows it keeps
+/// ([`Table::scan_chunk`], [`Table::fetch_rows`]): the `keep` columns
+/// (source-local, ascending; `None` = all) are decoded first and shown to
+/// `survives`; only a row it accepts is kept, and its `late` columns are
+/// then decoded from the same record, under the same page pin.
+pub(crate) struct Sieve<'s, F: FnMut(&[Value]) -> Result<bool>> {
+    pub keep: Option<&'s [usize]>,
+    pub survives: F,
+    pub late: &'s [usize],
+}
+
 /// One user table.
 pub struct Table {
     /// Case-preserved name.
@@ -687,35 +698,29 @@ impl Table {
         buf
     }
 
-    /// Decode one record, appending exactly `arity` values to `out`, and
-    /// return its row number.  With `keep` (ascending) only those columns
-    /// are decoded; every other slot is NULL and its encoding merely
+    /// Decode one record into `out`, the row's `arity` slots, and return
+    /// its row number.  With `keep` (ascending) only those slots are
+    /// written and every other one is left as it is, its encoding merely
     /// skipped — TEXT payloads are never copied or validated — and once
     /// `keep` is exhausted the rest of the record is not even walked.  On
     /// error `out` may hold part of the row.
-    fn decode_row_into(
-        buf: &[u8],
-        arity: usize,
-        keep: Option<&[usize]>,
-        out: &mut Vec<Value>,
-    ) -> Result<u64> {
+    fn decode_row_into(buf: &[u8], keep: Option<&[usize]>, out: &mut [Value]) -> Result<u64> {
         let row_no = Self::record_row_no(buf)?;
         let mut pos = 8;
-        let start = out.len();
         let Some(keep) = keep else {
-            for _ in 0..arity {
-                out.push(Value::decode(buf, &mut pos)?);
+            for slot in out {
+                *slot = Value::decode(buf, &mut pos)?;
             }
             return Ok(row_no);
         };
+        let mut col = 0;
         for &k in keep {
-            while out.len() - start < k {
+            for _ in col..k {
                 Value::skip(buf, &mut pos)?;
-                out.push(Value::Null);
             }
-            out.push(Value::decode(buf, &mut pos)?);
+            out[k] = Value::decode(buf, &mut pos)?;
+            col = k + 1;
         }
-        out.resize(start + arity, Value::Null);
         Ok(row_no)
     }
 
@@ -777,10 +782,13 @@ impl Table {
             .get(&row_no)
             .ok_or_else(|| BdbmsError::not_found(format!("row {row_no} in {}", self.name)))?;
         let buf = self.heap.get(rid)?;
-        let arity = self.schema.arity();
-        let mut values = Vec::with_capacity(arity);
-        let no = Self::decode_row_into(&buf, arity, None, &mut values)?;
+        let no = Self::record_row_no(&buf)?;
         debug_assert_eq!(no, row_no);
+        let (arity, mut pos) = (self.schema.arity(), 8);
+        let mut values = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            values.push(Value::decode(&buf, &mut pos)?);
+        }
         Ok(values)
     }
 
@@ -892,23 +900,23 @@ impl Table {
             .map(move |&no| self.get(no).map(|v| (no, v)))
     }
 
-    /// Vectorized scan step for the batch executor: decode up to `want`
-    /// rows with row numbers `>= from`, appending each row's number to
-    /// `row_nos` and its `arity` values to the row-major arena `values`,
-    /// materializing only the columns in `keep` (source-local, ascending;
-    /// `None` = all).  Skipped slots are filled with NULL — the caller's
-    /// plan must prove them unread, the same contract index-only scans
-    /// rely on.  Records are decoded in place in the buffer pool, one page
-    /// pin per run of same-page rows (no per-row record copy, pool lock,
-    /// LRU bookkeeping or allocation beyond the TEXT payloads).  Returns
-    /// the row number to resume from, or `None` when the table is
-    /// exhausted.  On error `row_nos` lists the rows decoded before the
-    /// failure; `values` may end in part of the failing one.
+    /// Vectorized scan step for the batch executor: visit up to `want`
+    /// rows with row numbers `>= from` and append each row the `sieve`
+    /// keeps — its number to `row_nos`, its `arity` values to the
+    /// row-major arena `values` — materializing only the sieve's columns.
+    /// Skipped slots are filled with NULL — the caller's plan must prove
+    /// them unread, the same contract index-only scans rely on.  Records
+    /// are decoded in place in the buffer pool, one page pin per run of
+    /// same-page rows (no per-row record copy, pool lock, LRU bookkeeping
+    /// or allocation beyond the TEXT payloads).  Returns the row number
+    /// to resume from, or `None` when the table is exhausted.  On error
+    /// `row_nos` lists the rows kept before the failure; `values` may end
+    /// in part of the failing one.
     pub(crate) fn scan_chunk(
         &self,
         from: u64,
         want: usize,
-        keep: Option<&[usize]>,
+        sieve: Sieve<'_, impl FnMut(&[Value]) -> Result<bool>>,
         row_nos: &mut Vec<u64>,
         values: &mut Vec<Value>,
     ) -> Result<Option<u64>> {
@@ -923,25 +931,25 @@ impl Table {
             nos.push(no);
             rids.push(rid);
         }
-        self.decode_records(&nos, &rids, keep, row_nos, values)?;
+        self.decode_records(&nos, &rids, sieve, row_nos, values)?;
         Ok(resume)
     }
 
-    /// The fetch primitive of index and sequence-index probes: decode the
+    /// The fetch primitive of index and sequence-index probes: visit the
     /// rows numbered `nos` (ascending, as every probe returns them), in
     /// list order, into the same arenas and with the same decode path and
-    /// `keep` contract as [`scan_chunk`](Self::scan_chunk) — so a
+    /// `sieve` contract as [`scan_chunk`](Self::scan_chunk) — so a
     /// candidate list costs one page pin per run of same-page rows
     /// instead of a pool lock, a record copy and a full decode per row.
     /// The row map is walked by successor: a candidate that directly
     /// follows the previous one is an iterator step, and only a gap costs
     /// a fresh descent.  A row number that is not live is `NotFound` (an
     /// index out of step with the heap) and nothing is decoded; on a
-    /// later error, the rows decoded before the failure remain.
+    /// later error, the rows kept before the failure remain.
     pub(crate) fn fetch_rows(
         &self,
         nos: &[u64],
-        keep: Option<&[usize]>,
+        sieve: Sieve<'_, impl FnMut(&[Value]) -> Result<bool>>,
         row_nos: &mut Vec<u64>,
         values: &mut Vec<Value>,
     ) -> Result<()> {
@@ -958,16 +966,17 @@ impl Table {
                 None => return Err(BdbmsError::not_found(format!("row {no} in {}", self.name))),
             }
         }
-        self.decode_records(nos, &rids, keep, row_nos, values)
+        self.decode_records(nos, &rids, sieve, row_nos, values)
     }
 
-    /// Decode the records at `rids` (row `nos[k]` lives at `rids[k]`),
-    /// pruned to `keep`, appending to the `(row_nos, values)` arenas.
+    /// Decode the records at `rids` (row `nos[k]` lives at `rids[k]`)
+    /// through `sieve`, appending the rows it keeps to the `(row_nos,
+    /// values)` arenas.
     fn decode_records(
         &self,
         nos: &[u64],
         rids: &[Rid],
-        keep: Option<&[usize]>,
+        mut sieve: Sieve<'_, impl FnMut(&[Value]) -> Result<bool>>,
         row_nos: &mut Vec<u64>,
         values: &mut Vec<Value>,
     ) -> Result<()> {
@@ -975,8 +984,17 @@ impl Table {
         row_nos.reserve(rids.len());
         values.reserve(rids.len() * arity);
         self.heap.with_records(rids, |k, buf| {
-            let decoded_no = Self::decode_row_into(buf, arity, keep, values)?;
+            let start = values.len();
+            values.resize(start + arity, Value::Null);
+            let decoded_no = Self::decode_row_into(buf, sieve.keep, &mut values[start..])?;
             debug_assert_eq!(decoded_no, nos[k]);
+            if !(sieve.survives)(&values[start..])? {
+                values.truncate(start);
+                return Ok(());
+            }
+            if !sieve.late.is_empty() {
+                Self::decode_row_into(buf, Some(sieve.late), &mut values[start..])?;
+            }
             row_nos.push(nos[k]);
             Ok(())
         })
@@ -1922,7 +1940,13 @@ mod tests {
         // the arenas, read back as `(row_no, values)` pairs
         let fetch = |nos: &[u64], keep: Option<&[usize]>| {
             let (mut row_nos, mut values) = (Vec::new(), Vec::new());
-            t.fetch_rows(nos, keep, &mut row_nos, &mut values)?;
+            let survives = |_: &[Value]| Ok(true);
+            let sieve = Sieve {
+                keep,
+                survives,
+                late: &[],
+            };
+            t.fetch_rows(nos, sieve, &mut row_nos, &mut values)?;
             assert_eq!(values.len(), row_nos.len() * 3, "stride = arity");
             let rows = values.chunks(3).map(<[Value]>::to_vec);
             Ok::<_, BdbmsError>(row_nos.into_iter().zip(rows).collect::<Vec<_>>())
@@ -1951,12 +1975,39 @@ mod tests {
         let last_only = fetch(&[17], Some(&[2])).unwrap();
         assert_eq!(last_only[0].1[0], Value::Null);
         assert_eq!(last_only[0].1[2], t.get(17).unwrap()[2]);
+        // a sieve sees the first column only and keeps every other row,
+        // whose last column it then decodes — the long record included
+        let (mut row_nos, mut values) = (Vec::new(), Vec::new());
+        let mut seen = Vec::new();
+        let survives = |row: &[Value]| {
+            seen.push(row.to_vec());
+            Ok(seen.len() % 2 == 1)
+        };
+        let sieve = Sieve {
+            keep: Some(&[0]),
+            survives,
+            late: &[2],
+        };
+        t.fetch_rows(&spread, sieve, &mut row_nos, &mut values)
+            .unwrap();
+        assert_eq!(row_nos, [0, 17, 30]);
+        for (no, row) in row_nos.iter().zip(values.chunks(3)) {
+            let full = t.get(*no).unwrap();
+            assert_eq!(row, [full[0].clone(), Value::Null, full[2].clone()]);
+        }
+        assert!(seen.iter().all(|r| r[1..] == [Value::Null, Value::Null]));
         // a row that is not live (deleted, or never allocated) is
         // NotFound and nothing is decoded
         for bad in [5, 40] {
             let (mut row_nos, mut values) = (Vec::new(), Vec::new());
+            let survives = |_: &[Value]| Ok(true);
+            let sieve = Sieve {
+                keep: None,
+                survives,
+                late: &[],
+            };
             let err = t
-                .fetch_rows(&[4, bad, 6], None, &mut row_nos, &mut values)
+                .fetch_rows(&[4, bad, 6], sieve, &mut row_nos, &mut values)
                 .unwrap_err();
             assert_eq!(err.code(), bdbms_common::ErrorCode::NotFound, "row {bad}");
             assert!(row_nos.is_empty() && values.is_empty());

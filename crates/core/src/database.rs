@@ -1560,6 +1560,11 @@ impl Database {
                 let st = self.catalog.table(&rule.src_table)?;
                 let src_col = st.schema.require(src_link)?;
                 let key = st.get(src_row)?[src_col].clone();
+                // NULL = NULL is not true in SQL: a NULL key links no row,
+                // as it joins none
+                if key.is_null() {
+                    return Ok(Vec::new());
+                }
                 let dt = self.catalog.table(&rule.dst_table)?;
                 let dst_col = dt.schema.require(dst_link)?;
                 let mut out = Vec::new();
@@ -1890,12 +1895,12 @@ impl Database {
             columns: vec!["table".into(), "row".into(), "column".into()],
             ..Default::default()
         };
-        for t in self.catalog.tables() {
-            if let Some(f) = table {
-                if !t.name.eq_ignore_ascii_case(f) {
-                    continue;
-                }
-            }
+        let tables: Vec<&Table> = match table {
+            // an unknown table fails, as a SELECT from it does
+            Some(name) => vec![self.catalog.table(name)?],
+            None => self.catalog.tables().collect(),
+        };
+        for t in tables {
             let columns = t.schema.columns();
             for (row_no, c) in t.outdated.iter_set() {
                 // live rows only (a bitmap wider than the schema is CHECK's finding)

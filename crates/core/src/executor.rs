@@ -336,17 +336,25 @@ pub(crate) fn scan_base_batch<'a>(
 /// targeting ([`target_rows`]) build it: the probe
 /// [`plan::choose_probe_with`] picks (or the cached choice it replays),
 /// its access path ([`scan_base_batch`]), and the pushed conjuncts it
-/// still re-checks ([`rechecked`]), compiled.  `keep` maps the re-checked
-/// conjuncts to the source-local columns to decode.  Returns the scan and
-/// the cacheable choice (see [`plan::choose_probe_with`]).
+/// still re-checks ([`rechecked`]), compiled.  It decodes the columns
+/// whose values the pipeline reads — `value_cols` (binding positions,
+/// `None` = all), the re-checked conjuncts' and the `residual`'s — but
+/// of a row first only what its conjuncts read, and the rest once the
+/// row has survived them.  The streamed source (the first in execution
+/// order, at offset 0) reads the residual's columns first too: its join
+/// keys are among them ([`crate::batch::BatchScan::semi_join`]).
+/// Returns the scan and the cacheable choice (see
+/// [`plan::choose_probe_with`]).
 fn scan_stage<'a>(
     src: &Source<'a>,
-    local: &[ColBinding],
+    bindings: &[ColBinding],
     pushed: &[Expr],
     forced: Option<ProbeChoice>,
-    keep: impl FnOnce(&[&Expr]) -> Option<Vec<usize>>,
+    value_cols: &Option<BTreeSet<usize>>,
+    residual: &[Expr],
     st: &Rc<RefCell<ExecStats>>,
 ) -> (crate::batch::BatchScan<'a>, Option<ProbeChoice>) {
+    let local = &bindings[src.offset..src.offset + src.arity];
     let (probe, choice) = plan::choose_probe_with(src.table, local, pushed, forced);
     // a conjunct the probe answers exactly is neither re-checked nor a
     // reason to decode its column
@@ -355,8 +363,19 @@ fn scan_stage<'a>(
         .iter()
         .map(|c| crate::expr::compile(c, local))
         .collect();
-    let base = scan_base_batch(src, probe, keep(&checked), st);
-    let scan = crate::batch::BatchScan::new(base, compiled, src.arity, st.clone());
+    let read = checked.iter().copied().chain(residual);
+    let keep = PlannedSelect::local_value_cols(value_cols, src, bindings, read);
+    let mut base = scan_base_batch(src, probe, keep, st);
+    let first_read = if src.offset == 0 { residual } else { &[] };
+    let first: Vec<&Expr> = checked.iter().copied().chain(first_read).collect();
+    // with nothing to survive, a row is decoded in one step
+    let late = if first.is_empty() {
+        Vec::new()
+    } else {
+        PlannedSelect::local_value_cols(&Some(BTreeSet::new()), src, bindings, first.into_iter())
+            .map_or_else(Vec::new, |first| base.defer_all_but(first, src.arity))
+    };
+    let scan = crate::batch::BatchScan::new(base, compiled, late, src.arity, st.clone());
     (scan, choice)
 }
 
@@ -1427,14 +1446,18 @@ fn assemble_batch_pipeline<'a>(
     //      here as hash-join build sides ----
     let mut plan_probes: Vec<ProbeChoice> = Vec::with_capacity(sources.len());
     let mut plan_cacheable = true;
-    let mut op: Option<Box<dyn BatchOp<'a> + 'a>> = None;
+    let mut streamed = None;
+    let mut sides = Vec::with_capacity(sources.len() - 1);
     for (i, src) in sources.iter().enumerate() {
-        let local = &bindings[src.offset..src.offset + src.arity];
-        let keep = |checked: &[&Expr]| {
-            let read = checked.iter().copied().chain(&residual);
-            PlannedSelect::local_value_cols(&value_cols, src, &bindings, read)
-        };
-        let (scan, choice) = scan_stage(src, local, &pushed[i], forced[i], keep, &st);
+        let (scan, choice) = scan_stage(
+            src,
+            &bindings,
+            &pushed[i],
+            forced[i],
+            &value_cols,
+            &residual,
+            &st,
+        );
         match choice {
             Some(c) => plan_probes.push(c),
             None => {
@@ -1442,30 +1465,32 @@ fn assemble_batch_pipeline<'a>(
                 plan_probes.push(ProbeChoice::FullScan);
             }
         }
-        op = Some(match op {
-            None => maybe_profile(
-                &mut prof,
-                Box::new(scan),
-                format!("Scan {}", src.table.name),
-            ),
-            Some(left) => {
-                let build = match prof.as_deref_mut() {
-                    Some(pr) => batch::drain_build(
-                        pr.wrap(Box::new(scan), format!("Scan {} (build)", src.table.name)),
-                        src.arity,
-                    )?,
-                    None => batch::drain_build(scan, src.arity)?,
-                };
-                let acc_bindings = &bindings[..src.offset];
-                let next_bindings = &bindings[src.offset..src.offset + src.arity];
-                let key = find_equi_key(&all_conjuncts, acc_bindings, next_bindings);
-                let join: Box<dyn BatchOp<'a> + 'a> =
-                    Box::new(batch::BatchJoin::new(left, build, key));
-                maybe_profile(&mut prof, join, format!("Hash Join {}", src.table.name))
-            }
-        });
+        if i == 0 {
+            streamed = Some(scan);
+            continue;
+        }
+        let build = match prof.as_deref_mut() {
+            Some(pr) => batch::drain_build(
+                pr.wrap(Box::new(scan), format!("Scan {} (build)", src.table.name)),
+                src.arity,
+            )?,
+            None => batch::drain_build(scan, src.arity)?,
+        };
+        let acc_bindings = &bindings[..src.offset];
+        let next_bindings = &bindings[src.offset..src.offset + src.arity];
+        let key = find_equi_key(&all_conjuncts, acc_bindings, next_bindings);
+        sides.push(batch::BuildSide::new(build, key));
     }
-    let mut op = op.expect("at least one source");
+    // the streamed scan, last: it drops the rows the drained build sides
+    // do not match on its own columns before decoding the rest of them
+    let mut scan = streamed.expect("at least one source");
+    sides.iter().for_each(|side| scan.semi_join(side));
+    let label = format!("Scan {}", sources[0].table.name);
+    let mut op = maybe_profile(&mut prof, Box::new(scan), label);
+    for (src, side) in sources[1..].iter().zip(sides) {
+        let join: Box<dyn BatchOp<'a> + 'a> = Box::new(batch::BatchJoin::new(op, side));
+        op = maybe_profile(&mut prof, join, format!("Hash Join {}", src.table.name));
+    }
 
     // ---- residual WHERE (cross-source conjuncts) ----
     if !residual.is_empty() {
@@ -1787,11 +1812,8 @@ pub(crate) fn target_rows(
         arity: bindings.len(),
     };
     let value_cols = (!all_columns).then(BTreeSet::new);
-    let keep = |checked: &[&Expr]| {
-        PlannedSelect::local_value_cols(&value_cols, &src, &bindings, checked.iter().copied())
-    };
     let st = Rc::new(RefCell::new(ExecStats::default()));
-    let (mut scan, _) = scan_stage(&src, &bindings, &conjuncts, None, keep, &st);
+    let (mut scan, _) = scan_stage(&src, &bindings, &conjuncts, None, &value_cols, &[], &st);
     let mut rows = Vec::new();
     while let Some(batch) = scan.next_batch(BATCH_SIZE)? {
         rows.extend(batch.into_rows());

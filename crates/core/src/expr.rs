@@ -1,5 +1,7 @@
 //! Scalar expression evaluation.
 
+use std::borrow::Cow;
+
 use bdbms_common::{BdbmsError, Result, Value};
 use bdbms_index::regex::Regex;
 
@@ -250,18 +252,18 @@ fn eval_binary(
             (a, b) => Ok(Value::Text(format!("{a}{b}"))),
         },
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            arith(op, lv, rv)
+            arith(op, &lv, &rv)
         }
         BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
     }
 }
 
-fn arith(op: BinaryOp, lv: Value, rv: Value) -> Result<Value> {
+fn arith(op: BinaryOp, lv: &Value, rv: &Value) -> Result<Value> {
     if lv.is_null() || rv.is_null() {
         return Ok(Value::Null);
     }
     // integer arithmetic when both are ints (except division by zero)
-    if let (Value::Int(a), Value::Int(b)) = (&lv, &rv) {
+    if let (Value::Int(a), Value::Int(b)) = (lv, rv) {
         return match op {
             BinaryOp::Add => Ok(Value::Int(a.wrapping_add(*b))),
             BinaryOp::Sub => Ok(Value::Int(a.wrapping_sub(*b))),
@@ -503,6 +505,17 @@ pub fn compile(expr: &Expr, bindings: &[ColBinding]) -> CExpr {
     }
 }
 
+/// An operand read in place: a column borrows the row's value and a
+/// constant the plan's, so an operator over them clones neither; any
+/// other expression is evaluated.
+fn operand<'v>(e: &'v CExpr, values: &'v [Value]) -> Result<Cow<'v, Value>> {
+    Ok(match e {
+        CExpr::Column(idx) => Cow::Borrowed(&values[*idx]),
+        CExpr::Literal(v) => Cow::Borrowed(v),
+        e => Cow::Owned(eval_compiled(e, values)?),
+    })
+}
+
 /// Evaluate a compiled expression over one row's values.  Semantics are
 /// identical to [`eval`] on the source expression, error-for-error.
 pub fn eval_compiled(expr: &CExpr, values: &[Value]) -> Result<Value> {
@@ -534,12 +547,12 @@ pub fn eval_compiled(expr: &CExpr, values: &[Value]) -> Result<Value> {
             }
         }
         CExpr::IsNull(e, negated) => {
-            let v = eval_compiled(e, values)?;
+            let v = operand(e, values)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         CExpr::Like(e, regex, negated) => {
-            let v = eval_compiled(e, values)?;
-            match v {
+            let v = operand(e, values)?;
+            match &*v {
                 Value::Null => Ok(Value::Null),
                 Value::Text(s) => match regex.as_ref() {
                     Ok(re) => Ok(Value::Bool(re.is_match(s.as_bytes()) != *negated)),
@@ -552,8 +565,8 @@ pub fn eval_compiled(expr: &CExpr, values: &[Value]) -> Result<Value> {
             }
         }
         CExpr::ContainsSeq(e, pattern, negated) => {
-            let v = eval_compiled(e, values)?;
-            match v {
+            let v = operand(e, values)?;
+            match &*v {
                 Value::Null => Ok(Value::Null),
                 Value::Text(s) => {
                     let hit = !pattern.is_empty() && s.contains(pattern.as_str());
@@ -566,13 +579,13 @@ pub fn eval_compiled(expr: &CExpr, values: &[Value]) -> Result<Value> {
             }
         }
         CExpr::InList(e, items, negated) => {
-            let v = eval_compiled(e, values)?;
+            let v = operand(e, values)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut found = false;
             for item in items {
-                let iv = eval_compiled(item, values)?;
+                let iv = operand(item, values)?;
                 if v.sql_cmp(&iv) == Some(std::cmp::Ordering::Equal) {
                     found = true;
                     break;
@@ -616,8 +629,8 @@ fn eval_compiled_binary(l: &CExpr, op: BinaryOp, r: &CExpr, values: &[Value]) ->
             ))),
         };
     }
-    let lv = eval_compiled(l, values)?;
-    let rv = eval_compiled(r, values)?;
+    let lv = operand(l, values)?;
+    let rv = operand(r, values)?;
     match op {
         BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
             let cmp = lv.sql_cmp(&rv);
@@ -635,12 +648,12 @@ fn eval_compiled_binary(l: &CExpr, op: BinaryOp, r: &CExpr, values: &[Value]) ->
             };
             Ok(Value::Bool(b))
         }
-        BinaryOp::Concat => match (lv, rv) {
+        BinaryOp::Concat => match (&*lv, &*rv) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
             (a, b) => Ok(Value::Text(format!("{a}{b}"))),
         },
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            arith(op, lv, rv)
+            arith(op, &lv, &rv)
         }
         BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
     }

@@ -176,6 +176,73 @@ fn non_executable_chain_marks_transitively() {
     assert!(cols.contains(&"PFunction".to_string()));
 }
 
+/// `LINK Gene.GID = Protein.GID` matches rows as the join `G.GID = P.GID`
+/// does: with SQL `=`, under which a NULL key equals nothing — not
+/// another NULL.  An update of the NULL-keyed gene must neither mark nor
+/// recompute the NULL-keyed proteins, for a marking rule and for an
+/// executable one alike.
+#[test]
+fn a_null_link_key_links_no_row() {
+    for executable in [false, true] {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE Gene (GID TEXT, GSequence TEXT)")
+            .unwrap();
+        db.execute("CREATE TABLE Protein (GID TEXT, PSequence TEXT)")
+            .unwrap();
+        db.register_procedure("P", |args| match &args[0] {
+            Value::Text(dna) => Value::Text(translate(dna)),
+            _ => Value::Null,
+        });
+        let via = if executable {
+            "'P' EXECUTABLE"
+        } else {
+            "'lab-experiment'"
+        };
+        db.execute(&format!(
+            "CREATE DEPENDENCY RULE r1 FROM Gene.GSequence TO Protein.PSequence \
+             VIA PROCEDURE {via} LINK Gene.GID = Protein.GID"
+        ))
+        .unwrap();
+        db.execute("INSERT INTO Gene VALUES ('g1', 'ATGATG'), (NULL, 'CCC')")
+            .unwrap();
+        db.execute("INSERT INTO Protein VALUES (NULL, 'x'), ('g1', 'MM'), (NULL, 'y')")
+            .unwrap();
+        let joined = db
+            .execute("SELECT P.PSequence FROM Gene G, Protein P WHERE G.GID = P.GID")
+            .unwrap();
+        assert_eq!(joined.rows.len(), 1, "the join pairs the keyed rows only");
+
+        db.execute("UPDATE Gene SET GSequence = 'GTGGTG' WHERE GID IS NULL")
+            .unwrap();
+        let outdated = db.execute("SHOW OUTDATED ON Protein").unwrap();
+        assert!(
+            outdated.rows.is_empty(),
+            "executable {executable}: {outdated:?}"
+        );
+        let seqs = db
+            .execute("SELECT PSequence FROM Protein WHERE GID IS NULL")
+            .unwrap();
+        let seqs: Vec<String> = seqs.rows.iter().map(|r| r.values[0].to_string()).collect();
+        assert_eq!(seqs, ["x", "y"], "executable {executable}");
+
+        // the keyed gene still reaches its protein
+        db.execute("UPDATE Gene SET GSequence = 'GTGGTG' WHERE GID = 'g1'")
+            .unwrap();
+        let (outdated, seq) = (
+            db.execute("SHOW OUTDATED ON Protein").unwrap(),
+            db.execute("SELECT PSequence FROM Protein WHERE GID = 'g1'")
+                .unwrap(),
+        );
+        if executable {
+            assert!(outdated.rows.is_empty());
+            assert_eq!(seq.rows[0].values[0], Value::Text(translate("GTGGTG")));
+        } else {
+            let rows: Vec<&Value> = outdated.rows.iter().map(|r| &r.values[1]).collect();
+            assert_eq!(rows, [&Value::Int(1)]);
+        }
+    }
+}
+
 #[test]
 fn multi_source_rule_blast_recomputes() {
     // Figure 9(b): Evalue depends on (Gene1, Gene2) via BLAST-2.2.15

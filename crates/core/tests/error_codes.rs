@@ -37,6 +37,20 @@ fn unknown_table_is_not_found() {
     assert_eq!(err.code(), ErrorCode::NotFound);
 }
 
+/// A typo'd table in a curator's `SHOW OUTDATED ON` fails as a SELECT
+/// from it does, instead of reading as "nothing is outdated".
+#[test]
+fn show_outdated_on_an_unknown_table_is_not_found() {
+    let mut db = db_with_gene();
+    let err = db.execute("SHOW OUTDATED ON Nope").unwrap_err();
+    assert_eq!(err.code(), ErrorCode::NotFound);
+    // a known table, in any case, and every table still list
+    for sql in ["SHOW OUTDATED ON gene", "SHOW OUTDATED"] {
+        let listed = db.execute(sql).unwrap();
+        assert!(listed.rows.is_empty(), "{sql}");
+    }
+}
+
 #[test]
 fn duplicate_table_already_exists() {
     let mut db = db_with_gene();

@@ -123,9 +123,10 @@ impl Expected {
     }
 }
 
-/// Two joinable tables with indexes and annotations, so random queries
+/// Three joinable tables with indexes and annotations, so random queries
 /// exercise index probes, full scans, hash joins, and the annotation
-/// operators.
+/// operators.  `Obs` adds NULLs in every column but its id, FLOAT values
+/// next to INT ones, multi-byte UTF-8 text and deleted rows.
 pub fn diff_db() -> Database {
     let mut db = Database::new_in_memory();
     db.execute("CREATE TABLE Gene (GID TEXT, GName TEXT, Len INT, Bucket INT)")
@@ -157,6 +158,29 @@ pub fn diff_db() -> Database {
         .collect();
     db.execute(&format!("INSERT INTO Tag VALUES {}", tags.join(", ")))
         .unwrap();
+    db.execute("CREATE TABLE Obs (OId INT, Site TEXT, Val FLOAT, Qty INT, Memo TEXT)")
+        .unwrap();
+    let or_null = |null: bool, v: String| if null { "NULL".to_string() } else { v };
+    let sites = ["Zürich", "Ålesund", "東京", "São Paulo", "Kraków"];
+    let obs: Vec<String> = (0..120)
+        .map(|r| {
+            let site = or_null(r % 11 == 0, format!("'{}-{}'", sites[r % 5], r % 3));
+            let val = or_null(r % 7 == 3, format!("{:.1}", r as f64 * 0.5));
+            let qty = or_null(r % 13 == 5, format!("{}", r % 9));
+            let memo = or_null(r % 4 == 1, format!("'µ-{r}-ß'"));
+            format!("({r}, {site}, {val}, {qty}, {memo})")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO Obs VALUES {}", obs.join(", ")))
+        .unwrap();
+    db.execute("CREATE INDEX qty_idx ON Obs (Qty)").unwrap();
+    db.execute("DELETE FROM Obs WHERE OId % 10 = 7").unwrap();
+    db.execute("CREATE ANNOTATION TABLE Audit ON Obs").unwrap();
+    db.execute(
+        "ADD ANNOTATION TO Obs.Audit VALUE 'checked on site' \
+         ON (SELECT O.Site, O.Memo FROM Obs O WHERE Qty < 4)",
+    )
+    .unwrap();
     db
 }
 
@@ -215,6 +239,24 @@ pub fn seq_db() -> Database {
     )
     .unwrap();
     db
+}
+
+/// WHERE clauses over `diff_db`'s `Obs`, none reading every column a
+/// statement reads: B+-tree probes with a re-check, INT against FLOAT
+/// (constants and columns), NULL tests, multi-byte text, `IN` lists.
+pub fn arb_obs_where() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        (0i64..10).prop_map(|k| format!(" WHERE Qty = {k}")),
+        (0i64..9).prop_map(|k| format!(" WHERE Qty >= {k} AND Val < {}.5", k * 6)),
+        (0i64..60).prop_map(|k| format!(" WHERE Val > {k}")),
+        (0i64..60).prop_map(|k| format!(" WHERE Val <= {k}.5 AND Memo IS NOT NULL")),
+        Just(" WHERE Qty < Val".to_string()),
+        Just(" WHERE Site LIKE '%ü%' OR Site LIKE '東%'".to_string()),
+        Just(" WHERE Memo IS NULL".to_string()),
+        Just(" WHERE OId IN (3, 4.0, 50, 77, 118)".to_string()),
+        (0i64..5).prop_map(|k| format!(" WHERE Qty % 5 = {k} AND Site >= 'S'")),
+    ]
 }
 
 /// WHERE clauses over `diff_db`'s `Gene`: B+-tree equality and range
