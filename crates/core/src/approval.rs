@@ -13,17 +13,19 @@
 //! The log is a table, as in the paper: each table `T` keeps
 //! its entries as rows of the hidden table `T$$approval`
 //! (`LoggedOp::schema`), under the operation id as the row number, so
-//! appending, deciding and rolling either back are row changes.
+//! appending, deciding and rolling either back are row changes.  So are
+//! starting and stopping approval: the configs are rows of the catalog
+//! table `$approval`, whose view [`ApprovalManager`] is.
 
 use std::collections::HashMap;
 
 use bdbms_common::ids::OperationId;
 use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
 
-use crate::catalog::history_schema;
+use crate::catalog::{history_schema, CatalogView};
 
 /// Approval configuration for one table (Figure 11's START command).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApprovalConfig {
     /// Monitored columns, lowercased (`None` = every column).
     pub columns: Option<Vec<String>>,
@@ -213,9 +215,9 @@ impl OpStatus {
 }
 
 /// The content-based approval manager: which tables are monitored, and
-/// by whom.  The log itself is each table's hidden approval log (see
-/// `crate::catalog`).
-#[derive(Default)]
+/// by whom — the view of the `$approval` catalog table.  The log itself
+/// is each table's hidden approval log (see `crate::catalog`).
+#[derive(Default, PartialEq)]
 pub struct ApprovalManager {
     configs: HashMap<String, ApprovalConfig>,
     /// One past the highest operation id a since-dropped log handed out:
@@ -229,63 +231,68 @@ impl ApprovalManager {
         ApprovalManager::default()
     }
 
-    fn key(table: &str) -> String {
-        table.to_ascii_lowercase()
+    /// The columns of `$approval`.  Column 0 names the table a config
+    /// is on, as in `$auth`, so `DROP TABLE` clears both alike.
+    pub(crate) fn schema() -> Schema {
+        Schema::of(&[
+            ("on_table", DataType::Text),
+            ("monitored", DataType::Text),
+            ("approver", DataType::Text),
+            ("id_floor", DataType::Int),
+        ])
     }
 
-    /// Turn approval on for a table (Figure 11 START CONTENT APPROVAL).
-    pub fn start(&mut self, table: &str, columns: Option<Vec<String>>, approver: &str) {
-        self.configs.insert(
-            Self::key(table),
-            ApprovalConfig {
-                columns: columns.map(|cs| cs.into_iter().map(|c| c.to_ascii_lowercase()).collect()),
-                approver: approver.to_string(),
-            },
-        );
+    /// The `$approval` row by which `approver` monitors `column` of
+    /// `table` (`None`: every column), names lowercased; a config is one
+    /// row per monitored column (Figure 11's START command).
+    pub(crate) fn row(table: &str, column: Option<&str>, approver: &str) -> Vec<Value> {
+        let column = column.map_or(Value::Null, |c| Value::Text(c.to_ascii_lowercase()));
+        let table = Value::Text(table.to_ascii_lowercase());
+        vec![
+            table,
+            column,
+            Value::Text(approver.to_string()),
+            Value::Null,
+        ]
     }
 
-    /// Turn approval off (STOP CONTENT APPROVAL).  With explicit columns,
-    /// stops monitoring only those; stopping the last column clears the
-    /// config.  A stop that would change nothing — no config, an
-    /// all-column config asked to drop some columns, or columns it does
-    /// not monitor — is `Invalid`, so it is never reported as done.
-    pub fn stop(&mut self, table: &str, columns: &[String]) -> Result<()> {
-        let key = Self::key(table);
-        let Some(cfg) = self.configs.get_mut(&key) else {
+    /// The one `$approval` row that holds the operation-id floor.
+    pub(crate) fn floor_row(floor: u64) -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Int(floor as i64),
+        ]
+    }
+
+    /// Refuse a STOP CONTENT APPROVAL of `columns` (none: all) that
+    /// would change nothing — no config, an all-column config asked to
+    /// drop some columns, or columns it does not monitor — so it is
+    /// never reported as done.
+    pub(crate) fn check_stop(&self, table: &str, columns: &[String]) -> Result<()> {
+        let Some(cfg) = self.config(table) else {
             return Err(BdbmsError::invalid(format!(
                 "no content approval is active on `{table}`"
             )));
         };
-        let cols = match (&mut cfg.columns, columns.is_empty()) {
-            (_, true) => {
-                self.configs.remove(&key);
-                return Ok(());
-            }
-            (Some(cols), false) => cols,
-            (None, false) => {
-                return Err(BdbmsError::invalid(format!(
-                    "content approval on `{table}` monitors every column; stop it \
-                     with `STOP CONTENT APPROVAL ON {table}`"
-                )))
-            }
-        };
-        let before = cols.len();
-        cols.retain(|c| !columns.iter().any(|x| x.eq_ignore_ascii_case(c)));
-        if cols.len() == before {
-            return Err(BdbmsError::invalid(format!(
+        match &cfg.columns {
+            _ if columns.is_empty() => Ok(()),
+            None => Err(BdbmsError::invalid(format!(
+                "content approval on `{table}` monitors every column; stop it \
+                 with `STOP CONTENT APPROVAL ON {table}`"
+            ))),
+            Some(_) if self.monitors(table, columns) => Ok(()),
+            Some(_) => Err(BdbmsError::invalid(format!(
                 "content approval on `{table}` monitors none of those columns; \
                  `STOP CONTENT APPROVAL ON {table}` stops it"
-            )));
+            ))),
         }
-        if cols.is_empty() {
-            self.configs.remove(&key);
-        }
-        Ok(())
     }
 
     /// The active config for a table, if any.
     pub fn config(&self, table: &str) -> Option<&ApprovalConfig> {
-        self.configs.get(&Self::key(table))
+        self.configs.get(&table.to_ascii_lowercase())
     }
 
     /// Should an operation touching `columns` (indices into the schema,
@@ -302,44 +309,35 @@ impl ApprovalManager {
         }
     }
 
-    /// The lowest id a new operation may take (see [`retire_ids`](Self::retire_ids)).
+    /// The lowest id a new operation may take: `DROP TABLE` raises it
+    /// past the ids its approval log handed out.
     pub(crate) fn id_floor(&self) -> u64 {
         self.id_floor
     }
+}
 
-    /// A log that handed out ids below `next` was dropped: never hand
-    /// them out again.
-    pub(crate) fn retire_ids(&mut self, next: u64) {
-        self.id_floor = self.id_floor.max(next);
-    }
-
-    /// Deterministic dump of the configs (checkpoint snapshots — see
-    /// `crate::durability`), sorted by table.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot(&self) -> Vec<(String, Option<Vec<String>>, String)> {
-        let mut configs: Vec<(String, Option<Vec<String>>, String)> = self
-            .configs
-            .iter()
-            .map(|(t, c)| (t.clone(), c.columns.clone(), c.approver.clone()))
-            .collect();
-        configs.sort();
-        configs
-    }
-
-    /// Rebuild from a [`snapshot`](Self::snapshot) dump and the
-    /// [`id_floor`](Self::id_floor).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn restore(
-        configs: Vec<(String, Option<Vec<String>>, String)>,
-        id_floor: u64,
-    ) -> ApprovalManager {
-        ApprovalManager {
-            id_floor,
-            // keys were stored lowercased; reinsert directly
-            configs: configs
-                .into_iter()
-                .map(|(table, columns, approver)| (table, ApprovalConfig { columns, approver }))
-                .collect(),
+impl CatalogView for ApprovalManager {
+    fn apply(&mut self, _: u64, row: &[Value], added: bool) {
+        let text = |col: usize| row[col].as_text();
+        match (text(0), text(1), text(2), row[3].as_int()) {
+            // the floor row is written once, then replaced
+            (None, None, None, Some(floor)) => self.id_floor = if added { floor as u64 } else { 0 },
+            (Some(table), column, Some(approver), None) => {
+                let cfg = self.configs.entry(table.to_string());
+                let cfg = cfg.or_insert_with(|| ApprovalConfig {
+                    columns: column.map(|_| Vec::new()),
+                    approver: approver.to_string(),
+                });
+                match (&mut cfg.columns, column) {
+                    (Some(cols), Some(col)) if added => cols.push(col.to_string()),
+                    (Some(cols), Some(col)) => cols.retain(|c| c != col),
+                    _ => {}
+                }
+                if !added && cfg.columns.as_ref().is_none_or(Vec::is_empty) {
+                    self.configs.remove(table);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -351,19 +349,28 @@ mod tests {
 
     #[test]
     fn start_stop_and_monitoring() {
-        let mut m = ApprovalManager::new();
-        assert!(!m.monitors("Gene", &["gsequence".into()]));
-        m.start("Gene", None, "labadmin");
-        assert!(m.monitors("gene", &["anything".into()]));
-        m.stop("Gene", &[]).unwrap();
-        assert!(!m.monitors("Gene", &["anything".into()]));
+        let mut db = crate::Database::new_in_memory();
+        db.execute("CREATE TABLE Gene (GSequence TEXT, GName TEXT)")
+            .unwrap();
+        let monitors = |db: &crate::Database, table: &str, col: &str| {
+            db.approval().monitors(table, &[col.to_string()])
+        };
+        assert!(!monitors(&db, "Gene", "gsequence"));
+        db.execute("START CONTENT APPROVAL ON Gene APPROVED BY labadmin")
+            .unwrap();
+        assert!(monitors(&db, "gene", "anything"));
+        db.execute("STOP CONTENT APPROVAL ON Gene").unwrap();
+        assert!(!monitors(&db, "Gene", "anything"));
 
         // column-scoped monitoring (the paper's GSequence example)
-        m.start("Gene", Some(vec!["GSequence".into()]), "labadmin");
-        assert!(m.monitors("Gene", &["gsequence".into()]));
-        assert!(!m.monitors("Gene", &["gname".into()]));
-        m.stop("Gene", &["GSequence".into()]).unwrap();
-        assert!(!m.monitors("Gene", &["gsequence".into()]));
+        db.execute("START CONTENT APPROVAL ON Gene COLUMNS GSequence APPROVED BY labadmin")
+            .unwrap();
+        assert!(monitors(&db, "Gene", "gsequence"));
+        assert!(!monitors(&db, "Gene", "gname"));
+        db.execute("STOP CONTENT APPROVAL ON Gene COLUMNS GSequence")
+            .unwrap();
+        assert!(!monitors(&db, "Gene", "gsequence"));
+        assert!(db.approval().config("Gene").is_none());
     }
 
     /// Gene with `alice` allowed to insert and update, approval on (by

@@ -4,17 +4,24 @@
 //! ("the proposed content-based approval mechanism works with, not in
 //! replacement to, existing GRANT/REVOKE mechanisms").  This module is the
 //! GRANT/REVOKE half; [`crate::approval`] is the content-based half.
+//! Users, memberships and grants are rows of the catalog table `$auth`,
+//! so `CREATE USER`, `GRANT` and `REVOKE` are row writes, logged and
+//! undone like any other; [`AuthManager`] is their view.
 
 use std::collections::{HashMap, HashSet};
 
-use bdbms_common::{BdbmsError, Result};
+use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
 
 use crate::ast::Privilege;
+use crate::catalog::CatalogView;
 
 /// The built-in superuser.
 pub const ADMIN: &str = "admin";
 
-/// Users, groups, and table privileges.
+/// Users, groups, and table privileges: the view of the `$auth` catalog
+/// table, which holds one fact per row (see [`row`](Self::row)).  The
+/// built-in `admin` has no row.
+#[derive(PartialEq)]
 pub struct AuthManager {
     /// user → groups.
     users: HashMap<String, Vec<String>>,
@@ -38,15 +45,25 @@ impl AuthManager {
         s.to_ascii_lowercase()
     }
 
-    /// Create a user with optional group memberships.
-    pub fn create_user(&mut self, name: &str, groups: &[String]) -> Result<()> {
-        let key = Self::key(name);
-        if self.users.contains_key(&key) {
-            return Err(BdbmsError::already_exists(format!("user `{name}`")));
-        }
-        self.users
-            .insert(key, groups.iter().map(|g| Self::key(g)).collect());
-        Ok(())
+    /// The columns of `$auth`.  Column 0 names the table a grant is on,
+    /// as in `$approval`, so `DROP TABLE` clears both alike.
+    pub(crate) fn schema() -> Schema {
+        let text = ["on_table", "principal", "member_of", "privilege"];
+        Schema::of(&text.map(|c| (c, DataType::Text)))
+    }
+
+    /// The `$auth` row of one fact, names lowercased: user `principal`
+    /// exists (`table`, `group` and `privilege` NULL), is a member of
+    /// `group`, or holds `privilege` on `table`.
+    pub(crate) fn row(
+        table: Option<&str>,
+        principal: &str,
+        group: Option<&str>,
+        privilege: Option<Privilege>,
+    ) -> Vec<Value> {
+        let name = |s: Option<&str>| s.map_or(Value::Null, |s| Value::Text(Self::key(s)));
+        let privilege = privilege.map_or(Value::Null, |p| Value::Text(p.to_string()));
+        vec![name(table), name(Some(principal)), name(group), privilege]
     }
 
     /// Does the user exist?
@@ -69,93 +86,20 @@ impl AuthManager {
         u == p || self.groups_of(user).contains(&p)
     }
 
-    /// Grant privileges on a table to a user or group.
-    pub fn grant(&mut self, grantee: &str, table: &str, privileges: &[Privilege]) {
-        let e = self
-            .grants
-            .entry((Self::key(grantee), Self::key(table)))
-            .or_default();
-        e.extend(privileges.iter().copied());
-    }
-
-    /// Revoke privileges.
-    pub fn revoke(&mut self, grantee: &str, table: &str, privileges: &[Privilege]) {
-        if let Some(e) = self.grants.get_mut(&(Self::key(grantee), Self::key(table))) {
-            for p in privileges {
-                e.remove(p);
-            }
-        }
+    /// Was `privilege` on `table` granted to `grantee` itself?
+    pub(crate) fn granted(&self, grantee: &str, table: &str, privilege: Privilege) -> bool {
+        self.grants
+            .get(&(Self::key(grantee), Self::key(table)))
+            .is_some_and(|s| s.contains(&privilege))
     }
 
     /// Does `user` hold `privilege` on `table` (directly, via a group, or
     /// as admin)?  Ownership is checked by the caller, which knows the
     /// table's owner.
     pub fn has_privilege(&self, user: &str, table: &str, privilege: Privilege) -> bool {
-        if Self::key(user) == ADMIN {
-            return true;
-        }
-        let t = Self::key(table);
-        let direct = self
-            .grants
-            .get(&(Self::key(user), t.clone()))
-            .is_some_and(|s| s.contains(&privilege));
-        if direct {
-            return true;
-        }
-        self.groups_of(user).iter().any(|g| {
-            self.grants
-                .get(&(g.clone(), t.clone()))
-                .is_some_and(|s| s.contains(&privilege))
-        })
-    }
-
-    /// Deterministic dump of the whole authorization state (checkpoint
-    /// snapshots — see `crate::durability`): sorted users with their
-    /// groups, and sorted `(grantee, table)` privilege sets.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot(
-        &self,
-    ) -> (
-        Vec<(String, Vec<String>)>,
-        Vec<(String, String, Vec<Privilege>)>,
-    ) {
-        let mut users: Vec<(String, Vec<String>)> = self
-            .users
-            .iter()
-            .map(|(u, g)| (u.clone(), g.clone()))
-            .collect();
-        users.sort();
-        let mut grants: Vec<(String, String, Vec<Privilege>)> = self
-            .grants
-            .iter()
-            .map(|((g, t), ps)| {
-                let mut ps: Vec<Privilege> = ps.iter().copied().collect();
-                ps.sort_by_key(|p| *p as u8);
-                (g.clone(), t.clone(), ps)
-            })
-            .collect();
-        grants.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        (users, grants)
-    }
-
-    /// Rebuild from a [`snapshot`](Self::snapshot) dump.
-    pub(crate) fn restore(
-        users: Vec<(String, Vec<String>)>,
-        grants: Vec<(String, String, Vec<Privilege>)>,
-    ) -> AuthManager {
-        let mut auth = AuthManager::new();
-        for (user, groups) in users {
-            // keys were stored lowercased already; insert directly so the
-            // built-in admin row round-trips
-            auth.users.insert(user, groups);
-        }
-        for (grantee, table, privs) in grants {
-            auth.grants
-                .entry((grantee, table))
-                .or_default()
-                .extend(privs);
-        }
-        auth
+        Self::key(user) == ADMIN
+            || self.granted(user, table, privilege)
+            || (self.groups_of(user).iter()).any(|g| self.granted(g, table, privilege))
     }
 
     /// Error unless the privilege is held (owner always passes).
@@ -170,6 +114,48 @@ impl AuthManager {
     }
 }
 
+impl CatalogView for AuthManager {
+    fn apply(&mut self, _: u64, row: &[Value], added: bool) {
+        let text = |col: usize| row[col].as_text();
+        match (
+            text(0),
+            text(1),
+            text(2),
+            text(3).and_then(Privilege::parse),
+        ) {
+            (None, Some(user), None, None) if added => {
+                self.users.insert(user.to_string(), Vec::new());
+            }
+            (None, Some(user), None, None) => {
+                self.users.remove(user);
+            }
+            (None, Some(user), Some(group), None) => {
+                let Some(groups) = self.users.get_mut(user) else {
+                    return;
+                };
+                if added {
+                    groups.push(group.to_string());
+                } else if let Some(at) = groups.iter().position(|g| g == group) {
+                    groups.remove(at);
+                }
+            }
+            (Some(table), Some(grantee), None, Some(p)) => {
+                let key = (grantee.to_string(), table.to_string());
+                let held = self.grants.entry(key.clone()).or_default();
+                if added {
+                    held.insert(p);
+                } else {
+                    held.remove(&p);
+                }
+                if held.is_empty() {
+                    self.grants.remove(&key);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 impl Default for AuthManager {
     fn default() -> Self {
         Self::new()
@@ -179,6 +165,19 @@ impl Default for AuthManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A manager holding `rows`.
+    fn with_rows(rows: &[Vec<Value>]) -> AuthManager {
+        let mut a = AuthManager::new();
+        for (no, row) in rows.iter().enumerate() {
+            a.apply(no as u64, row, true);
+        }
+        a
+    }
+
+    fn grant(table: &str, grantee: &str, p: Privilege) -> Vec<Value> {
+        AuthManager::row(Some(table), grantee, None, Some(p))
+    }
 
     #[test]
     fn admin_has_everything() {
@@ -191,31 +190,37 @@ mod tests {
 
     #[test]
     fn grant_and_revoke() {
-        let mut a = AuthManager::new();
-        a.create_user("alice", &[]).unwrap();
+        let alice = AuthManager::row(None, "alice", None, None);
+        let mut a = with_rows(&[alice]);
         assert!(!a.has_privilege("alice", "Gene", Privilege::Select));
-        a.grant("alice", "Gene", &[Privilege::Select, Privilege::Update]);
+        let update = grant("Gene", "alice", Privilege::Update);
+        a.apply(1, &grant("Gene", "Alice", Privilege::Select), true);
+        a.apply(2, &update, true);
         assert!(a.has_privilege("alice", "gene", Privilege::Select));
         assert!(a.has_privilege("alice", "GENE", Privilege::Update));
         assert!(!a.has_privilege("alice", "Gene", Privilege::Delete));
-        a.revoke("alice", "Gene", &[Privilege::Update]);
+        a.apply(2, &update, false);
         assert!(!a.has_privilege("alice", "Gene", Privilege::Update));
         assert!(a.has_privilege("alice", "Gene", Privilege::Select));
     }
 
     #[test]
     fn group_privileges() {
-        let mut a = AuthManager::new();
-        a.create_user("bob", &["lab1".to_string()]).unwrap();
-        a.grant("lab1", "Gene", &[Privilege::Insert]);
+        let a = with_rows(&[
+            AuthManager::row(None, "bob", None, None),
+            AuthManager::row(None, "bob", Some("lab1"), None),
+            grant("Gene", "lab1", Privilege::Insert),
+        ]);
         assert!(a.has_privilege("bob", "Gene", Privilege::Insert));
         assert!(!a.has_privilege("bob", "Gene", Privilege::Delete));
     }
 
     #[test]
     fn acts_as_user_or_group() {
-        let mut a = AuthManager::new();
-        a.create_user("carol", &["curators".to_string()]).unwrap();
+        let a = with_rows(&[
+            AuthManager::row(None, "carol", None, None),
+            AuthManager::row(None, "carol", Some("curators"), None),
+        ]);
         assert!(a.acts_as("carol", "carol"));
         assert!(a.acts_as("carol", "Curators"));
         assert!(!a.acts_as("carol", "lab1"));
@@ -230,8 +235,29 @@ mod tests {
 
     #[test]
     fn duplicate_user_rejected() {
-        let mut a = AuthManager::new();
-        a.create_user("x", &[]).unwrap();
-        assert!(a.create_user("X", &[]).is_err());
+        let mut db = crate::Database::new_in_memory();
+        db.execute("CREATE USER x").unwrap();
+        let err = db.execute("CREATE USER X").unwrap_err();
+        assert_eq!(err.code(), bdbms_common::ErrorCode::AlreadyExists);
+        assert_eq!(
+            db.execute("CREATE USER admin").unwrap_err().code(),
+            err.code()
+        );
+    }
+
+    /// Taking every row out again leaves the view a fresh one.
+    #[test]
+    fn removing_each_row_restores_the_fresh_view() {
+        let rows = [
+            AuthManager::row(None, "bob", None, None),
+            AuthManager::row(None, "bob", Some("lab1"), None),
+            grant("Gene", "lab1", Privilege::Insert),
+            grant("Gene", "lab1", Privilege::Select),
+        ];
+        let mut a = with_rows(&rows);
+        for (no, row) in rows.iter().enumerate().rev() {
+            a.apply(no as u64, row, false);
+        }
+        assert!(a == AuthManager::new());
     }
 }

@@ -6,6 +6,12 @@
 //! log), and for each annotation set `S`, `T$S` and `T$S$rects` (see
 //! `crate::annotation`).  They are created and dropped with their owner,
 //! and [`Catalog::tables`] does not list them.
+//!
+//! The catalog's own state lives in hidden tables too, whose names start
+//! with `$` and which no table owns: users, groups and grants
+//! ([`AUTH_TABLE`]), approval configs and the operation-id floor
+//! ([`APPROVAL_TABLE`]), and dependency rules ([`RULES_TABLE`]).  Each
+//! keeps a [`CatalogView`] from its rows.
 
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
@@ -411,7 +417,7 @@ pub(crate) fn rects_table(table: &str, set: &str) -> String {
 }
 
 /// The user table that owns hidden history table `name` (`None` for a
-/// user table's own name).
+/// user table's own name, `""` for a catalog table, which none owns).
 pub fn owner_of(name: &str) -> Option<&str> {
     name.split_once('$').map(|(owner, _)| owner)
 }
@@ -419,6 +425,25 @@ pub fn owner_of(name: &str) -> Option<&str> {
 /// An annotation set, shared by its two hidden tables, whose row writes
 /// keep it current.
 pub(crate) type SharedSet = Rc<RefCell<AnnotationSet>>;
+
+/// Users, group memberships and grants (`crate::auth`).
+pub(crate) const AUTH_TABLE: &str = "$auth";
+/// Approval configs and the operation-id floor (`crate::approval`).
+pub(crate) const APPROVAL_TABLE: &str = "$approval";
+/// Dependency rules, one per row, numbered by rule id
+/// (`crate::dependency`): the table's row allocator hands out the ids.
+pub(crate) const RULES_TABLE: &str = "$rules";
+
+/// The in-memory form of a catalog table (`AuthManager`,
+/// `ApprovalManager`, `DependencyManager`): a pure function of the
+/// table's rows, which the hot reads consult instead of the heap.
+pub(crate) trait CatalogView {
+    /// Fold row `row_no` into the view (`added`), or take it out.
+    fn apply(&mut self, row_no: u64, row: &[Value], added: bool);
+}
+
+/// A catalog view, shared by its table and the `Database`.
+pub(crate) type SharedView = Rc<RefCell<dyn CatalogView>>;
 
 /// The in-memory state a hidden table derives from its rows.  The
 /// table's row write path — the one that keeps its B+-trees — keeps it
@@ -430,6 +455,8 @@ pub(crate) enum History {
     Records(SharedSet),
     /// `T$S$rects`: the attachment index.
     Rects(SharedSet),
+    /// A catalog table: its view.
+    Catalog(SharedView),
 }
 
 impl History {
@@ -449,6 +476,7 @@ impl History {
                     set.borrow_mut().attach(&r);
                 }
             }
+            History::Catalog(view) => view.borrow_mut().apply(row_no, row, true),
         }
     }
 
@@ -460,6 +488,7 @@ impl History {
                     set.borrow_mut().detach(&r);
                 }
             }
+            History::Catalog(view) => view.borrow_mut().apply(row_no, row, false),
         }
     }
 }

@@ -14,6 +14,8 @@
 //! * secondary-index key order and index↔heap agreement;
 //! * each annotation set's in-memory index equal to one rebuilt from
 //!   its hidden tables' rows, every attachment resolving to a record;
+//! * each catalog view (users and grants, approval configs, dependency
+//!   rules) equal to one rebuilt from its catalog table's rows;
 //! * outdated-bitmap shape (arity) and liveness (bits only on live rows);
 //! * WAL chain continuity (segment numbering, header agreement, frame
 //!   CRCs, dense LSNs) via [`verify_wal_dir`].
@@ -31,7 +33,10 @@ use bdbms_storage::{
 };
 
 use crate::annotation::{AnnotationSet, Rectangle, ARCHIVED};
-use crate::catalog::{owner_of, records_table, rects_table, Catalog, Table};
+use crate::catalog::{
+    owner_of, records_table, rects_table, Catalog, CatalogView, Table, APPROVAL_TABLE, AUTH_TABLE,
+    RULES_TABLE,
+};
 use crate::database::Database;
 use crate::durability::{DATA_FILE, WAL_DIR};
 use crate::result::{AnnRow, QueryResult};
@@ -95,6 +100,12 @@ impl Database {
             for set in self.catalog().ann_set_names(&t.name) {
                 check_ann_set(self.catalog(), &t.name, &set, &mut rep);
             }
+        }
+        if filter.is_none() {
+            let table = |name| self.catalog.table(name);
+            check_view(&*self.auth.borrow(), table(AUTH_TABLE)?, &mut rep);
+            check_view(&*self.approval.borrow(), table(APPROVAL_TABLE)?, &mut rep);
+            check_view(&*self.deps.borrow(), table(RULES_TABLE)?, &mut rep);
         }
         Ok(rep)
     }
@@ -273,6 +284,25 @@ fn check_ann_set(catalog: &Catalog, table: &str, set: &str, rep: &mut CheckRepor
         .push(format!("annotation set `{set}` on `{table}`: {problem}"));
 }
 
+/// Verify one catalog view: it must equal one rebuilt from its table's
+/// rows.
+fn check_view<V: CatalogView + Default + PartialEq>(live: &V, rows: &Table, rep: &mut CheckReport) {
+    let mut fresh = V::default();
+    for row in rows.iter_rows() {
+        match row {
+            Ok((row_no, row)) => fresh.apply(row_no, &row, true),
+            // `check_table` has reported it
+            Err(_) => return,
+        }
+    }
+    if *live != fresh {
+        rep.problems.push(format!(
+            "catalog table `{}`: its view disagrees with its rows",
+            rows.name
+        ));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -393,6 +423,52 @@ mod tests {
         assert_eq!(
             db.check().unwrap().problems,
             ["annotation set `a` on `T`: attachment index disagrees with its rows"]
+        );
+    }
+
+    /// Each catalog view must equal the one its table's rows rebuild.
+    #[test]
+    fn a_catalog_view_out_of_step_with_its_rows_is_reported() {
+        let mut db = Database::new_in_memory();
+        for sql in [
+            "CREATE TABLE T (v INT)",
+            "CREATE TABLE U (v INT)",
+            "CREATE USER alice IN GROUP lab",
+            "GRANT SELECT ON T TO alice",
+            "START CONTENT APPROVAL ON T COLUMNS v APPROVED BY lab",
+            "CREATE DEPENDENCY RULE r FROM T.v TO U.v VIA PROCEDURE 'p' LINK T.v = U.v",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        assert!(db.check().unwrap().is_ok());
+        // each view takes in one row its table does not hold
+        let ghosts = [
+            (
+                AUTH_TABLE,
+                vec![Value::Null, "bob".into(), Value::Null, Value::Null],
+            ),
+            (
+                APPROVAL_TABLE,
+                crate::approval::ApprovalManager::floor_row(9),
+            ),
+            (RULES_TABLE, db.dependencies().rules()[0].to_row()),
+        ];
+        let mut problems = Vec::new();
+        for (table, row) in ghosts {
+            let view = db.catalog_tables().into_iter().find(|c| c.0 == table);
+            view.unwrap().2.borrow_mut().apply(7, &row, true);
+            problems = db.check().unwrap().problems;
+            assert!(
+                problems.contains(&format!(
+                    "catalog table `{table}`: its view disagrees with its rows"
+                )),
+                "{problems:?}"
+            );
+        }
+        assert_eq!(problems.len(), 3, "{problems:?}");
+        assert!(
+            db.check_table("T").unwrap().is_ok(),
+            "a filtered check skips the catalog"
         );
     }
 }

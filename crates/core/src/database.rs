@@ -8,7 +8,9 @@
 //! [`Database::execute_as`], which parses A-SQL and routes each command
 //! through authorization, approval logging, and dependency tracking.
 
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +27,7 @@ use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{
     approval_log_owner, approval_table, deleted_table, records_table, rects_table, Catalog,
-    DeletedRow, History, Table,
+    DeletedRow, History, SharedView, Table, APPROVAL_TABLE, AUTH_TABLE, RULES_TABLE,
 };
 use crate::dependency::{DependencyManager, DependencyRule};
 use crate::durability::WalRecord;
@@ -142,9 +144,11 @@ pub struct Database {
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) catalog: Catalog,
     pub(crate) clock: LogicalClock,
-    pub(crate) auth: AuthManager,
-    pub(crate) approval: ApprovalManager,
-    pub(crate) deps: DependencyManager,
+    /// The views of the catalog tables (`crate::catalog`), shared with
+    /// the tables whose row writes keep them.
+    pub(crate) auth: Rc<RefCell<AuthManager>>,
+    pub(crate) approval: Rc<RefCell<ApprovalManager>>,
+    pub(crate) deps: Rc<RefCell<DependencyManager>>,
     /// Transaction runtime: the transaction log (each change's redo
     /// record and inverse) and its watermarks.  Driven by the
     /// [`Session`] state machine (`BEGIN`/`COMMIT`/`ROLLBACK`); outside
@@ -181,19 +185,39 @@ impl Database {
         metrics.register_counter("buffer.evictions", pm.evictions);
         metrics.register_counter("buffer.dirty_writebacks", pm.dirty_writebacks);
         let engine_metrics = EngineMetrics::new(&metrics);
-        Database {
+        let mut db = Database {
             pool,
             catalog: Catalog::new(),
             clock: LogicalClock::new(),
-            auth: AuthManager::new(),
-            approval: ApprovalManager::new(),
-            deps: DependencyManager::new(),
+            auth: Rc::default(),
+            approval: Rc::default(),
+            deps: Rc::default(),
             txn: TxnRuntime::new(),
             storage: None,
             metrics,
             engine_metrics,
             slow_log: SlowQueryLog::default(),
+        };
+        for (name, schema, view) in db.catalog_tables() {
+            let history = Some(History::Catalog(view));
+            db.add_table(name, ADMIN, schema, history)
+                .expect("a fresh catalog holds no table");
         }
+        db
+    }
+
+    /// The catalog tables, with their schemas and the views their rows
+    /// keep.
+    pub(crate) fn catalog_tables(&self) -> [(&'static str, Schema, SharedView); 3] {
+        [
+            (AUTH_TABLE, AuthManager::schema(), self.auth.clone()),
+            (
+                APPROVAL_TABLE,
+                ApprovalManager::schema(),
+                self.approval.clone(),
+            ),
+            (RULES_TABLE, DependencyRule::schema(), self.deps.clone()),
+        ]
     }
 
     /// The shared buffer pool (I/O counters live here).
@@ -294,13 +318,18 @@ impl Database {
     }
 
     /// The dependency manager.
-    pub fn dependencies(&self) -> &DependencyManager {
-        &self.deps
+    pub fn dependencies(&self) -> Ref<'_, DependencyManager> {
+        self.deps.borrow()
     }
 
     /// The approval manager.
-    pub fn approval(&self) -> &ApprovalManager {
-        &self.approval
+    pub fn approval(&self) -> Ref<'_, ApprovalManager> {
+        self.approval.borrow()
+    }
+
+    /// The authorization manager: users, groups and grants.
+    pub fn auth(&self) -> Ref<'_, AuthManager> {
+        self.auth.borrow()
     }
 
     /// Current logical time.
@@ -310,7 +339,7 @@ impl Database {
 
     /// Register an executable procedure body (§5) under `name`.
     pub fn register_procedure(&mut self, name: &str, f: impl Fn(&[Value]) -> Value + 'static) {
-        self.deps.register_procedure(name, f);
+        self.deps.borrow_mut().register_procedure(name, f);
     }
 
     /// Open a [`Session`] acting as `user` — the prepared-statement /
@@ -325,7 +354,7 @@ impl Database {
     /// does.)  The wire-protocol server validates `Hello` frames with
     /// this before binding a connection to a user.
     pub fn user_exists(&self, user: &str) -> bool {
-        self.auth.user_exists(user)
+        self.auth.borrow().user_exists(user)
     }
 
     /// Execute a statement as `admin`.
@@ -361,6 +390,7 @@ impl Database {
             for tref in &sel.from {
                 let owner = &self.catalog.table(&tref.table)?.owner;
                 self.auth
+                    .borrow()
                     .check(user, &tref.table, owner, Privilege::Select)?;
             }
             next = sel.set_op.as_ref().map(|(_, right)| &**right);
@@ -589,19 +619,40 @@ impl Database {
         self.add_table(&approval_table(name), owner, approval, None)
     }
 
-    /// Drop table `name` with its hidden tables (see
-    /// [`Catalog::drop_table`]).  The ids its approval log handed out
-    /// stay retired, and its operations go with it: none can be decided
-    /// any more.  Not logged: the caller logs `TableDrop`, whose replay
-    /// lands here.
-    pub(crate) fn drop_table_with_history(&mut self, name: &str) -> Result<Vec<Table>> {
-        let tables = self.catalog.drop_table(name)?;
-        let log = tables
-            .iter()
-            .find(|t| approval_log_owner(&t.name).is_some());
-        self.approval
-            .retire_ids(log.map_or(0, Table::peek_next_row));
-        Ok(tables)
+    /// Delete table `name`'s grants and approval config, and retire the
+    /// ids its approval log handed out (its operations go with the log:
+    /// none can be decided any more).  Runs before the table is dropped.
+    pub(crate) fn drop_catalog_entries(&mut self, name: &str) -> Result<()> {
+        let key = Value::Text(name.to_ascii_lowercase());
+        for catalog in [AUTH_TABLE, APPROVAL_TABLE] {
+            self.catalog_delete(catalog, |row| row[0] == key)?;
+        }
+        let log = self.catalog.table(&approval_table(name));
+        let next = log.map_or(0, Table::peek_next_row);
+        if next > self.approval.borrow().id_floor() {
+            // the floor row is the one about no table
+            self.catalog_delete(APPROVAL_TABLE, |row| row[0].is_null())?;
+            self.history_table(APPROVAL_TABLE)?
+                .insert(ApprovalManager::floor_row(next))?;
+        }
+        Ok(())
+    }
+
+    /// Delete every row of catalog table `name` that `doomed` picks; the
+    /// table's view follows.
+    fn catalog_delete(&mut self, name: &str, doomed: impl Fn(&[Value]) -> bool) -> Result<()> {
+        let mut rows = Vec::new();
+        for row in self.catalog.table(name)?.iter_rows() {
+            let (row_no, row) = row?;
+            if doomed(&row) {
+                rows.push(row_no);
+            }
+        }
+        let t = self.history_table(name)?;
+        for row_no in rows {
+            t.delete(row_no)?;
+        }
+        Ok(())
     }
 
     /// Attach `set` to `table`: its record and rectangle tables, which
@@ -714,7 +765,7 @@ impl Database {
         // included, has handed out (a rollback rewinds its log's
         // allocator, freeing the id again)
         let logs = self.approval_logs().map(|(_, log)| log.peek_next_row());
-        let id = logs.fold(self.approval.id_floor(), u64::max);
+        let id = logs.fold(self.approval.borrow().id_floor(), u64::max);
         let op = LoggedOp {
             id: OperationId(id),
             table: table.to_string(),
@@ -767,23 +818,11 @@ impl Database {
         Ok(ops)
     }
 
-    /// Statements whose effects live outside the log's reach
-    /// (authorization and approval-workflow state) — rejected inside an
-    /// explicit transaction.
+    /// Statements rejected inside an explicit transaction: `COPY`
+    /// commits by writing a checkpoint image, and an image cannot hold
+    /// another statement's uncommitted work.
     fn non_transactional(stmt: &Statement) -> Option<&'static str> {
-        Some(match stmt {
-            Statement::CreateUser { .. } => "CREATE USER",
-            Statement::Grant { .. } => "GRANT",
-            Statement::Revoke { .. } => "REVOKE",
-            Statement::StartContentApproval { .. } => "START CONTENT APPROVAL",
-            Statement::StopContentApproval { .. } => "STOP CONTENT APPROVAL",
-            Statement::ApproveOperation { .. } => "APPROVE OPERATION",
-            Statement::DisapproveOperation { .. } => "DISAPPROVE OPERATION",
-            // COPY commits by writing a checkpoint image, and an image
-            // cannot hold another statement's uncommitted work
-            Statement::Copy { .. } => "COPY",
-            _ => return None,
-        })
+        matches!(stmt, Statement::Copy { .. }).then_some("COPY")
     }
 
     /// Execute a parsed statement.
@@ -950,11 +989,14 @@ impl Database {
                 if user != ADMIN {
                     return Err(BdbmsError::unauthorized("only admin may create users"));
                 }
-                self.auth.create_user(&name, &groups)?;
-                self.txn.record_redo(|| WalRecord::UserCreate {
-                    name: name.clone(),
-                    groups: groups.clone(),
-                });
+                if self.auth.borrow().user_exists(&name) {
+                    return Err(BdbmsError::already_exists(format!("user `{name}`")));
+                }
+                let groups = groups.iter().map(|g| Some(g.as_str()));
+                for group in std::iter::once(None).chain(groups) {
+                    let row = AuthManager::row(None, &name, group, None);
+                    self.history_table(AUTH_TABLE)?.insert(row)?;
+                }
                 Ok(QueryResult::message(format!("user `{name}` created")))
             }
             Statement::Grant {
@@ -963,12 +1005,13 @@ impl Database {
                 to,
             } => {
                 self.require_owner(&table, user)?;
-                self.auth.grant(&to, &table, &privileges);
-                self.txn.record_redo(|| WalRecord::Grant {
-                    grantee: to.clone(),
-                    table: table.clone(),
-                    privileges: privileges.clone(),
-                });
+                for p in privileges {
+                    let held = self.auth.borrow().granted(&to, &table, p);
+                    if !held {
+                        let row = AuthManager::row(Some(&table), &to, None, Some(p));
+                        self.history_table(AUTH_TABLE)?.insert(row)?;
+                    }
+                }
                 Ok(QueryResult::message(format!(
                     "granted on `{table}` to `{to}`"
                 )))
@@ -979,12 +1022,10 @@ impl Database {
                 from,
             } => {
                 self.require_owner(&table, user)?;
-                self.auth.revoke(&from, &table, &privileges);
-                self.txn.record_redo(|| WalRecord::Revoke {
-                    grantee: from.clone(),
-                    table: table.clone(),
-                    privileges: privileges.clone(),
-                });
+                let revoked: Vec<Vec<Value>> = (privileges.into_iter())
+                    .map(|p| AuthManager::row(Some(&table), &from, None, Some(p)))
+                    .collect();
+                self.catalog_delete(AUTH_TABLE, |row| revoked.iter().any(|r| r == row))?;
                 Ok(QueryResult::message(format!(
                     "revoked on `{table}` from `{from}`"
                 )))
@@ -995,29 +1036,32 @@ impl Database {
                 approved_by,
             } => {
                 self.require_owner(&table, user)?;
-                self.catalog.table(&table)?; // must exist
-                let cols = if columns.is_empty() {
-                    None
-                } else {
-                    Some(columns)
-                };
-                self.approval.start(&table, cols.clone(), &approved_by);
-                self.txn.record_redo(|| WalRecord::ApprovalStart {
-                    table: table.clone(),
-                    columns: cols,
-                    approver: approved_by.clone(),
-                });
+                // a new config replaces the old one
+                let key = Value::Text(table.to_ascii_lowercase());
+                self.catalog_delete(APPROVAL_TABLE, |row| row[0] == key)?;
+                let mut columns: Vec<Option<&str>> = columns.iter().map(|c| Some(&c[..])).collect();
+                if columns.is_empty() {
+                    columns.push(None);
+                }
+                for column in columns {
+                    let row = ApprovalManager::row(&table, column, &approved_by);
+                    self.history_table(APPROVAL_TABLE)?.insert(row)?;
+                }
                 Ok(QueryResult::message(format!(
                     "content approval started on `{table}`"
                 )))
             }
             Statement::StopContentApproval { table, columns } => {
                 self.require_owner(&table, user)?;
-                self.approval.stop(&table, &columns)?;
-                self.txn.record_redo(|| WalRecord::ApprovalStop {
-                    table: table.clone(),
-                    columns: columns.clone(),
-                });
+                self.approval.borrow().check_stop(&table, &columns)?;
+                let key = Value::Text(table.to_ascii_lowercase());
+                let stopped = |c: Option<&str>| {
+                    columns.is_empty()
+                        || c.is_some_and(|c| columns.iter().any(|x| x.eq_ignore_ascii_case(c)))
+                };
+                self.catalog_delete(APPROVAL_TABLE, |row| {
+                    row[0] == key && stopped(row[1].as_text())
+                })?;
                 Ok(QueryResult::message(format!(
                     "content approval stopped on `{table}`"
                 )))
@@ -1098,20 +1142,17 @@ impl Database {
                         "only admin may drop dependency rules",
                     ));
                 }
-                let pos = self.deps.rule_position(&name).unwrap_or(0);
-                let rule = self.deps.drop_rule(&name)?;
-                self.txn.record(
-                    || WalRecord::RuleDrop { name: name.clone() },
-                    || UndoOp::UnDropRule {
-                        pos,
-                        rule: Box::new(rule),
-                    },
-                );
+                let rule = self.deps.borrow().rule_by_name(&name).map(|r| r.id.raw());
+                let id =
+                    rule.ok_or_else(|| BdbmsError::not_found(format!("dependency rule `{name}`")))?;
+                self.history_table(RULES_TABLE)?.delete(id)?;
                 Ok(QueryResult::message(format!("rule `{name}` dropped")))
             }
             Statement::Analyze { table } => {
                 let owner = self.catalog.table(&table)?.owner.clone();
-                self.auth.check(user, &table, &owner, Privilege::Select)?;
+                self.auth
+                    .borrow()
+                    .check(user, &table, &owner, Privilege::Select)?;
                 // the snapshot holds the incremental stats ANALYZE replaces
                 self.rec_touch_table(&table);
                 let rows = self.catalog.table_mut(&table)?.analyze()?;
@@ -1169,8 +1210,10 @@ impl Database {
         user: &str,
     ) -> Result<QueryResult> {
         let owner = self.catalog.table(table)?.owner.clone();
-        self.auth.check(user, table, &owner, Privilege::Insert)?;
-        if self.approval.config(table).is_some() {
+        self.auth
+            .borrow()
+            .check(user, table, &owner, Privilege::Insert)?;
+        if self.approval.borrow().config(table).is_some() {
             return Err(BdbmsError::invalid(format!(
                 "COPY into `{table}` is not supported while content approval \
                  monitors it (bulk loads bypass per-row operation logging)"
@@ -1242,10 +1285,20 @@ impl Database {
 
     fn drop_table(&mut self, name: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(name, user)?;
+        if let Some(rule) = (self.deps.borrow().rules().iter()).find(|r| {
+            r.src_table.eq_ignore_ascii_case(name) || r.dst_table.eq_ignore_ascii_case(name)
+        }) {
+            return Err(BdbmsError::dependency(format!(
+                "dependency rule `{}` names `{name}`; drop the rule first \
+                 (DROP DEPENDENCY RULE {})",
+                rule.name, rule.name
+            )));
+        }
+        self.drop_catalog_entries(name)?;
         // the dropped table and its history tables move into the log
         // wholesale: rollback puts them back byte-identical (heaps,
         // indexes, annotations, stats)
-        let tables = self.drop_table_with_history(name)?;
+        let tables = self.catalog.drop_table(name)?;
         let dropped = tables[0].name.clone();
         self.txn.record(
             || WalRecord::TableDrop { name: dropped },
@@ -1318,7 +1371,9 @@ impl Database {
     /// Insert one literal row; returns the new row number.
     fn do_insert(&mut self, table: &str, row: &[Expr], user: &str) -> Result<u64> {
         let owner = self.catalog.table(table)?.owner.clone();
-        self.auth.check(user, table, &owner, Privilege::Insert)?;
+        self.auth
+            .borrow()
+            .check(user, table, &owner, Privilege::Insert)?;
         let values: Vec<Value> = row
             .iter()
             .map(|e| eval(e, &[], &[]))
@@ -1328,7 +1383,7 @@ impl Database {
         let row_no = t.insert(values)?;
         let all_cols: Vec<String> = t.schema.names().iter().map(|s| s.to_string()).collect();
         // content approval (§6)
-        if self.approval.monitors(table, &all_cols) && !self.is_approver(user, table) {
+        if self.approval.borrow().monitors(table, &all_cols) && !self.is_approver(user, table) {
             self.log_for_approval(
                 table,
                 user,
@@ -1354,7 +1409,9 @@ impl Database {
         user: &str,
     ) -> Result<Vec<u64>> {
         let owner = self.catalog.table(table)?.owner.clone();
-        self.auth.check(user, table, &owner, Privilege::Update)?;
+        self.auth
+            .borrow()
+            .check(user, table, &owner, Privilege::Update)?;
         let t = self.catalog.table(table)?;
         let bindings = table_bindings(t, &t.name);
         let set_cols: Vec<usize> = sets
@@ -1376,8 +1433,8 @@ impl Database {
             }
             plans.push((row_no, values, new_values, old));
         }
-        let monitored =
-            self.approval.monitors(table, &touched_names) && !self.is_approver(user, table);
+        let monitored = self.approval.borrow().monitors(table, &touched_names)
+            && !self.is_approver(user, table);
         self.rec_touch_table(table);
         let mut touched = Vec::with_capacity(plans.len());
         for (row_no, old_values, new_values, old) in plans {
@@ -1422,14 +1479,17 @@ impl Database {
         why: Option<&str>,
     ) -> Result<Vec<u64>> {
         let owner = self.catalog.table(table)?.owner.clone();
-        self.auth.check(user, table, &owner, Privilege::Delete)?;
+        self.auth
+            .borrow()
+            .check(user, table, &owner, Privilege::Delete)?;
         let t = self.catalog.table(table)?;
         let all_cols: Vec<String> = t.schema.names().iter().map(|s| s.to_string()).collect();
         let victims: Vec<u64> = target_rows(t, &t.name, where_clause, false)?
             .into_iter()
             .map(|(row_no, _)| row_no)
             .collect();
-        let monitored = self.approval.monitors(table, &all_cols) && !self.is_approver(user, table);
+        let monitored =
+            self.approval.borrow().monitors(table, &all_cols) && !self.is_approver(user, table);
         let arity = self.catalog.table(table)?.schema.arity();
         self.rec_touch_table(table);
         for &row_no in &victims {
@@ -1462,10 +1522,9 @@ impl Database {
     }
 
     fn is_approver(&self, user: &str, table: &str) -> bool {
-        match self.approval.config(table) {
-            Some(cfg) => self.auth.acts_as(user, &cfg.approver),
-            None => false,
-        }
+        let approval = self.approval.borrow();
+        let cfg = approval.config(table);
+        cfg.is_some_and(|cfg| self.auth.borrow().acts_as(user, &cfg.approver))
     }
 
     // ---- dependency cascade (§5) ----
@@ -1478,6 +1537,7 @@ impl Database {
         };
         let rules: Vec<DependencyRule> = self
             .deps
+            .borrow()
             .rules_from(table, &col_name)
             .into_iter()
             .cloned()
@@ -1494,7 +1554,7 @@ impl Database {
                 };
                 let recompute = mode != CascadeMode::Stale
                     && rule.executable
-                    && self.deps.procedure(&rule.procedure).is_some();
+                    && self.deps.borrow().procedure(&rule.procedure).is_some();
                 if recompute {
                     // gather the rule's source values from the source row
                     let st = self.catalog.table(&rule.src_table)?;
@@ -1504,7 +1564,8 @@ impl Database {
                         .iter()
                         .map(|c| st.schema.require(c).map(|i| src_values[i].clone()))
                         .collect::<Result<_>>()?;
-                    let f = self.deps.procedure(&rule.procedure).expect("checked");
+                    let f = self.deps.borrow().procedure(&rule.procedure);
+                    let f = f.expect("checked");
                     let new_value = f(&inputs);
                     let dt = self.catalog.table_mut(&rule.dst_table)?;
                     let mut dst_values = dt.get(dst_row)?;
@@ -1653,17 +1714,9 @@ impl Database {
             invertible,
             link: link_cols,
         };
-        let prev_next_id = self.deps.next_rule_id();
-        self.deps.add_rule(rule)?;
-        self.txn.record(
-            || WalRecord::RuleAdd {
-                rule: self.deps.rule_by_name(&name).expect("just added").clone(),
-            },
-            || UndoOp::UnAddRule {
-                name: name.clone(),
-                prev_next_id,
-            },
-        );
+        self.deps.borrow().check_rule(&rule)?;
+        // the row number is the rule id
+        self.history_table(RULES_TABLE)?.insert(rule.to_row())?;
         Ok(QueryResult::message(format!(
             "dependency rule `{name}` created"
         )))
@@ -1679,12 +1732,7 @@ impl Database {
         let (log, old) = (log.name.clone(), log.get(id)?);
         let decided = LoggedOp::from_row(owner, id, old.clone())?;
         // the decision-maker must be the configured approver (or admin)
-        let allowed = user == ADMIN
-            || match self.approval.config(&decided.table) {
-                Some(cfg) => self.auth.acts_as(user, &cfg.approver),
-                None => false,
-            };
-        if !allowed {
+        if user != ADMIN && !self.is_approver(user, &decided.table) {
             return Err(BdbmsError::unauthorized(format!(
                 "user `{user}` may not decide operations on `{}`",
                 decided.table
@@ -1764,9 +1812,12 @@ impl Database {
         if set.system_only {
             // §4: provenance writes restricted to integration tools
             self.auth
+                .borrow()
                 .check(user, table, &t.owner, Privilege::Provenance)
         } else {
-            self.auth.check(user, table, &t.owner, Privilege::Select)
+            self.auth
+                .borrow()
+                .check(user, table, &t.owner, Privilege::Select)
         }
     }
 
@@ -1924,7 +1975,9 @@ impl Database {
         user: &str,
     ) -> Result<QueryResult> {
         let owner = self.catalog.table(table)?.owner.clone();
-        self.auth.check(user, table, &owner, Privilege::Update)?;
+        self.auth
+            .borrow()
+            .check(user, table, &owner, Privilege::Update)?;
         let t = self.catalog.table(table)?;
         let cols: Vec<usize> = if columns.is_empty() {
             (0..t.schema.arity()).collect()

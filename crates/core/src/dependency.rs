@@ -24,7 +24,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use bdbms_common::ids::RuleId;
-use bdbms_common::{BdbmsError, Result, Value};
+use bdbms_common::{BdbmsError, DataType, Result, Schema, Value};
+
+use crate::catalog::CatalogView;
 
 /// A column reference `(table, column)`, lowercased for identity.
 pub type ColRef = (String, String);
@@ -34,7 +36,7 @@ fn colref(table: &str, col: &str) -> ColRef {
 }
 
 /// One procedural dependency rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DependencyRule {
     /// Rule id.
     pub id: RuleId,
@@ -72,6 +74,59 @@ impl DependencyRule {
     pub fn dst(&self) -> ColRef {
         colref(&self.dst_table, &self.dst_col)
     }
+
+    /// The columns of `$rules`, whose row number is the rule id.
+    pub(crate) fn schema() -> Schema {
+        use DataType::{Bool, Text};
+        Schema::of(&[
+            ("name", Text),
+            ("src_table", Text),
+            ("src_cols", Text),
+            ("dst_table", Text),
+            ("dst_col", Text),
+            ("procedure", Text),
+            ("executable", Bool),
+            ("invertible", Bool),
+            ("link_src", Text),
+            ("link_dst", Text),
+        ])
+    }
+
+    /// This rule as a `$rules` row.  The source columns are stored
+    /// comma-separated: no identifier holds a comma.
+    pub(crate) fn to_row(&self) -> Vec<Value> {
+        let text = |s: &str| Value::Text(s.to_string());
+        let (src, dst) = self.link.clone().unzip();
+        vec![
+            text(&self.name),
+            text(&self.src_table),
+            text(&self.src_cols.join(",")),
+            text(&self.dst_table),
+            text(&self.dst_col),
+            text(&self.procedure),
+            Value::Bool(self.executable),
+            Value::Bool(self.invertible),
+            src.map_or(Value::Null, Value::Text),
+            dst.map_or(Value::Null, Value::Text),
+        ]
+    }
+
+    /// Decode row `id` of `$rules`.
+    fn from_row(id: u64, row: &[Value]) -> Option<DependencyRule> {
+        let text = |col: usize| row[col].as_text().map(str::to_string);
+        Some(DependencyRule {
+            id: RuleId(id),
+            name: text(0)?,
+            src_table: text(1)?,
+            src_cols: text(2)?.split(',').map(str::to_string).collect(),
+            dst_table: text(3)?,
+            dst_col: text(4)?,
+            procedure: text(5)?,
+            executable: row[6] == Value::Bool(true),
+            invertible: row[7] == Value::Bool(true),
+            link: text(8).zip(text(9)),
+        })
+    }
 }
 
 /// A rule derived by chaining base rules (the paper's Rule 4).
@@ -94,12 +149,21 @@ pub struct DerivedRule {
 /// A registered executable procedure body.
 pub type ProcFn = Rc<dyn Fn(&[Value]) -> Value>;
 
-/// The dependency manager.
+/// The dependency manager: the rule set, and the registered procedure
+/// bodies.  In a database the rules are the view of the `$rules`
+/// catalog table, kept in id order — the order cascades evaluate them.
 #[derive(Default)]
 pub struct DependencyManager {
     rules: Vec<DependencyRule>,
     procedures: HashMap<String, ProcFn>,
-    next_id: u64,
+}
+
+/// Two managers agree when their rules do: procedure bodies are
+/// registered by the application, not stored.
+impl PartialEq for DependencyManager {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules
+    }
 }
 
 impl DependencyManager {
@@ -116,45 +180,6 @@ impl DependencyManager {
     /// The registered body for a procedure, if any.
     pub fn procedure(&self, name: &str) -> Option<ProcFn> {
         self.procedures.get(name).cloned()
-    }
-
-    /// The id the next rule would be assigned (recorded by transaction
-    /// snapshots so a rolled-back `CREATE DEPENDENCY RULE` also rewinds
-    /// the allocator).
-    pub(crate) fn next_rule_id(&self) -> u64 {
-        self.next_id
-    }
-
-    /// Rewind the rule-id allocator (transaction rollback).
-    pub(crate) fn set_next_rule_id(&mut self, next_id: u64) {
-        self.next_id = next_id;
-    }
-
-    /// Position of a rule in the evaluation order, if present.
-    pub(crate) fn rule_position(&self, name: &str) -> Option<usize> {
-        self.rules
-            .iter()
-            .position(|r| r.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Reinsert a dropped rule at its old position (transaction rollback
-    /// undoing `DROP DEPENDENCY RULE`; order matters for cascades).
-    pub(crate) fn insert_rule_at(&mut self, pos: usize, rule: DependencyRule) {
-        self.rules.insert(pos.min(self.rules.len()), rule);
-    }
-
-    /// Rebuild the rule set from a checkpoint snapshot (validation was
-    /// done when the rules were first created).  Registered procedure
-    /// bodies are *not* persisted — re-register them after opening.
-    pub(crate) fn restore(&mut self, rules: Vec<DependencyRule>, next_id: u64) {
-        self.rules = rules;
-        self.next_id = next_id;
-    }
-
-    /// Re-append a rule with its original id (WAL replay).
-    pub(crate) fn replay_rule(&mut self, rule: DependencyRule) {
-        self.next_id = self.next_id.max(rule.id.raw() + 1);
-        self.rules.push(rule);
     }
 
     /// All rules.
@@ -178,10 +203,10 @@ impl DependencyManager {
             .find(|r| r.name.eq_ignore_ascii_case(name))
     }
 
-    /// Add a rule, enforcing uniqueness, single-derivation (conflicts),
-    /// and acyclicity (§5: "detect conflicts and cycles among dependency
-    /// rules").
-    pub fn add_rule(&mut self, mut rule: DependencyRule) -> Result<RuleId> {
+    /// Check that `rule` may join the set: a unique name, single
+    /// derivation (no conflicts) and acyclicity (§5: "detect conflicts
+    /// and cycles among dependency rules").
+    pub fn check_rule(&self, rule: &DependencyRule) -> Result<()> {
         if self.rule_by_name(&rule.name).is_some() {
             return Err(BdbmsError::already_exists(format!(
                 "dependency rule `{}`",
@@ -212,11 +237,16 @@ impl DependencyManager {
                 )));
             }
         }
-        let id = RuleId(self.next_id);
-        self.next_id += 1;
-        rule.id = id;
+        Ok(())
+    }
+
+    /// Add a checked rule (see [`check_rule`](Self::check_rule)) under
+    /// the next id.  A database adds rules as rows of `$rules` instead.
+    pub fn add_rule(&mut self, mut rule: DependencyRule) -> Result<RuleId> {
+        self.check_rule(&rule)?;
+        rule.id = RuleId(self.rules.last().map_or(0, |r| r.id.raw() + 1));
         self.rules.push(rule);
-        Ok(id)
+        Ok(self.rules[self.rules.len() - 1].id)
     }
 
     /// Remove a rule by name.
@@ -299,6 +329,17 @@ impl DependencyManager {
             }
         }
         out
+    }
+}
+
+impl CatalogView for DependencyManager {
+    fn apply(&mut self, id: u64, row: &[Value], added: bool) {
+        let at = self.rules.partition_point(|r| r.id.raw() < id);
+        if !added {
+            self.rules.retain(|r| r.id.raw() != id);
+        } else if let Some(rule) = DependencyRule::from_row(id, row) {
+            self.rules.insert(at, rule);
+        }
     }
 }
 

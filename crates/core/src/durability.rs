@@ -17,10 +17,11 @@
 //! slotted-page/overflow-chain machinery), and one metadata record
 //! describes everything else — table schemas, rid maps, outdated
 //! bitmaps, annotation-set and index *definitions* (derived payloads are
-//! rebuilt on open), dependency rules, auth state, approval configs, and
-//! the logical clock.  The curator's history — annotation records and
-//! attachments, deletion logs, approval logs — is rows of hidden tables
-//! (`crate::catalog`), copied with every other heap.
+//! rebuilt on open), and the logical clock.  The curator's history —
+//! annotation records and attachments, deletion logs, approval logs —
+//! and the catalog's users, grants, approval configs and dependency
+//! rules are rows of hidden tables (`crate::catalog`), copied with every
+//! other heap.
 //!
 //! **The WAL** holds logical redo records for every transaction committed
 //! since that checkpoint.  While a transaction runs, each record sits in
@@ -90,12 +91,9 @@ use bdbms_storage::{
 pub use bdbms_storage::wal::{CommitTicket, Durability};
 
 use crate::annotation::AnnotationSet;
-use crate::approval::ApprovalManager;
-use crate::ast::{Privilege, SeqIndexKind};
-use crate::auth::AuthManager;
+use crate::ast::SeqIndexKind;
 use crate::catalog::{owner_of, records_table, History, Table};
 use crate::database::Database;
-use crate::dependency::DependencyRule;
 
 /// Data file name inside a database directory.
 pub(crate) const DATA_FILE: &str = "data.bdb";
@@ -108,7 +106,9 @@ const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 // v2: per-table sequence-index definitions appended to the snapshot
 // v3: the history is hidden tables; the snapshot keeps set definitions,
 //     approval configs and the operation-id floor (v2 is refused, not read)
-const FORMAT_VERSION: u32 = 3;
+// v4: users, grants, approval configs, the operation-id floor and the
+//     dependency rules are catalog tables (v3 is refused, not read)
+const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -174,32 +174,6 @@ pub(crate) enum WalRecord {
     },
     /// `DROP ANNOTATION TABLE`.
     AnnSetDrop { table: String, set: String },
-    /// `CREATE USER`.
-    UserCreate { name: String, groups: Vec<String> },
-    /// `GRANT`.
-    Grant {
-        grantee: String,
-        table: String,
-        privileges: Vec<Privilege>,
-    },
-    /// `REVOKE`.
-    Revoke {
-        grantee: String,
-        table: String,
-        privileges: Vec<Privilege>,
-    },
-    /// `START CONTENT APPROVAL`.
-    ApprovalStart {
-        table: String,
-        columns: Option<Vec<String>>,
-        approver: String,
-    },
-    /// `STOP CONTENT APPROVAL`.
-    ApprovalStop { table: String, columns: Vec<String> },
-    /// `CREATE DEPENDENCY RULE` (with its allocated id).
-    RuleAdd { rule: DependencyRule },
-    /// `DROP DEPENDENCY RULE`.
-    RuleDrop { name: String },
     /// Transaction commit barrier; carries the logical clock.
     Commit { clock: u64 },
     /// `CREATE SEQUENCE INDEX` (definition only; payload rebuilds on
@@ -277,91 +251,6 @@ fn get_schema(cur: &mut Cur<'_>) -> Result<Schema> {
         cols.push(bdbms_common::ColumnDef::new(name, ty));
     }
     Schema::new(cols).map_err(|e| BdbmsError::corrupt(e.message().to_string()))
-}
-
-fn put_privileges(out: &mut Vec<u8>, ps: &[Privilege]) {
-    codec::put_u32(out, ps.len() as u32);
-    for p in ps {
-        codec::put_u8(
-            out,
-            match p {
-                Privilege::Select => 0,
-                Privilege::Insert => 1,
-                Privilege::Update => 2,
-                Privilege::Delete => 3,
-                Privilege::Provenance => 4,
-            },
-        );
-    }
-}
-
-fn get_privileges(cur: &mut Cur<'_>) -> Result<Vec<Privilege>> {
-    let n = cur.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match cur.u8()? {
-            0 => Privilege::Select,
-            1 => Privilege::Insert,
-            2 => Privilege::Update,
-            3 => Privilege::Delete,
-            4 => Privilege::Provenance,
-            t => return Err(BdbmsError::corrupt(format!("unknown privilege tag {t}"))),
-        });
-    }
-    Ok(out)
-}
-
-fn put_rule(out: &mut Vec<u8>, r: &DependencyRule) {
-    codec::put_u64(out, r.id.raw());
-    codec::put_str(out, &r.name);
-    codec::put_str(out, &r.src_table);
-    codec::put_strs(out, &r.src_cols);
-    codec::put_str(out, &r.dst_table);
-    codec::put_str(out, &r.dst_col);
-    codec::put_str(out, &r.procedure);
-    codec::put_bool(out, r.executable);
-    codec::put_bool(out, r.invertible);
-    match &r.link {
-        None => codec::put_bool(out, false),
-        Some((a, b)) => {
-            codec::put_bool(out, true);
-            codec::put_str(out, a);
-            codec::put_str(out, b);
-        }
-    }
-}
-
-fn get_rule(cur: &mut Cur<'_>) -> Result<DependencyRule> {
-    Ok(DependencyRule {
-        id: bdbms_common::ids::RuleId(cur.u64()?),
-        name: cur.str()?,
-        src_table: cur.str()?,
-        src_cols: cur.strs()?,
-        dst_table: cur.str()?,
-        dst_col: cur.str()?,
-        procedure: cur.str()?,
-        executable: cur.bool()?,
-        invertible: cur.bool()?,
-        link: if cur.bool()? {
-            Some((cur.str()?, cur.str()?))
-        } else {
-            None
-        },
-    })
-}
-
-fn put_opt_strs(out: &mut Vec<u8>, v: Option<&[String]>) {
-    match v {
-        None => codec::put_bool(out, false),
-        Some(v) => {
-            codec::put_bool(out, true);
-            codec::put_strs(out, v);
-        }
-    }
-}
-
-fn get_opt_strs(cur: &mut Cur<'_>) -> Result<Option<Vec<String>>> {
-    Ok(if cur.bool()? { Some(cur.strs()?) } else { None })
 }
 
 impl WalRecord {
@@ -453,54 +342,6 @@ impl WalRecord {
                 codec::put_str(out, table);
                 codec::put_str(out, set);
             }
-            WalRecord::UserCreate { name, groups } => {
-                codec::put_u8(out, 15);
-                codec::put_str(out, name);
-                codec::put_strs(out, groups);
-            }
-            WalRecord::Grant {
-                grantee,
-                table,
-                privileges,
-            } => {
-                codec::put_u8(out, 16);
-                codec::put_str(out, grantee);
-                codec::put_str(out, table);
-                put_privileges(out, privileges);
-            }
-            WalRecord::Revoke {
-                grantee,
-                table,
-                privileges,
-            } => {
-                codec::put_u8(out, 17);
-                codec::put_str(out, grantee);
-                codec::put_str(out, table);
-                put_privileges(out, privileges);
-            }
-            WalRecord::ApprovalStart {
-                table,
-                columns,
-                approver,
-            } => {
-                codec::put_u8(out, 18);
-                codec::put_str(out, table);
-                put_opt_strs(out, columns.as_deref());
-                codec::put_str(out, approver);
-            }
-            WalRecord::ApprovalStop { table, columns } => {
-                codec::put_u8(out, 19);
-                codec::put_str(out, table);
-                codec::put_strs(out, columns);
-            }
-            WalRecord::RuleAdd { rule } => {
-                codec::put_u8(out, 22);
-                put_rule(out, rule);
-            }
-            WalRecord::RuleDrop { name } => {
-                codec::put_u8(out, 23);
-                codec::put_str(out, name);
-            }
             WalRecord::Commit { clock } => {
                 codec::put_u8(out, 24);
                 codec::put_u64(out, *clock);
@@ -579,38 +420,12 @@ impl WalRecord {
                 table: cur.str()?,
                 set: cur.str()?,
             },
-            15 => WalRecord::UserCreate {
-                name: cur.str()?,
-                groups: cur.strs()?,
-            },
-            16 => WalRecord::Grant {
-                grantee: cur.str()?,
-                table: cur.str()?,
-                privileges: get_privileges(&mut cur)?,
-            },
-            17 => WalRecord::Revoke {
-                grantee: cur.str()?,
-                table: cur.str()?,
-                privileges: get_privileges(&mut cur)?,
-            },
-            18 => WalRecord::ApprovalStart {
-                table: cur.str()?,
-                columns: get_opt_strs(&mut cur)?,
-                approver: cur.str()?,
-            },
-            19 => WalRecord::ApprovalStop {
-                table: cur.str()?,
-                columns: cur.strs()?,
-            },
-            22 => WalRecord::RuleAdd {
-                rule: get_rule(&mut cur)?,
-            },
-            23 => WalRecord::RuleDrop { name: cur.str()? },
             24 => WalRecord::Commit { clock: cur.u64()? },
             // 6, 13, 14, 20, 21 were the history records (deletion log,
-            // annotation add/archive, approval log/decision) and 25
-            // `COPY`'s bulk load: they stay unassigned, so an old log
-            // holding one fails to decode instead of misreading
+            // annotation add/archive, approval log/decision), 15–19, 22
+            // and 23 the user, grant, approval-config and rule records,
+            // and 25 `COPY`'s bulk load: they stay unassigned, so an old
+            // log holding one fails to decode instead of misreading
             26 => WalRecord::SeqIndexCreate {
                 table: cur.str()?,
                 index: cur.str()?,
@@ -819,35 +634,6 @@ fn encode_snapshot(
     // being double-applied.
     codec::put_u64(&mut body, wal_frontier);
 
-    let (users, grants) = db.auth.snapshot();
-    codec::put_u32(&mut body, users.len() as u32);
-    for (user, groups) in &users {
-        codec::put_str(&mut body, user);
-        codec::put_strs(&mut body, groups);
-    }
-    codec::put_u32(&mut body, grants.len() as u32);
-    for (grantee, table, privs) in &grants {
-        codec::put_str(&mut body, grantee);
-        codec::put_str(&mut body, table);
-        put_privileges(&mut body, privs);
-    }
-
-    let configs = db.approval.snapshot();
-    codec::put_u32(&mut body, configs.len() as u32);
-    for (table, columns, approver) in &configs {
-        codec::put_str(&mut body, table);
-        put_opt_strs(&mut body, columns.as_deref());
-        codec::put_str(&mut body, approver);
-    }
-    codec::put_u64(&mut body, db.approval.id_floor());
-
-    let rules = db.deps.rules();
-    codec::put_u32(&mut body, rules.len() as u32);
-    for r in rules {
-        put_rule(&mut body, r);
-    }
-    codec::put_u64(&mut body, db.deps.next_rule_id());
-
     codec::put_u32(&mut body, moved.len() as u32);
     for ((name, heap, rows), t) in moved.iter().zip(db.catalog.all_tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
@@ -917,7 +703,8 @@ fn encode_snapshot(
 /// skipping one table cannot desync the next; decode errors of the blob
 /// itself stay fatal in both modes (the caller treats that as image
 /// loss).  A table and its hidden history tables are quarantined
-/// together, itemized under the owner's name.
+/// together, itemized under the owner's name; a catalog table that fails
+/// to rebuild fails the load in both modes.
 fn decode_snapshot_mode(
     db: &mut Database,
     blob: &[u8],
@@ -943,33 +730,6 @@ fn decode_snapshot_mode(
 
     db.clock.advance_to(cur.u64()?);
     let wal_frontier = cur.u64()?;
-
-    let n = cur.len()?;
-    let mut users = Vec::with_capacity(n);
-    for _ in 0..n {
-        users.push((cur.str()?, cur.strs()?));
-    }
-    let n = cur.len()?;
-    let mut grants = Vec::with_capacity(n);
-    for _ in 0..n {
-        grants.push((cur.str()?, cur.str()?, get_privileges(&mut cur)?));
-    }
-    db.auth = AuthManager::restore(users, grants);
-
-    let n = cur.len()?;
-    let mut configs = Vec::with_capacity(n);
-    for _ in 0..n {
-        configs.push((cur.str()?, get_opt_strs(&mut cur)?, cur.str()?));
-    }
-    db.approval = ApprovalManager::restore(configs, cur.u64()?);
-
-    let n = cur.len()?;
-    let mut rules = Vec::with_capacity(n);
-    for _ in 0..n {
-        rules.push(get_rule(&mut cur)?);
-    }
-    let next_rule_id = cur.u64()?;
-    db.deps.restore(rules, next_rule_id);
 
     let n_tables = cur.len()?;
     for _ in 0..n_tables {
@@ -1024,17 +784,28 @@ fn decode_snapshot_mode(
             }
             outdated.set(r, c);
         }
+        // a catalog table replaces the empty one the engine starts with,
+        // and feeds its view
+        let catalog = db.catalog_tables().into_iter().find(|c| c.0 == name);
+        if catalog.as_ref().is_some_and(|c| c.1 != schema) {
+            return Err(BdbmsError::corrupt(format!(
+                "catalog table `{name}` has a foreign schema"
+            )));
+        }
+        let is_catalog = catalog.is_some();
         let history = if cur.bool()? {
             let mut set = AnnotationSet::new(cur.str()?, cur.bool()?);
             set.system_only = cur.bool()?;
             set.schema_enforced = cur.bool()?;
             Some(History::records(set))
+        } else if let Some((.., view)) = catalog {
+            Some(History::Catalog(view))
         } else {
             db.catalog.rects_history(&name)
         };
         // a hidden table follows its owner; the owner of one that is gone
         // was quarantined, and it goes too
-        let owner_name = owner_of(&name);
+        let owner_name = owner_of(&name).filter(|_| !is_catalog);
         if owner_name.is_some_and(|owner| !db.catalog.has_table(owner)) {
             if quarantine.is_some() {
                 continue;
@@ -1057,17 +828,24 @@ fn decode_snapshot_mode(
             &seq_index_defs,
         );
         match (table, &mut quarantine) {
+            (Ok(table), _) if is_catalog => *db.catalog.table_mut(&name)? = table,
             (Ok(table), _) => db
                 .catalog
                 .add_table(table)
                 .map_err(|e| BdbmsError::corrupt(e.message().to_string()))?,
+            // a catalog table is never quarantined: that would drop grants
+            // or approval configs without a trace
             (Err(e), None) => return Err(e),
-            // a table goes with all its history: damage to either
-            // quarantines the owner
-            (Err(_), Some(q)) => match owner_name {
-                Some(owner) => q.push(db.drop_table_with_history(owner)?.remove(0).name),
-                None => q.push(name),
-            },
+            (Err(e), _) if is_catalog => return Err(e),
+            // a table goes with all its history, and with its grants and
+            // approval config: damage to either quarantines the owner
+            (Err(_), Some(q)) => {
+                db.drop_catalog_entries(owner_name.unwrap_or(&name))?;
+                q.push(match owner_name {
+                    Some(owner) => db.catalog.drop_table(owner)?.remove(0).name,
+                    None => name,
+                });
+            }
         }
     }
     if !cur.is_empty() {
@@ -1378,7 +1156,7 @@ impl Database {
                 self.create_table_with_history(&name, &owner, schema)?;
             }
             WalRecord::TableDrop { name } => {
-                self.drop_table_with_history(&name)?;
+                self.catalog.drop_table(&name)?;
             }
             WalRecord::IndexCreate {
                 table,
@@ -1407,39 +1185,6 @@ impl Database {
             WalRecord::AnnSetDrop { table, set } => {
                 self.catalog.annotation_set(&table, &set)?;
                 self.catalog.drop_table(&records_table(&table, &set))?;
-            }
-            WalRecord::UserCreate { name, groups } => {
-                self.auth.create_user(&name, &groups)?;
-            }
-            WalRecord::Grant {
-                grantee,
-                table,
-                privileges,
-            } => {
-                self.auth.grant(&grantee, &table, &privileges);
-            }
-            WalRecord::Revoke {
-                grantee,
-                table,
-                privileges,
-            } => {
-                self.auth.revoke(&grantee, &table, &privileges);
-            }
-            WalRecord::ApprovalStart {
-                table,
-                columns,
-                approver,
-            } => {
-                self.approval.start(&table, columns, &approver);
-            }
-            WalRecord::ApprovalStop { table, columns } => {
-                self.approval.stop(&table, &columns)?;
-            }
-            WalRecord::RuleAdd { rule } => {
-                self.deps.replay_rule(rule);
-            }
-            WalRecord::RuleDrop { name } => {
-                self.deps.drop_rule(&name)?;
             }
             WalRecord::Commit { clock } => {
                 self.clock.advance_to(clock);
@@ -1853,44 +1598,6 @@ mod tests {
                 table: "Gene".into(),
                 set: "Curation".into(),
             },
-            WalRecord::UserCreate {
-                name: "alice".into(),
-                groups: vec!["lab1".into()],
-            },
-            WalRecord::Grant {
-                grantee: "alice".into(),
-                table: "Gene".into(),
-                privileges: vec![Privilege::Select, Privilege::Provenance],
-            },
-            WalRecord::Revoke {
-                grantee: "alice".into(),
-                table: "Gene".into(),
-                privileges: vec![Privilege::Update],
-            },
-            WalRecord::ApprovalStart {
-                table: "Gene".into(),
-                columns: Some(vec!["gsequence".into()]),
-                approver: "labadmin".into(),
-            },
-            WalRecord::ApprovalStop {
-                table: "Gene".into(),
-                columns: vec![],
-            },
-            WalRecord::RuleAdd {
-                rule: DependencyRule {
-                    id: bdbms_common::ids::RuleId(2),
-                    name: "r1".into(),
-                    src_table: "Gene".into(),
-                    src_cols: vec!["GSequence".into()],
-                    dst_table: "Protein".into(),
-                    dst_col: "PSequence".into(),
-                    procedure: "translate".into(),
-                    executable: true,
-                    invertible: false,
-                    link: Some(("GID".into(), "GID".into())),
-                },
-            },
-            WalRecord::RuleDrop { name: "r1".into() },
             WalRecord::Commit { clock: 99 },
             WalRecord::SeqIndexCreate {
                 table: "Gene".into(),
@@ -1911,8 +1618,6 @@ mod tests {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
             let back = WalRecord::decode(&buf).unwrap();
-            // DependencyRule doesn't implement PartialEq wholesale;
-            // compare re-encodings instead
             let mut buf2 = Vec::new();
             back.encode(&mut buf2);
             assert_eq!(buf, buf2, "roundtrip drift for {rec:?}");
@@ -1936,6 +1641,14 @@ mod tests {
         codec::put_u64(&mut buf, 50_000);
         let err = WalRecord::decode(&buf).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
+        // the retired user, grant, approval-config and rule records
+        for tag in [15, 16, 17, 18, 19, 22, 23] {
+            let mut buf = vec![tag];
+            codec::put_str(&mut buf, "alice");
+            codec::put_u32(&mut buf, 0);
+            let err = WalRecord::decode(&buf).unwrap_err();
+            assert!(err.message().contains("unknown WAL record tag"), "{err}");
+        }
     }
 
     use proptest::prelude::*;
@@ -2030,8 +1743,8 @@ mod tests {
         }
 
         /// Single-byte mutations of a real checkpoint body, re-framed
-        /// with a matching CRC: every deep decoder (auth, approval,
-        /// dependency rules, tables, bitmaps, annotation sets) must
+        /// with a matching CRC: every deep decoder (tables, catalog
+        /// tables, bitmaps, annotation sets) must
         /// reject or tolerate the damage without panicking.
         #[test]
         fn mutated_real_snapshot_never_panics(pos_seed in any::<u64>(), flip in 1u8..=255) {

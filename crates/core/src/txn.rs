@@ -18,16 +18,16 @@
 //! The mutator that emits the redo record records the inverse in the
 //! same call, so the two halves cannot drift apart.  The curator's
 //! history — annotation records and attachments, the deletion logs and
-//! the approval logs — is rows of hidden tables (`crate::catalog`), so
-//! its changes are row records with row inverses like any other.  A few
-//! inverses have no redo twin and stay undo-only: objects moved out by
-//! `DROP TABLE` / `DROP ANNOTATION TABLE` (the set's hidden tables) /
-//! `DROP DEPENDENCY RULE`,
+//! the approval logs — and the catalog's users, grants, approval configs
+//! and dependency rules are rows of hidden tables (`crate::catalog`), so
+//! their changes are row records with row inverses like any other.  A
+//! few inverses have no redo twin and stay undo-only: objects moved out
+//! by `DROP TABLE` / `DROP ANNOTATION TABLE` (the set's hidden tables),
 //! `COPY`'s row truncation, and one first-touch table snapshot per frame
 //! for state with no cheap logical inverse: planner statistics (a KMV
 //! sketch cannot retract an observation), the row-number allocator
-//! (which also hands out annotation ids) and the outdated bitmap's row
-//! count.
+//! (which also hands out annotation, operation and rule ids) and the
+//! outdated bitmap's row count.
 //!
 //! ## How rollback works
 //!
@@ -49,12 +49,11 @@
 //!
 //! ## What is (and is not) transactional
 //!
-//! DML, table/index DDL, `ANALYZE`, annotation commands (including
-//! provenance attachments recorded through the system API), dependency
-//! rule DDL, and `VALIDATE` are fully undone by rollback.
-//! Authorization and approval-workflow statements (`CREATE USER`,
-//! `GRANT`/`REVOKE`, `START/STOP CONTENT APPROVAL`,
-//! `APPROVE/DISAPPROVE OPERATION`) are **non-transactional** and are
+//! Every statement but `COPY` is undone by rollback: DML, table/index
+//! DDL, `ANALYZE`, annotation commands (including provenance attachments
+//! recorded through the system API), dependency rule DDL, `VALIDATE`,
+//! `CREATE USER`, `GRANT`/`REVOKE`, `START/STOP CONTENT APPROVAL` and
+//! `APPROVE/DISAPPROVE OPERATION`.  `COPY` commits by checkpoint and is
 //! rejected inside an explicit transaction with a
 //! [`bdbms_common::ErrorCode::TxnState`] error.
 //!
@@ -69,7 +68,6 @@ use std::rc::Rc;
 
 use crate::catalog::Table;
 use crate::database::Database;
-use crate::dependency::DependencyRule;
 use crate::durability::WalRecord;
 use crate::stats::TableStats;
 
@@ -101,13 +99,6 @@ pub(crate) enum UndoOp {
     /// (they all sit at or above `first_row`).  The accompanying
     /// first-touch snapshot restores stats / allocator / bitmap size.
     UnBulkLoad { table: String, first_row: u64 },
-    /// Undo `CREATE DEPENDENCY RULE` (restores the id allocator too).
-    UnAddRule { name: String, prev_next_id: u64 },
-    /// Undo `DROP DEPENDENCY RULE`: reinsert at the old position.
-    UnDropRule {
-        pos: usize,
-        rule: Box<DependencyRule>,
-    },
     /// First-touch snapshot of a table's non-row state: planner stats
     /// (the KMV sketch cannot retract), the row-number allocator, and
     /// the outdated bitmap's row count (its bits are restored by the
@@ -141,13 +132,6 @@ impl UndoOp {
                     let _ = t.truncate_rows_from(first_row);
                 }
             }
-            UndoOp::UnAddRule { name, prev_next_id } => {
-                let _ = db.deps.drop_rule(&name);
-                db.deps.set_next_rule_id(prev_next_id);
-            }
-            UndoOp::UnDropRule { pos, rule } => {
-                db.deps.insert_rule_at(pos, *rule);
-            }
             UndoOp::RestoreTableState {
                 table,
                 stats,
@@ -166,8 +150,9 @@ impl UndoOp {
 
 /// One change of the open transaction: its redo record (durable
 /// databases only) and its inverse.  Either half may be absent — a
-/// change whose undo is a snapshot, or a non-transactional one, has no
-/// inverse of its own; a snapshot has no redo.
+/// change whose undo is a snapshot, or which flipped nothing (an
+/// outdated mark on a marked cell), has no inverse of its own; a
+/// snapshot has no redo.
 pub(crate) struct LogEntry {
     redo: Option<WalRecord>,
     undo: Option<UndoOp>,
@@ -183,7 +168,7 @@ impl LogEntry {
 /// The transaction log, shared (see [`SharedLog`]) between the
 /// transaction runtime (watermarks, commit, rollback), every [`Table`]
 /// (row, index, annotation-set and outdated-bit changes) and the
-/// [`Database`] (table DDL, rules, auth, approval configs).  A table not yet
+/// [`Database`] (table and annotation-set DDL).  A table not yet
 /// attached to a database holds a default one, which records nothing.
 #[derive(Default)]
 pub(crate) struct TxnLog {
@@ -222,7 +207,7 @@ impl TxnLog {
     }
 
     /// Record a change whose inverse lives elsewhere (a snapshot or
-    /// watermark) or that has none (non-transactional statements).
+    /// watermark) or that has none.
     pub(crate) fn record_redo(&mut self, redo: impl FnOnce() -> WalRecord) {
         if self.recording() && self.durable {
             self.entries.push(LogEntry {
@@ -319,11 +304,6 @@ impl TxnRuntime {
     /// See [`TxnLog::record`].
     pub(crate) fn record(&self, redo: impl FnOnce() -> WalRecord, undo: impl FnOnce() -> UndoOp) {
         self.log.borrow_mut().record(redo, undo);
-    }
-
-    /// See [`TxnLog::record_redo`].
-    pub(crate) fn record_redo(&self, redo: impl FnOnce() -> WalRecord) {
-        self.log.borrow_mut().record_redo(redo);
     }
 
     /// See [`TxnLog::record_undo`].
@@ -569,7 +549,7 @@ mod tests {
         insert(&txn, 0);
         assert_eq!(txn.len(), 0, "idle records nothing");
         txn.begin_implicit();
-        txn.record_redo(|| row_delete(0));
+        txn.log().borrow_mut().record_redo(|| row_delete(0));
         assert_eq!(txn.len(), 0, "in-memory: a redo-only change is not logged");
         insert(&txn, 0);
         assert!(!txn.has_redo(), "in-memory: the inverse alone");

@@ -421,7 +421,7 @@ fn buffer_counters_keep_counting_across_checkpoints() {
 
 /// Format pin for the checkpoint writer: a fixed script, then
 /// `checkpoint()`, must give exactly these `data.bdb` bytes (length and
-/// CRC-32, pinned for format 3, whose hidden history tables add their
+/// CRC-32, pinned for format 4, whose hidden history tables add their
 /// own heap pages).  The script reaches every record shape a checkpoint
 /// copies: rows updated in place and relocated, holes left by DELETEs,
 /// and overflow chains (an inserted row and an updated row longer than a
@@ -474,7 +474,7 @@ fn golden_image_bytes_do_not_drift() {
     let image = std::fs::read(dir.join("data.bdb")).unwrap();
     assert_eq!(
         (image.len(), fnv1a(&image)),
-        (106_496, 3_012_337_342_073_458_978),
+        (106_496, 15_693_064_814_298_509_743),
         "the checkpoint image drifted"
     );
     db.close().unwrap();
@@ -566,7 +566,7 @@ fn golden_redo_stream_does_not_drift() {
     }
     assert_eq!(
         (stream.len(), fnv1a(&stream)),
-        (4_406, 18_089_438_514_198_997_120),
+        (4_721, 1_188_606_767_779_388_010),
         "the redo stream drifted"
     );
     let _ = std::fs::remove_dir_all(&dir);

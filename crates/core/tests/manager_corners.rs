@@ -325,3 +325,67 @@ fn history_tables_are_hidden_but_checked() {
         "dropped with its owner"
     );
 }
+
+/// A dropped table takes its grants and approval config with it, so a
+/// table re-created under its name inherits neither; a rolled-back drop
+/// brings both back.
+#[test]
+fn drop_table_takes_its_grants_and_approval_config_with_it() {
+    let mut db = Database::new_in_memory();
+    for sql in [
+        "CREATE TABLE T (K INT)",
+        "CREATE USER alice",
+        "CREATE USER bob",
+        "GRANT SELECT, INSERT ON T TO alice",
+        "START CONTENT APPROVAL ON T APPROVED BY bob",
+        "BEGIN",
+        "DROP TABLE T",
+        "ROLLBACK",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    db.execute_as("INSERT INTO T VALUES (1)", "alice").unwrap();
+    assert_eq!(db.pending_operations(Some("T")).unwrap().len(), 1);
+    db.execute("DROP TABLE T").unwrap();
+    db.execute("CREATE TABLE T (K INT)").unwrap();
+    let err = db
+        .execute_as("INSERT INTO T VALUES (2)", "alice")
+        .unwrap_err();
+    assert_eq!(err.code(), bdbms_common::ErrorCode::Unauthorized, "{err}");
+    assert!(db.approval().config("T").is_none());
+    db.execute("INSERT INTO T VALUES (3)").unwrap();
+    assert!(
+        db.pending_operations(None).unwrap().is_empty(),
+        "the new T is not monitored"
+    );
+    assert!(db.check().unwrap().is_ok());
+}
+
+/// `DROP TABLE` is refused while a dependency rule reads or writes the
+/// table: the rule would fail every cascade through it.
+#[test]
+fn drop_table_is_refused_while_a_rule_names_it() {
+    let mut db = Database::new_in_memory();
+    for sql in [
+        "CREATE TABLE A (K INT, S TEXT)",
+        "CREATE TABLE B (K INT, P TEXT)",
+        "INSERT INTO A VALUES (1, 'x')",
+        "INSERT INTO B VALUES (1, 'y')",
+        "CREATE DEPENDENCY RULE r1 FROM A.S TO B.P VIA PROCEDURE 'p' LINK A.K = B.K",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    for table in ["B", "A"] {
+        let err = db.execute(&format!("DROP TABLE {table}")).unwrap_err();
+        assert_eq!(err.code(), bdbms_common::ErrorCode::Dependency, "{err}");
+        assert!(
+            err.message().contains("`r1`") && err.message().contains("DROP DEPENDENCY RULE r1"),
+            "{err}"
+        );
+    }
+    db.execute("UPDATE A SET S = 'z'").unwrap();
+    assert!(db.catalog().table("B").unwrap().is_outdated(0, 1));
+    db.execute("DROP DEPENDENCY RULE r1").unwrap();
+    db.execute("DROP TABLE B").unwrap();
+    db.execute("UPDATE A SET S = 'w'").unwrap();
+}

@@ -11,6 +11,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bdbms_common::{ErrorCode, Value};
+use bdbms_core::approval::OpStatus;
+use bdbms_core::ast::Privilege;
 use bdbms_core::provenance::{ProvOp, ProvenanceRecord};
 use bdbms_core::{Database, DurabilityOptions, TxnStatus};
 use proptest::prelude::*;
@@ -446,24 +448,148 @@ fn failed_statement_inside_txn_rolls_back_alone() {
     );
 }
 
+/// Only `COPY`, which commits by checkpoint, is refused inside a
+/// transaction; the catalog statements run there like any other.
 #[test]
 fn non_transactional_statements_rejected_inside_txn() {
     let mut db = curated_db();
-    db.execute("CREATE USER alice").unwrap();
+    for sql in [
+        "CREATE USER alice",
+        "GRANT INSERT ON Gene TO alice",
+        "START CONTENT APPROVAL ON Gene APPROVED BY admin",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    for gid in ["P1", "P2"] {
+        db.execute_as(&format!("INSERT INTO Gene VALUES ('{gid}', 1)"), "alice")
+            .unwrap();
+    }
     db.execute("BEGIN").unwrap();
+    let err = db.execute("COPY Gene FROM 'genes.tsv'").unwrap_err();
+    assert_eq!(err.code(), ErrorCode::TxnState, "COPY must be rejected");
     for sql in [
         "CREATE USER bob",
         "GRANT SELECT ON Gene TO alice",
         "REVOKE SELECT ON Gene FROM alice",
-        "START CONTENT APPROVAL ON Gene APPROVED BY admin",
-        "STOP CONTENT APPROVAL ON Gene",
         "APPROVE OPERATION 0",
-        "DISAPPROVE OPERATION 0",
+        "DISAPPROVE OPERATION 1",
+        "STOP CONTENT APPROVAL ON Gene",
+        "START CONTENT APPROVAL ON Gene APPROVED BY bob",
     ] {
-        let err = db.execute(sql).unwrap_err();
-        assert_eq!(err.code(), ErrorCode::TxnState, "{sql} must be rejected");
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
+    db.execute("COMMIT").unwrap();
+    assert!(db.user_exists("bob"));
+    assert_eq!(db.approval().config("Gene").unwrap().approver, "bob");
+    let statuses: Vec<OpStatus> = (db.approval_log(None).unwrap().iter())
+        .map(|op| op.status)
+        .collect();
+    assert_eq!(statuses, [OpStatus::Approved, OpStatus::Disapproved]);
+    assert_eq!(
+        db.execute("SELECT GID FROM Gene WHERE GID = 'P2'")
+            .unwrap()
+            .rows
+            .len(),
+        0
+    );
+}
+
+/// `curated_db()` with a `Protein` table fed by rule `r1`, user `alice`
+/// allowed to insert into `Gene` under content approval by `admin`,
+/// and two of her inserts pending (operations 0 and 1).
+fn catalog_db(mut db: Database) -> Database {
+    for sql in [
+        "CREATE TABLE Protein (GID TEXT, PLen INT)",
+        "INSERT INTO Protein VALUES ('JW0080', 1), ('P1', 2)",
+        "CREATE DEPENDENCY RULE r1 FROM Gene.Len TO Protein.PLen \
+         VIA PROCEDURE 'assay' LINK Gene.GID = Protein.GID",
+        "CREATE USER alice",
+        "GRANT INSERT ON Gene TO alice",
+        "START CONTENT APPROVAL ON Gene APPROVED BY admin",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    for gid in ["P1", "P2"] {
+        db.execute_as(&format!("INSERT INTO Gene VALUES ('{gid}', 1)"), "alice")
+            .unwrap();
+    }
+    db
+}
+
+/// One statement of each catalog kind, every one of them changing
+/// something [`catalog_db`] holds.
+const CATALOG_STATEMENTS: [&str; 10] = [
+    "CREATE USER bob IN GROUP lab",
+    "GRANT SELECT, UPDATE ON Gene TO lab",
+    "REVOKE INSERT ON Gene FROM alice",
+    "APPROVE OPERATION 0",
+    "DISAPPROVE OPERATION 1",
+    "STOP CONTENT APPROVAL ON Gene",
+    "START CONTENT APPROVAL ON Protein COLUMNS PLen APPROVED BY lab",
+    "DROP DEPENDENCY RULE r1",
+    "CREATE DEPENDENCY RULE r2 FROM Gene.GID TO Protein.PLen \
+     VIA PROCEDURE 'assay' LINK Gene.GID = Protein.GID",
+    "UPDATE Gene SET Len = 5 WHERE GID = 'JW0080'",
+];
+
+#[test]
+fn catalog_statements_leave_no_trace_after_rollback() {
+    let mut db = catalog_db(curated_db());
+    let before = (views(&db), every_table(&db));
+    db.execute("BEGIN").unwrap();
+    for sql in CATALOG_STATEMENTS {
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    assert_ne!(views(&db), before.0);
     db.execute("ROLLBACK").unwrap();
+    assert_eq!((views(&db), every_table(&db)), before);
+
+    db.execute("BEGIN").unwrap();
+    db.execute("SAVEPOINT s").unwrap();
+    for sql in CATALOG_STATEMENTS {
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    db.execute("ROLLBACK TO s").unwrap();
+    assert_eq!((views(&db), every_table(&db)), before);
+    db.execute("COMMIT").unwrap();
+    // the rolled-back rule's id is handed out again
+    db.execute(RULE_R3).unwrap();
+    assert_eq!(db.dependencies().rule_by_name("r3").unwrap().id.raw(), 1);
+}
+
+/// A rule no other rule conflicts with.
+const RULE_R3: &str = "CREATE DEPENDENCY RULE r3 FROM Gene.GID TO Protein.GID \
+                       VIA PROCEDURE 'assay' LINK Gene.GID = Protein.GID";
+
+#[test]
+fn catalog_statements_survive_a_crash_and_a_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("bdbms-txn-catalog-{}.bdbms", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::create_with(&dir, DurabilityOptions::no_sync()).unwrap();
+    let mut db = catalog_db(curate(db));
+    db.execute("BEGIN").unwrap();
+    for sql in CATALOG_STATEMENTS {
+        db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    db.execute("COMMIT").unwrap();
+    // planner statistics are re-derived by a reopen: rows only
+    let states = |db: &Database| -> Vec<String> {
+        let tables = ["Gene", "Protein"].iter().map(|t| row_state(db, t));
+        tables.chain([views(db)]).collect()
+    };
+    let live = states(&db);
+    db.simulate_crash();
+    let db = Database::open_with(&dir, DurabilityOptions::no_sync()).unwrap();
+    assert_eq!(states(&db), live, "replayed");
+    db.close().unwrap();
+    let mut db = Database::open_with(&dir, DurabilityOptions::no_sync()).unwrap();
+    assert_eq!(states(&db), live, "checkpointed");
+    assert!(db.check().unwrap().is_ok());
+    // the rule-id allocator is durable too
+    db.execute(RULE_R3).unwrap();
+    assert_eq!(db.dependencies().rule_by_name("r3").unwrap().id.raw(), 2);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -598,14 +724,43 @@ fn statement((kind, pick, n): (u8, usize, i64)) -> String {
         ),
         13 => format!("VALIDATE Protein COLUMNS PFun WHERE GID = '{gid}'"),
         14 => ["ANALYZE Gene", "ANALYZE Protein"][pick % 2].to_string(),
-        _ => format!(
+        15 => format!(
             "ADD ANNOTATION TO Gene.Curation VALUE 'obsolete' ON (DELETE FROM Gene WHERE Len = {n})"
+        ),
+        // the catalog statements: users, grants, content approval (by a
+        // group admin is not in, so admin's writes are logged), decisions
+        // and rules
+        16 => format!("CREATE USER u{pick} IN GROUP lab"),
+        17 | 18 => format!(
+            "{} {} ON {} {} u{pick}",
+            ["GRANT", "REVOKE"][kind as usize - 17],
+            ["SELECT", "INSERT", "UPDATE", "DELETE"][n as usize % 4],
+            ["Gene", "Protein"][pick % 2],
+            ["TO", "FROM"][kind as usize - 17],
+        ),
+        19 => format!(
+            "START CONTENT APPROVAL ON Gene {} APPROVED BY lab",
+            ["", "COLUMNS Len"][n as usize % 2]
+        ),
+        20 => format!(
+            "STOP CONTENT APPROVAL ON Gene {}",
+            ["", "COLUMNS Len"][n as usize % 2]
+        ),
+        21 => format!("APPROVE OPERATION {pick}"),
+        22 => format!("DISAPPROVE OPERATION {pick}"),
+        23 => format!(
+            "CREATE DEPENDENCY RULE x{pick} FROM Gene.GID TO Protein.GID \
+             VIA PROCEDURE 'copy' LINK Gene.Len = Protein.PLen"
+        ),
+        _ => format!(
+            "DROP DEPENDENCY RULE {}",
+            ["plen", "pfun", "x0", "x1"][pick]
         ),
     }
 }
 
 fn arb_statements() -> impl Strategy<Value = Vec<(u8, usize, i64)>> {
-    prop::collection::vec((0u8..16, 0usize..4, 0i64..60), 1..12)
+    prop::collection::vec((0u8..25, 0usize..4, 0i64..60), 1..12)
 }
 
 fn run(db: &mut Database, stmts: &[(u8, usize, i64)]) {
@@ -656,12 +811,48 @@ fn row_state(db: &Database, table: &str) -> String {
     )
 }
 
-/// Every table's fingerprint (with statistics) and row state.
+/// Every table's fingerprint (with statistics) and row state, and the
+/// catalog views.
 fn every_table(db: &Database) -> Vec<(String, String)> {
-    ["Gene", "Protein"]
-        .iter()
-        .map(|t| (table_fingerprint(db, t), row_state(db, t)))
-        .collect()
+    let tables = ["Gene", "Protein"].iter();
+    let tables = tables.map(|t| (table_fingerprint(db, t), row_state(db, t)));
+    tables.chain([(views(db), String::new())]).collect()
+}
+
+/// What the catalog views answer — users, groups and privileges, the
+/// approval configs, the approval log's decisions and the rules — and
+/// the rows of the catalog tables behind them.
+fn views(db: &Database) -> String {
+    let principals = ["admin", "alice", "bob", "lab", "u0", "u1", "u2", "u3"];
+    let tables = ["Gene", "Protein"];
+    let privileges = [
+        Privilege::Select,
+        Privilege::Insert,
+        Privilege::Update,
+        Privilege::Delete,
+    ];
+    let auth = db.auth();
+    let users: Vec<(bool, Vec<String>)> = (principals.iter())
+        .map(|u| (auth.user_exists(u), auth.groups_of(u).to_vec()))
+        .collect();
+    let mut held = Vec::new();
+    for u in principals {
+        for t in tables {
+            held.extend(privileges.map(|p| auth.has_privilege(u, t, p)));
+        }
+    }
+    let configs = tables.map(|t| db.approval().config(t).cloned());
+    let log: Vec<(u64, String, OpStatus)> = (db.approval_log(None).unwrap().into_iter())
+        .map(|op| (op.id.raw(), op.table, op.status))
+        .collect();
+    let rows = ["$auth", "$approval", "$rules"].map(|t| {
+        let t = db.catalog().table(t).unwrap();
+        t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap()
+    });
+    format!(
+        "users={users:?} held={held:?} configs={configs:?} log={log:?} rules={:?} rows={rows:?}",
+        db.dependencies().rules()
+    )
 }
 
 proptest! {
@@ -711,10 +902,14 @@ proptest! {
         db.execute("BEGIN").unwrap();
         run(&mut db, &stmts);
         db.execute("COMMIT").unwrap();
-        let live: Vec<String> = ["Gene", "Protein"].iter().map(|t| row_state(&db, t)).collect();
+        let states = |db: &Database| -> Vec<String> {
+            let tables = ["Gene", "Protein"].iter().map(|t| row_state(db, t));
+            tables.chain([views(db)]).collect()
+        };
+        let live = states(&db);
         db.simulate_crash();
         let db = Database::open_with(&dir, DurabilityOptions::no_sync()).unwrap();
-        let recovered: Vec<String> = ["Gene", "Protein"].iter().map(|t| row_state(&db, t)).collect();
+        let recovered = states(&db);
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(recovered, live);
     }
