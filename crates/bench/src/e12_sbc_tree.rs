@@ -66,8 +66,8 @@ pub fn run() -> Report {
             let a = sbt.substring_search(&pat);
             sbt_reads += sbt.io_stats().reads;
             sbc.reset_io();
-            // forced 3-sided ablation (the production `substring_search`
-            // falls back to a class scan when the tail class is small)
+            // the 3-sided query (the production path) against the scan
+            // ablation, which verifies the whole tail class in the text
             let b = sbc.substring_search_three_sided(&pat);
             three_reads += sbc.io_stats().reads;
             sbc.reset_io();

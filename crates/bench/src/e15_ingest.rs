@@ -191,9 +191,9 @@ pub fn run_sized(load_n: usize, search_n: usize) -> Report {
     );
     report.note(
         "index build: the incremental leg inserts one run-boundary suffix at \
-         a time into the suffix B-tree, the R-tree and the run-length index; \
-         the bulk leg sorts the suffixes once and loads each structure \
-         bottom-up (what CREATE SEQUENCE INDEX and every open do)",
+         a time into the suffix B-tree; the bulk leg sorts the suffixes once \
+         and loads the tree bottom-up (what CREATE SEQUENCE INDEX and every \
+         open do)",
     );
     report
 }

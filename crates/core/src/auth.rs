@@ -71,6 +71,17 @@ impl AuthManager {
         self.users.contains_key(&Self::key(name))
     }
 
+    /// Error (`NotFound`) unless `name` is a user, or a group with a
+    /// member: a grant to anyone else could reach no one.
+    pub(crate) fn require_principal(&self, name: &str) -> Result<()> {
+        let key = Self::key(name);
+        if self.users.contains_key(&key) || self.users.values().any(|g| g.contains(&key)) {
+            Ok(())
+        } else {
+            Err(BdbmsError::not_found(format!("user or group `{name}`")))
+        }
+    }
+
     /// Groups of a user.
     pub fn groups_of(&self, user: &str) -> &[String] {
         self.users

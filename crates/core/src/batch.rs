@@ -1037,6 +1037,10 @@ pub(crate) struct BatchAggregator {
     item_cols: Vec<std::result::Result<Vec<usize>, BdbmsError>>,
     index: HashMap<Vec<Value>, usize>,
     groups: Vec<Group>,
+    /// The current row's GROUP BY key, refilled in place row by row (a
+    /// TEXT key reuses its buffer), so a row of an existing group
+    /// allocates nothing; only a new group's key is cloned.
+    key: Vec<Value>,
 }
 
 impl BatchAggregator {
@@ -1072,6 +1076,7 @@ impl BatchAggregator {
                 .collect(),
             index: HashMap::new(),
             groups: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -1099,12 +1104,18 @@ impl BatchAggregator {
                 }
                 0
             } else {
-                let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
-                match self.index.get(&key) {
+                self.key.resize(keys.len(), Value::Null);
+                for (slot, &k) in self.key.iter_mut().zip(keys) {
+                    match (slot, &row[k]) {
+                        (Value::Text(buf), Value::Text(v)) => buf.clone_from(v),
+                        (slot, v) => *slot = v.clone(),
+                    }
+                }
+                match self.index.get(self.key.as_slice()) {
                     Some(&g) => g,
                     None => {
                         let group = self.new_group(first(&self.first_cols));
-                        self.index.insert(key, self.groups.len());
+                        self.index.insert(self.key.clone(), self.groups.len());
                         self.groups.push(group);
                         self.groups.len() - 1
                     }

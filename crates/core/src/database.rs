@@ -1005,6 +1005,7 @@ impl Database {
                 to,
             } => {
                 self.require_owner(&table, user)?;
+                self.auth.borrow().require_principal(&to)?;
                 for p in privileges {
                     let held = self.auth.borrow().granted(&to, &table, p);
                     if !held {
@@ -1022,6 +1023,7 @@ impl Database {
                 from,
             } => {
                 self.require_owner(&table, user)?;
+                self.auth.borrow().require_principal(&from)?;
                 let revoked: Vec<Vec<Value>> = (privileges.into_iter())
                     .map(|p| AuthManager::row(Some(&table), &from, None, Some(p)))
                     .collect();
@@ -1036,6 +1038,10 @@ impl Database {
                 approved_by,
             } => {
                 self.require_owner(&table, user)?;
+                let schema = &self.catalog.table(&table)?.schema;
+                for column in &columns {
+                    schema.require(column)?;
+                }
                 // a new config replaces the old one
                 let key = Value::Text(table.to_ascii_lowercase());
                 self.catalog_delete(APPROVAL_TABLE, |row| row[0] == key)?;

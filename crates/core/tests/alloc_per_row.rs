@@ -12,6 +12,11 @@
 //! `PID` for every scanned row, kept or not, fails the range statement
 //! here (about ten allocations per answer row at 10 % selectivity).
 //!
+//! A GROUP BY allocates per group, not per input row: the statement
+//! below folds `ROWS` rows into 20 groups, and a key built afresh for
+//! every row (as before the aggregator reused one key buffer) costs one
+//! allocation per row and fails it.
+//!
 //! One test function only: the counter is per thread, and the statement
 //! runs on the thread that reads it.
 
@@ -80,6 +85,10 @@ fn a_select_allocates_three_times_per_answer_row() {
         .unwrap();
     db.execute("CREATE SEQUENCE INDEX prot_ss ON Prot (SS) USING SBC")
         .unwrap();
+    db.execute("CREATE TABLE Grp (G INT, V INT)").unwrap();
+    let tuples: Vec<String> = (0..ROWS).map(|r| format!("({}, {r})", r % 20)).collect();
+    db.execute(&format!("INSERT INTO Grp VALUES {}", tuples.join(", ")))
+        .unwrap();
 
     for (sql, at_least) in [
         (
@@ -92,6 +101,8 @@ fn a_select_allocates_three_times_per_answer_row() {
             "SELECT PID FROM Prot WHERE N >= 1000 AND N < 1200",
             ROWS / 10,
         ),
+        // ROWS rows into 20 groups: the budget is per group
+        ("SELECT G, COUNT(*), SUM(V) FROM Grp GROUP BY G", 20),
     ] {
         db.execute(sql).unwrap(); // warm
         let before = ALLOCATIONS.with(Cell::get);

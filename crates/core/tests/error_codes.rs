@@ -51,6 +51,56 @@ fn show_outdated_on_an_unknown_table_is_not_found() {
     }
 }
 
+/// A typo'd column in `START CONTENT APPROVAL` fails as a SELECT of it
+/// does, instead of starting an approval that monitors nothing; the
+/// table's config is left as it was.
+#[test]
+fn content_approval_on_an_unknown_column_is_not_found() {
+    let mut db = Database::new_in_memory();
+    for sql in ["CREATE TABLE T (K INT, V TEXT)", "CREATE USER bob"] {
+        db.execute(sql).unwrap();
+    }
+    let select = db.execute("SELECT Nope FROM T").unwrap_err();
+    assert_eq!(select.code(), ErrorCode::NotFound);
+    let start = "START CONTENT APPROVAL ON T COLUMNS Nope APPROVED BY bob";
+    assert_eq!(db.execute(start).unwrap_err().code(), select.code());
+    assert!(db.approval().config("T").is_none(), "nothing started");
+    // with one config in place, a bad restart keeps it
+    db.execute("START CONTENT APPROVAL ON T COLUMNS v APPROVED BY bob")
+        .unwrap();
+    let err = db
+        .execute("START CONTENT APPROVAL ON T COLUMNS K, Nope APPROVED BY bob")
+        .unwrap_err();
+    assert_eq!(err.code(), ErrorCode::NotFound);
+    let config = db.approval().config("T").cloned().unwrap();
+    assert_eq!(config.columns, Some(vec!["v".to_string()]));
+}
+
+/// `GRANT` and `REVOKE` name a user or a group with a member; a
+/// misspelt name is refused rather than granting to no one.
+#[test]
+fn grant_to_an_unknown_principal_is_not_found() {
+    let mut db = db_with_gene();
+    for sql in [
+        "GRANT INSERT ON Gene TO nobody_at_all",
+        "REVOKE INSERT ON Gene FROM nobody_at_all",
+        // a group is a name some user is a member of
+        "GRANT SELECT ON Gene TO lab",
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::NotFound, "{sql}");
+    }
+    for sql in [
+        "CREATE USER alice IN GROUP lab",
+        "GRANT INSERT ON Gene TO ALICE",
+        "GRANT SELECT ON Gene TO lab",
+        "REVOKE SELECT ON Gene FROM lab",
+        "REVOKE INSERT ON Gene FROM alice",
+    ] {
+        db.execute(sql).unwrap();
+    }
+}
+
 #[test]
 fn duplicate_table_already_exists() {
     let mut db = db_with_gene();

@@ -5,14 +5,16 @@
 //! The paper stores protein secondary structures (and other repeat-heavy
 //! sequences) Run-Length-Encoded and indexes them **without
 //! decompressing** with the SBC-tree — a String B-tree over the compressed
-//! suffixes plus a 3-sided range structure (prototyped, there and here,
-//! with an R-tree).
+//! suffixes plus a 3-sided range structure (the paper's prototype used an
+//! R-tree; here each suffix is kept with its packed preceding run and the
+//! String B-tree's inner nodes keep each subtree's largest one).
 //!
 //! Modules:
 //! * [`rle`] — the RLE codec of Figure 12 (`LLLEEE…` → `L3E7H22…`),
 //! * [`gen`] — synthetic sequence generators standing in for the paper's
 //!   E. coli / protein datasets (documented substitution in DESIGN.md),
-//! * [`sufbtree`] — a generic, node-instrumented suffix B-tree,
+//! * [`sufbtree`] — a generic, node-instrumented suffix B-tree whose
+//!   class walks filter and prune on a per-entry key,
 //! * [`string_btree`] — the *uncompressed* String B-tree baseline the
 //!   paper compares against,
 //! * [`sbc_tree`] — the SBC-tree itself: substring / prefix / range search

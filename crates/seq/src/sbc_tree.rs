@@ -22,57 +22,72 @@
 //!    a longer run).
 //!
 //! Condition 1 is a prefix probe on the String-B-tree component (suffixes
-//! in true string order, compared run-wise without decompression).
-//! Condition 2 is a **3-sided query** — lexicographic position within the
-//! answer range of (1), preceding-run length ≥ `p1.len` — served by an
-//! R-tree, exactly the substitution the paper's own prototype made.
-//! Single-run patterns use a small run-length index instead.
+//! in true string order, compared run-wise without decompression): its
+//! answer is a contiguous class of entries.  Condition 2 is a **3-sided
+//! query** over that class — position in the class on one axis,
+//! preceding run ≥ `p1` on the other.  The paper's prototype kept an
+//! R-tree beside the String B-tree for it; here the suffix B-tree is that
+//! structure.  Every entry carries its preceding run, packed as
+//! `char << 24 | min(len, 2^24 - 1)` (0 at boundary 0, which has none) and
+//! kept beside it in its leaf, so a point's x is its position in the tree
+//! and its y is stored with it.  Every inner node keeps, per child, the
+//! largest packed run below it.  The query walks the class between its
+//! two boundary descents, skips every subtree whose largest preceding run
+//! is below `p1`'s packed form (the pruning the R-tree's bounding
+//! rectangles gave), and checks each entry it reaches against its packed
+//! run.  Class membership and that check are the
+//! exact answer, so a search reads no text; only a saturated length (a
+//! run of 2^24 or more) is checked against the text.  A single-run
+//! pattern `c^l` is a prefix class of its own: the boundaries whose run is
+//! `c` at least `l` long.
 //!
 //! Every component counts logical node I/O, so E12 can compare insertion
 //! and search I/O against [`crate::string_btree::StringBTree`].
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::ops::Bound;
 
 use bdbms_common::stats::IoSnapshot;
-use bdbms_index::bptree::BPlusTree;
-use bdbms_index::rtree::{RTree, Rect};
 
 use crate::rle::{RleSeq, Run};
 use crate::sufbtree::SufBTree;
 
-/// Reference to the suffix of text `text` starting at run boundary `run`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunRef {
-    /// Index of the text in the store.
-    pub text: u32,
-    /// Run index where the suffix starts (`0` = whole text).
-    pub run: u32,
+/// One indexed suffix: the suffix of text `text` that starts at run
+/// boundary `run` (`0` = the whole text).  The tree keeps it with the run
+/// before it, packed by [`pack_run`]: 12 bytes per suffix in all.
+#[derive(Debug, Clone, Copy)]
+struct RunRef {
+    text: u32,
+    run: u32,
 }
 
-/// Sentinel y-coordinate for boundary 0 (no preceding run); chosen above
-/// every `char * 2^32 + len` encoding so first-run filters never match it.
-const NO_PREV_Y: f64 = 256.0 * 4294967296.0;
+/// Boundary `run` of `t`, which is text `text`, with its preceding run
+/// packed (0 at boundary 0, which has none).
+fn entry(t: &RleSeq, text: u32, run: u32) -> (RunRef, u32) {
+    let prev = run
+        .checked_sub(1)
+        .map_or(0, |p| pack_run(t.runs()[p as usize]));
+    (RunRef { text, run }, prev)
+}
 
-/// Spacing of lexicographic order keys: a bulk build assigns
-/// `rank * X_GAP`, a later insert the midpoint of its neighbours (see
-/// `assign_x`), so ~20 inserts can land in one gap before keys collide.
-const X_GAP: f64 = 1048576.0; // 2^20
+/// Longest run length a packed run holds exactly; a run at least this
+/// long packs as this, and only its text says whether it is long enough.
+const LEN_MAX: u32 = (1 << 24) - 1;
 
-/// Class size below which [`SbcTree::substring_search`] verifies the tail
-/// class directly instead of probing the 3-sided structure (a handful of
-/// leaf pages at the default fanout).
-const ADAPTIVE_CLASS_CUTOFF: usize = 256;
+/// `r` as one word ordered by character, then by length: the y-axis of
+/// the 3-sided query.
+fn pack_run(r: Run) -> u32 {
+    (r.ch as u32) << 24 | r.len.min(LEN_MAX)
+}
 
-/// Which first-run filter `multi_run_search` applies to the tail class.
+/// How a multi-run pattern's first run filters its tail's class.
 #[derive(Clone, Copy)]
 enum FirstRunFilter {
-    /// Scan small classes, 3-sided probe for large ones (production path).
-    Adaptive,
-    /// Always the 3-sided structure (ablation).
+    /// The 3-sided query: prune on the kept maxima, then check each
+    /// entry's packed preceding run (production path).
     ThreeSided,
-    /// Always scan the class (ablation).
+    /// Walk the whole class and verify each entry against the text
+    /// (ablation).
     Scan,
 }
 
@@ -88,21 +103,11 @@ pub struct Occurrence {
 /// The SBC-tree index over RLE-compressed sequences.
 pub struct SbcTree {
     texts: Vec<RleSeq>,
-    /// String-B-tree component: suffixes at run boundaries, string order.
-    tree: SufBTree<RunRef>,
-    /// Lexicographic order key of each indexed suffix (x-axis of the
-    /// 3-sided structure), dense: suffix `(text, run)` is at
-    /// `xbase[text] + run`.
-    xkeys: Vec<f64>,
-    /// Where each text's order keys start in `xkeys`.
-    xbase: Vec<usize>,
-    /// 3-sided structure (R-tree, per the paper's own substitution):
-    /// point (x = order key, y = preceding-run char·2³² + len).
-    rtree: RTree,
-    /// Single-run pattern index: (char, run length, text, run) → ().
-    runlen_idx: BPlusTree<(u8, u32, u32, u32), ()>,
+    /// Suffixes at run boundaries in string order, each keyed on its
+    /// packed preceding run: the String B-tree and the 3-sided structure
+    /// in one.
+    tree: SufBTree<RunRef, u32>,
     text_write_io: Cell<u64>,
-    text_read_io: Cell<u64>,
 }
 
 impl SbcTree {
@@ -116,78 +121,48 @@ impl SbcTree {
         SbcTree {
             texts: Vec::new(),
             tree: SufBTree::with_fanout(fanout),
-            xkeys: Vec::new(),
-            xbase: Vec::new(),
-            rtree: RTree::with_capacity(fanout.max(8)),
-            runlen_idx: BPlusTree::with_fanout(fanout.max(8)),
             text_write_io: Cell::new(0),
-            text_read_io: Cell::new(0),
         }
     }
 
     /// Index `texts` (ids `0..texts.len()`, in order) in one build: the
     /// same index `insert_rle` would grow text by text, from one sort of
-    /// the run-boundary suffixes and a bottom-up load of each component.
+    /// the run-boundary suffixes and a bottom-up load of the tree.
     pub fn build(texts: Vec<RleSeq>) -> Self {
         Self::build_with_fanout(64, texts)
     }
 
     /// [`build`](Self::build) with a custom String-B-tree fanout.
     pub fn build_with_fanout(fanout: usize, texts: Vec<RleSeq>) -> Self {
-        let mut sbc = Self::with_fanout(fanout);
-        // Sort behind a cached key — the suffix's first three runs as
-        // order-preserving tokens — so the run-wise compare only breaks
-        // ties; then drop the keys before anything else is built.  (The
-        // key is kept as two words: a `u128` would pad every entry from 24
-        // to 32 bytes.)
-        // Sized exactly: this is the build's largest temporary, and grown
-        // by doubling it reserves up to twice what it uses.
+        // Sort `(text, run)` behind a cached key — the suffix's first
+        // three runs as order-preserving tokens — so the run-wise compare
+        // only breaks ties.  (The key is kept as two words: a `u128` would
+        // pad every element from 24 to 32 bytes.)  Sized exactly: this is
+        // the build's largest temporary, and grown by doubling it reserves
+        // up to twice what it uses.
         let mut keyed = Vec::with_capacity(texts.iter().map(RleSeq::num_runs).sum());
+        let mut text_pages = 0;
         for (id, t) in texts.iter().enumerate() {
-            sbc.text_write_io
-                .set(sbc.text_write_io.get() + (t.compressed_bytes() as u64 / 8192).max(1));
-            sbc.xbase.push(keyed.len());
+            text_pages += pages(t);
             keyed.extend((0..t.num_runs()).map(|run| {
                 let key = (run..run + 3).fold(0u128, |k, i| k << 41 | run_token(t, i) as u128);
-                let e = RunRef {
-                    text: id as u32,
-                    run: run as u32,
-                };
-                ((key >> 64) as u64, key as u64, e)
+                ((key >> 64) as u64, key as u64, (id as u32, run as u32))
             }));
         }
         keyed.sort_unstable_by(|a, b| {
-            ((a.0, a.1).cmp(&(b.0, b.1))).then_with(|| cmp_run_refs(&texts, a.2, b.2))
+            ((a.0, a.1).cmp(&(b.0, b.1))).then_with(|| cmp_suffixes(&texts, a.2, b.2))
         });
-        let suffixes: Vec<RunRef> = keyed.into_iter().map(|(_, _, e)| e).collect();
-        // The run-length keys are the one sizeable temporary left, so
-        // their tree goes first, while the least else is resident: the
-        // same (text, run) set, re-sorted by (char, length, text, run).
-        let mut runs: Vec<((u8, u32, u32, u32), ())> = suffixes
-            .iter()
-            .map(|e| {
-                let r = texts[e.text as usize].runs()[e.run as usize];
-                ((r.ch, r.len, e.text, e.run), ())
-            })
+        // the entries are made after the sort, so that it moves 24 bytes
+        // per suffix, not 32
+        let entries: Vec<(RunRef, u32)> = keyed
+            .into_iter()
+            .map(|(_, _, (text, run))| entry(&texts[text as usize], text, run))
             .collect();
-        runs.sort_unstable();
-        sbc.runlen_idx = BPlusTree::from_sorted(fanout.max(8), runs);
-        // Evenly spaced order keys; the 3-sided structure takes its points
-        // one vertical slice at a time, straight off the sorted suffixes.
-        sbc.xkeys = vec![0.0; suffixes.len()];
-        for (rank, e) in suffixes.iter().enumerate() {
-            sbc.xkeys[sbc.xbase[e.text as usize] + e.run as usize] = rank as f64 * X_GAP;
+        SbcTree {
+            tree: SufBTree::from_sorted(fanout, &entries),
+            texts,
+            text_write_io: Cell::new(text_pages),
         }
-        sbc.rtree = RTree::bulk_load(
-            fanout.max(8),
-            suffixes.iter().enumerate().map(|(rank, e)| {
-                let y = prev_run_y(&texts[e.text as usize], e.run);
-                (Rect::point(rank as f64 * X_GAP, y), payload(e.text, e.run))
-            }),
-        );
-        sbc.tree = SufBTree::from_sorted(fanout, &suffixes);
-        sbc.texts = texts;
-        sbc
     }
 
     /// Insert a raw sequence (RLE-compressed on the way in).
@@ -199,44 +174,17 @@ impl SbcTree {
     pub fn insert_rle(&mut self, rle: RleSeq) -> u32 {
         let id = self.texts.len() as u32;
         self.text_write_io
-            .set(self.text_write_io.get() + (rle.compressed_bytes() as u64 / 8192).max(1));
+            .set(self.text_write_io.get() + pages(&rle));
         self.texts.push(rle);
-        let num_runs = self.texts[id as usize].num_runs() as u32;
-        let base = self.xkeys.len();
-        self.xbase.push(base);
-        self.xkeys.resize(base + num_runs as usize, 0.0);
         // Index one suffix per run boundary, 0..num_runs.
-        let texts = std::mem::take(&mut self.texts);
-        let cmp = |a: RunRef, b: RunRef| cmp_run_refs(&texts, a, b);
-        for run in 0..num_runs {
-            let e = RunRef { text: id, run };
-            let (pred, succ) = self.tree.insert(&cmp, e);
-            let x = self.assign_x(pred, succ);
-            self.xkeys[base + run as usize] = x;
-            let y = prev_run_y(&texts[id as usize], run);
-            self.rtree.insert(Rect::point(x, y), payload(id, run));
-            let this_run = texts[id as usize].runs()[run as usize];
-            self.runlen_idx
-                .insert((this_run.ch, this_run.len, id, run), ());
+        let texts = &self.texts;
+        let cmp = |a: RunRef, b: RunRef| cmp_suffixes(texts, (a.text, a.run), (b.text, b.run));
+        let t = &texts[id as usize];
+        for run in 0..t.num_runs() as u32 {
+            let (e, prev) = entry(t, id, run);
+            self.tree.insert(&cmp, e, prev);
         }
-        self.texts = texts;
         id
-    }
-
-    fn xkey(&self, e: RunRef) -> f64 {
-        self.xkeys[self.xbase[e.text as usize] + e.run as usize]
-    }
-
-    /// Midpoint order-key assignment between the new entry's neighbours.
-    /// Collisions after repeated midpointing are harmless: the 3-sided
-    /// query result is verified against the texts before being reported.
-    fn assign_x(&self, pred: Option<RunRef>, succ: Option<RunRef>) -> f64 {
-        match (pred.map(|e| self.xkey(e)), succ.map(|e| self.xkey(e))) {
-            (None, None) => 0.0,
-            (Some(p), None) => p + X_GAP,
-            (None, Some(s)) => s - X_GAP,
-            (Some(p), Some(s)) => (p + s) / 2.0,
-        }
     }
 
     /// Number of stored sequences.
@@ -272,81 +220,61 @@ impl SbcTree {
         }
     }
 
-    /// All occurrences of `pat` as a substring.  Empty patterns return no
-    /// occurrences.
-    ///
-    /// The first-run filter is chosen adaptively: when the tail class `Q`
-    /// holds at most `ADAPTIVE_CLASS_CUTOFF` (256) suffixes, they are scanned
-    /// and verified directly (a few leaf reads); only larger classes go
-    /// through the 3-sided (R-tree) structure, which is what it is built
-    /// for — pruning a *large* class down to the boundaries whose
-    /// preceding run is long enough.  (Midpoint-assigned order keys
-    /// collide under heavy insertion, so a 3-sided probe over a tiny
-    /// class can touch far more R-tree nodes than the class itself.)
+    /// All occurrences of `pat` as a substring, through the 3-sided query.
+    /// Empty patterns return no occurrences.
     pub fn substring_search(&self, pat: &[u8]) -> Vec<Occurrence> {
-        self.occurrences(pat, FirstRunFilter::Adaptive)
+        self.occurrences(pat, FirstRunFilter::ThreeSided)
     }
 
-    /// Ablation variant: always use the 3-sided structure, regardless of
-    /// class size (E12 — shows what the 3-sided structure buys or costs).
+    /// [`substring_search`](Self::substring_search) under the name E12's
+    /// ablation table gives the 3-sided column.
     pub fn substring_search_three_sided(&self, pat: &[u8]) -> Vec<Occurrence> {
         self.occurrences(pat, FirstRunFilter::ThreeSided)
     }
 
-    /// Ablation variant: skip the 3-sided structure and filter candidates
-    /// by scanning (E12 ablation — shows what the 3-sided structure buys).
+    /// Ablation variant: walk the tail's whole class and verify every
+    /// entry against the text (E12 — shows what the 3-sided query buys).
     pub fn substring_search_scan(&self, pat: &[u8]) -> Vec<Occurrence> {
         self.occurrences(pat, FirstRunFilter::Scan)
     }
 
     fn occurrences(&self, pat: &[u8], filter: FirstRunFilter) -> Vec<Occurrence> {
-        let prle = RleSeq::encode(pat);
         let mut out = Vec::new();
-        match *prle.runs() {
-            [] => {}
-            // `c^l`: a run of `c` of length n ≥ l holds n - l + 1 of them
-            [only] => self.visit_long_runs(only, |e, run_len| {
-                let base = self.texts[e.text as usize].run_offset(e.run as usize);
-                out.extend((0..=(run_len - only.len) as u64).map(|d| Occurrence {
+        let Some(first) = first_run(pat) else {
+            return out;
+        };
+        let single = first.len as usize == pat.len();
+        self.visit_hits(pat, first, filter, |e| {
+            let t = &self.texts[e.text as usize];
+            let at = t.run_offset(e.run as usize);
+            if single {
+                // `c^l`: a run of `c` of length n ≥ l holds n - l + 1 of them
+                let n = t.runs()[e.run as usize].len;
+                out.extend((0..=(n - first.len) as u64).map(|d| Occurrence {
                     text: e.text,
-                    pos: base + d,
+                    pos: at + d,
                 }));
-            }),
-            [first, ..] => {
-                let q = &pat[first.len as usize..];
-                self.visit_tail_matches(first, q, filter, |e| {
-                    out.extend(self.verify_occurrence(e, first, q));
+            } else {
+                out.push(Occurrence {
+                    text: e.text,
+                    pos: at - first.len as u64,
                 });
             }
-        }
+        });
         out.sort_unstable();
         out
     }
 
     /// Ids of the texts containing `pat`, ascending — what
     /// [`substring_search`](Self::substring_search) reports, minus the
-    /// positions: no occurrence is enumerated, and a text that has already
-    /// matched is never verified again.
+    /// positions: no occurrence is enumerated and no text is read.
     pub fn matching_texts(&self, pat: &[u8]) -> Vec<u32> {
-        let prle = RleSeq::encode(pat);
         // one bit per text, so the ids come back ascending without a sort
         let mut seen = vec![0u64; self.texts.len().div_ceil(64)];
-        let bit = |text: u32| (text as usize / 64, 1u64 << (text % 64));
-        match *prle.runs() {
-            [] => {}
-            [only] => self.visit_long_runs(only, |e, _| {
-                let (word, mask) = bit(e.text);
-                seen[word] |= mask;
-            }),
-            [first, ..] => {
-                let q = &pat[first.len as usize..];
-                self.visit_tail_matches(first, q, FirstRunFilter::Adaptive, |e| {
-                    let (word, mask) = bit(e.text);
-                    if seen[word] & mask == 0 && self.verify_occurrence(e, first, q).is_some() {
-                        seen[word] |= mask;
-                    }
-                });
-            }
+        if let Some(first) = first_run(pat) {
+            self.visit_hits(pat, first, FirstRunFilter::ThreeSided, |e| {
+                seen[e.text as usize / 64] |= 1 << (e.text % 64);
+            });
         }
         let mut ids = Vec::new();
         for (word, mut bits) in seen.into_iter().enumerate() {
@@ -358,79 +286,62 @@ impl SbcTree {
         ids
     }
 
-    /// Single-run pattern: every run of `pat.ch` at least `pat.len` long,
-    /// with its length, straight off the run-length index.
-    fn visit_long_runs(&self, pat: Run, mut visit: impl FnMut(RunRef, u32)) {
-        let lo = (pat.ch, pat.len, 0, 0);
-        let hi = (pat.ch, u32::MAX, u32::MAX, u32::MAX);
-        self.runlen_idx.visit_bounds(
-            Bound::Included(&lo),
-            Bound::Excluded(&hi),
-            |&(_, run_len, text, run), _| visit(RunRef { text, run }, run_len),
-        );
-    }
-
-    /// Multi-run pattern: String-B-tree probe for the tail `q`, then the
-    /// first-run filter (3-sided, scan, or size-adaptive).  `visit` sees a
-    /// superset of the boundaries where an occurrence ends its first run
-    /// and must verify each against the text: the scan paths apply no
-    /// first-run filter at all, and the 3-sided path can over-report when
-    /// order keys collide.  Text accesses are not counted as I/O on either
-    /// side of the E12 comparison: the String B-tree's comparator reads
-    /// texts just the same.
-    fn visit_tail_matches(
+    /// Every boundary where `pat`, whose first run is `first`, has a hit.
+    /// For a single run `c^l` that is each boundary whose run is `c` at
+    /// least `l` long: `pat`'s own prefix class, every member a hit.
+    /// Otherwise it is each boundary where an occurrence's first run ends:
+    /// a member of the tail's prefix class whose preceding run is
+    /// `first.ch`, at least `first.len` long.  Text accesses are not
+    /// counted as I/O on either side of the E12 comparison: the String
+    /// B-tree's comparator reads texts just the same.
+    fn visit_hits(
         &self,
+        pat: &[u8],
         first: Run,
-        q: &[u8],
         filter: FirstRunFilter,
         mut visit: impl FnMut(RunRef),
     ) {
-        let classify = self.prefix_class(q);
-        let class = match filter {
-            FirstRunFilter::ThreeSided => None,
-            FirstRunFilter::Scan => Some(self.tree.collect_class(&classify)),
-            // small class: verify its members directly; large: worth the
-            // 3-sided probe
-            FirstRunFilter::Adaptive => self
+        let tail = &pat[first.len as usize..];
+        if tail.is_empty() {
+            return self
                 .tree
-                .collect_class_bounded(&classify, ADAPTIVE_CLASS_CUTOFF),
-        };
-        if let Some(class) = class {
-            class.into_iter().for_each(visit);
-            return;
+                .visit_class(&self.prefix_class(pat), 0..=u32::MAX, &mut visit);
         }
-        let Some(first_e) = self.tree.first_in_class(&classify) else {
-            return;
-        };
-        let last_e = self
-            .tree
-            .last_in_class(&classify)
-            .expect("non-empty class has a last element");
-        let y_lo = encode_y(first.ch, first.len);
-        for (_, p) in self
-            .rtree
-            .three_sided(self.xkey(first_e), self.xkey(last_e), y_lo)
-        {
-            let (text, run) = unpayload(p);
-            visit(RunRef { text, run });
+        let classify = self.prefix_class(tail);
+        match filter {
+            // the packed runs of `first.ch` at least `first.len` long;
+            // only a saturated length can fall short of a longer `first`
+            FirstRunFilter::ThreeSided => {
+                let keys = pack_run(first)..=pack_run(Run {
+                    len: LEN_MAX,
+                    ..first
+                });
+                let exact = first.len <= LEN_MAX;
+                self.tree.visit_class(&classify, keys, &mut |e| {
+                    if exact
+                        || self.texts[e.text as usize].runs()[e.run as usize - 1].len >= first.len
+                    {
+                        visit(e);
+                    }
+                })
+            }
+            FirstRunFilter::Scan => self.tree.visit_class(&classify, 0..=u32::MAX, &mut |e| {
+                if self.verify_in_text(e, first, tail) {
+                    visit(e);
+                }
+            }),
         }
     }
 
-    /// Check conditions (1) and (2) for a candidate boundary and build the
-    /// occurrence.
-    fn verify_occurrence(&self, e: RunRef, first: Run, q: &[u8]) -> Option<Occurrence> {
+    /// Conditions (1) and (2) for a candidate boundary, checked against
+    /// the text alone.
+    fn verify_in_text(&self, e: RunRef, first: Run, tail: &[u8]) -> bool {
         let t = &self.texts[e.text as usize];
-        let prev = t.runs()[e.run.checked_sub(1)? as usize]; // else: no preceding run
-        if prev.ch != first.ch || prev.len < first.len {
-            return None;
-        }
-        if !t.suffix_starts_with(e.run as usize, q) {
-            return None;
-        }
-        Some(Occurrence {
-            text: e.text,
-            pos: t.run_offset(e.run as usize) - first.len as u64,
-        })
+        let Some(prev) = e.run.checked_sub(1) else {
+            return false; // no preceding run
+        };
+        let prev = t.runs()[prev as usize];
+        prev.ch == first.ch && prev.len >= first.len && t.suffix_starts_with(e.run as usize, tail)
     }
 
     /// Texts containing `pat` as a *subsequence* (characters in order,
@@ -439,15 +350,12 @@ impl SbcTree {
     /// to include subsequence matching"*).
     ///
     /// Evaluated directly over the compressed form: the greedy two-pointer
-    /// walk consumes runs, never decompressing.  The run-length index
-    /// prunes texts that lack enough of the pattern's scarcest character.
+    /// walk consumes runs, never decompressing.
     pub fn subsequence_search(&self, pat: &[u8]) -> Vec<u32> {
         if pat.is_empty() {
             return (0..self.texts.len() as u32).collect();
         }
         let prle = RleSeq::encode(pat);
-        // prune: per-text totals of the pattern's first run character must
-        // reach that run's length (cheap necessary condition via run walk)
         let mut out = Vec::new();
         for (id, t) in self.texts.iter().enumerate() {
             if rle_is_subsequence(t, &prle) {
@@ -463,16 +371,7 @@ impl SbcTree {
         if pat.is_empty() {
             return (0..self.texts.len() as u32).collect();
         }
-        let classify = self.prefix_class(pat);
-        let mut out: Vec<u32> = self
-            .tree
-            .collect_class(&classify)
-            .into_iter()
-            .filter(|e| e.run == 0)
-            .map(|e| e.text)
-            .collect();
-        out.sort_unstable();
-        out
+        self.whole_texts_in(&self.prefix_class(pat))
     }
 
     /// Texts `t` with `lo <= t < hi` lexicographically (uncompressed
@@ -488,33 +387,29 @@ impl SbcTree {
                 },
             }
         };
-        let mut out: Vec<u32> = self
-            .tree
-            .collect_class(&classify)
-            .into_iter()
-            .filter(|e| e.run == 0)
-            .map(|e| e.text)
-            .collect();
+        self.whole_texts_in(&classify)
+    }
+
+    /// Ids, ascending, of the texts whose whole-text suffix is in
+    /// `classify`'s class: boundary 0, the one entry of each text keyed 0.
+    fn whole_texts_in(&self, classify: &impl Fn(RunRef) -> Ordering) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.tree
+            .visit_class(classify, 0..=0, &mut |e| out.push(e.text));
         out.sort_unstable();
         out
     }
 
-    /// Modeled on-disk storage footprint, using the packed layouts a disk
-    /// SBC-tree would write (the in-memory R-tree and order-key shapes are
-    /// build-time artifacts, not the persisted format):
+    /// Modeled on-disk storage footprint of the layout held in memory:
     ///
     /// * compressed text: 5 bytes per run (char + u32 length);
-    /// * String-B-tree component: 8 bytes per suffix entry
-    ///   (packed text/run reference) plus node overhead;
-    /// * 3-sided structure: 9 bytes per point — 4-byte leaf rank (the
-    ///   order key is implicit in on-disk position), 1-byte preceding-run
-    ///   char, 4-byte preceding-run length.
-    ///
-    /// The single-run accelerator index is reported separately by
-    /// [`runlen_index_bytes`](Self::runlen_index_bytes) since the paper's
-    /// SBC-tree handles single-run patterns inside the main structure.
+    /// * the suffix B-tree: 12 bytes per entry (text, run boundary and
+    ///   packed preceding run) plus node overhead.  The entries' preceding
+    ///   runs and the inner nodes' per-child maxima are the 3-sided
+    ///   structure, and single-run patterns are prefix classes, so nothing
+    ///   else is stored.
     pub fn storage_bytes(&self) -> usize {
-        self.compressed_text_bytes() + self.tree.storage_bytes(8) + self.tree.len() * 9
+        self.compressed_text_bytes() + self.tree.storage_bytes(12)
     }
 
     /// Bytes of RLE-compressed sequence data alone.
@@ -522,30 +417,19 @@ impl SbcTree {
         self.texts.iter().map(|t| t.compressed_bytes()).sum()
     }
 
-    /// Storage of the optional single-run-pattern accelerator (8 packed
-    /// bytes per run).
-    pub fn runlen_index_bytes(&self) -> usize {
-        self.runlen_idx.len() * 8
-    }
-
-    /// Total logical I/O so far across all components.
+    /// Total logical I/O so far: tree nodes, and text pages written.
     pub fn io_stats(&self) -> IoSnapshot {
-        let a = self.tree.stats().snapshot();
-        let b = self.rtree.stats().snapshot();
-        let c = self.runlen_idx.stats().snapshot();
+        let t = self.tree.stats().snapshot();
         IoSnapshot {
-            reads: a.reads + b.reads + c.reads + self.text_read_io.get(),
-            writes: a.writes + b.writes + c.writes + self.text_write_io.get(),
+            reads: t.reads,
+            writes: t.writes + self.text_write_io.get(),
         }
     }
 
     /// Reset all I/O counters.
     pub fn reset_io(&self) {
         self.tree.stats().reset();
-        self.rtree.stats().reset();
-        self.runlen_idx.stats().reset();
         self.text_write_io.set(0);
-        self.text_read_io.set(0);
     }
 }
 
@@ -553,6 +437,21 @@ impl Default for SbcTree {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Pages written to store `t` (one per 8 KiB, at least one).
+fn pages(t: &RleSeq) -> u64 {
+    (t.compressed_bytes() as u64 / 8192).max(1)
+}
+
+/// `pat`'s first run (none for the empty pattern).
+fn first_run(pat: &[u8]) -> Option<Run> {
+    let &ch = pat.first()?;
+    let len = pat.iter().take_while(|&&c| c == ch).count();
+    Some(Run {
+        ch,
+        len: len as u32,
+    })
 }
 
 /// Greedy subsequence test over two RLE sequences, no decompression:
@@ -586,12 +485,13 @@ fn rle_is_subsequence(text: &RleSeq, pat: &RleSeq) -> bool {
     true
 }
 
-/// The tree order: suffix content, ties (equal suffixes of different
-/// texts) broken by `(text, run)` so the order is total.
-fn cmp_run_refs(texts: &[RleSeq], a: RunRef, b: RunRef) -> Ordering {
-    texts[a.text as usize]
-        .cmp_suffixes(a.run as usize, &texts[b.text as usize], b.run as usize)
-        .then_with(|| (a.text, a.run).cmp(&(b.text, b.run)))
+/// The tree order over `(text, run)` suffixes: suffix content, ties
+/// (equal suffixes of different texts) broken by `(text, run)` so the
+/// order is total.
+fn cmp_suffixes(texts: &[RleSeq], a: (u32, u32), b: (u32, u32)) -> Ordering {
+    texts[a.0 as usize]
+        .cmp_suffixes(a.1 as usize, &texts[b.0 as usize], b.1 as usize)
+        .then_with(|| a.cmp(&b))
 }
 
 /// Run `i` of `t` as a 41-bit token such that suffixes order like their
@@ -605,31 +505,6 @@ fn run_token(t: &RleSeq, i: usize) -> u64 {
     let rising = t.runs().get(i + 1).is_some_and(|next| next.ch > r.ch);
     let len = if rising { u32::MAX - r.len } else { r.len };
     (r.ch as u64) << 33 | (rising as u64) << 32 | len as u64
-}
-
-/// y-coordinate of the boundary before run `run` of `text`: the run that
-/// precedes it (recomputed from the text wherever it is needed, so the
-/// stored rectangle is never trusted).
-fn prev_run_y(text: &RleSeq, run: u32) -> f64 {
-    match run.checked_sub(1) {
-        None => NO_PREV_Y,
-        Some(prev) => {
-            let prev = text.runs()[prev as usize];
-            encode_y(prev.ch, prev.len)
-        }
-    }
-}
-
-fn encode_y(ch: u8, len: u32) -> f64 {
-    ch as f64 * 4294967296.0 + len as f64
-}
-
-fn payload(text: u32, run: u32) -> u64 {
-    ((text as u64) << 32) | run as u64
-}
-
-fn unpayload(p: u64) -> (u32, u32) {
-    ((p >> 32) as u32, p as u32)
 }
 
 #[cfg(test)]
@@ -710,20 +585,44 @@ mod tests {
     }
 
     #[test]
-    fn built_index_has_evenly_spaced_order_keys() {
+    fn built_index_answers_matching_texts() {
         let texts = ["HHHEELLLHH", "ELLHHH", "", "LLLL", "HEL", "ELLHHH"];
         let t = SbcTree::build_with_fanout(
             4,
             texts.iter().map(|s| RleSeq::encode(s.as_bytes())).collect(),
         );
         assert_eq!(t.num_texts(), 6);
-        let mut x = t.xkeys.clone();
-        x.sort_by(f64::total_cmp);
-        assert_eq!(x.len(), t.num_suffixes());
-        assert!(x.windows(2).all(|w| w[1] - w[0] == X_GAP), "no collisions");
+        assert_eq!(t.num_suffixes(), 4 + 3 + 1 + 3 + 3, "one per run");
         assert_eq!(t.matching_texts(b"LLHH"), vec![0, 1, 5]);
         assert_eq!(t.matching_texts(b"LL"), vec![0, 1, 3, 5]);
         assert_eq!(t.matching_texts(b""), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn saturated_preceding_run_is_checked_against_the_text() {
+        // runs of 2^24 + 1 and 2^24 + 5 both pack as LEN_MAX
+        let long =
+            |h: u32| RleSeq::from_runs(vec![Run { ch: b'H', len: h }, Run { ch: b'E', len: 2 }]);
+        let mut t = SbcTree::new();
+        for h in [LEN_MAX + 1, LEN_MAX + 5, LEN_MAX, 3] {
+            t.insert_rle(long(h));
+        }
+        let pat = |h: u32| {
+            let mut p = vec![b'H'; h as usize];
+            p.push(b'E');
+            p
+        };
+        assert_eq!(t.matching_texts(&pat(LEN_MAX + 3)), vec![1]);
+        assert_eq!(t.matching_texts(&pat(LEN_MAX + 1)), vec![0, 1]);
+        assert_eq!(t.matching_texts(&pat(LEN_MAX)), vec![0, 1, 2]);
+        assert_eq!(t.matching_texts(&pat(4)), vec![0, 1, 2]);
+        let at = |h: u32| occs(t.substring_search(&pat(h)));
+        assert_eq!(at(LEN_MAX + 3), vec![(1, 2)]);
+        assert_eq!(at(LEN_MAX + 1), vec![(0, 0), (1, 4)]);
+        assert_eq!(
+            occs(t.substring_search_scan(&pat(LEN_MAX + 1))),
+            at(LEN_MAX + 1)
+        );
     }
 
     #[test]

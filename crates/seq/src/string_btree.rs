@@ -29,8 +29,6 @@ pub struct StringBTree {
     tree: SufBTree<SufRef>,
     /// Pages written appending raw text (1 page per 8 KiB, min 1 per text).
     text_write_io: Cell<u64>,
-    /// Text pages read while verifying/reporting matches.
-    text_read_io: Cell<u64>,
 }
 
 impl StringBTree {
@@ -45,7 +43,6 @@ impl StringBTree {
             texts: Vec::new(),
             tree: SufBTree::with_fanout(fanout),
             text_write_io: Cell::new(0),
-            text_read_io: Cell::new(0),
         }
     }
 
@@ -62,17 +59,14 @@ impl StringBTree {
         let mut text_pages = 0;
         for (id, t) in texts.iter().enumerate() {
             text_pages += (t.len() as u64 / 8192).max(1);
-            suffixes.extend((0..t.len() as u32).map(|off| SufRef {
-                text: id as u32,
-                off,
-            }));
+            let text = id as u32;
+            suffixes.extend((0..t.len() as u32).map(|off| (SufRef { text, off }, ())));
         }
-        suffixes.sort_unstable_by(|&a, &b| cmp_suf_refs(&texts, a, b));
+        suffixes.sort_unstable_by(|&(a, _), &(b, _)| cmp_suf_refs(&texts, a, b));
         StringBTree {
             tree: SufBTree::from_sorted(fanout, &suffixes),
             texts,
             text_write_io: Cell::new(text_pages),
-            text_read_io: Cell::new(0),
         }
     }
 
@@ -90,7 +84,7 @@ impl StringBTree {
         let texts = std::mem::take(&mut self.texts);
         let cmp = |a: SufRef, b: SufRef| cmp_suf_refs(&texts, a, b);
         for off in 0..seq.len() as u32 {
-            self.tree.insert(&cmp, SufRef { text: id, off });
+            self.tree.insert(&cmp, SufRef { text: id, off }, ());
         }
         self.texts = texts;
         id
@@ -177,11 +171,11 @@ impl StringBTree {
         self.texts.iter().map(|t| t.len()).sum::<usize>() + self.tree.storage_bytes(8)
     }
 
-    /// Total logical I/O so far (index nodes + text pages).
+    /// Total logical I/O so far: index nodes, and text pages written.
     pub fn io_stats(&self) -> IoSnapshot {
         let t = self.tree.stats().snapshot();
         IoSnapshot {
-            reads: t.reads + self.text_read_io.get(),
+            reads: t.reads,
             writes: t.writes + self.text_write_io.get(),
         }
     }
@@ -190,7 +184,6 @@ impl StringBTree {
     pub fn reset_io(&self) {
         self.tree.stats().reset();
         self.text_write_io.set(0);
-        self.text_read_io.set(0);
     }
 
     /// Number of indexed suffixes.

@@ -13,36 +13,76 @@
 //! probes, string-range probes, and bound probes are all expressible this
 //! way, so one search implementation serves every operation the paper
 //! lists (substring, prefix, range).
+//!
+//! Every entry also carries a key `K`, kept in its leaf beside the entries
+//! (not inside them, so a filter on keys reads only keys), and an inner
+//! node keeps, per child, the largest key below it: [`SufBTree::visit_class`]
+//! filters a class on a key range and skips every subtree whose keys all
+//! fall below it.  The SBC-tree keys its suffixes on the packed run that
+//! precedes them, which makes that walk its 3-sided query; the String
+//! B-tree's key is `()`, which takes no space and filters nothing.
 
 use std::cmp::Ordering;
+use std::ops::RangeInclusive;
 
 use bdbms_common::stats::AccessStats;
 use bdbms_index::pack::packed_sizes;
 
 type NodeId = usize;
 
-enum Node<E> {
-    Inner {
-        seps: Vec<E>,
-        children: Vec<NodeId>,
-    },
-    Leaf {
-        entries: Vec<E>,
-        prev: Option<NodeId>,
-        next: Option<NodeId>,
-    },
+/// The key a [`SufBTree`] keeps beside each entry.
+pub trait Key: Copy + Ord {
+    /// Every key.
+    const ALL: RangeInclusive<Self>;
+
+    /// `keys.contains(&self)` for a non-empty `keys`, in one comparison
+    /// (so a loop can test keys without branching).
+    fn within(self, keys: &RangeInclusive<Self>) -> bool;
 }
 
-/// B+-tree over suffix references with an external comparator.
-pub struct SufBTree<E: Copy> {
-    nodes: Vec<Node<E>>,
+impl Key for () {
+    const ALL: RangeInclusive<()> = ()..=();
+
+    fn within(self, _: &RangeInclusive<()>) -> bool {
+        true
+    }
+}
+
+impl Key for u32 {
+    const ALL: RangeInclusive<u32> = 0..=u32::MAX;
+
+    fn within(self, keys: &RangeInclusive<u32>) -> bool {
+        self.wrapping_sub(*keys.start()) <= keys.end().wrapping_sub(*keys.start())
+    }
+}
+
+/// A child pointer and the largest key in the child's subtree.
+#[derive(Clone, Copy)]
+struct Child<K> {
+    id: NodeId,
+    max: K,
+}
+
+enum Node<E, K> {
+    Inner {
+        seps: Vec<E>,
+        children: Vec<Child<K>>,
+    },
+    /// `keys[i]` is the key of `entries[i]`.
+    Leaf { entries: Vec<E>, keys: Vec<K> },
+}
+
+/// B+-tree over suffix references with an external comparator, each
+/// entry with a key `K`.
+pub struct SufBTree<E: Copy, K: Key = ()> {
+    nodes: Vec<Node<E, K>>,
     root: NodeId,
     fanout: usize,
     len: usize,
     stats: AccessStats,
 }
 
-impl<E: Copy> SufBTree<E> {
+impl<E: Copy, K: Key> SufBTree<E, K> {
     /// Empty tree with page-realistic fanout.
     pub fn new() -> Self {
         Self::with_fanout(64)
@@ -54,8 +94,7 @@ impl<E: Copy> SufBTree<E> {
         SufBTree {
             nodes: vec![Node::Leaf {
                 entries: Vec::new(),
-                prev: None,
-                next: None,
+                keys: Vec::new(),
             }],
             root: 0,
             fanout,
@@ -64,32 +103,30 @@ impl<E: Copy> SufBTree<E> {
         }
     }
 
-    /// Bottom-up load of `entries`, already sorted under the total order
-    /// later `insert`s and classifiers use: full leaves on a doubly-linked
-    /// chain, and every separator the minimum of the subtree to its right
-    /// (the rule `insert` maintains, so every query and later insert
-    /// behaves as on an insert-grown tree).  One logical write per node.
-    pub fn from_sorted(fanout: usize, entries: &[E]) -> Self {
+    /// Bottom-up load of `entries` with their keys, already sorted under
+    /// the total order later `insert`s and classifiers use: full leaves,
+    /// and every separator the minimum of the subtree to its right (the
+    /// rule `insert` maintains, so every query and later insert behaves
+    /// as on an insert-grown tree).  One logical write per node.
+    pub fn from_sorted(fanout: usize, entries: &[(E, K)]) -> Self {
         let mut tree = Self::with_fanout(fanout);
         if entries.is_empty() {
             return tree;
         }
         tree.len = entries.len();
         tree.nodes.clear();
-        let leaves = entries.len().div_ceil(fanout);
-        // (minimum of the subtree, node) for the level being grouped
-        let mut level: Vec<(E, NodeId)> = Vec::with_capacity(leaves);
+        // (minimum of the subtree, pointer to it) for the level being
+        // grouped
+        let mut level: Vec<(E, Child<K>)> = Vec::with_capacity(entries.len().div_ceil(fanout));
         let mut rest = entries;
         for size in packed_sizes(entries.len(), fanout) {
             let (leaf, tail) = rest.split_at(size);
             rest = tail;
-            let id = tree.nodes.len();
-            level.push((leaf[0], id));
-            tree.nodes.push(Node::Leaf {
-                entries: leaf.to_vec(),
-                prev: id.checked_sub(1),
-                next: (id + 1 < leaves).then_some(id + 1),
-            });
+            let node = Node::Leaf {
+                entries: leaf.iter().map(|&(e, _)| e).collect(),
+                keys: leaf.iter().map(|&(_, k)| k).collect(),
+            };
+            level.push((leaf[0].0, tree.push(node)));
         }
         while level.len() > 1 {
             let mut up = Vec::with_capacity(level.len().div_ceil(fanout + 1));
@@ -97,16 +134,15 @@ impl<E: Copy> SufBTree<E> {
             for size in packed_sizes(level.len(), fanout + 1) {
                 let (group, tail) = rest.split_at(size);
                 rest = tail;
-                up.push((group[0].0, tree.nodes.len()));
-                tree.nodes.push(Node::Inner {
+                let node = Node::Inner {
                     seps: group[1..].iter().map(|&(min, _)| min).collect(),
                     children: group.iter().map(|&(_, child)| child).collect(),
-                });
+                };
+                up.push((group[0].0, tree.push(node)));
             }
             level = up;
         }
-        tree.root = level[0].1;
-        tree.stats.record_writes(tree.nodes.len() as u64);
+        tree.root = level[0].1.id;
         tree
     }
 
@@ -134,233 +170,204 @@ impl<E: Copy> SufBTree<E> {
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut id = self.root;
-        loop {
-            match &self.nodes[id] {
-                Node::Leaf { .. } => return h,
-                Node::Inner { children, .. } => {
-                    id = children[0];
-                    h += 1;
-                }
-            }
+        while let Node::Inner { children, .. } = &self.nodes[id] {
+            id = children[0].id;
+            h += 1;
         }
+        h
     }
 
-    /// Estimated storage footprint given the per-entry reference size.
+    /// Estimated storage footprint: a 16-byte header per node,
+    /// `entry_bytes` per entry (leaf entries with their keys, and inner
+    /// separators), and per child an 8-byte pointer plus
+    /// `size_of::<K>()` for the largest key below it.
     pub fn storage_bytes(&self, entry_bytes: usize) -> usize {
+        let child_bytes = 8 + std::mem::size_of::<K>();
         self.nodes
             .iter()
             .map(|n| {
                 16 + match n {
-                    Node::Inner { seps, children } => seps.len() * entry_bytes + children.len() * 8,
+                    Node::Inner { seps, children } => {
+                        seps.len() * entry_bytes + children.len() * child_bytes
+                    }
                     Node::Leaf { entries, .. } => entries.len() * entry_bytes,
                 }
             })
             .sum()
     }
 
-    /// Insert `e` under total order `cmp`, returning the in-order
-    /// `(predecessor, successor)` of the new entry (used by the SBC-tree to
-    /// assign order keys for its 3-sided structure).
-    pub fn insert(&mut self, cmp: &impl Fn(E, E) -> Ordering, e: E) -> (Option<E>, Option<E>) {
-        let (split, pred, succ) = self.insert_rec(self.root, cmp, e);
-        if let Some((sep, right)) = split {
-            let old_root = self.root;
-            self.nodes.push(Node::Inner {
-                seps: vec![sep],
-                children: vec![old_root, right],
-            });
-            self.root = self.nodes.len() - 1;
-            self.stats.record_write();
+    /// Pointer to node `id`, which is not empty, with the largest key
+    /// below it.
+    fn child(&self, id: NodeId) -> Child<K> {
+        let max = match &self.nodes[id] {
+            Node::Leaf { keys, .. } => keys.iter().copied().max(),
+            Node::Inner { children, .. } => children.iter().map(|c| c.max).max(),
+        };
+        Child {
+            id,
+            max: max.expect("only an empty tree's root is empty"),
         }
-        self.len += 1;
-        (pred, succ)
     }
 
-    #[allow(clippy::type_complexity)]
+    /// Append `node` (one logical write) and point at it.
+    fn push(&mut self, node: Node<E, K>) -> Child<K> {
+        self.nodes.push(node);
+        self.stats.record_write();
+        self.child(self.nodes.len() - 1)
+    }
+
+    /// Insert `e`, with key `key`, under total order `cmp`.
+    pub fn insert(&mut self, cmp: &impl Fn(E, E) -> Ordering, e: E, key: K) {
+        if let Some((sep, right)) = self.insert_rec(self.root, cmp, e, key) {
+            let left = self.child(self.root);
+            self.root = self
+                .push(Node::Inner {
+                    seps: vec![sep],
+                    children: vec![left, right],
+                })
+                .id;
+        }
+        self.len += 1;
+    }
+
+    /// Insert `e` below node `id`, raising the largest key on the path.
+    /// When the node overflows it splits: the right half goes to a new
+    /// node, returned with its minimum.
     fn insert_rec(
         &mut self,
         id: NodeId,
         cmp: &impl Fn(E, E) -> Ordering,
         e: E,
-    ) -> (Option<(E, NodeId)>, Option<E>, Option<E>) {
+        key: K,
+    ) -> Option<(E, Child<K>)> {
         self.stats.record_read();
-        match &mut self.nodes[id] {
-            Node::Leaf {
-                entries,
-                prev,
-                next,
-            } => {
+        let fanout = self.fanout;
+        let (sep, right) = match &mut self.nodes[id] {
+            Node::Leaf { entries, keys } => {
                 let pos = entries.partition_point(|x| cmp(*x, e) == Ordering::Less);
-                let pred0 = (pos > 0).then(|| entries[pos - 1]);
-                let succ0 = entries.get(pos).copied();
-                let prev_id = *prev;
-                let next_id = *next;
                 entries.insert(pos, e);
+                keys.insert(pos, key);
                 self.stats.record_write();
-                // Neighbours not found in this leaf live at the edges of the
-                // adjacent leaves (doubly-linked leaf chain).
-                let pred = pred0.or_else(|| {
-                    prev_id.and_then(|p| {
-                        self.stats.record_read();
-                        match &self.nodes[p] {
-                            Node::Leaf { entries, .. } => entries.last().copied(),
-                            _ => unreachable!(),
-                        }
-                    })
-                });
-                let succ = succ0.or_else(|| {
-                    next_id.and_then(|n| {
-                        self.stats.record_read();
-                        match &self.nodes[n] {
-                            Node::Leaf { entries, .. } => entries.first().copied(),
-                            _ => unreachable!(),
-                        }
-                    })
-                });
-                // split if overfull: detach the right half inside the
-                // borrow, then wire pointers with fresh borrows.
-                let fanout = self.fanout;
-                let right_id = self.nodes.len();
-                let detached = match &mut self.nodes[id] {
-                    Node::Leaf { entries, next, .. } => {
-                        if entries.len() > fanout {
-                            let mid = entries.len() / 2;
-                            let right_entries = entries.split_off(mid);
-                            let old_next = *next;
-                            *next = Some(right_id);
-                            Some((right_entries, old_next))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                let split = detached.map(|(right_entries, old_next)| {
-                    let sep = right_entries[0];
-                    self.nodes.push(Node::Leaf {
-                        entries: right_entries,
-                        prev: Some(id),
-                        next: old_next,
-                    });
-                    if let Some(onx) = old_next {
-                        if let Node::Leaf { prev, .. } = &mut self.nodes[onx] {
-                            *prev = Some(right_id);
-                        }
-                        self.stats.record_write();
-                    }
-                    self.stats.record_write();
-                    (sep, right_id)
-                });
-                (split, pred, succ)
+                if entries.len() <= fanout {
+                    return None;
+                }
+                let mid = entries.len() / 2;
+                let right = (entries.split_off(mid), keys.split_off(mid));
+                // the insert that overflowed doubled the left half's
+                // capacity; a leaf never holds more than `fanout`
+                entries.shrink_to(fanout);
+                keys.shrink_to(fanout);
+                let (entries, keys) = right;
+                (entries[0], Node::Leaf { entries, keys })
             }
             Node::Inner { seps, children } => {
                 let idx = seps.partition_point(|s| cmp(*s, e) == Ordering::Less);
-                let child = children[idx];
-                let (split, pred, succ) = self.insert_rec(child, cmp, e);
-                let up = if let Some((sep, right)) = split {
-                    match &mut self.nodes[id] {
-                        Node::Inner { seps, children } => {
-                            let idx = seps.partition_point(|s| cmp(*s, sep) == Ordering::Less);
-                            seps.insert(idx, sep);
-                            children.insert(idx + 1, right);
-                            self.stats.record_write();
-                            if seps.len() > self.fanout {
-                                let mid = seps.len() / 2;
-                                let up_sep = seps[mid];
-                                let right_seps = seps.split_off(mid + 1);
-                                seps.pop();
-                                let right_children = children.split_off(mid + 1);
-                                self.nodes.push(Node::Inner {
-                                    seps: right_seps,
-                                    children: right_children,
-                                });
-                                self.stats.record_write();
-                                Some((up_sep, self.nodes.len() - 1))
-                            } else {
-                                None
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                } else {
-                    None
+                let child = &mut children[idx];
+                child.max = child.max.max(key);
+                let child_id = child.id;
+                let (sep, right) = self.insert_rec(child_id, cmp, e, key)?;
+                // the child split: its largest key is looked up again
+                let left = self.child(child_id);
+                let Node::Inner { seps, children } = &mut self.nodes[id] else {
+                    unreachable!("node {id} was inner a moment ago")
                 };
-                (up, pred, succ)
-            }
-        }
-    }
-
-    /// Descend to the leaf holding the first entry whose class under
-    /// `classify` is not `Less`; returns (leaf id, position).
-    fn lower_bound(&self, classify: &impl Fn(E) -> Ordering) -> (NodeId, usize) {
-        let mut id = self.root;
-        loop {
-            self.stats.record_read();
-            match &self.nodes[id] {
-                Node::Inner { seps, children } => {
-                    let idx = seps.partition_point(|s| classify(*s) == Ordering::Less);
-                    id = children[idx];
+                children[idx] = left;
+                seps.insert(idx, sep);
+                children.insert(idx + 1, right);
+                self.stats.record_write();
+                if seps.len() <= fanout {
+                    return None;
                 }
-                Node::Leaf { entries, .. } => {
-                    let pos = entries.partition_point(|e| classify(*e) == Ordering::Less);
-                    return (id, pos);
-                }
+                let mid = seps.len() / 2;
+                let right_seps = seps.split_off(mid + 1);
+                let up = seps.pop().expect("an overfull node has a middle separator");
+                let right_children = children.split_off(mid + 1);
+                (
+                    up,
+                    Node::Inner {
+                        seps: right_seps,
+                        children: right_children,
+                    },
+                )
             }
-        }
-    }
-
-    /// First entry in the `Equal` class (None when the class is empty).
-    pub fn first_in_class(&self, classify: &impl Fn(E) -> Ordering) -> Option<E> {
-        let (mut leaf, mut pos) = self.lower_bound(classify);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, next, .. } => {
-                    if pos < entries.len() {
-                        let e = entries[pos];
-                        return (classify(e) == Ordering::Equal).then_some(e);
-                    }
-                    match next {
-                        Some(n) => {
-                            leaf = *n;
-                            pos = 0;
-                            self.stats.record_read();
-                        }
-                        None => return None,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    /// Last entry in the `Equal` class.
-    pub fn last_in_class(&self, classify: &impl Fn(E) -> Ordering) -> Option<E> {
-        // descend to the first entry classified Greater, then step back
-        let upper = |e: E| match classify(e) {
-            Ordering::Greater => Ordering::Greater,
-            _ => Ordering::Less,
         };
-        let (mut leaf, mut pos) = self.lower_bound(&upper);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, prev, .. } => {
-                    if pos > 0 {
-                        let e = entries[pos - 1];
-                        return (classify(e) == Ordering::Equal).then_some(e);
+        Some((sep, self.push(right)))
+    }
+
+    /// Visit, in tree order, every entry of the `Equal` class whose key is
+    /// in `keys`.  `classify` runs only on the two boundary descents (to
+    /// the class's first and last leaves), never on the entries between
+    /// them, and a subtree whose largest key is below the range is skipped
+    /// unread.  `keys` must not be empty.
+    pub fn visit_class(
+        &self,
+        classify: &impl Fn(E) -> Ordering,
+        keys: RangeInclusive<K>,
+        visit: &mut impl FnMut(E),
+    ) {
+        assert!(keys.start() <= keys.end(), "an empty key range");
+        self.visit_rec(self.root, classify, &keys, (true, true), visit);
+    }
+
+    /// [`visit_class`](Self::visit_class) below node `id`; `edges` says
+    /// whether the node lies on the lower and on the upper boundary
+    /// descent (off them, every entry is in the class).
+    fn visit_rec(
+        &self,
+        id: NodeId,
+        classify: &impl Fn(E) -> Ordering,
+        keys: &RangeInclusive<K>,
+        edges: (bool, bool),
+        visit: &mut impl FnMut(E),
+    ) {
+        self.stats.record_read();
+        // the class's slice of a sorted run of entries (or separators)
+        let bounds = |items: &[E]| {
+            let lo = match edges.0 {
+                true => items.partition_point(|x| classify(*x) == Ordering::Less),
+                false => 0,
+            };
+            let hi = match edges.1 {
+                true => items.partition_point(|x| classify(*x) != Ordering::Greater),
+                false => items.len(),
+            };
+            (lo, hi)
+        };
+        match &self.nodes[id] {
+            Node::Leaf { entries, keys: ks } => {
+                let (lo, hi) = bounds(entries);
+                // keys are tested eight at a time without a branch (a
+                // branch per key mispredicts on every other key when half
+                // the class lies just outside the range); only the entries
+                // of keys in range are read
+                let blocks = ks[lo..hi].chunks_exact(8);
+                let rest = lo + blocks.len() * 8;
+                for (at, block) in (lo..).step_by(8).zip(blocks) {
+                    let mut marked = 0u8;
+                    for (i, k) in block.iter().enumerate() {
+                        marked |= (k.within(keys) as u8) << i;
                     }
-                    match prev {
-                        Some(p) => {
-                            self.stats.record_read();
-                            leaf = *p;
-                            pos = match &self.nodes[leaf] {
-                                Node::Leaf { entries, .. } => entries.len(),
-                                _ => unreachable!(),
-                            };
-                        }
-                        None => return None,
+                    while marked != 0 {
+                        visit(entries[at + marked.trailing_zeros() as usize]);
+                        marked &= marked - 1;
                     }
                 }
-                _ => unreachable!(),
+                for (i, k) in ks.iter().enumerate().take(hi).skip(rest) {
+                    if k.within(keys) {
+                        visit(entries[i]);
+                    }
+                }
+            }
+            Node::Inner { seps, children } => {
+                // child `i` holds the entries between separators `i - 1`
+                // and `i`
+                let (lo, hi) = bounds(seps);
+                for (i, c) in children.iter().enumerate().take(hi + 1).skip(lo) {
+                    if c.max >= *keys.start() {
+                        let edges = (edges.0 && i == lo, edges.1 && i == hi);
+                        self.visit_rec(c.id, classify, keys, edges, visit);
+                    }
+                }
             }
         }
     }
@@ -368,126 +375,12 @@ impl<E: Copy> SufBTree<E> {
     /// Every entry in the `Equal` class, in tree order.
     pub fn collect_class(&self, classify: &impl Fn(E) -> Ordering) -> Vec<E> {
         let mut out = Vec::new();
-        let (mut leaf, mut pos) = self.lower_bound(classify);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, next, .. } => {
-                    while pos < entries.len() {
-                        match classify(entries[pos]) {
-                            Ordering::Less => {}
-                            Ordering::Equal => out.push(entries[pos]),
-                            Ordering::Greater => return out,
-                        }
-                        pos += 1;
-                    }
-                    match next {
-                        Some(n) => {
-                            leaf = *n;
-                            pos = 0;
-                            self.stats.record_read();
-                        }
-                        None => return out,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    /// Like [`collect_class`](Self::collect_class), but abandons the walk
-    /// (returning `None`) as soon as the class exceeds `limit` entries.
-    /// Callers that only want to *scan* small classes use this to bound
-    /// their worst case at `limit` entries' worth of leaf reads.
-    pub fn collect_class_bounded(
-        &self,
-        classify: &impl Fn(E) -> Ordering,
-        limit: usize,
-    ) -> Option<Vec<E>> {
-        let mut out = Vec::new();
-        let (mut leaf, mut pos) = self.lower_bound(classify);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, next, .. } => {
-                    while pos < entries.len() {
-                        match classify(entries[pos]) {
-                            Ordering::Less => {}
-                            Ordering::Equal => {
-                                if out.len() == limit {
-                                    return None;
-                                }
-                                out.push(entries[pos]);
-                            }
-                            Ordering::Greater => return Some(out),
-                        }
-                        pos += 1;
-                    }
-                    match next {
-                        Some(n) => {
-                            leaf = *n;
-                            pos = 0;
-                            self.stats.record_read();
-                        }
-                        None => return Some(out),
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    /// Count of entries in the `Equal` class without materializing them.
-    pub fn count_class(&self, classify: &impl Fn(E) -> Ordering) -> usize {
-        let mut n = 0;
-        let (mut leaf, mut pos) = self.lower_bound(classify);
-        loop {
-            match &self.nodes[leaf] {
-                Node::Leaf { entries, next, .. } => {
-                    while pos < entries.len() {
-                        match classify(entries[pos]) {
-                            Ordering::Less => {}
-                            Ordering::Equal => n += 1,
-                            Ordering::Greater => return n,
-                        }
-                        pos += 1;
-                    }
-                    match next {
-                        Some(nx) => {
-                            leaf = *nx;
-                            pos = 0;
-                            self.stats.record_read();
-                        }
-                        None => return n,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    /// Every entry in tree order (test helper).
-    pub fn iter_all(&self) -> Vec<E> {
-        let mut id = self.root;
-        while let Node::Inner { children, .. } = &self.nodes[id] {
-            id = children[0];
-        }
-        let mut out = Vec::with_capacity(self.len);
-        loop {
-            match &self.nodes[id] {
-                Node::Leaf { entries, next, .. } => {
-                    out.extend(entries.iter().copied());
-                    match next {
-                        Some(n) => id = *n,
-                        None => break,
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
+        self.visit_class(classify, K::ALL, &mut |e| out.push(e));
         out
     }
 }
 
-impl<E: Copy> Default for SufBTree<E> {
+impl<E: Copy, K: Key> Default for SufBTree<E, K> {
     fn default() -> Self {
         Self::new()
     }
@@ -497,59 +390,92 @@ impl<E: Copy> Default for SufBTree<E> {
 mod tests {
     use super::*;
 
+    type Tree = SufBTree<u32, u32>;
+
+    /// An entry's key: scattered, so neither the first nor the last entry
+    /// of a node holds its largest key.
+    fn key(v: u32) -> u32 {
+        v.wrapping_mul(37) % 101
+    }
+
+    fn insert(t: &mut Tree, v: u32) {
+        t.insert(&cmp_u32, v, key(v));
+    }
+
+    fn load(fanout: usize, entries: &[u32]) -> Tree {
+        let keyed: Vec<(u32, u32)> = entries.iter().map(|&v| (v, key(v))).collect();
+        Tree::from_sorted(fanout, &keyed)
+    }
+
+    /// `visit_class`'s answer.
+    fn visit(t: &Tree, classify: &impl Fn(u32) -> Ordering, keys: RangeInclusive<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.visit_class(classify, keys, &mut |e| out.push(e));
+        out
+    }
+
     fn cmp_u32(a: u32, b: u32) -> Ordering {
         a.cmp(&b)
     }
 
+    /// `Equal` for `lo <= e < hi`.
+    fn band(lo: u32, hi: u32) -> impl Fn(u32) -> Ordering {
+        move |e| {
+            if e < lo {
+                Ordering::Less
+            } else if e < hi {
+                Ordering::Equal
+            } else {
+                Ordering::Greater
+            }
+        }
+    }
+
+    fn all(t: &Tree) -> Vec<u32> {
+        t.collect_class(&|_| Ordering::Equal)
+    }
+
     /// Structural invariants every tree must hold, however it was built;
-    /// returns the entries in leaf-chain order.
-    fn check_invariants(t: &SufBTree<u32>) -> Vec<u32> {
-        // Minimum of the subtree at `id`; checks separators on the way.
-        fn subtree_min(t: &SufBTree<u32>, id: NodeId, depth: usize, leaf_depth: &mut usize) -> u32 {
+    /// returns the entries in tree order.
+    fn check_invariants(t: &Tree) -> Vec<u32> {
+        // (minimum entry, largest key) of the subtree at `id`; checks
+        // separators and the kept maxima on the way.
+        fn subtree(t: &Tree, id: NodeId, depth: usize, leaf_depth: &mut usize) -> (u32, u32) {
             match &t.nodes[id] {
-                Node::Leaf { entries, .. } => {
+                Node::Leaf { entries, keys } => {
+                    let want: Vec<u32> = entries.iter().map(|&v| key(v)).collect();
+                    assert_eq!(keys, &want, "each entry's key beside it");
                     assert!(entries.len() <= t.fanout);
                     assert!(!entries.is_empty() || t.len == 0);
                     assert!(*leaf_depth == 0 || *leaf_depth == depth, "balanced");
                     *leaf_depth = depth;
-                    entries.first().copied().unwrap_or(0)
+                    let first = entries.first().copied().unwrap_or(0);
+                    (first, keys.iter().copied().max().unwrap_or(0))
                 }
                 Node::Inner { seps, children } => {
                     assert_eq!(children.len(), seps.len() + 1);
                     assert!(children.len() >= 2 && seps.len() <= t.fanout);
-                    let mins: Vec<u32> = children
+                    let spans: Vec<(u32, u32)> = children
                         .iter()
-                        .map(|&c| subtree_min(t, c, depth + 1, leaf_depth))
+                        .map(|c| {
+                            let span = subtree(t, c.id, depth + 1, leaf_depth);
+                            assert_eq!(c.max, span.1, "kept max = largest key below");
+                            span
+                        })
                         .collect();
+                    let mins: Vec<u32> = spans.iter().map(|s| s.0).collect();
                     assert_eq!(&mins[1..], seps.as_slice(), "sep = min of right subtree");
-                    mins[0]
+                    (mins[0], spans.iter().map(|s| s.1).max().unwrap())
                 }
             }
         }
         let mut leaf_depth = 0;
-        subtree_min(t, t.root, 1, &mut leaf_depth);
+        subtree(t, t.root, 1, &mut leaf_depth);
         assert_eq!(leaf_depth, t.height());
-        // forward chain == backward chain reversed
-        let forward = t.iter_all();
-        let mut id = t.root;
-        while let Node::Inner { children, .. } = &t.nodes[id] {
-            id = *children.last().unwrap();
-        }
-        let mut backward = Vec::new();
-        loop {
-            let Node::Leaf { entries, prev, .. } = &t.nodes[id] else {
-                unreachable!()
-            };
-            backward.extend(entries.iter().rev().copied());
-            match prev {
-                Some(p) => id = *p,
-                None => break,
-            }
-        }
-        backward.reverse();
-        assert_eq!(forward, backward);
-        assert_eq!(forward.len(), t.len());
-        forward
+        let entries = all(t);
+        assert!(entries.windows(2).all(|w| w[0] < w[1]), "tree order");
+        assert_eq!(entries.len(), t.len());
+        entries
     }
 
     #[test]
@@ -558,7 +484,7 @@ mod tests {
             let f = fanout;
             for n in [0, 1, f, f + 1, f * f, f * f + 1, f * f * (f + 1) + 1] {
                 let input: Vec<u32> = (0..n as u32).map(|v| v * 3).collect();
-                let mut t = SufBTree::from_sorted(fanout, &input);
+                let mut t = load(fanout, &input);
                 assert_eq!(check_invariants(&t), input, "n={n} fanout={fanout}");
                 let emitted = if n == 0 { 0 } else { t.node_count() as u64 };
                 assert_eq!(t.stats().writes(), emitted, "one write per node");
@@ -573,10 +499,8 @@ mod tests {
                 // packed nodes split like any other: interleave new keys
                 let mut model = input.clone();
                 for v in (0..n as u32).map(|v| v * 3 + 1).chain([u32::MAX]) {
+                    insert(&mut t, v);
                     let pos = model.partition_point(|&m| m < v);
-                    let (pred, succ) = t.insert(&cmp_u32, v);
-                    assert_eq!(pred, pos.checked_sub(1).map(|p| model[p]));
-                    assert_eq!(succ, model.get(pos).copied());
                     model.insert(pos, v);
                 }
                 assert_eq!(check_invariants(&t), model, "after inserts, n={n}");
@@ -587,11 +511,12 @@ mod tests {
     #[test]
     fn from_sorted_answers_class_queries_like_an_insert_grown_tree() {
         let input: Vec<u32> = (0..500).collect();
-        let bulk = SufBTree::from_sorted(4, &input);
-        let mut grown: SufBTree<u32> = SufBTree::with_fanout(4);
+        let bulk = load(4, &input);
+        let mut grown = Tree::with_fanout(4);
         for &v in input.iter().rev() {
-            grown.insert(&cmp_u32, v);
+            insert(&mut grown, v);
         }
+        check_invariants(&grown);
         for (lo, hi) in [
             (0, 0),
             (0, 1),
@@ -601,96 +526,91 @@ mod tests {
             (0, 500),
             (499, 500),
         ] {
-            let classify = |e: u32| {
-                if e < lo {
-                    Ordering::Less
-                } else if e < hi {
-                    Ordering::Equal
-                } else {
-                    Ordering::Greater
-                }
-            };
-            assert_eq!(
-                bulk.first_in_class(&classify),
-                grown.first_in_class(&classify)
-            );
-            assert_eq!(
-                bulk.last_in_class(&classify),
-                grown.last_in_class(&classify)
-            );
-            assert_eq!(
-                bulk.collect_class(&classify),
-                grown.collect_class(&classify)
-            );
-            assert_eq!(bulk.count_class(&classify), (hi - lo) as usize);
-            assert_eq!(
-                bulk.collect_class_bounded(&classify, 10),
-                grown.collect_class_bounded(&classify, 10)
-            );
+            let classify = band(lo, hi);
+            let want: Vec<u32> = (lo..hi).collect();
+            assert_eq!(bulk.collect_class(&classify), want);
+            assert_eq!(grown.collect_class(&classify), want);
+            for keys in [0..=u32::MAX, 40..=60, 89..=89, 95..=1000, 101..=200] {
+                let want: Vec<u32> = (lo..hi).filter(|&v| keys.contains(&key(v))).collect();
+                assert_eq!(
+                    visit(&bulk, &classify, keys.clone()),
+                    want,
+                    "bulk [{lo}, {hi})"
+                );
+                assert_eq!(visit(&grown, &classify, keys), want, "grown [{lo}, {hi})");
+            }
         }
     }
 
     #[test]
     fn sorted_insert_and_iteration() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
+        let mut t = Tree::with_fanout(4);
         for v in [5u32, 1, 9, 3, 7, 2, 8, 0, 6, 4] {
-            t.insert(&cmp_u32, v);
+            insert(&mut t, v);
         }
-        assert_eq!(t.iter_all(), (0..10).collect::<Vec<u32>>());
+        assert_eq!(all(&t), (0..10).collect::<Vec<u32>>());
         assert_eq!(t.len(), 10);
     }
 
     #[test]
-    fn insert_reports_neighbours() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
-        assert_eq!(t.insert(&cmp_u32, 50), (None, None));
-        assert_eq!(t.insert(&cmp_u32, 10), (None, Some(50)));
-        assert_eq!(t.insert(&cmp_u32, 90), (Some(50), None));
-        assert_eq!(t.insert(&cmp_u32, 40), (Some(10), Some(50)));
-        assert_eq!(t.insert(&cmp_u32, 45), (Some(40), Some(50)));
+    fn insert_raises_the_maxima_on_its_path() {
+        // keys arrive out of order, so some inserts raise a kept maximum
+        // and others land below it
+        let mut t = Tree::with_fanout(4);
+        for v in [50u32, 10, 90, 40, 45, 95, 5, 60, 70, 20, 99, 1] {
+            insert(&mut t, v);
+            check_invariants(&t);
+        }
+        assert!(
+            t.height() > 1,
+            "twelve entries at fanout 4 need an inner root"
+        );
     }
 
     #[test]
-    fn neighbours_across_leaf_boundaries() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
+    fn a_split_recomputes_both_halves_maxima() {
+        let mut t = Tree::with_fanout(4);
         for v in 0..100u32 {
-            t.insert(&cmp_u32, v * 2);
+            insert(&mut t, v * 2);
+            check_invariants(&t);
         }
-        // 51 lands between 50 and 52, very likely in a split leaf landscape
-        let (pred, succ) = t.insert(&cmp_u32, 51);
-        assert_eq!(pred, Some(50));
-        assert_eq!(succ, Some(52));
-        assert!(t.height() > 1);
+        // descending inserts split the leftmost nodes over and over
+        for v in (0..100u32).rev() {
+            insert(&mut t, v * 2 + 1);
+            check_invariants(&t);
+        }
+        assert_eq!(all(&t), (0..200).collect::<Vec<u32>>());
+        assert!(t.height() > 2);
     }
 
     #[test]
     fn class_queries() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
+        let mut t = Tree::with_fanout(4);
         for v in 0..200u32 {
-            t.insert(&cmp_u32, v);
+            insert(&mut t, v);
         }
-        // class: Equal for [37, 90)
-        let classify = |e: u32| {
-            if e < 37 {
-                Ordering::Less
-            } else if e < 90 {
-                Ordering::Equal
-            } else {
-                Ordering::Greater
-            }
-        };
-        assert_eq!(t.first_in_class(&classify), Some(37));
-        assert_eq!(t.last_in_class(&classify), Some(89));
-        let all = t.collect_class(&classify);
-        assert_eq!(all, (37..90).collect::<Vec<u32>>());
-        assert_eq!(t.count_class(&classify), 53);
+        let classify = band(37, 90);
+        let every = t.collect_class(&classify);
+        assert_eq!(every, (37..90).collect::<Vec<u32>>());
+        t.stats().reset();
+        let top = visit(&t, &classify, 95..=u32::MAX);
+        let want: Vec<u32> = (37..90).filter(|&v| key(v) >= 95).collect();
+        assert_eq!((top.len(), top), (3, want));
+        let pruned = t.stats().reads();
+        t.stats().reset();
+        t.collect_class(&classify);
+        assert!(
+            pruned * 2 < t.stats().reads(),
+            "pruned walk {pruned} reads vs {}",
+            t.stats().reads()
+        );
     }
 
     #[test]
     fn empty_class() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
+        let mut t = Tree::with_fanout(4);
         for v in [10u32, 20, 30] {
-            t.insert(&cmp_u32, v);
+            insert(&mut t, v);
         }
         // the Equal band is empty: everything is strictly Less or Greater
         let classify = |e: u32| {
@@ -700,46 +620,36 @@ mod tests {
                 Ordering::Greater
             }
         };
-        assert_eq!(t.first_in_class(&classify), None);
-        assert_eq!(t.last_in_class(&classify), None);
         assert!(t.collect_class(&classify).is_empty());
+        assert!(t.collect_class(&band(11, 20)).is_empty());
     }
 
     #[test]
     fn class_at_extremes() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(4);
+        let mut t = Tree::with_fanout(4);
         for v in 0..50u32 {
-            t.insert(&cmp_u32, v);
+            insert(&mut t, v);
         }
-        let all = |_: u32| Ordering::Equal;
-        assert_eq!(t.first_in_class(&all), Some(0));
-        assert_eq!(t.last_in_class(&all), Some(49));
-        assert_eq!(t.collect_class(&all).len(), 50);
-        let none_low = |_: u32| Ordering::Greater;
-        assert_eq!(t.first_in_class(&none_low), None);
-        assert_eq!(t.last_in_class(&none_low), None);
-        let none_high = |_: u32| Ordering::Less;
-        assert_eq!(t.first_in_class(&none_high), None);
+        assert_eq!(all(&t), (0..50).collect::<Vec<u32>>());
+        assert!(t.collect_class(&|_| Ordering::Greater).is_empty());
+        assert!(t.collect_class(&|_| Ordering::Less).is_empty());
+        let all_keys = |_| Ordering::Equal;
+        assert!(
+            visit(&t, &all_keys, 101..=u32::MAX).is_empty(),
+            "no key reaches 101"
+        );
+        assert_eq!(visit(&t, &all_keys, 0..=0), vec![0]);
     }
 
     #[test]
     fn storage_and_stats() {
-        let mut t: SufBTree<u32> = SufBTree::with_fanout(8);
+        let mut t = Tree::with_fanout(8);
         for v in 0..1000u32 {
-            t.insert(&cmp_u32, v);
+            insert(&mut t, v);
         }
         assert!(t.storage_bytes(8) > 8000);
         t.stats().reset();
-        let classify = |e: u32| {
-            if e < 500 {
-                Ordering::Less
-            } else if e == 500 {
-                Ordering::Equal
-            } else {
-                Ordering::Greater
-            }
-        };
-        let _ = t.first_in_class(&classify);
+        let _ = t.collect_class(&band(500, 501));
         assert!(t.stats().reads() >= t.height() as u64);
     }
 }
