@@ -352,6 +352,7 @@ mod tests {
         let mut db = crate::Database::new_in_memory();
         db.execute("CREATE TABLE Gene (GSequence TEXT, GName TEXT)")
             .unwrap();
+        db.execute("CREATE USER labadmin").unwrap();
         let monitors = |db: &crate::Database, table: &str, col: &str| {
             db.approval().monitors(table, &[col.to_string()])
         };

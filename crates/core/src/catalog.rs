@@ -10,8 +10,11 @@
 //! The catalog's own state lives in hidden tables too, whose names start
 //! with `$` and which no table owns: users, groups and grants
 //! ([`AUTH_TABLE`]), approval configs and the operation-id floor
-//! ([`APPROVAL_TABLE`]), and dependency rules ([`RULES_TABLE`]).  Each
-//! keeps a [`CatalogView`] from its rows.
+//! ([`APPROVAL_TABLE`]), and dependency rules ([`RULES_TABLE`]), each
+//! keeping a [`CatalogView`] from its rows; and the definitions of every
+//! user table, index, sequence index and annotation set
+//! ([`SCHEMA_TABLE`], one [`Definition`] per row), which
+//! `Database::define` puts into effect.
 
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
@@ -434,6 +437,146 @@ pub(crate) const APPROVAL_TABLE: &str = "$approval";
 /// (`crate::dependency`): the table's row allocator hands out the ids.
 pub(crate) const RULES_TABLE: &str = "$rules";
 
+/// Table, index, sequence-index and annotation-set definitions, one
+/// [`Definition`] per row.
+pub(crate) const SCHEMA_TABLE: &str = "$schema";
+
+/// The user table a row of `$auth`, `$approval` or `$schema` is about
+/// (column 0; `""` for a row about none).
+pub(crate) fn on_table(row: &[Value]) -> &str {
+    row[0].as_text().unwrap_or("")
+}
+
+/// One row of `$schema`.  Every kind of definition has one row shape
+/// ([`schema`](Self::schema)): the table it is on, its kind and its
+/// name, then the columns its [`Kind`] uses, NULL elsewhere.
+pub(crate) struct Definition {
+    /// The user table it is on (a table's own name).
+    pub table: String,
+    /// The table's, index's or set's name.
+    pub name: String,
+    pub kind: Kind,
+}
+
+/// What a [`Definition`] defines, with what its row holds besides names.
+pub(crate) enum Kind {
+    /// `TABLE`, with its deletion and approval logs: the owner, and the
+    /// columns as `name TYPE, …` text.
+    Table { owner: String, schema: Schema },
+    /// `INDEX` (a B+-tree) or `SEQUENCE INDEX` (`SBC` / `SUFFIX`) on a
+    /// column.
+    Index {
+        column: String,
+        seq: Option<SeqIndexKind>,
+    },
+    /// `ANNOTATION TABLE`, with its record and rectangle tables: the
+    /// `CELL` / `RECTANGLE` scheme and two flags.
+    Set {
+        cell_scheme: bool,
+        system_only: bool,
+        schema_enforced: bool,
+    },
+}
+
+impl Definition {
+    /// The columns of `$schema`.
+    pub(crate) fn schema() -> Schema {
+        use DataType::{Bool, Text};
+        Schema::of(&[
+            ("on_table", Text),
+            ("kind", Text),
+            ("name", Text),
+            ("owner", Text),
+            ("columns", Text),
+            ("variant", Text),
+            ("system_only", Bool),
+            ("schema_enforced", Bool),
+        ])
+    }
+
+    /// This definition as a `$schema` row.
+    pub(crate) fn to_row(&self) -> Vec<Value> {
+        let text = |s: &str| Value::Text(s.to_string());
+        let mut row = vec![Value::Null; 8];
+        row[0] = text(&self.table);
+        row[2] = text(&self.name);
+        match &self.kind {
+            Kind::Table { owner, schema } => {
+                let columns: Vec<String> = (schema.columns().iter())
+                    .map(|c| format!("{} {}", c.name, c.ty))
+                    .collect();
+                row[1] = text("TABLE");
+                row[3] = text(owner);
+                row[4] = text(&columns.join(", "));
+            }
+            Kind::Index { column, seq } => {
+                row[1] = text(if seq.is_some() {
+                    "SEQUENCE INDEX"
+                } else {
+                    "INDEX"
+                });
+                row[4] = text(column);
+                row[5] = seq.map_or(Value::Null, |k| text(k.as_str()));
+            }
+            Kind::Set {
+                cell_scheme,
+                system_only,
+                schema_enforced,
+            } => {
+                row[1] = text("ANNOTATION TABLE");
+                row[5] = text(if *cell_scheme { "CELL" } else { "RECTANGLE" });
+                row[6] = Value::Bool(*system_only);
+                row[7] = Value::Bool(*schema_enforced);
+            }
+        }
+        row
+    }
+
+    /// Decode a `$schema` row.
+    pub(crate) fn from_row(row: &[Value]) -> Result<Definition> {
+        let malformed = || BdbmsError::corrupt(format!("malformed `$schema` row {row:?}"));
+        let text = |col: usize| row.get(col).and_then(Value::as_text).ok_or_else(malformed);
+        let flag = |col: usize| match row.get(col) {
+            Some(&Value::Bool(b)) => Ok(b),
+            _ => Err(malformed()),
+        };
+        let index = |seq| -> Result<Kind> {
+            let column = text(4)?.to_string();
+            Ok(Kind::Index { column, seq })
+        };
+        let (table, name) = (text(0)?.to_string(), text(2)?.to_string());
+        let kind = match (text(1)?, text(5)) {
+            ("TABLE", _) if table == name => Kind::Table {
+                owner: text(3)?.to_string(),
+                schema: parse_columns(text(4)?).ok_or_else(malformed)?,
+            },
+            ("INDEX", _) => index(None)?,
+            ("SEQUENCE INDEX", Ok("SBC")) => index(Some(SeqIndexKind::Sbc))?,
+            ("SEQUENCE INDEX", Ok("SUFFIX")) => index(Some(SeqIndexKind::Suffix))?,
+            ("ANNOTATION TABLE", Ok(scheme @ ("CELL" | "RECTANGLE"))) => Kind::Set {
+                cell_scheme: scheme == "CELL",
+                system_only: flag(6)?,
+                schema_enforced: flag(7)?,
+            },
+            _ => return Err(malformed()),
+        };
+        Ok(Definition { table, name, kind })
+    }
+}
+
+/// A table's `name TYPE, …` column list back as its schema (identifiers
+/// hold no space or comma, so the text splits cleanly).
+fn parse_columns(text: &str) -> Option<Schema> {
+    let columns = text.split(", ").map(|c| {
+        let (name, ty) = c.split_once(' ')?;
+        Some(bdbms_common::ColumnDef::new(
+            name,
+            DataType::parse(ty).ok()?,
+        ))
+    });
+    Schema::new(columns.collect::<Option<_>>()?).ok()
+}
+
 /// The in-memory form of a catalog table (`AuthManager`,
 /// `ApprovalManager`, `DependencyManager`): a pure function of the
 /// table's rows, which the hot reads consult instead of the heap.
@@ -460,9 +603,11 @@ pub(crate) enum History {
 }
 
 impl History {
-    /// The history of a new set's record table: the set itself.
-    pub(crate) fn records(set: AnnotationSet) -> History {
-        History::Records(Rc::new(RefCell::new(set)))
+    /// The histories of a new set's record and rectangle tables, which
+    /// share the set.
+    pub(crate) fn of_set(set: AnnotationSet) -> [History; 2] {
+        let set = Rc::new(RefCell::new(set));
+        [History::Records(set.clone()), History::Rects(set)]
     }
 
     fn row_added(&mut self, row_no: u64, row: &[Value]) {
@@ -530,6 +675,15 @@ pub(crate) struct Sieve<'s, F: FnMut(&[Value]) -> Result<bool>> {
     pub keep: Option<&'s [usize]>,
     pub survives: F,
     pub late: &'s [usize],
+}
+
+/// A table's physical parts, as the image's metadata record keeps
+/// them: its heap, row map, row allocator and outdated bitmap.
+pub(crate) struct TableParts {
+    pub heap: HeapFile,
+    pub rows: BTreeMap<u64, Rid>,
+    pub next_row: u64,
+    pub outdated: CellBitmap,
 }
 
 /// One user table.
@@ -601,55 +755,43 @@ impl Table {
     /// Rebuild a table from its persisted parts (database open).  The
     /// heap is already attached to the live buffer pool; statistics are
     /// recomputed exactly (a reopen is an implicit `ANALYZE`) and the
-    /// secondary indexes — and a hidden table's `history` — are rebuilt
-    /// from the heap: derived *payloads* are never persisted, only their
-    /// definitions.
-    #[allow(clippy::too_many_arguments)] // mirrors the persisted fields
+    /// indexes — each named with its column and, for a sequence index,
+    /// its kind, as `$schema` holds them — and a hidden table's
+    /// `history` are rebuilt from the heap in one pass: derived
+    /// *payloads* are never persisted, only their definitions.
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,
         owner: String,
-        heap: HeapFile,
-        rows: BTreeMap<u64, Rid>,
-        next_row: u64,
-        outdated: CellBitmap,
+        parts: TableParts,
         mut history: Option<History>,
-        index_defs: &[(String, usize)],
-        seq_index_defs: &[(String, usize, SeqIndexKind)],
+        index_defs: &[(String, String, Option<SeqIndexKind>)],
     ) -> Result<Table> {
         let arity = schema.arity();
+        let (mut indexes, mut seq_indexes) = (Vec::new(), Vec::new());
+        for (index, col, seq) in index_defs {
+            let col = schema.index_of(col).ok_or_else(|| {
+                BdbmsError::corrupt(format!("index `{index}` names no column `{col}`"))
+            })?;
+            match seq {
+                None => indexes.push(TableIndex::new(index, col)),
+                Some(kind) => seq_indexes.push(SeqIndex::new(index, col, *kind)),
+            }
+        }
         let mut t = Table {
             stats: Self::fresh_stats(&name, arity),
             name,
             schema,
             owner,
-            heap,
-            rows,
-            next_row,
-            outdated,
+            heap: parts.heap,
+            rows: parts.rows,
+            next_row: parts.next_row,
+            outdated: parts.outdated,
             history: None,
             indexes: Vec::new(),
             seq_indexes: Vec::new(),
             log: SharedLog::default(),
         };
-        let column_of = |what: &str, index: &str, col: usize| {
-            if col < arity {
-                Ok(col)
-            } else {
-                Err(BdbmsError::corrupt(format!(
-                    "{what} `{index}` references column {col} beyond the schema"
-                )))
-            }
-        };
-        let mut indexes = Vec::with_capacity(index_defs.len());
-        for (index, col) in index_defs {
-            indexes.push(TableIndex::new(index, column_of("index", index, *col)?));
-        }
-        let mut seq_indexes = Vec::with_capacity(seq_index_defs.len());
-        for (index, col, kind) in seq_index_defs {
-            let col = column_of("sequence index", index, *col)?;
-            seq_indexes.push(SeqIndex::new(index, col, *kind));
-        }
         // every table's statistics are computed, so the walk checks that
         // every value decodes; a hidden table's are then dropped
         let mut stats = TableStats::new(arity);
@@ -1163,54 +1305,61 @@ impl Table {
 
     // ---- secondary indexes ----
 
-    /// Create a secondary index named `name` over `column`, backfilling
-    /// it from the live rows.
-    pub fn create_index(&mut self, name: &str, column: &str) -> Result<()> {
-        if self.index_named(name).is_some() {
-            return Err(BdbmsError::already_exists(format!(
-                "index `{name}` on `{}`",
-                self.name
-            )));
+    /// Create index `name` over `column`, backfilling it from the live
+    /// rows: a B+-tree, or a sequence index of kind `seq` over a TEXT
+    /// column.  Not logged: its `$schema` row is (`Database::define` is
+    /// the caller).
+    pub fn create_index(
+        &mut self,
+        name: &str,
+        column: &str,
+        seq: Option<SeqIndexKind>,
+    ) -> Result<()> {
+        let (taken, what) = match seq {
+            None => (self.index_named(name).is_some(), "index"),
+            Some(_) => (self.seq_index_named(name).is_some(), "sequence index"),
+        };
+        if taken {
+            let what = format!("{what} `{name}` on `{}`", self.name);
+            return Err(BdbmsError::already_exists(what));
         }
         let col = self.schema.require(column)?;
-        let mut idx = TableIndex::new(name, col);
-        self.derive(None, std::slice::from_mut(&mut idx), &mut [], None, 0)?;
-        self.indexes.push(idx);
-        self.record(
-            |table| WalRecord::IndexCreate {
-                table,
-                index: name.to_string(),
-                column: column.to_string(),
-            },
-            |table| WalRecord::IndexDrop {
-                table,
-                index: name.to_string(),
-            },
-        );
+        let Some(kind) = seq else {
+            let mut idx = TableIndex::new(name, col);
+            self.derive(None, std::slice::from_mut(&mut idx), &mut [], None, 0)?;
+            self.indexes.push(idx);
+            return Ok(());
+        };
+        if self.schema.columns()[col].ty != DataType::Text {
+            return Err(BdbmsError::invalid(format!(
+                "sequence index `{name}` requires a TEXT column, but `{column}` is {:?}",
+                self.schema.columns()[col].ty
+            )));
+        }
+        let mut sidx = SeqIndex::new(name, col, kind);
+        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)?;
+        self.seq_indexes.push(sidx);
         Ok(())
     }
 
-    /// Drop the index named `name`.  Its inverse recreates it by
-    /// backfilling, applied when the rows are back to their drop-time
-    /// state, so the rebuilt index is the dropped one.
-    pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        let pos = self
-            .indexes
-            .iter()
-            .position(|i| i.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| BdbmsError::not_found(format!("index `{name}` on `{}`", self.name)))?;
-        let idx = self.indexes.remove(pos);
-        self.record(
-            |table| WalRecord::IndexDrop {
-                table,
-                index: name.to_string(),
-            },
-            |table| WalRecord::IndexCreate {
-                table,
-                index: idx.name,
-                column: self.schema.columns()[idx.column].name.clone(),
-            },
-        );
+    /// Drop index `name` (a sequence index if `seq`).  Its definition's
+    /// inverse recreates it by backfilling, applied when the rows are
+    /// back to their drop-time state, so the rebuilt index is the
+    /// dropped one.
+    pub fn drop_index(&mut self, name: &str, seq: bool) -> Result<()> {
+        let count = |t: &Table| t.indexes.len() + t.seq_indexes.len();
+        let (before, other) = (count(self), |i: &str| !i.eq_ignore_ascii_case(name));
+        match seq {
+            false => self.indexes.retain(|i| other(&i.name)),
+            true => self.seq_indexes.retain(|i| other(&i.name)),
+        }
+        if count(self) == before {
+            let what = if seq { "sequence index" } else { "index" };
+            return Err(BdbmsError::not_found(format!(
+                "{what} `{name}` on `{}`",
+                self.name
+            )));
+        }
         Ok(())
     }
 
@@ -1232,66 +1381,6 @@ impl Table {
     }
 
     // ---- sequence indexes ----
-
-    /// Create a sequence index named `name` over the TEXT column
-    /// `column`, backfilling it from the live rows.
-    pub fn create_seq_index(&mut self, name: &str, column: &str, kind: SeqIndexKind) -> Result<()> {
-        if self.seq_index_named(name).is_some() {
-            return Err(BdbmsError::already_exists(format!(
-                "sequence index `{name}` on `{}`",
-                self.name
-            )));
-        }
-        let col = self.schema.require(column)?;
-        if self.schema.columns()[col].ty != DataType::Text {
-            return Err(BdbmsError::invalid(format!(
-                "sequence index `{name}` requires a TEXT column, but `{column}` is {:?}",
-                self.schema.columns()[col].ty
-            )));
-        }
-        let mut sidx = SeqIndex::new(name, col, kind);
-        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)?;
-        self.seq_indexes.push(sidx);
-        self.record(
-            |table| WalRecord::SeqIndexCreate {
-                table,
-                index: name.to_string(),
-                column: column.to_string(),
-                kind,
-            },
-            |table| WalRecord::SeqIndexDrop {
-                table,
-                index: name.to_string(),
-            },
-        );
-        Ok(())
-    }
-
-    /// Drop the sequence index named `name` (its inverse recreates it
-    /// by backfilling, like [`drop_index`](Self::drop_index)'s).
-    pub fn drop_seq_index(&mut self, name: &str) -> Result<()> {
-        let pos = self
-            .seq_indexes
-            .iter()
-            .position(|i| i.name.eq_ignore_ascii_case(name))
-            .ok_or_else(|| {
-                BdbmsError::not_found(format!("sequence index `{name}` on `{}`", self.name))
-            })?;
-        let sidx = self.seq_indexes.remove(pos);
-        self.record(
-            |table| WalRecord::SeqIndexDrop {
-                table,
-                index: name.to_string(),
-            },
-            |table| WalRecord::SeqIndexCreate {
-                table,
-                index: sidx.name,
-                column: self.schema.columns()[sidx.column].name.clone(),
-                kind: sidx.kind,
-            },
-        );
-        Ok(())
-    }
 
     /// Find a sequence index by name (case-insensitive).
     pub fn seq_index_named(&self, name: &str) -> Option<&SeqIndex> {
@@ -1640,12 +1729,6 @@ impl Catalog {
             .filter_map(|(_, t)| Some(t.annotation_set()?.borrow().name.clone()))
             .collect()
     }
-
-    /// The history a rectangle table derives: its record table's set.
-    pub(crate) fn rects_history(&self, name: &str) -> Option<History> {
-        let records = self.table(name.strip_suffix("$rects")?).ok()?;
-        Some(History::Rects(records.annotation_set()?.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -1775,7 +1858,7 @@ mod tests {
             t.insert(vec![format!("JW{i:04}").into(), "x".into(), "ATG".into()])
                 .unwrap();
         }
-        t.create_index("gid_idx", "GID").unwrap();
+        t.create_index("gid_idx", "GID", None).unwrap();
         assert_eq!(t.index_named("gid_idx").unwrap().len(), 20, "backfilled");
         let probe = |t: &Table, key: &str| -> Vec<u64> {
             let v = Value::Text(key.into());
@@ -1805,9 +1888,9 @@ mod tests {
             .unwrap()
             .probe(Bound::Included(&lo), Bound::Included(&hi));
         assert_eq!(rows, vec![3, 4, 5, 6]);
-        t.drop_index("GID_IDX").unwrap();
+        t.drop_index("GID_IDX", false).unwrap();
         assert!(t.index_on(0).is_none());
-        assert!(t.drop_index("gid_idx").is_err());
+        assert!(t.drop_index("gid_idx", false).is_err());
     }
 
     #[test]
@@ -1821,7 +1904,7 @@ mod tests {
         .unwrap();
         t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         t.insert(vec![Value::Null, "x".into()]).unwrap();
-        t.create_index("a_idx", "a").unwrap();
+        t.create_index("a_idx", "a", None).unwrap();
         assert_eq!(t.index_named("a_idx").unwrap().len(), 1);
         // updating NULL → value adds an entry; value → NULL removes it
         t.update(1, vec![Value::Int(5), "x".into()]).unwrap();
@@ -1838,7 +1921,7 @@ mod tests {
         for a in [9, 7, 7, 5, 3] {
             t.insert(vec![Value::Int(a)]).unwrap();
         }
-        t.create_index("a_idx", "a").unwrap();
+        t.create_index("a_idx", "a", None).unwrap();
         let idx = t.index_named("a_idx").unwrap();
         let (lo, hi) = (Value::Int(4), Value::Int(8));
         let range = idx.probe(Bound::Included(&lo), Bound::Included(&hi));
@@ -1856,7 +1939,7 @@ mod tests {
             .unwrap();
         t.insert(vec!["JW0002".into(), "b".into(), "GGGGCCCC".into()])
             .unwrap();
-        t.create_seq_index("seq_idx", "GSequence", SeqIndexKind::Sbc)
+        t.create_index("seq_idx", "GSequence", Some(SeqIndexKind::Sbc))
             .unwrap();
         assert_eq!(t.seq_index_named("seq_idx").unwrap().len(), 2, "backfilled");
         let probe = |t: &Table, pat: &str| t.seq_index_on(2).unwrap().probe(pat);
@@ -1882,14 +1965,14 @@ mod tests {
         assert_eq!(t.seq_index_on(2).unwrap().len(), 1);
         // duplicate name / non-TEXT column / unknown column rejected
         assert!(t
-            .create_seq_index("SEQ_IDX", "GSequence", SeqIndexKind::Suffix)
+            .create_index("SEQ_IDX", "GSequence", Some(SeqIndexKind::Suffix))
             .is_err());
         assert!(t
-            .create_seq_index("nope", "missing", SeqIndexKind::Sbc)
+            .create_index("nope", "missing", Some(SeqIndexKind::Sbc))
             .is_err());
-        t.drop_seq_index("SEQ_IDX").unwrap();
+        t.drop_index("SEQ_IDX", true).unwrap();
         assert!(t.seq_index_on(2).is_none());
-        assert!(t.drop_seq_index("seq_idx").is_err());
+        assert!(t.drop_index("seq_idx", true).is_err());
     }
 
     #[test]
@@ -1901,8 +1984,10 @@ mod tests {
             pool(),
         )
         .unwrap();
-        assert!(t.create_seq_index("sa", "a", SeqIndexKind::Sbc).is_err());
-        assert!(t.create_seq_index("sb", "b", SeqIndexKind::Suffix).is_ok());
+        assert!(t.create_index("sa", "a", Some(SeqIndexKind::Sbc)).is_err());
+        assert!(t
+            .create_index("sb", "b", Some(SeqIndexKind::Suffix))
+            .is_ok());
     }
 
     #[test]
@@ -1910,8 +1995,8 @@ mod tests {
         let mut t = gene_table();
         t.insert(vec!["JW0000".into(), "pre".into(), "ACGT".into()])
             .unwrap();
-        t.create_index("gid_idx", "GID").unwrap();
-        t.create_seq_index("seq_idx", "GSequence", SeqIndexKind::Sbc)
+        t.create_index("gid_idx", "GID", None).unwrap();
+        t.create_index("seq_idx", "GSequence", Some(SeqIndexKind::Sbc))
             .unwrap();
         let first = t.peek_next_row();
         for i in 1..=10 {
@@ -2118,7 +2203,9 @@ mod tests {
         let mut bulk = Table::create("B", schema.clone(), "admin", pool()).unwrap();
         let mut grown = Table::create("G", schema, "admin", pool()).unwrap();
         for (col, name) in ["i", "f", "t"].iter().enumerate() {
-            grown.create_index(&format!("{name}_idx"), name).unwrap();
+            grown
+                .create_index(&format!("{name}_idx"), name, None)
+                .unwrap();
             assert!(grown.indexes[col].is_empty());
         }
         for n in 0..600 {
@@ -2130,7 +2217,8 @@ mod tests {
             grown.delete(n).unwrap();
         }
         for name in ["i", "f", "t"] {
-            bulk.create_index(&format!("{name}_idx"), name).unwrap();
+            bulk.create_index(&format!("{name}_idx"), name, None)
+                .unwrap();
         }
         let bounds = [Value::Int(3), Value::Float(0.25), Value::Text("k9".into())];
         let same_answers = |bulk: &Table, grown: &Table| {
@@ -2184,7 +2272,7 @@ mod tests {
             t.insert(vec![Value::Int(k), Value::Text(format!("n{k}"))])
                 .unwrap();
         }
-        t.create_index("k_idx", "k").unwrap();
+        t.create_index("k_idx", "k", None).unwrap();
         // row 1's unindexed TEXT column stops being UTF-8
         let mut rec = 1u64.to_le_bytes().to_vec();
         Value::Int(1).encode(&mut rec);
@@ -2207,8 +2295,138 @@ mod tests {
         assert_eq!(err.unwrap_err().code(), want, "open's derive pass");
         assert!(idx.is_empty(), "a failed pass loads no index");
         // without statistics only the key column is read, as before
-        t.create_index("k3", "k").unwrap();
+        t.create_index("k3", "k", None).unwrap();
         assert_eq!(t.index_named("k3").unwrap().len(), 4);
+    }
+
+    /// One definition of each kind, on table `T (v INT, s TEXT)`.
+    fn definitions() -> Vec<Definition> {
+        let def = |name: &str, kind| Definition {
+            table: "T".into(),
+            name: name.into(),
+            kind,
+        };
+        let schema = Schema::of(&[("v", DataType::Int), ("s", DataType::Text)]);
+        let (v, s) = (|| "v".to_string(), || "s".to_string());
+        vec![
+            def(
+                "T",
+                Kind::Table {
+                    owner: "alice".into(),
+                    schema,
+                },
+            ),
+            def(
+                "v_idx",
+                Kind::Index {
+                    column: v(),
+                    seq: None,
+                },
+            ),
+            def(
+                "s_sbc",
+                Kind::Index {
+                    column: s(),
+                    seq: Some(SeqIndexKind::Sbc),
+                },
+            ),
+            def(
+                "s_suf",
+                Kind::Index {
+                    column: s(),
+                    seq: Some(SeqIndexKind::Suffix),
+                },
+            ),
+            def(
+                "notes",
+                Kind::Set {
+                    cell_scheme: true,
+                    system_only: false,
+                    schema_enforced: true,
+                },
+            ),
+            def(
+                "prov",
+                Kind::Set {
+                    cell_scheme: false,
+                    system_only: true,
+                    schema_enforced: false,
+                },
+            ),
+        ]
+    }
+
+    /// Every kind of definition is one row shape, decoded back to the
+    /// same row; a row no definition writes is `Corrupt`.
+    #[test]
+    fn definitions_round_trip_through_one_row_shape() {
+        let schema = Definition::schema();
+        for def in definitions() {
+            let row = schema.check_row(def.to_row()).unwrap();
+            assert_eq!(Definition::from_row(&row).unwrap().to_row(), row);
+        }
+        let table = definitions()[0].to_row();
+        assert_eq!(table[4], Value::Text("v INT, s TEXT".into()));
+        let text = |s: &str| Value::Text(s.into());
+        let malformed = [
+            (1, text("VIEW")),
+            (0, text("U")), // a table row on another table
+            (4, text("v INT, s")),
+            (4, text("v BLOB")),
+            (3, Value::Null),
+        ];
+        for (col, value) in malformed {
+            let mut row = table.clone();
+            row[col] = value;
+            let err = Definition::from_row(&row).err().unwrap();
+            assert_eq!(err.code(), bdbms_common::ErrorCode::Corrupt);
+        }
+        let mut index = definitions()[2].to_row();
+        index[5] = text("RTREE");
+        assert!(Definition::from_row(&index).is_err());
+        let mut set = definitions()[4].to_row();
+        set[6] = Value::Null;
+        assert!(Definition::from_row(&set).is_err());
+    }
+
+    /// `define` makes each kind's objects and takes them away again,
+    /// and refuses a definition that is already in effect.
+    #[test]
+    fn define_makes_and_unmakes_every_kind() {
+        let mut db = crate::Database::new_in_memory();
+        let rows: Vec<Vec<Value>> = definitions().iter().map(Definition::to_row).collect();
+        for row in &rows {
+            db.define(row, true).unwrap();
+        }
+        let hidden = [
+            "T$$deleted",
+            "T$$approval",
+            "T$notes",
+            "T$notes$rects",
+            "T$prov",
+        ];
+        for name in hidden {
+            assert_eq!(db.catalog.table(name).unwrap().owner, "alice", "{name}");
+        }
+        let t = db.catalog.table("T").unwrap();
+        assert_eq!((t.indexes().len(), t.seq_indexes().len()), (1, 2));
+        let set = db.catalog.annotation_set("T", "notes").unwrap();
+        assert!(set.index().is_cell_scheme() && set.index().schema_enforced);
+        assert!(
+            db.catalog
+                .annotation_set("T", "prov")
+                .unwrap()
+                .index()
+                .system_only
+        );
+        for row in &rows {
+            let err = db.define(row, true).unwrap_err();
+            assert_eq!(err.code(), bdbms_common::ErrorCode::AlreadyExists);
+        }
+        for row in rows.iter().rev() {
+            db.define(row, false).unwrap();
+        }
+        assert!(db.catalog.all_tables().all(|t| t.name.starts_with('$')));
     }
 
     #[test]

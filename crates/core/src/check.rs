@@ -16,6 +16,8 @@
 //!   its hidden tables' rows, every attachment resolving to a record;
 //! * each catalog view (users and grants, approval configs, dependency
 //!   rules) equal to one rebuilt from its catalog table's rows;
+//! * every live table, index, sequence index and annotation set defined
+//!   by exactly one `$schema` row, and every row's object live;
 //! * outdated-bitmap shape (arity) and liveness (bits only on live rows);
 //! * WAL chain continuity (segment numbering, header agreement, frame
 //!   CRCs, dense LSNs) via [`verify_wal_dir`].
@@ -34,8 +36,8 @@ use bdbms_storage::{
 
 use crate::annotation::{AnnotationSet, Rectangle, ARCHIVED};
 use crate::catalog::{
-    owner_of, records_table, rects_table, Catalog, CatalogView, Table, APPROVAL_TABLE, AUTH_TABLE,
-    RULES_TABLE,
+    owner_of, records_table, rects_table, Catalog, CatalogView, Definition, Kind, Table,
+    APPROVAL_TABLE, AUTH_TABLE, RULES_TABLE, SCHEMA_TABLE,
 };
 use crate::database::Database;
 use crate::durability::{DATA_FILE, WAL_DIR};
@@ -46,7 +48,9 @@ use crate::result::{AnnRow, QueryResult};
 pub struct CheckReport {
     /// Pages of the durable image whose checksums were verified.
     pub pages_checked: u64,
-    /// Rows decoded from table heaps.
+    /// Rows decoded from the heaps of user tables and their history
+    /// tables (the catalog tables' rows are checked against the views
+    /// and objects they hold instead).
     pub rows_checked: u64,
     /// Secondary-index entries verified (key order + heap agreement).
     pub index_entries_checked: u64,
@@ -88,13 +92,13 @@ impl Database {
         if let Some(dir) = self.path() {
             check_durable_image(dir, &mut rep);
         }
-        // a filtered check covers the table's history tables too
+        // a filtered check covers the table's history tables too; a
+        // catalog table (which none owns) has its own legs below
         for t in self.catalog().all_tables() {
-            if let Some(f) = filter {
-                let owner = owner_of(&t.name).unwrap_or(&t.name);
-                if !owner.eq_ignore_ascii_case(f) {
-                    continue;
-                }
+            let owner = owner_of(&t.name);
+            let skipped = filter.is_some_and(|f| !owner.unwrap_or(&t.name).eq_ignore_ascii_case(f));
+            if owner == Some("") || skipped {
+                continue;
             }
             check_table(t, &mut rep);
             for set in self.catalog().ann_set_names(&t.name) {
@@ -106,6 +110,7 @@ impl Database {
             check_view(&*self.auth.borrow(), table(AUTH_TABLE)?, &mut rep);
             check_view(&*self.approval.borrow(), table(APPROVAL_TABLE)?, &mut rep);
             check_view(&*self.deps.borrow(), table(RULES_TABLE)?, &mut rep);
+            check_definitions(self.catalog(), &mut rep)?;
         }
         Ok(rep)
     }
@@ -284,23 +289,87 @@ fn check_ann_set(catalog: &Catalog, table: &str, set: &str, rep: &mut CheckRepor
         .push(format!("annotation set `{set}` on `{table}`: {problem}"));
 }
 
+/// Every row of catalog table `t`, or `None` with the first unreadable
+/// one reported.
+fn catalog_rows(t: &Table, rep: &mut CheckReport) -> Option<Vec<(u64, Vec<Value>)>> {
+    let rows = t.iter_rows().collect::<Result<Vec<_>>>();
+    rows.inspect_err(|e| {
+        let problem = format!("catalog table `{}`: unreadable row: {e}", t.name);
+        rep.problems.push(problem);
+    })
+    .ok()
+}
+
 /// Verify one catalog view: it must equal one rebuilt from its table's
 /// rows.
-fn check_view<V: CatalogView + Default + PartialEq>(live: &V, rows: &Table, rep: &mut CheckReport) {
+fn check_view<V: CatalogView + Default + PartialEq>(live: &V, t: &Table, rep: &mut CheckReport) {
+    let Some(rows) = catalog_rows(t, rep) else {
+        return;
+    };
     let mut fresh = V::default();
-    for row in rows.iter_rows() {
-        match row {
-            Ok((row_no, row)) => fresh.apply(row_no, &row, true),
-            // `check_table` has reported it
-            Err(_) => return,
-        }
+    for (row_no, row) in rows {
+        fresh.apply(row_no, &row, true);
     }
     if *live != fresh {
         rep.problems.push(format!(
             "catalog table `{}`: its view disagrees with its rows",
-            rows.name
+            t.name
         ));
     }
+}
+
+/// Verify the definitions: each live table (owner, schema), index,
+/// sequence index and annotation set (scheme, flags) has exactly one
+/// `$schema` row, and each row's object is live.
+fn check_definitions(catalog: &Catalog, rep: &mut CheckReport) -> Result<()> {
+    let mut live = Vec::new();
+    for t in catalog.tables() {
+        let table = &t.name;
+        let mut add = |name: &str, kind| {
+            let (table, name) = (table.clone(), name.to_string());
+            live.push(Definition { table, name, kind }.to_row());
+        };
+        let (owner, schema) = (t.owner.clone(), t.schema.clone());
+        add(table, Kind::Table { owner, schema });
+        let indexes = t.indexes().iter().map(|i| (&i.name, i.column, None));
+        let seq_indexes = t
+            .seq_indexes()
+            .iter()
+            .map(|i| (&i.name, i.column, Some(i.kind)));
+        for (name, col, seq) in indexes.chain(seq_indexes) {
+            let column = t.schema.columns()[col].name.clone();
+            add(name, Kind::Index { column, seq });
+        }
+        for name in catalog.ann_set_names(table) {
+            let set = catalog.annotation_set(table, &name)?.index();
+            let kind = Kind::Set {
+                cell_scheme: set.is_cell_scheme(),
+                system_only: set.system_only,
+                schema_enforced: set.schema_enforced,
+            };
+            add(&name, kind);
+        }
+    }
+    let what = |row: &[Value]| format!("{} `{}` on `{}`", row[1], row[2], row[0]);
+    let Some(rows) = catalog_rows(catalog.table(SCHEMA_TABLE)?, rep) else {
+        return Ok(());
+    };
+    for (row_no, row) in rows {
+        match live.iter().position(|l| *l == row) {
+            Some(i) => drop(live.swap_remove(i)),
+            None => rep.problems.push(format!(
+                "catalog table `{SCHEMA_TABLE}`: row {row_no} defines no live {}",
+                what(&row)
+            )),
+        }
+    }
+    for row in live {
+        rep.problems.push(format!(
+            "catalog table `{SCHEMA_TABLE}`: no row defines {}",
+            what(&row)
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -323,7 +392,7 @@ mod tests {
             t.insert(vec![Value::Int(k), Value::Text("v".into())])
                 .unwrap();
         }
-        t.create_index("k_idx", "K").unwrap();
+        t.create_index("k_idx", "K", None).unwrap();
         t
     }
 
@@ -456,7 +525,7 @@ mod tests {
         let mut problems = Vec::new();
         for (table, row) in ghosts {
             let view = db.catalog_tables().into_iter().find(|c| c.0 == table);
-            view.unwrap().2.borrow_mut().apply(7, &row, true);
+            view.unwrap().2.unwrap().borrow_mut().apply(7, &row, true);
             problems = db.check().unwrap().problems;
             assert!(
                 problems.contains(&format!(
@@ -469,6 +538,50 @@ mod tests {
         assert!(
             db.check_table("T").unwrap().is_ok(),
             "a filtered check skips the catalog"
+        );
+    }
+
+    /// Each live table, index and set has exactly one `$schema` row, and
+    /// each row its object.
+    #[test]
+    fn a_definition_out_of_step_with_its_object_is_reported() {
+        let mut db = Database::new_in_memory();
+        for sql in [
+            "CREATE TABLE T (v INT)",
+            "CREATE INDEX v_idx ON T (v)",
+            "CREATE ANNOTATION TABLE a ON T",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        assert!(db.check().unwrap().is_ok());
+        // a ghost: a row whose index was never made
+        let kind = Kind::Index {
+            column: "v".into(),
+            seq: None,
+        };
+        let (table, name) = ("T".to_string(), "ghost".to_string());
+        let ghost = Definition { table, name, kind }.to_row();
+        let schema = db.catalog.table_mut(SCHEMA_TABLE).unwrap();
+        schema.insert(ghost).unwrap();
+        assert_eq!(
+            db.check().unwrap().problems,
+            ["catalog table `$schema`: row 3 defines no live INDEX `ghost` on `T`"]
+        );
+        // and an index no row defines
+        let t = db.catalog.table_mut("T").unwrap();
+        t.create_index("bare", "v", None).unwrap();
+        t.drop_index("v_idx", false).unwrap();
+        assert_eq!(
+            db.check().unwrap().problems,
+            [
+                "catalog table `$schema`: row 1 defines no live INDEX `v_idx` on `T`",
+                "catalog table `$schema`: row 3 defines no live INDEX `ghost` on `T`",
+                "catalog table `$schema`: no row defines INDEX `bare` on `T`",
+            ]
+        );
+        assert!(
+            db.check_table("T").unwrap().is_ok(),
+            "a filtered check skips it"
         );
     }
 }

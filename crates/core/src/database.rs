@@ -23,14 +23,14 @@ use bdbms_common::ids::{AnnotationId, OperationId};
 
 use crate::annotation::{self, Annotation, AnnotationSet, ARCHIVED};
 use crate::approval::{ApprovalManager, InverseOp, LoggedOp, OpStatus, STATUS};
-use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, Statement};
+use crate::ast::{AnnTarget, CopyFormat, Expr, Privilege, SeqIndexKind, Statement};
 use crate::auth::{AuthManager, ADMIN};
 use crate::catalog::{
-    approval_log_owner, approval_table, deleted_table, records_table, rects_table, Catalog,
-    DeletedRow, History, SharedView, Table, APPROVAL_TABLE, AUTH_TABLE, RULES_TABLE,
+    approval_log_owner, approval_table, deleted_table, on_table, records_table, rects_table,
+    Catalog, Definition, DeletedRow, History, Kind, SharedView, Table, APPROVAL_TABLE, AUTH_TABLE,
+    RULES_TABLE, SCHEMA_TABLE,
 };
 use crate::dependency::{DependencyManager, DependencyRule};
-use crate::durability::WalRecord;
 use crate::executor::{run_select_traced, select_cells, table_bindings, target_rows, ExecStats};
 use crate::expr::eval;
 use crate::provenance::{self, ProvenanceRecord};
@@ -199,24 +199,34 @@ impl Database {
             slow_log: SlowQueryLog::default(),
         };
         for (name, schema, view) in db.catalog_tables() {
-            let history = Some(History::Catalog(view));
-            db.add_table(name, ADMIN, schema, history)
+            let mut t = Table::create(name, schema, ADMIN, db.pool.clone())
+                .expect("a fresh pool has room")
+                .with_history(view.map(History::Catalog));
+            t.attach_log(db.txn.log());
+            db.catalog
+                .add_table(t)
                 .expect("a fresh catalog holds no table");
         }
         db
     }
 
     /// The catalog tables, with their schemas and the views their rows
-    /// keep.
-    pub(crate) fn catalog_tables(&self) -> [(&'static str, Schema, SharedView); 3] {
+    /// keep (`$schema` keeps none: `define` acts on its rows).
+    pub(crate) fn catalog_tables(&self) -> [(&'static str, Schema, Option<SharedView>); 4] {
+        let view = |v: SharedView| Some(v);
         [
-            (AUTH_TABLE, AuthManager::schema(), self.auth.clone()),
+            (AUTH_TABLE, AuthManager::schema(), view(self.auth.clone())),
             (
                 APPROVAL_TABLE,
                 ApprovalManager::schema(),
-                self.approval.clone(),
+                view(self.approval.clone()),
             ),
-            (RULES_TABLE, DependencyRule::schema(), self.deps.clone()),
+            (
+                RULES_TABLE,
+                DependencyRule::schema(),
+                view(self.deps.clone()),
+            ),
+            (SCHEMA_TABLE, Definition::schema(), None),
         ]
     }
 
@@ -604,28 +614,12 @@ impl Database {
         self.catalog.table_mut(name)
     }
 
-    /// Create table `name` with its deletion and approval logs.  Not
-    /// logged: the caller logs `TableCreate`, whose replay lands here.
-    pub(crate) fn create_table_with_history(
-        &mut self,
-        name: &str,
-        owner: &str,
-        schema: Schema,
-    ) -> Result<()> {
-        let deleted = DeletedRow::schema(&schema);
-        let approval = LoggedOp::schema(&schema);
-        self.add_table(name, owner, schema, None)?;
-        self.add_table(&deleted_table(name), owner, deleted, None)?;
-        self.add_table(&approval_table(name), owner, approval, None)
-    }
-
     /// Delete table `name`'s grants and approval config, and retire the
     /// ids its approval log handed out (its operations go with the log:
     /// none can be decided any more).  Runs before the table is dropped.
     pub(crate) fn drop_catalog_entries(&mut self, name: &str) -> Result<()> {
-        let key = Value::Text(name.to_ascii_lowercase());
         for catalog in [AUTH_TABLE, APPROVAL_TABLE] {
-            self.catalog_delete(catalog, |row| row[0] == key)?;
+            self.catalog_delete(catalog, |row| on_table(row).eq_ignore_ascii_case(name))?;
         }
         let log = self.catalog.table(&approval_table(name));
         let next = log.map_or(0, Table::peek_next_row);
@@ -640,7 +634,11 @@ impl Database {
 
     /// Delete every row of catalog table `name` that `doomed` picks; the
     /// table's view follows.
-    fn catalog_delete(&mut self, name: &str, doomed: impl Fn(&[Value]) -> bool) -> Result<()> {
+    pub(crate) fn catalog_delete(
+        &mut self,
+        name: &str,
+        doomed: impl Fn(&[Value]) -> bool,
+    ) -> Result<()> {
         let mut rows = Vec::new();
         for row in self.catalog.table(name)?.iter_rows() {
             let (row_no, row) = row?;
@@ -655,33 +653,170 @@ impl Database {
         Ok(())
     }
 
-    /// Attach `set` to `table`: its record and rectangle tables, which
-    /// share it.  Not logged: the caller logs `AnnSetCreate`, whose
-    /// replay lands here.  (`AnnSetDrop` drops the record table, and
-    /// with it the rectangles.)
-    pub(crate) fn attach_ann_set(&mut self, table: &str, set: AnnotationSet) -> Result<()> {
-        let t = self.catalog.table(table)?;
-        let owner = t.owner.clone();
-        let (records, rects) = (
-            records_table(&t.name, &set.name),
-            rects_table(&t.name, &set.name),
-        );
-        let schema = annotation::record_schema();
-        self.add_table(&records, &owner, schema, Some(History::records(set)))?;
-        let history = self.catalog.rects_history(&rects);
-        self.add_table(&rects, &owner, annotation::rect_schema(), history)
+    // ---- definitions: rows of `$schema` ----
+
+    /// Put definition `row` of `$schema` into effect (`added`) or out of
+    /// it: the one place a table, index, sequence index or annotation
+    /// set is created or dropped.  Live DDL calls it next to the row
+    /// write, and [`apply_wal_record`](Self::apply_wal_record) after any
+    /// row record on `$schema`, so rollback (the rows' inverses) and
+    /// replay run this code.  It logs nothing: the row record is the log.
+    ///
+    /// A table or set dropped while the log records is kept by the
+    /// transaction, and a row inverse re-defining it puts it back whole
+    /// (heap, annotations, statistics), not empty.  A re-defined index is
+    /// backfilled from the heap, which is by then as it was at the drop.
+    pub(crate) fn define(&mut self, row: &[Value], added: bool) -> Result<()> {
+        let def = Definition::from_row(row)?;
+        // a table or set goes under the table that owns the others it makes
+        let head = match &def.kind {
+            Kind::Index { column, seq } => {
+                let t = self.catalog.table_mut(&def.table)?;
+                match added {
+                    true => t.create_index(&def.name, column, *seq)?,
+                    false => t.drop_index(&def.name, seq.is_some())?,
+                }
+                None
+            }
+            Kind::Table { .. } => Some(def.name.clone()),
+            Kind::Set { .. } => Some(records_table(&def.table, &def.name)),
+        };
+        if let Some(head) = head {
+            if !added {
+                let tables = self.catalog.drop_table(&head)?;
+                self.txn.keep(&head, tables);
+            } else if let Some(tables) = self.txn.take_kept(&head) {
+                for t in tables {
+                    self.catalog.add_table(t)?;
+                }
+            } else {
+                let pool = self.pool.clone();
+                self.add_defined_tables(&def, |name, schema, owner, history| {
+                    Ok(Table::create(name, schema, owner, pool.clone())?.with_history(history))
+                })?;
+            }
+        }
+        // a new or lost access path invalidates cached prepared plans
+        self.catalog.bump_generation();
+        Ok(())
     }
 
-    fn add_table(
+    /// Add the tables definition `def` makes — a table with its deletion
+    /// and approval logs, or a set's record and rectangle tables, which
+    /// share the set — each by `make(name, schema, owner, history)`:
+    /// empty for DDL, over the image's parts at open.
+    pub(crate) fn add_defined_tables(
         &mut self,
-        name: &str,
-        owner: &str,
-        schema: Schema,
-        history: Option<History>,
+        def: &Definition,
+        mut make: impl FnMut(String, Schema, &str, Option<History>) -> Result<Table>,
     ) -> Result<()> {
-        let mut t = Table::create(name, schema, owner, self.pool.clone())?.with_history(history);
-        t.attach_log(self.txn.log());
-        self.catalog.add_table(t)
+        let (table, name) = (&def.table, &def.name);
+        let (owner, tables) = match &def.kind {
+            Kind::Table { owner, schema } => {
+                let table = (table.clone(), schema.clone(), None);
+                let deleted = (deleted_table(name), DeletedRow::schema(schema), None);
+                let approval = (approval_table(name), LoggedOp::schema(schema), None);
+                (owner.clone(), vec![table, deleted, approval])
+            }
+            Kind::Set {
+                cell_scheme,
+                system_only,
+                schema_enforced,
+            } => {
+                let mut set = AnnotationSet::new(name, *cell_scheme);
+                set.system_only = *system_only;
+                set.schema_enforced = *schema_enforced;
+                let [records, rects] = History::of_set(set).map(Some);
+                let records = (
+                    records_table(table, name),
+                    annotation::record_schema(),
+                    records,
+                );
+                let rects = (rects_table(table, name), annotation::rect_schema(), rects);
+                (
+                    self.catalog.table(table)?.owner.clone(),
+                    vec![records, rects],
+                )
+            }
+            Kind::Index { .. } => return Ok(()),
+        };
+        for (name, schema, history) in tables {
+            let mut t = make(name, schema, &owner, history)?;
+            t.attach_log(self.txn.log());
+            self.catalog.add_table(t)?;
+        }
+        Ok(())
+    }
+
+    /// Put `def` into effect and write its `$schema` row: the row record
+    /// is all a DDL statement logs, and its inverse takes the definition
+    /// out again.
+    fn add_definition(&mut self, def: Definition) -> Result<()> {
+        let row = def.to_row();
+        self.define(&row, true)?;
+        if let Err(e) = self.history_table(SCHEMA_TABLE)?.insert(row.clone()) {
+            // nothing was logged: take the definition back unlogged
+            self.txn.suspend();
+            let _ = self.define(&row, false);
+            self.txn.resume();
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Delete the `$schema` rows on `table` whose definitions `is`
+    /// picks, taking each out of effect, and count them.  A table's own
+    /// row goes last: rollback runs newest first, so the row inverses
+    /// re-define the table before its indexes and sets.
+    fn drop_definitions(&mut self, table: &str, is: impl Fn(&Definition) -> bool) -> Result<usize> {
+        let mut doomed = Vec::new();
+        for row in self.catalog.table(SCHEMA_TABLE)?.iter_rows() {
+            let (row_no, row) = row?;
+            let def = Definition::from_row(&row)?;
+            if def.table.eq_ignore_ascii_case(table) && is(&def) {
+                doomed.push((matches!(def.kind, Kind::Table { .. }), row_no));
+            }
+        }
+        doomed.sort_unstable();
+        for &(_, row_no) in &doomed {
+            let row = self.history_table(SCHEMA_TABLE)?.delete(row_no)?;
+            self.define(&row, false)?;
+        }
+        Ok(doomed.len())
+    }
+
+    /// `CREATE [SEQUENCE] INDEX`: its row names the table and the column
+    /// as the catalog spells them.
+    fn create_index(
+        &mut self,
+        table: &str,
+        name: &str,
+        column: &str,
+        seq: Option<SeqIndexKind>,
+        user: &str,
+    ) -> Result<()> {
+        self.require_owner(table, user)?;
+        let t = self.catalog.table(table)?;
+        let column = t.schema.columns()[t.schema.require(column)?].name.clone();
+        let (table, name) = (t.name.clone(), name.to_string());
+        let kind = Kind::Index { column, seq };
+        self.add_definition(Definition { table, name, kind })
+    }
+
+    /// `DROP [SEQUENCE] INDEX`.
+    fn drop_index(&mut self, table: &str, name: &str, seq: bool, user: &str) -> Result<()> {
+        self.require_owner(table, user)?;
+        let dropped = self.drop_definitions(table, |d| {
+            let index = matches!(d.kind, Kind::Index { seq: s, .. } if s.is_some() == seq);
+            index && d.name.eq_ignore_ascii_case(name)
+        })?;
+        if dropped == 0 {
+            let kind = if seq { "sequence index" } else { "index" };
+            return Err(BdbmsError::not_found(format!(
+                "{kind} `{name}` on `{table}`"
+            )));
+        }
+        Ok(())
     }
 
     /// Store a new annotation over `rows × cols` of `table` in `set`:
@@ -890,20 +1025,13 @@ impl Database {
                 table,
                 column,
             } => {
-                self.require_owner(&table, user)?;
-                self.catalog
-                    .table_mut(&table)?
-                    .create_index(&name, &column)?;
-                // a new access path invalidates cached prepared plans
-                self.catalog.bump_generation();
+                self.create_index(&table, &name, &column, None, user)?;
                 Ok(QueryResult::message(format!(
                     "index `{name}` created on `{table}`"
                 )))
             }
             Statement::DropIndex { name, table } => {
-                self.require_owner(&table, user)?;
-                self.catalog.table_mut(&table)?.drop_index(&name)?;
-                self.catalog.bump_generation();
+                self.drop_index(&table, &name, false, user)?;
                 Ok(QueryResult::message(format!(
                     "index `{name}` dropped from `{table}`"
                 )))
@@ -914,20 +1042,14 @@ impl Database {
                 column,
                 kind,
             } => {
-                self.require_owner(&table, user)?;
-                self.catalog
-                    .table_mut(&table)?
-                    .create_seq_index(&name, &column, kind)?;
-                self.catalog.bump_generation();
+                self.create_index(&table, &name, &column, Some(kind), user)?;
                 Ok(QueryResult::message(format!(
                     "sequence index `{name}` ({}) created on `{table}`",
                     kind.as_str()
                 )))
             }
             Statement::DropSequenceIndex { name, table } => {
-                self.require_owner(&table, user)?;
-                self.catalog.table_mut(&table)?.drop_seq_index(&name)?;
-                self.catalog.bump_generation();
+                self.drop_index(&table, &name, true, user)?;
                 Ok(QueryResult::message(format!(
                     "sequence index `{name}` dropped from `{table}`"
                 )))
@@ -1042,6 +1164,7 @@ impl Database {
                 for column in &columns {
                     schema.require(column)?;
                 }
+                self.auth.borrow().require_principal(&approved_by)?;
                 // a new config replaces the old one
                 let key = Value::Text(table.to_ascii_lowercase());
                 self.catalog_delete(APPROVAL_TABLE, |row| row[0] == key)?;
@@ -1276,16 +1399,12 @@ impl Database {
                 .map(|(n, t)| bdbms_common::ColumnDef::new(n, t))
                 .collect(),
         )?;
-        self.create_table_with_history(&name, user, schema)?;
-        let t = self.catalog.table(&name)?;
-        self.txn.record(
-            || WalRecord::TableCreate {
-                name: t.name.clone(),
-                owner: t.owner.clone(),
-                schema: t.schema.clone(),
-            },
-            || UndoOp::Replay(WalRecord::TableDrop { name: name.clone() }),
-        );
+        let owner = user.to_string();
+        self.add_definition(Definition {
+            table: name.clone(),
+            name: name.clone(),
+            kind: Kind::Table { owner, schema },
+        })?;
         Ok(QueryResult::message(format!("table `{name}` created")))
     }
 
@@ -1301,15 +1420,7 @@ impl Database {
             )));
         }
         self.drop_catalog_entries(name)?;
-        // the dropped table and its history tables move into the log
-        // wholesale: rollback puts them back byte-identical (heaps,
-        // indexes, annotations, stats)
-        let tables = self.catalog.drop_table(name)?;
-        let dropped = tables[0].name.clone();
-        self.txn.record(
-            || WalRecord::TableDrop { name: dropped },
-            || UndoOp::UnDropTable { tables },
-        );
+        self.drop_definitions(name, |_| true)?;
         Ok(QueryResult::message(format!("table `{name}` dropped")))
     }
 
@@ -1334,42 +1445,27 @@ impl Database {
 
     fn drop_annotation_table(&mut self, name: &str, on: &str, user: &str) -> Result<QueryResult> {
         self.require_owner(on, user)?;
-        self.catalog.annotation_set(on, name)?;
-        let tables = self.catalog.drop_table(&records_table(on, name))?;
-        self.txn.record(
-            || WalRecord::AnnSetDrop {
-                table: on.to_string(),
-                set: name.to_string(),
-            },
-            || UndoOp::UnDropTable { tables },
-        );
+        let set = |d: &Definition| matches!(d.kind, Kind::Set { .. });
+        if self.drop_definitions(on, |d| set(d) && d.name.eq_ignore_ascii_case(name))? == 0 {
+            let what = format!("annotation table `{name}` on `{on}`");
+            return Err(BdbmsError::not_found(what));
+        }
         Ok(QueryResult::message(format!(
             "annotation table `{name}` dropped from `{on}`"
         )))
     }
 
-    /// Attach `set` to `table` with its hidden tables, logged — every
-    /// annotation-set creation funnels through here.
+    /// Define annotation set `set` on `table` — every set creation
+    /// funnels through here.
     fn create_ann_set(&mut self, table: &str, set: AnnotationSet) -> Result<()> {
-        let (name, cell_scheme) = (set.name.clone(), set.is_cell_scheme());
-        let (system_only, schema_enforced) = (set.system_only, set.schema_enforced);
-        self.attach_ann_set(table, set)?;
-        self.txn.record(
-            || WalRecord::AnnSetCreate {
-                table: table.to_string(),
-                set: name.clone(),
-                cell_scheme,
-                system_only,
-                schema_enforced,
-            },
-            || {
-                UndoOp::Replay(WalRecord::AnnSetDrop {
-                    table: table.to_string(),
-                    set: name.clone(),
-                })
-            },
-        );
-        Ok(())
+        let kind = Kind::Set {
+            cell_scheme: set.is_cell_scheme(),
+            system_only: set.system_only,
+            schema_enforced: set.schema_enforced,
+        };
+        let table = self.catalog.table(table)?.name.clone();
+        let name = set.name;
+        self.add_definition(Definition { table, name, kind })
     }
 
     // ---- DML with approval + dependency integration ----

@@ -15,20 +15,25 @@
 //! format version + the record id of the metadata blob + CRC), each
 //! table's rows live in their own heap-file pages (the existing
 //! slotted-page/overflow-chain machinery), and one metadata record
-//! describes everything else — table schemas, rid maps, outdated
-//! bitmaps, annotation-set and index *definitions* (derived payloads are
-//! rebuilt on open), and the logical clock.  The curator's history —
+//! holds each table's physical parts — its name, row allocator, page
+//! list, rid map and outdated bitmap — plus the logical clock and the
+//! WAL frontier.  Everything else is rows of hidden tables
+//! (`crate::catalog`), copied with every other heap: the definitions of
+//! tables, indexes, sequence indexes and annotation sets (`$schema`;
+//! derived payloads are rebuilt on open), the curator's history —
 //! annotation records and attachments, deletion logs, approval logs —
 //! and the catalog's users, grants, approval configs and dependency
-//! rules are rows of hidden tables (`crate::catalog`), copied with every
-//! other heap.
+//! rules.
 //!
 //! **The WAL** holds logical redo records for every transaction committed
-//! since that checkpoint.  While a transaction runs, each record sits in
-//! the transaction log (`crate::txn`) next to its change's inverse, so a
-//! `ROLLBACK` (or a failed statement, or `ROLLBACK TO SAVEPOINT`) drops
-//! both halves at once; the surviving records are appended + flushed at
-//! commit, *before* the commit is acknowledged.  Under
+//! since that checkpoint: row inserts, updates and deletes, outdated
+//! marks and clears, and commits.  DDL is a row record on `$schema`,
+//! whose replay puts the definition into effect (`Database::define`).
+//! While a transaction runs, each record sits in the transaction log
+//! (`crate::txn`) next to its change's inverse, so a `ROLLBACK` (or a
+//! failed statement, or `ROLLBACK TO SAVEPOINT`) drops both halves at
+//! once; the surviving records are appended + flushed at commit,
+//! *before* the commit is acknowledged.  Under
 //! [`Durability::Full`] the flush fsyncs; under [`Durability::NoSync`] it
 //! only reaches the OS.  Rollback applies the inverses through
 //! `Database::apply_wal_record`, the path replay takes.
@@ -52,9 +57,11 @@
 //! in place and rolls the load back, so recovery never reads anything
 //! outside the database directory.
 //!
-//! **Recovery** (`Database::open`) loads the image, rebuilds indexes and
-//! statistics from the heaps in one pass per table (a reopen is an
-//! implicit `ANALYZE`), then replays the WAL: records are buffered per
+//! **Recovery** (`Database::open`) loads the image — the catalog tables
+//! first, then each user table with its hidden tables as `$schema`
+//! defines them — rebuilding indexes and statistics from the heaps in
+//! one pass per table (a reopen is an implicit `ANALYZE`), then replays
+//! the WAL: records are buffered per
 //! transaction and applied only when a `Commit` record is reached —
 //! ARIES-lite redo with committed records replayed and the uncommitted
 //! tail discarded.  Torn frames (bad CRC / short write) at the log's tail
@@ -65,9 +72,10 @@
 //!
 //! **Salvage** (`Database::open_salvage`) runs the same recovery path
 //! with a different error policy: a table whose heap fails the load's
-//! one pass is quarantined, an unreadable image or WAL chain is dropped,
-//! a WAL record that does not decode or apply is counted and skipped,
-//! and the survivors are always re-checkpointed.  Only damage drops an
+//! one pass, or whose definitions and metadata entries disagree, is
+//! quarantined, an unreadable image or WAL chain is dropped, a WAL
+//! record that does not decode or apply is counted and skipped, and the
+//! survivors are always re-checkpointed.  Only damage drops an
 //! image: one of another format version is refused (`Invalid`) and left
 //! alone, by salvage as by `open`.
 //!
@@ -79,9 +87,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bdbms_common::bitmap::CellBitmap;
 use bdbms_common::codec::{self, Cur};
 use bdbms_common::metrics::Counter;
-use bdbms_common::{BdbmsError, DataType, ErrorCode, Result, Schema, Value};
+use bdbms_common::{BdbmsError, ErrorCode, Result, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
     crc32, BufferPool, FaultInjector, FaultStore, FileStore, FlushGate, HeapFile, IoDecision,
@@ -90,9 +99,8 @@ use bdbms_storage::{
 
 pub use bdbms_storage::wal::{CommitTicket, Durability};
 
-use crate::annotation::AnnotationSet;
-use crate::ast::SeqIndexKind;
-use crate::catalog::{owner_of, records_table, History, Table};
+use crate::auth::ADMIN;
+use crate::catalog::{on_table, Definition, History, Kind, Table, TableParts, SCHEMA_TABLE};
 use crate::database::Database;
 
 /// Data file name inside a database directory.
@@ -108,7 +116,10 @@ const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 //     approval configs and the operation-id floor (v2 is refused, not read)
 // v4: users, grants, approval configs, the operation-id floor and the
 //     dependency rules are catalog tables (v3 is refused, not read)
-const FORMAT_VERSION: u32 = 4;
+// v5: table, index, sequence-index and annotation-set definitions are
+//     rows of `$schema`; the snapshot keeps each table's physical parts
+//     (v4 is refused, not read)
+const FORMAT_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -147,110 +158,8 @@ pub(crate) enum WalRecord {
         row_no: u64,
         col: u64,
     },
-    /// `CREATE TABLE` (its hidden history tables come with it).
-    TableCreate {
-        name: String,
-        owner: String,
-        schema: Schema,
-    },
-    /// `DROP TABLE` (with its hidden history tables).
-    TableDrop { name: String },
-    /// `CREATE INDEX` (definition only; payload rebuilds on replay).
-    IndexCreate {
-        table: String,
-        index: String,
-        column: String,
-    },
-    /// `DROP INDEX`.
-    IndexDrop { table: String, index: String },
-    /// `CREATE ANNOTATION TABLE` (or the provenance set auto-creation),
-    /// with the set's two hidden tables.
-    AnnSetCreate {
-        table: String,
-        set: String,
-        cell_scheme: bool,
-        system_only: bool,
-        schema_enforced: bool,
-    },
-    /// `DROP ANNOTATION TABLE`.
-    AnnSetDrop { table: String, set: String },
     /// Transaction commit barrier; carries the logical clock.
     Commit { clock: u64 },
-    /// `CREATE SEQUENCE INDEX` (definition only; payload rebuilds on
-    /// replay, like `IndexCreate`).
-    SeqIndexCreate {
-        table: String,
-        index: String,
-        column: String,
-        kind: SeqIndexKind,
-    },
-    /// `DROP SEQUENCE INDEX`.
-    SeqIndexDrop { table: String, index: String },
-}
-
-fn put_seq_kind(out: &mut Vec<u8>, k: SeqIndexKind) {
-    codec::put_u8(
-        out,
-        match k {
-            SeqIndexKind::Sbc => 0,
-            SeqIndexKind::Suffix => 1,
-        },
-    );
-}
-
-fn get_seq_kind(cur: &mut Cur<'_>) -> Result<SeqIndexKind> {
-    Ok(match cur.u8()? {
-        0 => SeqIndexKind::Sbc,
-        1 => SeqIndexKind::Suffix,
-        t => {
-            return Err(BdbmsError::corrupt(format!(
-                "unknown sequence index kind tag {t}"
-            )))
-        }
-    })
-}
-
-fn put_datatype(out: &mut Vec<u8>, ty: DataType) {
-    codec::put_u8(
-        out,
-        match ty {
-            DataType::Int => 1,
-            DataType::Float => 2,
-            DataType::Text => 3,
-            DataType::Bool => 4,
-            DataType::Timestamp => 5,
-        },
-    );
-}
-
-fn get_datatype(cur: &mut Cur<'_>) -> Result<DataType> {
-    Ok(match cur.u8()? {
-        1 => DataType::Int,
-        2 => DataType::Float,
-        3 => DataType::Text,
-        4 => DataType::Bool,
-        5 => DataType::Timestamp,
-        t => return Err(BdbmsError::corrupt(format!("unknown data type tag {t}"))),
-    })
-}
-
-fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    codec::put_u32(out, schema.arity() as u32);
-    for c in schema.columns() {
-        codec::put_str(out, &c.name);
-        put_datatype(out, c.ty);
-    }
-}
-
-fn get_schema(cur: &mut Cur<'_>) -> Result<Schema> {
-    let n = cur.len()?;
-    let mut cols = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = cur.str()?;
-        let ty = get_datatype(cur)?;
-        cols.push(bdbms_common::ColumnDef::new(name, ty));
-    }
-    Schema::new(cols).map_err(|e| BdbmsError::corrupt(e.message().to_string()))
 }
 
 impl WalRecord {
@@ -294,74 +203,9 @@ impl WalRecord {
                 codec::put_u64(out, *row_no);
                 codec::put_u64(out, *col);
             }
-            WalRecord::TableCreate {
-                name,
-                owner,
-                schema,
-            } => {
-                codec::put_u8(out, 7);
-                codec::put_str(out, name);
-                codec::put_str(out, owner);
-                put_schema(out, schema);
-            }
-            WalRecord::TableDrop { name } => {
-                codec::put_u8(out, 8);
-                codec::put_str(out, name);
-            }
-            WalRecord::IndexCreate {
-                table,
-                index,
-                column,
-            } => {
-                codec::put_u8(out, 9);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-                codec::put_str(out, column);
-            }
-            WalRecord::IndexDrop { table, index } => {
-                codec::put_u8(out, 10);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-            }
-            WalRecord::AnnSetCreate {
-                table,
-                set,
-                cell_scheme,
-                system_only,
-                schema_enforced,
-            } => {
-                codec::put_u8(out, 11);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-                codec::put_bool(out, *cell_scheme);
-                codec::put_bool(out, *system_only);
-                codec::put_bool(out, *schema_enforced);
-            }
-            WalRecord::AnnSetDrop { table, set } => {
-                codec::put_u8(out, 12);
-                codec::put_str(out, table);
-                codec::put_str(out, set);
-            }
             WalRecord::Commit { clock } => {
                 codec::put_u8(out, 24);
                 codec::put_u64(out, *clock);
-            }
-            WalRecord::SeqIndexCreate {
-                table,
-                index,
-                column,
-                kind,
-            } => {
-                codec::put_u8(out, 26);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
-                codec::put_str(out, column);
-                put_seq_kind(out, *kind);
-            }
-            WalRecord::SeqIndexDrop { table, index } => {
-                codec::put_u8(out, 27);
-                codec::put_str(out, table);
-                codec::put_str(out, index);
             }
         }
     }
@@ -394,48 +238,14 @@ impl WalRecord {
                 row_no: cur.u64()?,
                 col: cur.u64()?,
             },
-            7 => WalRecord::TableCreate {
-                name: cur.str()?,
-                owner: cur.str()?,
-                schema: get_schema(&mut cur)?,
-            },
-            8 => WalRecord::TableDrop { name: cur.str()? },
-            9 => WalRecord::IndexCreate {
-                table: cur.str()?,
-                index: cur.str()?,
-                column: cur.str()?,
-            },
-            10 => WalRecord::IndexDrop {
-                table: cur.str()?,
-                index: cur.str()?,
-            },
-            11 => WalRecord::AnnSetCreate {
-                table: cur.str()?,
-                set: cur.str()?,
-                cell_scheme: cur.bool()?,
-                system_only: cur.bool()?,
-                schema_enforced: cur.bool()?,
-            },
-            12 => WalRecord::AnnSetDrop {
-                table: cur.str()?,
-                set: cur.str()?,
-            },
             24 => WalRecord::Commit { clock: cur.u64()? },
             // 6, 13, 14, 20, 21 were the history records (deletion log,
             // annotation add/archive, approval log/decision), 15–19, 22
             // and 23 the user, grant, approval-config and rule records,
-            // and 25 `COPY`'s bulk load: they stay unassigned, so an old
-            // log holding one fails to decode instead of misreading
-            26 => WalRecord::SeqIndexCreate {
-                table: cur.str()?,
-                index: cur.str()?,
-                column: cur.str()?,
-                kind: get_seq_kind(&mut cur)?,
-            },
-            27 => WalRecord::SeqIndexDrop {
-                table: cur.str()?,
-                index: cur.str()?,
-            },
+            // 25 `COPY`'s bulk load, and 7–12, 26 and 27 the table,
+            // index, annotation-set and sequence-index DDL: they stay
+            // unassigned, so an old log holding one fails to decode
+            // instead of misreading
             t => return Err(BdbmsError::corrupt(format!("unknown WAL record tag {t}"))),
         };
         Ok(rec)
@@ -617,8 +427,10 @@ fn read_header(pg: &[u8]) -> Result<Rid> {
 // Snapshot (checkpoint image metadata)
 // ---------------------------------------------------------------------
 
-/// Serialize the whole engine state, with each table's rows already moved
-/// into `moved` heaps (page lists + rid maps refer to the *new* store).
+/// Serialize the engine's physical state: each table's parts, with its
+/// rows already moved into `moved` heaps (page lists + rid maps refer to
+/// the *new* store), the clock and the WAL frontier.  What the tables
+/// are — schemas, owners, indexes, sets — is rows of `$schema`.
 fn encode_snapshot(
     db: &Database,
     moved: &[(String, HeapFile, BTreeMap<u64, Rid>)],
@@ -638,8 +450,6 @@ fn encode_snapshot(
     for ((name, heap, rows), t) in moved.iter().zip(db.catalog.all_tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
         codec::put_str(&mut body, &t.name);
-        codec::put_str(&mut body, &t.owner);
-        put_schema(&mut body, &t.schema);
         codec::put_u64(&mut body, t.peek_next_row());
         let pages: Vec<u64> = heap.pages().iter().map(|p| p.0).collect();
         codec::put_u64s(&mut body, &pages);
@@ -649,19 +459,6 @@ fn encode_snapshot(
             codec::put_u64(&mut body, rid.page.0);
             codec::put_u16(&mut body, rid.slot);
         }
-        let indexes = t.indexes();
-        codec::put_u32(&mut body, indexes.len() as u32);
-        for idx in indexes {
-            codec::put_str(&mut body, &idx.name);
-            codec::put_u32(&mut body, idx.column as u32);
-        }
-        let seq_indexes = t.seq_indexes();
-        codec::put_u32(&mut body, seq_indexes.len() as u32);
-        for sidx in seq_indexes {
-            codec::put_str(&mut body, &sidx.name);
-            codec::put_u32(&mut body, sidx.column as u32);
-            put_seq_kind(&mut body, sidx.kind);
-        }
         // outdated bitmap, sparse
         codec::put_u64(&mut body, t.outdated.rows() as u64);
         codec::put_u64(&mut body, t.outdated.cols() as u64);
@@ -670,15 +467,6 @@ fn encode_snapshot(
         for (r, c) in set_cells {
             codec::put_u64(&mut body, r as u64);
             codec::put_u64(&mut body, c as u64);
-        }
-        // a set's record table carries the set's definition
-        let set = t.annotation_set().map(|s| s.borrow());
-        codec::put_bool(&mut body, set.is_some());
-        if let Some(set) = set {
-            codec::put_str(&mut body, &set.name);
-            codec::put_bool(&mut body, set.is_cell_scheme());
-            codec::put_bool(&mut body, set.system_only);
-            codec::put_bool(&mut body, set.schema_enforced);
         }
     }
 
@@ -690,26 +478,29 @@ fn encode_snapshot(
     out
 }
 
+/// The parts of table `name`, claimed: a defined table without them is
+/// corrupt.
+fn take_parts(
+    parts: &mut BTreeMap<String, (String, TableParts)>,
+    name: &str,
+) -> Result<TableParts> {
+    let found = parts.remove(&name.to_ascii_lowercase());
+    found
+        .map(|(_, p)| p)
+        .ok_or_else(|| BdbmsError::corrupt(format!("table `{name}` has no metadata entry")))
+}
+
 /// Decode a snapshot blob into a fresh `db` whose pool already serves
 /// the image's pages (table heaps attach to it), returning the WAL
 /// frontier: log entries below it are already part of the image.
-///
-/// Without a quarantine list every failure is fatal (normal open).
-/// With one (salvage mode), a table that fails to *rebuild* is itemized
-/// and skipped instead — rebuilding decodes every column of every live
-/// row (statistics, index backfill), so a damaged heap page surfaces
-/// here, and salvage needs no heap pass of its own.  The snapshot
-/// cursor has fully consumed the table's bytes before the rebuild, so
-/// skipping one table cannot desync the next; decode errors of the blob
-/// itself stay fatal in both modes (the caller treats that as image
-/// loss).  A table and its hidden history tables are quarantined
-/// together, itemized under the owner's name; a catalog table that fails
-/// to rebuild fails the load in both modes.
+/// Decode errors of the blob itself are fatal in both modes (the caller
+/// treats that as image loss); what [`Database::load_tables`] finds is
+/// fatal only without a quarantine list.
 fn decode_snapshot_mode(
     db: &mut Database,
     blob: &[u8],
     pool: &Arc<BufferPool>,
-    mut quarantine: Option<&mut Vec<String>>,
+    quarantine: Option<&mut Vec<String>>,
 ) -> Result<u64> {
     let mut head = Cur::new(blob);
     let version = head.u32()?;
@@ -732,10 +523,9 @@ fn decode_snapshot_mode(
     let wal_frontier = cur.u64()?;
 
     let n_tables = cur.len()?;
+    let mut parts = BTreeMap::new();
     for _ in 0..n_tables {
         let name = cur.str()?;
-        let owner = cur.str()?;
-        let schema = get_schema(&mut cur)?;
         let next_row = cur.u64()?;
         let pages: Vec<PageId> = cur.u64s()?.into_iter().map(PageId).collect();
         let n = cur.len()?;
@@ -751,16 +541,6 @@ fn decode_snapshot_mode(
         // written ascending, so the map is one bulk build; a repeated
         // row number keeps its last entry, as per-entry inserts did
         let rows: BTreeMap<u64, Rid> = rid_map.into_iter().collect();
-        let n = cur.len()?;
-        let mut index_defs = Vec::with_capacity(n);
-        for _ in 0..n {
-            index_defs.push((cur.str()?, cur.u32()? as usize));
-        }
-        let n = cur.len()?;
-        let mut seq_index_defs = Vec::with_capacity(n);
-        for _ in 0..n {
-            seq_index_defs.push((cur.str()?, cur.u32()? as usize, get_seq_kind(&mut cur)?));
-        }
         let bm_rows = cur.u64()? as usize;
         let bm_cols = cur.u64()? as usize;
         // the dimensions drive an allocation, so cap them before trusting
@@ -774,7 +554,7 @@ fn decode_snapshot_mode(
                 "implausible outdated bitmap {bm_rows}x{bm_cols}"
             )));
         }
-        let mut outdated = bdbms_common::bitmap::CellBitmap::new(bm_rows, bm_cols);
+        let mut outdated = CellBitmap::new(bm_rows, bm_cols);
         let n = cur.len()?;
         for _ in 0..n {
             let r = cur.u64()? as usize;
@@ -784,74 +564,126 @@ fn decode_snapshot_mode(
             }
             outdated.set(r, c);
         }
-        // a catalog table replaces the empty one the engine starts with,
-        // and feeds its view
-        let catalog = db.catalog_tables().into_iter().find(|c| c.0 == name);
-        if catalog.as_ref().is_some_and(|c| c.1 != schema) {
-            return Err(BdbmsError::corrupt(format!(
-                "catalog table `{name}` has a foreign schema"
-            )));
-        }
-        let is_catalog = catalog.is_some();
-        let history = if cur.bool()? {
-            let mut set = AnnotationSet::new(cur.str()?, cur.bool()?);
-            set.system_only = cur.bool()?;
-            set.schema_enforced = cur.bool()?;
-            Some(History::records(set))
-        } else if let Some((.., view)) = catalog {
-            Some(History::Catalog(view))
-        } else {
-            db.catalog.rects_history(&name)
-        };
-        // a hidden table follows its owner; the owner of one that is gone
-        // was quarantined, and it goes too
-        let owner_name = owner_of(&name).filter(|_| !is_catalog);
-        if owner_name.is_some_and(|owner| !db.catalog.has_table(owner)) {
-            if quarantine.is_some() {
-                continue;
-            }
-            return Err(BdbmsError::corrupt(format!(
-                "history table `{name}` has no owner"
-            )));
-        }
         let heap = HeapFile::attach(pool.clone(), pages);
-        let table = Table::from_parts(
-            name.clone(),
-            schema,
-            owner,
+        let p = TableParts {
             heap,
             rows,
             next_row,
             outdated,
-            history,
-            &index_defs,
-            &seq_index_defs,
-        );
-        match (table, &mut quarantine) {
-            (Ok(table), _) if is_catalog => *db.catalog.table_mut(&name)? = table,
-            (Ok(table), _) => db
-                .catalog
-                .add_table(table)
-                .map_err(|e| BdbmsError::corrupt(e.message().to_string()))?,
-            // a catalog table is never quarantined: that would drop grants
-            // or approval configs without a trace
-            (Err(e), None) => return Err(e),
-            (Err(e), _) if is_catalog => return Err(e),
-            // a table goes with all its history, and with its grants and
-            // approval config: damage to either quarantines the owner
-            (Err(_), Some(q)) => {
-                db.drop_catalog_entries(owner_name.unwrap_or(&name))?;
-                q.push(match owner_name {
-                    Some(owner) => db.catalog.drop_table(owner)?.remove(0).name,
-                    None => name,
-                });
-            }
+        };
+        if let Some((name, _)) = parts.insert(name.to_ascii_lowercase(), (name, p)) {
+            return Err(BdbmsError::corrupt(format!(
+                "two metadata entries for table `{name}`"
+            )));
         }
     }
     if !cur.is_empty() {
         return Err(BdbmsError::corrupt("trailing bytes after snapshot"));
     }
+    db.load_tables(parts, quarantine)?;
     Ok(wal_frontier)
+}
+
+impl Database {
+    /// Build the catalog from the image's table `parts`: the catalog
+    /// tables first, whose schemas are fixed in code, then each user
+    /// table with its hidden tables as its `$schema` rows define them.
+    /// Each table gets its one derive pass, which decodes every column
+    /// of every live row, so a damaged heap page surfaces here.
+    ///
+    /// A definition without parts, parts no definition claims, a
+    /// malformed definition or a heap that fails its pass is `Corrupt` —
+    /// unless `quarantine` (salvage) is given: then the user table
+    /// concerned is itemized there and dropped with all it owns, its
+    /// definitions, grants and approval config, and unclaimed parts are
+    /// itemized and dropped.  A catalog table is never quarantined: that
+    /// would drop grants or definitions without a trace.
+    fn load_tables(
+        &mut self,
+        mut parts: BTreeMap<String, (String, TableParts)>,
+        mut quarantine: Option<&mut Vec<String>>,
+    ) -> Result<()> {
+        for (name, schema, view) in self.catalog_tables() {
+            let p = take_parts(&mut parts, name)?;
+            let history = view.map(History::Catalog);
+            *self.catalog.table_mut(name)? =
+                Table::from_parts(name.into(), schema, ADMIN.into(), p, history, &[])?;
+        }
+        let mut defined: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
+        for row in self.catalog.table(SCHEMA_TABLE)?.iter_rows() {
+            let (_, row) = row?;
+            defined
+                .entry(on_table(&row).to_ascii_lowercase())
+                .or_default()
+                .push(row);
+        }
+        for (key, rows) in defined {
+            let Err(e) = self.load_user_table(&rows, &mut parts) else {
+                continue;
+            };
+            let Some(q) = quarantine.as_deref_mut() else {
+                return Err(e);
+            };
+            let owned = format!("{key}$");
+            parts.retain(|k, _| *k != key && !k.starts_with(&owned));
+            let name = on_table(&rows[0]).to_string();
+            self.drop_catalog_entries(&name)?;
+            self.catalog_delete(SCHEMA_TABLE, |row| {
+                on_table(row).eq_ignore_ascii_case(&name)
+            })?;
+            if self.catalog.has_table(&name) {
+                self.catalog.drop_table(&name)?;
+            }
+            q.push(name);
+        }
+        for (name, _) in parts.into_values() {
+            let Some(q) = quarantine.as_deref_mut() else {
+                let orphan = format!("table `{name}` in the image has no definition");
+                return Err(BdbmsError::corrupt(orphan));
+            };
+            q.push(name);
+        }
+        Ok(())
+    }
+
+    /// Build one user table and its hidden tables from its definitions'
+    /// `rows` and their parts; the table's index definitions go to its
+    /// one derive pass together.
+    fn load_user_table(
+        &mut self,
+        rows: &[Vec<Value>],
+        parts: &mut BTreeMap<String, (String, TableParts)>,
+    ) -> Result<()> {
+        let (mut table, mut sets, mut indexes) = (None, Vec::new(), Vec::new());
+        for row in rows {
+            let def = Definition::from_row(row)?;
+            match def.kind {
+                Kind::Index { column, seq } => indexes.push((def.name, column, seq)),
+                Kind::Set { .. } => sets.push(def),
+                Kind::Table { .. } if table.is_none() => table = Some(def),
+                Kind::Table { .. } => {
+                    let dup = format!("table `{}` is defined twice", def.name);
+                    return Err(BdbmsError::corrupt(dup));
+                }
+            }
+        }
+        let table = table.ok_or_else(|| {
+            let orphan = format!("definitions on `{}`, which has none", on_table(&rows[0]));
+            BdbmsError::corrupt(orphan)
+        })?;
+        for def in std::iter::once(&table).chain(&sets) {
+            self.add_defined_tables(def, |name, schema, owner, history| {
+                let indexes = if name == table.name {
+                    &indexes[..]
+                } else {
+                    &[]
+                };
+                let p = take_parts(parts, &name)?;
+                Table::from_parts(name, schema, owner.into(), p, history, indexes)
+            })?;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1116,7 +948,11 @@ impl Database {
 
     /// Apply one redo record against the live state, through the same
     /// engine methods that produced it: committed records on replay, and
-    /// inverses on rollback (`crate::txn`).
+    /// inverses on rollback (`crate::txn`).  A row record on `$schema`
+    /// puts its definition into or out of effect
+    /// ([`define`](Self::define)) before the row goes in or after it
+    /// comes out, so a definition that cannot take effect leaves its row
+    /// as it was.
     pub(crate) fn apply_wal_record(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
             WalRecord::RowInsert {
@@ -1124,6 +960,9 @@ impl Database {
                 row_no,
                 values,
             } => {
+                if table == SCHEMA_TABLE {
+                    self.define(&values, true)?;
+                }
                 self.catalog
                     .table_mut(&table)?
                     .insert_with_row_no(row_no, values)?;
@@ -1136,7 +975,10 @@ impl Database {
                 self.catalog.table_mut(&table)?.update(row_no, values)?;
             }
             WalRecord::RowDelete { table, row_no } => {
-                self.catalog.table_mut(&table)?.delete(row_no)?;
+                let row = self.catalog.table_mut(&table)?.delete(row_no)?;
+                if table == SCHEMA_TABLE {
+                    self.define(&row, false)?;
+                }
             }
             WalRecord::OutdatedMark { table, row_no, col } => {
                 self.catalog
@@ -1148,59 +990,8 @@ impl Database {
                     .table_mut(&table)?
                     .clear_outdated(row_no, col as usize);
             }
-            WalRecord::TableCreate {
-                name,
-                owner,
-                schema,
-            } => {
-                self.create_table_with_history(&name, &owner, schema)?;
-            }
-            WalRecord::TableDrop { name } => {
-                self.catalog.drop_table(&name)?;
-            }
-            WalRecord::IndexCreate {
-                table,
-                index,
-                column,
-            } => {
-                self.catalog
-                    .table_mut(&table)?
-                    .create_index(&index, &column)?;
-            }
-            WalRecord::IndexDrop { table, index } => {
-                self.catalog.table_mut(&table)?.drop_index(&index)?;
-            }
-            WalRecord::AnnSetCreate {
-                table,
-                set,
-                cell_scheme,
-                system_only,
-                schema_enforced,
-            } => {
-                let mut s = AnnotationSet::new(set, cell_scheme);
-                s.system_only = system_only;
-                s.schema_enforced = schema_enforced;
-                self.attach_ann_set(&table, s)?;
-            }
-            WalRecord::AnnSetDrop { table, set } => {
-                self.catalog.annotation_set(&table, &set)?;
-                self.catalog.drop_table(&records_table(&table, &set))?;
-            }
             WalRecord::Commit { clock } => {
                 self.clock.advance_to(clock);
-            }
-            WalRecord::SeqIndexCreate {
-                table,
-                index,
-                column,
-                kind,
-            } => {
-                self.catalog
-                    .table_mut(&table)?
-                    .create_seq_index(&index, &column, kind)?;
-            }
-            WalRecord::SeqIndexDrop { table, index } => {
-                self.catalog.table_mut(&table)?.drop_seq_index(&index)?;
             }
         }
         Ok(())
@@ -1570,45 +1361,7 @@ mod tests {
                 row_no: 1,
                 col: 2,
             },
-            WalRecord::TableCreate {
-                name: "Gene".into(),
-                owner: "admin".into(),
-                schema: Schema::of(&[("GID", DataType::Text), ("Len", DataType::Int)]),
-            },
-            WalRecord::TableDrop {
-                name: "Gene".into(),
-            },
-            WalRecord::IndexCreate {
-                table: "Gene".into(),
-                index: "len_idx".into(),
-                column: "Len".into(),
-            },
-            WalRecord::IndexDrop {
-                table: "Gene".into(),
-                index: "len_idx".into(),
-            },
-            WalRecord::AnnSetCreate {
-                table: "Gene".into(),
-                set: "Curation".into(),
-                cell_scheme: false,
-                system_only: true,
-                schema_enforced: true,
-            },
-            WalRecord::AnnSetDrop {
-                table: "Gene".into(),
-                set: "Curation".into(),
-            },
             WalRecord::Commit { clock: 99 },
-            WalRecord::SeqIndexCreate {
-                table: "Gene".into(),
-                index: "seq_idx".into(),
-                column: "GSequence".into(),
-                kind: SeqIndexKind::Sbc,
-            },
-            WalRecord::SeqIndexDrop {
-                table: "Gene".into(),
-                index: "seq_idx".into(),
-            },
         ]
     }
 
@@ -1641,14 +1394,61 @@ mod tests {
         codec::put_u64(&mut buf, 50_000);
         let err = WalRecord::decode(&buf).unwrap_err();
         assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
-        // the retired user, grant, approval-config and rule records
-        for tag in [15, 16, 17, 18, 19, 22, 23] {
+        // the retired user, grant, approval-config and rule records, and
+        // the retired table, index, set and sequence-index DDL records
+        for tag in [15, 16, 17, 18, 19, 22, 23, 7, 8, 9, 10, 11, 12, 26, 27] {
             let mut buf = vec![tag];
             codec::put_str(&mut buf, "alice");
             codec::put_u32(&mut buf, 0);
             let err = WalRecord::decode(&buf).unwrap_err();
             assert!(err.message().contains("unknown WAL record tag"), "{err}");
         }
+    }
+
+    /// A definition and the metadata entries must agree: a defined table
+    /// with no entry, or entries no definition claims, are `Corrupt` for
+    /// `open`; salvage quarantines them, and the database it leaves opens
+    /// cleanly.
+    #[test]
+    fn definitions_and_metadata_entries_must_agree() {
+        let dir = std::env::temp_dir().join(format!("bdbms-defs-{}.bdbms", std::process::id()));
+        let text = |s: &str| Value::Text(s.into());
+        for (ghost, quarantined) in [
+            (true, vec!["Ghost"]),
+            (false, vec!["T", "T$$approval", "T$$deleted"]),
+        ] {
+            let _ = fs::remove_dir_all(&dir);
+            let mut db = Database::create(&dir).unwrap();
+            for sql in [
+                "CREATE TABLE T (K INT)",
+                "INSERT INTO T VALUES (1)",
+                "CREATE TABLE U (K INT)",
+            ] {
+                db.execute(sql).unwrap();
+            }
+            // a definition row written behind `define`'s back, or one
+            // taken away from under its table
+            let schema = db.catalog.table_mut(SCHEMA_TABLE).unwrap();
+            if ghost {
+                let mut row = schema.get(0).unwrap();
+                (row[0], row[2]) = (text("Ghost"), text("Ghost"));
+                schema.insert(row).unwrap();
+            } else {
+                schema.delete(0).unwrap();
+            }
+            db.close().unwrap();
+            let err = Database::open(&dir).map(drop).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
+            let db = Database::open_salvage(&dir).unwrap();
+            let report = db.last_recovery().unwrap();
+            assert_eq!(report.quarantined_tables, quarantined);
+            assert!(db.catalog.has_table("U") && !db.catalog.has_table("Ghost"));
+            assert_eq!(db.catalog.has_table("T"), ghost);
+            assert!(db.check().unwrap().is_ok());
+            drop(db);
+            Database::open(&dir).unwrap().close().unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     use proptest::prelude::*;

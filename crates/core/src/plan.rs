@@ -622,7 +622,7 @@ mod tests {
             ])
             .unwrap();
         }
-        t.create_index("len_idx", "len").unwrap();
+        t.create_index("len_idx", "len", None).unwrap();
         t
     }
 
@@ -721,7 +721,7 @@ mod tests {
     #[test]
     fn contains_seq_routes_to_seq_index() {
         let mut t = test_table();
-        t.create_seq_index("gid_seq", "GID", crate::ast::SeqIndexKind::Sbc)
+        t.create_index("gid_seq", "GID", Some(crate::ast::SeqIndexKind::Sbc))
             .unwrap();
         let bindings: Vec<ColBinding> = t
             .schema

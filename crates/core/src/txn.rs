@@ -11,23 +11,28 @@
 //! * its **inverse** `UndoOp`.  Most inverses are themselves
 //!   `WalRecord`s (an insert's inverse is a `RowDelete`, a delete's a
 //!   `RowInsert` of the old image, an update's a `RowUpdate` back to it,
-//!   an outdated mark's an `OutdatedClear`, `CREATE INDEX`'s an
-//!   `IndexDrop`), so rollback applies them through
-//!   `Database::apply_wal_record`, the code crash recovery replays with.
+//!   an outdated mark's an `OutdatedClear`), so rollback applies them
+//!   through `Database::apply_wal_record`, the code crash recovery
+//!   replays with.
 //!
 //! The mutator that emits the redo record records the inverse in the
 //! same call, so the two halves cannot drift apart.  The curator's
 //! history — annotation records and attachments, the deletion logs and
-//! the approval logs — and the catalog's users, grants, approval configs
-//! and dependency rules are rows of hidden tables (`crate::catalog`), so
-//! their changes are row records with row inverses like any other.  A
-//! few inverses have no redo twin and stay undo-only: objects moved out
-//! by `DROP TABLE` / `DROP ANNOTATION TABLE` (the set's hidden tables),
-//! `COPY`'s row truncation, and one first-touch table snapshot per frame
-//! for state with no cheap logical inverse: planner statistics (a KMV
-//! sketch cannot retract an observation), the row-number allocator
-//! (which also hands out annotation, operation and rule ids) and the
-//! outdated bitmap's row count.
+//! the approval logs — the catalog's users, grants, approval configs
+//! and dependency rules, and the definitions of tables, indexes,
+//! sequence indexes and annotation sets are rows of hidden tables
+//! (`crate::catalog`), so their changes are row records with row
+//! inverses like any other.  A definition row's record, replayed or
+//! undone, puts the definition into or out of effect
+//! (`Database::define`); a table or set a definition's removal takes out
+//! is kept by the transaction until it ends, and the removal's inverse
+//! puts it back whole instead of re-creating it empty.  Two inverses
+//! have no redo twin and stay undo-only: `COPY`'s row truncation, and
+//! one first-touch table snapshot per frame for state with no cheap
+//! logical inverse: planner statistics (a KMV sketch cannot retract an
+//! observation), the row-number allocator (which also hands out
+//! annotation, operation and rule ids) and the outdated bitmap's row
+//! count.
 //!
 //! ## How rollback works
 //!
@@ -91,10 +96,6 @@ pub(crate) enum UndoOp {
     /// An inverse that is itself a redo record, applied through the
     /// recovery replay path (`Database::apply_wal_record`).
     Replay(WalRecord),
-    /// Undo `DROP TABLE` / `DROP ANNOTATION TABLE`: the dropped table
-    /// and the hidden tables it owns are moved here wholesale and put
-    /// back on rollback.
-    UnDropTable { tables: Vec<Table> },
     /// Undo a `COPY` bulk load: remove every row the load appended
     /// (they all sit at or above `first_row`).  The accompanying
     /// first-touch snapshot restores stats / allocator / bitmap size.
@@ -121,11 +122,6 @@ impl UndoOp {
         match self {
             UndoOp::Replay(rec) => {
                 let _ = db.apply_wal_record(rec);
-            }
-            UndoOp::UnDropTable { tables } => {
-                for t in tables {
-                    let _ = catalog.add_table(t);
-                }
             }
             UndoOp::UnBulkLoad { table, first_row } => {
                 if let Ok(t) = catalog.table_mut(&table) {
@@ -258,6 +254,11 @@ pub(crate) struct TxnRuntime {
     /// prunes it, so a long transaction holds one snapshot per table
     /// per frame instead of one per table per statement.
     frame_tables: HashSet<String>,
+    /// Tables a definition's removal took out while the log recorded,
+    /// under the removed table's lowercased name, oldest first; the
+    /// removal's inverse takes them back.  Undo runs newest first, so
+    /// the last entry of a name is always the one to put back.
+    kept: Vec<(String, Vec<Table>)>,
 }
 
 impl TxnRuntime {
@@ -268,6 +269,7 @@ impl TxnRuntime {
             savepoints: Vec::new(),
             touched_tables: HashSet::new(),
             frame_tables: HashSet::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -301,14 +303,28 @@ impl TxnRuntime {
         self.log.borrow_mut().durable = true;
     }
 
-    /// See [`TxnLog::record`].
-    pub(crate) fn record(&self, redo: impl FnOnce() -> WalRecord, undo: impl FnOnce() -> UndoOp) {
-        self.log.borrow_mut().record(redo, undo);
-    }
-
     /// See [`TxnLog::record_undo`].
     pub(crate) fn record_undo(&self, undo: impl FnOnce() -> UndoOp) {
         self.log.borrow_mut().record_undo(undo);
+    }
+
+    /// Keep the `tables` a definition's removal took out, if the log
+    /// records the removal: its inverse will want them back.
+    pub(crate) fn keep(&mut self, name: &str, tables: Vec<Table>) {
+        if self.log.borrow().recording() {
+            self.kept.push((name.to_ascii_lowercase(), tables));
+        }
+    }
+
+    /// The tables kept under `name`, while rollback applies inverses (a
+    /// live statement re-using the name gets none: its table is new).
+    pub(crate) fn take_kept(&mut self, name: &str) -> Option<Vec<Table>> {
+        if self.log.borrow().suspended == 0 {
+            return None;
+        }
+        let key = name.to_ascii_lowercase();
+        let pos = self.kept.iter().rposition(|(k, _)| *k == key)?;
+        Some(self.kept.remove(pos).1)
     }
 
     /// Stop recording while rollback applies inverses or `COPY` loads.
@@ -408,12 +424,13 @@ impl TxnRuntime {
         self.reset_frames();
     }
 
-    /// Commit: discard the log (keeping its capacity) and return to
-    /// idle.  (For durable databases the redo records were already
-    /// handed to the WAL by `Database::wal_commit`.)
+    /// Commit: discard the log (keeping its capacity) and the kept
+    /// tables, and return to idle.  (For durable databases the redo
+    /// records were already handed to the WAL by `Database::wal_commit`.)
     pub(crate) fn commit(&mut self) {
         self.end();
         self.log.borrow_mut().entries.clear();
+        self.kept.clear();
     }
 
     /// Take every entry (rollback of the whole transaction) and return
@@ -505,7 +522,7 @@ mod tests {
     }
 
     fn insert(txn: &TxnRuntime, row_no: u64) {
-        txn.record(
+        txn.log().borrow_mut().record(
             || WalRecord::RowInsert {
                 table: "t".into(),
                 row_no,

@@ -421,8 +421,9 @@ fn buffer_counters_keep_counting_across_checkpoints() {
 
 /// Format pin for the checkpoint writer: a fixed script, then
 /// `checkpoint()`, must give exactly these `data.bdb` bytes (length and
-/// CRC-32, pinned for format 4, whose hidden history tables add their
-/// own heap pages).  The script reaches every record shape a checkpoint
+/// FNV-1a hash, pinned for format 5, whose `$schema` table holds the
+/// definitions in heap pages of its own).  The script reaches every
+/// record shape a checkpoint
 /// copies: rows updated in place and relocated, holes left by DELETEs,
 /// and overflow chains (an inserted row and an updated row longer than a
 /// page), next to an index and cell annotations.
@@ -474,7 +475,7 @@ fn golden_image_bytes_do_not_drift() {
     let image = std::fs::read(dir.join("data.bdb")).unwrap();
     assert_eq!(
         (image.len(), fnv1a(&image)),
-        (106_496, 15_693_064_814_298_509_743),
+        (114_688, 3_499_644_933_103_271_914),
         "the checkpoint image drifted"
     );
     db.close().unwrap();
@@ -566,7 +567,7 @@ fn golden_redo_stream_does_not_drift() {
     }
     assert_eq!(
         (stream.len(), fnv1a(&stream)),
-        (4_721, 1_188_606_767_779_388_010),
+        (5_103, 9_208_998_149_432_858_163),
         "the redo stream drifted"
     );
     let _ = std::fs::remove_dir_all(&dir);

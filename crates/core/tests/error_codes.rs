@@ -76,6 +76,28 @@ fn content_approval_on_an_unknown_column_is_not_found() {
     assert_eq!(config.columns, Some(vec!["v".to_string()]));
 }
 
+/// `START CONTENT APPROVAL … APPROVED BY` names a user or a group with a
+/// member: a misspelt approver would leave every decision to admin, so
+/// it is refused and the table's config is left as it was.
+#[test]
+fn content_approval_by_an_unknown_principal_is_not_found() {
+    let mut db = Database::new_in_memory();
+    for sql in ["CREATE TABLE T (K INT, V TEXT)", "CREATE USER bob"] {
+        db.execute(sql).unwrap();
+    }
+    let start = "START CONTENT APPROVAL ON T APPROVED BY nobody_at_all";
+    assert_eq!(db.execute(start).unwrap_err().code(), ErrorCode::NotFound);
+    assert!(db.approval().config("T").is_none(), "nothing started");
+    db.execute("START CONTENT APPROVAL ON T COLUMNS v APPROVED BY bob")
+        .unwrap();
+    let err = db
+        .execute("START CONTENT APPROVAL ON T COLUMNS K APPROVED BY nobody_at_all")
+        .unwrap_err();
+    assert_eq!(err.code(), ErrorCode::NotFound, "{err}");
+    let config = db.approval().config("T").cloned().unwrap();
+    assert_eq!(config.columns, Some(vec!["v".to_string()]));
+}
+
 /// `GRANT` and `REVOKE` name a user or a group with a member; a
 /// misspelt name is refused rather than granting to no one.
 #[test]

@@ -672,7 +672,8 @@ fn transaction_control_statement_errors() {
 /// `curated_db()` plus a Protein table fed by two rules on `Gene.Len`:
 /// `PLen` is recomputed (a cascading UPDATE), `PFun` goes outdated.
 /// One cell is outdated before any transaction starts, so a DELETE of
-/// its row must re-mark it on rollback.
+/// its row must re-mark it on rollback.  Scratch tables `S0` and `S1`
+/// and a set `R0` on `Gene` hold data for the generated DDL to drop.
 fn cascading(mut db: Database) -> Database {
     db.register_procedure("double", |args| match args[0] {
         Value::Int(v) => Value::Int(2 * v),
@@ -687,6 +688,17 @@ fn cascading(mut db: Database) -> Database {
         "CREATE DEPENDENCY RULE pfun FROM Gene.Len TO Protein.PFun \
          VIA PROCEDURE 'assay' LINK Gene.GID = Protein.GID",
         "UPDATE Gene SET Len = 43 WHERE GID = 'JW0082'",
+        // group `lab`, which approves below, has a member
+        "CREATE USER curator IN GROUP lab",
+        // scratch tables and a set for the DDL below to drop, each with
+        // rows or annotations that only their kept objects hold
+        "CREATE TABLE S0 (x INT)",
+        "INSERT INTO S0 VALUES (1), (2)",
+        "CREATE INDEX sx ON S0 (x)",
+        "CREATE TABLE S1 (x INT)",
+        "INSERT INTO S1 VALUES (3)",
+        "CREATE ANNOTATION TABLE R0 ON Gene",
+        "ADD ANNOTATION TO Gene.R0 VALUE 'r' ON (SELECT G.GID FROM Gene G)",
     ] {
         db.execute(sql).unwrap();
     }
@@ -752,15 +764,27 @@ fn statement((kind, pick, n): (u8, usize, i64)) -> String {
             "CREATE DEPENDENCY RULE x{pick} FROM Gene.GID TO Protein.GID \
              VIA PROCEDURE 'copy' LINK Gene.Len = Protein.PLen"
         ),
-        _ => format!(
+        24 => format!(
             "DROP DEPENDENCY RULE {}",
             ["plen", "pfun", "x0", "x1"][pick]
+        ),
+        // table and annotation-set DDL, on scratch tables and sets with
+        // rows and annotations of their own
+        25 => format!("CREATE TABLE S{pick} (x INT)"),
+        26 => format!("DROP TABLE S{pick}"),
+        27 => format!("INSERT INTO S{pick} VALUES ({n})"),
+        28 => format!("CREATE INDEX sx ON S{pick} (x)"),
+        29 => format!("CREATE ANNOTATION TABLE R{pick} ON Gene"),
+        30 => format!("DROP ANNOTATION TABLE R{pick} ON Gene"),
+        _ => format!(
+            "ADD ANNOTATION TO Gene.R{pick} VALUE 'r{n}' \
+             ON (SELECT G.GID FROM Gene G WHERE Len < {n})"
         ),
     }
 }
 
 fn arb_statements() -> impl Strategy<Value = Vec<(u8, usize, i64)>> {
-    prop::collection::vec((0u8..25, 0usize..4, 0i64..60), 1..12)
+    prop::collection::vec((0u8..32, 0usize..4, 0i64..60), 1..12)
 }
 
 fn run(db: &mut Database, stmts: &[(u8, usize, i64)]) {
@@ -820,8 +844,9 @@ fn every_table(db: &Database) -> Vec<(String, String)> {
 }
 
 /// What the catalog views answer — users, groups and privileges, the
-/// approval configs, the approval log's decisions and the rules — and
-/// the rows of the catalog tables behind them.
+/// approval configs, the approval log's decisions and the rules — the
+/// rows of the catalog tables behind them, and which scratch tables
+/// `S0`…`S3` exist, with their rows and indexes.
 fn views(db: &Database) -> String {
     let principals = ["admin", "alice", "bob", "lab", "u0", "u1", "u2", "u3"];
     let tables = ["Gene", "Protein"];
@@ -845,14 +870,100 @@ fn views(db: &Database) -> String {
     let log: Vec<(u64, String, OpStatus)> = (db.approval_log(None).unwrap().into_iter())
         .map(|op| (op.id.raw(), op.table, op.status))
         .collect();
-    let rows = ["$auth", "$approval", "$rules"].map(|t| {
+    let rows = ["$auth", "$approval", "$rules", "$schema"].map(|t| {
         let t = db.catalog().table(t).unwrap();
         t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap()
     });
+    let scratch: Vec<_> = (0..4)
+        .map(|i| {
+            let t = db.catalog().table(&format!("S{i}")).ok()?;
+            let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
+            let indexes: Vec<_> = t.indexes().iter().map(|i| (&i.name, i.len())).collect();
+            Some(format!("{rows:?} {indexes:?}"))
+        })
+        .collect();
     format!(
-        "users={users:?} held={held:?} configs={configs:?} log={log:?} rules={:?} rows={rows:?}",
+        "users={users:?} held={held:?} configs={configs:?} log={log:?} rules={:?} rows={rows:?} \
+         scratch={scratch:?}",
         db.dependencies().rules()
     )
+}
+
+/// The rows of `$schema`.
+fn schema_rows(db: &Database) -> Vec<(u64, Vec<Value>)> {
+    let t = db.catalog().table("$schema").unwrap();
+    t.iter_rows().collect::<Result<_, _>>().unwrap()
+}
+
+/// `Gene` gets a B+-tree and a sequence index next to its rows and its
+/// annotated set.
+fn indexed(mut db: Database) -> Database {
+    db.execute("CREATE INDEX len_idx ON Gene (Len)").unwrap();
+    db.execute("CREATE SEQUENCE INDEX gid_seq ON Gene (GID)")
+        .unwrap();
+    db
+}
+
+/// `Gene` dropped, then re-created as another table with an index and
+/// a row of its own.
+const DROP_AND_RECREATE: [&str; 4] = [
+    "DROP TABLE Gene",
+    "CREATE TABLE Gene (z INT)",
+    "CREATE INDEX z_idx ON Gene (z)",
+    "INSERT INTO Gene VALUES (1)",
+];
+
+/// A dropped table comes back from rollback whole — rows, both kinds of
+/// index, its annotations and its `$schema` rows — even though another
+/// table took its name in between; whole, to a savepoint, and, once
+/// committed, through a crash.
+#[test]
+fn a_dropped_table_comes_back_past_its_successor() {
+    let mut db = indexed(curated_db());
+    let state = |db: &Database| {
+        let gene = (table_fingerprint(db, "Gene"), row_state(db, "Gene"));
+        (gene, schema_rows(db))
+    };
+    let before = state(&db);
+    db.execute("BEGIN").unwrap();
+    for sql in DROP_AND_RECREATE {
+        db.execute(sql).unwrap();
+    }
+    assert_ne!(state(&db), before);
+    db.execute("ROLLBACK").unwrap();
+    assert_eq!(state(&db), before);
+    db.execute("BEGIN").unwrap();
+    db.execute("SAVEPOINT s").unwrap();
+    for sql in DROP_AND_RECREATE {
+        db.execute(sql).unwrap();
+    }
+    db.execute("ROLLBACK TO s").unwrap();
+    db.execute("COMMIT").unwrap();
+    assert_eq!(state(&db), before);
+    let check = db.check().unwrap();
+    assert!(check.is_ok(), "{:?}", check.problems);
+    let (_, st) = db
+        .query_traced("SELECT GID FROM Gene WHERE Len = 42")
+        .unwrap();
+    assert_eq!(st.index_probes, 1, "the restored index answers");
+
+    let dir = std::env::temp_dir().join(format!("bdbms-txn-redefine-{}.bdbms", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::create_with(&dir, DurabilityOptions::no_sync()).unwrap();
+    let mut db = indexed(curate(db));
+    db.execute("BEGIN").unwrap();
+    for sql in DROP_AND_RECREATE {
+        db.execute(sql).unwrap();
+    }
+    db.execute("COMMIT").unwrap();
+    let state = |db: &Database| (row_state(db, "Gene"), schema_rows(db));
+    let live = state(&db);
+    db.simulate_crash();
+    let db = Database::open_with(&dir, DurabilityOptions::no_sync()).unwrap();
+    assert_eq!(state(&db), live);
+    assert!(db.check().unwrap().is_ok());
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
