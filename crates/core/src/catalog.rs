@@ -164,11 +164,28 @@ impl SeqBackend {
     }
 
     /// The one way an index is filled from rows that already exist: a
-    /// bulk build (one sort, bottom-up loads) over every collected text.
-    fn build(texts: SeqTexts) -> SeqBackend {
-        match texts {
-            SeqTexts::Sbc(texts) => SeqBackend::Sbc(SbcTree::build(texts)),
-            SeqTexts::Suffix(texts) => SeqBackend::Suffix(StringBTree::build(texts)),
+    /// bottom-up load of every collected text, in the `order` an image
+    /// stored for them, or without one a bulk build (one sort).  `None`
+    /// when `order` is not a permutation of the texts' suffixes.
+    fn fill(texts: SeqTexts, order: Option<&[u32]>) -> Option<SeqBackend> {
+        Some(match (texts, order) {
+            (SeqTexts::Sbc(texts), None) => SeqBackend::Sbc(SbcTree::build(texts)),
+            (SeqTexts::Suffix(texts), None) => SeqBackend::Suffix(StringBTree::build(texts)),
+            (SeqTexts::Sbc(texts), Some(order)) => {
+                SeqBackend::Sbc(SbcTree::from_order(texts, order)?)
+            }
+            (SeqTexts::Suffix(texts), Some(order)) => {
+                SeqBackend::Suffix(StringBTree::from_order(texts, order)?)
+            }
+        })
+    }
+
+    /// The tree order over the texts `kept`, numbered in that order
+    /// (`SbcTree::order`).
+    fn order(&self, kept: &[u32]) -> Vec<u32> {
+        match self {
+            SeqBackend::Sbc(t) => t.order(kept),
+            SeqBackend::Suffix(t) => t.order(kept),
         }
     }
 
@@ -190,7 +207,7 @@ impl SeqBackend {
     }
 }
 
-/// Texts collected for [`SeqBackend::build`], each already in the form
+/// Texts collected for [`SeqBackend::fill`], each already in the form
 /// its backend stores (so a scan can hand them over chunk by chunk
 /// without the raw column ever being resident as a whole).
 enum SeqTexts {
@@ -242,6 +259,9 @@ pub struct SeqIndex {
     /// The live row of each text id ([`DEAD_TEXT`] once tombstoned); ids
     /// are dense and append-only, so the map is a plain vector.
     row_of_text: Vec<u64>,
+    /// The order an image stored for this index, which its fill at open
+    /// loads instead of sorting.
+    stored_order: Option<Vec<u32>>,
 }
 
 /// `SeqIndex::row_of_text` entry of a tombstoned text (row numbers are
@@ -257,6 +277,7 @@ impl SeqIndex {
             backend: SeqBackend::new(kind),
             text_of_row: BTreeMap::new(),
             row_of_text: Vec::new(),
+            stored_order: None,
         }
     }
 
@@ -275,13 +296,50 @@ impl SeqIndex {
         }
     }
 
-    /// Replace the (empty) index with a bulk build over `texts`, the
-    /// `i`-th of which belongs to row `rows[i]` (ascending).
-    fn load(&mut self, rows: Vec<u64>, texts: SeqTexts) {
+    /// Fill the (empty) index with `texts`, the `i`-th of which belongs
+    /// to row `rows[i]` (ascending), from its stored order if it has one.
+    fn load(&mut self, rows: Vec<u64>, texts: SeqTexts) -> Result<()> {
         debug_assert!(self.is_empty());
-        self.backend = SeqBackend::build(texts);
+        let order = self.stored_order.take();
+        self.backend = SeqBackend::fill(texts, order.as_deref()).ok_or_else(|| {
+            BdbmsError::corrupt(format!(
+                "the stored order of sequence index `{}` is not a permutation \
+                 of its {} text(s)' suffixes",
+                self.name,
+                rows.len()
+            ))
+        })?;
         self.text_of_row = rows.iter().copied().zip(0u32..).collect();
         self.row_of_text = rows;
+        Ok(())
+    }
+
+    /// The index's order as a checkpoint stores it: over the live texts,
+    /// numbered by row, so that an open — which numbers the texts it
+    /// rebuilds from the heap by row — can load it as it stands.
+    pub(crate) fn order(&self) -> Vec<u32> {
+        let kept: Vec<u32> = self.text_of_row.values().copied().collect();
+        self.backend.order(&kept)
+    }
+
+    /// Whether row `row_no`'s indexed text is `text` (`CHECK`).
+    pub(crate) fn holds(&self, row_no: u64, text: &str) -> bool {
+        let Some(&id) = self.text_of_row.get(&row_no) else {
+            return false;
+        };
+        match &self.backend {
+            SeqBackend::Sbc(t) => *t.text(id) == RleSeq::encode(text.as_bytes()),
+            SeqBackend::Suffix(t) => t.text(id) == text.as_bytes(),
+        }
+    }
+
+    /// The suffix entries, tombstoned texts' included, and whether they
+    /// ascend strictly in the backend's tree order (`CHECK`).
+    pub(crate) fn verify_order(&self) -> (usize, bool) {
+        match &self.backend {
+            SeqBackend::Sbc(t) => (t.num_suffixes(), t.is_ordered()),
+            SeqBackend::Suffix(t) => (t.num_suffixes(), t.is_ordered()),
+        }
     }
 
     /// Exactly the live rows whose sequence contains `pattern`, sorted
@@ -678,12 +736,14 @@ pub(crate) struct Sieve<'s, F: FnMut(&[Value]) -> Result<bool>> {
 }
 
 /// A table's physical parts, as the image's metadata record keeps
-/// them: its heap, row map, row allocator and outdated bitmap.
+/// them: its heap, row map, row allocator and outdated bitmap, and the
+/// stored order of each of its sequence indexes, by index name.
 pub(crate) struct TableParts {
     pub heap: HeapFile,
     pub rows: BTreeMap<u64, Rid>,
     pub next_row: u64,
     pub outdated: CellBitmap,
+    pub orders: Vec<(String, Vec<u32>)>,
 }
 
 /// One user table.
@@ -757,8 +817,9 @@ impl Table {
     /// recomputed exactly (a reopen is an implicit `ANALYZE`) and the
     /// indexes — each named with its column and, for a sequence index,
     /// its kind, as `$schema` holds them — and a hidden table's
-    /// `history` are rebuilt from the heap in one pass: derived
-    /// *payloads* are never persisted, only their definitions.
+    /// `history` are rebuilt from the heap in one pass.  A sequence
+    /// index with a stored order in `parts` is loaded in that order,
+    /// without a sort; an order no sequence index claims is corrupt.
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,
@@ -769,14 +830,28 @@ impl Table {
     ) -> Result<Table> {
         let arity = schema.arity();
         let (mut indexes, mut seq_indexes) = (Vec::new(), Vec::new());
+        let mut orders = parts.orders;
         for (index, col, seq) in index_defs {
             let col = schema.index_of(col).ok_or_else(|| {
                 BdbmsError::corrupt(format!("index `{index}` names no column `{col}`"))
             })?;
-            match seq {
-                None => indexes.push(TableIndex::new(index, col)),
-                Some(kind) => seq_indexes.push(SeqIndex::new(index, col, *kind)),
+            let Some(kind) = seq else {
+                indexes.push(TableIndex::new(index, col));
+                continue;
+            };
+            let mut sidx = SeqIndex::new(index, col, *kind);
+            if let Some(at) = orders
+                .iter()
+                .position(|(n, _)| n.eq_ignore_ascii_case(index))
+            {
+                sidx.stored_order = Some(orders.swap_remove(at).1);
             }
+            seq_indexes.push(sidx);
+        }
+        if let Some((index, _)) = orders.first() {
+            return Err(BdbmsError::corrupt(format!(
+                "a stored order for no sequence index `{index}` on `{name}`"
+            )));
         }
         let mut t = Table {
             stats: Self::fresh_stats(&name, arity),
@@ -1180,8 +1255,9 @@ impl Table {
     ///   live row decodes);
     /// * each B+-tree in `indexes`: replaced, once the scan has
     ///   succeeded, by a bottom-up load of every live row's key;
-    /// * each sequence index in `seq_indexes`: an empty one is bulk-built
-    ///   from every row once the scan has succeeded, a non-empty one gets
+    /// * each sequence index in `seq_indexes`: an empty one is filled
+    ///   from every row once the scan has succeeded (loaded in its stored
+    ///   order at open, bulk-built otherwise), a non-empty one gets
     ///   the rows from `first_row` up appended (its backend is
     ///   insert-only);
     /// * a hidden table's (fresh) `history`: fed every row.
@@ -1297,7 +1373,7 @@ impl Table {
         }
         for (sidx, load) in seq_indexes.iter_mut().zip(loads) {
             if let Some((rows, texts)) = load {
-                sidx.load(rows, texts);
+                sidx.load(rows, texts)?;
             }
         }
         Ok(())
@@ -1750,6 +1826,25 @@ impl Table {
     pub(crate) fn damage_record(&mut self, row_no: u64, rec: &[u8]) {
         let rid = self.heap.update(self.rows[&row_no], rec).unwrap();
         self.rows.insert(row_no, rid);
+    }
+
+    /// Drop row `row_no` from the `index`-th sequence index, leaving the
+    /// heap alone.
+    pub(crate) fn damage_seq_index(&mut self, index: usize, row_no: u64) {
+        self.seq_indexes[index].remove(row_no);
+    }
+
+    /// Refill the `index`-th sequence index as an open does, from its
+    /// stored order with the neighbours at `at` and `at + 1` swapped.
+    pub(crate) fn damage_seq_order(&mut self, index: usize, at: usize) {
+        let old = &self.seq_indexes[index];
+        let mut order = old.order();
+        order.swap(at, at + 1);
+        let mut sidx = SeqIndex::new(&old.name, old.column, old.kind);
+        sidx.stored_order = Some(order);
+        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)
+            .unwrap();
+        self.seq_indexes[index] = sidx;
     }
 }
 

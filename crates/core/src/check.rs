@@ -12,6 +12,8 @@
 //!   from disk so buffer-pool hits cannot mask a rotted page;
 //! * row decodability of every table heap;
 //! * secondary-index key order and index↔heap agreement;
+//! * sequence-index suffix order, and each live text equal to its row's
+//!   value, one per non-NULL row;
 //! * each annotation set's in-memory index equal to one rebuilt from
 //!   its hidden tables' rows, every attachment resolving to a record;
 //! * each catalog view (users and grants, approval configs, dependency
@@ -52,7 +54,8 @@ pub struct CheckReport {
     /// tables (the catalog tables' rows are checked against the views
     /// and objects they hold instead).
     pub rows_checked: u64,
-    /// Secondary-index entries verified (key order + heap agreement).
+    /// Secondary-index entries and sequence-index suffix entries
+    /// verified (key order + heap agreement).
     pub index_entries_checked: u64,
     /// WAL segment files scanned.
     pub wal_segments: usize,
@@ -199,9 +202,12 @@ fn check_durable_image(dir: &Path, rep: &mut CheckReport) {
 fn check_table(t: &Table, rep: &mut CheckReport) {
     let name = &t.name;
     // Row decodability, and each heap `(key, row)` pair probed in each
-    // index: per index, (non-NULL keys, some pair not indexed).  Reads go
-    // through the live buffer pool, which verifies cold page checksums.
+    // index: per index, (non-NULL keys, some pair not indexed); and per
+    // sequence index, (non-NULL texts, some row's text not the indexed
+    // one).  Reads go through the live buffer pool, which verifies cold
+    // page checksums.
     let mut heap_side = vec![(0u64, false); t.indexes().len()];
+    let mut seq_side = vec![(0u64, false); t.seq_indexes().len()];
     for entry in t.iter_rows() {
         match entry {
             Ok((no, values)) => {
@@ -211,6 +217,12 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
                     if !values[idx.column].is_null() {
                         *expected += 1;
                         *missing |= idx.probe(key, key).binary_search(&no).is_err();
+                    }
+                }
+                for (sidx, (expected, wrong)) in t.seq_indexes().iter().zip(&mut seq_side) {
+                    if let Value::Text(s) = &values[sidx.column] {
+                        *expected += 1;
+                        *wrong |= !sidx.holds(no, s);
                     }
                 }
             }
@@ -242,6 +254,26 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
                 "index `{}` on `{name}` disagrees with the heap \
                  ({indexed} indexed vs {expected} expected entries)",
                 idx.name
+            ));
+        }
+    }
+    // Sequence indexes: suffix order, then one live text per non-NULL
+    // row, each its row's value.
+    for (sidx, (expected, wrong)) in t.seq_indexes().iter().zip(seq_side) {
+        let (entries, ordered) = sidx.verify_order();
+        rep.index_entries_checked += entries as u64;
+        if !ordered {
+            rep.problems.push(format!(
+                "sequence index `{}` on `{name}`: suffixes out of order",
+                sidx.name
+            ));
+        }
+        if wrong || sidx.len() as u64 != expected {
+            rep.problems.push(format!(
+                "sequence index `{}` on `{name}` disagrees with the heap \
+                 ({} indexed vs {expected} expected texts)",
+                sidx.name,
+                sidx.len()
             ));
         }
     }
@@ -380,6 +412,7 @@ mod tests {
     use bdbms_storage::{BufferPool, MemStore};
 
     use super::*;
+    use crate::ast::SeqIndexKind;
     use crate::Database;
 
     /// `T (K INT, V TEXT)` with rows 0..3 (`K` = 10, 20, 30) and an index
@@ -458,6 +491,60 @@ mod tests {
             found[1..],
             ["index `k_idx` on `T` disagrees with the heap (3 indexed vs 2 expected entries)"]
         );
+    }
+
+    /// `S (K INT, V TEXT)` with a sequence index of `kind` on `V` over
+    /// rows 0..4, row 2's `V` NULL.
+    fn seq_table(kind: SeqIndexKind) -> Table {
+        let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 16));
+        let schema = Schema::of(&[("K", DataType::Int), ("V", DataType::Text)]);
+        let mut t = Table::create("S", schema, "admin", pool).unwrap();
+        for (k, v) in [
+            (1, Some("HHEEL")),
+            (2, Some("HHEEL")),
+            (3, None),
+            (4, Some("LHHE")),
+        ] {
+            let v = v.map_or(Value::Null, |v| Value::Text(v.into()));
+            t.insert(vec![Value::Int(k), v]).unwrap();
+        }
+        t.create_index("sx", "V", Some(kind)).unwrap();
+        t
+    }
+
+    #[test]
+    fn an_intact_sequence_index_counts_its_suffixes() {
+        // 3 + 3 + 3 run boundaries, or 5 + 5 + 4 bytes
+        for (kind, suffixes) in [(SeqIndexKind::Sbc, 9), (SeqIndexKind::Suffix, 14)] {
+            let mut rep = CheckReport::default();
+            check_table(&seq_table(kind), &mut rep);
+            assert!(rep.is_ok(), "{:?}", rep.problems);
+            assert_eq!((rep.rows_checked, rep.index_entries_checked), (4, suffixes));
+        }
+    }
+
+    #[test]
+    fn a_row_missing_from_a_sequence_index_is_reported() {
+        for kind in [SeqIndexKind::Sbc, SeqIndexKind::Suffix] {
+            let mut t = seq_table(kind);
+            t.damage_seq_index(0, 1);
+            assert_eq!(
+                problems(&t),
+                ["sequence index `sx` on `S` disagrees with the heap (2 indexed vs 3 expected texts)"]
+            );
+        }
+    }
+
+    #[test]
+    fn a_sequence_order_with_two_neighbours_swapped_is_reported() {
+        for kind in [SeqIndexKind::Sbc, SeqIndexKind::Suffix] {
+            let mut t = seq_table(kind);
+            t.damage_seq_order(0, 0);
+            assert_eq!(
+                problems(&t),
+                ["sequence index `sx` on `S`: suffixes out of order"]
+            );
+        }
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! **`data.bdb`** holds the last checkpoint: page 0 is a header (magic +
 //! format version + the record id of the metadata blob + CRC), each
 //! table's rows live in their own heap-file pages (the existing
-//! slotted-page/overflow-chain machinery), and one metadata record
-//! holds each table's physical parts — its name, row allocator, page
-//! list, rid map and outdated bitmap — plus the logical clock and the
-//! WAL frontier.  Everything else is rows of hidden tables
+//! slotted-page/overflow-chain machinery), each sequence index's suffix
+//! order lives in pages of its own beside its table's heap, and one
+//! metadata record holds each table's physical parts — its name, row
+//! allocator, page list, rid map, outdated bitmap and the page list and
+//! length of each sequence index's order — plus the logical clock and
+//! the WAL frontier.  Everything else is rows of hidden tables
 //! (`crate::catalog`), copied with every other heap: the definitions of
 //! tables, indexes, sequence indexes and annotation sets (`$schema`;
-//! derived payloads are rebuilt on open), the curator's history —
+//! the other derived payloads are rebuilt on open), the curator's history —
 //! annotation records and attachments, deletion logs, approval logs —
 //! and the catalog's users, grants, approval configs and dependency
 //! rules.
@@ -60,7 +62,8 @@
 //! **Recovery** (`Database::open`) loads the image — the catalog tables
 //! first, then each user table with its hidden tables as `$schema`
 //! defines them — rebuilding indexes and statistics from the heaps in
-//! one pass per table (a reopen is an implicit `ANALYZE`), then replays
+//! one pass per table (a reopen is an implicit `ANALYZE`; a sequence
+//! index is loaded in its stored order, not sorted), then replays
 //! the WAL: records are buffered per
 //! transaction and applied only when a `Commit` record is reached —
 //! ARIES-lite redo with committed records replayed and the uncommitted
@@ -73,7 +76,8 @@
 //! **Salvage** (`Database::open_salvage`) runs the same recovery path
 //! with a different error policy: a table whose heap fails the load's
 //! one pass, or whose definitions and metadata entries disagree, is
-//! quarantined, an unreadable image or WAL chain is dropped, a WAL
+//! quarantined, stored sequence-index orders are not read (each index
+//! is rebuilt from its heap), an unreadable image or WAL chain is dropped, a WAL
 //! record that does not decode or apply is counted and skipped, and the
 //! survivors are always re-checkpointed.  Only damage drops an
 //! image: one of another format version is refused (`Invalid`) and left
@@ -94,7 +98,7 @@ use bdbms_common::{BdbmsError, ErrorCode, Result, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
     crc32, BufferPool, FaultInjector, FaultStore, FileStore, FlushGate, HeapFile, IoDecision,
-    MemStore, PageId, PageStore, Rid,
+    MemStore, PageId, PageStore, Rid, PAGE_BODY,
 };
 
 pub use bdbms_storage::wal::{CommitTicket, Durability};
@@ -119,7 +123,19 @@ const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 // v5: table, index, sequence-index and annotation-set definitions are
 //     rows of `$schema`; the snapshot keeps each table's physical parts
 //     (v4 is refused, not read)
-const FORMAT_VERSION: u32 = 5;
+// v6: each sequence index's suffix order is stored in pages of its own,
+//     named per table in the snapshot (v5 is refused, not read)
+const FORMAT_VERSION: u32 = 6;
+
+/// Numbers an order page holds: its body, less the checksum trailer.
+const ORDER_PER_PAGE: usize = PAGE_BODY / 4;
+
+/// A sequence index's order as the image keeps it: the index's name,
+/// the order's pages and its length.
+type StoredOrder = (String, Vec<PageId>, usize);
+
+/// A table's rows and orders, moved onto a checkpoint's new image.
+type Moved = (String, HeapFile, BTreeMap<u64, Rid>, Vec<StoredOrder>);
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -424,18 +440,56 @@ fn read_header(pg: &[u8]) -> Result<Rid> {
 }
 
 // ---------------------------------------------------------------------
+// Sequence-index order pages
+// ---------------------------------------------------------------------
+
+/// Write `order` to fresh pages of `pool`, [`ORDER_PER_PAGE`] numbers
+/// each, little-endian, returning the pages.
+fn write_order(pool: &BufferPool, order: &[u32]) -> Result<Vec<PageId>> {
+    order
+        .chunks(ORDER_PER_PAGE)
+        .map(|chunk| {
+            let id = pool.allocate()?;
+            pool.with_page_mut(id, |pg| {
+                for (at, n) in pg.chunks_exact_mut(4).zip(chunk) {
+                    at.copy_from_slice(&n.to_le_bytes());
+                }
+            })?;
+            Ok(id)
+        })
+        .collect()
+}
+
+/// Read back the `len` numbers of an order from its `pages`.
+fn read_order(pool: &BufferPool, pages: &[PageId], len: usize) -> Result<Vec<u32>> {
+    let outside = pages.iter().any(|p| p.0 == 0 || p.0 >= pool.num_pages());
+    if outside || pages.len() != len.div_ceil(ORDER_PER_PAGE) {
+        return Err(BdbmsError::corrupt(format!(
+            "a sequence-index order of {len} numbers on {} unfit page(s)",
+            pages.len()
+        )));
+    }
+    let mut order = Vec::with_capacity(len);
+    for &id in pages {
+        let take = (len - order.len()).min(ORDER_PER_PAGE);
+        pool.with_page(id, |pg| {
+            let numbers = pg[..4 * take].chunks_exact(4);
+            order.extend(numbers.map(|n| u32::from_le_bytes(n.try_into().expect("4 bytes"))));
+        })?;
+    }
+    Ok(order)
+}
+
+// ---------------------------------------------------------------------
 // Snapshot (checkpoint image metadata)
 // ---------------------------------------------------------------------
 
 /// Serialize the engine's physical state: each table's parts, with its
-/// rows already moved into `moved` heaps (page lists + rid maps refer to
-/// the *new* store), the clock and the WAL frontier.  What the tables
-/// are — schemas, owners, indexes, sets — is rows of `$schema`.
-fn encode_snapshot(
-    db: &Database,
-    moved: &[(String, HeapFile, BTreeMap<u64, Rid>)],
-    wal_frontier: u64,
-) -> Vec<u8> {
+/// rows and sequence-index orders already written to the `moved` pages
+/// (page lists + rid maps refer to the *new* store), the clock and the
+/// WAL frontier.  What the tables are — schemas, owners, indexes, sets
+/// — is rows of `$schema`.
+fn encode_snapshot(db: &Database, moved: &[Moved], wal_frontier: u64) -> Vec<u8> {
     let mut body = Vec::new();
     codec::put_u64(&mut body, db.clock.now());
     // every WAL entry with an LSN below this is already folded into the
@@ -447,7 +501,7 @@ fn encode_snapshot(
     codec::put_u64(&mut body, wal_frontier);
 
     codec::put_u32(&mut body, moved.len() as u32);
-    for ((name, heap, rows), t) in moved.iter().zip(db.catalog.all_tables()) {
+    for ((name, heap, rows, orders), t) in moved.iter().zip(db.catalog.all_tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
         codec::put_str(&mut body, &t.name);
         codec::put_u64(&mut body, t.peek_next_row());
@@ -467,6 +521,12 @@ fn encode_snapshot(
         for (r, c) in set_cells {
             codec::put_u64(&mut body, r as u64);
             codec::put_u64(&mut body, c as u64);
+        }
+        codec::put_u32(&mut body, orders.len() as u32);
+        for (index, pages, len) in orders {
+            codec::put_str(&mut body, index);
+            codec::put_u64s(&mut body, &pages.iter().map(|p| p.0).collect::<Vec<u64>>());
+            codec::put_u64(&mut body, *len as u64);
         }
     }
 
@@ -495,7 +555,9 @@ fn take_parts(
 /// frontier: log entries below it are already part of the image.
 /// Decode errors of the blob itself are fatal in both modes (the caller
 /// treats that as image loss); what [`Database::load_tables`] finds is
-/// fatal only without a quarantine list.
+/// fatal only without a quarantine list.  With one (salvage), stored
+/// sequence-index orders are not read: each index is rebuilt from its
+/// heap.
 fn decode_snapshot_mode(
     db: &mut Database,
     blob: &[u8],
@@ -564,12 +626,22 @@ fn decode_snapshot_mode(
             }
             outdated.set(r, c);
         }
+        let mut orders = Vec::new();
+        for _ in 0..cur.len()? {
+            let index = cur.str()?;
+            let order_pages: Vec<PageId> = cur.u64s()?.into_iter().map(PageId).collect();
+            let len = cur.u64()? as usize;
+            if quarantine.is_none() {
+                orders.push((index, read_order(pool, &order_pages, len)?));
+            }
+        }
         let heap = HeapFile::attach(pool.clone(), pages);
         let p = TableParts {
             heap,
             rows,
             next_row,
             outdated,
+            orders,
         };
         if let Some((name, _)) = parts.insert(name.to_ascii_lowercase(), (name, p)) {
             return Err(BdbmsError::corrupt(format!(
@@ -1093,10 +1165,16 @@ impl Database {
         ));
         let header = new_pool.allocate()?;
         debug_assert_eq!(header, PageId(0));
-        let mut moved: Vec<(String, HeapFile, BTreeMap<u64, Rid>)> = Vec::new();
+        let mut moved: Vec<Moved> = Vec::new();
         for t in self.catalog.all_tables() {
             let (heap, rows) = t.write_rows_to(new_pool.clone())?;
-            moved.push((t.name.clone(), heap, rows));
+            let mut orders = Vec::new();
+            for sidx in t.seq_indexes() {
+                let order = sidx.order();
+                let pages = write_order(&new_pool, &order)?;
+                orders.push((sidx.name.clone(), pages, order.len()));
+            }
+            moved.push((t.name.clone(), heap, rows, orders));
         }
         let blob = encode_snapshot(self, &moved, wal_frontier);
         let mut meta_heap = HeapFile::create(new_pool.clone())?;
@@ -1116,7 +1194,7 @@ impl Database {
             let _ = d.sync_all();
         }
         // adopt the new image as the live storage
-        for (name, heap, rows) in moved {
+        for (name, heap, rows, _) in moved {
             self.catalog.table_mut(&name)?.swap_storage(heap, rows);
         }
         let ps = self.storage.as_mut().expect("still durable");

@@ -345,3 +345,79 @@ fn salvage_survives_total_image_loss() {
     assert_eq!(rows_of(&mut db, "Rebuilt"), 1);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A stored sequence-index order that is malformed (a repeated number,
+/// under a valid page checksum) or damaged (a flipped byte) is `Corrupt`
+/// for `open`.  Salvage does not read stored orders: it keeps the table,
+/// rebuilds its index from the heap with the sort-based build, and the
+/// image it writes opens cleanly again.
+#[test]
+fn a_bad_sequence_index_order_is_corrupt_and_salvage_rebuilds_the_index() {
+    use bdbms_storage::{stamp_page_checksum, PAGE_BODY, PAGE_SIZE};
+    let texts = ["HHEEL", "LLHE", "HHEEL", "EEEHL", "LHHE", "HHEEL"];
+    for kind in ["SBC", "SUFFIX"] {
+        // one suffix per run boundary, or per byte
+        let suffixes: usize = texts
+            .iter()
+            .map(|t| match kind {
+                "SBC" => 1 + t.as_bytes().windows(2).filter(|w| w[0] != w[1]).count(),
+                _ => t.len(),
+            })
+            .sum();
+        for damage in ["repeated number", "flipped byte"] {
+            let dir = tmp(&format!("bad-order-{kind}-{}", damage.len()));
+            let mut db = Database::create(&dir).unwrap();
+            db.execute("CREATE TABLE S (K INT, V TEXT)").unwrap();
+            for (k, t) in texts.iter().enumerate() {
+                db.execute(&format!("INSERT INTO S VALUES ({k}, '{t}')"))
+                    .unwrap();
+            }
+            db.execute(&format!("CREATE SEQUENCE INDEX sx ON S (V) USING {kind}"))
+                .unwrap();
+            db.close().unwrap();
+
+            // the order page: a permutation of 0..suffixes, then zeros
+            let data = dir.join("data.bdb");
+            let mut bytes = fs::read(&data).unwrap();
+            let number =
+                |pg: &[u8], i: usize| u32::from_le_bytes(pg[4 * i..4 * i + 4].try_into().unwrap());
+            let is_order = |pg: &[u8]| {
+                let mut n: Vec<u32> = (0..suffixes).map(|i| number(pg, i)).collect();
+                n.sort_unstable();
+                n.iter().copied().eq(0..suffixes as u32)
+                    && pg[4 * suffixes..PAGE_BODY].iter().all(|&b| b == 0)
+            };
+            let pages: Vec<usize> = (1..bytes.len() / PAGE_SIZE)
+                .filter(|&p| is_order(&bytes[p * PAGE_SIZE..(p + 1) * PAGE_SIZE]))
+                .collect();
+            assert_eq!(pages.len(), 1, "{kind}: one order page");
+            let pg = &mut bytes[pages[0] * PAGE_SIZE..(pages[0] + 1) * PAGE_SIZE];
+            if damage == "repeated number" {
+                let first = number(pg, 0);
+                pg[4..8].copy_from_slice(&first.to_le_bytes());
+                stamp_page_checksum(pg);
+            } else {
+                pg[0] ^= 0x01;
+            }
+            fs::write(&data, &bytes).unwrap();
+
+            let err = Database::open(&dir).map(|_| ()).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Corrupt, "{kind}, {damage}: {err}");
+            let sorts = bdbms_seq::sorted_builds();
+            let mut db = Database::open_salvage(&dir).unwrap();
+            assert_eq!(bdbms_seq::sorted_builds(), sorts + 1, "salvage rebuilds");
+            let report = db.last_recovery().unwrap().clone();
+            assert!(report.quarantined_tables.is_empty() && !report.image_lost);
+            let hits = db
+                .execute("SELECT K FROM S WHERE V CONTAINS SEQ 'HEE'")
+                .unwrap();
+            assert_eq!(hits.rows.len(), 3, "{kind}, {damage}");
+            assert!(db.check().unwrap().is_ok(), "{kind}, {damage}");
+            db.close().unwrap();
+            let db = Database::open(&dir).unwrap();
+            assert!(db.check().unwrap().is_ok(), "{kind}, {damage}: reopened");
+            drop(db);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}

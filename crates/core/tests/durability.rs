@@ -475,7 +475,7 @@ fn golden_image_bytes_do_not_drift() {
     let image = std::fs::read(dir.join("data.bdb")).unwrap();
     assert_eq!(
         (image.len(), fnv1a(&image)),
-        (114_688, 3_499_644_933_103_271_914),
+        (114_688, 4_776_338_696_789_330_328),
         "the checkpoint image drifted"
     );
     db.close().unwrap();

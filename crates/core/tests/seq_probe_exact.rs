@@ -142,3 +142,82 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 }
+
+/// A checkpoint stores each sequence index's suffix order and a clean
+/// reopen loads it with no sort, for both backends — also where UPDATEs
+/// in descending row order and an undone DELETE re-indexed rows, so text
+/// ids no longer ascend with row numbers and content-equal suffixes of
+/// duplicate sequences must be re-listed in row order; and where the
+/// WAL replays inserts on top of the stored order.
+#[test]
+fn stored_order_reopens_without_a_sort() {
+    let patterns: Vec<String> = [
+        "A", "C", "AC", "CA", "CC", "AAC", "ACC", "CAA", "CCA", "ACCA", "CAAC", "CCCA",
+    ]
+    .map(String::from)
+    .to_vec();
+    let dups = [
+        "ACCA", "CAAC", "ACCA", "AAAC", "CAAC", "ACCA", "CCCA", "AAAC",
+    ];
+    for kind in ["SBC", "SUFFIX"] {
+        let dir = tmp(&format!("stored-order-{kind}"));
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE P (K INT, S TEXT)").unwrap();
+        let (mut model, mut next_k) = (Model::new(), 0);
+        let seed: Vec<Op> = dups.iter().map(|s| (0, 0, s.to_string())).collect();
+        apply(&mut db, &mut model, &mut next_k, &seed);
+        db.execute(&format!("CREATE SEQUENCE INDEX sx ON P (S) USING {kind}"))
+            .unwrap();
+        for k in (0..8).rev() {
+            let s = dups[(k + 3) % 8];
+            db.execute(&format!("UPDATE P SET S = '{s}' WHERE K = {k}"))
+                .unwrap();
+            model[k].1 = Some(s.to_string());
+        }
+        db.execute("BEGIN").unwrap();
+        db.execute("DELETE FROM P WHERE K = 2").unwrap();
+        db.execute("ROLLBACK").unwrap();
+        assert_exact(&db, &model, &patterns, "re-indexed");
+        db.close().unwrap();
+
+        let sorts = bdbms_seq::sorted_builds();
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(
+            bdbms_seq::sorted_builds(),
+            sorts,
+            "{kind}: a clean open sorts"
+        );
+        assert_exact(&db, &model, &patterns, "reopened");
+        let r = db.execute("CHECK").unwrap();
+        assert_eq!(
+            r.message.as_deref(),
+            Some("CHECK ok"),
+            "{kind}: {:?}",
+            r.rows
+        );
+
+        let more: Vec<Op> = dups[..5].iter().map(|s| (0, 0, s.to_string())).collect();
+        apply(&mut db, &mut model, &mut next_k, &more);
+        db.simulate_crash();
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(
+            bdbms_seq::sorted_builds(),
+            sorts,
+            "{kind}: a replaying open sorts"
+        );
+        assert!(db.last_recovery().unwrap().replayed_commits >= 5);
+        assert_exact(&db, &model, &patterns, "inserts replayed");
+        let r = db.execute("CHECK").unwrap();
+        assert_eq!(
+            r.message.as_deref(),
+            Some("CHECK ok"),
+            "{kind}: {:?}",
+            r.rows
+        );
+        db.close().unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_exact(&db, &model, &patterns, "reopened after replay");
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

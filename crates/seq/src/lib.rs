@@ -29,3 +29,20 @@ pub mod sufbtree;
 pub use rle::RleSeq;
 pub use sbc_tree::SbcTree;
 pub use string_btree::StringBTree;
+
+use std::cell::Cell;
+
+thread_local! {
+    static SORTED_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many sort-based builds ([`SbcTree::build`],
+/// [`StringBTree::build`]) this thread has run: an index loaded from a
+/// stored order runs none.
+pub fn sorted_builds() -> u64 {
+    SORTED_BUILDS.get()
+}
+
+fn count_sorted_build() {
+    SORTED_BUILDS.set(SORTED_BUILDS.get() + 1);
+}

@@ -50,7 +50,7 @@ use std::cmp::Ordering;
 use bdbms_common::stats::IoSnapshot;
 
 use crate::rle::{RleSeq, Run};
-use crate::sufbtree::SufBTree;
+use crate::sufbtree::{suffix_starts, SufBTree};
 
 /// One indexed suffix: the suffix of text `text` that starts at run
 /// boundary `run` (`0` = the whole text).  The tree keeps it with the run
@@ -149,6 +149,7 @@ impl SbcTree {
                 ((key >> 64) as u64, key as u64, (id as u32, run as u32))
             }));
         }
+        crate::count_sorted_build();
         keyed.sort_unstable_by(|a, b| {
             ((a.0, a.1).cmp(&(b.0, b.1))).then_with(|| cmp_suffixes(&texts, a.2, b.2))
         });
@@ -163,6 +164,64 @@ impl SbcTree {
             texts,
             text_write_io: Cell::new(text_pages),
         }
+    }
+
+    /// Index `texts` (ids `0..texts.len()`, in order) from their stored
+    /// [`order`](Self::order), with no sort: the index
+    /// [`build`](Self::build) makes, each entry's preceding run taken
+    /// from its text.  `None` unless `order` is a permutation of the
+    /// texts' run boundaries.
+    pub fn from_order(texts: Vec<RleSeq>, order: &[u32]) -> Option<Self> {
+        Self::from_order_with_fanout(64, texts, order)
+    }
+
+    /// [`from_order`](Self::from_order) with a custom String-B-tree
+    /// fanout.
+    pub fn from_order_with_fanout(
+        fanout: usize,
+        texts: Vec<RleSeq>,
+        order: &[u32],
+    ) -> Option<Self> {
+        let mut numbered = Vec::with_capacity(texts.iter().map(RleSeq::num_runs).sum());
+        for (t, id) in texts.iter().zip(0..) {
+            numbered.extend((0..t.num_runs() as u32).map(|run| entry(t, id, run)));
+        }
+        Some(SbcTree {
+            tree: SufBTree::from_order(fanout, &numbered, order)?,
+            text_write_io: Cell::new(texts.iter().map(pages).sum()),
+            texts,
+        })
+    }
+
+    /// The tree order as an image stores it: the run boundaries of the
+    /// texts `kept` (ids, each once) numbered in `kept`'s order, text
+    /// after text, listed in tree order.  [`from_order`](Self::from_order)
+    /// over those texts, in that order, loads the tree `build` makes of
+    /// them: where the kept ids do not ascend, content-equal suffixes are
+    /// re-listed by their new numbers.
+    pub fn order(&self, kept: &[u32]) -> Vec<u32> {
+        let texts = &self.texts;
+        let starts = suffix_starts(texts.len(), kept, |id| texts[id].num_runs());
+        let renumbered = !kept.is_sorted();
+        self.tree.order(
+            |e| starts[e.text as usize].map(|s| s + e.run),
+            |a, b| {
+                renumbered
+                    && texts[a.text as usize].cmp_suffixes(
+                        a.run as usize,
+                        &texts[b.text as usize],
+                        b.run as usize,
+                    ) == Ordering::Equal
+            },
+        )
+    }
+
+    /// Whether the suffixes ascend strictly in tree order (an order
+    /// loaded from an image is only checked to be a permutation).
+    pub fn is_ordered(&self) -> bool {
+        let texts = &self.texts;
+        self.tree
+            .is_ordered(|a, b| cmp_suffixes(texts, (a.text, a.run), (b.text, b.run)))
     }
 
     /// Insert a raw sequence (RLE-compressed on the way in).

@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 
 use bdbms_common::stats::IoSnapshot;
 
-use crate::sufbtree::SufBTree;
+use crate::sufbtree::{suffix_starts, SufBTree};
 
 /// Reference to the suffix of text `text` starting at byte `off`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,16 +58,60 @@ impl StringBTree {
         let mut suffixes = Vec::with_capacity(texts.iter().map(Vec::len).sum());
         let mut text_pages = 0;
         for (id, t) in texts.iter().enumerate() {
-            text_pages += (t.len() as u64 / 8192).max(1);
+            text_pages += pages(t);
             let text = id as u32;
             suffixes.extend((0..t.len() as u32).map(|off| (SufRef { text, off }, ())));
         }
+        crate::count_sorted_build();
         suffixes.sort_unstable_by(|&(a, _), &(b, _)| cmp_suf_refs(&texts, a, b));
         StringBTree {
             tree: SufBTree::from_sorted(fanout, &suffixes),
             texts,
             text_write_io: Cell::new(text_pages),
         }
+    }
+
+    /// Index `texts` (ids `0..texts.len()`, in order) from their stored
+    /// [`order`](Self::order), with no sort: the index
+    /// [`build`](Self::build) makes.  `None` unless `order` is a
+    /// permutation of the texts' byte suffixes.
+    pub fn from_order(texts: Vec<Vec<u8>>, order: &[u32]) -> Option<Self> {
+        Self::from_order_with_fanout(64, texts, order)
+    }
+
+    /// [`from_order`](Self::from_order) with a custom B-tree fanout.
+    pub fn from_order_with_fanout(
+        fanout: usize,
+        texts: Vec<Vec<u8>>,
+        order: &[u32],
+    ) -> Option<Self> {
+        let mut numbered = Vec::with_capacity(texts.iter().map(Vec::len).sum());
+        for (t, text) in texts.iter().zip(0..) {
+            numbered.extend((0..t.len() as u32).map(|off| (SufRef { text, off }, ())));
+        }
+        Some(StringBTree {
+            tree: SufBTree::from_order(fanout, &numbered, order)?,
+            text_write_io: Cell::new(texts.iter().map(|t| pages(t)).sum()),
+            texts,
+        })
+    }
+
+    /// The tree order as an image stores it: the byte suffixes of the
+    /// texts `kept` (ids, each once) numbered in `kept`'s order, text
+    /// after text, listed in tree order — what
+    /// [`SbcTree::order`](crate::SbcTree::order) is for run boundaries.
+    pub fn order(&self, kept: &[u32]) -> Vec<u32> {
+        let starts = suffix_starts(self.texts.len(), kept, |id| self.texts[id].len());
+        let renumbered = !kept.is_sorted();
+        self.tree.order(
+            |e| starts[e.text as usize].map(|s| s + e.off),
+            |a, b| renumbered && self.suffix(a) == self.suffix(b),
+        )
+    }
+
+    /// Whether the suffixes ascend strictly in tree order.
+    pub fn is_ordered(&self) -> bool {
+        self.tree.is_ordered(|a, b| cmp_suf_refs(&self.texts, a, b))
     }
 
     fn suffix(&self, e: SufRef) -> &[u8] {
@@ -79,7 +123,7 @@ impl StringBTree {
         let id = self.texts.len() as u32;
         self.texts.push(seq.to_vec());
         self.text_write_io
-            .set(self.text_write_io.get() + (seq.len() as u64 / 8192).max(1));
+            .set(self.text_write_io.get() + pages(seq));
         // Split borrows: comparisons need &texts while the tree mutates.
         let texts = std::mem::take(&mut self.texts);
         let cmp = |a: SufRef, b: SufRef| cmp_suf_refs(&texts, a, b);
@@ -201,6 +245,11 @@ impl Default for StringBTree {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Pages written to store text `t` (one per 8 KiB, at least one).
+fn pages(t: &[u8]) -> u64 {
+    (t.len() as u64 / 8192).max(1)
 }
 
 /// The tree order: suffix bytes, ties (equal suffixes of different texts)

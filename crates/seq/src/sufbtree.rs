@@ -146,6 +146,82 @@ impl<E: Copy, K: Key> SufBTree<E, K> {
         tree
     }
 
+    /// Bottom-up load from a stored [`order`](Self::order): `numbered`
+    /// lists every entry with its key, entry `n` under number `n`, and
+    /// `order` lists their numbers in tree order.  `None` unless `order`
+    /// is a permutation of `0..numbered.len()`; that it is the tree order
+    /// is not checked here ([`is_ordered`](Self::is_ordered) does).
+    pub fn from_order(fanout: usize, numbered: &[(E, K)], order: &[u32]) -> Option<Self> {
+        if order.len() != numbered.len() {
+            return None;
+        }
+        let mut seen = vec![false; numbered.len()];
+        let mut sorted = Vec::with_capacity(order.len());
+        for &n in order {
+            if std::mem::replace(seen.get_mut(n as usize)?, true) {
+                return None;
+            }
+            sorted.push(numbered[n as usize]);
+        }
+        Some(Self::from_sorted(fanout, &sorted))
+    }
+
+    /// The tree order as numbers: `number(e)` for each entry in tree
+    /// order, leaving out the entries it numbers `None`.  Each run of
+    /// neighbours that `tied` says are tied is listed by ascending
+    /// number, the order a tree that breaks those ties on the numbers
+    /// keeps.
+    pub fn order(
+        &self,
+        number: impl Fn(E) -> Option<u32>,
+        tied: impl Fn(E, E) -> bool,
+    ) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.len);
+        // where the current run of tied entries starts in `out`
+        let mut run = 0;
+        let mut prev = None;
+        self.for_each(|e| {
+            let Some(n) = number(e) else { return };
+            if !prev.is_some_and(|p| tied(p, e)) {
+                if out.len() - run > 1 {
+                    out[run..].sort_unstable();
+                }
+                run = out.len();
+            }
+            prev = Some(e);
+            out.push(n);
+        });
+        out[run..].sort_unstable();
+        out
+    }
+
+    /// Whether the entries ascend strictly under `cmp` in tree order.
+    pub fn is_ordered(&self, cmp: impl Fn(E, E) -> Ordering) -> bool {
+        let (mut ordered, mut prev) = (true, None);
+        self.for_each(|e| {
+            ordered &= prev.is_none_or(|p| cmp(p, e) == Ordering::Less);
+            prev = Some(e);
+        });
+        ordered
+    }
+
+    /// Visit every entry in tree order.
+    pub fn for_each(&self, mut visit: impl FnMut(E)) {
+        self.for_each_below(self.root, &mut visit);
+    }
+
+    fn for_each_below(&self, id: NodeId, visit: &mut impl FnMut(E)) {
+        self.stats.record_read();
+        match &self.nodes[id] {
+            Node::Leaf { entries, .. } => entries.iter().for_each(|&e| visit(e)),
+            Node::Inner { children, .. } => {
+                for c in children {
+                    self.for_each_below(c.id, visit);
+                }
+            }
+        }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -386,6 +462,24 @@ impl<E: Copy, K: Key> Default for SufBTree<E, K> {
     }
 }
 
+/// Where each kept text's suffixes start when the suffixes of the texts
+/// `kept` are numbered in `kept`'s order, text after text: indexed by
+/// text id, `None` for a text not kept, out of `texts`; `suffixes(id)`
+/// counts text `id`'s suffixes.
+pub fn suffix_starts(
+    texts: usize,
+    kept: &[u32],
+    suffixes: impl Fn(usize) -> usize,
+) -> Vec<Option<u32>> {
+    let mut starts = vec![None; texts];
+    let mut next = 0;
+    for &id in kept {
+        starts[id as usize] = Some(next);
+        next += suffixes(id as usize) as u32;
+    }
+    starts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,6 +634,39 @@ mod tests {
                 assert_eq!(visit(&grown, &classify, keys), want, "grown [{lo}, {hi})");
             }
         }
+    }
+
+    #[test]
+    fn an_order_round_trips_and_a_non_permutation_is_refused() {
+        // entries numbered in reverse: entry `n` is `99 - n`
+        let numbered: Vec<(u32, u32)> = (0..100u32).rev().map(|v| (v, key(v))).collect();
+        let tree = load(4, &(0..100).collect::<Vec<u32>>());
+        let order = tree.order(|e| Some(99 - e), |_, _| false);
+        assert_eq!(order, (0..100).rev().collect::<Vec<u32>>());
+        let loaded = Tree::from_order(4, &numbered, &order).unwrap();
+        assert_eq!(check_invariants(&loaded), all(&tree));
+        assert!(loaded.is_ordered(cmp_u32));
+        // left out, and tied runs listed by number
+        let even = tree.order(|e| (e % 2 == 0).then_some(e), |a, b| a / 10 == b / 10);
+        assert_eq!(even, (0..100).step_by(2).collect::<Vec<u32>>());
+        let by_tens = tree.order(|e| Some(99 - e), |a, b| a / 10 == b / 10);
+        assert_eq!(by_tens[..10], (90..100).collect::<Vec<u32>>());
+        let mut bad = order.clone();
+        bad.swap(3, 4);
+        assert!(!Tree::from_order(4, &numbered, &bad)
+            .unwrap()
+            .is_ordered(cmp_u32));
+        for bad in [&order[1..], &[order.as_slice(), &[0]].concat()] {
+            assert!(
+                Tree::from_order(4, &numbered, bad).is_none(),
+                "wrong length"
+            );
+        }
+        let (mut repeated, mut outside) = (order.clone(), order.clone());
+        repeated[1] = repeated[0];
+        outside[0] = 100;
+        assert!(Tree::from_order(4, &numbered, &repeated).is_none());
+        assert!(Tree::from_order(4, &numbered, &outside).is_none());
     }
 
     #[test]

@@ -355,3 +355,119 @@ proptest! {
         prop_assert_eq!(sbt.num_suffixes(), chars);
     }
 }
+
+/// About three in four of the ids `0..n`, shuffled: the live texts of an
+/// index whose rows were re-indexed, in row order.
+fn shuffled_subset(rng: &mut StdRng, n: usize) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n as u32).filter(|_| rng.gen_range(0..4) != 0).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..i + 1));
+    }
+    ids
+}
+
+/// `order` loads, and each malformed variant of it is refused: one
+/// number over or short, a repeated number, a number out of range.
+fn assert_refuses_malformed(order: &[u32], loads: impl Fn(&[u32]) -> bool) {
+    assert!(loads(order), "the order itself");
+    assert!(!loads(&[order, &[0]].concat()), "one number over");
+    let Some((_, short)) = order.split_last() else {
+        return;
+    };
+    assert!(!loads(short), "one number short");
+    let mut outside = order.to_vec();
+    outside[0] = order.len() as u32;
+    assert!(!loads(&outside), "a number out of range");
+    if let [first, rest @ ..] = order {
+        if let Some(last) = rest.len().checked_sub(1) {
+            let mut repeated = order.to_vec();
+            repeated[1 + last] = *first;
+            assert!(!loads(&repeated), "a repeated number");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An SBC-tree loaded from `build(t)`'s stored order answers every
+    /// query like `build(t)` and like an insert-grown tree, over corpora
+    /// with duplicate texts; the order of any kept subset of the texts,
+    /// in any order, is the order `build` makes of that subset; and a
+    /// malformed order is refused.
+    #[test]
+    fn stored_order_loads_the_built_sbc_tree(
+        seed in any::<u64>(),
+        n in 0usize..201,
+        alphabet in 1usize..5,
+        mean_run in 1usize..21,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let texts = random_corpus(&mut rng, n, alphabet, mean_run);
+        let rle = |ids: &[u32]| -> Vec<RleSeq> {
+            ids.iter().map(|&id| RleSeq::encode(&texts[id as usize])).collect()
+        };
+        let all: Vec<u32> = (0..n as u32).collect();
+        let built = SbcTree::build_with_fanout(4, rle(&all));
+        let mut grown = SbcTree::with_fanout(4);
+        for t in &texts {
+            grown.insert_sequence(t);
+        }
+        let order = built.order(&all);
+        prop_assert_eq!(&grown.order(&all), &order);
+        let loaded = SbcTree::from_order_with_fanout(4, rle(&all), &order).unwrap();
+        prop_assert!(loaded.is_ordered());
+        let pats = probe_patterns(&mut rng, &texts, alphabet, mean_run);
+        assert_same_answers(&loaded, &built, &pats, "loaded vs built");
+        assert_same_answers(&loaded, &grown, &pats, "loaded vs grown");
+        let kept = shuffled_subset(&mut rng, n);
+        let rebuilt = SbcTree::build_with_fanout(4, rle(&kept));
+        let identity: Vec<u32> = (0..kept.len() as u32).collect();
+        prop_assert_eq!(grown.order(&kept), rebuilt.order(&identity));
+        assert_refuses_malformed(&order, |o| {
+            SbcTree::from_order_with_fanout(4, rle(&all), o).is_some()
+        });
+    }
+
+    /// The same for the String B-tree, whose suffixes are bytes.
+    #[test]
+    fn stored_order_loads_the_built_string_btree(
+        seed in any::<u64>(),
+        n in 0usize..40,
+        alphabet in 1usize..5,
+        mean_run in 1usize..6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let texts = random_corpus(&mut rng, n, alphabet, mean_run);
+        let pick = |ids: &[u32]| -> Vec<Vec<u8>> {
+            ids.iter().map(|&id| texts[id as usize].clone()).collect()
+        };
+        let all: Vec<u32> = (0..n as u32).collect();
+        let built = StringBTree::build_with_fanout(4, texts.clone());
+        let mut grown = StringBTree::with_fanout(4);
+        for t in &texts {
+            grown.insert_text(t);
+        }
+        let order = built.order(&all);
+        prop_assert_eq!(&grown.order(&all), &order);
+        let loaded = StringBTree::from_order_with_fanout(4, texts.clone(), &order).unwrap();
+        prop_assert!(loaded.is_ordered());
+        let pats = probe_patterns(&mut rng, &texts, alphabet, mean_run);
+        for (i, pat) in pats.iter().enumerate() {
+            for other in [&built, &grown] {
+                prop_assert_eq!(loaded.substring_search(pat), other.substring_search(pat));
+                prop_assert_eq!(loaded.prefix_search(pat), other.prefix_search(pat));
+                let next = &pats[(i + 1) % pats.len()];
+                let (lo, hi) = if pat <= next { (pat, next) } else { (next, pat) };
+                prop_assert_eq!(loaded.range_search(lo, hi), other.range_search(lo, hi));
+            }
+        }
+        let kept = shuffled_subset(&mut rng, n);
+        let rebuilt = StringBTree::build_with_fanout(4, pick(&kept));
+        let identity: Vec<u32> = (0..kept.len() as u32).collect();
+        prop_assert_eq!(grown.order(&kept), rebuilt.order(&identity));
+        assert_refuses_malformed(&order, |o| {
+            StringBTree::from_order_with_fanout(4, texts.clone(), o).is_some()
+        });
+    }
+}
