@@ -735,15 +735,28 @@ pub(crate) struct Sieve<'s, F: FnMut(&[Value]) -> Result<bool>> {
     pub late: &'s [usize],
 }
 
-/// A table's physical parts, as the image's metadata record keeps
-/// them: its heap, row map, row allocator and outdated bitmap, and the
-/// stored order of each of its sequence indexes, by index name.
+/// A table's physical parts, as the image keeps them: its heap, row
+/// map, row allocator and outdated bitmap from the metadata record, and
+/// from its sections the stored order of each of its sequence indexes,
+/// by index name, and its stored planner statistics.
 pub(crate) struct TableParts {
     pub heap: HeapFile,
     pub rows: BTreeMap<u64, Rid>,
     pub next_row: u64,
     pub outdated: CellBitmap,
     pub orders: Vec<(String, Vec<u32>)>,
+    pub stats: Option<TableStats>,
+}
+
+/// What a [`Table::derive`] pass reads of each record besides the
+/// columns it decodes for the indexes and the history.
+enum Walk<'s> {
+    /// Nothing past the last such column.
+    Keys,
+    /// Every column, each checked to decode as [`Value::decode`] would.
+    Check,
+    /// Every column, each observed into these (fresh) statistics.
+    Stats(&'s mut TableStats),
 }
 
 /// One user table.
@@ -813,13 +826,16 @@ impl Table {
     }
 
     /// Rebuild a table from its persisted parts (database open).  The
-    /// heap is already attached to the live buffer pool; statistics are
-    /// recomputed exactly (a reopen is an implicit `ANALYZE`) and the
-    /// indexes — each named with its column and, for a sequence index,
-    /// its kind, as `$schema` holds them — and a hidden table's
-    /// `history` are rebuilt from the heap in one pass.  A sequence
-    /// index with a stored order in `parts` is loaded in that order,
-    /// without a sort; an order no sequence index claims is corrupt.
+    /// heap is already attached to the live buffer pool; the indexes —
+    /// each named with its column and, for a sequence index, its kind,
+    /// as `$schema` holds them — and a hidden table's `history` are
+    /// rebuilt from the heap in one pass, which also checks that every
+    /// column of every live row decodes.  A sequence index with a stored
+    /// order in `parts` is loaded in that order, without a sort; an order
+    /// no sequence index claims is corrupt.  A user table takes the
+    /// statistics stored in `parts`, or has them computed in the pass if
+    /// there are none; stored statistics that do not fit the table are
+    /// corrupt.
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,
@@ -853,8 +869,25 @@ impl Table {
                 "a stored order for no sequence index `{index}` on `{name}`"
             )));
         }
+        // a hidden table keeps no statistics, and a user table without
+        // stored ones has them computed in the pass, which otherwise only
+        // checks that every value decodes
+        let keeps = Self::fresh_stats(&name, arity).arity();
+        let (stored, mut computed) = match parts.stats {
+            Some(s) if s.arity() != keeps => {
+                return Err(BdbmsError::corrupt(format!(
+                    "stored statistics of {} column(s) for `{name}`, which keeps {keeps}",
+                    s.arity()
+                )))
+            }
+            Some(s) => (s, None),
+            None => (
+                TableStats::new(keeps),
+                (keeps > 0).then(|| TableStats::new(keeps)),
+            ),
+        };
         let mut t = Table {
-            stats: Self::fresh_stats(&name, arity),
+            stats: stored,
             name,
             schema,
             owner,
@@ -867,17 +900,9 @@ impl Table {
             seq_indexes: Vec::new(),
             log: SharedLog::default(),
         };
-        // every table's statistics are computed, so the walk checks that
-        // every value decodes; a hidden table's are then dropped
-        let mut stats = TableStats::new(arity);
-        t.derive(
-            Some(&mut stats),
-            &mut indexes,
-            &mut seq_indexes,
-            history.as_mut(),
-            0,
-        )?;
-        if owner_of(&t.name).is_none() {
+        let walk = computed.as_mut().map_or(Walk::Check, Walk::Stats);
+        t.derive(walk, &mut indexes, &mut seq_indexes, history.as_mut(), 0)?;
+        if let Some(stats) = computed {
             t.stats = stats;
         }
         t.indexes = indexes;
@@ -1250,9 +1275,10 @@ impl Table {
     /// and `ANALYZE`: a chunked in-pool walk over the record bytes that
     /// fills whatever derived state the caller hands it —
     ///
-    /// * `stats` (fresh): exact statistics, observed from every column's
-    ///   stored encoding (so the pass checks that every value of every
-    ///   live row decodes);
+    /// * `walk`: how much of each record is read besides the decoded
+    ///   columns — with [`Walk::Check`] or [`Walk::Stats`] every value of
+    ///   every live row is checked to decode, and with the latter exact
+    ///   statistics are observed from every column's stored encoding;
     /// * each B+-tree in `indexes`: replaced, once the scan has
     ///   succeeded, by a bottom-up load of every live row's key;
     /// * each sequence index in `seq_indexes`: an empty one is filled
@@ -1269,7 +1295,7 @@ impl Table {
     /// are simply dropped).
     fn derive(
         &self,
-        mut stats: Option<&mut TableStats>,
+        mut walk: Walk<'_>,
         indexes: &mut [TableIndex],
         seq_indexes: &mut [SeqIndex],
         mut history: Option<&mut History>,
@@ -1287,11 +1313,11 @@ impl Table {
         keys.sort_unstable();
         keys.dedup();
         let slot = |col: usize| keys.binary_search(&col).expect("a key column");
-        // statistics read every column; otherwise the walk of a record
-        // ends at its last key column
-        let walk = match stats {
-            Some(_) => self.schema.arity(),
-            None => keys.last().map_or(0, |&col| col + 1),
+        // unless only keys are read, every column is; otherwise the walk
+        // of a record ends at its last key column
+        let walk_to = match walk {
+            Walk::Keys => keys.last().map_or(0, |&col| col + 1),
+            Walk::Check | Walk::Stats(_) => self.schema.arity(),
         };
         // sized once: doubling growth would leave up to half of each
         // vector reserved and unused while the index is built from it
@@ -1327,17 +1353,24 @@ impl Table {
                 debug_assert_eq!(decoded_no, nos[k]);
                 let mut pos = 8;
                 let mut next_key = keys.iter().peekable();
-                for col in 0..walk {
+                for col in 0..walk_to {
                     let start = pos;
                     if next_key.next_if_eq(&&col).is_none() {
-                        match stats.as_deref_mut() {
-                            Some(stats) => stats.observe_encoded(col, buf, &mut pos)?,
-                            None => Value::skip(buf, &mut pos)?,
+                        match &mut walk {
+                            Walk::Stats(stats) => stats.observe_encoded(col, buf, &mut pos)?,
+                            // a TEXT value's UTF-8 is checked, as decoding
+                            // it would; any other value's tag and length
+                            Walk::Check => {
+                                if Value::decode_str(buf, &mut pos)?.is_none() {
+                                    Value::skip(buf, &mut pos)?;
+                                }
+                            }
+                            Walk::Keys => Value::skip(buf, &mut pos)?,
                         }
                         continue;
                     }
                     let key = Value::decode(buf, &mut pos)?;
-                    if let Some(stats) = stats.as_deref_mut() {
+                    if let Walk::Stats(stats) = &mut walk {
                         stats.observe_decoded(col, &key, &buf[start..pos]);
                     }
                     arena.push(key);
@@ -1402,7 +1435,7 @@ impl Table {
         let col = self.schema.require(column)?;
         let Some(kind) = seq else {
             let mut idx = TableIndex::new(name, col);
-            self.derive(None, std::slice::from_mut(&mut idx), &mut [], None, 0)?;
+            self.derive(Walk::Keys, std::slice::from_mut(&mut idx), &mut [], None, 0)?;
             self.indexes.push(idx);
             return Ok(());
         };
@@ -1413,7 +1446,13 @@ impl Table {
             )));
         }
         let mut sidx = SeqIndex::new(name, col, kind);
-        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)?;
+        self.derive(
+            Walk::Keys,
+            &mut [],
+            std::slice::from_mut(&mut sidx),
+            None,
+            0,
+        )?;
         self.seq_indexes.push(sidx);
         Ok(())
     }
@@ -1506,7 +1545,7 @@ impl Table {
         let mut indexes = std::mem::take(&mut self.indexes);
         let mut seq_indexes = std::mem::take(&mut self.seq_indexes);
         let derived = self.derive(
-            Some(&mut stats),
+            Walk::Stats(&mut stats),
             &mut indexes,
             &mut seq_indexes,
             None,
@@ -1577,7 +1616,7 @@ impl Table {
     /// Returns the number of rows scanned.
     pub fn analyze(&mut self) -> Result<u64> {
         let mut stats = TableStats::new(self.schema.arity());
-        self.derive(Some(&mut stats), &mut [], &mut [], None, 0)?;
+        self.derive(Walk::Stats(&mut stats), &mut [], &mut [], None, 0)?;
         self.stats = stats;
         Ok(self.rows.len() as u64)
     }
@@ -1842,8 +1881,14 @@ impl Table {
         order.swap(at, at + 1);
         let mut sidx = SeqIndex::new(&old.name, old.column, old.kind);
         sidx.stored_order = Some(order);
-        self.derive(None, &mut [], std::slice::from_mut(&mut sidx), None, 0)
-            .unwrap();
+        self.derive(
+            Walk::Keys,
+            &mut [],
+            std::slice::from_mut(&mut sidx),
+            None,
+            0,
+        )
+        .unwrap();
         self.seq_indexes[index] = sidx;
     }
 }
@@ -2377,18 +2422,15 @@ mod tests {
         let want = want.unwrap_err().code();
         assert_eq!(want, bdbms_common::ErrorCode::Storage);
         assert_eq!(t.analyze().unwrap_err().code(), want, "ANALYZE");
-        // the pass an open makes: statistics plus a fresh index
+        // the passes an open makes: checks, or statistics where none
+        // are stored, plus a fresh index
         let mut stats = TableStats::new(2);
-        let mut idx = TableIndex::new("k2", 0);
-        let err = t.derive(
-            Some(&mut stats),
-            std::slice::from_mut(&mut idx),
-            &mut [],
-            None,
-            0,
-        );
-        assert_eq!(err.unwrap_err().code(), want, "open's derive pass");
-        assert!(idx.is_empty(), "a failed pass loads no index");
+        for walk in [Walk::Check, Walk::Stats(&mut stats)] {
+            let mut idx = TableIndex::new("k2", 0);
+            let err = t.derive(walk, std::slice::from_mut(&mut idx), &mut [], None, 0);
+            assert_eq!(err.unwrap_err().code(), want, "open's derive pass");
+            assert!(idx.is_empty(), "a failed pass loads no index");
+        }
         // without statistics only the key column is read, as before
         t.create_index("k3", "k", None).unwrap();
         assert_eq!(t.index_named("k3").unwrap().len(), 4);

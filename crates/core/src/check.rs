@@ -21,6 +21,8 @@
 //! * every live table, index, sequence index and annotation set defined
 //!   by exactly one `$schema` row, and every row's object live;
 //! * outdated-bitmap shape (arity) and liveness (bits only on live rows);
+//! * each user table's planner statistics: per column, the NULL count
+//!   exact and every live non-NULL value inside the [min, max] bounds;
 //! * WAL chain continuity (segment numbering, header agreement, frame
 //!   CRCs, dense LSNs) via [`verify_wal_dir`].
 //!
@@ -208,10 +210,22 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
     // page checksums.
     let mut heap_side = vec![(0u64, false); t.indexes().len()];
     let mut seq_side = vec![(0u64, false); t.seq_indexes().len()];
+    // per column with statistics (a hidden table keeps none): (NULLs,
+    // some value outside the bounds)
+    let stats = t.stats();
+    let mut stats_side = vec![(0u64, false); stats.arity()];
     for entry in t.iter_rows() {
         match entry {
             Ok((no, values)) => {
                 rep.rows_checked += 1;
+                for (col, (nulls, outside)) in stats_side.iter_mut().enumerate() {
+                    let (v, c) = (&values[col], stats.column(col));
+                    match (&c.min, &c.max) {
+                        _ if v.is_null() => *nulls += 1,
+                        (Some(min), Some(max)) => *outside |= v < min || v > max,
+                        _ => *outside = true,
+                    }
+                }
                 for (idx, (expected, missing)) in t.indexes().iter().zip(&mut heap_side) {
                     let key = Bound::Included(&values[idx.column]);
                     if !values[idx.column].is_null() {
@@ -274,6 +288,22 @@ fn check_table(t: &Table, rep: &mut CheckReport) {
                  ({} indexed vs {expected} expected texts)",
                 sidx.name,
                 sidx.len()
+            ));
+        }
+    }
+    // Statistics: exact NULL counts, and bounds holding every value
+    // (deletes never narrow them, so they may be wider than the values).
+    for (col, (nulls, outside)) in stats_side.into_iter().enumerate() {
+        let column = &t.schema.columns()[col].name;
+        let stored = stats.column(col).null_count;
+        if nulls != stored {
+            rep.problems.push(format!(
+                "statistics of `{name}`.`{column}`: {stored} NULL(s) counted, {nulls} live"
+            ));
+        }
+        if outside {
+            rep.problems.push(format!(
+                "statistics of `{name}`.`{column}`: a live value lies outside the bounds"
             ));
         }
     }
@@ -545,6 +575,31 @@ mod tests {
                 ["sequence index `sx` on `S`: suffixes out of order"]
             );
         }
+    }
+
+    /// Stored statistics must hold the live rows: a bound that excludes
+    /// a live value, or a NULL count off by one, is reported.
+    #[test]
+    fn statistics_that_exclude_a_live_value_are_reported() {
+        let mut t = table();
+        t.insert(vec![Value::Int(40), Value::Null]).unwrap();
+        // deletes leave the bounds wide: still fine
+        t.delete(0).unwrap();
+        assert!(problems(&t).is_empty(), "{:?}", problems(&t));
+        // bounds and NULL count as of rows 1..2 only: 40 lies above, and
+        // the NULL of row 3 is not counted
+        let mut narrow = crate::stats::TableStats::new(2);
+        for k in [20, 30] {
+            narrow.observe_row(&[Value::Int(k), Value::Text("v".into())]);
+        }
+        t.set_stats(narrow);
+        assert_eq!(
+            problems(&t),
+            [
+                "statistics of `T`.`K`: a live value lies outside the bounds",
+                "statistics of `T`.`V`: 0 NULL(s) counted, 1 live",
+            ]
+        );
     }
 
     #[test]

@@ -1285,6 +1285,8 @@ impl Database {
                 // the snapshot holds the incremental stats ANALYZE replaces
                 self.rec_touch_table(&table);
                 let rows = self.catalog.table_mut(&table)?.analyze()?;
+                // statistics are stored: the next close must write them
+                self.note_analyze();
                 // fresh stats can change cost-based choices: replan
                 self.catalog.bump_generation();
                 Ok(QueryResult::message(format!(

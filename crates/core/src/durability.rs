@@ -14,18 +14,21 @@
 //! **`data.bdb`** holds the last checkpoint: page 0 is a header (magic +
 //! format version + the record id of the metadata blob + CRC), each
 //! table's rows live in their own heap-file pages (the existing
-//! slotted-page/overflow-chain machinery), each sequence index's suffix
-//! order lives in pages of its own beside its table's heap, and one
-//! metadata record holds each table's physical parts — its name, row
-//! allocator, page list, rid map, outdated bitmap and the page list and
-//! length of each sequence index's order — plus the logical clock and
-//! the WAL frontier.  Everything else is rows of hidden tables
-//! (`crate::catalog`), copied with every other heap: the definitions of
-//! tables, indexes, sequence indexes and annotation sets (`$schema`;
-//! the other derived payloads are rebuilt on open), the curator's history —
-//! annotation records and attachments, deletion logs, approval logs —
-//! and the catalog's users, grants, approval configs and dependency
-//! rules.
+//! slotted-page/overflow-chain machinery), and one metadata record holds
+//! each table's physical parts — its name, row allocator, page list, rid
+//! map and outdated bitmap — plus the logical clock, the WAL frontier
+//! and the list of *sections*.  A section is derived state stored in
+//! pages of its own beside its table's heap, listed by owner table,
+//! kind, name, pages, byte length and CRC-32: each sequence index's
+//! suffix order, and each user table's planner statistics.  An open
+//! uses a section of a kind it knows, skips one of a kind it does not,
+//! and rebuilds from the heap what has no section.  Everything else is
+//! rows of hidden tables (`crate::catalog`), copied with every other
+//! heap: the definitions of tables, indexes, sequence indexes and
+//! annotation sets (`$schema`; the other derived payloads are rebuilt on
+//! open), the curator's history — annotation records and attachments,
+//! deletion logs, approval logs — and the catalog's users, grants,
+//! approval configs and dependency rules.
 //!
 //! **The WAL** holds logical redo records for every transaction committed
 //! since that checkpoint: row inserts, updates and deletes, outdated
@@ -61,9 +64,10 @@
 //!
 //! **Recovery** (`Database::open`) loads the image — the catalog tables
 //! first, then each user table with its hidden tables as `$schema`
-//! defines them — rebuilding indexes and statistics from the heaps in
-//! one pass per table (a reopen is an implicit `ANALYZE`; a sequence
-//! index is loaded in its stored order, not sorted), then replays
+//! defines them — rebuilding indexes from the heaps in one pass per
+//! table, which checks that every value decodes (a sequence index is
+//! loaded in its stored order, not sorted, and a user table takes its
+//! stored statistics), then replays
 //! the WAL: records are buffered per
 //! transaction and applied only when a `Commit` record is reached —
 //! ARIES-lite redo with committed records replayed and the uncommitted
@@ -76,8 +80,9 @@
 //! **Salvage** (`Database::open_salvage`) runs the same recovery path
 //! with a different error policy: a table whose heap fails the load's
 //! one pass, or whose definitions and metadata entries disagree, is
-//! quarantined, stored sequence-index orders are not read (each index
-//! is rebuilt from its heap), an unreadable image or WAL chain is dropped, a WAL
+//! quarantined, sections are not read (each sequence index is rebuilt
+//! from its heap, and each user table's statistics are computed from
+//! it), an unreadable image or WAL chain is dropped, a WAL
 //! record that does not decode or apply is counted and skipped, and the
 //! survivors are always re-checkpointed.  Only damage drops an
 //! image: one of another format version is refused (`Invalid`) and left
@@ -97,15 +102,18 @@ use bdbms_common::metrics::Counter;
 use bdbms_common::{BdbmsError, ErrorCode, Result, Value};
 use bdbms_storage::wal::{GroupCommitter, SharedWal, Wal, WalScan};
 use bdbms_storage::{
-    crc32, BufferPool, FaultInjector, FaultStore, FileStore, FlushGate, HeapFile, IoDecision,
-    MemStore, PageId, PageStore, Rid, PAGE_BODY,
+    crc32, BufferPool, Crc32, FaultInjector, FaultStore, FileStore, FlushGate, HeapFile,
+    IoDecision, MemStore, PageId, PageStore, Rid, PAGE_BODY,
 };
 
 pub use bdbms_storage::wal::{CommitTicket, Durability};
 
 use crate::auth::ADMIN;
-use crate::catalog::{on_table, Definition, History, Kind, Table, TableParts, SCHEMA_TABLE};
+use crate::catalog::{
+    on_table, owner_of, Definition, History, Kind, Table, TableParts, SCHEMA_TABLE,
+};
 use crate::database::Database;
+use crate::stats::TableStats;
 
 /// Data file name inside a database directory.
 pub(crate) const DATA_FILE: &str = "data.bdb";
@@ -125,17 +133,59 @@ const HEADER_MAGIC: &[u8; 8] = b"BDBMSDB1";
 //     (v4 is refused, not read)
 // v6: each sequence index's suffix order is stored in pages of its own,
 //     named per table in the snapshot (v5 is refused, not read)
-const FORMAT_VERSION: u32 = 6;
+// v7: the snapshot lists sections (orders, planner statistics) instead
+//     of naming orders per table (v6 is refused, not read)
+const FORMAT_VERSION: u32 = 7;
 
-/// Numbers an order page holds: its body, less the checksum trailer.
-const ORDER_PER_PAGE: usize = PAGE_BODY / 4;
+/// Section kind: a sequence index's suffix order, one little-endian
+/// `u32` per suffix; the section is named after the index.
+const ORDER: u8 = 1;
+/// Section kind: a user table's planner statistics
+/// (`TableStats::encode`); the section's name is empty.
+const STATS: u8 = 2;
+// an order's numbers never straddle two pages
+const _: () = assert!(PAGE_BODY.is_multiple_of(4));
 
-/// A sequence index's order as the image keeps it: the index's name,
-/// the order's pages and its length.
-type StoredOrder = (String, Vec<PageId>, usize);
+/// Derived state stored in pages of its own, as the metadata record
+/// lists it.  Open uses a section of a kind it knows, after checking
+/// its CRC-32 and shape, and skips one of a kind it does not, so adding
+/// or retiring a kind changes no format.
+struct Section {
+    /// The table the section belongs to.
+    table: String,
+    kind: u8,
+    name: String,
+    pages: Vec<PageId>,
+    len: usize,
+    crc: u32,
+}
 
-/// A table's rows and orders, moved onto a checkpoint's new image.
-type Moved = (String, HeapFile, BTreeMap<u64, Rid>, Vec<StoredOrder>);
+impl Section {
+    /// Serialize the section's entry in the metadata record.
+    fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_str(out, &self.table);
+        codec::put_u8(out, self.kind);
+        codec::put_str(out, &self.name);
+        codec::put_u64s(out, &self.pages.iter().map(|p| p.0).collect::<Vec<u64>>());
+        codec::put_u64(out, self.len as u64);
+        codec::put_u32(out, self.crc);
+    }
+
+    /// Decode one entry written by [`encode`](Self::encode).
+    fn decode(cur: &mut Cur<'_>) -> Result<Section> {
+        Ok(Section {
+            table: cur.str()?,
+            kind: cur.u8()?,
+            name: cur.str()?,
+            pages: cur.u64s()?.into_iter().map(PageId).collect(),
+            len: cur.u64()? as usize,
+            crc: cur.u32()?,
+        })
+    }
+}
+
+/// A table's rows, moved onto a checkpoint's new image.
+type Moved = (String, HeapFile, BTreeMap<u64, Rid>);
 
 // ---------------------------------------------------------------------
 // The logical redo vocabulary
@@ -349,6 +399,9 @@ pub(crate) struct PersistentStorage {
     lsn_source: Arc<AtomicU64>,
     opts: DurabilityOptions,
     commits_since_checkpoint: u64,
+    /// `ANALYZE` ran since the last checkpoint: the image's statistics
+    /// are not the live ones.
+    analyzed: bool,
     last_recovery: Option<RecoveryReport>,
     /// Set by `close` / `simulate_crash`: the drop hook must not
     /// checkpoint.
@@ -383,6 +436,7 @@ impl PersistentStorage {
             lsn_source,
             opts,
             commits_since_checkpoint: 0,
+            analyzed: false,
             last_recovery,
             skip_shutdown: false,
             group: None,
@@ -440,44 +494,104 @@ fn read_header(pg: &[u8]) -> Result<Rid> {
 }
 
 // ---------------------------------------------------------------------
-// Sequence-index order pages
+// Sections
 // ---------------------------------------------------------------------
 
-/// Write `order` to fresh pages of `pool`, [`ORDER_PER_PAGE`] numbers
-/// each, little-endian, returning the pages.
-fn write_order(pool: &BufferPool, order: &[u32]) -> Result<Vec<PageId>> {
-    order
-        .chunks(ORDER_PER_PAGE)
+/// Write `bytes` to fresh pages of `pool`, a page body each, as the
+/// section `kind` named `name` of `table`.
+fn write_section(
+    pool: &BufferPool,
+    table: &str,
+    kind: u8,
+    name: &str,
+    bytes: &[u8],
+) -> Result<Section> {
+    let pages = bytes
+        .chunks(PAGE_BODY)
         .map(|chunk| {
             let id = pool.allocate()?;
-            pool.with_page_mut(id, |pg| {
-                for (at, n) in pg.chunks_exact_mut(4).zip(chunk) {
-                    at.copy_from_slice(&n.to_le_bytes());
-                }
-            })?;
+            pool.with_page_mut(id, |pg| pg[..chunk.len()].copy_from_slice(chunk))?;
             Ok(id)
         })
-        .collect()
+        .collect::<Result<_>>()?;
+    Ok(Section {
+        table: table.into(),
+        kind,
+        name: name.into(),
+        pages,
+        len: bytes.len(),
+        crc: crc32(bytes),
+    })
 }
 
-/// Read back the `len` numbers of an order from its `pages`.
-fn read_order(pool: &BufferPool, pages: &[PageId], len: usize) -> Result<Vec<u32>> {
-    let outside = pages.iter().any(|p| p.0 == 0 || p.0 >= pool.num_pages());
-    if outside || pages.len() != len.div_ceil(ORDER_PER_PAGE) {
+/// Read back the bytes of section `s`, handing them to `take` a page
+/// body at a time: pages outside the image, a page count that does not
+/// fit the length, or bytes that fail the CRC-32 are `Corrupt` (the
+/// last after `take` has seen them).
+fn read_section(pool: &BufferPool, s: &Section, mut take: impl FnMut(&[u8])) -> Result<()> {
+    let what = || format!("section {} `{}` of `{}`", s.kind, s.name, s.table);
+    let outside = s.pages.iter().any(|p| p.0 == 0 || p.0 >= pool.num_pages());
+    if outside || s.pages.len() != s.len.div_ceil(PAGE_BODY) {
         return Err(BdbmsError::corrupt(format!(
-            "a sequence-index order of {len} numbers on {} unfit page(s)",
-            pages.len()
+            "{} of {} bytes on {} unfit page(s)",
+            what(),
+            s.len,
+            s.pages.len()
         )));
     }
-    let mut order = Vec::with_capacity(len);
-    for &id in pages {
-        let take = (len - order.len()).min(ORDER_PER_PAGE);
+    let (mut crc, mut left) = (Crc32::new(), s.len);
+    for &id in &s.pages {
+        let body = left.min(PAGE_BODY);
         pool.with_page(id, |pg| {
-            let numbers = pg[..4 * take].chunks_exact(4);
+            crc = crc.update(&pg[..body]);
+            take(&pg[..body]);
+        })?;
+        left -= body;
+    }
+    if crc.finish() != s.crc {
+        return Err(BdbmsError::corrupt(format!(
+            "{}: checksum mismatch",
+            what()
+        )));
+    }
+    Ok(())
+}
+
+/// Put the section `s` of a known kind into the parts of its table.
+fn load_section(
+    pool: &BufferPool,
+    parts: &mut BTreeMap<String, (String, TableParts)>,
+    s: Section,
+) -> Result<()> {
+    if !matches!(s.kind, ORDER | STATS) {
+        // a kind this build does not know: left to the heap
+        return Ok(());
+    }
+    let Some((_, p)) = parts.get_mut(&s.table.to_ascii_lowercase()) else {
+        return Err(BdbmsError::corrupt(format!(
+            "a section for no table `{}`",
+            s.table
+        )));
+    };
+    if s.kind == STATS {
+        let mut bytes = Vec::with_capacity(s.len);
+        read_section(pool, &s, |b| bytes.extend_from_slice(b))?;
+        p.stats = Some(TableStats::decode(&bytes)?);
+    } else if s.len.is_multiple_of(4) {
+        // a page body holds whole numbers, so each decodes where it lies
+        let mut order = Vec::with_capacity(s.len / 4);
+        read_section(pool, &s, |b| {
+            let numbers = b.chunks_exact(4);
             order.extend(numbers.map(|n| u32::from_le_bytes(n.try_into().expect("4 bytes"))));
         })?;
+        p.orders.push((s.name, order));
+    } else {
+        return Err(BdbmsError::corrupt(format!(
+            "the stored order of sequence index `{}` is {} bytes long",
+            s.name, s.len
+        )));
     }
-    Ok(order)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -485,11 +599,16 @@ fn read_order(pool: &BufferPool, pages: &[PageId], len: usize) -> Result<Vec<u32
 // ---------------------------------------------------------------------
 
 /// Serialize the engine's physical state: each table's parts, with its
-/// rows and sequence-index orders already written to the `moved` pages
-/// (page lists + rid maps refer to the *new* store), the clock and the
-/// WAL frontier.  What the tables are — schemas, owners, indexes, sets
-/// — is rows of `$schema`.
-fn encode_snapshot(db: &Database, moved: &[Moved], wal_frontier: u64) -> Vec<u8> {
+/// rows already written to the `moved` pages (page lists + rid maps
+/// refer to the *new* store), the clock, the WAL frontier and the
+/// `sections` written beside the rows.  What the tables are — schemas,
+/// owners, indexes, sets — is rows of `$schema`.
+fn encode_snapshot(
+    db: &Database,
+    moved: &[Moved],
+    sections: &[Section],
+    wal_frontier: u64,
+) -> Vec<u8> {
     let mut body = Vec::new();
     codec::put_u64(&mut body, db.clock.now());
     // every WAL entry with an LSN below this is already folded into the
@@ -501,7 +620,7 @@ fn encode_snapshot(db: &Database, moved: &[Moved], wal_frontier: u64) -> Vec<u8>
     codec::put_u64(&mut body, wal_frontier);
 
     codec::put_u32(&mut body, moved.len() as u32);
-    for ((name, heap, rows, orders), t) in moved.iter().zip(db.catalog.all_tables()) {
+    for ((name, heap, rows), t) in moved.iter().zip(db.catalog.all_tables()) {
         debug_assert!(t.name.eq_ignore_ascii_case(name));
         codec::put_str(&mut body, &t.name);
         codec::put_u64(&mut body, t.peek_next_row());
@@ -522,12 +641,10 @@ fn encode_snapshot(db: &Database, moved: &[Moved], wal_frontier: u64) -> Vec<u8>
             codec::put_u64(&mut body, r as u64);
             codec::put_u64(&mut body, c as u64);
         }
-        codec::put_u32(&mut body, orders.len() as u32);
-        for (index, pages, len) in orders {
-            codec::put_str(&mut body, index);
-            codec::put_u64s(&mut body, &pages.iter().map(|p| p.0).collect::<Vec<u64>>());
-            codec::put_u64(&mut body, *len as u64);
-        }
+    }
+    codec::put_u32(&mut body, sections.len() as u32);
+    for s in sections {
+        s.encode(&mut body);
     }
 
     let mut out = Vec::with_capacity(body.len() + 12);
@@ -555,9 +672,9 @@ fn take_parts(
 /// frontier: log entries below it are already part of the image.
 /// Decode errors of the blob itself are fatal in both modes (the caller
 /// treats that as image loss); what [`Database::load_tables`] finds is
-/// fatal only without a quarantine list.  With one (salvage), stored
-/// sequence-index orders are not read: each index is rebuilt from its
-/// heap.
+/// fatal only without a quarantine list.  With one (salvage), sections
+/// are not read: each sequence index is rebuilt from its heap, and each
+/// user table's statistics are computed from it.
 fn decode_snapshot_mode(
     db: &mut Database,
     blob: &[u8],
@@ -626,27 +743,25 @@ fn decode_snapshot_mode(
             }
             outdated.set(r, c);
         }
-        let mut orders = Vec::new();
-        for _ in 0..cur.len()? {
-            let index = cur.str()?;
-            let order_pages: Vec<PageId> = cur.u64s()?.into_iter().map(PageId).collect();
-            let len = cur.u64()? as usize;
-            if quarantine.is_none() {
-                orders.push((index, read_order(pool, &order_pages, len)?));
-            }
-        }
         let heap = HeapFile::attach(pool.clone(), pages);
         let p = TableParts {
             heap,
             rows,
             next_row,
             outdated,
-            orders,
+            orders: Vec::new(),
+            stats: None,
         };
         if let Some((name, _)) = parts.insert(name.to_ascii_lowercase(), (name, p)) {
             return Err(BdbmsError::corrupt(format!(
                 "two metadata entries for table `{name}`"
             )));
+        }
+    }
+    for _ in 0..cur.len()? {
+        let s = Section::decode(&mut cur)?;
+        if quarantine.is_none() {
+            load_section(pool, &mut parts, s)?;
         }
     }
     if !cur.is_empty() {
@@ -1165,18 +1280,29 @@ impl Database {
         ));
         let header = new_pool.allocate()?;
         debug_assert_eq!(header, PageId(0));
-        let mut moved: Vec<Moved> = Vec::new();
+        let (mut moved, mut sections): (Vec<Moved>, _) = (Vec::new(), Vec::new());
         for t in self.catalog.all_tables() {
             let (heap, rows) = t.write_rows_to(new_pool.clone())?;
-            let mut orders = Vec::new();
             for sidx in t.seq_indexes() {
-                let order = sidx.order();
-                let pages = write_order(&new_pool, &order)?;
-                orders.push((sidx.name.clone(), pages, order.len()));
+                // the loop frees `numbers`: the pages are filled from one copy
+                let numbers = sidx.order();
+                let mut order = Vec::with_capacity(4 * numbers.len());
+                for n in numbers {
+                    order.extend_from_slice(&n.to_le_bytes());
+                }
+                sections.push(write_section(
+                    &new_pool, &t.name, ORDER, &sidx.name, &order,
+                )?);
             }
-            moved.push((t.name.clone(), heap, rows, orders));
+            // statistics are serialized as they stand, not recomputed
+            if owner_of(&t.name).is_none() {
+                let mut stats = Vec::new();
+                t.stats().encode(&mut stats);
+                sections.push(write_section(&new_pool, &t.name, STATS, "", &stats)?);
+            }
+            moved.push((t.name.clone(), heap, rows));
         }
-        let blob = encode_snapshot(self, &moved, wal_frontier);
+        let blob = encode_snapshot(self, &moved, &sections, wal_frontier);
         let mut meta_heap = HeapFile::create(new_pool.clone())?;
         let meta_rid = meta_heap.insert(&blob)?;
         new_pool.with_page_mut(PageId(0), |pg| write_header(pg, meta_rid))?;
@@ -1194,7 +1320,7 @@ impl Database {
             let _ = d.sync_all();
         }
         // adopt the new image as the live storage
-        for (name, heap, rows, _) in moved {
+        for (name, heap, rows) in moved {
             self.catalog.table_mut(&name)?.swap_storage(heap, rows);
         }
         let ps = self.storage.as_mut().expect("still durable");
@@ -1206,6 +1332,7 @@ impl Database {
         // fail the (already effective) checkpoint.
         let _ = wal.with(|w| w.reset());
         ps.commits_since_checkpoint = 0;
+        ps.analyzed = false;
         self.engine_metrics.checkpoints.inc();
         self.engine_metrics
             .checkpoint_duration_ns
@@ -1370,13 +1497,34 @@ impl Database {
             .map(|ps| ps.wal.with(|w| w.metrics().fsyncs))
     }
 
-    /// Checkpoint and shut down cleanly.  (Dropping a durable database
-    /// also checkpoints, best-effort; `close` surfaces the error.)
+    /// Note that `ANALYZE` replaced a table's statistics, which the next
+    /// close must then checkpoint.
+    pub(crate) fn note_analyze(&mut self) {
+        if let Some(ps) = self.storage.as_mut() {
+            ps.analyzed = true;
+        }
+    }
+
+    /// Does the image lack something the engine holds?  Only a commit
+    /// or an `ANALYZE` since the last checkpoint makes it so.
+    fn image_behind(&self) -> bool {
+        let ps = self.storage.as_ref();
+        ps.is_some_and(|ps| ps.commits_since_checkpoint > 0 || ps.analyzed)
+    }
+
+    /// Checkpoint, if the image is behind, and shut down cleanly: a
+    /// database that committed nothing and ran no `ANALYZE` since its
+    /// last checkpoint closes without a write.  (Dropping a durable
+    /// database does the same, best-effort; `close` surfaces the error.)
     pub fn close(mut self) -> Result<()> {
         if self.in_transaction() {
             let _ = self.txn_rollback();
         }
-        let r = self.checkpoint();
+        let r = if self.image_behind() {
+            self.checkpoint()
+        } else {
+            Ok(())
+        };
         if let Some(ps) = self.storage.as_mut() {
             ps.skip_shutdown = true;
         }
@@ -1403,7 +1551,9 @@ impl Drop for Database {
         if self.in_transaction() {
             let _ = self.txn_rollback();
         }
-        let _ = self.checkpoint_inner();
+        if self.image_behind() {
+            let _ = self.checkpoint_inner();
+        }
     }
 }
 
@@ -1528,6 +1678,165 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// The metadata record of the image under `dir`: its body up to the
+    /// section list, and the sections listed.
+    fn image_sections(dir: &Path) -> (Vec<u8>, Vec<Section>) {
+        let store = FileStore::open(dir.join(DATA_FILE)).unwrap();
+        let pool = Arc::new(BufferPool::new(Box::new(store), 64));
+        let meta_rid = pool.with_page(PageId(0), read_header).unwrap().unwrap();
+        let blob = HeapFile::attach(pool, Vec::new()).get(meta_rid).unwrap();
+        let body = &blob[16..];
+        let mut cur = Cur::new(body);
+        let (_clock, _frontier) = (cur.u64().unwrap(), cur.u64().unwrap());
+        for _ in 0..cur.len().unwrap() {
+            let (_name, _next_row, _pages) = (cur.str(), cur.u64(), cur.u64s());
+            for _ in 0..cur.len().unwrap() {
+                let _rid_entry = (cur.u64(), cur.u64(), cur.u16());
+            }
+            let _dimensions = (cur.u64(), cur.u64());
+            for _ in 0..cur.len().unwrap() {
+                let _bit = (cur.u64(), cur.u64());
+            }
+        }
+        let head = body[..body.len() - cur.remaining()].to_vec();
+        let n = cur.len().unwrap();
+        let sections = (0..n).map(|_| Section::decode(&mut cur).unwrap());
+        (head, sections.collect())
+    }
+
+    /// Point the image under `dir` at a new metadata record: `head`
+    /// followed by `sections`.
+    fn rewrite_sections(dir: &Path, head: &[u8], sections: &[Section]) {
+        let mut body = head.to_vec();
+        codec::put_u32(&mut body, sections.len() as u32);
+        sections.iter().for_each(|s| s.encode(&mut body));
+        let store = FileStore::open(dir.join(DATA_FILE)).unwrap();
+        let pool = Arc::new(BufferPool::new(Box::new(store), 64));
+        let mut meta_heap = HeapFile::create(pool.clone()).unwrap();
+        let meta_rid = meta_heap.insert(&frame_body(&body)).unwrap();
+        pool.with_page_mut(PageId(0), |pg| write_header(pg, meta_rid))
+            .unwrap();
+        pool.flush_all().unwrap();
+    }
+
+    /// `T (K INT, V TEXT)` under a fresh directory named after `name`,
+    /// closed with its largest `K` deleted: its stored bounds are wider
+    /// than an `ANALYZE` finds.
+    fn closed_with_wide_bounds(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bdbms-{name}-{}.bdbms", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INT, V TEXT)").unwrap();
+        db.execute("INSERT INTO T VALUES (1, 'a'), (2, NULL), (3, 'c'), (40, 'd')")
+            .unwrap();
+        db.execute("DELETE FROM T WHERE K = 40").unwrap();
+        db.close().unwrap();
+        dir
+    }
+
+    /// `T`'s statistics in `Debug` form, and whether an `ANALYZE` leaves
+    /// them as they are.
+    fn stats_are_exact(db: &mut Database) -> bool {
+        let stats = |db: &Database| format!("{:?}", db.catalog.table("T").unwrap().stats());
+        let before = stats(db);
+        db.execute("ANALYZE T").unwrap();
+        stats(db) == before
+    }
+
+    /// A section of a kind this build does not know is skipped, pages
+    /// and all; a user table whose statistics have no section gets them
+    /// computed from its heap, exactly as `ANALYZE` would.
+    #[test]
+    fn unknown_sections_are_skipped_and_missing_statistics_computed() {
+        let dir = closed_with_wide_bounds("sections");
+        let (head, mut sections) = image_sections(&dir);
+        let kinds: Vec<(&str, u8)> = sections
+            .iter()
+            .map(|s| (s.table.as_str(), s.kind))
+            .collect();
+        assert_eq!(kinds, [("T", STATS)], "hidden tables keep none");
+        // as stored: the bounds deletes left wide
+        let mut db = Database::open(&dir).unwrap();
+        assert!(!stats_are_exact(&mut db));
+        db.simulate_crash();
+        sections[0] = Section {
+            table: "T".into(),
+            kind: 200,
+            name: "from a later build".into(),
+            pages: vec![PageId(u64::MAX)],
+            len: 3,
+            crc: 0,
+        };
+        rewrite_sections(&dir, &head, &sections);
+        let mut db = Database::open(&dir).unwrap();
+        assert!(stats_are_exact(&mut db), "computed at open");
+        assert_eq!(db.execute("SELECT K FROM T").unwrap().rows.len(), 3);
+        assert!(db.check().unwrap().is_ok());
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A statistics section whose bytes fail its CRC-32 (under a valid
+    /// page checksum) is `Corrupt` for `open`; salvage does not read it,
+    /// keeps the table and computes its statistics from the heap.
+    #[test]
+    fn a_stats_section_failing_its_checksum_is_corrupt_and_salvage_recomputes() {
+        use bdbms_storage::{stamp_page_checksum, PAGE_SIZE};
+        let dir = closed_with_wide_bounds("bad-stats");
+        let (_, sections) = image_sections(&dir);
+        let page = sections[0].pages[0].0 as usize * PAGE_SIZE;
+        let data = dir.join(DATA_FILE);
+        let mut bytes = fs::read(&data).unwrap();
+        // the first column's NULL count
+        bytes[page + 4] ^= 0x01;
+        stamp_page_checksum(&mut bytes[page..page + PAGE_SIZE]);
+        fs::write(&data, &bytes).unwrap();
+        let err = Database::open(&dir).map(drop).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Corrupt, "{err}");
+        assert!(err.message().contains("checksum mismatch"), "{err}");
+        let mut db = Database::open_salvage(&dir).unwrap();
+        assert!(db.last_recovery().unwrap().quarantined_tables.is_empty());
+        assert!(stats_are_exact(&mut db), "computed by salvage");
+        assert_eq!(db.execute("SELECT K FROM T").unwrap().rows.len(), 3);
+        assert!(db.check().unwrap().is_ok());
+        db.close().unwrap();
+        Database::open(&dir).unwrap().close().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint writes each page of its image once: the pool's
+    /// write-backs during it equal the image's page count.
+    #[test]
+    fn a_checkpoint_writes_each_page_once() {
+        let dir = std::env::temp_dir().join(format!("bdbms-writes-{}.bdbms", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE S (K INT, V TEXT, W TEXT)")
+            .unwrap();
+        let rows: Vec<String> = (0..300)
+            .map(|k| format!("({k}, '{:b}', '{}')", k + 8, "w".repeat(200)))
+            .collect();
+        db.execute(&format!("INSERT INTO S VALUES {}", rows.join(", ")))
+            .unwrap();
+        let long = "x".repeat(20_000); // an overflow chain
+        db.execute(&format!("INSERT INTO S VALUES (-1, '10', '{long}')"))
+            .unwrap();
+        db.execute("CREATE SEQUENCE INDEX sx ON S (V)").unwrap();
+        let writes = |db: &Database| {
+            let snapshot = db.metrics_snapshot();
+            snapshot.counter("buffer.dirty_writebacks").unwrap()
+        };
+        let before = writes(&db);
+        db.checkpoint().unwrap();
+        let pages = fs::metadata(dir.join(DATA_FILE)).unwrap().len() / PAGE_SIZE_U64;
+        assert!(pages > 10, "{pages} pages");
+        assert_eq!(writes(&db) - before, pages);
+        db.close().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    const PAGE_SIZE_U64: u64 = bdbms_storage::PAGE_SIZE as u64;
 
     use proptest::prelude::*;
 

@@ -19,18 +19,25 @@
 //!   candidate indexes, so index choice stays sane);
 //! * `ANALYZE` throws both away and recomputes from a scan.
 //!
+//! A checkpoint stores each user table's statistics as they stand
+//! (`TableStats::encode`), and an open reads them back instead of
+//! recomputing them, so a reopened database plans with exactly the
+//! estimates the closed one had, stale-wide bounds included.
+//!
 //! Everything here is deterministic: the sketch hashes the canonical
 //! [`Value`] encoding with FNV-1a (no per-process hash seeds), so a
 //! given insert history always produces the same estimates — the planner
 //! tests pin plan decisions on that.  That encoding is what a stored
-//! record holds, so the `ANALYZE`-grade rebuilds (open, `ANALYZE`,
-//! `COPY`) observe columns straight from the record bytes
-//! (`ColumnStats::observe_encoded`) with the same result.
+//! record holds, so the `ANALYZE`-grade rebuilds (`ANALYZE`, `COPY`, and
+//! an open or salvage that finds no stored statistics) observe columns
+//! straight from the record bytes (`ColumnStats::observe_encoded`) with
+//! the same result.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
-use bdbms_common::{Result, Value};
+use bdbms_common::codec::{self, Cur};
+use bdbms_common::{BdbmsError, Result, Value};
 
 /// Sketch size: the `k` of the k-minimum-values estimator.  256 keeps
 /// the estimate within a few percent, which is far more precision than
@@ -197,6 +204,64 @@ impl TableStats {
     /// Stats of one column (by schema position).
     pub fn column(&self, col: usize) -> &ColumnStats {
         &self.cols[col]
+    }
+
+    /// Number of columns covered (none for a hidden table).
+    pub fn arity(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The statistics as a checkpoint stores them: per column the NULL
+    /// count, the bounds (NULL where there is none) and the sketch's
+    /// hashes.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_u32(out, self.cols.len() as u32);
+        for c in &self.cols {
+            codec::put_u64(out, c.null_count);
+            for bound in [&c.min, &c.max] {
+                codec::put_value(out, bound.as_ref().unwrap_or(&Value::Null));
+            }
+            codec::put_u64s(out, &c.sketch.mins);
+        }
+    }
+
+    /// Read back what [`encode`](Self::encode) wrote.  Bytes of another
+    /// shape — bounds without hashes or the reverse, a minimum above the
+    /// maximum, more than `SKETCH_K` hashes or hashes out of order — are
+    /// `Corrupt`.
+    pub(crate) fn decode(buf: &[u8]) -> Result<TableStats> {
+        let mut cur = Cur::new(buf);
+        let n = cur.len()?;
+        let mut cols = Vec::with_capacity(n.min(cur.remaining()));
+        for col in 0..n {
+            let null_count = cur.u64()?;
+            let min = Some(cur.value()?).filter(|v| !v.is_null());
+            let max = Some(cur.value()?).filter(|v| !v.is_null());
+            let mins = cur.u64s()?;
+            let fits = match (&min, &max) {
+                (Some(lo), Some(hi)) => lo <= hi && !mins.is_empty(),
+                (None, None) => mins.is_empty(),
+                _ => false,
+            };
+            if !fits || mins.len() > SKETCH_K || mins.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(BdbmsError::corrupt(format!(
+                    "stored statistics of column {col} are malformed"
+                )));
+            }
+            let sketch = DistinctSketch { mins };
+            cols.push(ColumnStats {
+                min,
+                max,
+                null_count,
+                sketch,
+            });
+        }
+        if !cur.is_empty() {
+            return Err(BdbmsError::corrupt(
+                "trailing bytes after stored statistics",
+            ));
+        }
+        Ok(TableStats { cols })
     }
 
     /// Record one inserted row.
@@ -467,6 +532,53 @@ mod tests {
                 c.min.is_none() && c.null_count == 0 && c.distinct() == 0,
                 "{bytes:?}"
             );
+        }
+    }
+
+    /// What a checkpoint stores reads back identical, in `Debug` form;
+    /// bytes of another shape are refused.
+    #[test]
+    fn stored_statistics_read_back_identical() {
+        let mut t = TableStats::new(3);
+        for i in 0..1_000i64 {
+            let note = if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Text(format!("n{}", i % 50))
+            };
+            t.observe_row(&[Value::Int(i), note, Value::Null]);
+        }
+        t.retire_row(&[Value::Int(0), Value::Null, Value::Null]);
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        let back = TableStats::decode(&bytes).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{t:?}"));
+        assert_eq!(back.column(0).distinct(), t.column(0).distinct());
+
+        // one column: NULL count, min 1, max 2, one hash
+        let column = |min: Value, max: Value, hashes: &[u64]| {
+            let mut b = Vec::new();
+            codec::put_u32(&mut b, 1);
+            codec::put_u64(&mut b, 0);
+            codec::put_value(&mut b, &min);
+            codec::put_value(&mut b, &max);
+            codec::put_u64s(&mut b, hashes);
+            b
+        };
+        assert!(TableStats::decode(&column(Value::Int(1), Value::Int(2), &[7])).is_ok());
+        let many: Vec<u64> = (0..=SKETCH_K as u64).collect();
+        for bad in [
+            column(Value::Int(2), Value::Int(1), &[7]),
+            column(Value::Int(1), Value::Null, &[7]),
+            column(Value::Int(1), Value::Int(2), &[]),
+            column(Value::Null, Value::Null, &[7]),
+            column(Value::Int(1), Value::Int(2), &[8, 7]),
+            column(Value::Int(1), Value::Int(2), &many),
+            [column(Value::Int(1), Value::Int(2), &[7]), vec![0]].concat(),
+            bytes[..bytes.len() - 1].to_vec(),
+        ] {
+            let err = TableStats::decode(&bad).unwrap_err();
+            assert_eq!(err.code(), bdbms_common::ErrorCode::Corrupt, "{bad:?}");
         }
     }
 

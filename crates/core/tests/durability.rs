@@ -1,9 +1,8 @@
 //! Durable-database round trips: everything the engine manages —
 //! tables, rows, secondary indexes, annotation sets in both schemes,
 //! archived flags, outdated bitmaps, deletion logs, dependency rules,
-//! auth state, the approval log, and the logical clock — must survive
-//! `close()` + `open()` byte-identically (modulo planner statistics,
-//! which a reopen recomputes exactly, like `ANALYZE`).
+//! auth state, the approval log, the logical clock and the planner
+//! statistics — must survive `close()` + `open()` byte-identically.
 
 use std::path::{Path, PathBuf};
 
@@ -20,8 +19,8 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Everything observable about a table, for byte-identical comparisons
-/// (same shape as the transactions suite, minus stats — a reopen is an
-/// implicit ANALYZE).
+/// (same shape as the transactions suite, minus stats, which
+/// `close_and_open_keep_the_planner_statistics` compares on its own).
 fn table_fingerprint(db: &Database, table: &str) -> String {
     let t = db.catalog().table(table).unwrap();
     let rows = t.iter_rows().collect::<Result<Vec<_>, _>>().unwrap();
@@ -421,8 +420,8 @@ fn buffer_counters_keep_counting_across_checkpoints() {
 
 /// Format pin for the checkpoint writer: a fixed script, then
 /// `checkpoint()`, must give exactly these `data.bdb` bytes (length and
-/// FNV-1a hash, pinned for format 5, whose `$schema` table holds the
-/// definitions in heap pages of its own).  The script reaches every
+/// FNV-1a hash, pinned for format 7, whose metadata record lists the
+/// sections: here one page of `Gene`'s planner statistics).  The script reaches every
 /// record shape a checkpoint
 /// copies: rows updated in place and relocated, holes left by DELETEs,
 /// and overflow chains (an inserted row and an updated row longer than a
@@ -475,7 +474,7 @@ fn golden_image_bytes_do_not_drift() {
     let image = std::fs::read(dir.join("data.bdb")).unwrap();
     assert_eq!(
         (image.len(), fnv1a(&image)),
-        (114_688, 4_776_338_696_789_330_328),
+        (122_880, 2_271_649_458_317_867_723),
         "the checkpoint image drifted"
     );
     db.close().unwrap();
@@ -732,5 +731,87 @@ fn damaged_history_quarantines_its_owner() {
     assert!(db.check().unwrap().is_ok());
     db.execute("CREATE TABLE Gene (GID TEXT)").unwrap();
     db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clean close and open keep every table's planner statistics as they
+/// stood, in `Debug` form: the NULL counts, the distinct estimates and
+/// the bounds, which stay as wide as the deleted rows left them until
+/// `ANALYZE` narrows them — and an `ANALYZE` is kept across a close that
+/// has nothing else to write.
+#[test]
+fn close_and_open_keep_the_planner_statistics() {
+    let dir = tmp("stats-kept");
+    let stats = |db: &Database| format!("{:?}", db.catalog().table("Gene").unwrap().stats());
+    let bounds = |db: &Database| {
+        let len = db
+            .catalog()
+            .table("Gene")
+            .unwrap()
+            .stats()
+            .column(1)
+            .clone();
+        (len.min, len.max)
+    };
+    let before = {
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE Gene (GID TEXT, Len INT, Note TEXT)")
+            .unwrap();
+        for i in 0..300 {
+            let note = if i % 7 == 0 {
+                "NULL".into()
+            } else {
+                format!("'n{}'", i % 40)
+            };
+            db.execute(&format!(
+                "INSERT INTO Gene VALUES ('JW{i:04}', {i}, {note})"
+            ))
+            .unwrap();
+        }
+        // the rows holding both bounds go; the bounds stay wide
+        db.execute("DELETE FROM Gene WHERE Len = 0 OR Len = 299")
+            .unwrap();
+        db.execute("UPDATE Gene SET Note = NULL WHERE Len = 5")
+            .unwrap();
+        assert_eq!(bounds(&db), (Some(Value::Int(0)), Some(Value::Int(299))));
+        let before = stats(&db);
+        db.close().unwrap();
+        before
+    };
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(stats(&db), before, "a reopen plans with the same estimates");
+    assert!(db.check().unwrap().is_ok());
+    db.execute("ANALYZE Gene").unwrap();
+    let analyzed = stats(&db);
+    assert_eq!(bounds(&db), (Some(Value::Int(1)), Some(Value::Int(298))));
+    db.close().unwrap();
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(stats(&db), analyzed, "the ANALYZE outlived the close");
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opening a cleanly closed database, reading and closing it issues no
+/// write at all: no page, no fsync, no rename, no WAL frame.
+#[test]
+fn open_select_close_writes_nothing() {
+    let dir = tmp("read-only-close");
+    {
+        let mut db = Database::create(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INT)").unwrap();
+        db.execute("INSERT INTO T VALUES (1), (2)").unwrap();
+        db.close().unwrap();
+    }
+    let image = std::fs::read(dir.join("data.bdb")).unwrap();
+    let inj = bdbms_storage::FaultInjector::new();
+    let opts = DurabilityOptions {
+        fault_injector: Some(inj.clone()),
+        ..Default::default()
+    };
+    let mut db = Database::open_with(&dir, opts).unwrap();
+    assert_eq!(db.execute("SELECT K FROM T").unwrap().rows.len(), 2);
+    db.close().unwrap();
+    assert_eq!(inj.op_count(), 0, "open, SELECT and close wrote something");
+    assert!(std::fs::read(dir.join("data.bdb")).unwrap() == image);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -193,9 +193,9 @@ impl FaultStore {
 
 impl PageStore for FaultStore {
     fn allocate(&mut self) -> Result<PageId> {
-        // Allocation extends the backing file — a real write.  Data-shaped
-        // faults degrade to an error (the extension either happens or
-        // doesn't; the zero fill has nothing meaningful to tear or flip).
+        // Allocation extends the backing file — an I/O that can fail.
+        // Data-shaped faults degrade to an error (the extension either
+        // happens or doesn't; it carries no payload to tear or flip).
         match self.injector.next_op() {
             IoDecision::Proceed => self.inner.allocate(),
             _ => Err(FaultInjector::injected_error("page allocation")),

@@ -43,7 +43,8 @@ pub fn stamp_page_checksum(page: &mut [u8]) {
 ///
 /// An entirely zeroed page is accepted: that is the state of a page the
 /// store allocated but never flushed (e.g. [`FileStore::allocate`]
-/// extends the file with zeros), and of pre-checksum images.  A zeroed
+/// extends the file by length, so the page reads as zeros), and of
+/// pre-checksum images.  A zeroed
 /// page carries no records, so accepting it serves no garbage — while
 /// any single corrupted byte of a *stamped* page fails the match (a flip
 /// in the body changes the CRC; a flip in the trailer breaks the stored
@@ -169,9 +170,10 @@ impl FileStore {
 
 impl PageStore for FileStore {
     fn allocate(&mut self) -> Result<PageId> {
+        // the file grows by length only: the page reads as zeros until
+        // its first (and, from a checkpoint, only) write
         let id = PageId(self.num_pages);
-        self.file.seek(SeekFrom::Start(id.0 * PAGE_SIZE as u64))?;
-        self.file.write_all(&[0u8; PAGE_SIZE])?;
+        self.file.set_len((id.0 + 1) * PAGE_SIZE as u64)?;
         self.num_pages += 1;
         Ok(id)
     }
@@ -283,6 +285,34 @@ mod tests {
         let mut nonzero = page.clone();
         nonzero[9] = 1;
         assert!(!verify_page_checksum(&nonzero));
+    }
+
+    /// Allocation only lengthens the file: no byte is written until a
+    /// page's first write, so a checkpoint writes each page once.  (The
+    /// unwritten range is a hole, which `blocks` shows on the common
+    /// Linux filesystems.)
+    #[cfg(unix)]
+    #[test]
+    fn file_store_allocation_writes_no_page() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("bdbms-alloc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.db");
+        let mut fs = FileStore::create(&path).unwrap();
+        for _ in 0..4 {
+            fs.allocate().unwrap();
+        }
+        let md = std::fs::metadata(&path).unwrap();
+        assert_eq!(md.len(), 4 * PAGE_SIZE as u64);
+        assert!(
+            md.blocks() * 512 < PAGE_SIZE as u64,
+            "{} blocks",
+            md.blocks()
+        );
+        let mut out = [1u8; PAGE_SIZE];
+        fs.read_page(PageId(3), &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
